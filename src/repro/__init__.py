@@ -17,7 +17,7 @@ Package map (see DESIGN.md for the full inventory and substitutions):
 * :mod:`repro.hardware` — accelerator/memory/MMU/engine simulation.
 * :mod:`repro.serving` — continuous batching and trace replay.
 * :mod:`repro.experiments` — one module per paper figure/table.
-* :mod:`repro.cli` — ``python -m repro``.
+* :mod:`repro.commands` — ``python -m repro`` (one module per verb).
 """
 
 __version__ = "1.0.0"

@@ -3,8 +3,8 @@
 Each module exposes ``register(sub)`` (mount its parser on the shared
 subparsers object, ``set_defaults(func=...)``) and ``run(args)`` (the
 implementation; heavy imports stay inside so ``--help`` is instant).
-``repro.cli`` re-exports :func:`build_parser`/:func:`main` so the old
-import path keeps working.
+:func:`build_parser` and :func:`main` here are what ``python -m repro``
+runs.
 """
 
 from __future__ import annotations

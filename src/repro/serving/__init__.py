@@ -5,12 +5,15 @@
   (Section 5.3): prefill admission, per-iteration generation, slot
   recycling when requests finish.
 * :mod:`repro.serving.simulator` — trace-driven end-to-end simulation
-  producing the Figure 14 generation-throughput metric.
+  producing the Figure 14 generation-throughput metric: the cache
+  replay engine, the iteration costing rule, and ``simulate_trace``
+  (the cluster loop at one replica, no faults).
 * :mod:`repro.serving.faults` — seeded fault-injection plans (crashes,
   brownouts, admission blackouts) for resilience replays.
-* :mod:`repro.serving.cluster` — the fault-tolerant N-replica cluster
-  replay: routing policies, heartbeat failure detection, retry/backoff
-  requeue, exactly-once completion accounting.
+* :mod:`repro.serving.cluster` — the one serving event loop, as a
+  fault-tolerant N-replica cluster replay: routing policies, heartbeat
+  failure detection, retry/backoff requeue, exactly-once completion
+  accounting.
 """
 
 from repro.serving.cluster import (

@@ -30,11 +30,11 @@ The robustness machinery the plan exercises:
 Correctness contracts (regression-tested):
 
 1. One replica, no faults → the cluster report's token, timing and
-   latency totals reduce **exactly** (float-identical) to
-   :func:`~repro.serving.simulator.simulate_trace`: both price steps
-   through the shared
-   :func:`~repro.serving.simulator.iteration_time_s` rule and
-   accumulate the same floats in the same order.
+   latency totals equal
+   :func:`~repro.serving.simulator.simulate_trace`'s **by
+   construction**: ``simulate_trace`` *is* this loop, configured with
+   one replica and an empty fault plan, and its report is a field
+   mapping of this one.
 2. Under any fault plan, every request terminates completed exactly
    once or explicitly failed.
 3. Identical seeds (trace, fault plan, replay) → bit-identical
@@ -42,9 +42,11 @@ Correctness contracts (regression-tested):
    which is salted per process) and all time is simulation time.
 
 Event ordering at equal timestamps is fixed — ARRIVAL < FAULT <
-HEARTBEAT < RETRY < STEP_DONE, then insertion order — so an arrival
-at time *t* is visible to a step planned at *t*, matching the
-single-replica simulator's inclusive admission check.
+HEARTBEAT < RETRY < STEP_DONE, then insertion order.  Arrivals
+sharing a timestamp are admitted as **one wave**: every one of them is
+routed and queued before any replica they touched plans a step, so a
+step planned at time *t* sees every arrival at *t* (a closed batch is
+admitted together, not first-request-alone).
 """
 
 from __future__ import annotations
@@ -71,6 +73,11 @@ from repro.serving.simulator import (
     _CacheReplay,
     iteration_time_s,
     validate_trace,
+)
+
+# Per-replica telemetry keys read straight from _CacheReplay.report().
+_REPLAY_TELEMETRY = (
+    "measured_kv_bits", "replayed_tokens", "forks", "shared_bytes_saved",
 )
 
 ROUTER_POLICIES = ("least_loaded", "prefix_affinity", "consistent_hash")
@@ -182,8 +189,8 @@ class _ClusterRequest:
             arrival_s=self.trace.arrival_s,
             input_tokens=self.trace.input_tokens,
             output_tokens=self.trace.output_tokens,
-            prefix_group=getattr(self.trace, "prefix_group", -1),
-            shared_tokens=getattr(self.trace, "shared_tokens", 0),
+            prefix_group=self.trace.prefix_group,
+            shared_tokens=self.trace.shared_tokens,
         )
         return self.live
 
@@ -292,7 +299,11 @@ class _Replica:
                 self.cache.abort(request)
         return orphans
 
-    def telemetry(self) -> Dict[str, float]:
+    def telemetry(
+        self, replay: Optional[Dict[str, float]]
+    ) -> Dict[str, float]:
+        """Per-replica report row; ``replay`` is this replica's
+        :meth:`_CacheReplay.report` (None in analytic mode)."""
         out = {
             "replica": self.rid,
             "generated_tokens": float(self.generated),
@@ -305,20 +316,21 @@ class _Replica:
             "crashes": float(self.crashes),
             "downtime_s": self.downtime_s,
         }
-        if self.cache is not None:
-            out["measured_kv_bits"] = self.cache.measured_kv_bits()
-            out["replayed_tokens"] = float(self.cache.replayed_tokens)
-            out["forks"] = float(self.cache.pool.forks)
-            out["shared_bytes_saved"] = self.cache.pool.summary()[
-                "shared_bytes_saved"
-            ]
-            if self.cache.tiering is not None:
-                # Final incarnation only: a crash reboots the replica's
-                # pool and store (KV does not survive), so these count
-                # the pages the surviving incarnation placed.
-                out["eviction"] = self.cache.tiering.policy_name
-                for key, value in self.cache.tiering.summary().items():
-                    out[f"tier_{key}"] = value
+        if replay is not None:
+            for key in _REPLAY_TELEMETRY:
+                out[key] = replay[key]
+            # Tiered replays only, final incarnation only: a crash
+            # reboots the replica's pool and store (KV does not
+            # survive), so these count the pages the surviving
+            # incarnation placed.  The per-token ratio is a
+            # whole-replay figure, not replica telemetry.
+            out.update(
+                (key, value) for key, value in replay.items()
+                if key == "eviction" or (
+                    key.startswith("tier_")
+                    and key != "tier_transfer_cycles_per_token"
+                )
+            )
         return out
 
 
@@ -353,7 +365,7 @@ class _Router:
         if self.policy == "least_loaded":
             return min(eligible, key=lambda r: (r.load, r.rid))
         if self.policy == "prefix_affinity":
-            group = getattr(creq.trace, "prefix_group", -1)
+            group = creq.trace.prefix_group
             if group >= 0:
                 home = zlib.crc32(
                     f"group:{group}".encode()
@@ -451,7 +463,9 @@ class _ClusterSim:
         if config.replay is None:
             fit = max_supported_batch(system, arch, worst)
             self.oom = fit < 1
-            effective_cap = max(1, min(config.max_batch, fit))
+            # An OOM cluster never steps; its replicas only need a
+            # cap the scheduler accepts.
+            effective_cap = 1 if self.oom else min(config.max_batch, fit)
         else:
             effective_cap = config.max_batch
             self.oom = False
@@ -467,6 +481,7 @@ class _ClusterSim:
         self.heap: List[tuple] = []
         self._seq = itertools.count()
         self._heartbeat_pending = False
+        self._open = len(self.requests)  # requests not yet terminal
         self.now = 0.0
         # counters
         self.retries = 0
@@ -495,14 +510,18 @@ class _ClusterSim:
             self.config.backoff_cap_s,
         )
 
-    def _outstanding(self) -> bool:
-        return any(not creq.terminal for creq in self.requests)
+    def _terminate(self, creq: _ClusterRequest, state: str,
+                   now: float) -> None:
+        """Move ``creq`` to its terminal ``state`` (completed/failed)."""
+        creq.state = state
+        creq.terminal_s = now
+        self._open -= 1
 
     def _ensure_heartbeat(self, now: float) -> None:
         if (
             self.faults.enabled
             and not self._heartbeat_pending
-            and self._outstanding()
+            and self._open > 0
         ):
             self._heartbeat_pending = True
             self._push(
@@ -511,26 +530,42 @@ class _ClusterSim:
 
     # -- placement / requeue -------------------------------------------
 
-    def _place(self, creq: _ClusterRequest, now: float) -> None:
-        """Route one pending request, or back off toward failure."""
-        if creq.terminal:
+    def _burn_attempt(self, creq: _ClusterRequest, now: float) -> None:
+        """Spend one placement attempt: back off and retry, or fail."""
+        creq.attempts += 1
+        if creq.attempts >= self.config.retry_budget:
+            self._terminate(creq, "failed", now)
             return
+        self._push(
+            now + self._backoff(creq.attempts), _RETRY, (creq.index,)
+        )
+
+    def _route(self, creq: _ClusterRequest,
+               now: float) -> Optional[_Replica]:
+        """Queue one pending request on the replica the router picks.
+
+        Returns that replica without starting a step on it (the caller
+        does, once everything arriving at ``now`` is queued), or None
+        when nothing is eligible and the request backs off toward
+        failure.
+        """
+        if creq.terminal:
+            return None
         target = self.router.place(creq, self.config.queue_limit)
         if target is None:
             self.rejections += 1
-            creq.attempts += 1
-            if creq.attempts >= self.config.retry_budget:
-                creq.state = "failed"
-                creq.terminal_s = now
-                return
-            self._push(
-                now + self._backoff(creq.attempts), _RETRY, (creq.index,)
-            )
-            return
+            self._burn_attempt(creq, now)
+            return None
         creq.state = "placed"
         creq.replica = target.rid
         target.scheduler.submit(creq.fresh_request())
-        self._try_start_step(target, now)
+        return target
+
+    def _place(self, creq: _ClusterRequest, now: float) -> None:
+        """Route one pending request and wake its replica."""
+        target = self._route(creq, now)
+        if target is not None:
+            self._try_start_step(target, now)
 
     def _requeue(self, creq: _ClusterRequest, now: float,
                  failover: bool) -> None:
@@ -552,14 +587,7 @@ class _ClusterSim:
             self.failovers += 1
             self._place(creq, now)
             return
-        creq.attempts += 1
-        if creq.attempts >= self.config.retry_budget:
-            creq.state = "failed"
-            creq.terminal_s = now
-            return
-        self._push(
-            now + self._backoff(creq.attempts), _RETRY, (creq.index,)
-        )
+        self._burn_attempt(creq, now)
 
     # -- replica stepping ----------------------------------------------
 
@@ -646,10 +674,9 @@ class _ClusterSim:
                 # Contract violation counter — must stay zero.
                 self.duplicate_completions += 1
                 continue
-            creq.state = "completed"
+            self._terminate(creq, "completed", now)
             creq.completions += 1
             creq.finished = request
-            creq.terminal_s = now
             replica.completed += 1
             self.latencies.append(request.latency_s())
             if request.first_token_s >= 0:
@@ -724,6 +751,25 @@ class _ClusterSim:
 
     # -- main loop -----------------------------------------------------
 
+    def _admit_wave(self, index: int, now: float) -> None:
+        """Queue every arrival stamped ``now``, then wake replicas.
+
+        ``index`` is the arrival just popped; the rest of its wave is
+        the run of ARRIVAL events at the same timestamp on top of the
+        heap.  Steps start only after the whole wave is queued, so the
+        first plan at ``now`` admits the wave together.
+        """
+        touched: Dict[int, _Replica] = {}
+        while True:
+            target = self._route(self.requests[index], now)
+            if target is not None:
+                touched[target.rid] = target
+            if not self.heap or self.heap[0][:2] != (now, _ARRIVAL):
+                break
+            index = heapq.heappop(self.heap)[3][0]
+        for replica in touched.values():
+            self._try_start_step(replica, now)
+
     def run(self) -> ClusterReport:
         if self.oom:
             return ClusterReport(
@@ -740,7 +786,7 @@ class _ClusterSim:
             time_s, priority, _, payload = heapq.heappop(self.heap)
             self.now = time_s
             if priority == _ARRIVAL:
-                self._place(self.requests[payload[0]], time_s)
+                self._admit_wave(payload[0], time_s)
                 self._ensure_heartbeat(time_s)
             elif priority == _FAULT:
                 self._apply_fault(payload[0], time_s)
@@ -780,29 +826,21 @@ class _ClusterSim:
             downtime += replica.downtime_s
         busy = 0.0
         generated = 0
-        tier_hits = tier_misses = tier_evictions = 0
-        tier_spilled = tier_promoted = tier_cycles = 0.0
-        forks = 0
-        shared_saved = 0.0
         for replica in self.replicas:
             busy += replica.busy_s
             generated += replica.generated
-            if replica.cache is not None:
-                forks += replica.cache.pool.forks
-                shared_saved += replica.cache.pool.summary()[
-                    "shared_bytes_saved"
-                ]
-            if (
-                replica.cache is not None
-                and replica.cache.tiering is not None
-            ):
-                store = replica.cache.tiering
-                tier_hits += store.hits
-                tier_misses += store.misses
-                tier_evictions += store.evictions
-                tier_spilled += store.spilled_bytes
-                tier_promoted += store.promoted_bytes
-                tier_cycles += store.transfer_cycles
+        # One replay report per replica (each replica's surviving
+        # incarnation) feeds both its telemetry row and the aggregates.
+        replays = [
+            r.cache.report() if r.cache is not None else None
+            for r in self.replicas
+        ]
+
+        def total(key: str) -> float:
+            return sum(
+                (replay or {}).get(key, 0.0) for replay in replays
+            )
+
         return ClusterReport(
             system=self.system.name,
             replicas=self.config.replicas,
@@ -855,15 +893,18 @@ class _ClusterSim:
             downtime_s=downtime,
             duplicate_completions=self.duplicate_completions,
             lost=lost,
-            tier_hits=tier_hits,
-            tier_misses=tier_misses,
-            tier_evictions=tier_evictions,
-            tier_spilled_bytes=tier_spilled,
-            tier_promoted_bytes=tier_promoted,
-            tier_transfer_cycles=tier_cycles,
-            forks=forks,
-            shared_bytes_saved=shared_saved,
-            per_replica=[r.telemetry() for r in self.replicas],
+            tier_hits=int(total("tier_hits")),
+            tier_misses=int(total("tier_misses")),
+            tier_evictions=int(total("tier_evictions")),
+            tier_spilled_bytes=total("tier_spilled_bytes"),
+            tier_promoted_bytes=total("tier_promoted_bytes"),
+            tier_transfer_cycles=total("tier_transfer_cycles"),
+            forks=int(total("forks")),
+            shared_bytes_saved=total("shared_bytes_saved"),
+            per_replica=[
+                r.telemetry(replay)
+                for r, replay in zip(self.replicas, replays)
+            ],
         )
 
 

@@ -7,6 +7,11 @@ prefill pass.  The reported metric is **generation throughput** —
 generated tokens divided by the busy makespan — matching Figure 14's
 y-axis.
 
+This module owns the cache-replay engine, the iteration costing rule
+and the single-node reports; the event loop that drives them is the
+cluster's (:mod:`repro.serving.cluster`), of which
+:func:`simulate_trace` is the one-replica, no-fault configuration.
+
 Two capacity regimes:
 
 * **Analytic mode** (default, unchanged): the residency cap is clipped
@@ -38,13 +43,11 @@ from repro.data.traces import TraceRequest
 from repro.hardware.overheads import ServingSystem
 from repro.hardware.perf import (
     generation_iteration,
-    max_supported_batch,
     prefill_time,
     weight_bytes,
 )
 from repro.models.config import ArchShape
 from repro.serving.request import Request
-from repro.serving.scheduler import ContinuousBatchScheduler
 
 
 @dataclass
@@ -609,9 +612,9 @@ def iteration_time_s(
 ) -> float:
     """Price one scheduler iteration with the hardware model.
 
-    The single costing rule shared by :func:`simulate_trace` and the
-    cluster replay (:mod:`repro.serving.cluster`), so the two can
-    never drift: admissions pay a prefill pass (chunked or
+    The costing rule of the one serving event loop
+    (:mod:`repro.serving.cluster`, which :func:`simulate_trace` runs
+    at one replica): admissions pay a prefill pass (chunked or
     monolithic, with the systolic ragged-batch padding penalty), and
     the generation iteration is priced at the resident batch's mean
     context length.
@@ -705,6 +708,11 @@ def simulate_trace(
 ) -> ServingReport:
     """Replay ``trace`` on ``system`` with residency cap ``max_batch``.
 
+    This is the cluster event loop (:mod:`repro.serving.cluster`) at
+    one replica under an empty fault plan; the report is a field
+    mapping of that run's :class:`~repro.serving.cluster.ClusterReport`
+    plus the replica's replay measurements.
+
     Capacity semantics mirror the figure sweeps: in analytic mode the
     residency cap is clipped to what the device can hold at the
     trace's worst-case context length (a cap below 1 is an OOM); in
@@ -730,105 +738,43 @@ def simulate_trace(
     Returns:
         A :class:`ServingReport`.
     """
+    # cluster imports this module's replay and costing pieces, so the
+    # loop is imported here rather than at module level.
+    from repro.serving.cluster import ClusterConfig, _ClusterSim
+    from repro.serving.faults import FaultPlan
+
     validate_trace(trace)
-    worst_context = max(r.input_tokens + r.output_tokens for r in trace)
-    cache_replay: Optional[_CacheReplay] = None
-    if replay is None:
-        fit = max_supported_batch(system, arch, worst_context)
-        if fit < 1:
-            return ServingReport(
-                system=system.name, batch=max_batch, effective_batch=0,
-                oom=True, generation_throughput=0.0,
-            )
-        effective_cap = min(max_batch, fit)
-    else:
-        cache_replay = _CacheReplay(replay, system, arch)
-        if cache_replay.budget_bytes <= 0.0:
-            return ServingReport(
-                system=system.name, batch=max_batch, effective_batch=0,
-                oom=True, generation_throughput=0.0,
-                replay=cache_replay.report(),
-            )
-        effective_cap = max_batch
-
-    scheduler = ContinuousBatchScheduler(
-        effective_cap,
-        prefill_chunk=prefill_chunk,
-        admission_gate=(
-            cache_replay.admission_gate if cache_replay else None
+    sim = _ClusterSim(
+        system, arch, trace,
+        ClusterConfig(
+            replicas=1, max_batch=max_batch, prefill_chunk=prefill_chunk,
+            replay=replay,
         ),
+        FaultPlan([]),
     )
-    for index, item in enumerate(trace):
-        scheduler.submit(
-            Request(
-                request_id=index,
-                arrival_s=item.arrival_s,
-                input_tokens=item.input_tokens,
-                output_tokens=item.output_tokens,
-                prefix_group=item.prefix_group,
-                shared_tokens=item.shared_tokens,
+    run = sim.run()  # all-zero totals when the model does not fit
+    replica = sim.replicas[0]
+    measurements = None
+    if replica.cache is not None:
+        measurements = replica.cache.report()
+        if not run.oom:
+            measurements["gate_refusals"] = float(
+                replica.scheduler.gate_refusals
             )
-        )
-
-    now = 0.0
-    busy = 0.0
-    generated = 0
-    while scheduler.has_work:
-        plan = scheduler.plan_iteration(now)
-        if plan is None:
-            upcoming = scheduler.next_arrival()
-            if upcoming is None:
-                break
-            now = max(now, upcoming)
-            continue
-        if cache_replay is not None:
-            for request in plan.admitted:
-                cache_replay.admit(request)
-        step_time = iteration_time_s(system, arch, plan, prefill_chunk)
-        if cache_replay is not None:
-            # Token-level replay: stream one KV row per resident
-            # through the real quantized caches and exercise the
-            # batched multi-sequence append and read paths, as the
-            # accelerator's MMU would every iteration.
-            cache_replay.step(plan.resident, plan.resident_ids)
-            step_time += cache_replay.transfer_penalty_s()
-        now += step_time
-        busy += step_time
-        retired = scheduler.complete_iteration(now)
-        generated += len(plan.resident)
-        if cache_replay is not None:
-            cache_replay.retire(retired)
-
-    finished = scheduler.finished
-    latencies = [r.latency_s() for r in finished]
-    ttfts = [r.ttft_s() for r in finished if r.first_token_s >= 0]
-    tpots = [r.tpot_s() for r in finished if r.generated > 1]
-    throughput = generated / busy if busy > 0 else 0.0
     return ServingReport(
         system=system.name,
         batch=max_batch,
-        effective_batch=effective_cap,
-        oom=False,
-        generation_throughput=throughput,
-        total_time_s=now,
-        generated_tokens=generated,
-        mean_latency_s=float(np.mean(latencies)) if latencies else 0.0,
-        p95_latency_s=(
-            float(np.percentile(latencies, 95)) if latencies else 0.0
-        ),
-        mean_ttft_s=float(np.mean(ttfts)) if ttfts else 0.0,
-        p95_ttft_s=(
-            float(np.percentile(ttfts, 95)) if ttfts else 0.0
-        ),
-        mean_tpot_s=float(np.mean(tpots)) if tpots else 0.0,
-        replay=(
-            dict(
-                cache_replay.report(),
-                gate_refusals=float(scheduler.gate_refusals),
-            )
-            if cache_replay is not None
-            else None
-        ),
+        effective_batch=0 if run.oom else replica.effective_cap,
+        oom=run.oom,
+        generation_throughput=run.generation_throughput,
+        total_time_s=run.total_time_s,
+        generated_tokens=run.generated_tokens,
+        mean_latency_s=run.mean_latency_s,
+        p95_latency_s=run.p95_latency_s,
+        mean_ttft_s=run.mean_ttft_s,
+        p95_ttft_s=run.p95_ttft_s,
+        mean_tpot_s=run.mean_tpot_s,
+        replay=measurements,
     )
 
 

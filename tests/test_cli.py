@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.commands import build_parser, main
 
 
 class TestParser:
@@ -214,6 +214,6 @@ class TestSharingCommands:
     def test_cluster_without_cache_replay_stays_analytic(self):
         args = build_parser().parse_args(["cluster"])
         assert args.cache_replay is False
-        from repro.cli import _replay_config
+        from repro.commands.common import replay_config
 
-        assert _replay_config(args) is None
+        assert replay_config(args) is None

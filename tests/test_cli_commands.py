@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.commands import build_parser, main
 
 # (case id, argv) — quick arguments so the whole sweep stays fast.
 # ``bench`` runs real timed kernels, so it carries the bench marker and

@@ -6,6 +6,8 @@ requeue) and the router policies.  Everything runs in simulation time
 on small traces, so the whole file is fast and fully deterministic.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.data.traces import (
@@ -36,6 +38,18 @@ pytestmark = pytest.mark.cluster
 ARCH = get_model("llama2-13b").arch
 SYSTEM = get_system("oaken-hbm")
 TRACE = generate_trace("conversation", 32, seed=3)
+# A closed synthesized batch (Figure 14): every request arrives together.
+CLOSED = [
+    dataclasses.replace(r, arrival_s=0.0)
+    for r in generate_trace("conversation", 32, seed=5, max_tokens=512)
+]
+SMALL_REPLAY = CacheReplayConfig(num_layers=1, dim=16, prompt_rows=2)
+# Every ServingReport total that ClusterReport also carries.
+SHARED_FIELDS = (
+    "generated_tokens", "total_time_s", "generation_throughput",
+    "mean_latency_s", "p95_latency_s", "mean_ttft_s", "p95_ttft_s",
+    "mean_tpot_s",
+)
 
 
 def run_cluster(trace=TRACE, faults=None, **kwargs):
@@ -47,7 +61,12 @@ def run_cluster(trace=TRACE, faults=None, **kwargs):
 
 
 class TestSingleReplicaEquivalence:
-    """Contract 1: one replica, no faults == simulate_trace, exactly."""
+    """Contract 1: one replica, no faults == simulate_trace.
+
+    It holds by construction — simulate_trace runs the cluster loop —
+    same-timestamp arrivals included, so these guard the adapter's
+    field mapping and the one-wave admission of ties.
+    """
 
     def test_analytic_totals_identical(self):
         base = simulate_trace(SYSTEM, ARCH, TRACE, max_batch=8)
@@ -88,6 +107,34 @@ class TestSingleReplicaEquivalence:
         assert rep.generated_tokens == base.generated_tokens
         assert rep.total_time_s == base.total_time_s
         assert rep.generation_throughput == base.generation_throughput
+
+    @pytest.mark.parametrize("replay", [None, SMALL_REPLAY],
+                             ids=["analytic", "cache_replay"])
+    def test_closed_batch_equivalence(self, replay):
+        trace = CLOSED if replay is None else CLOSED[:12]
+        base = simulate_trace(
+            SYSTEM, ARCH, trace, max_batch=4, replay=replay
+        )
+        rep = run_cluster(trace, replicas=1, max_batch=4, replay=replay)
+        for name in SHARED_FIELDS:
+            assert getattr(rep, name) == getattr(base, name), name
+
+    def test_closed_batch_admitted_as_one_wave(self):
+        # The first step admits max_batch requests, not the first alone:
+        # their first tokens land together.
+        rep = run_cluster(CLOSED[:8], replicas=1, max_batch=8)
+        assert rep.mean_ttft_s == rep.p95_ttft_s
+        assert rep.mean_queue_delay_s == 0.0
+
+    def test_two_replica_closed_batch(self):
+        a = run_cluster(CLOSED)
+        b = run_cluster(CLOSED)
+        assert a.as_dict() == b.as_dict()
+        assert a.completed == len(CLOSED)
+        assert a.failed == a.lost == a.duplicate_completions == 0
+        assert a.generated_tokens == sum(r.output_tokens for r in CLOSED)
+        # least_loaded spreads the wave evenly before either steps.
+        assert [row["completed"] for row in a.per_replica] == [16.0, 16.0]
 
     def test_every_request_completes(self):
         rep = run_cluster(replicas=1)
