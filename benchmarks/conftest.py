@@ -15,27 +15,6 @@ import pytest
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
-def pytest_addoption(parser) -> None:
-    """Register ``--bench-out`` for machine-readable perf reports.
-
-    ``pytest benchmarks/bench_hotpath.py --bench-out BENCH_quant.json``
-    makes the hot-path benchmark write its JSON report there in
-    addition to asserting the speedup floors.
-    """
-    parser.addoption(
-        "--bench-out",
-        action="store",
-        default=None,
-        help="path to write the hot-path benchmark JSON report",
-    )
-
-
-@pytest.fixture
-def bench_out(request):
-    """The ``--bench-out`` path, or None when not requested."""
-    return request.config.getoption("--bench-out")
-
-
 @pytest.fixture(scope="session")
 def results_dir() -> pathlib.Path:
     """Directory collecting the regenerated figure/table text files."""

@@ -1,0 +1,136 @@
+#!/usr/bin/env python3
+"""Feature smoke checks behind CI's ``feature-smoke`` matrix.
+
+    python scripts/ci_smoke.py {cluster,tiering,sharing,arena}
+
+Each smoke drives the real CLI (``python -m repro ... --json``) at a
+fixed seed and asserts that the feature actually engaged — failovers
+happened, pages spilled, prefixes forked, the arena compacted — while
+its contract held.  Everything is simulation time, so no retry is
+needed.  CI runs the same-named pytest marker first; this script is
+the part that used to live as inline heredocs in the workflow, so it
+can be run locally too.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def repro_json(*args: str) -> dict:
+    """Run ``python -m repro <args> --json`` and parse its stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", *args, "--json"],
+        check=True, env=env, cwd=ROOT, stdout=subprocess.PIPE, text=True,
+    )
+    return json.loads(done.stdout)
+
+
+def cluster_smoke() -> None:
+    """Fault-injection smoke: fixed seed, nonzero failovers."""
+    rep = repro_json(
+        "cluster", "--replicas", "3", "--faults", "--requests", "32",
+        "--seed", "3", "--fault-seed", "5",
+    )
+    assert rep["lost"] == 0, rep["lost"]
+    assert rep["duplicate_completions"] == 0
+    assert rep["completed"] + rep["failed"] == 32
+    assert rep["failovers"] > 0, "fault plan produced no failovers"
+    print("exactly-once holds:", rep["completed"], "completed,",
+          rep["failed"], "failed,", rep["failovers"], "failovers")
+
+
+def tiering_smoke() -> None:
+    """Long-context spill smoke at a 25% device budget.
+
+    Replay a long-context trace untiered to measure its working set,
+    then again with the device tier capped at 25% of it: the tiered
+    run must finish every request (nothing lost to capacity) while
+    actually exercising eviction.
+    """
+    replay = ("replay", "--workload", "longcontext", "--requests", "3",
+              "--batch", "4")
+    flat = repro_json(*replay)
+    budget = 0.25 * flat["replay"]["peak_pool_bytes"] / 2.0**20
+    rep = repro_json(
+        *replay, "--eviction", "plru",
+        "--device-budget-mb", f"{budget:.6f}",
+    )
+    detail = rep["replay"]
+    assert not rep["oom"]
+    assert rep["generated_tokens"] == flat["generated_tokens"], (
+        rep["generated_tokens"], flat["generated_tokens"])
+    assert detail["tier_evictions"] > 0, "no eviction pressure"
+    assert detail["tier_spilled_bytes"] > 0
+    assert detail["gate_refusals"] == 0, "spill mode must not refuse"
+    print("spill smoke: generated", rep["generated_tokens"],
+          "tokens at 25% budget,",
+          int(detail["tier_evictions"]), "evictions,",
+          int(detail["tier_transfer_cycles"]), "transfer cycles")
+
+
+def sharing_smoke() -> None:
+    """Fork-heavy replay smoke: fixed seed, shared system prompt.
+
+    Replay the RAG burst workload — every burst forks its wave's
+    shared system prompt from the anchor request — and require that
+    sharing actually engaged: nonzero forks, nonzero bytes saved, and
+    zero requests lost to the admission gate.
+    """
+    rep = repro_json(
+        "replay", "--workload", "rag", "--requests", "16",
+        "--batch", "4", "--seed", "7",
+    )
+    detail = rep["replay"]
+    assert not rep["oom"]
+    assert detail["forks"] > 0, "no forks: sharing never engaged"
+    assert detail["shared_bytes_saved"] > 0, detail
+    assert detail["gate_refusals"] == 0, detail["gate_refusals"]
+    print("sharing smoke:", int(detail["forks"]), "forks,",
+          int(detail["shared_bytes_saved"]), "bytes saved,",
+          rep["generated_tokens"], "tokens generated")
+
+
+def arena_smoke() -> None:
+    """Batch-64 replay smoke: arena vs. chunked, fixed seed.
+
+    Replay the same trace through the chunked pool and the SoA arena
+    and require that the arena is invisible in results (identical
+    generated tokens) while its storage actually worked: retirement
+    churn must have triggered compaction.
+    """
+    replay = ("replay", "--requests", "24", "--batch", "64", "--seed", "7")
+    chunked = repro_json(*replay)
+    arena = repro_json(*replay, "--arena")
+    detail = arena["replay"]
+    assert not arena["oom"]
+    assert arena["generated_tokens"] == chunked["generated_tokens"], (
+        arena["generated_tokens"], chunked["generated_tokens"])
+    assert detail["arena"] == 1.0, "arena never engaged"
+    assert detail["arena_compactions"] > 0, "churn never compacted"
+    assert detail["arena_rows_live"] == 0, "drained replay leaked rows"
+    print("arena smoke: generated", arena["generated_tokens"],
+          "tokens,", int(detail["arena_compactions"]),
+          "compactions, capacity",
+          int(detail["arena_capacity_bytes"]), "bytes")
+
+
+SMOKES = {
+    "cluster": cluster_smoke, "tiering": tiering_smoke,
+    "sharing": sharing_smoke, "arena": arena_smoke,
+}
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2 or sys.argv[1] not in SMOKES:
+        sys.exit(f"usage: ci_smoke.py {{{','.join(SMOKES)}}}")
+    SMOKES[sys.argv[1]]()

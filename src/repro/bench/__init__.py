@@ -1,9 +1,10 @@
 """Perf-regression harness for the quantized KV datapath.
 
-This package times the repo's hot paths against the frozen seed
-implementation (:mod:`repro.core.reference`) and records the results in
-a machine-readable ``BENCH_quant.json``, giving every future PR a
-trajectory to beat.
+This package times the repo's hot paths against their frozen or
+un-optimized twins (the seed kernels in :mod:`repro.core.reference`,
+looped pool calls, the chunked pool, the scalar datapath and analytic
+models) and records the results in a machine-readable
+``BENCH_quant.json``, giving every future PR a trajectory to beat.
 
 Run it as a module::
 
@@ -11,79 +12,40 @@ Run it as a module::
     PYTHONPATH=src python -m repro.bench --quick         # CI-sized
     PYTHONPATH=src python -m repro.bench --out my.json
 
-Eight benchmarks are recorded:
+The harness is **one table driven by one runner**:
 
-``encode_roundtrip``
-    Quantize + dequantize of a [tokens, dim] KV matrix (default
-    [4096, 4096]).  ``seed_*`` times the reference multi-pass kernels;
-    ``fused_*`` the single-pass kernel in float64 (bit-identical) and
-    float32 (documented-tolerance deployment mode).
+:mod:`repro.bench.hotpath`
+    ``ENTRIES`` — one :class:`~repro.bench.runner.Entry` row per
+    benchmark, declaring its ``(quick, full)`` sizes, its ``setup``,
+    its named timed variants, which variant pairs form each
+    ``speedup_*`` key, its identity check and its summary lines.
+    ``run_benchmarks`` walks the table; ``format_summary`` renders it;
+    adding a benchmark edits the table and nothing else.
 
-``generation``
-    A full autoregressive run through the quantized cache.  The seed
-    side re-decodes the whole cached history every step
-    (``incremental=False`` + reference kernels); the fused side uses
-    streaming appends and memoized incremental reads.  Both sides must
-    emit identical tokens — the benchmark asserts it.
+:mod:`repro.bench.scenarios`
+    The table's scenario rows (``replay``, ``cluster``, ``tiering``,
+    ``prefix_sharing``): a single variant that returns a deterministic
+    simulation report, no A/B pair.
 
-``bitpack``
-    Width-4/8 byte-arithmetic packing fast paths vs. the generic
-    bit-matrix routine.
+:mod:`repro.bench.runner`
+    ``run_entry`` — the only code that times anything: warm-up,
+    best-of-N passes, ``speedup_*`` derivation, identity assertion,
+    result dict.
 
-``pool_read``
-    Multi-sequence serving reads: :meth:`KVCachePool.read_batch` (one
-    fused decode across the batch's pending chunks) vs. per-sequence
-    looped reads.
+``docs/benchmarks.md`` is the glossary of every entry and key.
 
-``pool_append``
-    Multi-sequence serving writes: :meth:`KVCachePool.append_batch`
-    (one fused encode across the batch's new rows, scattered back per
-    sequence) vs. per-sequence looped appends.  A second section times
-    the adapter write path for a row-local registry method — one
-    merged ``roundtrip_batch`` per tensor across the resident set vs.
-    per-sequence roundtrips (``speedup_adapter_batched``).
-
-``baseline_read``
-    Streaming sliding-window reads through the adapter backend:
-    amortized ``stable_prefix`` reads (re-quantize only the window
-    delta) vs. full per-read re-quantization of the history.
-
-``datapath``
-    The two-tier hardware datapath: the scalar element-streaming
-    Figure 9 golden model vs. its vectorized whole-tensor twins.
-    Bits and modeled cycle reports must be identical — asserted while
-    timing.
-
-``replay``
-    End-to-end engine cycles from an engine-backed serving replay: a
-    closed trace through :func:`simulate_trace` with
-    ``CacheReplayConfig(engine_cycles=True)``, reported as replayed
-    tokens per engine megacycle (the modeled-hardware throughput
-    trajectory).
-
-Interpretation: each entry carries absolute seconds and a ``speedup``
-(baseline time / optimized time).  Regressions show up as a speedup
-drop between two commits' ``BENCH_quant.json``; the smoke test in
-``tests/test_bench.py`` keeps the harness itself runnable in under a
-minute at reduced sizes.  The module CLI can enforce the rule
-(``--check BENCH_quant.json``) and produce noise-floor baselines
-(``--runs N`` best-of-runs merge).  See ``docs/benchmarks.md`` for
-the full regression rule.
+Interpretation: each entry carries absolute seconds and ``speedup_*``
+ratios (baseline time / optimized time).  Regressions show up as a
+speedup drop between two commits' ``BENCH_quant.json``; the smoke test
+in ``tests/test_bench.py`` keeps the harness itself runnable in under
+a minute at reduced sizes.  The module CLI enforces the rule
+(``--check BENCH_quant.json``) and produces noise-floor baselines
+(``--runs N`` best-of-runs merge).
 """
 
 from repro.bench.hotpath import (
-    bench_baseline_reads,
-    bench_bitpack,
-    bench_cluster,
-    bench_datapath,
-    bench_encode_roundtrip,
-    bench_generation,
-    bench_pool_appends,
-    bench_pool_reads,
-    bench_prefix_sharing,
-    bench_replay_cycles,
-    bench_tiering,
     find_regressions,
+    format_summary,
     iter_speedups,
     merge_reports,
     missing_speedups,
@@ -92,18 +54,8 @@ from repro.bench.hotpath import (
 )
 
 __all__ = [
-    "bench_baseline_reads",
-    "bench_bitpack",
-    "bench_cluster",
-    "bench_datapath",
-    "bench_encode_roundtrip",
-    "bench_generation",
-    "bench_pool_appends",
-    "bench_pool_reads",
-    "bench_prefix_sharing",
-    "bench_replay_cycles",
-    "bench_tiering",
     "find_regressions",
+    "format_summary",
     "iter_speedups",
     "merge_reports",
     "missing_speedups",

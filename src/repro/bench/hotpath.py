@@ -1,14 +1,22 @@
-"""Micro-benchmarks of the encode/decode/generation hot paths.
+"""The perf-harness table: every hot-path benchmark as one :class:`Entry`.
 
-Every benchmark here pits the current fused datapath against the frozen
-seed implementation in :mod:`repro.core.reference`, so the reported
-speedups stay meaningful as both sides evolve: the seed side is pinned
-forever, the fused side is whatever :mod:`repro.core.quantizer` and
-:mod:`repro.core.kvcache` currently ship.
+Every timed entry pits the current optimized path against a frozen or
+un-optimized twin — the fused kernels against the seed implementation
+in :mod:`repro.core.reference`, batched pool calls against looped
+ones, the arena against the chunked pool — so the reported speedups
+stay meaningful as both sides evolve.  Scenario entries (``replay``,
+``cluster``, ``tiering``, ``prefix_sharing``; defined in
+:mod:`repro.bench.scenarios`) record one deterministic simulation
+report instead.
 
-All timings are best-of-N wall clock (``time.perf_counter``) after one
-warmup call; generation runs are timed once per side (they are long and
-internally averaged over hundreds of steps anyway).
+:data:`ENTRIES` is the whole harness: a row declares its sizes, its
+``setup``, its named variants, which variant pairs form each
+``speedup_*`` key, its identity check and its summary lines;
+:func:`repro.bench.runner.run_entry` does the warm-up, best-of-N
+timing, identity assertion and result assembly for all of them.
+Adding a benchmark is adding a row (see ``docs/benchmarks.md``).
+Heavy subsystems are imported inside the setups so that mounting the
+``bench`` flags on the CLI stays cheap.
 """
 
 from __future__ import annotations
@@ -16,10 +24,28 @@ from __future__ import annotations
 import json
 import platform
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import partial
+from types import SimpleNamespace
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.bench.runner import (
+    QF,
+    Entry,
+    at_least,
+    run_entry,
+    same,
+    timed,
+)
+from repro.bench.scenarios import (
+    CLUSTER,
+    REPLAY,
+    SHARING,
+    TIERING,
+    closed_trace,
+    replay_trace,
+)
 from repro.core.config import OakenConfig
 from repro.core.kvcache import QuantizedKVCache
 from repro.core.quantizer import OakenQuantizer
@@ -37,210 +63,392 @@ from repro.quant.bitpack import (
 DEFAULT_OUT = "BENCH_quant.json"
 
 
-def _best_time(fn: Callable[[], object], repeats: int) -> float:
-    """Best-of-``repeats`` wall-clock seconds, after one warmup call."""
-    fn()
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+# -- encode_roundtrip ------------------------------------------------
 
 
-def _best_run(fn: Callable[[], Tuple[float, object]], repeats: int):
-    """Best-of-``repeats`` for a self-timing run.
-
-    ``fn`` builds its own state and returns ``(seconds, result)``; the
-    minimum seconds across repeats is kept (with that run's result).
-    This is the deflaking treatment for the stepped-loop benchmarks
-    (pool reads/appends, baseline reads, generation): a single pass is
-    one wall-clock sample, and under full-suite or CI host load one
-    scheduler hiccup on either side can push a genuine speedup below
-    its smoke floor.  The minimum of N independent passes converges on
-    the noise floor instead, making the ``> 1.0`` gates
-    load-independent.
-    """
-    best = float("inf")
-    final = None
-    for _ in range(max(1, repeats)):
-        seconds, result = fn()
-        if seconds < best:
-            best, final = seconds, result
-    return best, final
-
-
-def bench_encode_roundtrip(
-    tokens: int = 4096,
-    dim: int = 4096,
-    repeats: int = 3,
-    seed: int = 0,
-) -> Dict[str, float]:
-    """Time quantize/dequantize of one [tokens, dim] matrix, seed vs fused."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((tokens, dim))
+def _encode_setup(tokens: int, dim: int) -> SimpleNamespace:
+    """One [tokens, dim] matrix and the seed / fused / f32 kernels."""
+    x = np.random.default_rng(0).standard_normal((tokens, dim))
     cfg = OakenConfig()
     thr = profile_thresholds([x[: min(tokens, 256)]], cfg)
     reference = ReferenceOakenQuantizer(cfg, thr)
-    fused = OakenQuantizer(cfg, thr)
-    fused_f32 = OakenQuantizer(cfg, thr, mode="deploy_f32")
-
-    encoded = reference.quantize(x)
-    seed_quant = _best_time(lambda: reference.quantize(x), repeats)
-    seed_dequant = _best_time(lambda: reference.dequantize(encoded), repeats)
-    seed_roundtrip = _best_time(lambda: reference.roundtrip(x), repeats)
-    fused_quant = _best_time(lambda: fused.quantize(x), repeats)
-    fused_dequant = _best_time(lambda: fused.dequantize(encoded), repeats)
-    fused_roundtrip = _best_time(lambda: fused.roundtrip(x), repeats)
-    f32_roundtrip = _best_time(lambda: fused_f32.roundtrip(x), repeats)
-
-    return {
-        "tokens": tokens,
-        "dim": dim,
-        "repeats": repeats,
-        "seed_quantize_s": seed_quant,
-        "seed_dequantize_s": seed_dequant,
-        "seed_roundtrip_s": seed_roundtrip,
-        "fused_quantize_s": fused_quant,
-        "fused_dequantize_s": fused_dequant,
-        "fused_roundtrip_s": fused_roundtrip,
-        "fused_f32_roundtrip_s": f32_roundtrip,
-        "speedup_quantize": seed_quant / fused_quant,
-        "speedup_roundtrip": seed_roundtrip / fused_roundtrip,
-        "speedup_roundtrip_f32": seed_roundtrip / f32_roundtrip,
-    }
-
-
-def _build_cache(
-    model, calibration: np.ndarray, quantizer_cls, incremental: bool
-) -> QuantizedKVCache:
-    """A fresh per-layer cache with the requested kernel class."""
-    cfg = OakenConfig()
-    kv = model.collect_layer_kv(np.atleast_2d(calibration))
-    key_quantizers: List[OakenQuantizer] = []
-    value_quantizers: List[OakenQuantizer] = []
-    for keys, values in kv:
-        key_quantizers.append(
-            quantizer_cls(cfg, profile_thresholds([keys], cfg))
-        )
-        value_quantizers.append(
-            quantizer_cls(cfg, profile_thresholds([values], cfg))
-        )
-    return QuantizedKVCache(
-        key_quantizers, value_quantizers, incremental=incremental
+    return SimpleNamespace(
+        x=x,
+        reference=reference,
+        fused=OakenQuantizer(cfg, thr),
+        fused_f32=OakenQuantizer(cfg, thr, mode="deploy_f32"),
+        encoded=reference.quantize(x),
     )
 
 
-def bench_generation(
-    steps: int = 512,
-    model_name: str = "llama2-7b",
-    seed: int = 0,
-    repeats: int = 1,
-) -> Dict[str, float]:
-    """Time a ``steps``-token quantized-cache generation, seed vs fused.
+_ENCODE = Entry(
+    "encode_roundtrip",
+    sizes={"tokens": QF(512, 4096), "dim": QF(512, 4096)},
+    overridable=("tokens", "dim"),
+    setup=_encode_setup,
+    echo_repeats=True,
+    variants={
+        "seed_quantize": timed(lambda c: c.reference.quantize(c.x)),
+        "seed_dequantize": timed(
+            lambda c: c.reference.dequantize(c.encoded)
+        ),
+        "seed_roundtrip": timed(lambda c: c.reference.roundtrip(c.x)),
+        "fused_quantize": timed(lambda c: c.fused.quantize(c.x)),
+        "fused_dequantize": timed(
+            lambda c: c.fused.dequantize(c.encoded)
+        ),
+        "fused_roundtrip": timed(lambda c: c.fused.roundtrip(c.x)),
+        "fused_f32_roundtrip": timed(
+            lambda c: c.fused_f32.roundtrip(c.x)
+        ),
+    },
+    speedups={
+        "quantize": ("seed_quantize", "fused_quantize"),
+        "roundtrip": ("seed_roundtrip", "fused_roundtrip"),
+        "roundtrip_f32": ("seed_roundtrip", "fused_f32_roundtrip"),
+    },
+    summary=lambda r: [
+        f"encode roundtrip [{r['tokens']}, {r['dim']}]:",
+        f"  seed    {r['seed_roundtrip_s']:.3f}s"
+        f"  (quantize {r['seed_quantize_s']:.3f}s)",
+        f"  fused   {r['fused_roundtrip_s']:.3f}s"
+        f"  -> {r['speedup_roundtrip']:.1f}x",
+        f"  fused32 {r['fused_f32_roundtrip_s']:.3f}s"
+        f"  -> {r['speedup_roundtrip_f32']:.1f}x",
+    ],
+)
 
-    The seed side re-decodes the entire cached history on every decode
-    step through the reference kernels (the O(T^2) behaviour); the
-    fused side streams appends and reads incrementally.  Both must
-    produce the exact same token sequence, which is asserted.
-    ``repeats`` takes the best-of-N of each side's full run — the
-    smoke-size deflaking treatment; full-size runs keep the default 1
-    (they are long, internally averaged over hundreds of steps, and
-    the committed baseline is a ``--runs N`` merge anyway).
-    """
-    from repro.data.corpus import calibration_corpus
-    from repro.models.config import get_model
+
+# -- generation ------------------------------------------------------
+
+
+def _generate(ctx, quantizer_cls, incremental: bool, length=None):
+    """One quantized-cache generation; only the decode loop is timed."""
     from repro.models.quantized_generation import (
         generate_with_quantized_cache,
     )
+
+    cfg = OakenConfig()
+    quantizers = [
+        [
+            quantizer_cls(cfg, profile_thresholds([tensor], cfg))
+            for tensor in layer
+        ]
+        for layer in ctx.calibration_kv
+    ]
+    cache = QuantizedKVCache(
+        [keys for keys, _ in quantizers],
+        [values for _, values in quantizers],
+        incremental=incremental,
+    )
+    start = time.perf_counter()
+    result = generate_with_quantized_cache(
+        ctx.model, cache, length=length or ctx.steps, seed=0
+    )
+    return time.perf_counter() - start, result.tokens
+
+
+#: The seed side re-decodes the entire cached history on every decode
+#: step through the reference kernels (the O(T^2) behaviour); the
+#: fused side streams appends and reads incrementally.
+_GENERATION = {
+    "seed": partial(
+        _generate, quantizer_cls=ReferenceOakenQuantizer, incremental=False
+    ),
+    "incremental": partial(
+        _generate, quantizer_cls=OakenQuantizer, incremental=True
+    ),
+}
+
+
+def _generation_setup(steps: int, model: str) -> SimpleNamespace:
+    from repro.data.corpus import calibration_corpus
+    from repro.models.config import get_model
     from repro.models.transformer import DecoderModel
 
-    model = DecoderModel(get_model(model_name))
-    calibration = calibration_corpus(model, batch=2, length=48)
-
-    def run(quantizer_cls, incremental: bool, length: int = steps):
-        cache = _build_cache(model, calibration, quantizer_cls, incremental)
-        start = time.perf_counter()
-        result = generate_with_quantized_cache(
-            model, cache, length=length, seed=seed
-        )
-        return time.perf_counter() - start, result.tokens
-
-    # Warm numpy/allocator state on BOTH sides with a short run before
-    # timing, so neither timed run absorbs first-call overheads.
-    run(OakenQuantizer, True, length=min(8, steps))
-    run(ReferenceOakenQuantizer, False, length=min(8, steps))
-    fused_s, fused_tokens = _best_run(
-        lambda: run(OakenQuantizer, True), repeats
+    decoder = DecoderModel(get_model(model))
+    calibration = calibration_corpus(decoder, batch=2, length=48)
+    ctx = SimpleNamespace(
+        model=decoder,
+        steps=steps,
+        calibration_kv=decoder.collect_layer_kv(
+            np.atleast_2d(calibration)
+        ),
     )
-    seed_s, seed_tokens = _best_run(
-        lambda: run(ReferenceOakenQuantizer, False), repeats
+    # Warm numpy/allocator state on both sides with a short run (the
+    # row sets warm=False: a full-size seed pass is ~50 s).
+    for variant in _GENERATION.values():
+        variant(ctx, length=min(8, steps))
+    return ctx
+
+
+_GENERATION_ENTRY = Entry(
+    "generation",
+    sizes={"model": "llama2-7b", "steps": QF(96, 512)},
+    overridable=("steps",),
+    setup=_generation_setup,
+    variants=_GENERATION,
+    speedups={"": ("seed", "incremental")},
+    check=lambda o: {"tokens": same(o["seed"], o["incremental"])},
+    # Best-of-N only at quick sizes; a full-size run is long,
+    # internally averaged over hundreds of steps, and the committed
+    # baseline is a --runs N merge anyway.
+    passes=lambda repeats, quick: max(2, repeats) if quick else 1,
+    warm=False,
+    summary=lambda r: [
+        f"generation {r['steps']} steps ({r['model']}):",
+        f"  seed {r['seed_s']:.2f}s  incremental {r['incremental_s']:.2f}s"
+        f"  -> {r['speedup']:.1f}x",
+    ],
+)
+
+
+# -- pool_read / pool_append and their arena sweeps ------------------
+
+
+def _pool_setup(batch, steps, dim, layers, adapter_method=None):
+    """Shared fitted quantizers — the serving configuration."""
+    from repro.engine import SyntheticKVStream, shared_backend_factory
+
+    calibration = SyntheticKVStream(dim, seed=0).calibration(layers, 256)
+    ctx = SimpleNamespace(
+        batch=batch,
+        steps=steps,
+        dim=dim,
+        layers=layers,
+        fused=shared_backend_factory("oaken", calibration=calibration),
     )
-    if not np.array_equal(seed_tokens, fused_tokens):
-        raise AssertionError(
-            "fused generation diverged from the seed datapath"
+    if adapter_method is not None:
+        ctx.adapter = shared_backend_factory(
+            adapter_method, "adapter", calibration=calibration
         )
-    return {
-        "model": model_name,
-        "steps": steps,
-        "seed_s": seed_s,
-        "incremental_s": fused_s,
-        "speedup": seed_s / fused_s,
-        "tokens_identical": True,
-    }
+    return ctx
 
 
-def bench_bitpack(
-    count: int = 1 << 22, repeats: int = 3, seed: int = 0
-) -> Dict[str, Dict[str, float]]:
-    """Time the width-4/8 packing fast paths against the generic kernel."""
-    rng = np.random.default_rng(seed)
-    results: Dict[str, Dict[str, float]] = {}
-    for width in (4, 8):
-        codes = rng.integers(0, 1 << width, size=count, dtype=np.uint32)
-        nbytes = packed_nbytes(count, width)
-        packed = pack_bits(codes, width)
-        generic_pack = _best_time(
-            lambda: _pack_bits_generic(codes, width, nbytes), repeats
-        )
-        fast_pack = _best_time(lambda: pack_bits(codes, width), repeats)
-        generic_unpack = _best_time(
-            lambda: _unpack_bits_generic(packed, width, count), repeats
-        )
-        fast_unpack = _best_time(
-            lambda: unpack_bits(packed, width, count), repeats
-        )
-        results[f"width{width}"] = {
-            "count": count,
-            "generic_pack_s": generic_pack,
-            "fast_pack_s": fast_pack,
-            "generic_unpack_s": generic_unpack,
-            "fast_unpack_s": fast_unpack,
-            "speedup_pack": generic_pack / fast_pack,
-            "speedup_unpack": generic_unpack / fast_unpack,
-        }
-    return results
+def _pool_loop(
+    ctx,
+    measure: str,
+    batched: bool = True,
+    arena: bool = False,
+    factory: str = "fused",
+):
+    """The stepped pool loop behind every ``pool_*`` row.
 
-
-def bench_datapath(
-    tokens: int = 96,
-    dim: int = 256,
-    repeats: int = 2,
-    seed: int = 0,
-) -> Dict[str, float]:
-    """Time the scalar Figure 9 engines against their vectorized twins.
-
-    The scalar tier (:class:`StreamingQuantEngine` /
-    :class:`StreamingDequantEngine`) walks one element at a time — the
-    frozen structural golden model; the vectorized tier runs the same
-    arithmetic over the whole [T, D] tensor in one pass per stage.
-    Both must emit identical bits *and* identical modeled cycle
-    reports (the timing model prices the hardware, not the host), and
-    both equalities are asserted while timing.  ``speedup_vectorized``
-    is end-to-end (quantize + dequantize) scalar time over vectorized
-    time; the float32 deployment mode is timed alongside.
+    ``steps`` generation iterations over ``batch`` resident sequences:
+    each appends one new KV row per sequence per layer, then reads
+    every layer's history back.  ``batched`` picks
+    ``append_batch`` / ``read_batch`` over per-sequence ``append`` /
+    ``read`` loops; ``measure`` names the timed part (``"append"``,
+    ``"read"`` or ``"append+read"``) — the other runs untimed so both
+    sides of a comparison do identical work outside the measurement.
+    Returns the measured seconds and the final reads.
     """
-    from repro.core.thresholds import profile_thresholds
+    from repro.engine import KVCachePool, SyntheticKVStream
+
+    pool = KVCachePool(getattr(ctx, factory), arena=arena)
+    seq_ids = list(range(ctx.batch))
+    for seq_id in seq_ids:
+        pool.allocate(seq_id)
+    stream = SyntheticKVStream(ctx.dim, seed=1)
+    layers = range(ctx.layers)
+    seconds = {"append": 0.0, "read": 0.0}
+    reads = None
+    for _ in range(ctx.steps):
+        for layer in layers:
+            keys = stream.draw(ctx.batch)
+            values = stream.draw(ctx.batch)
+            updates = [
+                (seq_id, keys[i : i + 1], values[i : i + 1])
+                for i, seq_id in enumerate(seq_ids)
+            ]
+            start = time.perf_counter()
+            if batched:
+                pool.append_batch(layer, updates)
+            else:
+                for seq_id, key_row, value_row in updates:
+                    pool.append(seq_id, layer, key_row, value_row)
+            seconds["append"] += time.perf_counter() - start
+        start = time.perf_counter()
+        if batched:
+            reads = [pool.read_batch(layer, seq_ids) for layer in layers]
+        else:
+            reads = [
+                [pool.read(seq_id, layer) for seq_id in seq_ids]
+                for layer in layers
+            ]
+        seconds["read"] += time.perf_counter() - start
+    # Arena row-slice views are only stable until the next pool
+    # mutation; copy so the cross-variant comparison outlives the run.
+    final = [[(k.copy(), v.copy()) for k, v in layer] for layer in reads]
+    return sum(seconds[part] for part in measure.split("+")), final
+
+
+_POOL_SIZES = {
+    "batch": QF(8, 16), "steps": QF(24, 48), "dim": 64, "layers": 2,
+}
+
+_POOL_READ = Entry(
+    "pool_read",
+    sizes=_POOL_SIZES,
+    setup=_pool_setup,
+    passes=at_least(2),
+    echo_repeats=True,
+    variants={
+        "looped": partial(_pool_loop, measure="read", batched=False),
+        "batched": partial(_pool_loop, measure="read"),
+    },
+    speedups={"batched": ("looped", "batched")},
+    check=lambda o: {"reads": same(o["batched"], o["looped"])},
+    summary=lambda r: [
+        f"pool reads batch={r['batch']} x {r['steps']} steps:",
+        f"  looped {r['looped_s']:.3f}s  batched {r['batched_s']:.3f}s"
+        f"  -> {r['speedup_batched']:.1f}x",
+    ],
+)
+
+#: Adapter appends are lazy buffer copies (the quantize happens at
+#: read), so the adapter variants time append *plus* the read that
+#: makes the decoded history current: the looped side pays ``batch``
+#: per-sequence [1, D] roundtrips per tensor, the batched side one
+#: merged ``roundtrip_batch`` followed by pure memo hits.
+_POOL_APPEND = Entry(
+    "pool_append",
+    sizes={**_POOL_SIZES, "adapter_method": "atom"},
+    setup=_pool_setup,
+    passes=at_least(2),
+    echo_repeats=True,
+    variants={
+        "looped": partial(_pool_loop, measure="append", batched=False),
+        "batched": partial(_pool_loop, measure="append"),
+        "adapter_looped": partial(
+            _pool_loop, measure="append+read", batched=False,
+            factory="adapter",
+        ),
+        "adapter_batched": partial(
+            _pool_loop, measure="append+read", factory="adapter"
+        ),
+    },
+    speedups={
+        "batched": ("looped", "batched"),
+        "adapter_batched": ("adapter_looped", "adapter_batched"),
+    },
+    check=lambda o: {
+        "caches": same(o["batched"], o["looped"]),
+        "adapter_caches": same(
+            o["adapter_batched"], o["adapter_looped"]
+        ),
+    },
+    summary=lambda r: [
+        f"pool appends batch={r['batch']} x {r['steps']} steps:",
+        f"  looped {r['looped_s']:.3f}s  batched {r['batched_s']:.3f}s"
+        f"  -> {r['speedup_batched']:.1f}x",
+        f"  adapter ({r['adapter_method']}): looped "
+        f"{r['adapter_looped_s']:.3f}s  batched "
+        f"{r['adapter_batched_s']:.3f}s"
+        f"  -> {r['speedup_adapter_batched']:.1f}x",
+    ],
+)
+
+
+def _pool_arena_row(parent: str, part: str, batch: int) -> Entry:
+    """``parent.batchN``: batched chunked pool vs. the SoA arena.
+
+    The batch-16 parents compare batched against looped calls; at
+    serving batch sizes the remaining cost is per-chunk object
+    traffic, which ``KVCachePool(arena=True)`` removes.  Quick mode
+    shrinks the steps, never the batch axis — the committed
+    ``speedup_arena`` paths must exist at quick sizes too.
+    """
+    return Entry(
+        f"{parent}.batch{batch}",
+        sizes={"batch": batch, "steps": QF(10, 32), "dim": 64, "layers": 2},
+        setup=_pool_setup,
+        passes=at_least(2),
+        echo_repeats=True,
+        variants={
+            "batched": partial(_pool_loop, measure=part),
+            "arena": partial(_pool_loop, measure=part, arena=True),
+        },
+        speedups={"arena": ("batched", "arena")},
+        check=lambda o: {"reads": same(o["arena"], o["batched"])},
+        summary=lambda r: [
+            f"  arena batch={r['batch']}: chunked {r['batched_s']:.3f}s"
+            f"  arena {r['arena_s']:.3f}s  -> {r['speedup_arena']:.1f}x"
+        ],
+    )
+
+
+# -- baseline_read ---------------------------------------------------
+
+
+def _baseline_setup(method: str, steps: int, dim: int) -> SimpleNamespace:
+    from repro.engine import SyntheticKVStream
+    from repro.engine.backend import create_quantizer
+
+    calibration = [SyntheticKVStream(dim, seed=0).draw(256)]
+    quantizers = {}
+    for kind in ("key", "value"):
+        quantizers[kind] = create_quantizer(method, kind)
+        quantizers[kind].fit(calibration)
+    return SimpleNamespace(
+        method=method, steps=steps, dim=dim, quantizers=quantizers
+    )
+
+
+def _baseline_stream(ctx, amortize: bool):
+    """Stream single-token appends, reading the history after each.
+
+    The full side re-applies the method's one-shot ``roundtrip`` to
+    the entire [T, D] history every read — O(T) per step; the
+    amortized side keeps the rows the method's ``stable_prefix``
+    contract guarantees stable and re-quantizes only the window delta.
+    Only read time is measured.
+    """
+    from repro.engine import SyntheticKVStream
+    from repro.engine.backend import BaselineCacheBackend
+
+    backend = BaselineCacheBackend(
+        [ctx.quantizers["key"]],
+        [ctx.quantizers["value"]],
+        method=ctx.method,
+        amortize=amortize,
+    )
+    stream = SyntheticKVStream(ctx.dim, seed=1)
+    read_s = 0.0
+    final = None
+    for _ in range(ctx.steps):
+        backend.append(0, stream.draw(1), stream.draw(1))
+        start = time.perf_counter()
+        final = backend.read(0)
+        read_s += time.perf_counter() - start
+    return read_s, final
+
+
+_BASELINE_READ = Entry(
+    "baseline_read",
+    sizes={"method": "kivi", "steps": QF(128, 256), "dim": 64},
+    setup=_baseline_setup,
+    passes=at_least(2),
+    echo_repeats=True,
+    variants={
+        "full": partial(_baseline_stream, amortize=False),
+        "amortized": partial(_baseline_stream, amortize=True),
+    },
+    speedups={"amortized": ("full", "amortized")},
+    check=lambda o: {"reads": same(o["amortized"], o["full"])},
+    summary=lambda r: [
+        f"baseline reads ({r['method']}, {r['steps']} steps):",
+        f"  full {r['full_s']:.3f}s  amortized {r['amortized_s']:.3f}s"
+        f"  -> {r['speedup_amortized']:.1f}x",
+    ],
+)
+
+
+# -- datapath --------------------------------------------------------
+
+
+def _datapath_setup(tokens: int, dim: int) -> SimpleNamespace:
+    """The scalar Figure 9 engines and their vectorized twins."""
     from repro.hardware.datapath import (
         StreamingDequantEngine,
         StreamingQuantEngine,
@@ -248,1114 +456,337 @@ def bench_datapath(
         VectorizedQuantEngine,
     )
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     cfg = OakenConfig()
-    thr = profile_thresholds(
-        [rng.standard_normal((64, dim)) * 2.0], cfg
-    )
+    thr = profile_thresholds([rng.standard_normal((64, dim)) * 2.0], cfg)
     x = rng.standard_normal((tokens, dim))
-
     scalar_q = StreamingQuantEngine(cfg, thr)
-    scalar_d = StreamingDequantEngine(cfg, thr)
-    vec_q = VectorizedQuantEngine(cfg, thr)
-    vec_d = VectorizedDequantEngine(cfg, thr)
     vec_q32 = VectorizedQuantEngine(cfg, thr, mode="deploy_f32")
-    vec_d32 = VectorizedDequantEngine(cfg, thr, mode="deploy_f32")
-
-    def reports_equal(scalar_report, vec_report) -> bool:
-        return bool(
-            scalar_report.total_cycles == vec_report.total_cycles
-            and set(scalar_report.stages) == set(vec_report.stages)
-            and all(
-                vec_report.stages[name].busy_cycles == stage.busy_cycles
-                for name, stage in scalar_report.stages.items()
-            )
-        )
-
-    encoded_scalar, scalar_report = scalar_q.quantize_matrix(x)
-    encoded_vec, vec_report = vec_q.quantize_matrix(x)
-    rows_scalar, scalar_dreport = scalar_d.dequantize_matrix(
-        encoded_scalar
+    return SimpleNamespace(
+        x=x,
+        scalar_q=scalar_q,
+        scalar_d=StreamingDequantEngine(cfg, thr),
+        vec_q=VectorizedQuantEngine(cfg, thr),
+        vec_d=VectorizedDequantEngine(cfg, thr),
+        vec_q32=vec_q32,
+        vec_d32=VectorizedDequantEngine(cfg, thr, mode="deploy_f32"),
+        encoded=scalar_q.quantize_matrix(x)[0],
+        encoded32=vec_q32.quantize_matrix(x)[0],
     )
-    rows_vec, vec_dreport = vec_d.dequantize_matrix(encoded_vec)
-    bits_identical = bool(
-        np.array_equal(
-            encoded_scalar.dense_codes, encoded_vec.dense_codes
-        )
-        and np.array_equal(
-            encoded_scalar.sparse_mag_code, encoded_vec.sparse_mag_code
-        )
-        and np.array_equal(rows_scalar, rows_vec)
-    )
-    cycles_identical = reports_equal(
-        scalar_report, vec_report
-    ) and reports_equal(scalar_dreport, vec_dreport)
-    if not (bits_identical and cycles_identical):
+
+
+def _datapath_check(outputs) -> Dict[str, bool]:
+    """Identical bits *and* identical modeled cycle reports.
+
+    The timing model prices the hardware, not the host, so the
+    vectorized tier must reproduce the scalar golden model's per-stage
+    busy cycles exactly, not just its output.
+    """
+
+    def cycles(report):
+        return report.total_cycles, {
+            name: stage.busy_cycles
+            for name, stage in report.stages.items()
+        }
+
+    scalar_enc, scalar_qreport = outputs["scalar_quantize"]
+    vec_enc, vec_qreport = outputs["vectorized_quantize"]
+    scalar_rows, scalar_dreport = outputs["scalar_dequantize"]
+    vec_rows, vec_dreport = outputs["vectorized_dequantize"]
+    return {
+        "bits": same(
+            [scalar_enc.dense_codes, scalar_enc.sparse_mag_code, scalar_rows],
+            [vec_enc.dense_codes, vec_enc.sparse_mag_code, vec_rows],
+        ),
+        "cycles": cycles(scalar_qreport) == cycles(vec_qreport)
+        and cycles(scalar_dreport) == cycles(vec_dreport),
+    }
+
+
+_DATAPATH = Entry(
+    "datapath",
+    sizes={"tokens": QF(48, 96), "dim": QF(128, 256)},
+    setup=_datapath_setup,
+    echo_repeats=True,
+    variants={
+        "scalar_quantize": timed(lambda c: c.scalar_q.quantize_matrix(c.x)),
+        "scalar_dequantize": timed(
+            lambda c: c.scalar_d.dequantize_matrix(c.encoded)
+        ),
+        "vectorized_quantize": timed(
+            lambda c: c.vec_q.quantize_matrix(c.x)
+        ),
+        "vectorized_dequantize": timed(
+            lambda c: c.vec_d.dequantize_matrix(c.encoded)
+        ),
+        "vectorized_f32_quantize": timed(
+            lambda c: c.vec_q32.quantize_matrix(c.x)
+        ),
+        "vectorized_f32_dequantize": timed(
+            lambda c: c.vec_d32.dequantize_matrix(c.encoded32)
+        ),
+    },
+    speedups={
+        "vectorized_quantize": ("scalar_quantize", "vectorized_quantize"),
+        "vectorized_dequantize": (
+            "scalar_dequantize", "vectorized_dequantize",
+        ),
+        "vectorized": (
+            ("scalar_quantize", "scalar_dequantize"),
+            ("vectorized_quantize", "vectorized_dequantize"),
+        ),
+    },
+    check=_datapath_check,
+    summary=lambda r: [
+        f"datapath engines [{r['tokens']}, {r['dim']}]:",
+        f"  scalar {r['scalar_quantize_s'] + r['scalar_dequantize_s']:.3f}s"
+        f"  vectorized "
+        f"{r['vectorized_quantize_s'] + r['vectorized_dequantize_s']:.4f}s"
+        f"  -> {r['speedup_vectorized']:.0f}x",
+    ],
+)
+
+
+# -- replay.batchN: the arena wall-clock sweep -----------------------
+
+
+def _replay_arena_extra(ctx, outputs, result) -> Dict[str, float]:
+    compactions = outputs["arena"].replay["arena_compactions"]
+    if not compactions:
         raise AssertionError(
-            "vectorized datapath diverged from the scalar golden model"
+            f"batch-{ctx.max_batch} replay churn never compacted the arena"
         )
-
-    encoded32, _ = vec_q32.quantize_matrix(x)
-    scalar_quant = _best_time(
-        lambda: scalar_q.quantize_matrix(x), repeats
-    )
-    scalar_dequant = _best_time(
-        lambda: scalar_d.dequantize_matrix(encoded_scalar), repeats
-    )
-    vec_quant = _best_time(lambda: vec_q.quantize_matrix(x), repeats)
-    vec_dequant = _best_time(
-        lambda: vec_d.dequantize_matrix(encoded_vec), repeats
-    )
-    vec_quant32 = _best_time(
-        lambda: vec_q32.quantize_matrix(x), repeats
-    )
-    vec_dequant32 = _best_time(
-        lambda: vec_d32.dequantize_matrix(encoded32), repeats
-    )
-
+    tokens = float(outputs["arena"].generated_tokens)
     return {
-        "tokens": tokens,
-        "dim": dim,
-        "repeats": repeats,
-        "scalar_quantize_s": scalar_quant,
-        "scalar_dequantize_s": scalar_dequant,
-        "vectorized_quantize_s": vec_quant,
-        "vectorized_dequantize_s": vec_dequant,
-        "vectorized_f32_quantize_s": vec_quant32,
-        "vectorized_f32_dequantize_s": vec_dequant32,
-        "speedup_vectorized_quantize": scalar_quant / vec_quant,
-        "speedup_vectorized_dequantize": scalar_dequant / vec_dequant,
-        "speedup_vectorized": (scalar_quant + scalar_dequant)
-        / (vec_quant + vec_dequant),
-        "bits_identical": bits_identical,
-        "cycles_identical": cycles_identical,
+        "requests": len(ctx.trace),
+        "generated_tokens": tokens,
+        "chunked_tokens_per_s": tokens / result["chunked_s"],
+        "arena_tokens_per_s": tokens / result["arena_s"],
+        "arena_compactions": float(compactions),
     }
 
 
-def bench_pool_reads(
-    batch: int = 16,
-    steps: int = 48,
-    dim: int = 64,
-    layers: int = 2,
-    seed: int = 0,
-    repeats: int = 2,
-) -> Dict[str, float]:
-    """Time multi-sequence cache reads: batched pool vs. looped.
+def _replay_arena_row(batch: int) -> Entry:
+    """``replay.batchN``: host wall clock of one replay, arena vs. chunked.
 
-    Simulates ``steps`` generation iterations over ``batch`` resident
-    sequences (one appended token per sequence per layer per
-    iteration, shared fitted quantizers — the serving configuration).
-    The looped side calls :meth:`KVCachePool.read` once per sequence;
-    the batched side calls :meth:`KVCachePool.read_batch`, which
-    merges every sequence's pending chunks into one fused decode per
-    tensor.  Only read time is measured (appends are identical on
-    both sides), each side's stream is repeated ``repeats`` times with
-    the best total kept (load-independent smoke floors), and both
-    sides must return bit-identical histories.
+    One closed trace with enough requests to fill the resident cap and
+    force retire/readmit churn.  The arena changes storage, never
+    results, so the generated token counts must match; the speedup is
+    the replay-visible share of the Python overhead the arena removes.
     """
-    from repro.engine import (
-        KVCachePool,
-        SyntheticKVStream,
-        shared_backend_factory,
-    )
-
-    calibration = SyntheticKVStream(dim, seed=seed).calibration(
-        layers, 256
-    )
-    factory = shared_backend_factory("oaken", calibration=calibration)
-
-    def run(batched: bool):
-        pool = KVCachePool(factory)
-        seq_ids = list(range(batch))
-        for seq_id in seq_ids:
-            pool.allocate(seq_id)
-        stream = SyntheticKVStream(dim, seed=seed + 1)
-        read_s = 0.0
-        final = None
-        for _ in range(steps):
-            for layer in range(layers):
-                for seq_id in seq_ids:
-                    pool.append(
-                        seq_id, layer, stream.draw(1), stream.draw(1)
-                    )
-            start = time.perf_counter()
-            final = []
-            for layer in range(layers):
-                if batched:
-                    final.append(pool.read_batch(layer, seq_ids))
-                else:
-                    final.append(
-                        [pool.read(seq_id, layer) for seq_id in seq_ids]
-                    )
-            read_s += time.perf_counter() - start
-        return read_s, final
-
-    run(True)  # warm allocator / numpy state
-    batched_s, batched_reads = _best_run(lambda: run(True), repeats)
-    looped_s, looped_reads = _best_run(lambda: run(False), repeats)
-    for batched_layer, looped_layer in zip(batched_reads, looped_reads):
-        for (bk, bv), (lk, lv) in zip(batched_layer, looped_layer):
-            if not (
-                np.array_equal(bk, lk) and np.array_equal(bv, lv)
-            ):
-                raise AssertionError(
-                    "batched pool read diverged from looped reads"
-                )
-    return {
-        "batch": batch,
-        "steps": steps,
-        "dim": dim,
-        "layers": layers,
-        "repeats": repeats,
-        "looped_s": looped_s,
-        "batched_s": batched_s,
-        "speedup_batched": looped_s / batched_s,
-        "reads_identical": True,
-    }
-
-
-def bench_pool_appends(
-    batch: int = 16,
-    steps: int = 48,
-    dim: int = 64,
-    layers: int = 2,
-    seed: int = 0,
-    repeats: int = 2,
-    adapter_method: str = "atom",
-) -> Dict[str, float]:
-    """Time multi-sequence cache appends: batched pool vs. looped.
-
-    The write-side mirror of :func:`bench_pool_reads`: ``steps``
-    generation iterations over ``batch`` resident sequences, one new
-    KV row per sequence per layer per iteration.  The looped side
-    calls :meth:`KVCachePool.append` once per sequence (one tiny
-    [1, D] fused encode each); the batched side calls
-    :meth:`KVCachePool.append_batch`, which gathers the batch's rows
-    into one [batch, D] fused encode per tensor and scatters the
-    encoded chunks back.  Only append time is measured, each side's
-    stream is repeated ``repeats`` times with the best total kept,
-    and both sides must leave bit-identical caches (asserted via full
-    reads).
-
-    A second section times the **adapter** write path for a row-local
-    registry method (``adapter_method``): adapter appends are lazy
-    buffer copies (the quantize happens at read), so what is measured
-    per step is append *plus* the read that makes the decoded history
-    current.  The looped side pays ``batch`` per-sequence [1, D]
-    roundtrips per tensor; the batched side's ``append_batch``
-    quantizes the whole resident set's new rows in one merged
-    [batch, D] ``roundtrip_batch`` per tensor, after which
-    ``read_batch`` serves pure memo hits — tracked as
-    ``speedup_adapter_batched``.
-    """
-    from repro.engine import (
-        KVCachePool,
-        SyntheticKVStream,
-        shared_backend_factory,
-    )
-
-    calibration = SyntheticKVStream(dim, seed=seed).calibration(
-        layers, 256
-    )
-    factory = shared_backend_factory("oaken", calibration=calibration)
-    adapter_factory = shared_backend_factory(
-        adapter_method, "adapter", calibration=calibration
-    )
-
-    def run(batched: bool):
-        pool = KVCachePool(factory)
-        seq_ids = list(range(batch))
-        for seq_id in seq_ids:
-            pool.allocate(seq_id)
-        stream = SyntheticKVStream(dim, seed=seed + 1)
-        append_s = 0.0
-        for _ in range(steps):
-            for layer in range(layers):
-                updates = [
-                    (seq_id, stream.draw(1), stream.draw(1))
-                    for seq_id in seq_ids
-                ]
-                start = time.perf_counter()
-                if batched:
-                    pool.append_batch(layer, updates)
-                else:
-                    for seq_id, keys, values in updates:
-                        pool.append(seq_id, layer, keys, values)
-                append_s += time.perf_counter() - start
-        final = [
-            [pool.read(seq_id, layer) for seq_id in seq_ids]
-            for layer in range(layers)
-        ]
-        return append_s, final
-
-    def run_adapter(batched: bool):
-        pool = KVCachePool(adapter_factory)
-        seq_ids = list(range(batch))
-        for seq_id in seq_ids:
-            pool.allocate(seq_id)
-        stream = SyntheticKVStream(dim, seed=seed + 1)
-        append_s = 0.0
-        for _ in range(steps):
-            for layer in range(layers):
-                updates = [
-                    (seq_id, stream.draw(1), stream.draw(1))
-                    for seq_id in seq_ids
-                ]
-                start = time.perf_counter()
-                if batched:
-                    pool.append_batch(layer, updates)
-                    pool.read_batch(layer, seq_ids)
-                else:
-                    for seq_id, keys, values in updates:
-                        pool.append(seq_id, layer, keys, values)
-                    for seq_id in seq_ids:
-                        pool.read(seq_id, layer)
-                append_s += time.perf_counter() - start
-        final = [
-            [pool.read(seq_id, layer) for seq_id in seq_ids]
-            for layer in range(layers)
-        ]
-        return append_s, final
-
-    def check_identical(batched_state, looped_state, label):
-        for batched_layer, looped_layer in zip(
-            batched_state, looped_state
-        ):
-            for (bk, bv), (lk, lv) in zip(batched_layer, looped_layer):
-                if not (
-                    np.array_equal(bk, lk) and np.array_equal(bv, lv)
-                ):
-                    raise AssertionError(
-                        f"batched pool {label} diverged from looped "
-                        f"{label}s"
-                    )
-
-    run(True)  # warm allocator / numpy state
-    batched_s, batched_state = _best_run(lambda: run(True), repeats)
-    looped_s, looped_state = _best_run(lambda: run(False), repeats)
-    check_identical(batched_state, looped_state, "append")
-
-    run_adapter(True)  # warm adapter-side state
-    adapter_batched_s, adapter_batched_state = _best_run(
-        lambda: run_adapter(True), repeats
-    )
-    adapter_looped_s, adapter_looped_state = _best_run(
-        lambda: run_adapter(False), repeats
-    )
-    check_identical(
-        adapter_batched_state, adapter_looped_state, "adapter append"
-    )
-    return {
-        "batch": batch,
-        "steps": steps,
-        "dim": dim,
-        "layers": layers,
-        "repeats": repeats,
-        "looped_s": looped_s,
-        "batched_s": batched_s,
-        "speedup_batched": looped_s / batched_s,
-        "caches_identical": True,
-        "adapter_method": adapter_method,
-        "adapter_looped_s": adapter_looped_s,
-        "adapter_batched_s": adapter_batched_s,
-        "speedup_adapter_batched": adapter_looped_s / adapter_batched_s,
-        "adapter_caches_identical": True,
-    }
-
-
-def bench_pool_arena(
-    batches: Tuple[int, ...] = (64, 128),
-    steps: int = 32,
-    dim: int = 64,
-    layers: int = 2,
-    seed: int = 0,
-    repeats: int = 2,
-) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Arena vs. chunked pool at serving batch sizes (64 and 128).
-
-    The batch-16 ``pool_read``/``pool_append`` entries compare batched
-    against looped pool calls; this sweep compares the **batched**
-    chunked pool against the same batched calls backed by the
-    structure-of-arrays arena (``KVCachePool(arena=True)``), where the
-    remaining cost is per-chunk object traffic rather than kernel
-    launches.  ``steps`` generation iterations per batch size, one new
-    row per sequence per layer per iteration, appends and reads timed
-    separately; both sides must return bit-identical histories.
-    Results are filed under the ``pool_read.batchN`` /
-    ``pool_append.batchN`` sub-entries with ``speedup_arena`` per
-    batch size.
-    """
-    from repro.engine import (
-        KVCachePool,
-        SyntheticKVStream,
-        shared_backend_factory,
-    )
-
-    calibration = SyntheticKVStream(dim, seed=seed).calibration(
-        layers, 256
-    )
-    factory = shared_backend_factory("oaken", calibration=calibration)
-
-    def run(batch: int, arena: bool):
-        pool = KVCachePool(factory, arena=arena)
-        seq_ids = list(range(batch))
-        for seq_id in seq_ids:
-            pool.allocate(seq_id)
-        stream = SyntheticKVStream(dim, seed=seed + 1)
-        append_s = 0.0
-        read_s = 0.0
-        final = None
-        for _ in range(steps):
-            for layer in range(layers):
-                keys = stream.draw(batch)
-                values = stream.draw(batch)
-                updates = [
-                    (seq_id, keys[i : i + 1], values[i : i + 1])
-                    for i, seq_id in enumerate(seq_ids)
-                ]
-                start = time.perf_counter()
-                pool.append_batch(layer, updates)
-                append_s += time.perf_counter() - start
-            start = time.perf_counter()
-            final = [
-                pool.read_batch(layer, seq_ids)
-                for layer in range(layers)
-            ]
-            read_s += time.perf_counter() - start
-        # Row-slice views are only stable until the next pool
-        # mutation; copy so cross-pool comparison outlives the run.
-        final = [
-            [(k.copy(), v.copy()) for k, v in layer_reads]
-            for layer_reads in final
-        ]
-        return append_s, read_s, final
-
-    def best(batch: int, arena: bool):
-        best_total = float("inf")
-        parts = final = None
-        for _ in range(max(1, repeats)):
-            append_s, read_s, result = run(batch, arena)
-            if append_s + read_s < best_total:
-                best_total = append_s + read_s
-                parts, final = (append_s, read_s), result
-        return parts, final
-
-    reads: Dict[str, Dict[str, float]] = {}
-    appends: Dict[str, Dict[str, float]] = {}
-    run(min(batches), True)  # warm allocator / numpy state
-    for batch in batches:
-        (arena_append_s, arena_read_s), arena_final = best(batch, True)
-        (chunk_append_s, chunk_read_s), chunk_final = best(batch, False)
-        for arena_layer, chunk_layer in zip(arena_final, chunk_final):
-            for (ak, av), (ck, cv) in zip(arena_layer, chunk_layer):
-                if not (
-                    np.array_equal(ak, ck) and np.array_equal(av, cv)
-                ):
-                    raise AssertionError(
-                        f"arena pool reads diverged from the chunked "
-                        f"pool at batch {batch}"
-                    )
-        common = {
-            "batch": batch,
-            "steps": steps,
-            "dim": dim,
-            "layers": layers,
-            "repeats": repeats,
-            "reads_identical": True,
-        }
-        reads[f"batch{batch}"] = {
-            **common,
-            "batched_s": chunk_read_s,
-            "arena_s": arena_read_s,
-            "speedup_arena": chunk_read_s / arena_read_s,
-        }
-        appends[f"batch{batch}"] = {
-            **common,
-            "batched_s": chunk_append_s,
-            "arena_s": arena_append_s,
-            "speedup_arena": chunk_append_s / arena_append_s,
-        }
-    return {"read": reads, "append": appends}
-
-
-def bench_replay_arena(
-    batches: Tuple[int, ...] = (64, 128),
-    inputs: int = 32,
-    outputs: int = 24,
-    seed: int = 0,
-    repeats: int = 2,
-) -> Dict[str, Dict[str, float]]:
-    """End-to-end serving replay throughput, arena vs. chunked pool.
-
-    Replays one closed trace per batch size (enough requests to fill
-    the resident cap and force retire/readmit churn) through
-    :func:`~repro.serving.simulator.simulate_trace` twice — once with
-    the chunked pool, once with ``CacheReplayConfig(arena=True)`` —
-    and times the host wall clock.  The generated token counts must be
-    identical (the arena changes storage, never results), retirement
-    churn must actually compact the arena, and ``speedup_arena`` is
-    the wall-clock ratio: the replay-visible share of the Python
-    overhead the arena removes.  Filed under ``replay.batchN``.
-    """
-    from repro.data.traces import TraceRequest
-    from repro.hardware.overheads import get_system
-    from repro.models.config import get_model
-    from repro.serving.simulator import (
-        CacheReplayConfig,
-        simulate_trace,
-    )
-
-    system = get_system("oaken-hbm")
-    arch = get_model("llama2-13b").arch
-    out: Dict[str, Dict[str, float]] = {}
-    for batch in batches:
-        requests = batch + max(8, batch // 8)
-        trace = [
-            TraceRequest(
-                arrival_s=0.0,
-                input_tokens=inputs,
-                output_tokens=outputs,
-            )
-            for _ in range(requests)
-        ]
-
-        def run(arena: bool):
-            start = time.perf_counter()
-            report = simulate_trace(
-                system, arch, trace, batch,
-                replay=CacheReplayConfig(seed=seed, arena=arena),
-            )
-            return time.perf_counter() - start, report
-
-        run(True)  # warm allocator / numpy state
-        arena_s, arena_report = _best_run(lambda: run(True), repeats)
-        chunked_s, chunked_report = _best_run(
-            lambda: run(False), repeats
-        )
-        if (
-            arena_report.generated_tokens
-            != chunked_report.generated_tokens
-        ):
-            raise AssertionError(
-                "arena replay changed the generated token count: "
-                f"{arena_report.generated_tokens} != "
-                f"{chunked_report.generated_tokens}"
-            )
-        compactions = arena_report.replay["arena_compactions"]
-        if not compactions:
-            raise AssertionError(
-                f"batch-{batch} replay churn never compacted the arena"
-            )
-        tokens = float(arena_report.generated_tokens)
-        out[f"batch{batch}"] = {
-            "requests": float(requests),
-            "max_batch": float(batch),
-            "inputs": float(inputs),
-            "outputs": float(outputs),
-            "repeats": float(repeats),
-            "generated_tokens": tokens,
-            "tokens_identical": True,
-            "chunked_s": chunked_s,
-            "arena_s": arena_s,
-            "chunked_tokens_per_s": (
-                tokens / chunked_s if chunked_s else 0.0
-            ),
-            "arena_tokens_per_s": tokens / arena_s if arena_s else 0.0,
-            "arena_compactions": float(compactions),
-            "speedup_arena": chunked_s / arena_s if arena_s else 0.0,
-        }
-    return out
-
-
-def bench_baseline_reads(
-    steps: int = 256,
-    dim: int = 64,
-    method: str = "kivi",
-    seed: int = 0,
-    repeats: int = 2,
-) -> Dict[str, float]:
-    """Time streaming sliding-window reads: amortized vs. full recompute.
-
-    Streams ``steps`` single-token appends through a
-    :class:`~repro.engine.BaselineCacheBackend` and reads the history
-    back after each one (the generation access pattern).  The full
-    side re-applies the method's one-shot ``roundtrip`` to the entire
-    [T, D] history every read — O(T) per step; the amortized side
-    keeps the decoded rows the method's ``stable_prefix`` contract
-    guarantees stable and re-quantizes only the rows that entered or
-    left the sliding window — O(window delta).  Only read time is
-    measured, each side's stream is repeated ``repeats`` times with
-    the best total kept (one load spike must not read as a lost
-    amortization), and both sides must return bit-identical
-    histories.
-    """
-    from repro.engine import SyntheticKVStream
-    from repro.engine.backend import BaselineCacheBackend, create_quantizer
-
-    calibration = [SyntheticKVStream(dim, seed=seed).draw(256)]
-    quantizers = {}
-    for kind in ("key", "value"):
-        quantizer = create_quantizer(method, kind)
-        quantizer.fit(calibration)
-        quantizers[kind] = quantizer
-
-    def run(amortize: bool):
-        backend = BaselineCacheBackend(
-            [quantizers["key"]],
-            [quantizers["value"]],
-            method=method,
-            amortize=amortize,
-        )
-        stream = SyntheticKVStream(dim, seed=seed + 1)
-        read_s = 0.0
-        final = None
-        for _ in range(steps):
-            backend.append(0, stream.draw(1), stream.draw(1))
-            start = time.perf_counter()
-            final = backend.read(0)
-            read_s += time.perf_counter() - start
-        return read_s, final
-
-    run(True)  # warm allocator / numpy state
-    amortized_s, amortized_reads = _best_run(lambda: run(True), repeats)
-    full_s, full_reads = _best_run(lambda: run(False), repeats)
-    for amortized, full in zip(amortized_reads, full_reads):
-        if not np.array_equal(amortized, full):
-            raise AssertionError(
-                "amortized sliding-window read diverged from the "
-                "full re-quantization"
-            )
-    return {
-        "method": method,
-        "steps": steps,
-        "dim": dim,
-        "repeats": repeats,
-        "full_s": full_s,
-        "amortized_s": amortized_s,
-        "speedup_amortized": full_s / amortized_s,
-        "reads_identical": True,
-    }
-
-
-def bench_replay_cycles(
-    requests: int = 12,
-    inputs: int = 48,
-    outputs: int = 24,
-    max_batch: int = 4,
-    seed: int = 0,
-) -> Dict[str, float]:
-    """End-to-end engine cycles from an engine-backed serving replay.
-
-    Replays a closed trace of ``requests`` requests through
-    :func:`~repro.serving.simulator.simulate_trace` with
-    ``CacheReplayConfig(engine_cycles=True)``: every KV row the
-    scheduler streams through the pool's batched append/read paths is
-    priced by the Figure 9 datapath models, and the replay report's
-    accumulated cycle counts become a **cycle-throughput trajectory**
-    (replayed tokens per engine megacycle) for the serving
-    configuration — the modeled-hardware counterpart of the wall-clock
-    speedups elsewhere in this harness.  Host wall time is recorded
-    for the smoke budget but is not the metric.
-    """
-    from repro.data.traces import TraceRequest
-    from repro.hardware.overheads import get_system
-    from repro.models.config import get_model
-    from repro.serving.simulator import (
-        CacheReplayConfig,
-        simulate_trace,
-    )
-
-    trace = [
-        TraceRequest(
-            arrival_s=0.0, input_tokens=inputs, output_tokens=outputs
-        )
-        for _ in range(requests)
-    ]
-    start = time.perf_counter()
-    report = simulate_trace(
-        get_system("oaken-lpddr"),
-        get_model("llama2-13b").arch,
-        trace,
-        max_batch,
-        replay=CacheReplayConfig(
-            method="oaken", seed=seed, engine_cycles=True
-        ),
-    )
-    wall_s = time.perf_counter() - start
-    replay = report.replay
-    tokens = replay["replayed_tokens"]
-    cycles = replay["engine_cycles"]
-    return {
-        "requests": requests,
-        "inputs": inputs,
-        "outputs": outputs,
-        "max_batch": max_batch,
-        "generated_tokens": float(report.generated_tokens),
-        "replayed_tokens": tokens,
-        "engine_quant_cycles": replay["engine_quant_cycles"],
-        "engine_dequant_cycles": replay["engine_dequant_cycles"],
-        "engine_cycles": cycles,
-        "cycles_per_token": cycles / tokens if tokens else 0.0,
-        "tokens_per_mcycle": (
-            tokens / cycles * 1e6 if cycles else 0.0
-        ),
-        "wall_s": wall_s,
-    }
-
-
-def bench_cluster(
-    requests: int = 64,
-    replica_counts: Tuple[int, ...] = (1, 2, 4),
-    max_batch: int = 4,
-    seed: int = 0,
-) -> Dict[str, object]:
-    """Cluster replay scaling and resilience telemetry.
-
-    Replays one seeded trace through
-    :func:`~repro.serving.cluster.simulate_cluster` at each replica
-    count (fault-free), then once more at the largest count under a
-    deterministic fault plan (a mid-trace crash with recovery plus a
-    brownout).  Every metric is **simulation time** — deterministic
-    for a fixed seed, so the gate can hold this entry to exact
-    reproducibility rather than a noise factor; host wall time is
-    recorded for the smoke budget only.  ``speedup_replicas`` is the
-    sim-time token-rate scaling from one replica to the largest count.
-    """
-    from repro.data.traces import generate_trace
-    from repro.hardware.overheads import get_system
-    from repro.models.config import get_model
-    from repro.serving.cluster import ClusterConfig, simulate_cluster
-    from repro.serving.faults import (
-        FaultPlan,
-        brownout,
-        crash_and_recover,
-    )
-
-    system = get_system("oaken-hbm")
-    arch = get_model("llama2-13b").arch
-    trace = generate_trace("conversation", requests, seed=seed)
-    start = time.perf_counter()
-    scaling: Dict[str, Dict[str, float]] = {}
-    rates: Dict[int, float] = {}
-    makespans: Dict[int, float] = {}
-    for count in replica_counts:
-        report = simulate_cluster(
-            system, arch, trace,
-            ClusterConfig(replicas=count, max_batch=max_batch),
-        )
-        rates[count] = report.tokens_per_s
-        makespans[count] = report.total_time_s
-        scaling[f"replicas_{count}"] = {
-            "tokens_per_s": report.tokens_per_s,
-            "total_time_s": report.total_time_s,
-            "p99_queue_delay_s": report.p99_queue_delay_s,
-            "completed": float(report.completed),
-        }
-    top = max(replica_counts)
-    # Deterministic fault plan scaled to the fault-free makespan: one
-    # replica crashes a quarter of the way in and recovers, another
-    # browns out across the middle of the replay.
-    horizon = makespans[top]
-    plan = FaultPlan(
-        crash_and_recover(0, 0.25 * horizon, 0.25 * horizon)
-        + brownout(
-            top - 1, 0.4 * horizon, 0.3 * horizon, factor=3.0
-        )
-        if top > 1
-        else crash_and_recover(0, 0.25 * horizon, 0.25 * horizon)
-    )
-    faulted = simulate_cluster(
-        system, arch, trace,
-        ClusterConfig(replicas=top, max_batch=max_batch), plan,
-    )
-    if faulted.lost or faulted.duplicate_completions:
-        raise AssertionError(
-            "cluster exactly-once contract violated: "
-            f"lost={faulted.lost} "
-            f"duplicates={faulted.duplicate_completions}"
-        )
-    wall_s = time.perf_counter() - start
-    return {
-        "requests": requests,
-        "max_batch": max_batch,
-        "policy": "least_loaded",
-        "scaling": scaling,
-        "speedup_replicas": (
-            rates[top] / rates[min(replica_counts)]
-            if rates[min(replica_counts)] > 0
-            else 0.0
-        ),
-        "faulted": {
-            "replicas": float(top),
-            "completed": float(faulted.completed),
-            "failed": float(faulted.failed),
-            "failovers": float(faulted.failovers),
-            "requeues": float(faulted.requeues),
-            "retries": float(faulted.retries),
-            "detected_failures": float(faulted.detected_failures),
-            "downtime_s": faulted.downtime_s,
-            "tokens_per_s": faulted.tokens_per_s,
-            "total_time_s": faulted.total_time_s,
-            "p99_queue_delay_s": faulted.p99_queue_delay_s,
+    return Entry(
+        f"replay.batch{batch}",
+        sizes={
+            "max_batch": batch, "inputs": QF(24, 32), "outputs": QF(16, 24),
         },
-        "wall_s": wall_s,
-    }
-
-
-def bench_tiering(
-    requests: int = 4,
-    inputs: int = 32,
-    outputs: int = 96,
-    max_batch: int = 4,
-    budget_fractions: Tuple[float, ...] = (1.0, 0.5, 0.25),
-    seed: int = 0,
-) -> Dict[str, object]:
-    """Throughput and transfer-cycle overhead vs. device-tier budget.
-
-    Replays one closed long-decode trace through the serving replay
-    untiered (to measure the working set), then again behind the
-    tiered KV hierarchy at each ``budget_fractions`` slice of that
-    working set.  Every metric is **simulation time** plus the store's
-    modeled transfer cycles — deterministic for a fixed seed, like the
-    ``cluster`` entry.  Reported per budget: generation token rate,
-    hit rate, evictions, transfer cycles per replayed token, and an
-    *effective* token rate whose denominator folds the modeled
-    transfer time back in (1 GHz clock) — the memory-pressure
-    throughput curve.  The bit-exactness contract is asserted inline:
-    every tiered replay must generate exactly the untiered token
-    count (spilling changes placement and cost, never results).
-
-    ``speedup_prefetch`` is the transfer-cycle ratio of the
-    no-prefetch configuration to the default sequential
-    prefetch-on-read at the tightest budget: coalescing runs of
-    spilled pages into merged bursts is the tiered store's own hot
-    path, priced by the host link's burst-efficiency curve.
-    """
-    from repro.data.traces import TraceRequest
-    from repro.engine.tiering import DEFAULT_CLOCK_HZ
-    from repro.hardware.overheads import get_system
-    from repro.models.config import get_model
-    from repro.serving.simulator import (
-        CacheReplayConfig,
-        simulate_trace,
-    )
-
-    system = get_system("oaken-hbm")
-    arch = get_model("llama2-13b").arch
-    trace = [
-        TraceRequest(
-            arrival_s=0.0, input_tokens=inputs, output_tokens=outputs
-        )
-        for _ in range(requests)
-    ]
-    start = time.perf_counter()
-    flat = simulate_trace(
-        system, arch, trace, max_batch,
-        replay=CacheReplayConfig(seed=seed),
-    )
-    working_set = flat.replay["peak_pool_bytes"]
-    out: Dict[str, object] = {
-        "requests": requests,
-        "inputs": inputs,
-        "outputs": outputs,
-        "max_batch": max_batch,
-        "working_set_bytes": working_set,
-        "untiered_tokens_per_s": flat.generation_throughput,
-        "generated_tokens": float(flat.generated_tokens),
-    }
-    tightest = min(budget_fractions)
-    prefetch_cycles = 0.0
-    for fraction in budget_fractions:
-        budget_mb = working_set * fraction / 2.0**20
-        report = simulate_trace(
-            system, arch, trace, max_batch,
-            replay=CacheReplayConfig(
-                seed=seed, device_budget_mb=budget_mb
+        setup=lambda max_batch, inputs, outputs: SimpleNamespace(
+            max_batch=max_batch,
+            trace=closed_trace(
+                max_batch + max(8, max_batch // 8), inputs, outputs
             ),
-        )
-        if report.generated_tokens != flat.generated_tokens:
-            raise AssertionError(
-                "tiered replay changed the generated token count: "
-                f"{report.generated_tokens} != {flat.generated_tokens} "
-                f"at budget fraction {fraction}"
-            )
-        replay = report.replay
-        cycles = replay["tier_transfer_cycles"]
-        accesses = replay["tier_hits"] + replay["tier_misses"]
-        effective_s = report.total_time_s + cycles / DEFAULT_CLOCK_HZ
-        out[f"budget_{int(fraction * 100)}"] = {
-            "device_budget_mb": budget_mb,
-            "tokens_per_s": report.generation_throughput,
-            "tokens_per_s_effective": (
-                report.generated_tokens / effective_s
-                if effective_s > 0 else 0.0
+        ),
+        passes=at_least(2),
+        echo_repeats=True,
+        variants={
+            "chunked": timed(lambda c: replay_trace(c.trace, c.max_batch)),
+            "arena": timed(
+                lambda c: replay_trace(c.trace, c.max_batch, arena=True)
             ),
-            "hit_rate": (
-                replay["tier_hits"] / accesses if accesses else 1.0
-            ),
-            "evictions": replay["tier_evictions"],
-            "spilled_bytes": replay["tier_spilled_bytes"],
-            "transfer_cycles": cycles,
-            "transfer_cycles_per_token": (
-                replay["tier_transfer_cycles_per_token"]
-            ),
-        }
-        if fraction == tightest:
-            prefetch_cycles = cycles
-    no_prefetch = simulate_trace(
-        system, arch, trace, max_batch,
-        replay=CacheReplayConfig(
-            seed=seed,
-            device_budget_mb=working_set * tightest / 2.0**20,
-            prefetch_pages=0,
-        ),
-    )
-    no_prefetch_cycles = no_prefetch.replay["tier_transfer_cycles"]
-    out["no_prefetch_transfer_cycles"] = no_prefetch_cycles
-    out["speedup_prefetch"] = (
-        no_prefetch_cycles / prefetch_cycles if prefetch_cycles else 0.0
-    )
-    out["wall_s"] = time.perf_counter() - start
-    return out
-
-
-def bench_prefix_sharing(
-    num_bursts: int = 4,
-    burst_size: int = 6,
-    prefix_rows: int = 16,
-    unique_rows: int = 2,
-    capacity_sequences: int = 6,
-    seed: int = 0,
-) -> Dict[str, object]:
-    """Footprint and admission capacity of the copy-on-write pool.
-
-    Two deterministic comparisons against a no-sharing twin:
-
-    * **Footprint**: the shared-system-prompt RAG trace replayed
-      through the serving simulator twice — once as generated (the
-      replay forks within each burst's prefix group) and once with the
-      sharing annotations stripped (every request re-encodes its full
-      prompt).  ``speedup_footprint`` is the peak-pool-bytes ratio;
-      the generated token count must be identical (sharing changes
-      storage, never results — asserted inline).
-
-    * **Admission capacity**: sequences admitted into a
-      capacity-bounded fused pool before :class:`CacheCapacityError`,
-      when each sequence is a ``prefix_rows`` shared prefix plus
-      ``unique_rows`` unique rows.  The no-sharing pool pays the full
-      prefix per sequence; the sharing pool forks it and pays only the
-      unique suffix, so ``speedup_admission`` (the admitted-count
-      ratio) is the capacity face of charging shared bytes once.
-
-    Both halves are simulation/accounting only — no wall-clock timing
-    — so the entry is bit-stable for a fixed seed, like ``cluster``.
-    """
-    import dataclasses
-
-    from repro.data.traces import generate_rag_trace
-    from repro.engine import (
-        CacheCapacityError,
-        KVCachePool,
-        SyntheticKVStream,
-        shared_backend_factory,
-    )
-    from repro.hardware.overheads import get_system
-    from repro.models.config import get_model
-    from repro.serving.simulator import (
-        CacheReplayConfig,
-        simulate_trace,
+        },
+        speedups={"arena": ("chunked", "arena")},
+        check=lambda o: {
+            "tokens": o["arena"].generated_tokens
+            == o["chunked"].generated_tokens
+        },
+        extra=_replay_arena_extra,
+        summary=lambda r: [
+            f"  arena batch={r['max_batch']:.0f}: chunked "
+            f"{r['chunked_s']:.3f}s  arena {r['arena_s']:.3f}s"
+            f"  -> {r['speedup_arena']:.2f}x "
+            f"({r['arena_compactions']:.0f} compactions)"
+        ],
     )
 
-    start = time.perf_counter()
-    system = get_system("oaken-hbm")
-    arch = get_model("llama2-13b").arch
-    # Short decodes keep the replayed footprint prompt-dominated (the
-    # storage sharing actually deduplicates); the full prompt sample
-    # makes the shared fraction visible at replay scale.
-    trace = [
-        dataclasses.replace(item, output_tokens=min(item.output_tokens, 12))
-        for item in generate_rag_trace(
-            num_bursts=num_bursts, burst_size=burst_size, seed=seed
-        )
-    ]
-    stripped = [
-        dataclasses.replace(item, prefix_group=-1, shared_tokens=0)
-        for item in trace
-    ]
-    replay_config = CacheReplayConfig(seed=seed, prompt_rows=48)
-    sharing = simulate_trace(
-        system, arch, trace, burst_size, replay=replay_config,
-    )
-    nosharing = simulate_trace(
-        system, arch, stripped, burst_size, replay=replay_config,
-    )
-    if sharing.generated_tokens != nosharing.generated_tokens:
-        raise AssertionError(
-            "prefix sharing changed the generated token count: "
-            f"{sharing.generated_tokens} != "
-            f"{nosharing.generated_tokens}"
-        )
-    if not sharing.replay["forks"]:
-        raise AssertionError("RAG replay took zero forks")
 
-    # Admission capacity under a fixed byte budget.
-    layers = 2
-    stream = SyntheticKVStream(32, seed=seed)
-    factory = shared_backend_factory(
-        "oaken", calibration=stream.calibration(layers, 64)
-    )
-    probe = KVCachePool(factory)
-    probe.allocate(0)
-    for layer in range(layers):
-        probe.append(
-            0, layer,
-            stream.draw(prefix_rows + unique_rows),
-            stream.draw(prefix_rows + unique_rows),
-        )
-    capacity_bytes = probe.nbytes() * capacity_sequences
-
-    def fill(pool, fork_prefix):
-        shared = [
-            (stream.draw(prefix_rows), stream.draw(prefix_rows))
-            for _ in range(layers)
-        ]
-        admitted = 0
-        try:
-            for index in range(64 * capacity_sequences):
-                if fork_prefix and index > 0:
-                    pool.fork(0, index, prefix_rows)
-                else:
-                    pool.allocate(index)
-                    for layer in range(layers):
-                        pool.append(
-                            index, layer,
-                            shared[layer][0], shared[layer][1],
-                        )
-                for layer in range(layers):
-                    pool.append(
-                        index, layer,
-                        stream.draw(unique_rows),
-                        stream.draw(unique_rows),
-                    )
-                admitted += 1
-        except CacheCapacityError:
-            pool.free(index)
-        return admitted
-
-    admitted_nosharing = fill(
-        KVCachePool(factory, capacity_bytes=capacity_bytes),
-        fork_prefix=False,
-    )
-    admitted_sharing = fill(
-        KVCachePool(factory, capacity_bytes=capacity_bytes),
-        fork_prefix=True,
-    )
-    return {
-        "requests": len(trace),
-        "bursts": num_bursts,
-        "sharing_peak_pool_bytes": sharing.replay["peak_pool_bytes"],
-        "nosharing_peak_pool_bytes": (
-            nosharing.replay["peak_pool_bytes"]
-        ),
-        "forks": sharing.replay["forks"],
-        "shared_bytes_saved": sharing.replay["shared_bytes_saved"],
-        "speedup_footprint": (
-            nosharing.replay["peak_pool_bytes"]
-            / sharing.replay["peak_pool_bytes"]
-        ),
-        "capacity_bytes": capacity_bytes,
-        "admitted_nosharing": float(admitted_nosharing),
-        "admitted_sharing": float(admitted_sharing),
-        "speedup_admission": (
-            admitted_sharing / admitted_nosharing
-            if admitted_nosharing else 0.0
-        ),
-        "wall_s": time.perf_counter() - start,
-    }
+# -- analytic --------------------------------------------------------
 
 
-def bench_analytic(
-    models: Optional[Tuple[str, ...]] = None,
-    batches: Tuple[int, ...] = (16, 32, 64, 128, 256),
-    repeats: int = 3,
-) -> Dict[str, object]:
-    """Scalar-vs-vectorized analytic serving sweep.
-
-    Times the frozen per-point loop —
-    :func:`repro.hardware.perf.simulate_generation_run` once per
-    (model, system, batch) cell — against one
-    :func:`repro.hardware.sweep.simulate_generation_grid` call over the
-    same Figure 11-style grid.  Before timing, every cell of the grid
-    result is compared field-for-field against the scalar runs with
-    ``==`` (``runs_identical``): the sweep is a *vectorization*, not an
-    approximation, so any drift fails the benchmark outright rather
-    than shipping a fast-but-different number.
-    """
+def _analytic_setup(models, batches) -> SimpleNamespace:
+    """The Figure 11-style (model x system x batch) grid."""
     from repro.experiments.fig11 import (
         FIG11_MODELS,
         FIG11_SYSTEMS,
         systems_for_model,
     )
-    from repro.hardware.perf import simulate_generation_run
-    from repro.hardware.sweep import GridPoint, simulate_generation_grid
     from repro.hardware.overheads import get_system
+    from repro.hardware.sweep import GridPoint
     from repro.models.config import get_model
 
     start = time.perf_counter()
-    model_names = FIG11_MODELS if models is None else models
-    points = [
-        GridPoint(model=model, system=name, batch=batch)
-        for model in model_names
-        for batch in batches
-        for name in systems_for_model(model, FIG11_SYSTEMS)
-    ]
-    archs = {name: get_model(name).arch for name in model_names}
-    systems = {name: get_system(name) for name in FIG11_SYSTEMS}
-
-    def scalar_pass():
-        return [
-            simulate_generation_run(
-                systems[p.system], archs[p.model], p.batch
-            )
-            for p in points
-        ]
-
-    def vector_pass():
-        return simulate_generation_grid(points)
-
-    # Identity first (unconditional, not best-of): the speedup below is
-    # only meaningful while the two paths agree exactly.
-    scalar_runs = scalar_pass()
-    grid = vector_pass()
-    fields = (
-        "oom", "effective_batch", "tokens_per_s",
-        "prefill_s", "generation_s",
+    models = FIG11_MODELS if models is None else models
+    return SimpleNamespace(
+        start=start,
+        models=models,
+        points=[
+            GridPoint(model=model, system=name, batch=batch)
+            for model in models
+            for batch in batches
+            for name in systems_for_model(model, FIG11_SYSTEMS)
+        ],
+        archs={name: get_model(name).arch for name in models},
+        systems={name: get_system(name) for name in FIG11_SYSTEMS},
     )
-    for i, run in enumerate(scalar_runs):
-        vec = grid.run(i)
-        for field in fields:
-            if getattr(run, field) != getattr(vec, field):
-                raise AssertionError(
-                    f"vectorized sweep diverged at point {points[i]} "
-                    f"field {field}: scalar {getattr(run, field)!r} "
-                    f"!= vectorized {getattr(vec, field)!r}"
-                )
 
-    scalar_s = _best_time(scalar_pass, repeats)
-    vectorized_s = _best_time(vector_pass, repeats)
-    return {
-        "points": len(points),
-        "models": len(model_names),
-        "systems": len(FIG11_SYSTEMS),
-        "batches": len(batches),
-        "runs_identical": 1.0,
-        "scalar_s": scalar_s,
-        "vectorized_s": vectorized_s,
-        "speedup_vectorized": (
-            scalar_s / vectorized_s if vectorized_s > 0 else 0.0
-        ),
-        "wall_s": time.perf_counter() - start,
-    }
+
+def _analytic_scalar(ctx):
+    """The frozen per-point loop, one scalar run per grid cell."""
+    from repro.hardware.perf import simulate_generation_run
+
+    return [
+        simulate_generation_run(
+            ctx.systems[p.system], ctx.archs[p.model], p.batch
+        )
+        for p in ctx.points
+    ]
+
+
+def _analytic_grid(ctx):
+    from repro.hardware.sweep import simulate_generation_grid
+
+    return simulate_generation_grid(ctx.points)
+
+
+_ANALYTIC_FIELDS = (
+    "oom", "effective_batch", "tokens_per_s", "prefill_s", "generation_s",
+)
+
+_ANALYTIC = Entry(
+    "analytic",
+    sizes={
+        "models": QF(("llama2-7b", "llama2-70b"), None),
+        "batches": QF((16, 64, 256), (16, 32, 64, 128, 256)),
+    },
+    setup=_analytic_setup,
+    passes=at_least(3),
+    variants={
+        "scalar": timed(_analytic_scalar),
+        "vectorized": timed(_analytic_grid),
+    },
+    speedups={"vectorized": ("scalar", "vectorized")},
+    # The sweep is a *vectorization*, not an approximation: every cell
+    # must equal its scalar run field-for-field under ``==``.
+    check=lambda o: {
+        "runs": all(
+            getattr(run, name) == getattr(o["vectorized"].run(i), name)
+            for i, run in enumerate(o["scalar"])
+            for name in _ANALYTIC_FIELDS
+        )
+    },
+    extra=lambda ctx, outputs, result: {
+        "points": len(ctx.points),
+        "models": len(ctx.models),
+        "systems": len(ctx.systems),
+        "batches": len(result["batches"]),
+        "wall_s": time.perf_counter() - ctx.start,
+    },
+    summary=lambda r: [
+        f"analytic sweep ({r['points']} grid points):",
+        f"  scalar {r['scalar_s']:.3f}s"
+        f"  vectorized {r['vectorized_s']:.4f}s"
+        f"  -> {r['speedup_vectorized']:.1f}x (element-identical)",
+    ],
+)
+
+
+# -- bitpack ---------------------------------------------------------
+
+
+def _bitpack_row(width: int) -> Entry:
+    """``bitpack.widthN``: byte-arithmetic fast path vs. the generic kernel."""
+
+    def setup(count: int) -> SimpleNamespace:
+        codes = np.random.default_rng(width).integers(
+            0, 1 << width, size=count, dtype=np.uint32
+        )
+        return SimpleNamespace(
+            codes=codes,
+            count=count,
+            nbytes=packed_nbytes(count, width),
+            packed=pack_bits(codes, width),
+        )
+
+    return Entry(
+        f"bitpack.width{width}",
+        sizes={"count": QF(1 << 18, 1 << 22)},
+        setup=setup,
+        variants={
+            "generic_pack": timed(
+                lambda c: _pack_bits_generic(c.codes, width, c.nbytes)
+            ),
+            "fast_pack": timed(lambda c: pack_bits(c.codes, width)),
+            "generic_unpack": timed(
+                lambda c: _unpack_bits_generic(c.packed, width, c.count)
+            ),
+            "fast_unpack": timed(
+                lambda c: unpack_bits(c.packed, width, c.count)
+            ),
+        },
+        speedups={
+            "pack": ("generic_pack", "fast_pack"),
+            "unpack": ("generic_unpack", "fast_unpack"),
+        },
+        summary=lambda r: [
+            f"  width{width}: pack {r['speedup_pack']:.1f}x"
+            f"  unpack {r['speedup_unpack']:.1f}x"
+        ],
+    )
+
+
+#: The harness, in summary order.  A ``parent.child`` row files its
+#: result under its parent's dict and must follow it.
+ENTRIES: Tuple[Entry, ...] = (
+    _ENCODE,
+    _GENERATION_ENTRY,
+    _POOL_READ,
+    _pool_arena_row("pool_read", "read", 64),
+    _pool_arena_row("pool_read", "read", 128),
+    _POOL_APPEND,
+    _pool_arena_row("pool_append", "append", 64),
+    _pool_arena_row("pool_append", "append", 128),
+    _BASELINE_READ,
+    _DATAPATH,
+    REPLAY,
+    _replay_arena_row(64),
+    _replay_arena_row(128),
+    CLUSTER,
+    TIERING,
+    SHARING,
+    _ANALYTIC,
+    Entry("bitpack", summary=lambda r: ["bitpack fast paths:"]),
+    _bitpack_row(4),
+    _bitpack_row(8),
+)
+
+
+def declared_speedups(entries: Tuple[Entry, ...] = ENTRIES) -> List[str]:
+    """Dotted path of every ``speedup*`` key the table declares."""
+    return [
+        f"{entry.name}.{key}"
+        for entry in entries
+        for key in entry.speedup_keys()
+    ]
+
+
+def _nodes(
+    benchmarks: Dict[str, object]
+) -> Iterator[Tuple[Entry, Dict[str, object], str]]:
+    """Each table row with its parent dict and leaf key in ``benchmarks``."""
+    for entry in ENTRIES:
+        *parents, leaf = entry.name.split(".")
+        node = benchmarks
+        for key in parents:
+            node = node.get(key, {})
+        yield entry, node, leaf
 
 
 def run_benchmarks(
@@ -1366,105 +797,29 @@ def run_benchmarks(
     steps: Optional[int] = None,
     repeats: int = 3,
 ) -> Dict[str, object]:
-    """Run the full harness and optionally write ``BENCH_quant.json``.
+    """Run every table row and optionally write ``BENCH_quant.json``.
 
-    ``quick=True`` shrinks every size so the whole suite finishes in
-    well under a minute (the CI smoke configuration); explicit
-    ``tokens``/``dim``/``steps`` override either preset.
+    ``quick=True`` picks every row's quick sizes so the whole suite
+    finishes in well under a minute (the CI smoke configuration);
+    explicit ``tokens``/``dim``/``steps`` override the encode and
+    generation sizes under either preset.
 
-    ``repeats`` feeds both the kernel timings (best-of-N calls) and
-    the stepped-loop benchmarks (best-of-N full streams) — at least
-    two stream repeats are always taken, so the smoke-size ``> 1.0``
-    floors stay load-independent even when a caller requests
-    ``repeats=1`` for the kernels.  Generation repeats only at quick
-    sizes (a full-size seed run is ~50 s; the committed baseline
-    absorbs noise through the ``--runs N`` merge instead).
+    ``repeats`` is the best-of-N pass count; rows with stepped loops
+    declare a floor of two, so the smoke-size ``> 1.0`` gates stay
+    load-independent even when a caller requests ``repeats=1`` for
+    the kernels.
     """
-    enc_tokens = tokens if tokens is not None else (512 if quick else 4096)
-    enc_dim = dim if dim is not None else (512 if quick else 4096)
-    gen_steps = steps if steps is not None else (96 if quick else 512)
-    pack_count = 1 << 18 if quick else 1 << 22
-    pool_batch = 8 if quick else 16
-    pool_steps = 24 if quick else 48
-    baseline_steps = 128 if quick else 256
-    datapath_tokens = 48 if quick else 96
-    datapath_dim = 128 if quick else 256
-    replay_requests = 6 if quick else 12
-    replay_outputs = 10 if quick else 24
-    cluster_requests = 24 if quick else 64
-    tiering_outputs = 48 if quick else 96
-    sharing_bursts = 3 if quick else 4
-    arena_steps = 10 if quick else 32
-    arena_inputs = 24 if quick else 32
-    arena_outputs = 16 if quick else 24
-    analytic_models = (
-        ("llama2-7b", "llama2-70b") if quick else None
-    )
-    analytic_batches = (16, 64, 256) if quick else (16, 32, 64, 128, 256)
-    stream_repeats = max(2, repeats)
-    gen_repeats = max(2, repeats) if quick else 1
-
-    # The arena sweeps always cover both serving batch sizes — the
-    # committed speedup_arena gate paths must exist at quick sizes too
-    # — so quick mode shrinks steps/outputs instead of the batch axis.
-    arena_pool = bench_pool_arena(
-        steps=arena_steps, repeats=stream_repeats
-    )
-    pool_read = bench_pool_reads(
-        batch=pool_batch, steps=pool_steps, repeats=stream_repeats
-    )
-    pool_read.update(arena_pool["read"])
-    pool_append = bench_pool_appends(
-        batch=pool_batch, steps=pool_steps, repeats=stream_repeats
-    )
-    pool_append.update(arena_pool["append"])
-    replay = bench_replay_cycles(
-        requests=replay_requests, outputs=replay_outputs
-    )
-    replay.update(
-        bench_replay_arena(
-            inputs=arena_inputs,
-            outputs=arena_outputs,
-            repeats=stream_repeats,
-        )
-    )
-
+    overrides = {"tokens": tokens, "dim": dim, "steps": steps}
+    benchmarks: Dict[str, object] = {}
+    for entry, node, leaf in _nodes(benchmarks):
+        node[leaf] = run_entry(entry, quick, repeats, overrides)
     report: Dict[str, object] = {
         "schema": "repro.bench/v1",
         "generated_unix": time.time(),
         "quick": quick,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "benchmarks": {
-            "encode_roundtrip": bench_encode_roundtrip(
-                tokens=enc_tokens, dim=enc_dim, repeats=repeats
-            ),
-            "generation": bench_generation(
-                steps=gen_steps, repeats=gen_repeats
-            ),
-            "bitpack": bench_bitpack(count=pack_count, repeats=repeats),
-            "pool_read": pool_read,
-            "pool_append": pool_append,
-            "baseline_read": bench_baseline_reads(
-                steps=baseline_steps, repeats=stream_repeats
-            ),
-            "datapath": bench_datapath(
-                tokens=datapath_tokens,
-                dim=datapath_dim,
-                repeats=repeats,
-            ),
-            "replay": replay,
-            "cluster": bench_cluster(requests=cluster_requests),
-            "tiering": bench_tiering(outputs=tiering_outputs),
-            "prefix_sharing": bench_prefix_sharing(
-                num_bursts=sharing_bursts
-            ),
-            "analytic": bench_analytic(
-                models=analytic_models,
-                batches=analytic_batches,
-                repeats=max(3, repeats),
-            ),
-        },
+        "benchmarks": benchmarks,
     }
     if out_path:
         write_report(report, out_path)
@@ -1578,171 +933,15 @@ def write_report(report: Dict[str, object], path: str) -> None:
         handle.write("\n")
 
 
-def _arena_sweep_lines(entry: Dict[str, object]) -> List[str]:
-    """Summary lines for the ``batchN`` arena sub-entries, if present."""
-    lines: List[str] = []
-    for key in sorted(
-        (
-            k for k in entry
-            if k.startswith("batch") and k[len("batch"):].isdigit()
-        ),
-        key=lambda k: int(k[len("batch"):]),
-    ):
-        sub = entry[key]
-        lines.append(
-            f"  arena batch={sub['batch']}: chunked "
-            f"{sub['batched_s']:.3f}s  arena {sub['arena_s']:.3f}s"
-            f"  -> {sub['speedup_arena']:.1f}x"
-        )
-    return lines
-
-
 def format_summary(report: Dict[str, object]) -> str:
-    """Human-readable one-screen summary of a harness report."""
-    bench = report["benchmarks"]
-    enc = bench["encode_roundtrip"]
-    gen = bench["generation"]
-    lines = [
-        f"encode roundtrip [{enc['tokens']}, {enc['dim']}]:",
-        f"  seed    {enc['seed_roundtrip_s']:.3f}s"
-        f"  (quantize {enc['seed_quantize_s']:.3f}s)",
-        f"  fused   {enc['fused_roundtrip_s']:.3f}s"
-        f"  -> {enc['speedup_roundtrip']:.1f}x",
-        f"  fused32 {enc['fused_f32_roundtrip_s']:.3f}s"
-        f"  -> {enc['speedup_roundtrip_f32']:.1f}x",
-        f"generation {gen['steps']} steps ({gen['model']}):",
-        f"  seed {gen['seed_s']:.2f}s  incremental {gen['incremental_s']:.2f}s"
-        f"  -> {gen['speedup']:.1f}x",
-    ]
-    pool = bench.get("pool_read")
-    if pool is not None:
-        lines += [
-            f"pool reads batch={pool['batch']} x {pool['steps']} steps:",
-            f"  looped {pool['looped_s']:.3f}s"
-            f"  batched {pool['batched_s']:.3f}s"
-            f"  -> {pool['speedup_batched']:.1f}x",
-        ]
-        lines += _arena_sweep_lines(pool)
-    appends = bench.get("pool_append")
-    if appends is not None:
-        lines += [
-            f"pool appends batch={appends['batch']} x "
-            f"{appends['steps']} steps:",
-            f"  looped {appends['looped_s']:.3f}s"
-            f"  batched {appends['batched_s']:.3f}s"
-            f"  -> {appends['speedup_batched']:.1f}x",
-        ]
-        if "speedup_adapter_batched" in appends:
-            lines.append(
-                f"  adapter ({appends['adapter_method']}): looped "
-                f"{appends['adapter_looped_s']:.3f}s  batched "
-                f"{appends['adapter_batched_s']:.3f}s"
-                f"  -> {appends['speedup_adapter_batched']:.1f}x"
-            )
-        lines += _arena_sweep_lines(appends)
-    baseline = bench.get("baseline_read")
-    if baseline is not None:
-        lines += [
-            f"baseline reads ({baseline['method']}, "
-            f"{baseline['steps']} steps):",
-            f"  full {baseline['full_s']:.3f}s"
-            f"  amortized {baseline['amortized_s']:.3f}s"
-            f"  -> {baseline['speedup_amortized']:.1f}x",
-        ]
-    datapath = bench.get("datapath")
-    if datapath is not None:
-        lines += [
-            f"datapath engines [{datapath['tokens']}, "
-            f"{datapath['dim']}]:",
-            f"  scalar {datapath['scalar_quantize_s'] + datapath['scalar_dequantize_s']:.3f}s"
-            f"  vectorized "
-            f"{datapath['vectorized_quantize_s'] + datapath['vectorized_dequantize_s']:.4f}s"
-            f"  -> {datapath['speedup_vectorized']:.0f}x",
-        ]
-    replay = bench.get("replay")
-    if replay is not None:
-        lines += [
-            f"serving replay ({replay['requests']} requests, "
-            f"engine-backed):",
-            f"  {replay['engine_cycles']:.0f} engine cycles / "
-            f"{replay['replayed_tokens']:.0f} tokens"
-            f"  -> {replay['tokens_per_mcycle']:.1f} tok/Mcycle",
-        ]
-        for key in sorted(
-            (
-                k for k in replay
-                if k.startswith("batch") and k[len("batch"):].isdigit()
-            ),
-            key=lambda k: int(k[len("batch"):]),
-        ):
-            sub = replay[key]
-            lines.append(
-                f"  arena batch={sub['max_batch']:.0f}: chunked "
-                f"{sub['chunked_s']:.3f}s  arena {sub['arena_s']:.3f}s"
-                f"  -> {sub['speedup_arena']:.2f}x "
-                f"({sub['arena_compactions']:.0f} compactions)"
-            )
-    cluster = bench.get("cluster")
-    if cluster is not None:
-        counts = sorted(
-            int(key.rsplit("_", 1)[1]) for key in cluster["scaling"]
-        )
-        rates = "  ".join(
-            f"r{count}="
-            f"{cluster['scaling'][f'replicas_{count}']['tokens_per_s']:.1f}"
-            for count in counts
-        )
-        faulted = cluster["faulted"]
-        lines += [
-            f"cluster replay ({cluster['requests']} requests, "
-            f"{cluster['policy']}):",
-            f"  tok/s {rates}"
-            f"  -> {cluster['speedup_replicas']:.1f}x scaling",
-            f"  faulted r{faulted['replicas']:.0f}: "
-            f"{faulted['completed']:.0f} completed / "
-            f"{faulted['failed']:.0f} failed, "
-            f"{faulted['failovers']:.0f} failovers, "
-            f"downtime {faulted['downtime_s']:.2f}s",
-        ]
-    tiering = bench.get("tiering")
-    if tiering is not None:
-        pressure = "  ".join(
-            f"{label.rsplit('_', 1)[1]}%="
-            f"{tiering[label]['transfer_cycles_per_token']:.0f}cyc/tok"
-            for label in ("budget_100", "budget_50", "budget_25")
-            if label in tiering
-        )
-        lines += [
-            f"tiered KV ({tiering['requests']} requests, "
-            f"working set {tiering['working_set_bytes']:.0f} B):",
-            f"  spill pressure {pressure}"
-            f"  prefetch -> {tiering['speedup_prefetch']:.2f}x",
-        ]
-    sharing = bench.get("prefix_sharing")
-    if sharing is not None:
-        lines += [
-            f"prefix sharing ({sharing['requests']} requests, "
-            f"{sharing['forks']:.0f} forks):",
-            f"  footprint {sharing['nosharing_peak_pool_bytes']:.0f}"
-            f" -> {sharing['sharing_peak_pool_bytes']:.0f} B"
-            f"  -> {sharing['speedup_footprint']:.2f}x",
-            f"  admission {sharing['admitted_nosharing']:.0f}"
-            f" -> {sharing['admitted_sharing']:.0f} seqs"
-            f"  -> {sharing['speedup_admission']:.1f}x",
-        ]
-    analytic = bench.get("analytic")
-    if analytic is not None:
-        lines += [
-            f"analytic sweep ({analytic['points']} grid points):",
-            f"  scalar {analytic['scalar_s']:.3f}s"
-            f"  vectorized {analytic['vectorized_s']:.4f}s"
-            f"  -> {analytic['speedup_vectorized']:.1f}x"
-            " (element-identical)",
-        ]
-    lines.append("bitpack fast paths:")
-    for width, row in bench["bitpack"].items():
-        lines.append(
-            f"  {width}: pack {row['speedup_pack']:.1f}x"
-            f"  unpack {row['speedup_unpack']:.1f}x"
-        )
-    return "\n".join(lines)
+    """Human-readable one-screen summary of a harness report.
+
+    Each table row renders its own lines; rows a report does not
+    carry (an older or partial report) are skipped.
+    """
+    return "\n".join(
+        line
+        for entry, node, leaf in _nodes(report["benchmarks"])
+        if leaf in node
+        for line in entry.summary(node[leaf])
+    )

@@ -43,9 +43,7 @@ Forks copy the parent's first ``prefix_len`` encoded rows (plus any
 already-decoded mirror rows) into the child's slice: reads are
 bit-identical to the chunk-aliasing COW fork, but no bytes are shared
 — the same contract class as adapter-pool forks.  Chunk identity,
-which sharing's refcounts need, simply does not exist in a flat arena;
-where a caller *does* need a chunk-shaped view of a row range,
-:meth:`ArenaCacheBackend.chunk_view` materializes one lazily.
+which sharing's refcounts need, simply does not exist in a flat arena.
 """
 
 from __future__ import annotations
@@ -593,6 +591,25 @@ class KVArena:
         total = sum(rows)
         if total == 0:
             return
+        # Encode before touching the row table: a block the kernel
+        # refuses (wrong width) must leave every sequence untouched.
+        key_scratch, value_scratch = self._scratch
+        key_blocks = [np.atleast_2d(k) for _, k, _ in items]
+        value_blocks = [np.atleast_2d(v) for _, _, v in items]
+        key_encoded = self._encode(
+            store.keys.quantizer,
+            key_blocks[0]
+            if len(key_blocks) == 1
+            else np.concatenate(key_blocks),
+            key_scratch,
+        )
+        value_encoded = self._encode(
+            store.values.quantizer,
+            value_blocks[0]
+            if len(value_blocks) == 1
+            else np.concatenate(value_blocks),
+            value_scratch,
+        )
         # Reserve every destination first (relocations may shuffle
         # starts), then resolve final target positions.
         spans: List[Tuple[_RowSlice, int, int]] = []
@@ -610,23 +627,6 @@ class KVArena:
             np.concatenate(idx_parts)
             if len(idx_parts) > 1
             else idx_parts[0]
-        )
-        key_scratch, value_scratch = self._scratch
-        key_blocks = [np.atleast_2d(k) for _, k, _ in items]
-        value_blocks = [np.atleast_2d(v) for _, _, v in items]
-        key_encoded = self._encode(
-            store.keys.quantizer,
-            key_blocks[0]
-            if len(key_blocks) == 1
-            else np.concatenate(key_blocks),
-            key_scratch,
-        )
-        value_encoded = self._encode(
-            store.values.quantizer,
-            value_blocks[0]
-            if len(value_blocks) == 1
-            else np.concatenate(value_blocks),
-            value_scratch,
         )
         store.keys.write(idx, key_encoded)
         store.values.write(idx, value_encoded)
@@ -710,21 +710,6 @@ class KVArena:
             out.append(view)
         return out[0], out[1]
 
-    def chunk_view(
-        self, seq_id: Hashable, layer: int
-    ) -> Tuple[EncodedKV, EncodedKV]:
-        """Lazily materialized (key, value) chunk views of a sequence.
-
-        The arena never stores chunk objects; consumers that need
-        chunk identity (diagnostics, future sharing/tiering hooks)
-        materialize one here on demand.  The views decode
-        bit-identically to the sequence's stored rows.
-        """
-        store = self.layers[layer]
-        slc = store.slice_of(seq_id)
-        idx = np.arange(slc.start, slc.start + slc.length)
-        return store.keys.gather(idx), store.values.gather(idx)
-
     # -- accounting ----------------------------------------------------
 
     def seq_length(self, seq_id: Hashable) -> int:
@@ -798,10 +783,6 @@ class ArenaCacheBackend:
 
     def read(self, layer: int) -> Tuple[np.ndarray, np.ndarray]:
         return self.arena.read(self.seq_id, layer)
-
-    def chunk_view(self, layer: int) -> Tuple[EncodedKV, EncodedKV]:
-        """Lazy chunk-shaped view (see :meth:`KVArena.chunk_view`)."""
-        return self.arena.chunk_view(self.seq_id, layer)
 
     def nbytes(self) -> float:
         bits, _ = self.arena.seq_footprint(self.seq_id)

@@ -4,22 +4,27 @@ The smoke run's ``> 1.0`` speedup floors are deflaked inside the
 harness itself: every stepped-loop benchmark (pool reads/appends,
 baseline reads, and — at quick sizes — generation) times best-of-N
 independent streams, so one host load spike during a full-suite run
-cannot push a genuine speedup below its floor.  The tests carry the
-``bench`` marker so CI can rerun just this module on a timing failure
-without rerunning the whole suite.
+cannot push a genuine speedup below its floor.  The tests that time
+real kernels carry the ``bench`` marker so CI can rerun just them on a
+timing failure without rerunning the whole suite; the runner, table
+and report-helper tests below them are deterministic and unmarked.
 """
 
 import json
+import pathlib
 import time
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.bench import run_benchmarks
 from repro.bench.hotpath import format_summary
 
-pytestmark = pytest.mark.bench
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
+@pytest.mark.bench
 def test_harness_runs_quickly_and_writes_json(tmp_path):
     """Reduced-size run: complete in <60s, emit a well-formed report."""
     out = tmp_path / "BENCH_quant.json"
@@ -152,6 +157,7 @@ def test_harness_runs_quickly_and_writes_json(tmp_path):
     assert "analytic sweep" in summary
 
 
+@pytest.mark.bench
 def test_no_output_file_when_disabled(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run_benchmarks(
@@ -195,3 +201,53 @@ def test_merge_and_regression_helpers():
     ]
     # Entries only the current run has never fail retroactively.
     assert missing_speedups(committed, report(0.5, 4.0, extra=False)) == []
+
+
+def test_runner_times_a_toy_entry():
+    """One table row through the runner: keys, naming, sizes, identity."""
+    from repro.bench.runner import QF, Entry, run_entry, same, timed
+
+    def toy(fast=lambda c: c.data.tolist()):
+        return Entry(
+            "toy",
+            sizes={"n": QF(4, 16), "scale": 2},
+            overridable=("n",),
+            setup=lambda n, scale: SimpleNamespace(data=np.arange(n) * scale),
+            echo_repeats=True,
+            variants={
+                "slow": timed(lambda c: [int(v) for v in c.data]),
+                "fast": timed(fast),
+            },
+            speedups={"fast": ("slow", "fast"), "": ("slow", "fast")},
+            check=lambda o: {"values": same(o["slow"], o["fast"])},
+            summary=lambda r: [f"toy n={r['n']}"],
+        )
+
+    quick = run_entry(toy(), quick=True, repeats=2)
+    assert set(quick) == {
+        "n", "scale", "repeats", "slow_s", "fast_s",
+        "speedup_fast", "speedup", "values_identical",
+    }
+    assert (quick["n"], quick["scale"], quick["repeats"]) == (4, 2, 2)
+    assert quick["speedup_fast"] == quick["slow_s"] / quick["fast_s"]
+    assert quick["values_identical"] is True
+    assert run_entry(toy(), quick=False)["n"] == 16
+    assert run_entry(toy(), quick=True, overrides={"n": 8})["n"] == 8
+    with pytest.raises(AssertionError, match="toy: values diverged"):
+        run_entry(toy(fast=lambda c: c.data[:-1].tolist()), quick=True)
+
+
+def test_declared_speedups_match_committed_baseline():
+    """Table and ``BENCH_quant.json`` agree without running a benchmark.
+
+    An entry added without a regenerated baseline, or a baseline key
+    no entry declares any more, fails here instead of at ``--check``
+    time.
+    """
+    from repro.bench import iter_speedups
+    from repro.bench.hotpath import declared_speedups
+
+    committed = json.loads((REPO_ROOT / "BENCH_quant.json").read_text())
+    declared = declared_speedups()
+    assert len(declared) == len(set(declared))
+    assert set(declared) == {path for path, _ in iter_speedups(committed)}

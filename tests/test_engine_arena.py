@@ -39,14 +39,7 @@ MAX_LIVE = 8
 MAX_ROWS = 60
 
 
-@pytest.fixture(scope="module", params=sorted(BASELINE_NAMES))
-def factory(request):
-    """One shared-quantizer factory per registry method.
-
-    Both twin pools are built from the *same* factory, so their
-    backends share fitted quantizers — any byte difference is the
-    arena's fault, never calibration drift.
-    """
+def _factory(method):
     calibration = [
         (
             make_kv_matrix(
@@ -60,15 +53,33 @@ def factory(request):
         )
         for layer in range(LAYERS)
     ]
-    return shared_backend_factory(request.param, calibration=calibration)
+    return shared_backend_factory(method, calibration=calibration)
 
 
-def _require_arena(factory):
-    """Skip for adapter backends: only the fused paper method routes
-    through the arena, so arena-specific invariants (compaction
-    counters, capacity geometry) have nothing to measure elsewhere."""
-    if not isinstance(factory(), FusedCacheBackend):
-        pytest.skip("adapter backends do not use the arena")
+@pytest.fixture(scope="module", params=sorted(BASELINE_NAMES))
+def factory(request):
+    """One shared-quantizer factory per registry method.
+
+    Both twin pools are built from the *same* factory, so their
+    backends share fitted quantizers — any byte difference is the
+    arena's fault, never calibration drift.
+    """
+    return _factory(request.param)
+
+
+# Only the fused paper method routes through the arena, so the
+# arena-specific invariants (compaction counters, capacity geometry,
+# refused-batch atomicity) have nothing to measure for adapter
+# backends: those tests are parametrised over the fused methods alone
+# rather than generated for every method and skipped.
+FUSED_METHODS = ("oaken",)
+
+
+@pytest.fixture(scope="module", params=FUSED_METHODS)
+def fused_factory(request):
+    factory = _factory(request.param)
+    assert isinstance(factory(), FusedCacheBackend)
+    return factory
 
 
 class _Driver:
@@ -320,10 +331,9 @@ class TestCompaction:
     """Deterministic compaction coverage: storage relocates, bytes
     don't change."""
 
-    def test_free_churn_compacts_and_preserves_survivors(self, factory):
-        _require_arena(factory)
-        pool = KVCachePool(factory, arena=True)
-        mirror = KVCachePool(factory)
+    def test_free_churn_compacts_and_preserves_survivors(self, fused_factory):
+        pool = KVCachePool(fused_factory, arena=True)
+        mirror = KVCachePool(fused_factory)
         rng = np.random.default_rng(11)
         seqs = list(range(12))
         for seq_id in seqs:
@@ -357,10 +367,9 @@ class TestCompaction:
         mirror_bytes, _ = mirror.measure()
         assert np.isclose(pool_bytes, mirror_bytes)
 
-    def test_fork_divergence_survives_compaction(self, factory):
-        _require_arena(factory)
-        pool = KVCachePool(factory, arena=True)
-        mirror = KVCachePool(factory)
+    def test_fork_divergence_survives_compaction(self, fused_factory):
+        pool = KVCachePool(fused_factory, arena=True)
+        mirror = KVCachePool(fused_factory)
         rng = np.random.default_rng(13)
         prefix = rng.standard_normal((6, DIM)).astype(np.float32)
         pool.allocate("parent")
@@ -404,9 +413,8 @@ class TestCapacityGeometry:
     cap in place (or relocate it to the tail) instead of reallocating
     per token."""
 
-    def test_row_cap_doubles(self, factory):
-        _require_arena(factory)
-        template = factory()
+    def test_row_cap_doubles(self, fused_factory):
+        template = fused_factory()
         arena = KVArena(
             [layer.key_quantizer for layer in template.layers],
             [layer.value_quantizer for layer in template.layers],
@@ -430,9 +438,8 @@ class TestCapacityGeometry:
             assert ratio == int(ratio) and int(ratio) & (int(ratio) - 1) == 0
         assert len(caps) <= 4
 
-    def test_arena_capacity_tracks_growth(self, factory):
-        _require_arena(factory)
-        pool = KVCachePool(factory, arena=True)
+    def test_arena_capacity_tracks_growth(self, fused_factory):
+        pool = KVCachePool(fused_factory, arena=True)
         pool.allocate("seq")
         rng = np.random.default_rng(19)
         first = None
@@ -450,3 +457,43 @@ class TestCapacityGeometry:
         # gate's measured footprint never includes arena headroom.
         content, _ = pool.measure()
         assert content < grown
+
+
+class TestRefusedBatchIsAtomic:
+    """A batch the kernel refuses leaves every sequence untouched."""
+
+    @pytest.mark.parametrize("arena", [True, False], ids=["arena", "chunked"])
+    def test_wrong_width_block_changes_nothing(self, fused_factory, arena):
+        pool = KVCachePool(fused_factory, arena=arena)
+        rng = np.random.default_rng(23)
+        seq_ids = [0, 1, 2]
+        for seq_id in seq_ids:
+            pool.allocate(seq_id)
+            rows = rng.standard_normal((2, DIM)).astype(np.float32)
+            for layer in range(LAYERS):
+                pool.append(seq_id, layer, rows, rows)
+
+        def state():
+            return (
+                [pool.get(seq_id).length for seq_id in seq_ids],
+                pool.nbytes(),
+                [
+                    [part.copy() for part in pool.read(seq_id, layer)]
+                    for seq_id in seq_ids
+                    for layer in range(LAYERS)
+                ],
+            )
+
+        lengths, nbytes, reads = state()
+        good = rng.standard_normal((1, DIM)).astype(np.float32)
+        bad = rng.standard_normal((1, DIM + 1)).astype(np.float32)
+        with pytest.raises(ValueError):
+            pool.append_batch(
+                0, [(0, good, good), (1, bad, bad), (2, good, good)]
+            )
+        after_lengths, after_nbytes, after_reads = state()
+        assert after_lengths == lengths
+        assert after_nbytes == nbytes
+        for before, after in zip(reads, after_reads):
+            for left, right in zip(before, after):
+                assert np.array_equal(left, right)

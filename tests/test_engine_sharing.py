@@ -33,14 +33,7 @@ MAX_LIVE = 8
 MAX_ROWS = 60
 
 
-@pytest.fixture(scope="module", params=sorted(BASELINE_NAMES))
-def factory(request):
-    """One shared-quantizer factory per registry method.
-
-    Both twin pools are built from the *same* factory, so their
-    backends share fitted quantizers — any byte difference is the
-    sharing layer's fault, never calibration drift.
-    """
+def _factory(method):
     calibration = [
         (
             make_kv_matrix(
@@ -54,7 +47,18 @@ def factory(request):
         )
         for layer in range(LAYERS)
     ]
-    return shared_backend_factory(request.param, calibration=calibration)
+    return shared_backend_factory(method, calibration=calibration)
+
+
+@pytest.fixture(scope="module", params=sorted(BASELINE_NAMES))
+def factory(request):
+    """One shared-quantizer factory per registry method.
+
+    Both twin pools are built from the *same* factory, so their
+    backends share fitted quantizers — any byte difference is the
+    sharing layer's fault, never calibration drift.
+    """
+    return _factory(request.param)
 
 
 class _Driver:
@@ -281,21 +285,27 @@ class TestDifferentialReplay:
         _run(factory, tiered=True, seed=seed)
 
 
-def _require_cow(factory):
-    """Skip for adapter backends: they fork by exact-row copy, so the
-    zero-new-bytes / delta-only properties only hold for the fused
-    chunk-aliasing backend."""
-    if not isinstance(factory(), FusedCacheBackend):
-        pytest.skip("adapter backends copy on fork (no byte aliasing)")
+# Adapter backends fork by exact-row copy (no byte aliasing), so the
+# zero-new-bytes / delta-only properties only hold for the fused
+# chunk-aliasing backend: the charge-once tests are parametrised over
+# the fused methods alone rather than generated for every method and
+# skipped.
+FUSED_METHODS = ("oaken",)
+
+
+@pytest.fixture(scope="module", params=FUSED_METHODS)
+def cow_factory(request):
+    factory = _factory(request.param)
+    assert isinstance(factory(), FusedCacheBackend)
+    return factory
 
 
 class TestChargeOnceAccounting:
     """The admission-capacity face of sharing: shared bytes are
     charged exactly once by ``nbytes()``/``measure``."""
 
-    def test_fork_adds_zero_bytes(self, factory):
-        _require_cow(factory)
-        pool = KVCachePool(factory)
+    def test_fork_adds_zero_bytes(self, cow_factory):
+        pool = KVCachePool(cow_factory)
         pool.allocate("parent")
         rng = np.random.default_rng(0)
         for layer in range(LAYERS):
@@ -307,10 +317,9 @@ class TestChargeOnceAccounting:
         assert after == before
         assert child.nbytes() > 0.0
 
-    def test_divergence_charges_only_the_delta(self, factory):
-        _require_cow(factory)
-        pool = KVCachePool(factory)
-        twin = KVCachePool(factory)
+    def test_divergence_charges_only_the_delta(self, cow_factory):
+        pool = KVCachePool(cow_factory)
+        twin = KVCachePool(cow_factory)
         rng = np.random.default_rng(1)
         prefix = rng.standard_normal((5, DIM)).astype(np.float32)
         fresh = rng.standard_normal((2, DIM)).astype(np.float32)
