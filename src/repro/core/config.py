@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Tuple
 
 
@@ -87,7 +88,13 @@ class OakenConfig:
         """Number of inner (near-zero) sparse bands."""
         return len(self.inner_ratios)
 
-    @property
+    # The derived constants the footprint accounting reads per chunk
+    # are computed once per config: ``cached_property`` stores them in
+    # the instance ``__dict__`` (no ``__setattr__``, so the frozen
+    # dataclass allows it) and they are not fields, so equality, hash
+    # and ``dataclasses.replace`` are unaffected.
+
+    @cached_property
     def num_sparse_bands(self) -> int:
         """Total sparse bands (everything except the dense middle)."""
         return self.num_outer_bands + self.num_inner_bands
@@ -102,10 +109,26 @@ class OakenConfig:
         """Total fraction of values stored through the sparse path."""
         return sum(self.outer_ratios) + sum(self.inner_ratios)
 
-    @property
+    @cached_property
     def group_id_bits(self) -> int:
         """Bits needed to name a sparse band inside a COO record."""
         return max(1, math.ceil(math.log2(max(2, self.num_sparse_bands))))
+
+    @cached_property
+    def sparse_record_bits(self) -> int:
+        """Bits per sparse COO record, after alignment padding (see
+        :func:`repro.core.encoding.sparse_record_bits`)."""
+        if self.fused_encoding:
+            code_bits = max(0, self.outlier_bits - self.inlier_bits)
+            raw = self.index_bits + self.group_id_bits + code_bits
+            return ((raw + 7) // 8) * 8
+        return 16 + self.index_bits + self.group_id_bits
+
+    @cached_property
+    def token_metadata_bits(self) -> int:
+        """Scale-bound bits stored per token: 2 FP16 scalars for the
+        middle group plus 2 per sparse band."""
+        return (2 + 2 * self.num_sparse_bands) * self.scale_bits
 
     @property
     def chunk_size(self) -> int:

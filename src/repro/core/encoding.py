@@ -18,7 +18,7 @@ accounting (Table 2 bottom rows and Table 3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,12 +40,12 @@ def sparse_record_bits(config: OakenConfig) -> int:
 
     Naive (non-fused) encoding: a full 16-bit value plus index and group
     bits — the 23-bit records of prior work.
+
+    Computed once per frozen config
+    (:attr:`OakenConfig.sparse_record_bits`); this is the accounting's
+    public spelling.
     """
-    if config.fused_encoding:
-        code_bits = max(0, config.outlier_bits - config.inlier_bits)
-        raw = config.index_bits + config.group_id_bits + code_bits
-        return ((raw + 7) // 8) * 8
-    return 16 + config.index_bits + config.group_id_bits
+    return config.sparse_record_bits
 
 
 @dataclass
@@ -126,11 +126,11 @@ class EncodedKV:
             return self._cached_footprint
         elements = self.num_tokens * self.dim
         dense_bits = float(elements * self.config.inlier_bits)
-        record = sparse_record_bits(self.config)
-        sparse_bits = float(self.num_outliers * record)
-        scalars_per_token = 2 + 2 * self.config.num_sparse_bands
+        sparse_bits = float(
+            self.num_outliers * sparse_record_bits(self.config)
+        )
         metadata_bits = float(
-            self.num_tokens * scalars_per_token * self.config.scale_bits
+            self.num_tokens * self.config.token_metadata_bits
         )
         footprint = StorageFootprint(
             element_count=elements,
@@ -145,6 +145,16 @@ class EncodedKV:
         )
         self._cached_footprint = footprint
         return footprint
+
+    def footprint_bits(self) -> Tuple[int, int]:
+        """``(total_bits, element_count)`` as exact integers.
+
+        Every term of :meth:`footprint` is an integer bit count, so
+        the caches can keep running totals of these pairs that equal
+        a recomputed sum exactly, in any order.
+        """
+        footprint = self.footprint()
+        return int(footprint.total_bits), footprint.element_count
 
     def effective_bitwidth(self) -> float:
         """Bits per original element including scale metadata."""

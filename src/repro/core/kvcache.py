@@ -33,7 +33,7 @@ encoded in one fused pass (via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -108,6 +108,10 @@ class LayerKVCache:
     _key_chunks: List[EncodedKV] = field(default_factory=list)
     _value_chunks: List[EncodedKV] = field(default_factory=list)
     _length: int = 0
+    # Running encoded footprint of the chunk lists, as exact integers
+    # (see :meth:`footprint_bits`).
+    _bits: int = 0
+    _elements: int = 0
     _key_decoded: _DecodedPrefix = field(
         default_factory=_DecodedPrefix, repr=False, compare=False
     )
@@ -135,6 +139,13 @@ class LayerKVCache:
             return quantize_into(values, scratch)
         return quantizer.quantize(values)
 
+    def _charge(self, chunks: Iterable[EncodedKV]) -> None:
+        """Add newly listed chunks to the running footprint."""
+        for chunk in chunks:
+            bits, elements = chunk.footprint_bits()
+            self._bits += bits
+            self._elements += elements
+
     def append(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Quantize and append newly generated KV rows.
 
@@ -148,13 +159,10 @@ class LayerKVCache:
             raise ValueError(
                 f"key/value shape mismatch: {keys.shape} vs {values.shape}"
             )
-        self._key_chunks.append(
-            self._encode(self.key_quantizer, keys, self._key_scratch)
+        self.append_encoded(
+            self._encode(self.key_quantizer, keys, self._key_scratch),
+            self._encode(self.value_quantizer, values, self._value_scratch),
         )
-        self._value_chunks.append(
-            self._encode(self.value_quantizer, values, self._value_scratch)
-        )
-        self._length += keys.shape[0]
 
     def append_encoded(
         self, key_chunk: EncodedKV, value_chunk: EncodedKV
@@ -177,6 +185,7 @@ class LayerKVCache:
         self._key_chunks.append(key_chunk)
         self._value_chunks.append(value_chunk)
         self._length += key_chunk.num_tokens
+        self._charge((key_chunk, value_chunk))
 
     def read(self) -> Tuple[np.ndarray, np.ndarray]:
         """Dequantize the full cached (keys, values) history.
@@ -241,12 +250,18 @@ class LayerKVCache:
             split_at = prefix_len - rows
             value_chunk = self._value_chunks[index]
             counts = [split_at, key_chunk.num_tokens - split_at]
-            self._key_chunks[index : index + 1] = split_encoded(
-                key_chunk, counts
-            )
-            self._value_chunks[index : index + 1] = split_encoded(
-                value_chunk, counts
-            )
+            for chunks, whole in (
+                (self._key_chunks, key_chunk),
+                (self._value_chunks, value_chunk),
+            ):
+                pieces = split_encoded(whole, counts)
+                # Row-local accounting: the pieces store exactly the
+                # whole's bits, so the running footprint stands.
+                assert (
+                    sum(p.footprint_bits()[0] for p in pieces)
+                    == whole.footprint_bits()[0]
+                ), "chunk split changed the encoded footprint"
+                chunks[index : index + 1] = pieces
             # A memoized chunk that splits is now *two* memoized
             # chunks; re-base the decode counters so pending_chunks
             # keeps pointing past the memoized prefix.
@@ -278,6 +293,8 @@ class LayerKVCache:
         self._key_chunks = list(key_chunks)
         self._value_chunks = list(value_chunks)
         self._length = length
+        self._charge(self._key_chunks)
+        self._charge(self._value_chunks)
 
     def pending_chunks(self) -> Tuple[List[EncodedKV], List[EncodedKV]]:
         """Chunks appended since the last read (incremental mode only).
@@ -308,24 +325,45 @@ class LayerKVCache:
         self._key_decoded.append_rows(key_rows, chunks)
         self._value_decoded.append_rows(value_rows, chunks)
 
+    def footprint_bits(self) -> Tuple[int, int]:
+        """``(total_bits, element_count)`` of the cached chunks; O(1).
+
+        Running totals maintained by :meth:`append`,
+        :meth:`append_encoded` and :meth:`adopt_prefix` (a boundary
+        split is footprint-neutral).  Every chunk's bit count is an
+        integer, so the totals equal a recomputed sum over the chunk
+        lists exactly, whatever the order of operations —
+        :meth:`check_invariants` is that recomputation.
+        """
+        return self._bits, self._elements
+
     def nbytes(self) -> float:
         """Total encoded storage of this layer's cache in bytes."""
-        total = 0.0
-        for chunk in self._key_chunks + self._value_chunks:
-            total += chunk.nbytes()
-        return total
+        return self._bits / 8.0
 
     def effective_bitwidth(self) -> float:
         """Observed bits/element across all cached chunks."""
-        elements = 0
-        bits = 0.0
-        for chunk in self._key_chunks + self._value_chunks:
-            fp = chunk.footprint()
-            elements += fp.element_count
-            bits += fp.total_bits
-        if elements == 0:
+        if self._elements == 0:
             return 0.0
-        return bits / elements
+        return self._bits / self._elements
+
+    def check_invariants(self) -> None:
+        """Assert the running footprint equals a walk of the chunks."""
+        bits = 0
+        elements = 0
+        rows = 0
+        for chunk in self._key_chunks + self._value_chunks:
+            chunk_bits, chunk_elements = chunk.footprint_bits()
+            bits += chunk_bits
+            elements += chunk_elements
+            rows += chunk.num_tokens
+        assert (self._bits, self._elements) == (bits, elements), (
+            f"footprint accumulator ({self._bits}, {self._elements}) != "
+            f"recomputed ({bits}, {elements})"
+        )
+        assert rows == 2 * self._length, (
+            f"chunk rows {rows} != 2 x cached length {self._length}"
+        )
 
 
 class QuantizedKVCache:
@@ -383,19 +421,24 @@ class QuantizedKVCache:
         """Dequantized (keys, values) history of ``layer``."""
         return self.layers[layer].read()
 
+    def footprint_bits(self) -> Tuple[int, int]:
+        """``(total_bits, element_count)`` across all layers — one
+        running-total read per layer (see
+        :meth:`LayerKVCache.footprint_bits`), no chunk walk."""
+        bits = 0
+        elements = 0
+        for layer in self.layers:
+            bits += layer._bits
+            elements += layer._elements
+        return bits, elements
+
     def nbytes(self) -> float:
         """Total encoded bytes across all layers."""
-        return sum(layer.nbytes() for layer in self.layers)
+        return self.footprint_bits()[0] / 8.0
 
     def effective_bitwidth(self) -> float:
         """Storage-weighted bits/element across all layers."""
-        elements = 0
-        bits = 0.0
-        for layer in self.layers:
-            for chunk in layer._key_chunks + layer._value_chunks:
-                fp = chunk.footprint()
-                elements += fp.element_count
-                bits += fp.total_bits
+        bits, elements = self.footprint_bits()
         if elements == 0:
             return 0.0
         return bits / elements

@@ -489,10 +489,8 @@ def expected_effective_bitwidth(config: OakenConfig, dim: int) -> float:
     expected outlier, and the per-token scale scalars amortized over
     ``dim`` elements.
     """
-    record = sparse_record_bits(config)
-    scalars = 2 + 2 * config.num_sparse_bands
     return (
         config.inlier_bits
-        + config.outlier_ratio * record
-        + scalars * config.scale_bits / dim
+        + config.outlier_ratio * sparse_record_bits(config)
+        + config.token_metadata_bits / dim
     )

@@ -65,10 +65,29 @@ _MIN_ARENA_ROWS = 256
 _MIN_LOG_RECORDS = 256
 
 
+def _rows_bits(
+    config, dim: int, rows: int, outliers: int
+) -> Tuple[int, int]:
+    """``(total_bits, element_count)`` of ``rows`` encoded rows holding
+    ``outliers`` sparse records: :meth:`EncodedKV.footprint_bits` in
+    closed form, so arena byte accounting is bit-identical to the
+    chunked pool's."""
+    elements = rows * dim
+    bits = (
+        elements * config.inlier_bits
+        + outliers * sparse_record_bits(config)
+        + rows * config.token_metadata_bits
+    )
+    return bits, elements
+
+
 class _RowSlice:
     """One sequence's contiguous row range in a layer's arena."""
 
-    __slots__ = ("start", "length", "cap", "decoded", "generation")
+    __slots__ = (
+        "start", "length", "cap", "decoded", "generation",
+        "bits", "elements",
+    )
 
     def __init__(self, start: int, cap: int) -> None:
         self.start = start
@@ -78,6 +97,16 @@ class _RowSlice:
         self.decoded = 0
         #: Bumped every time the slice relocates (growth or compaction).
         self.generation = 0
+        #: Running encoded footprint of rows [0, length), keys plus
+        #: values, as exact integers: grown by appends and fork copies,
+        #: untouched by relocation and compaction, gone with the slice.
+        self.bits = 0
+        self.elements = 0
+
+    def charge(self, footprint: Tuple[int, int]) -> None:
+        """Add newly written rows' ``(bits, elements)``."""
+        self.bits += footprint[0]
+        self.elements += footprint[1]
 
 
 class _TensorArena:
@@ -331,11 +360,6 @@ class _LayerArena:
         self.tail = 0
         self.dead_rows = 0
         self.compactions = 0
-        # Per-slice running outlier counts so footprint queries stay
-        # O(1) per sequence (the admission gate measures every
-        # iteration).
-        self.out_keys: Dict[Hashable, int] = {}
-        self.out_values: Dict[Hashable, int] = {}
 
     # -- geometry ------------------------------------------------------
 
@@ -344,8 +368,6 @@ class _LayerArena:
 
     def allocate(self, seq_id: Hashable) -> None:
         self.rows[seq_id] = _RowSlice(self.tail, 0)
-        self.out_keys[seq_id] = 0
-        self.out_values[seq_id] = 0
 
     def _ensure_buffer_rows(self, need: int) -> None:
         if self.keys.dense is not None:
@@ -387,8 +409,6 @@ class _LayerArena:
 
     def free(self, seq_id: Hashable) -> None:
         slc = self.rows.pop(seq_id)
-        self.out_keys.pop(seq_id, None)
-        self.out_values.pop(seq_id, None)
         if slc.start + slc.cap == self.tail:
             # Tail slice: reclaim immediately.
             self.tail = slc.start
@@ -442,34 +462,48 @@ class _LayerArena:
     def live_rows(self) -> int:
         return sum(slc.length for slc in self.rows.values())
 
-    def seq_bits(self, seq_id: Hashable) -> Tuple[float, float]:
-        """(total_bits, element_count) of one sequence in this layer.
-
-        Reproduces :meth:`EncodedKV.footprint` summed over both
-        tensors: dense bits for every element, one aligned record per
-        outlier, per-token scale scalars — so arena byte accounting is
-        bit-identical to the chunked pool's.
-        """
+    def seq_bits(self, seq_id: Hashable) -> Tuple[int, int]:
+        """(total_bits, element_count) of one sequence in this layer —
+        an O(1) read of the slice's running totals."""
         slc = self.rows[seq_id]
-        tokens = slc.length
-        if tokens == 0:
-            return 0.0, 0.0
-        bits = 0.0
-        elements = 0.0
-        for store, outliers in (
-            (self.keys, self.out_keys[seq_id]),
-            (self.values, self.out_values[seq_id]),
+        return slc.bits, slc.elements
+
+    def check_invariants(self) -> None:
+        """Assert row geometry and the slices' running footprints.
+
+        Each slice's ``(bits, elements)`` must equal
+        :meth:`EncodedKV.footprint_bits` of a chunk view gathered over
+        its live rows — the walk the accumulators replaced.
+        """
+        cursor = 0
+        for seq_id, slc in sorted(
+            self.rows.items(), key=lambda item: item[1].start
         ):
-            cfg = store.quantizer.config
-            dim = store.dense.shape[1] if store.dense is not None else 0
-            elems = tokens * dim
-            bits += float(elems * cfg.inlier_bits)
-            bits += float(outliers * sparse_record_bits(cfg))
-            bits += float(
-                tokens * (2 + 2 * cfg.num_sparse_bands) * cfg.scale_bits
+            assert 0 <= slc.decoded <= slc.length <= slc.cap, seq_id
+            if slc.cap:
+                # (A never-written slice owns no rows wherever it sits.)
+                assert slc.start >= cursor, f"slice {seq_id!r} overlaps"
+                cursor = slc.start + slc.cap
+            bits = 0
+            elements = 0
+            if slc.length:
+                idx = np.arange(slc.start, slc.start + slc.length)
+                for store in (self.keys, self.values):
+                    view_bits, view_elements = store.gather(
+                        idx
+                    ).footprint_bits()
+                    bits += view_bits
+                    elements += view_elements
+            assert (slc.bits, slc.elements) == (bits, elements), (
+                f"sequence {seq_id!r}: footprint accumulator "
+                f"({slc.bits}, {slc.elements}) != recomputed "
+                f"({bits}, {elements})"
             )
-            elements += elems
-        return bits, elements
+        assert cursor <= self.tail
+        live_caps = sum(slc.cap for slc in self.rows.values())
+        assert live_caps + self.dead_rows == self.tail, (
+            live_caps, self.dead_rows, self.tail,
+        )
 
 
 class KVArena:
@@ -541,15 +575,12 @@ class KVArena:
             slc = layer.slice_of(child_id)
             src = np.arange(parent.start, parent.start + prefix_len)
             dst = np.arange(slc.start, slc.start + prefix_len)
-            for store, counters in (
-                (layer.keys, layer.out_keys),
-                (layer.values, layer.out_values),
-            ):
+            for store in (layer.keys, layer.values):
                 if store.dense is None:
                     continue
                 chunk = store.gather(src)
                 store.write(dst, chunk)
-                counters[child_id] = chunk.num_outliers
+                slc.charge(chunk.footprint_bits())
             decoded = min(prefix_len, parent.decoded)
             if decoded:
                 for store in (layer.keys, layer.values):
@@ -630,19 +661,20 @@ class KVArena:
         )
         store.keys.write(idx, key_encoded)
         store.values.write(idx, value_encoded)
-        # Per-sequence outlier counters (O(1) footprint accounting).
-        for encoded, counters in (
-            (key_encoded, store.out_keys),
-            (value_encoded, store.out_values),
-        ):
-            bounds = np.cumsum([0] + rows)
+        # Charge every slice its new rows (O(1) footprint reads): the
+        # COO stream is token-major, so each item's records are one
+        # contiguous run.
+        bounds = np.cumsum([0] + rows)
+        for encoded in (key_encoded, value_encoded):
             starts = np.searchsorted(
                 encoded.sparse_token, bounds, side="left"
-            )
-            for (seq_id, _, _), lo, hi in zip(
-                items, starts[:-1], starts[1:]
+            ).tolist()
+            for (slc, _, count), lo, hi in zip(
+                spans, starts[:-1], starts[1:]
             ):
-                counters[seq_id] += int(hi - lo)
+                slc.charge(
+                    _rows_bits(encoded.config, encoded.dim, count, hi - lo)
+                )
 
     @staticmethod
     def _encode(quantizer, block: np.ndarray, scratch) -> EncodedKV:
@@ -715,15 +747,22 @@ class KVArena:
     def seq_length(self, seq_id: Hashable) -> int:
         return self.layers[0].slice_of(seq_id).length
 
-    def seq_footprint(self, seq_id: Hashable) -> Tuple[float, float]:
-        """(total_bits, element_count) across layers for one sequence."""
-        bits = 0.0
-        elements = 0.0
+    def seq_footprint(self, seq_id: Hashable) -> Tuple[int, int]:
+        """(total_bits, element_count) across layers for one sequence:
+        one O(1) read per layer, exact integers."""
+        bits = 0
+        elements = 0
         for layer in self.layers:
             layer_bits, layer_elements = layer.seq_bits(seq_id)
             bits += layer_bits
             elements += layer_elements
         return bits, elements
+
+    def check_invariants(self) -> None:
+        """Assert every layer's geometry and footprint accumulators."""
+        for layer in self.layers:
+            assert set(layer.rows) == set(self._seqs)
+            layer.check_invariants()
 
     def summary(self) -> Dict[str, float]:
         """Occupancy counters merged into the pool's :meth:`summary`."""
@@ -784,12 +823,15 @@ class ArenaCacheBackend:
     def read(self, layer: int) -> Tuple[np.ndarray, np.ndarray]:
         return self.arena.read(self.seq_id, layer)
 
+    def footprint_bits(self) -> Tuple[int, int]:
+        """``(total_bits, element_count)`` of the sequence; O(1)."""
+        return self.arena.seq_footprint(self.seq_id)
+
     def nbytes(self) -> float:
-        bits, _ = self.arena.seq_footprint(self.seq_id)
-        return bits / 8.0
+        return self.footprint_bits()[0] / 8.0
 
     def effective_bitwidth(self) -> float:
-        bits, elements = self.arena.seq_footprint(self.seq_id)
+        bits, elements = self.footprint_bits()
         if elements == 0:
             return 0.0
         return bits / elements

@@ -116,6 +116,16 @@ class CacheBackend(Protocol):
         """Dequantized (keys, values) float32 history of ``layer``."""
         ...
 
+    def footprint_bits(self) -> Tuple[float, float]:
+        """``(total_bits, element_count)`` of the encoded storage.
+
+        The one footprint read: :meth:`nbytes` is ``bits / 8`` and
+        :meth:`effective_bitwidth` is ``bits / elements``.  The fused
+        stores keep the pair as running exact integers, so this is
+        O(1) in the cached history.
+        """
+        ...
+
     def nbytes(self) -> float:
         """Encoded storage across all layers, in bytes."""
         ...
@@ -411,16 +421,9 @@ class BaselineCacheBackend:
         """
         return self._keys[layer].read(), self._values[layer].read()
 
-    def nbytes(self) -> float:
-        """Encoded storage under the method's accounting, in bytes."""
-        total = 0.0
-        for stream in self._streams():
-            if stream.length:
-                total += stream.footprint().total_bytes
-        return total
-
-    def effective_bitwidth(self) -> float:
-        """Storage-weighted bits/element across layers and tensors."""
+    def footprint_bits(self) -> Tuple[float, int]:
+        """``(total_bits, element_count)`` under the method's
+        accounting (each stream's footprint is memoized per length)."""
         bits = 0.0
         elements = 0
         for stream in self._streams():
@@ -428,6 +431,15 @@ class BaselineCacheBackend:
                 fp = stream.footprint()
                 bits += fp.total_bits
                 elements += fp.element_count
+        return bits, elements
+
+    def nbytes(self) -> float:
+        """Encoded storage under the method's accounting, in bytes."""
+        return self.footprint_bits()[0] / 8.0
+
+    def effective_bitwidth(self) -> float:
+        """Storage-weighted bits/element across layers and tensors."""
+        bits, elements = self.footprint_bits()
         if elements == 0:
             return 0.0
         return bits / elements

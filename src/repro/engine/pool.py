@@ -363,15 +363,11 @@ class KVCachePool:
                 "(double free, or never allocated)"
             )
         cache = self._caches.pop(seq_id)
+        # Read the footprint before the arena marks the rows dead
+        # (freeing may trigger deterministic compaction).
+        held = cache.nbytes()
         if self._arena is not None:
-            # Measure before the rows are marked dead; freeing may
-            # trigger deterministic compaction of the arena.
-            released = float(cache.nbytes())
             self._arena.free(seq_id)
-            if self.tiering is not None:
-                self.tiering.release(seq_id)
-                self._tier_seen.pop(seq_id, None)
-            return released > 0.0
         retained, transfers = self._sharing.release_seq(seq_id)
         if self.tiering is not None:
             # Drop the freed sequence's pages first, then re-home the
@@ -381,7 +377,7 @@ class KVCachePool:
             self._tier_seen.pop(seq_id, None)
         for transfer in transfers:
             self._tier_transfer(transfer)
-        return cache.nbytes() - retained > 0.0
+        return held - retained > 0.0
 
     def get(self, seq_id: Hashable) -> CacheBackend:
         """The backend owning ``seq_id``'s cache."""
@@ -432,14 +428,15 @@ class KVCachePool:
         """Push a sequence's encoded-byte growth into the tiered store.
 
         The store models placement, not payloads, so growth is observed
-        as the delta of the cache's measured footprint (chunk
-        footprints are memoized, making this a cheap sum).  Charged to
-        the layer that grew; eviction pressure is pool-global either
-        way.
+        as the delta of the cache's footprint against the watermark
+        ``_tier_seen`` — an O(1) read of the store's running totals
+        (:meth:`CacheBackend.footprint_bits`), not a walk of the
+        history.  Charged to the layer that grew; eviction pressure is
+        pool-global either way.
         """
         if self.tiering is None:
             return
-        nbytes = float(self._caches[seq_id].nbytes())
+        nbytes = self._caches[seq_id].nbytes()
         delta = nbytes - self._tier_seen.get(seq_id, 0.0)
         if delta > 0:
             self.tiering.record_append(seq_id, layer, delta)
@@ -822,16 +819,21 @@ class KVCachePool:
         reflects the actual outlier rates of the data streaming
         through the caches (storage-weighted across sequences; 0.0
         while the pool is empty).  Also refreshes the peak-bytes
-        high-water mark, so callers polling every iteration pay a
-        single footprint scan.
+        high-water mark — the only place it moves.
+
+        Cost: one :meth:`CacheBackend.footprint_bits` read per live
+        sequence plus one registry total.  The fused stores maintain
+        those as running exact integers on every mutation, so a poll
+        is O(live sequences) whatever the cached history's length.
         """
         total = 0.0
         bits = 0.0
         elements = 0.0
         for cache in self._caches.values():
-            nbytes = cache.nbytes()
+            cache_bits, cache_elements = cache.footprint_bits()
+            nbytes = cache_bits / 8.0
             total += nbytes
-            ebw = cache.effective_bitwidth()
+            ebw = cache_bits / cache_elements if cache_elements else 0.0
             if ebw > 0.0:
                 bits += nbytes * 8.0
                 elements += nbytes * 8.0 / ebw
@@ -852,6 +854,35 @@ class KVCachePool:
         """High-water encoded footprint observed by :meth:`measure`."""
         self.measure()
         return self._peak_bytes
+
+    def check_invariants(self) -> None:
+        """Assert the incremental accounting against a recomputation.
+
+        Test support: walks every live sequence's chunks / arena rows
+        and every registry entry — the O(history) scans the running
+        totals replaced — and asserts the totals equal them exactly;
+        for tiered pools, also that each sequence's tier watermark
+        equals its footprint (every append was observed).  Leaves the
+        pool, including the peak, untouched.
+        """
+        if self._arena is not None:
+            assert set(self._arena._seqs) == set(self._caches)
+            self._arena.check_invariants()
+            assert len(self._sharing) == 0, "arena pools never alias"
+        else:
+            for cache in self._caches.values():
+                if isinstance(cache, QuantizedKVCache):
+                    for layer_cache in cache.layers:
+                        layer_cache.check_invariants()
+        self._sharing.check_invariants()
+        if self.tiering is not None:
+            for seq_id, cache in self._caches.items():
+                seen = self._tier_seen.get(seq_id, 0.0)
+                assert seen == cache.nbytes(), (
+                    f"sequence {seq_id!r}: tier watermark {seen} != "
+                    f"footprint {cache.nbytes()}"
+                )
+            assert set(self._tier_seen) <= set(self._caches)
 
     def total_tokens(self) -> int:
         """Cached token positions summed over live sequences."""

@@ -79,6 +79,11 @@ class SharedChunkRegistry:
         #: Cumulative bytes that forking aliased instead of copying —
         #: monotone, survives frees (the replay smoke asserts on it).
         self.saved_bytes = 0.0
+        # Running totals behind extra_bytes() / shared_bytes(), in
+        # integer bits: updated by share() and _drop_holder(), the only
+        # two places an entry's holder set changes.
+        self._extra_bits = 0
+        self._shared_bits = 0
 
     # -- queries -------------------------------------------------------
 
@@ -96,16 +101,15 @@ class SharedChunkRegistry:
     def extra_bytes(self) -> float:
         """Pool-wide footprint overcount: ``(refs - 1) * nbytes`` summed
         over tracked chunks.  Subtracting this from the per-sequence
-        footprint sum charges every shared chunk exactly once."""
-        total = 0.0
-        for entry in self._entries.values():
-            total += (len(entry.holders) - 1) * entry.chunk.nbytes()
-        return total
+        footprint sum charges every shared chunk exactly once.  An
+        O(1) read of a running total (see :meth:`check_invariants`)."""
+        return self._extra_bits / 8.0
 
     def shared_bytes(self) -> float:
         """Bytes currently referenced by more than one sequence
-        (each chunk counted once)."""
-        return sum(e.chunk.nbytes() for e in self._entries.values())
+        (each chunk counted once); an O(1) read like
+        :meth:`extra_bytes`."""
+        return self._shared_bits / 8.0
 
     def retained_bytes(self, seq_id: Hashable) -> float:
         """Bytes of ``seq_id``'s cache that other sequences also hold."""
@@ -138,14 +142,17 @@ class SharedChunkRegistry:
     ) -> None:
         """Record that a fork aliased ``chunk`` from parent to child."""
         entry = self._entries.get(id(chunk))
+        bits = chunk.footprint_bits()[0]
         if entry is None:
             entry = _SharedChunk(chunk, layer, parent_seq)
             self._entries[id(chunk)] = entry
             self._held.setdefault(parent_seq, {})[id(chunk)] = None
+            self._shared_bits += bits
         if child_seq not in entry.holders:
             entry.holders[child_seq] = None
             self._held.setdefault(child_seq, {})[id(chunk)] = None
             self.saved_bytes += chunk.nbytes()
+            self._extra_bits += bits
 
     def on_replace(
         self, seq_id: Hashable, chunk: EncodedKV
@@ -187,14 +194,18 @@ class SharedChunkRegistry:
     ) -> List[Tuple[Hashable, int, float]]:
         """Remove one holder; prune and transfer ownership as needed."""
         chunk_id = id(entry.chunk)
-        entry.holders.pop(seq_id, None)
+        bits = entry.chunk.footprint_bits()[0]
+        del entry.holders[seq_id]
         held = self._held.get(seq_id)
         if held is not None:
             held.pop(chunk_id, None)
         if not entry.holders:
             # Last reference dropped: the storage is genuinely gone.
             del self._entries[chunk_id]
+            self._shared_bits -= bits
             return []
+        # One fewer of the (refs - 1) overcounted copies.
+        self._extra_bits -= bits
         transfers: List[Tuple[Hashable, int, float]] = []
         if entry.owner == seq_id:
             new_owner = next(iter(entry.holders))
@@ -209,7 +220,32 @@ class SharedChunkRegistry:
             if last_held is not None:
                 last_held.pop(chunk_id, None)
             del self._entries[chunk_id]
+            self._shared_bits -= bits
         return transfers
+
+    def check_invariants(self) -> None:
+        """Assert the running totals equal a walk of the entries, and
+        that the two indexes (entry holders, per-sequence held ids)
+        describe the same references."""
+        extra = 0
+        shared = 0
+        for chunk_id, entry in self._entries.items():
+            assert chunk_id == id(entry.chunk)
+            # Exclusive chunks are untracked; the owner holds the chunk.
+            assert len(entry.holders) >= 2, entry.holders
+            assert entry.owner in entry.holders
+            bits = entry.chunk.footprint_bits()[0]
+            extra += (len(entry.holders) - 1) * bits
+            shared += bits
+            for holder in entry.holders:
+                assert chunk_id in self._held[holder]
+        for seq_id, held in self._held.items():
+            for chunk_id in held:
+                assert seq_id in self._entries[chunk_id].holders
+        assert (self._extra_bits, self._shared_bits) == (extra, shared), (
+            f"registry totals ({self._extra_bits}, {self._shared_bits}) "
+            f"!= recomputed ({extra}, {shared})"
+        )
 
     # -- reporting -----------------------------------------------------
 

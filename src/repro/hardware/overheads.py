@@ -76,8 +76,13 @@ def _tender_bits(kv_dim: int) -> float:
     return 4.0 + 24.0 / kv_dim
 
 
+#: One shared paper-default config, so its derived accounting constants
+#: are computed once instead of per analytic iteration.
+_OAKEN_CONFIG = OakenConfig()
+
+
 def _oaken_bits(kv_dim: int) -> float:
-    return expected_effective_bitwidth(OakenConfig(), kv_dim)
+    return expected_effective_bitwidth(_OAKEN_CONFIG, kv_dim)
 
 
 #: Method profiles.  GPU software numbers follow the paper's

@@ -300,7 +300,7 @@ class _CacheReplay:
         return self._last_kv_bits
 
     def _refresh_measurement(self) -> None:
-        """One footprint scan: peak bytes + measured bitwidth."""
+        """One pool measurement: peak bytes + measured bitwidth."""
         _, bits = self.pool.measure()
         if bits > 0.0:
             self._last_kv_bits = bits
@@ -528,7 +528,7 @@ class _CacheReplay:
             "method": self.config.method,
             "mode": self.config.mode,
             "measured_kv_bits": self.measured_kv_bits(),
-            "peak_pool_bytes": self.pool.peak_bytes,
+            "peak_pool_bytes": summary["peak_bytes"],
             "batched_reads": float(self.batched_reads),
             "batched_appends": float(self.batched_appends),
             "batched_decodes": float(self.pool.batched_decodes),

@@ -251,6 +251,9 @@ class _Driver:
                 a_cache.effective_bitwidth(),
                 b_cache.effective_bitwidth(),
             )
+        # Accumulators == recomputed walks (arena rows / chunk lists).
+        self.arena.check_invariants()
+        self.mirror.check_invariants()
         arena_bytes, _ = self.arena.measure()
         mirror_bytes, _ = self.mirror.measure()
         summary = self.mirror.summary()
@@ -278,6 +281,7 @@ class _Driver:
         for seq_id in list(self.history):
             self.arena.free(seq_id)
             self.mirror.free(seq_id)
+        self.arena.check_invariants()
         arena_bytes, _ = self.arena.measure()
         assert arena_bytes == 0.0
         if self.fused:

@@ -217,6 +217,9 @@ class _Driver:
                 b = self.mirror.read(seq_id, layer)
                 np.testing.assert_array_equal(a[0], b[0])
                 np.testing.assert_array_equal(a[1], b[1])
+        # Accumulators == recomputed walks, registry totals included.
+        self.sharing.check_invariants()
+        self.mirror.check_invariants()
         shared_bytes, _ = self.sharing.measure()
         mirror_bytes, _ = self.mirror.measure()
         summary = self.sharing.summary()
@@ -233,8 +236,10 @@ class _Driver:
         for seq_id in list(self.history):
             self.sharing.free(seq_id)
             self.mirror.free(seq_id)
+        self.sharing.check_invariants()
         summary = self.sharing.summary()
         assert summary["shared_chunks"] == 0.0
+        assert summary["shared_bytes"] == 0.0
         assert summary["shared_extra_bytes"] == 0.0
         shared_bytes, _ = self.sharing.measure()
         assert shared_bytes == 0.0

@@ -359,10 +359,12 @@ def drive_pools(tiered, untiered, seq_ids):
             if step % 2 == 0:
                 for pool in (tiered, untiered):
                     pool.append_batch(layer, entries)
+                    pool.check_invariants()
             else:
                 for seq_id, keys, values in entries:
                     for pool in (tiered, untiered):
                         pool.append(seq_id, layer, keys, values)
+                        pool.check_invariants()
         # Read the coldest sequence first so promotions interleave
         # with appends rather than clustering at the end.
         reader = seq_ids[step % len(seq_ids)]
@@ -371,6 +373,8 @@ def drive_pools(tiered, untiered, seq_ids):
             uk, uv = untiered.read(reader, layer)
             np.testing.assert_array_equal(tk, uk)
             np.testing.assert_array_equal(tv, uv)
+            tiered.check_invariants()
+            untiered.check_invariants()
 
 
 class TestCrossTierBitExactness:
