@@ -639,7 +639,8 @@ def _analytic_setup(models, batches) -> SimpleNamespace:
 
 
 def _analytic_scalar(ctx):
-    """The frozen per-point loop, one scalar run per grid cell."""
+    """The per-point loop: one scalar entry-point call per grid cell
+    (the same kernel as the grid, so the ratio is dispatch cost)."""
     from repro.hardware.perf import simulate_generation_run
 
     return [
@@ -673,8 +674,8 @@ _ANALYTIC = Entry(
         "vectorized": timed(_analytic_grid),
     },
     speedups={"vectorized": ("scalar", "vectorized")},
-    # The sweep is a *vectorization*, not an approximation: every cell
-    # must equal its scalar run field-for-field under ``==``.
+    # One kernel, two front ends: every cell must equal its scalar run
+    # field-for-field under ``==``.
     check=lambda o: {
         "runs": all(
             getattr(run, name) == getattr(o["vectorized"].run(i), name)

@@ -1,13 +1,14 @@
 """``repro capacity`` — max batch per serving system at a context.
 
-The whole system column is priced in one vectorized
-:func:`repro.hardware.sweep.capacity_grid` call, element-identical to
-the scalar planner.
+The system column is one :func:`repro.hardware.sweep.capacity_grid`
+call, which loops the scalar planner
+(:func:`repro.hardware.perf.max_supported_batch`).
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 
 
 def register(sub) -> None:
@@ -25,9 +26,13 @@ def run(args: argparse.Namespace) -> int:
     from repro.hardware.sweep import capacity_grid
     from repro.models.config import get_model
 
-    arch = get_model(args.model).arch
     names = list(SERVING_SYSTEMS)
-    batches = capacity_grid(names, args.model, [args.context])
+    try:
+        arch = get_model(args.model).arch
+        batches = capacity_grid(names, args.model, [args.context])
+    except ValueError as exc:
+        print(f"repro capacity: {exc}", file=sys.stderr)
+        return 2
     table = TextTable(
         ["system", "device", "kv_bits", f"max_batch@{args.context}"]
     )

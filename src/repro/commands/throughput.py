@@ -1,12 +1,13 @@
 """``repro throughput`` — simulate one generation run.
 
-Priced through the vectorized analytic sweep (a one-point grid),
-element-identical to the scalar model it replaced.
+One call of the analytic model's scalar entry point
+(:func:`repro.hardware.perf.simulate_generation_run`).
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 
 
 def register(sub) -> None:
@@ -22,14 +23,21 @@ def register(sub) -> None:
 
 
 def run(args: argparse.Namespace) -> int:
-    from repro.hardware.sweep import GridPoint, simulate_generation_grid
+    from repro.hardware.overheads import get_system
+    from repro.hardware.perf import simulate_generation_run
+    from repro.models.config import get_model
 
-    grid = simulate_generation_grid(
-        [GridPoint(model=args.model, system=args.system, batch=args.batch)],
-        input_tokens=args.input_tokens,
-        output_tokens=args.output_tokens,
-    )
-    result = grid.run(0)
+    try:
+        result = simulate_generation_run(
+            get_system(args.system),
+            get_model(args.model).arch,
+            args.batch,
+            input_tokens=args.input_tokens,
+            output_tokens=args.output_tokens,
+        )
+    except ValueError as exc:
+        print(f"repro throughput: {exc}", file=sys.stderr)
+        return 2
     if result.oom:
         print(f"{args.system} / {args.model} @ batch {args.batch}: OOM")
         return 1

@@ -33,9 +33,12 @@ DESIGN.md):
 * :mod:`repro.hardware.parallel` — explicit pipeline-parallel model of
   the 2-GPU baselines (stage partitioning, GPipe bubbles, microbatch
   weight-restream trade-off, per-stage capacity).
-* :mod:`repro.hardware.perf` — the iteration-level timing model:
-  prefill and generation phase latencies, OOM/paging capacity
-  semantics, throughput integration over a generation run.
+* :mod:`repro.hardware.perf` — the iteration-level timing model,
+  written once as an array kernel: prefill and generation phase
+  latencies, OOM/paging capacity semantics, throughput integration
+  over a generation run, and the scalar entry points over it.
+* :mod:`repro.hardware.sweep` — the kernel's grid front-end: whole
+  (model x system x batch) sweeps by registry name.
 * :mod:`repro.hardware.area` — the TSMC-28nm area/power accounting of
   Table 4.
 """

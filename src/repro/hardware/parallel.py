@@ -31,8 +31,16 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
+import numpy as np
+
+from repro.core.modes import EXACT_F64
 from repro.hardware.overheads import ServingSystem
-from repro.hardware.perf import kv_bytes_per_token, weight_bytes
+from repro.hardware.perf import (
+    _iteration_arrays,
+    _pair_params,
+    kv_bytes_per_request,
+    weight_bytes,
+)
 from repro.models.config import ArchShape
 
 
@@ -149,72 +157,6 @@ class PipelineBreakdown:
         return self.batch / self.iteration_s
 
 
-def _stage_time(
-    system: ServingSystem,
-    arch: ArchShape,
-    microbatch: int,
-    context: int,
-    layer_share: float,
-) -> Tuple[float, float, float]:
-    """(nonattn, attn, exposed) for one stage and one microbatch.
-
-    The same roofline as :func:`repro.hardware.perf.generation_iteration`
-    with every layer-proportional quantity scaled by ``layer_share``
-    (embeddings are amortized proportionally — a deliberate
-    approximation the module docstring calls out).
-    """
-    device = system.device_for(arch)
-    profile = system.profile
-    kv_bits = system.kv_bits(arch)
-
-    w_bytes = weight_bytes(arch, system.weight_bits) * layer_share
-    t_weight = device.weight_stream_time_s(w_bytes)
-    flops_nonattn = (
-        arch.flops_per_token_nonattn() * microbatch * layer_share
-    )
-    t_compute = flops_nonattn / device.effective_flops
-    nonattn = max(t_weight, t_compute)
-
-    attended = arch.attended_length(context)
-    kv_read = (
-        microbatch * attended * kv_bytes_per_token(arch, kv_bits)
-        * layer_share
-    )
-    t_attn_read = device.attention_read_time_s(kv_read)
-    flops_attn = (
-        arch.flops_per_token_attn(context) * microbatch * layer_share
-    )
-    t_attn_compute = flops_attn / device.effective_flops
-    attn = max(t_attn_read, t_attn_compute)
-
-    new_kv_bytes = (
-        microbatch * kv_bytes_per_token(arch, 16.0) * layer_share
-    )
-    if profile.overlapped:
-        quant_s = (
-            new_kv_bytes / (profile.engine_quant_gbps * 1e9)
-            if profile.engine_quant_gbps
-            else 0.0
-        )
-        dequant_s = (
-            kv_read / (profile.engine_dequant_gbps * 1e9)
-            if profile.engine_dequant_gbps
-            else 0.0
-        )
-        exposed = max(0.0, quant_s + dequant_s - 0.9 * attn)
-    else:
-        dequant_s = (profile.dequant_slowdown - 1.0) * t_attn_read
-        quant_values = (
-            microbatch * arch.kv_elements_per_token() * layer_share
-        )
-        quant_s = (
-            quant_values * profile.quant_flops_per_value
-            / device.effective_flops
-        )
-        exposed = quant_s + dequant_s
-    return nonattn, attn, exposed
-
-
 def pipeline_generation_iteration(
     system: ServingSystem,
     arch: ArchShape,
@@ -244,18 +186,27 @@ def pipeline_generation_iteration(
     if batch < 1:
         raise ValueError("batch must be >= 1")
     microbatch = max(1, math.ceil(batch / plan.microbatches))
-    stage_times = []
-    for stage, layers in enumerate(plan.layer_split):
-        share = layers / arch.n_layers
-        nonattn, attn, exposed = _stage_time(
-            system, arch, microbatch, context, share
+    # One kernel call with the stages as the point axis: the iteration
+    # roofline with every layer-proportional quantity scaled by the
+    # stage's layer share (embeddings are amortized proportionally — a
+    # deliberate approximation the module docstring calls out).
+    arrays = _iteration_arrays(
+        _pair_params(system, arch, EXACT_F64.compute_dtype),
+        microbatch,
+        context,
+        ragged=False,
+        layer_share=np.array(plan.layer_split) / arch.n_layers,
+    )
+    stage_times = [
+        StageTiming(
+            stage=stage,
+            layers=layers,
+            nonattn_s=float(arrays["nonattn_s"][stage]),
+            attn_s=float(arrays["attn_s"][stage]),
+            exposed_overhead_s=float(arrays["exposed_overhead_s"][stage]),
         )
-        stage_times.append(
-            StageTiming(
-                stage=stage, layers=layers, nonattn_s=nonattn,
-                attn_s=attn, exposed_overhead_s=exposed,
-            )
-        )
+        for stage, layers in enumerate(plan.layer_split)
+    ]
     per_stage = [s.total_s for s in stage_times]
     slowest = max(per_stage)
     iteration = sum(per_stage) + (plan.microbatches - 1) * slowest
@@ -298,8 +249,7 @@ def pipeline_max_batch(
     single = device.memory.capacity_bytes / (
         2.0 if device.name.endswith("x2") else 1.0
     )
-    kv_bits = system.kv_bits(arch)
-    attended = arch.attended_length(total_context)
+    per_request = kv_bytes_per_request(system, arch, total_context)
     fits = []
     for layers in plan.layer_split:
         share = layers / arch.n_layers
@@ -307,8 +257,5 @@ def pipeline_max_batch(
         budget -= weight_bytes(arch, system.weight_bits) * share
         if budget <= 0:
             return 0
-        per_request = (
-            kv_bytes_per_token(arch, kv_bits) * attended * share
-        )
-        fits.append(int(budget // per_request))
+        fits.append(int(budget // (per_request * share)))
     return min(fits)

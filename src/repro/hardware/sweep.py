@@ -1,62 +1,41 @@
-"""Vectorized analytic serving sweeps (batched twin of :mod:`perf`).
+"""Analytic serving sweeps: the grid front-end of :mod:`perf`.
 
 Table 4 / Figure 11 style experiments evaluate whole grids of
-(model x system x batch x context) points; the scalar models in
-:mod:`repro.hardware.perf` price one point per call, so serving-size
-grids pay a Python-loop tax per cell.  This module evaluates a flat
-list of grid points as array operations over the point axis, pinned
-**element-identical** to the scalar path the same way
-:mod:`repro.hardware.datapath.vectorized` twins the scalar engine
-stages:
-
-* all per-(model, system) pair constants are extracted once in float64
-  by calling the same scalar helpers the golden path calls (weight
-  stream time, effective FLOPs, KV bytes/token, engine rates, ...);
-* every per-point operation mirrors the scalar expression's operand
-  order exactly (integer products stay integer until the same cast
-  point, float multiplies associate identically, ``np.maximum``
-  stands in for ``max``);
-* the generation run integrates the same 16 context checkpoints
-  **sequentially** — vectorization happens across grid points, never
-  across the accumulation order, so float sums associate exactly as
-  the scalar loop's.
-
-Both :class:`~repro.core.modes.ComputeMode` policies are supported:
-``exact_f64`` reproduces the frozen scalar path bit for bit, and
-``deploy_f32`` runs the identical operation sequence in float32 stage
-registers.  The scalar low-precision path in :mod:`perf` delegates to
-this module with a one-point grid, so scalar-vs-vectorized identity in
-f32 mode holds by construction and is still pinned by
-``tests/test_analytic_vectorized.py``.
+(model x system x batch x context) points.  The iteration model in
+:mod:`repro.hardware.perf` is already array math over a point axis;
+this module resolves registry names to ``(ServingSystem, ArchShape)``
+objects, lays their constants out as columns over a flat point list
+and evaluates the kernel once per grid instead of once per cell.  A
+grid cell and the scalar entry point for the same point run the same
+kernel, so they are equal by construction in both
+:class:`~repro.core.modes.ComputeMode` policies;
+``tests/test_analytic_vectorized.py`` pins both to the frozen
+Python-float oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.modes import (
-    ComputeMode,
     ComputeModeLike,
     EXACT_F64,
     resolve_compute_mode,
 )
-from repro.hardware.overheads import SERVING_SYSTEMS, ServingSystem, get_system
+from repro.hardware.overheads import ServingSystem, get_system
 from repro.hardware.perf import (
+    GenerationColumns,
     GenerationRun,
-    IterationBreakdown,
-    _CHECKPOINTS,
-    kv_bytes_per_token,
+    _KernelParams,
+    _PairParams,
+    _generation_arrays,
+    _iteration_arrays,
     max_supported_batch,
-    weight_bytes,
 )
 from repro.models.config import ArchShape, get_model
-
-#: Stand-in window length for "no sliding window" (never binds: far
-#: larger than any context the analytic sweeps price).
-_NO_WINDOW = np.int64(2) ** 62
 
 
 @dataclass(frozen=True)
@@ -82,220 +61,25 @@ def grid_points(
     ]
 
 
-class _PairParams:
-    """Per-(system, arch) scalar constants, extracted once in float64.
-
-    Every value is produced by the *same* scalar helper expression the
-    golden path evaluates, so downstream array math can mirror the
-    scalar operand order exactly.
-    """
-
-    __slots__ = (
-        "t_weight", "eff_flops", "peak_flops", "ragged_eff",
-        "fnon", "attn_coeff", "kv_bytes_q", "kv_bytes_16",
-        "attn_denom", "kv_elems", "window", "overlapped",
-        "quant_rate", "dequant_rate", "slowdown_m1", "quant_fpv",
-        "paged",
-    )
-
-    def __init__(self, system: ServingSystem, arch: ArchShape):
-        device = system.device_for(arch)
-        profile = system.profile
-        kv_bits = system.kv_bits(arch)
-        self.t_weight = device.weight_stream_time_s(
-            weight_bytes(arch, system.weight_bits)
-        )
-        self.eff_flops = device.effective_flops
-        self.peak_flops = device.peak_flops
-        self.ragged_eff = profile.ragged_batch_efficiency
-        self.fnon = arch.flops_per_token_nonattn()
-        # flops_per_token_attn(ctx) == attn_coeff * attended(ctx); the
-        # product of exactly representable integers re-associates
-        # without rounding, so hoisting the coefficient is exact.
-        self.attn_coeff = 2.0 * 2.0 * arch.n_heads * arch.head_dim
-        self.kv_bytes_q = kv_bytes_per_token(arch, kv_bits)
-        self.kv_bytes_16 = kv_bytes_per_token(arch, 16.0)
-        self.attn_denom = (
-            device.memory.bandwidth_bytes_per_s * device.attn_bw_efficiency
-        )
-        self.kv_elems = arch.kv_elements_per_token()
-        self.window = (
-            _NO_WINDOW if arch.sliding_window is None
-            else np.int64(arch.sliding_window)
-        )
-        self.overlapped = bool(profile.overlapped)
-        self.quant_rate = (
-            profile.engine_quant_gbps * 1e9
-            if profile.engine_quant_gbps else 0.0
-        )
-        self.dequant_rate = (
-            profile.engine_dequant_gbps * 1e9
-            if profile.engine_dequant_gbps else 0.0
-        )
-        self.slowdown_m1 = profile.dequant_slowdown - 1.0
-        self.quant_fpv = profile.quant_flops_per_value
-        self.paged = bool(device.paged_serving)
-
-
-class _GridParams:
-    """Column arrays of :class:`_PairParams` over a flat point list."""
-
-    _FLOAT_FIELDS = (
-        "t_weight", "eff_flops", "peak_flops", "ragged_eff", "fnon",
-        "attn_coeff", "kv_bytes_q", "kv_bytes_16", "attn_denom",
-        "quant_rate", "dequant_rate", "slowdown_m1", "quant_fpv",
-    )
-
-    def __init__(self, points: Sequence[GridPoint]):
-        self.points = list(points)
-        pairs: Dict[Tuple[str, str], _PairParams] = {}
-        self.archs: Dict[str, ArchShape] = {}
-        self.systems: Dict[str, ServingSystem] = {}
-        for p in self.points:
-            key = (p.model, p.system)
-            if key not in pairs:
-                arch = self.archs.setdefault(
-                    p.model, get_model(p.model).arch
-                )
-                system = self.systems.setdefault(
-                    p.system, get_system(p.system)
-                )
-                pairs[key] = _PairParams(system, arch)
-        self.pairs = pairs
-        rows = [pairs[(p.model, p.system)] for p in self.points]
-        for name in self._FLOAT_FIELDS:
-            setattr(
-                self,
-                name,
-                np.array([getattr(r, name) for r in rows], dtype=np.float64),
-            )
-        self.kv_elems = np.array(
-            [r.kv_elems for r in rows], dtype=np.int64
-        )
-        self.window = np.array([r.window for r in rows], dtype=np.int64)
-        self.overlapped = np.array(
-            [r.overlapped for r in rows], dtype=bool
-        )
-        self.paged = np.array([r.paged for r in rows], dtype=bool)
-        self.batch = np.array([p.batch for p in self.points], dtype=np.int64)
-        self._cast_cache: Dict[str, "_GridParams"] = {}
-
-    def cast(self, mode: ComputeMode) -> "_GridParams":
-        """This parameter set with float columns in the mode's dtype.
-
-        The f64 -> f32 cast happens *here*, once per column — the
-        deploy_f32 "stage register" rule: constants are derived at full
-        precision, then rounded once, then all per-point math runs in
-        the working dtype.
-        """
-        if mode.compute_dtype == np.float64:
-            return self
-        cached = self._cast_cache.get(mode.name)
-        if cached is not None:
-            return cached
-        clone = object.__new__(_GridParams)
-        clone.points = self.points
-        clone.pairs = self.pairs
-        clone.archs = self.archs
-        clone.systems = self.systems
-        for name in self._FLOAT_FIELDS:
-            setattr(
-                clone, name, getattr(self, name).astype(mode.compute_dtype)
-            )
-        clone.kv_elems = self.kv_elems
-        clone.window = self.window
-        clone.overlapped = self.overlapped
-        clone.paged = self.paged
-        clone.batch = self.batch
-        clone._cast_cache = {}
-        self._cast_cache[mode.name] = clone
-        return clone
-
-
-def _iteration_arrays(
-    p: "_GridParams",
-    batch: np.ndarray,
-    context: int,
-    ragged: bool,
-    dt: np.dtype,
-) -> Dict[str, np.ndarray]:
-    """One generation iteration over every point (mirror of the scalar
-    :func:`repro.hardware.perf.generation_iteration`, op for op)."""
-    one = dt.type(1.0)
-    zero = dt.type(0.0)
-    b = batch.astype(dt)
-    efficiency = p.ragged_eff if ragged else one
-    # --- batchable path (roofline) ---------------------------------
-    flops_nonattn = p.fnon * b
-    t_compute = flops_nonattn / (p.eff_flops * efficiency)
-    nonattn = np.maximum(p.t_weight, t_compute)
-    # --- attention path --------------------------------------------
-    attended = np.minimum(np.int64(context), p.window)
-    kv_read = (batch * attended).astype(dt) * p.kv_bytes_q
-    t_attn_read = kv_read / p.attn_denom
-    flops_attn = (p.attn_coeff * attended.astype(dt)) * b
-    t_attn_compute = flops_attn / p.eff_flops
-    t_attn = np.maximum(t_attn_read, t_attn_compute)
-    # --- (de)quantization ------------------------------------------
-    new_kv_bytes = b * p.kv_bytes_16
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quant_ov = np.where(
-            p.quant_rate > 0.0, new_kv_bytes / p.quant_rate, zero
-        )
-        dequant_ov = np.where(
-            p.dequant_rate > 0.0, kv_read / p.dequant_rate, zero
-        )
-    exposed_ov = np.maximum(
-        zero, quant_ov + dequant_ov - dt.type(0.9) * t_attn
-    )
-    dequant_sw = p.slowdown_m1 * t_attn_read
-    quant_values = (batch * p.kv_elems).astype(dt)
-    quant_sw = quant_values * p.quant_fpv / p.eff_flops
-    exposed_sw = quant_sw + dequant_sw
-    quant_s = np.where(p.overlapped, quant_ov, quant_sw)
-    dequant_s = np.where(p.overlapped, dequant_ov, dequant_sw)
-    exposed = np.where(p.overlapped, exposed_ov, exposed_sw)
-    total = nonattn + t_attn + exposed
-    with np.errstate(divide="ignore", invalid="ignore"):
-        util = np.where(
-            total > 0,
-            (flops_nonattn + flops_attn) / (total * p.peak_flops),
-            zero,
-        )
-    # IterationBreakdown.total_s sums its (Python float) components in
-    # float64 regardless of mode; the exported total mirrors that so
-    # grid cells equal the scalar property exactly.  The dt-precision
-    # ``total`` above still feeds util, matching the scalar kernel.
-    total_f64 = (
-        nonattn.astype(np.float64)
-        + t_attn.astype(np.float64)
-        + exposed.astype(np.float64)
-    )
-    return {
-        "nonattn_s": nonattn,
-        "attn_s": t_attn,
-        "quant_s": quant_s,
-        "dequant_s": dequant_s,
-        "exposed_overhead_s": exposed,
-        "compute_util": util,
-        "total_s": total_f64,
+def _grid_params(
+    points: Sequence[GridPoint], dtype: np.dtype
+) -> Tuple[
+    _KernelParams,
+    np.ndarray,
+    Dict[Tuple[str, str], Tuple[ServingSystem, ArchShape]],
+]:
+    """Kernel parameter columns and batch column over ``points``, plus
+    the resolved objects of each distinct (model, system) pair."""
+    pairs = {
+        key: (get_system(key[1]), get_model(key[0]).arch)
+        for key in dict.fromkeys((p.model, p.system) for p in points)
     }
-
-
-def _prefill_arrays(
-    p: "_GridParams",
-    batch: np.ndarray,
-    prompt_tokens: int,
-    dt: np.dtype,
-) -> np.ndarray:
-    """Prefill latency per point (mirror of :func:`perf.prefill_time`)."""
-    half = max(1, prompt_tokens // 2)
-    attended = np.minimum(np.int64(half), p.window)
-    flops = (batch * prompt_tokens).astype(dt) * (
-        p.fnon + p.attn_coeff * attended.astype(dt)
+    rows = {key: _PairParams(*pair) for key, pair in pairs.items()}
+    params = _KernelParams(
+        [rows[(p.model, p.system)] for p in points], dtype
     )
-    t_compute = flops / p.eff_flops
-    return np.maximum(t_compute, p.t_weight)
+    batch = np.array([p.batch for p in points], dtype=np.int64)
+    return params, batch, pairs
 
 
 def iteration_grid(
@@ -303,7 +87,6 @@ def iteration_grid(
     context: int,
     ragged: bool = False,
     mode: ComputeModeLike = None,
-    params: Optional[_GridParams] = None,
 ) -> Dict[str, np.ndarray]:
     """Batched :func:`perf.generation_iteration` over a point list.
 
@@ -311,60 +94,28 @@ def iteration_grid(
     fields (plus ``total_s``) as arrays over the point axis.
     """
     mode = resolve_compute_mode(mode, default=EXACT_F64)
-    params = _GridParams(points) if params is None else params
-    p = params.cast(mode)
-    return _iteration_arrays(
-        p, params.batch, context, ragged, mode.compute_dtype
-    )
+    params, batch, _ = _grid_params(points, mode.compute_dtype)
+    return _iteration_arrays(params, batch, context, ragged)
 
 
 @dataclass
-class GenerationGrid:
+class GenerationGrid(GenerationColumns):
     """Batched result of :func:`simulate_generation_grid`.
 
     Column arrays over the flat point axis; :meth:`run` materializes
-    any point as the scalar :class:`~repro.hardware.perf.GenerationRun`
-    it is pinned element-identical to.
+    any point as the :class:`~repro.hardware.perf.GenerationRun` the
+    scalar entry point returns for it.
     """
 
     points: List[GridPoint]
     mode: str
     input_tokens: int
     output_tokens: int
-    oom: np.ndarray
-    effective_batch: np.ndarray
-    tokens_per_s: np.ndarray
-    prefill_s: np.ndarray
-    generation_s: np.ndarray
-    breakdown: Dict[str, np.ndarray] = field(default_factory=dict)
 
     def run(self, i: int) -> GenerationRun:
         """The scalar GenerationRun for point ``i``."""
         point = self.points[i]
-        if self.oom[i]:
-            return GenerationRun(
-                system=point.system, batch=point.batch,
-                effective_batch=0, oom=True, tokens_per_s=0.0,
-            )
-        return GenerationRun(
-            system=point.system,
-            batch=point.batch,
-            effective_batch=int(self.effective_batch[i]),
-            oom=False,
-            tokens_per_s=float(self.tokens_per_s[i]),
-            prefill_s=float(self.prefill_s[i]),
-            generation_s=float(self.generation_s[i]),
-            breakdown=IterationBreakdown(
-                nonattn_s=float(self.breakdown["nonattn_s"][i]),
-                attn_s=float(self.breakdown["attn_s"][i]),
-                quant_s=float(self.breakdown["quant_s"][i]),
-                dequant_s=float(self.breakdown["dequant_s"][i]),
-                exposed_overhead_s=float(
-                    self.breakdown["exposed_overhead_s"][i]
-                ),
-                compute_util=float(self.breakdown["compute_util"][i]),
-            ),
-        )
+        return self.run_at(i, point.system, point.batch)
 
     def runs(self) -> List[GenerationRun]:
         """Every point, materialized in order."""
@@ -377,61 +128,34 @@ def simulate_generation_grid(
     output_tokens: int = 1024,
     ragged: bool = False,
     mode: ComputeModeLike = None,
-    params: Optional[_GridParams] = None,
 ) -> GenerationGrid:
     """Batched :func:`perf.simulate_generation_run` over a point list.
 
-    The capacity gate (``max_supported_batch``) is evaluated by the
-    scalar helper once per (model, system) pair — it is integer and
-    pair-static — while all per-point float math runs as array ops.
+    The capacity gate (``max_supported_batch``) is integer and
+    pair-static, so it is evaluated once per (model, system) pair;
+    all per-point float math runs as array ops.
     """
     mode = resolve_compute_mode(mode, default=EXACT_F64)
-    dt = mode.compute_dtype
-    params = _GridParams(points) if params is None else params
-    p = params.cast(mode)
-    points = params.points
-    n = len(points)
-    total_context = input_tokens + output_tokens
-
+    points = list(points)
+    params, batch, pairs = _grid_params(points, mode.compute_dtype)
     fit_by_pair = {
         key: max_supported_batch(
-            params.systems[key[1]], params.archs[key[0]], total_context
+            system, arch, input_tokens + output_tokens
         )
-        for key in params.pairs
+        for key, (system, arch) in pairs.items()
     }
     fit = np.array(
         [fit_by_pair[(pt.model, pt.system)] for pt in points],
         dtype=np.int64,
     )
-    oom = (fit < 1) | ((params.batch > fit) & ~params.paged)
-    effective = np.minimum(params.batch, fit)
-
-    prefill = _prefill_arrays(p, effective, input_tokens, dt)
-    step = max(1, output_tokens // _CHECKPOINTS)
-    t_generation = np.zeros(n, dtype=dt)
-    mid: Dict[str, np.ndarray] = {}
-    half_point = output_tokens // 2
-    for offset in range(0, output_tokens, step):
-        context = input_tokens + offset
-        arrays = _iteration_arrays(p, effective, context, ragged, dt)
-        span = min(step, output_tokens - offset)
-        t_generation += arrays["total_s"] * span
-        if offset <= half_point < offset + span:
-            mid = arrays
-    tokens = effective * output_tokens
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tokens_per_s = tokens.astype(dt) / (prefill + t_generation)
     return GenerationGrid(
         points=points,
         mode=mode.name,
         input_tokens=input_tokens,
         output_tokens=output_tokens,
-        oom=oom,
-        effective_batch=effective,
-        tokens_per_s=tokens_per_s,
-        prefill_s=prefill,
-        generation_s=t_generation,
-        breakdown=mid,
+        **_generation_arrays(
+            params, batch, fit, input_tokens, output_tokens, ragged
+        ),
     )
 
 
@@ -440,157 +164,21 @@ def capacity_grid(
     model: str,
     contexts: Sequence[int],
 ) -> np.ndarray:
-    """Batched :func:`perf.max_supported_batch`: systems x contexts.
+    """:func:`perf.max_supported_batch` over systems x contexts.
 
-    Returns an int array of shape ``(len(systems), len(contexts))``,
-    pinned element-identical to the scalar planner.
+    Returns an int array of shape ``(len(systems), len(contexts))``.
     """
     arch = get_model(model).arch
-    ctx = np.asarray(contexts, dtype=np.int64).reshape(1, -1)
-    budgets = np.empty((len(systems), 1), dtype=np.float64)
-    kv_q = np.empty((len(systems), 1), dtype=np.float64)
-    windows = np.empty((len(systems), 1), dtype=np.int64)
-    for i, name in enumerate(systems):
-        system = get_system(name)
-        device = system.device_for(arch)
-        budget = device.memory.capacity_bytes * (
-            1.0 - device.reserved_fraction
-        )
-        budget -= weight_bytes(arch, system.weight_bits)
-        budgets[i, 0] = budget
-        kv_q[i, 0] = kv_bytes_per_token(arch, system.kv_bits(arch))
-        windows[i, 0] = (
-            _NO_WINDOW if arch.sliding_window is None
-            else arch.sliding_window
-        )
-    attended = np.minimum(ctx, windows)
-    per_request = kv_q * attended.astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # np.floor_divide on floats matches Python's // semantics,
-        # which the scalar planner truncates through int().
-        batches = np.floor_divide(budgets, per_request)
-    return np.where(budgets <= 0, 0, batches.astype(np.int64))
-
-
-def iteration_breakdown_lowp(
-    system: ServingSystem,
-    arch: ArchShape,
-    batch: int,
-    context: int,
-    ragged: bool,
-    mode: ComputeMode,
-) -> IterationBreakdown:
-    """Low-precision scalar iteration via a one-point grid.
-
-    :func:`perf.generation_iteration` delegates here for non-exact
-    modes, so the scalar and vectorized f32 paths are one code path.
-    """
-    point = _point_for(system, arch, batch)
-    params = _grid_params_for(system, arch, [point])
-    arrays = iteration_grid(
-        [point], context, ragged=ragged, mode=mode, params=params
-    )
-    return IterationBreakdown(
-        nonattn_s=float(arrays["nonattn_s"][0]),
-        attn_s=float(arrays["attn_s"][0]),
-        quant_s=float(arrays["quant_s"][0]),
-        dequant_s=float(arrays["dequant_s"][0]),
-        exposed_overhead_s=float(arrays["exposed_overhead_s"][0]),
-        compute_util=float(arrays["compute_util"][0]),
-    )
-
-
-def prefill_time_lowp(
-    system: ServingSystem,
-    arch: ArchShape,
-    batch: int,
-    prompt_tokens: int,
-    mode: ComputeMode,
-) -> float:
-    """Low-precision scalar prefill via a one-point grid."""
-    point = _point_for(system, arch, batch)
-    params = _grid_params_for(system, arch, [point])
-    p = params.cast(mode)
-    return float(
-        _prefill_arrays(
-            p, params.batch, prompt_tokens, mode.compute_dtype
-        )[0]
-    )
-
-
-def generation_run_lowp(
-    system: ServingSystem,
-    arch: ArchShape,
-    batch: int,
-    input_tokens: int,
-    output_tokens: int,
-    ragged: bool,
-    mode: ComputeMode,
-) -> GenerationRun:
-    """Low-precision scalar generation run via a one-point grid."""
-    point = _point_for(system, arch, batch)
-    params = _grid_params_for(system, arch, [point])
-    grid = simulate_generation_grid(
-        [point], input_tokens, output_tokens,
-        ragged=ragged, mode=mode, params=params,
-    )
-    return grid.run(0)
-
-
-def _point_for(
-    system: ServingSystem, arch: ArchShape, batch: int
-) -> GridPoint:
-    """GridPoint labelling a (system, arch) pair.
-
-    The low-precision scalar wrappers accept the same objects the
-    scalar golden path takes and pass explicitly built parameters, so
-    the names are labels, not registry keys.
-    """
-    return GridPoint(model=_model_name(arch), system=system.name, batch=batch)
-
-
-def _model_name(arch: ArchShape) -> str:
-    from repro.models.config import MODEL_ZOO
-
-    for name, spec in MODEL_ZOO.items():
-        if spec.arch == arch:
-            return name
-    # Ad-hoc architectures never hit the registry: the low-precision
-    # wrappers pass explicitly constructed _GridParams, so the name is
-    # only a label.
-    return "custom-arch"
-
-
-def _grid_params_for(
-    system: ServingSystem, arch: ArchShape, points: List[GridPoint]
-) -> _GridParams:
-    """_GridParams built directly from the given objects (no registry
-    round-trip, so ad-hoc ServingSystem instances also work)."""
-    params = object.__new__(_GridParams)
-    params.points = points
-    pair = _PairParams(system, arch)
-    params.pairs = {(points[0].model, points[0].system): pair}
-    params.archs = {points[0].model: arch}
-    params.systems = {points[0].system: system}
-    for name in _GridParams._FLOAT_FIELDS:
-        setattr(
-            params,
-            name,
-            np.array(
-                [getattr(pair, name)] * len(points), dtype=np.float64
-            ),
-        )
-    params.kv_elems = np.array(
-        [pair.kv_elems] * len(points), dtype=np.int64
-    )
-    params.window = np.array([pair.window] * len(points), dtype=np.int64)
-    params.overlapped = np.array(
-        [pair.overlapped] * len(points), dtype=bool
-    )
-    params.paged = np.array([pair.paged] * len(points), dtype=bool)
-    params.batch = np.array([p.batch for p in points], dtype=np.int64)
-    params._cast_cache = {}
-    return params
+    return np.array(
+        [
+            [
+                max_supported_batch(get_system(name), arch, context)
+                for context in contexts
+            ]
+            for name in systems
+        ],
+        dtype=np.int64,
+    ).reshape(len(systems), len(contexts))
 
 
 __all__ = [

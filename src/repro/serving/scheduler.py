@@ -14,8 +14,9 @@ admissions) and the simulator prices them with the hardware model.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.serving.request import Request, RequestPhase
 
@@ -91,7 +92,7 @@ class ContinuousBatchScheduler:
         self.prefill_chunk = prefill_chunk
         self.admission_gate = admission_gate
         self.gate_refusals = 0
-        self._queue: List[Request] = []
+        self._queue: Deque[Request] = deque()
         self._resident: List[Request] = []
         self._prefilling: dict = {}
         self._finished: List[Request] = []
@@ -166,7 +167,7 @@ class ContinuousBatchScheduler:
             ):
                 self.gate_refusals += 1
                 break
-            request = self._queue.pop(0)
+            request = self._queue.popleft()
             request.phase = RequestPhase.PREFILL
             request.start_s = now_s
             admitted.append(request)

@@ -43,8 +43,8 @@ from repro.data.traces import TraceRequest
 from repro.hardware.overheads import ServingSystem
 from repro.hardware.perf import (
     generation_iteration,
+    kv_budget_bytes,
     prefill_time,
-    weight_bytes,
 )
 from repro.models.config import ArchShape
 from repro.serving.request import Request
@@ -198,12 +198,7 @@ class _CacheReplay:
         self.pool = KVCachePool(
             factory, tiering=self.tiering, arena=config.arena
         )
-        device = system.device_for(arch)
-        budget = device.memory.capacity_bytes * (
-            1.0 - device.reserved_fraction
-        )
-        budget -= weight_bytes(arch, system.weight_bits)
-        self.budget_bytes = max(0.0, budget)
+        self.budget_bytes = max(0.0, kv_budget_bytes(system, arch))
         self._contexts: Dict[int, int] = {}
         # Prefix sharing: one live *anchor* request per prefix group,
         # whose committed prompt rows later group members fork instead

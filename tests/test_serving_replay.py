@@ -284,7 +284,7 @@ class TestReplayRobustness:
         import repro.serving.simulator as simulator
 
         monkeypatch.setattr(
-            simulator, "weight_bytes", lambda *args, **kwargs: 1e18
+            simulator, "kv_budget_bytes", lambda *args, **kwargs: -1e18
         )
         report = simulate_trace(
             get_system("oaken-hbm"), ARCH, closed_trace(2), 2,
