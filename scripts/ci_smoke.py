@@ -79,13 +79,21 @@ def tiering_smoke() -> None:
           int(detail["tier_transfer_cycles"]), "transfer cycles")
 
 
+def assert_stacked_encodes(detail: dict) -> None:
+    """At most one merged kernel call per batched append: a layer's
+    keys and values went through the fused kernel row-stacked."""
+    assert 0 < detail["batched_encodes"] <= detail["batched_appends"], (
+        detail["batched_encodes"], detail["batched_appends"])
+
+
 def sharing_smoke() -> None:
     """Fork-heavy replay smoke: fixed seed, shared system prompt.
 
     Replay the RAG burst workload — every burst forks its wave's
     shared system prompt from the anchor request — and require that
     sharing actually engaged: nonzero forks, nonzero bytes saved, and
-    zero requests lost to the admission gate.
+    zero requests lost to the admission gate — and that the chunked
+    store's batched appends took the row-stacked encode.
     """
     rep = repro_json(
         "replay", "--workload", "rag", "--requests", "16",
@@ -96,6 +104,7 @@ def sharing_smoke() -> None:
     assert detail["forks"] > 0, "no forks: sharing never engaged"
     assert detail["shared_bytes_saved"] > 0, detail
     assert detail["gate_refusals"] == 0, detail["gate_refusals"]
+    assert_stacked_encodes(detail)
     print("sharing smoke:", int(detail["forks"]), "forks,",
           int(detail["shared_bytes_saved"]), "bytes saved,",
           rep["generated_tokens"], "tokens generated")
@@ -107,7 +116,8 @@ def arena_smoke() -> None:
     Replay the same trace through the chunked pool and the SoA arena
     and require that the arena is invisible in results (identical
     generated tokens) while its storage actually worked: retirement
-    churn must have triggered compaction.
+    churn must have triggered compaction, and every batched append
+    made one row-stacked kernel call.
     """
     replay = ("replay", "--requests", "24", "--batch", "64", "--seed", "7")
     chunked = repro_json(*replay)
@@ -119,6 +129,7 @@ def arena_smoke() -> None:
     assert detail["arena"] == 1.0, "arena never engaged"
     assert detail["arena_compactions"] > 0, "churn never compacted"
     assert detail["arena_rows_live"] == 0, "drained replay leaked rows"
+    assert_stacked_encodes(detail)
     print("arena smoke: generated", arena["generated_tokens"],
           "tokens,", int(detail["arena_compactions"]),
           "compactions, capacity",

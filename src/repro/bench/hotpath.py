@@ -48,7 +48,11 @@ from repro.bench.scenarios import (
 )
 from repro.core.config import OakenConfig
 from repro.core.kvcache import QuantizedKVCache
-from repro.core.quantizer import OakenQuantizer
+from repro.core.quantizer import (
+    LayerEncoder,
+    OakenQuantizer,
+    QuantizeScratch,
+)
 from repro.core.reference import ReferenceOakenQuantizer
 from repro.core.thresholds import profile_thresholds
 from repro.quant.bitpack import (
@@ -115,6 +119,81 @@ _ENCODE = Entry(
         f"  -> {r['speedup_roundtrip']:.1f}x",
         f"  fused32 {r['fused_f32_roundtrip_s']:.3f}s"
         f"  -> {r['speedup_roundtrip_f32']:.1f}x",
+    ],
+)
+
+
+# -- encode_serving --------------------------------------------------
+
+#: The ``EncodedKV`` arrays an encode emits (the identity check).
+_ENCODED_ARRAYS = (
+    "dense_codes", "middle_lo", "middle_hi", "band_lo", "band_hi",
+    "sparse_token", "sparse_pos", "sparse_band", "sparse_side",
+    "sparse_mag_code",
+)
+
+
+def _serving_setup(rows: Tuple[int, ...], dim: int, pairs: int):
+    """One layer's fitted quantizers and a K+V row pair per size."""
+    from repro.engine import SyntheticKVStream
+
+    stream = SyntheticKVStream(dim, seed=0)
+    ((keys, values),) = stream.calibration(1, 256)
+    cfg = OakenConfig()
+    key_q, value_q = (
+        OakenQuantizer(cfg, profile_thresholds([x], cfg), mode="deploy_f32")
+        for x in (keys, values)
+    )
+    return SimpleNamespace(
+        pairs=pairs,
+        blocks=[(stream.draw(n), stream.draw(n)) for n in rows],
+        key_q=key_q,
+        value_q=value_q,
+        encoder=LayerEncoder(key_q, value_q),
+        scratch=QuantizeScratch(),
+    )
+
+
+def _encode_pairs(ctx, stacked: bool):
+    """``pairs`` K+V encodes at every size: one row-stacked kernel
+    call per pair, or one ``quantize_into`` per tensor."""
+    last = []
+    start = time.perf_counter()
+    for keys, values in ctx.blocks:
+        for _ in range(ctx.pairs):
+            if stacked:
+                pair = ctx.encoder.encode([keys], [values])
+            else:
+                pair = (
+                    ctx.key_q.quantize_into(keys, ctx.scratch),
+                    ctx.value_q.quantize_into(values, ctx.scratch),
+                )
+        last.extend(pair)
+    seconds = time.perf_counter() - start
+    return seconds, [
+        [getattr(encoded, name) for name in _ENCODED_ARRAYS]
+        for encoded in last
+    ]
+
+
+_ENCODE_SERVING = Entry(
+    "encode_serving",
+    sizes={"rows": (8, 64), "dim": 32, "pairs": QF(200, 2000)},
+    setup=_serving_setup,
+    passes=at_least(2),
+    echo_repeats=True,
+    variants={
+        "per_tensor": partial(_encode_pairs, stacked=False),
+        "stacked": partial(_encode_pairs, stacked=True),
+    },
+    speedups={"stacked": ("per_tensor", "stacked")},
+    check=lambda o: {"encoded": same(o["stacked"], o["per_tensor"])},
+    summary=lambda r: [
+        f"encode serving K+V pairs {list(r['rows'])} x {r['dim']},"
+        f" {r['pairs']} pairs each:",
+        f"  per-tensor {r['per_tensor_s']:.3f}s"
+        f"  stacked {r['stacked_s']:.3f}s"
+        f"  -> {r['speedup_stacked']:.1f}x",
     ],
 )
 
@@ -747,6 +826,7 @@ def _bitpack_row(width: int) -> Entry:
 #: result under its parent's dict and must follow it.
 ENTRIES: Tuple[Entry, ...] = (
     _ENCODE,
+    _ENCODE_SERVING,
     _GENERATION_ENTRY,
     _POOL_READ,
     _pool_arena_row("pool_read", "read", 64),

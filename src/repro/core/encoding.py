@@ -18,7 +18,7 @@ accounting (Table 2 bottom rows and Table 3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,7 +57,9 @@ class EncodedKV:
 
     Attributes:
         config: the quantizer configuration that produced this tensor.
-        thresholds: the offline thresholds used for grouping/shifting.
+        thresholds: the offline thresholds used for grouping/shifting
+            (a tuple of them, one per equal row block, straight out of
+            a row-stacked quantizer — see :func:`row_block_views`).
         shape: original (T, D).
         dense_codes: [T, D] uint8; middle-group codes, with outlier
             slots holding the fused low bits of their outlier code (or
@@ -81,7 +83,7 @@ class EncodedKV:
     """
 
     config: OakenConfig
-    thresholds: GroupThresholds
+    thresholds: Union[GroupThresholds, Tuple[GroupThresholds, ...]]
     shape: tuple
     dense_codes: np.ndarray
     middle_lo: np.ndarray
@@ -286,6 +288,72 @@ def encoded_rows_view(
     )
 
 
+def _row_range(
+    encoded: EncodedKV,
+    thresholds: GroupThresholds,
+    rows: slice,
+    records: slice,
+    own: Callable[[np.ndarray], np.ndarray],
+) -> EncodedKV:
+    """Rows ``rows`` of ``encoded`` with their COO records ``records``.
+
+    ``own`` decides aliasing: ``np.ndarray.copy`` for a piece owning
+    its arrays, :func:`_view` for one sliced out of ``encoded``.
+    """
+    sparse_fp16 = encoded.sparse_fp16
+    return EncodedKV(
+        config=encoded.config,
+        thresholds=thresholds,
+        shape=(rows.stop - rows.start, encoded.dim),
+        dense_codes=own(encoded.dense_codes[rows]),
+        middle_lo=own(encoded.middle_lo[rows]),
+        middle_hi=own(encoded.middle_hi[rows]),
+        band_lo=own(encoded.band_lo[rows]),
+        band_hi=own(encoded.band_hi[rows]),
+        sparse_token=encoded.sparse_token[records] - rows.start,
+        sparse_pos=own(encoded.sparse_pos[records]),
+        sparse_band=own(encoded.sparse_band[records]),
+        sparse_side=own(encoded.sparse_side[records]),
+        sparse_mag_code=own(encoded.sparse_mag_code[records]),
+        sparse_fp16=None if sparse_fp16 is None else own(sparse_fp16[records]),
+    )
+
+
+def _view(array: np.ndarray) -> np.ndarray:
+    return array
+
+
+def row_block_views(encoded: EncodedKV) -> List[EncodedKV]:
+    """The equal row blocks of a row-stacked encode, as views.
+
+    A row-stacked quantizer (one built over a sequence of thresholds)
+    encodes G equal row blocks in one kernel call and labels the result
+    with all G thresholds.  Encode is row-local, so block ``g`` of that
+    result *is* the encode of block ``g`` under ``thresholds[g]``; this
+    hands the blocks back as per-tensor :class:`EncodedKV` s, each
+    carrying its own thresholds.  Row-parallel and record arrays are
+    slices of ``encoded``'s (nothing is copied; only the token indices
+    are re-based), so the pieces alias one another's storage and are
+    meant to share a lifetime — a layer's key and value chunk do.
+    """
+    thresholds = encoded.thresholds
+    rows = encoded.num_tokens // len(thresholds)
+    bounds = [g * rows for g in range(len(thresholds) + 1)]
+    # The COO stream is token-major, hence sorted by token; each
+    # block's records form one contiguous slice.
+    starts = np.searchsorted(encoded.sparse_token, bounds).tolist()
+    return [
+        _row_range(
+            encoded,
+            thresholds[g],
+            slice(bounds[g], bounds[g + 1]),
+            slice(starts[g], starts[g + 1]),
+            _view,
+        )
+        for g in range(len(thresholds))
+    ]
+
+
 def split_encoded(
     encoded: EncodedKV, row_counts: Sequence[int]
 ) -> List[EncodedKV]:
@@ -298,6 +366,10 @@ def split_encoded(
     This is what lets the serving pool encode the freshly appended rows
     of many sequences in one fused pass and scatter the chunks back to
     their per-sequence caches.
+
+    A row-stacked encode (see :func:`row_block_views`) splits the same
+    way, each chunk carrying the thresholds of the row block it lies
+    in; no chunk may straddle two blocks.
 
     Args:
         encoded: the tensor to split.
@@ -319,34 +391,33 @@ def split_encoded(
     bounds = np.cumsum([0] + counts)
     # The COO stream is token-major, hence sorted by token; each
     # segment's records form one contiguous slice.
-    starts = np.searchsorted(encoded.sparse_token, bounds, side="left")
+    starts = np.searchsorted(
+        encoded.sparse_token, bounds, side="left"
+    ).tolist()
+    bounds = bounds.tolist()
+    thresholds = encoded.thresholds
+    stacked = not isinstance(thresholds, GroupThresholds)
+    block_rows = encoded.num_tokens // len(thresholds) if stacked else 0
     pieces: List[EncodedKV] = []
-    for i, count in enumerate(counts):
-        row_lo, row_hi = bounds[i], bounds[i + 1]
-        rec_lo, rec_hi = starts[i], starts[i + 1]
-        sparse_fp16 = None
-        if encoded.sparse_fp16 is not None:
-            sparse_fp16 = encoded.sparse_fp16[rec_lo:rec_hi].copy()
+    for i in range(len(counts)):
+        rows = slice(bounds[i], bounds[i + 1])
+        own_thresholds = thresholds
+        if stacked:
+            # (a trailing empty chunk starts where the last block ends)
+            block = min(rows.start // max(block_rows, 1), len(thresholds) - 1)
+            if rows.stop > (block + 1) * block_rows:
+                raise ValueError(
+                    f"rows {rows.start}..{rows.stop} straddle two row "
+                    "blocks of a row-stacked encode"
+                )
+            own_thresholds = thresholds[block]
         pieces.append(
-            EncodedKV(
-                config=encoded.config,
-                thresholds=encoded.thresholds,
-                shape=(count, encoded.dim),
-                dense_codes=encoded.dense_codes[row_lo:row_hi].copy(),
-                middle_lo=encoded.middle_lo[row_lo:row_hi].copy(),
-                middle_hi=encoded.middle_hi[row_lo:row_hi].copy(),
-                band_lo=encoded.band_lo[row_lo:row_hi].copy(),
-                band_hi=encoded.band_hi[row_lo:row_hi].copy(),
-                sparse_token=(
-                    encoded.sparse_token[rec_lo:rec_hi] - row_lo
-                ),
-                sparse_pos=encoded.sparse_pos[rec_lo:rec_hi].copy(),
-                sparse_band=encoded.sparse_band[rec_lo:rec_hi].copy(),
-                sparse_side=encoded.sparse_side[rec_lo:rec_hi].copy(),
-                sparse_mag_code=encoded.sparse_mag_code[
-                    rec_lo:rec_hi
-                ].copy(),
-                sparse_fp16=sparse_fp16,
+            _row_range(
+                encoded,
+                own_thresholds,
+                rows,
+                slice(starts[i], starts[i + 1]),
+                np.ndarray.copy,
             )
         )
     return pieces

@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.core.config import OakenConfig
 from repro.core.encoding import EncodedKV, split_encoded
-from repro.core.quantizer import OakenQuantizer, QuantizeScratch
+from repro.core.quantizer import LayerEncoder, OakenQuantizer
 
 
 class _DecodedPrefix:
@@ -118,26 +118,17 @@ class LayerKVCache:
     _value_decoded: _DecodedPrefix = field(
         default_factory=_DecodedPrefix, repr=False, compare=False
     )
-    _key_scratch: QuantizeScratch = field(
-        default_factory=QuantizeScratch, repr=False, compare=False
-    )
-    _value_scratch: QuantizeScratch = field(
-        default_factory=QuantizeScratch, repr=False, compare=False
-    )
+    #: Encodes appended rows: one row-stacked kernel call for keys and
+    #: values when the two quantizers allow it.
+    encoder: LayerEncoder = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.encoder = LayerEncoder(self.key_quantizer, self.value_quantizer)
 
     @property
     def length(self) -> int:
         """Number of cached token positions."""
         return self._length
-
-    def _encode(
-        self, quantizer, values: np.ndarray, scratch: QuantizeScratch
-    ) -> EncodedKV:
-        """Quantize through the streaming entry point when available."""
-        quantize_into = getattr(quantizer, "quantize_into", None)
-        if quantize_into is not None:
-            return quantize_into(values, scratch)
-        return quantizer.quantize(values)
 
     def _charge(self, chunks: Iterable[EncodedKV]) -> None:
         """Add newly listed chunks to the running footprint."""
@@ -159,10 +150,7 @@ class LayerKVCache:
             raise ValueError(
                 f"key/value shape mismatch: {keys.shape} vs {values.shape}"
             )
-        self.append_encoded(
-            self._encode(self.key_quantizer, keys, self._key_scratch),
-            self._encode(self.value_quantizer, values, self._value_scratch),
-        )
+        self.append_encoded(*self.encoder.encode([keys], [values]))
 
     def append_encoded(
         self, key_chunk: EncodedKV, value_chunk: EncodedKV

@@ -42,12 +42,19 @@ deployment path.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+import functools
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.config import OakenConfig
-from repro.core.encoding import EncodedKV, sparse_record_bits
+from repro.core.encoding import (
+    EncodedKV,
+    row_block_views,
+    sparse_record_bits,
+    split_encoded,
+)
 from repro.core.grouping import GroupThresholds
 from repro.core.modes import (
     EXACT_F64,
@@ -66,12 +73,13 @@ def _fp16_round(values: np.ndarray) -> np.ndarray:
     return np.asarray(values, dtype=np.float16).astype(np.float64)
 
 
-def _sigma(lo: np.ndarray, hi: np.ndarray, bits: int) -> np.ndarray:
-    """Uniform-quantization scale factor of Eq. 2 with the seed's guard."""
+def _sigma(lo: np.ndarray, hi: np.ndarray, levels: float) -> np.ndarray:
+    """Uniform-quantization scale factor of Eq. 2 with the seed's guard.
+
+    ``levels`` is ``2**bits - 1``, the top code of the target width.
+    """
     span = hi - lo
-    return np.where(
-        span > _EPS, (2.0**bits - 1.0) / np.maximum(span, _EPS), 1.0
-    )
+    return np.where(span > _EPS, levels / np.maximum(span, _EPS), 1.0)
 
 
 class QuantizeScratch:
@@ -80,10 +88,10 @@ class QuantizeScratch:
     Single-token appends during generation call the quantizer thousands
     of times on tiny [1, D] matrices, where buffer allocation is a
     measurable fraction of the cost.  A scratch object owned by the
-    caller (e.g. one per :class:`~repro.core.kvcache.LayerKVCache`
-    tensor) lets :meth:`OakenQuantizer.quantize_into` reuse its
-    full-matrix temporaries across calls.  Buffers grow monotonically
-    and are never shared between concurrent encodes.
+    caller (one per :class:`LayerEncoder`) lets
+    :meth:`OakenQuantizer.quantize_into` reuse its full-matrix
+    temporaries across calls.  Buffers grow monotonically and are never
+    shared between concurrent encodes.
     """
 
     def __init__(self) -> None:
@@ -101,11 +109,119 @@ class QuantizeScratch:
         return buf[:need].reshape(shape)
 
 
-def _outlier_coo(
-    x: np.ndarray, thr: GroupThresholds
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Extract the sparse stream: (token, pos, band) in row-major order.
+@dataclass(frozen=True, eq=False)
+class _KernelPlan:
+    """The offline half of the fused kernels, compiled once.
 
+    Everything the kernels need that is fixed by ``(config, thresholds
+    per row block, compute dtype)`` and not by the data: what the paper
+    profiles offline, laid out the way the online pass consumes it.  A
+    plan serves ``groups`` equal row blocks, each with its own
+    thresholds (one block for a per-tensor quantizer; keys over values
+    for a layer's row-stacked encoder), so every table has a leading
+    block axis.
+
+    Attributes:
+        groups: G, the number of row blocks.
+        outer_lo / outer_hi: per outer band, a ``[G, 1, 1]`` threshold
+            column in the compute dtype, broadcast over the input
+            viewed as ``[G, T, D]``.  A compute-dtype column compares
+            exactly as the Python-float thresholds did: those are weak
+            scalars, cast to the array's dtype before comparing.
+        inner_lo / inner_hi: likewise the signed edges of each inner
+            shell (``-inner_mag[j]`` / ``+inner_mag[j]``).
+        mid_edge: ``[G, 1, 1]`` middle-group shift magnitude.
+        band_lo_edges / band_hi_edges: flat ``[G * bands]`` float64
+            negative / positive side shift offset of every sparse band,
+            block-major (gathered per outlier record).
+        band_levels / mid_levels: top code ``2**bits - 1`` of the
+            sparse magnitude and the dense inlier codes.
+    """
+
+    config: OakenConfig
+    groups: int
+    wdtype: np.dtype
+    outer_lo: Tuple[np.ndarray, ...]
+    outer_hi: Tuple[np.ndarray, ...]
+    inner_lo: Tuple[np.ndarray, ...]
+    inner_hi: Tuple[np.ndarray, ...]
+    mid_edge: np.ndarray
+    band_lo_edges: np.ndarray
+    band_hi_edges: np.ndarray
+    band_levels: float
+    mid_levels: float
+
+
+@functools.lru_cache(maxsize=256)
+def _kernel_plan(
+    config: OakenConfig,
+    thresholds: Tuple[GroupThresholds, ...],
+    wdtype: np.dtype,
+) -> _KernelPlan:
+    """The plan for ``thresholds`` (one per row block), keyed by value:
+    quantizers fitted to equal thresholds share one plan."""
+    for thr in thresholds:
+        if thr.num_outer_bands != config.num_outer_bands:
+            raise ValueError(
+                "thresholds have a different outer band count than config"
+            )
+        if thr.num_inner_bands != config.num_inner_bands:
+            raise ValueError(
+                "thresholds have a different inner band count than config"
+            )
+
+    def frozen(values, shape, dtype=np.float64) -> np.ndarray:
+        table = np.array(values, dtype=dtype).reshape(shape)
+        table.flags.writeable = False  # shared by every equal quantizer
+        return table
+
+    def columns(per_block) -> np.ndarray:
+        return frozen(per_block, (-1, 1, 1), wdtype)
+
+    def per_band(field: str, count: int, sign: float = 1.0):
+        return tuple(
+            columns([sign * getattr(thr, field)[j] for thr in thresholds])
+            for j in range(count)
+        )
+
+    def band_edges(side: int) -> np.ndarray:
+        return frozen(
+            [
+                thr.band_shift_edges(band)[side]
+                for thr in thresholds
+                for band in range(config.num_sparse_bands)
+            ],
+            -1,
+        )
+
+    mag_bits = (
+        config.outlier_bits - 1 if config.group_shift else config.outlier_bits
+    )
+    return _KernelPlan(
+        config=config,
+        groups=len(thresholds),
+        wdtype=np.dtype(wdtype),
+        outer_lo=per_band("outer_lo", config.num_outer_bands),
+        outer_hi=per_band("outer_hi", config.num_outer_bands),
+        inner_lo=per_band("inner_mag", config.num_inner_bands, -1.0),
+        inner_hi=per_band("inner_mag", config.num_inner_bands),
+        mid_edge=columns(
+            [thr.middle_shift_edges()[1] for thr in thresholds]
+        ),
+        band_lo_edges=band_edges(0),
+        band_hi_edges=band_edges(1),
+        band_levels=2.0**mag_bits - 1.0,
+        mid_levels=2.0**config.inlier_bits - 1.0,
+    )
+
+
+def _outlier_coo(
+    x: np.ndarray, plan: _KernelPlan
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Extract the sparse stream of ``x`` viewed as ``[G, T, D]``.
+
+    Returns ``(flat, values, band)``: row-major flat indices of the
+    outlier slots, their values, and the sparse band each falls in.
     Replicates :func:`repro.core.grouping.assign_groups` exactly without
     materializing the full label matrix:
 
@@ -115,230 +231,247 @@ def _outlier_coo(
       inward), so the claimed band is the innermost containing shell;
     * outer claims take precedence, as in the sequential assignment.
     """
-    mask: Optional[np.ndarray] = None
-    if thr.num_outer_bands:
-        lo = thr.outer_lo[-1]
-        hi = thr.outer_hi[-1]
-        mask = (x > hi) | (x < lo)
-    if thr.num_inner_bands:
-        mag_edge = thr.inner_mag[0]
-        inner = (x <= mag_edge) & (x >= -mag_edge)
+    num_outer = len(plan.outer_lo)
+    num_inner = len(plan.inner_hi)
+    mask = outer = None
+    if num_outer:
+        outer = (x > plan.outer_hi[-1]) | (x < plan.outer_lo[-1])
+        mask = outer
+    if num_inner:
+        inner = (x <= plan.inner_hi[0]) & (x >= plan.inner_lo[0])
         mask = inner if mask is None else (mask | inner)
     if mask is None:
-        token = np.zeros(0, dtype=np.int64)
-        return token, token.copy(), token.copy()
+        flat = np.zeros(0, dtype=np.int64)
+        return flat, np.zeros(0, dtype=x.dtype), np.zeros(0, dtype=np.int16)
+    flat = mask.reshape(-1).nonzero()[0]
+    xg = x.reshape(-1)[flat]
 
-    token, pos = np.nonzero(mask)
-    xg = x[token, pos]
+    # Single-band sides need no per-record threshold compare: the dense
+    # masks above already decided them.
+    outer_band = np.int16(0)
+    inner_band = np.int16(num_outer)
+    if num_outer > 1 or num_inner > 1:
+        block = flat // (x.shape[1] * x.shape[2]) if x.shape[0] > 1 else 0
 
-    band = np.zeros(xg.shape, dtype=np.int64)
-    is_outer = np.zeros(xg.shape, dtype=bool)
-    if thr.num_outer_bands:
-        # Count leading bands the element does NOT fall in.
-        unsat = np.zeros(xg.shape, dtype=np.int64)
-        for j in range(thr.num_outer_bands):
-            unsat += (xg >= thr.outer_lo[j]) & (xg <= thr.outer_hi[j])
-        is_outer = unsat < thr.num_outer_bands
-        band = np.where(is_outer, unsat, 0)
-    if thr.num_inner_bands:
-        shells = np.zeros(xg.shape, dtype=np.int64)
-        for j in range(thr.num_inner_bands):
-            edge = thr.inner_mag[j]
-            shells += (xg <= edge) & (xg >= -edge)
-        inner_band = thr.num_outer_bands + np.maximum(shells, 1) - 1
-        band = np.where(is_outer, band, inner_band)
-    return token.astype(np.int64), pos.astype(np.int64), band
+        def of_record(column: np.ndarray) -> np.ndarray:
+            return column.reshape(-1)[block]
 
-
-def _band_edges(
-    cfg: OakenConfig, thr: GroupThresholds
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-band (negative-side, positive-side) shift offsets as arrays."""
-    lo_edges = np.empty(cfg.num_sparse_bands)
-    hi_edges = np.empty(cfg.num_sparse_bands)
-    for b in range(cfg.num_sparse_bands):
-        lo_edges[b], hi_edges[b] = thr.band_shift_edges(b)
-    return lo_edges, hi_edges
+        if num_outer > 1:
+            # Count leading bands the element does NOT fall in.
+            outer_band = np.zeros(flat.size, dtype=np.int16)
+            for lo, hi in zip(plan.outer_lo, plan.outer_hi):
+                outer_band += (xg >= of_record(lo)) & (xg <= of_record(hi))
+        if num_inner > 1:
+            shells = np.zeros(flat.size, dtype=np.int16)
+            for lo, hi in zip(plan.inner_lo, plan.inner_hi):
+                shells += (xg <= of_record(hi)) & (xg >= of_record(lo))
+            inner_band = np.maximum(shells, 1) + np.int16(num_outer - 1)
+    if num_outer and num_inner:
+        band = np.where(outer.reshape(-1)[flat], outer_band, inner_band)
+    else:
+        band = np.full(
+            flat.shape, outer_band if num_outer else inner_band
+        )
+    return flat, xg, band
 
 
 def _segment_bounds(
-    token: np.ndarray,
+    slot: np.ndarray,
     band: np.ndarray,
     mag: np.ndarray,
-    tokens: int,
+    slots: int,
     num_bands: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """FP16-rounded per-(token, band) min/max of the outlier magnitudes.
+) -> np.ndarray:
+    """FP16-rounded min/max of the outlier magnitudes per (token, band).
 
-    The COO stream is token-sorted, so each (token, band) group is a set
-    of contiguous-by-token runs; one ``reduceat`` per band over the
-    band's subsequence computes all row bounds in O(nnz) without ever
-    touching the dense matrix.  Empty groups keep the seed convention
+    ``slot = token * num_bands + band`` names each record's group.  The
+    COO stream is token-sorted, so a stable sort by band alone (a radix
+    pass over a 16-bit key) makes every group one contiguous run, and
+    one ``reduceat`` per bound covers all of them in O(nnz) without
+    touching the dense matrix.  A group is empty when no record names
+    it — decided by the run starts, never by a sentinel, so infinite
+    magnitudes reduce like any other — and keeps the seed convention
     ``lo = hi = 0``.
+
+    Returns a ``[2, slots]`` float64 array: row 0 the lower bounds,
+    row 1 the upper.
     """
-    band_lo = np.zeros((tokens, num_bands), dtype=np.float64)
-    band_hi = np.zeros((tokens, num_bands), dtype=np.float64)
-    for b in range(num_bands):
-        sel = band == b
-        if not np.any(sel):
-            continue
-        tok_b = token[sel]
-        mag_b = mag[sel]
-        starts = np.flatnonzero(np.diff(tok_b)) + 1
-        starts = np.concatenate(([0], starts))
-        rows = tok_b[starts]
-        band_lo[rows, b] = _fp16_round(np.minimum.reduceat(mag_b, starts))
-        band_hi[rows, b] = _fp16_round(np.maximum.reduceat(mag_b, starts))
-    return band_lo, band_hi
+    bounds = np.zeros((2, slots), dtype=np.float64)
+    if slot.size == 0:
+        return bounds
+    if num_bands > 1:
+        order = np.argsort(band, kind="stable")
+        slot = slot[order]
+        mag = mag[order]
+    first = np.empty(slot.size, dtype=bool)
+    first[0] = True
+    np.not_equal(slot[1:], slot[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    extremes = np.empty((2, starts.size), dtype=np.float64)
+    np.minimum.reduceat(mag, starts, out=extremes[0])
+    np.maximum.reduceat(mag, starts, out=extremes[1])
+    bounds[:, slot[starts]] = _fp16_round(extremes)
+    return bounds
+
+
+def _edge_index(
+    band: np.ndarray, token: np.ndarray, bands: int, groups: int, rows: int
+) -> np.ndarray:
+    """Where each record's band sits in a plan's block-major
+    ``band_*_edges`` tables, for ``rows`` rows in ``groups`` blocks."""
+    if groups == 1:
+        return band
+    return band + bands * (token // (rows // groups))
 
 
 def _fused_quantize(
-    cfg: OakenConfig,
-    thr: GroupThresholds,
+    plan: _KernelPlan,
+    thresholds: Union[GroupThresholds, Tuple[GroupThresholds, ...]],
     values: np.ndarray,
-    compute_dtype=np.float64,
     scratch: Optional[QuantizeScratch] = None,
 ) -> EncodedKV:
-    """Single-pass fused encode of a [T, D] matrix.
+    """Single-pass fused encode of a [G*T, D] matrix of G row blocks.
 
     Pipeline: COO extraction -> gathered per-band encode (segment
     reductions over outliers only) -> one dense in-place encode pass
     with outlier slots neutralized by an inf-scatter -> fused nibble
-    embed.  With ``compute_dtype=float64`` every emitted array is
-    bit-identical to :func:`repro.core.reference.reference_quantize`.
+    embed.  Every step is row-local or elementwise, so block ``g`` of
+    the result is exactly the encode of block ``g`` under the
+    thresholds ``plan`` was compiled from for it; in float64 every
+    emitted array is bit-identical to
+    :func:`repro.core.reference.reference_quantize`.  ``thresholds``
+    labels the result: the calling quantizer's own objects (plans are
+    shared by value, chunk identity checks are not).
     """
+    cfg = plan.config
     x = np.atleast_2d(np.asarray(values, dtype=np.float64))
     if x.ndim != 2:
         raise ValueError(f"expected a [T, D] matrix, got shape {x.shape}")
-    wdtype = np.dtype(compute_dtype)
+    rows, dim = x.shape
+    groups = plan.groups
+    if rows % groups:
+        raise ValueError(
+            f"{rows} rows do not split into {groups} equal row blocks"
+        )
+    wdtype = plan.wdtype
     xw = x if wdtype == np.float64 else x.astype(wdtype)
-    tokens, dim = x.shape
+    blocks = xw.reshape(groups, rows // groups, dim)
+    bands = cfg.num_sparse_bands
 
     # --- COO stream first ---------------------------------------------------
-    token, pos, band = _outlier_coo(xw, thr)
-    nnz = token.size
-    xg = xw[token, pos].astype(np.float64)
+    # ``flat`` indexes the outlier slots of any [rows, dim] matrix viewed
+    # flat: the value gather and all three scatters below share it.
+    flat, xg, band = _outlier_coo(blocks, plan)
+    token, pos = np.divmod(flat, dim)
+    xg = xg.astype(np.float64, copy=False)
 
     # --- sparse bands: gathered encode on outliers only ---------------------
-    mag_bits = cfg.outlier_bits - 1
-    band_bits = mag_bits if cfg.group_shift else cfg.outlier_bits
-    lo_edges, hi_edges = _band_edges(cfg, thr)
+    slot = token * bands + band
     if cfg.group_shift:
-        mag = np.where(xg > 0, xg - hi_edges[band], lo_edges[band] - xg)
+        edge = _edge_index(band, token, bands, groups, rows)
         side = xg > 0
+        mag = np.where(
+            side, xg - plan.band_hi_edges[edge], plan.band_lo_edges[edge] - xg
+        )
     else:
         mag = xg
-        side = np.zeros(nnz, dtype=bool)
-    band_lo, band_hi = _segment_bounds(
-        token, band, mag, tokens, cfg.num_sparse_bands
+        side = np.zeros(flat.size, dtype=bool)
+    bounds = _segment_bounds(slot, band, mag, rows * bands, bands)
+    sigma = _sigma(bounds[0], bounds[1], plan.band_levels)
+    sparse_mag = (
+        np.rint((mag - bounds[0][slot]) * sigma[slot])
+        .clip(0, plan.band_levels)
+        .astype(np.uint8)
     )
-    lo_g = band_lo[token, band]
-    sigma_g = _sigma(lo_g, band_hi[token, band], band_bits)
-    sparse_mag = np.clip(
-        np.rint((mag - lo_g) * sigma_g), 0, 2**band_bits - 1
-    ).astype(np.uint8)
 
     # --- dense middle group: one in-place pass ------------------------------
-    mid_lo_edge, mid_hi_edge = thr.middle_shift_edges()
-    shift_shape = (tokens, dim)
-    if cfg.group_shift:
-        if scratch is not None:
-            # Build the per-element shift offsets directly in the
-            # scratch buffer, then subtract in place: no full-matrix
-            # allocation survives on the streaming append path.
-            shifted = scratch.array("shifted", shift_shape, wdtype)
-            positive = scratch.array("positive", shift_shape, np.bool_)
-            np.greater(xw, 0, out=positive)
-            np.copyto(shifted, wdtype.type(mid_lo_edge))
-            np.copyto(shifted, wdtype.type(mid_hi_edge), where=positive)
-            np.subtract(xw, shifted, out=shifted)
-        else:
-            edges = np.where(xw > 0, wdtype.type(mid_hi_edge),
-                             wdtype.type(mid_lo_edge))
-            shifted = np.subtract(xw, edges, out=edges)
+    if scratch is not None:
+        # No full-matrix allocation survives on the streaming append path.
+        shifted = scratch.array("shifted", (rows, dim), wdtype)
     else:
-        if scratch is not None:
-            shifted = scratch.array("shifted", shift_shape, wdtype)
-            shifted[...] = xw
-        else:
-            shifted = xw.copy()
+        shifted = np.empty((rows, dim), dtype=wdtype)
+    if cfg.group_shift:
+        # x - copysign(edge, x): where this differs from the seed's
+        # ``x > 0`` select (x = +-0) the slot is an inner-band outlier,
+        # overwritten below.
+        by_block = shifted.reshape(blocks.shape)
+        np.copysign(plan.mid_edge, blocks, out=by_block)
+        np.subtract(blocks, by_block, out=by_block)
+    else:
+        np.copyto(shifted, xw)
 
     # Outlier slots are overwritten after encoding, so they can carry
     # sentinels: +inf is transparent to the row minimum, -inf to the
     # maximum, and -inf clips to code 0 exactly like the seed's masking.
-    shifted[token, pos] = np.inf
-    middle_lo = shifted.min(axis=1).astype(np.float64)
-    shifted[token, pos] = -np.inf
-    middle_hi = shifted.max(axis=1).astype(np.float64)
-    empty_mid = np.bincount(token, minlength=tokens) == dim
+    slots = shifted.reshape(-1)
+    middle = np.empty((2, rows), dtype=wdtype)
+    slots[flat] = np.inf
+    shifted.min(axis=1, out=middle[0])
+    slots[flat] = -np.inf
+    shifted.max(axis=1, out=middle[1])
+    middle = middle.astype(np.float64, copy=False)
+    # A row of outliers only reduced over sentinels alone.
+    empty_mid = middle[0] > middle[1]
     if empty_mid.any():
-        middle_lo[empty_mid] = 0.0
-        middle_hi[empty_mid] = 0.0
-    middle_lo = _fp16_round(middle_lo)
-    middle_hi = _fp16_round(middle_hi)
-    sigma_mid = _sigma(middle_lo, middle_hi, cfg.inlier_bits)
+        middle[:, empty_mid] = 0.0
+    middle = _fp16_round(middle)
+    sigma_mid = _sigma(middle[0], middle[1], plan.mid_levels)
 
-    lo_col = middle_lo.astype(wdtype)[:, None]
-    sigma_col = sigma_mid.astype(wdtype)[:, None]
-    np.subtract(shifted, lo_col, out=shifted)
-    np.multiply(shifted, sigma_col, out=shifted)
+    np.subtract(shifted, middle[0].astype(wdtype)[:, None], out=shifted)
+    np.multiply(shifted, sigma_mid.astype(wdtype)[:, None], out=shifted)
     np.rint(shifted, out=shifted)
-    np.clip(shifted, 0, 2**cfg.inlier_bits - 1, out=shifted)
+    shifted.clip(0, plan.mid_levels, out=shifted)
     dense_codes = shifted.astype(np.uint8)
 
     # --- fused nibble embed / naive FP16 records ----------------------------
     sparse_fp16 = None
     if cfg.fused_encoding:
+        code = sparse_mag
         if cfg.group_shift:
-            full_code = (
-                side.astype(np.uint16) << mag_bits
-            ) | sparse_mag.astype(np.uint16)
-        else:
-            full_code = sparse_mag.astype(np.uint16)
-        nibble = full_code & ((1 << cfg.inlier_bits) - 1)
-        dense_codes[token, pos] = nibble.astype(np.uint8)
+            code = (side.view(np.uint8) << (cfg.outlier_bits - 1)) | code
+        dense_codes.reshape(-1)[flat] = code & ((1 << cfg.inlier_bits) - 1)
     else:
         sparse_fp16 = xg.astype(np.float16)
 
+    middle = middle.astype(np.float32)
+    bounds = bounds.astype(np.float32).reshape(2, rows, bands)
     return EncodedKV(
         config=cfg,
-        thresholds=thr,
+        thresholds=thresholds,
         shape=x.shape,
         dense_codes=dense_codes,
-        middle_lo=middle_lo.astype(np.float32),
-        middle_hi=middle_hi.astype(np.float32),
-        band_lo=band_lo.astype(np.float32),
-        band_hi=band_hi.astype(np.float32),
+        middle_lo=middle[0],
+        middle_hi=middle[1],
+        band_lo=bounds[0],
+        band_hi=bounds[1],
         sparse_token=token,
         sparse_pos=pos,
-        sparse_band=band.astype(np.int16),
+        sparse_band=band,
         sparse_side=side,
         sparse_mag_code=sparse_mag,
         sparse_fp16=sparse_fp16,
     )
 
 
-def _fused_dequantize(
-    cfg: OakenConfig,
-    thr: GroupThresholds,
-    encoded: EncodedKV,
-    compute_dtype=np.float64,
-) -> np.ndarray:
+def _fused_dequantize(plan: _KernelPlan, encoded: EncodedKV) -> np.ndarray:
     """In-place decode of the fused layout back to a float32 matrix."""
-    wdtype = np.dtype(compute_dtype)
+    cfg = plan.config
+    wdtype = plan.wdtype
+    groups = plan.groups
+    rows, dim = encoded.shape
     sigma = _sigma(
         encoded.middle_lo.astype(np.float64),
         encoded.middle_hi.astype(np.float64),
-        cfg.inlier_bits,
+        plan.mid_levels,
     )
     out = encoded.dense_codes.astype(wdtype)
     np.divide(out, sigma.astype(wdtype)[:, None], out=out)
     np.add(out, encoded.middle_lo.astype(wdtype)[:, None], out=out)
-    mid_lo_edge, mid_hi_edge = thr.middle_shift_edges()
     if cfg.group_shift:
-        edges = np.where(out >= 0, wdtype.type(mid_hi_edge),
-                         wdtype.type(mid_lo_edge))
-        np.add(out, edges, out=out)
+        # ``out`` is never -0.0 here (a non-negative code over a positive
+        # scale, plus the bound), so copysign selects as ``out >= 0`` did.
+        by_block = out.reshape(groups, rows // groups, dim)
+        np.add(by_block, np.copysign(plan.mid_edge, by_block), out=by_block)
 
     token = encoded.sparse_token
     pos = encoded.sparse_pos
@@ -346,22 +479,21 @@ def _fused_dequantize(
         if encoded.sparse_fp16 is not None:
             out[token, pos] = encoded.sparse_fp16.astype(wdtype)
         else:
-            band = encoded.sparse_band.astype(np.int64)
-            lo = encoded.band_lo.astype(np.float64)[token, band]
-            hi = encoded.band_hi.astype(np.float64)[token, band]
-            bits = cfg.outlier_bits - 1 if cfg.group_shift else cfg.outlier_bits
-            sigma_g = _sigma(lo, hi, bits)
-            mag = encoded.sparse_mag_code.astype(np.float64) / sigma_g + lo
+            bands = cfg.num_sparse_bands
+            band = encoded.sparse_band
+            slot = token * bands + band
+            lo = encoded.band_lo.astype(np.float64).reshape(-1)
+            hi = encoded.band_hi.astype(np.float64).reshape(-1)
+            sigma = _sigma(lo, hi, plan.band_levels)
+            mag = encoded.sparse_mag_code / sigma[slot] + lo[slot]
             if cfg.group_shift:
-                lo_edges, hi_edges = _band_edges(cfg, thr)
-                restored = np.where(
+                edge = _edge_index(band, token, bands, groups, rows)
+                mag = np.where(
                     encoded.sparse_side,
-                    hi_edges[band] + mag,
-                    lo_edges[band] - mag,
+                    plan.band_hi_edges[edge] + mag,
+                    plan.band_lo_edges[edge] - mag,
                 )
-            else:
-                restored = mag
-            out[token, pos] = restored
+            out[token, pos] = mag
 
     return out.astype(np.float32)
 
@@ -374,7 +506,11 @@ class OakenQuantizer:
             feature toggles).
         thresholds: offline-profiled group thresholds for the tensor
             this quantizer will serve (one quantizer per layer per
-            key/value tensor, per Observation 1).
+            key/value tensor, per Observation 1).  A sequence of G
+            thresholds builds a *row-stacked* quantizer instead: its
+            input is G equal row blocks, block ``g`` quantized under
+            ``thresholds[g]`` — how :class:`LayerEncoder` puts a
+            layer's keys and values through one kernel call.
         mode: the :class:`~repro.core.modes.ComputeMode` precision
             policy (a mode object, a registry name, or a float32/
             float64 dtype-like for backward compatibility).  The
@@ -384,25 +520,26 @@ class OakenQuantizer:
             and may move codes by at most one level for values within
             float32 epsilon of a rounding boundary or group threshold
             (the mode's tolerance contract).
+
+    :meth:`quantize`, :meth:`quantize_into` and :meth:`dequantize` are
+    the only entry points of the fused kernels, and their signatures
+    are frozen: ``benchmarks/e2e`` times the kernels by wrapping exactly
+    these three attributes of this class (see ``docs/engine_api.md``).
     """
 
     def __init__(
         self,
         config: OakenConfig,
-        thresholds: GroupThresholds,
+        thresholds: Union[GroupThresholds, Sequence[GroupThresholds]],
         mode: ComputeModeLike = None,
     ):
-        if thresholds.num_outer_bands != config.num_outer_bands:
-            raise ValueError(
-                "thresholds have a different outer band count than config"
-            )
-        if thresholds.num_inner_bands != config.num_inner_bands:
-            raise ValueError(
-                "thresholds have a different inner band count than config"
-            )
+        single = isinstance(thresholds, GroupThresholds)
+        groups = (thresholds,) if single else tuple(thresholds)
         self.config = config
-        self.thresholds = thresholds
+        self.thresholds = thresholds if single else groups
         self.mode: ComputeMode = resolve_compute_mode(mode, EXACT_F64)
+        # The offline half of both kernels, compiled once.
+        self._plan = _kernel_plan(config, groups, self.mode.compute_dtype)
 
     @property
     def compute_dtype(self) -> np.dtype:
@@ -429,14 +566,13 @@ class OakenQuantizer:
 
         Args:
             values: float array; each row is one token's key or value
-                vector.
+                vector ([G*T, D], G equal row blocks, for a row-stacked
+                quantizer).
 
         Returns:
             The :class:`~repro.core.encoding.EncodedKV` storage layout.
         """
-        return _fused_quantize(
-            self.config, self.thresholds, values, self.compute_dtype
-        )
+        return _fused_quantize(self._plan, self.thresholds, values)
 
     def quantize_into(
         self, values: np.ndarray, scratch: QuantizeScratch
@@ -451,7 +587,7 @@ class OakenQuantizer:
         :class:`EncodedKV` owns its arrays and never aliases scratch.
         """
         return _fused_quantize(
-            self.config, self.thresholds, values, self.compute_dtype, scratch
+            self._plan, self.thresholds, values, scratch
         )
 
     # ------------------------------------------------------------------
@@ -460,9 +596,7 @@ class OakenQuantizer:
 
     def dequantize(self, encoded: EncodedKV) -> np.ndarray:
         """Reconstruct a float32 [T, D] matrix from the encoded layout."""
-        return _fused_dequantize(
-            self.config, self.thresholds, encoded, self.compute_dtype
-        )
+        return _fused_dequantize(self._plan, encoded)
 
     def roundtrip(self, values: np.ndarray) -> np.ndarray:
         """Quantize then dequantize — the lossy transform seen by attention."""
@@ -480,6 +614,101 @@ class OakenQuantizer:
         :func:`expected_effective_bitwidth`.
         """
         return expected_effective_bitwidth(self.config, dim)
+
+
+def _stack(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+class LayerEncoder:
+    """Encodes one layer's freshly generated key and value rows.
+
+    A layer's keys and values are produced together, and the fused
+    kernel is row-local, so when the layer's two quantizers are plain
+    :class:`OakenQuantizer` s of equal config and mode the rows go
+    through **one** kernel call as a ``[keys; values]`` row stack (a
+    row-stacked quantizer over both tensors' thresholds) and come back
+    as per-tensor row-block views.  Any other pair — a subclass pinned
+    to other kernels, the engine-backed datapath models — keeps one
+    ``quantize_into`` call per tensor.  Either way the result is
+    bit-identical to ``(key_quantizer.quantize(keys),
+    value_quantizer.quantize(values))``.
+
+    Owns the one scratch its calls need; the cache layers hold one
+    encoder per layer and never touch ``quantize_into`` themselves.
+    """
+
+    def __init__(self, key_quantizer, value_quantizer) -> None:
+        self.key_quantizer = key_quantizer
+        self.value_quantizer = value_quantizer
+        self.scratch = QuantizeScratch()
+        self.stacked: Optional[OakenQuantizer] = None
+        pair = (key_quantizer, value_quantizer)
+        if (
+            all(type(q) is OakenQuantizer for q in pair)
+            and all(isinstance(q.thresholds, GroupThresholds) for q in pair)
+            and key_quantizer.config == value_quantizer.config
+            and key_quantizer.mode == value_quantizer.mode
+        ):
+            self.stacked = OakenQuantizer(
+                key_quantizer.config,
+                (key_quantizer.thresholds, value_quantizer.thresholds),
+                key_quantizer.mode,
+            )
+
+    @property
+    def kernel_calls(self) -> int:
+        """Kernel calls one :meth:`encode` makes (1 stacked, else 2)."""
+        return 1 if self.stacked is not None else 2
+
+    def encode(
+        self,
+        key_blocks: Sequence[np.ndarray],
+        value_blocks: Sequence[np.ndarray],
+    ) -> Tuple[EncodedKV, EncodedKV]:
+        """Encode row blocks of keys and the matching blocks of values.
+
+        ``key_blocks[i]`` and ``value_blocks[i]`` are same-shape
+        [t_i, D] matrices (callers check); each tensor's blocks are
+        encoded as one [sum t_i, D] matrix.
+        """
+        if self.stacked is None:
+            return (
+                self.key_quantizer.quantize_into(
+                    _stack(key_blocks), self.scratch
+                ),
+                self.value_quantizer.quantize_into(
+                    _stack(value_blocks), self.scratch
+                ),
+            )
+        return tuple(
+            row_block_views(self._encode_stacked(key_blocks, value_blocks))
+        )
+
+    def encode_chunks(
+        self,
+        key_blocks: Sequence[np.ndarray],
+        value_blocks: Sequence[np.ndarray],
+    ) -> Tuple[List[EncodedKV], List[EncodedKV]]:
+        """:meth:`encode`, scattered back: one chunk per input block.
+
+        Returns ``(key_chunks, value_chunks)``, chunk ``i`` the encode
+        of block ``i`` and owning its arrays — what a batched append
+        hands each sequence's cache.
+        """
+        rows = [block.shape[0] for block in key_blocks]
+        if self.stacked is None:
+            keys, values = self.encode(key_blocks, value_blocks)
+            return split_encoded(keys, rows), split_encoded(values, rows)
+        chunks = split_encoded(
+            self._encode_stacked(key_blocks, value_blocks), rows + rows
+        )
+        return chunks[: len(rows)], chunks[len(rows) :]
+
+    def _encode_stacked(self, key_blocks, value_blocks) -> EncodedKV:
+        return self.stacked.quantize_into(
+            np.concatenate([*key_blocks, *value_blocks]), self.scratch
+        )
 
 
 def expected_effective_bitwidth(config: OakenConfig, dim: int) -> float:

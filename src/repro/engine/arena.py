@@ -17,9 +17,10 @@ COO records, addressed by per-row ``(pay_start, pay_len)`` — plus a row
 table mapping ``seq_id -> (row_start, row_len, generation)``.  A
 sequence's cache is a contiguous row-slice:
 
-* ``append_batch`` is one fused encode per tensor followed by a
-  vectorized scatter of the encoded fields into the arena buffers — no
-  per-sequence chunk allocation anywhere on the path.
+* ``append_batch`` is one fused encode (keys stacked over values)
+  followed by a vectorized scatter of the encoded fields into the
+  arena buffers — no per-sequence chunk allocation anywhere on the
+  path.
 * ``read_batch`` is one ragged gather of every requested sequence's
   undecoded rows into a single lazily materialized chunk view
   (:func:`~repro.core.encoding.encoded_rows_view`), one fused decode,
@@ -53,7 +54,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.encoding import EncodedKV, encoded_rows_view, sparse_record_bits
-from repro.core.quantizer import QuantizeScratch
+from repro.core.quantizer import LayerEncoder
 
 __all__ = ["KVArena", "ArenaCacheBackend"]
 
@@ -356,6 +357,7 @@ class _LayerArena:
     def __init__(self, key_quantizer, value_quantizer) -> None:
         self.keys = _TensorArena(key_quantizer)
         self.values = _TensorArena(value_quantizer)
+        self.encoder = LayerEncoder(key_quantizer, value_quantizer)
         self.rows: Dict[Hashable, _RowSlice] = {}
         self.tail = 0
         self.dead_rows = 0
@@ -537,7 +539,6 @@ class KVArena:
             for kq, vq in zip(key_quantizers, value_quantizers)
         ]
         self.compact_watermark = float(compact_watermark)
-        self._scratch = (QuantizeScratch(), QuantizeScratch())
         self._seqs: Dict[Hashable, "ArenaCacheBackend"] = {}
 
     @property
@@ -610,36 +611,28 @@ class KVArena:
         self,
         layer: int,
         items: Sequence[Tuple[Hashable, np.ndarray, np.ndarray]],
-    ) -> None:
-        """One fused encode per tensor, one vectorized scatter.
+    ) -> int:
+        """One fused encode of keys and values, one vectorized scatter.
 
-        ``items`` are ``(seq_id, keys, values)`` row blocks (ragged is
-        fine); encode is row-local, so scattering the merged encode is
-        bit-identical to per-sequence appends in ``items`` order.
+        ``items`` are ``(seq_id, keys, values)`` with ``keys`` and
+        ``values`` same-shape 2-D [t, D] row blocks — the pool and
+        :class:`ArenaCacheBackend` normalize and check them — ragged
+        across items is fine; encode is row-local, so scattering the
+        merged encode is bit-identical to per-sequence appends in
+        ``items`` order.
+
+        Returns the number of kernel calls made (see
+        :attr:`~repro.core.quantizer.LayerEncoder.kernel_calls`).
         """
         store = self.layers[layer]
-        rows = [int(np.atleast_2d(k).shape[0]) for _, k, _ in items]
-        total = sum(rows)
-        if total == 0:
-            return
+        rows = [keys.shape[0] for _, keys, _ in items]
+        if sum(rows) == 0:
+            return 0
         # Encode before touching the row table: a block the kernel
         # refuses (wrong width) must leave every sequence untouched.
-        key_scratch, value_scratch = self._scratch
-        key_blocks = [np.atleast_2d(k) for _, k, _ in items]
-        value_blocks = [np.atleast_2d(v) for _, _, v in items]
-        key_encoded = self._encode(
-            store.keys.quantizer,
-            key_blocks[0]
-            if len(key_blocks) == 1
-            else np.concatenate(key_blocks),
-            key_scratch,
-        )
-        value_encoded = self._encode(
-            store.values.quantizer,
-            value_blocks[0]
-            if len(value_blocks) == 1
-            else np.concatenate(value_blocks),
-            value_scratch,
+        key_encoded, value_encoded = store.encoder.encode(
+            [keys for _, keys, _ in items],
+            [values for _, _, values in items],
         )
         # Reserve every destination first (relocations may shuffle
         # starts), then resolve final target positions.
@@ -675,13 +668,7 @@ class KVArena:
                 slc.charge(
                     _rows_bits(encoded.config, encoded.dim, count, hi - lo)
                 )
-
-    @staticmethod
-    def _encode(quantizer, block: np.ndarray, scratch) -> EncodedKV:
-        quantize_into = getattr(quantizer, "quantize_into", None)
-        if quantize_into is not None:
-            return quantize_into(block, scratch)
-        return quantizer.quantize(block)
+        return store.encoder.kernel_calls
 
     def decode_pending(
         self, layer: int, seq_ids: Sequence[Hashable]

@@ -21,8 +21,10 @@ it).  At single-token decode granularity this turns ``2 * B`` tiny
 [1, D] kernel launches per layer into two [B, D] launches.
 
 ``append_batch`` is the write-side mirror: the freshly generated rows
-of all updated sequences are gathered into one [sum t_i, D] matrix per
-tensor, encoded with a single fused quantize pass, and the resulting
+of all updated sequences are gathered into one matrix — every
+sequence's key rows stacked over every sequence's value rows — encoded
+with a single fused quantize pass
+(:class:`~repro.core.quantizer.LayerEncoder`), and the resulting
 chunks are scattered back to each sequence's cache with
 :func:`~repro.core.encoding.split_encoded`.  The encode is row-local
 (per-token scales, token-ordered COO records), so the scattered chunks
@@ -55,9 +57,8 @@ from typing import (
 
 import numpy as np
 
-from repro.core.encoding import concat_encoded, split_encoded
+from repro.core.encoding import concat_encoded
 from repro.core.kvcache import LayerKVCache, QuantizedKVCache
-from repro.core.quantizer import QuantizeScratch
 from repro.engine.arena import ArenaCacheBackend, KVArena
 from repro.engine.backend import (
     BaselineCacheBackend,
@@ -140,10 +141,6 @@ class KVCachePool:
         self.batched_encodes = 0
         self.batched_roundtrips = 0
         self.batched_append_roundtrips = 0
-        # Reusable fused-encode work buffers (keys, values).  Batch
-        # encodes run sequentially on the pool, so one scratch pair
-        # serves every layer; buffers grow to the largest batch seen.
-        self._append_scratch = (QuantizeScratch(), QuantizeScratch())
 
     # ------------------------------------------------------------------
     # allocation
@@ -487,13 +484,14 @@ class KVCachePool:
         """Append new KV rows to many sequences, one fused encode.
 
         The write-side counterpart of :meth:`read_batch`: all updated
-        sequences' new [t, D] rows are gathered into one matrix per
-        tensor, quantized in a single fused pass, and the encoded
+        sequences' new [t, D] rows are gathered into one matrix (key
+        rows over value rows), quantized in a single fused pass
+        (counted in :attr:`batched_encodes`), and the encoded
         chunks are scattered back to each sequence's layer cache —
         bit-for-bit identical to calling :meth:`append` once per
         sequence, in ``updates`` order.  At single-token decode
         granularity this turns ``2 * B`` tiny [1, D] encodes per layer
-        into two [B, D] encodes.
+        into one [2B, D] encode (keys stacked over values).
 
         Fusion requires caches sharing this layer's fitted quantizers
         (a :func:`~repro.engine.backend.shared_backend_factory` pool)
@@ -553,7 +551,7 @@ class KVCachePool:
         self._check_capacity(first_seq, total_rows)
         if self._arena is not None:
             if entries:
-                self._arena.append_batch(
+                kernel_calls = self._arena.append_batch(
                     layer,
                     [
                         (seq_id, keys, values)
@@ -561,7 +559,7 @@ class KVCachePool:
                     ],
                 )
                 if len(entries) >= 2:
-                    self.batched_encodes += 2
+                    self.batched_encodes += kernel_calls
             self._tier_record_batch(entries, layer)
             return
         if len(entries) < 2:
@@ -613,19 +611,16 @@ class KVCachePool:
         key_blocks: List[np.ndarray],
         value_blocks: List[np.ndarray],
     ) -> None:
-        """Encode every sequence's new rows in one fused pass each for
-        keys and values, then scatter the chunks back."""
-        rows = [block.shape[0] for block in key_blocks]
-        key_scratch, value_scratch = self._append_scratch
-        key_encoded = layers[0].key_quantizer.quantize_into(
-            np.concatenate(key_blocks), key_scratch
+        """Encode every sequence's new rows in one fused pass (keys
+        and values row-stacked when the layer's quantizers allow it),
+        then scatter the chunks back."""
+        # The sequences share this layer's quantizers, hence any one of
+        # their encoders serves the batch.
+        encoder = layers[0].encoder
+        key_chunks, value_chunks = encoder.encode_chunks(
+            key_blocks, value_blocks
         )
-        value_encoded = layers[0].value_quantizer.quantize_into(
-            np.concatenate(value_blocks), value_scratch
-        )
-        self.batched_encodes += 2
-        key_chunks = split_encoded(key_encoded, rows)
-        value_chunks = split_encoded(value_encoded, rows)
+        self.batched_encodes += encoder.kernel_calls
         for layer_cache, key_chunk, value_chunk in zip(
             layers, key_chunks, value_chunks
         ):

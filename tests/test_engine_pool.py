@@ -328,8 +328,9 @@ class TestAppendBatch:
                 for seq_id in range(3)
             },
         )
-        assert pool.batched_encodes == 2  # one per tensor kind
-        assert pool.summary()["batched_encodes"] == 2.0
+        # One merged kernel call: keys and values go in row-stacked.
+        assert pool.batched_encodes == 1
+        assert pool.summary()["batched_encodes"] == 1.0
 
     def test_adapter_backends_fall_back_to_loop(self, calibration):
         factory = shared_backend_factory(

@@ -21,6 +21,7 @@ from repro.core.grouping import MIDDLE_GROUP, assign_groups
 from repro.core.quantizer import (
     OakenQuantizer,
     QuantizeScratch,
+    _kernel_plan,
     _outlier_coo,
 )
 from repro.core.reference import ReferenceOakenQuantizer
@@ -48,6 +49,14 @@ def _pair(config, samples):
         ReferenceOakenQuantizer(config, thresholds),
         OakenQuantizer(config, thresholds),
     )
+
+
+def _coo(x, config, thr):
+    """(token, pos, band) of the fused kernel's sparse stream."""
+    plan = _kernel_plan(config, (thr,), np.dtype(np.float64))
+    flat, _, band = _outlier_coo(x[None], plan)
+    token, pos = np.divmod(flat, x.shape[1])
+    return token, pos, band
 
 
 def assert_encoded_identical(expected, actual):
@@ -159,7 +168,7 @@ class TestLabelEquivalence:
         config = OakenConfig.from_ratio_string("2/2/90/3/3")
         thr = profile_thresholds([x], config)
         labels = assign_groups(x, thr).labels
-        token, pos, band = _outlier_coo(x, thr)
+        token, pos, band = _coo(x, config, thr)
         expected_token, expected_pos = np.nonzero(labels != MIDDLE_GROUP)
         np.testing.assert_array_equal(token, expected_token)
         np.testing.assert_array_equal(pos, expected_pos)
@@ -177,7 +186,7 @@ class TestLabelEquivalence:
         ]
         x = np.array([edges * 4])  # one token, every edge repeated
         labels = assign_groups(x, thr).labels
-        token, pos, band = _outlier_coo(x, thr)
+        token, pos, band = _coo(x, config, thr)
         expected_token, expected_pos = np.nonzero(labels != MIDDLE_GROUP)
         np.testing.assert_array_equal(token, expected_token)
         np.testing.assert_array_equal(pos, expected_pos)

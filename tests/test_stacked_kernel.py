@@ -1,0 +1,403 @@
+"""Differential tests of the row-stacked fused kernel.
+
+A layer's keys and values go through the fused kernel as one
+``[keys; values]`` row stack (:class:`repro.core.quantizer.LayerEncoder`).
+The kernel is row-local, so the stacked encode must equal the two
+per-tensor encodes — and, in ``exact_f64``, the frozen seed encoder in
+:mod:`repro.core.reference` — on every :class:`EncodedKV` field: dtype,
+shape and bytes.  Bytes, not ``==``: a flipped sign of zero or a
+different NaN would be a different stored tensor.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from repro.core.config import TABLE3_CONFIGURATIONS, OakenConfig
+from repro.core.encoding import EncodedKV, row_block_views, split_encoded
+from repro.core.quantizer import LayerEncoder, OakenQuantizer
+from repro.core.reference import ReferenceOakenQuantizer
+from repro.core.thresholds import profile_thresholds
+from repro.engine import KVCachePool, TieredKVStore, shared_backend_factory
+from repro.hardware.datapath import EngineBackedQuantizer
+from repro.hardware.overheads import get_system
+from repro.models.config import get_model
+from repro.serving.request import Request
+from repro.serving.simulator import CacheReplayConfig, _CacheReplay
+
+from conftest import make_kv_matrix
+
+CONFIGS = {
+    f"{ratio}@{bits}": OakenConfig.from_ratio_string(
+        ratio, outlier_bits=bits
+    )
+    for ratio, bits in TABLE3_CONFIGURATIONS
+}
+CONFIGS["no-group-shift"] = OakenConfig(group_shift=False)
+CONFIGS["no-fused-encoding"] = OakenConfig(fused_encoding=False)
+# TABLE3 already holds the one-sided splits; name them so a failure
+# says which structural case broke.
+CONFIGS["no-outer-band"] = OakenConfig.from_ratio_string("90/10")
+CONFIGS["no-inner-band"] = OakenConfig.from_ratio_string("10/90")
+
+MODES = ("exact_f64", "deploy_f32")
+DIMS = (24, 32, 128)
+TOKENS = (1, 2, 6, 50, 200)
+
+_ARRAYS = tuple(
+    field.name
+    for field in dataclasses.fields(EncodedKV)
+    if field.name
+    not in ("config", "thresholds", "shape", "_cached_footprint")
+)
+
+
+def assert_same_encoding(expected, actual, what=""):
+    """Every field equal: config, thresholds, shape, then each array's
+    dtype, shape and bytes."""
+    assert actual.config == expected.config, what
+    assert actual.thresholds == expected.thresholds, what
+    assert actual.shape == expected.shape, what
+    for name in _ARRAYS:
+        want, got = getattr(expected, name), getattr(actual, name)
+        if want is None or got is None:
+            assert want is None and got is None, f"{what}{name}"
+            continue
+        assert got.dtype == want.dtype, f"{what}{name}: dtype"
+        assert got.shape == want.shape, f"{what}{name}: shape"
+        assert got.tobytes() == want.tobytes(), f"{what}{name}: values"
+
+
+def _pair(config, dim, mode, cls=OakenQuantizer):
+    """A layer's key and value quantizers, fitted to different data."""
+    keys = make_kv_matrix(tokens=96, dim=dim, seed=11,
+                          outlier_channels=(3, 17))
+    values = 0.5 * make_kv_matrix(tokens=96, dim=dim, seed=12,
+                                  outlier_channels=(5,))
+    return (
+        cls(config, profile_thresholds([keys], config), mode),
+        cls(config, profile_thresholds([values], config), mode),
+    )
+
+
+def _rows(tokens, dim, seed):
+    return (
+        make_kv_matrix(tokens=tokens, dim=dim, seed=seed,
+                       outlier_channels=(3, 17)),
+        0.5 * make_kv_matrix(tokens=tokens, dim=dim, seed=seed + 1,
+                             outlier_channels=(5,)),
+    )
+
+
+def _hostile(dim, thresholds):
+    """Rows a serving stream can contain and a kernel can trip on."""
+    rng = np.random.default_rng(5)
+    past_outer = 4.0 * max(
+        [abs(t) for t in thresholds.outer_lo + thresholds.outer_hi]
+        + [1.0]
+    )
+    rows = {
+        "all-zero": np.zeros(dim),
+        "zero-variance": np.full(dim, 0.37),
+        "all-outlier": past_outer * rng.choice([-1.0, 1.0], dim),
+        "nan": rng.standard_normal(dim),
+        "pos-inf": rng.standard_normal(dim),
+        "neg-inf": rng.standard_normal(dim),
+        "fp16-overflow": rng.standard_normal(dim),
+        "plain": rng.standard_normal(dim),
+    }
+    rows["nan"][2] = np.nan
+    rows["pos-inf"][3] = np.inf
+    rows["neg-inf"][4] = -np.inf
+    rows["fp16-overflow"][5] = 1.0e5  # FP16 tops out at 65504
+    rows["fp16-overflow"][6] = -3.0e38
+    return np.stack(list(rows.values()))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+class TestStackedEqualsPerTensor:
+    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("tokens", TOKENS)
+    def test_every_field(self, name, mode, dim, tokens):
+        config = CONFIGS[name]
+        key_q, value_q = _pair(config, dim, mode)
+        encoder = LayerEncoder(key_q, value_q)
+        assert encoder.stacked is not None and encoder.kernel_calls == 1
+        keys, values = _rows(tokens, dim, seed=100 + tokens)
+        stacked_keys, stacked_values = encoder.encode([keys], [values])
+        assert_same_encoding(key_q.quantize(keys), stacked_keys, "keys.")
+        assert_same_encoding(
+            value_q.quantize(values), stacked_values, "values."
+        )
+        if mode == "exact_f64":
+            ref_k, ref_v = _pair(config, dim, mode, ReferenceOakenQuantizer)
+            assert_same_encoding(
+                ref_k.quantize(keys), stacked_keys, "ref keys."
+            )
+            assert_same_encoding(
+                ref_v.quantize(values), stacked_values, "ref values."
+            )
+        # The decode of a stacked block is the per-tensor decode.
+        assert (
+            key_q.dequantize(stacked_keys).tobytes()
+            == key_q.roundtrip(keys).tobytes()
+        )
+        assert (
+            value_q.dequantize(stacked_values).tobytes()
+            == value_q.roundtrip(values).tobytes()
+        )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_hostile_rows(self, name, mode):
+        config = CONFIGS[name]
+        dim = 32
+        key_q, value_q = _pair(config, dim, mode)
+        encoder = LayerEncoder(key_q, value_q)
+        keys = _hostile(dim, key_q.thresholds)
+        values = _hostile(dim, value_q.thresholds)[::-1].copy()
+        stacked_keys, stacked_values = encoder.encode([keys], [values])
+        assert_same_encoding(key_q.quantize(keys), stacked_keys, "keys.")
+        assert_same_encoding(
+            value_q.quantize(values), stacked_values, "values."
+        )
+        if mode == "exact_f64":
+            ref_k, ref_v = _pair(config, dim, mode, ReferenceOakenQuantizer)
+            assert_same_encoding(
+                ref_k.quantize(keys), stacked_keys, "ref keys."
+            )
+            assert_same_encoding(
+                ref_v.quantize(values), stacked_values, "ref values."
+            )
+        stacked = encoder.stacked
+        whole = stacked.quantize(np.concatenate([keys, values]))
+        assert (
+            stacked.dequantize(whole).tobytes()
+            == np.concatenate(
+                [key_q.roundtrip(keys), value_q.roundtrip(values)]
+            ).tobytes()
+        )
+
+
+class TestRowBlocks:
+    """The two ways a stacked encode is handed back."""
+
+    def test_views_carry_their_own_thresholds(self):
+        key_q, value_q = _pair(OakenConfig(), 32, "deploy_f32")
+        encoder = LayerEncoder(key_q, value_q)
+        keys, values = _rows(6, 32, seed=3)
+        whole = encoder.stacked.quantize(np.concatenate([keys, values]))
+        assert whole.thresholds == (key_q.thresholds, value_q.thresholds)
+        key_block, value_block = row_block_views(whole)
+        assert key_block.thresholds is key_q.thresholds
+        assert value_block.thresholds is value_q.thresholds
+        assert key_block.dense_codes.base is not None  # a view
+
+    def test_chunks_match_per_sequence_encodes(self):
+        key_q, value_q = _pair(OakenConfig(), 32, "deploy_f32")
+        encoder = LayerEncoder(key_q, value_q)
+        keys, values = _rows(7, 32, seed=4)
+        counts = [1, 0, 4, 2]
+        bounds = np.cumsum([0] + counts)
+        key_blocks = [keys[a:b] for a, b in zip(bounds, bounds[1:])]
+        value_blocks = [values[a:b] for a, b in zip(bounds, bounds[1:])]
+        key_chunks, value_chunks = encoder.encode_chunks(
+            key_blocks, value_blocks
+        )
+        for block, chunk in zip(key_blocks, key_chunks):
+            assert_same_encoding(key_q.quantize(block), chunk)
+            assert chunk.dense_codes.base is None  # owns its arrays
+        for block, chunk in zip(value_blocks, value_chunks):
+            assert_same_encoding(value_q.quantize(block), chunk)
+
+    def test_chunk_may_not_straddle_blocks(self):
+        key_q, value_q = _pair(OakenConfig(), 32, "deploy_f32")
+        encoder = LayerEncoder(key_q, value_q)
+        keys, values = _rows(4, 32, seed=5)
+        whole = encoder.stacked.quantize(np.concatenate([keys, values]))
+        with pytest.raises(ValueError, match="straddle"):
+            split_encoded(whole, [3, 2, 3])
+
+    def test_uneven_stack_rejected(self):
+        key_q, value_q = _pair(OakenConfig(), 32, "deploy_f32")
+        stacked = LayerEncoder(key_q, value_q).stacked
+        with pytest.raises(ValueError, match="equal row blocks"):
+            stacked.quantize(np.zeros((5, 32)))
+
+
+class TestPairing:
+    """Which quantizer pairs share a kernel call."""
+
+    def test_other_kernels_keep_their_per_tensor_path(self):
+        key_q, value_q = _pair(
+            OakenConfig(), 32, "exact_f64", ReferenceOakenQuantizer
+        )
+        encoder = LayerEncoder(key_q, value_q)
+        assert encoder.stacked is None and encoder.kernel_calls == 2
+        keys, values = _rows(3, 32, seed=6)
+        got_keys, got_values = encoder.encode([keys], [values])
+        assert_same_encoding(key_q.quantize(keys), got_keys)
+        assert_same_encoding(value_q.quantize(values), got_values)
+
+    def test_unequal_config_or_mode_is_not_paired(self):
+        key_q, _ = _pair(OakenConfig(), 32, "exact_f64")
+        _, other_mode = _pair(OakenConfig(), 32, "deploy_f32")
+        _, other_config = _pair(OakenConfig(outlier_bits=4), 32, "exact_f64")
+        assert LayerEncoder(key_q, other_mode).stacked is None
+        assert LayerEncoder(key_q, other_config).stacked is None
+
+
+# -- call-count guard ---------------------------------------------------
+#
+# One kernel call per layer per append, wherever a layer's rows are
+# encoded — so a per-tensor call cannot silently come back.
+
+LAYERS = 2
+DIM = 16
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Every encode-kernel entry as ``(class, method, input rows)``."""
+    calls = []
+    for owner, names in (
+        (OakenQuantizer, ("quantize", "quantize_into")),
+        # (its quantize_into forwards to its own quantize)
+        (EngineBackedQuantizer, ("quantize_into",)),
+    ):
+        for name in names:
+            original = vars(owner)[name]
+
+            def counting(self, values, *args, _o=original, _n=name):
+                calls.append(
+                    (type(self).__name__, _n, np.atleast_2d(values).shape[0])
+                )
+                return _o(self, values, *args)
+
+            monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def calibration():
+    return [
+        (
+            make_kv_matrix(tokens=48, dim=DIM, seed=70 + layer,
+                           outlier_channels=(1, 5)),
+            make_kv_matrix(tokens=48, dim=DIM, seed=80 + layer,
+                           outlier_channels=(1, 5)),
+        )
+        for layer in range(LAYERS)
+    ]
+
+
+def _pool(calibration, store, kind="auto"):
+    factory = shared_backend_factory(
+        "oaken", kind, calibration=calibration, mode="deploy_f32"
+    )
+    tiering = None
+    if store == "tiered":
+        tiering = TieredKVStore(device_budget_bytes=2048.0, page_bytes=256.0)
+    return KVCachePool(factory, tiering=tiering, arena=store == "arena")
+
+
+def _updates(seq_ids, rows, seed):
+    rng = np.random.default_rng(seed)
+    return {
+        seq_id: (
+            rng.standard_normal((rows, DIM)).astype(np.float32),
+            rng.standard_normal((rows, DIM)).astype(np.float32),
+        )
+        for seq_id in seq_ids
+    }
+
+
+class TestOneKernelCallPerLayer:
+    @pytest.mark.parametrize("store", ["arena", "chunked", "tiered"])
+    def test_pool_append_and_append_batch(
+        self, calibration, kernel_calls, store
+    ):
+        pool = _pool(calibration, store)
+        seq_ids = [0, 1, 2]
+        for seq_id in seq_ids:
+            pool.allocate(seq_id)
+        for layer in range(LAYERS):
+            # The prompt path: one sequence, many rows.
+            del kernel_calls[:]
+            keys, values = _updates([0], 5, seed=layer)[0]
+            pool.append(0, layer, keys, values)
+            assert kernel_calls == [("OakenQuantizer", "quantize_into", 10)]
+            # The decode path: many sequences, one row each.
+            del kernel_calls[:]
+            before = pool.batched_encodes
+            pool.append_batch(layer, _updates(seq_ids, 1, seed=9 + layer))
+            assert kernel_calls == [("OakenQuantizer", "quantize_into", 6)]
+            assert pool.batched_encodes == before + 1
+        pool.check_invariants()
+
+    def test_chunks_carry_the_right_tensors_thresholds(
+        self, calibration, kernel_calls
+    ):
+        pool = _pool(calibration, "chunked")
+        for seq_id in (0, 1):
+            pool.allocate(seq_id)
+        pool.append(0, 0, *_updates([0], 3, seed=1)[0])
+        pool.append_batch(0, _updates([0, 1], 1, seed=2))
+        for seq_id in (0, 1):
+            layer = pool.get(seq_id).layers[0]
+            assert layer.key_quantizer.thresholds != (
+                layer.value_quantizer.thresholds
+            )
+            for chunk in layer._key_chunks:
+                assert chunk.thresholds is layer.key_quantizer.thresholds
+            for chunk in layer._value_chunks:
+                assert chunk.thresholds is layer.value_quantizer.thresholds
+
+    def _replay(self, **overrides):
+        config = CacheReplayConfig(
+            num_layers=LAYERS, dim=DIM, prompt_rows=4, **overrides
+        )
+        engine = _CacheReplay(
+            config, get_system("oaken-hbm"), get_model("llama2-13b").arch
+        )
+        requests = [
+            Request(request_id=rid, arrival_s=0.0, input_tokens=32,
+                    output_tokens=8)
+            for rid in range(3)
+        ]
+        for request in requests:
+            engine.admit(request)
+        return engine, requests
+
+    @pytest.mark.parametrize("arena", [False, True])
+    def test_one_replay_step(self, kernel_calls, arena):
+        engine, requests = self._replay(arena=arena)
+        del kernel_calls[:]
+        engine.step(requests)
+        assert kernel_calls == (
+            [("OakenQuantizer", "quantize_into", 6)] * LAYERS
+        )
+        assert 0 < engine.pool.batched_encodes <= engine.batched_appends
+
+    def test_engine_backed_replay_keeps_two_calls(self, kernel_calls):
+        """The datapath models count cycles per tensor: untouched."""
+        engine, requests = self._replay(engine_cycles=True)
+        del kernel_calls[:]
+        engine.step(requests)
+        assert kernel_calls == (
+            [("EngineBackedQuantizer", "quantize_into", 3)] * 2 * LAYERS
+        )
+        assert engine.pool.batched_encodes == 2 * LAYERS
+
+    def test_adapter_pool_is_untouched(self, calibration, kernel_calls):
+        """Adapter pools roundtrip per tensor through ``quantize``."""
+        pool = _pool(calibration, "chunked", kind="adapter")
+        seq_ids = [0, 1, 2]
+        for seq_id in seq_ids:
+            pool.allocate(seq_id)
+        pool.append_batch(0, _updates(seq_ids, 1, seed=3))
+        assert kernel_calls == [("OakenQuantizer", "quantize", 3)] * 2
+        assert pool.batched_encodes == 0
