@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -634,8 +634,21 @@ class LayerEncoder:
     bit-identical to ``(key_quantizer.quantize(keys),
     value_quantizer.quantize(values))``.
 
+    The stack/no-stack decision is :attr:`parts`, and it is made here
+    only.  A store that keeps keys and values side by side on a K|V
+    axis (the arena) takes the encode as it leaves the kernel
+    (:meth:`encode_parts`) and hands stored rows back for the decode
+    half (:meth:`decode_parts`): one kernel call each way when the pair
+    stacks, one per tensor otherwise, through the same store methods.
+
     Owns the one scratch its calls need; the cache layers hold one
-    encoder per layer and never touch ``quantize_into`` themselves.
+    encoder per layer and never touch the kernel entry points
+    themselves.
+
+    Attributes:
+        parts: ``(tensors, quantizer)`` per kernel call — ``tensors``
+            the slice of the K|V axis (0 keys, 1 values) whose rows
+            ``quantizer`` encodes and decodes as equal row blocks.
     """
 
     def __init__(self, key_quantizer, value_quantizer) -> None:
@@ -655,11 +668,17 @@ class LayerEncoder:
                 (key_quantizer.thresholds, value_quantizer.thresholds),
                 key_quantizer.mode,
             )
+        self.parts: Tuple[Tuple[slice, OakenQuantizer], ...] = (
+            ((slice(0, 2), self.stacked),)
+            if self.stacked is not None
+            else ((slice(0, 1), key_quantizer), (slice(1, 2), value_quantizer))
+        )
 
     @property
     def kernel_calls(self) -> int:
-        """Kernel calls one :meth:`encode` makes (1 stacked, else 2)."""
-        return 1 if self.stacked is not None else 2
+        """Kernel calls one encode, or one decode, makes (1 stacked,
+        else 2)."""
+        return len(self.parts)
 
     def encode(
         self,
@@ -704,6 +723,41 @@ class LayerEncoder:
             self._encode_stacked(key_blocks, value_blocks), rows + rows
         )
         return chunks[: len(rows)], chunks[len(rows) :]
+
+    def encode_parts(
+        self,
+        key_blocks: Sequence[np.ndarray],
+        value_blocks: Sequence[np.ndarray],
+    ) -> List[Tuple[slice, EncodedKV]]:
+        """:meth:`encode` for a K|V-axis row store: one ``(tensors,
+        encoded)`` per kernel call (see :attr:`parts`) — stacked, the
+        ``[keys; values]`` encode exactly as the kernel emits it."""
+        encodes = (
+            (self._encode_stacked(key_blocks, value_blocks),)
+            if self.stacked is not None
+            else self.encode(key_blocks, value_blocks)
+        )
+        return [
+            (tensors, encoded)
+            for (tensors, _), encoded in zip(self.parts, encodes)
+        ]
+
+    def decode_parts(
+        self, gather: Callable[[slice, OakenQuantizer], EncodedKV]
+    ) -> List[Tuple[slice, np.ndarray]]:
+        """The decode half: one ``dequantize`` per kernel call.
+
+        ``gather(tensors, quantizer)`` returns the stored rows of
+        ``tensors`` as equal row blocks (``[K rows; V rows]`` when the
+        slice spans both), labelled with ``quantizer``'s config and
+        thresholds; the result pairs each slice with its float32
+        ``[blocks * rows, D]`` decode — bit-identical, row for row, to
+        the two per-tensor decodes.
+        """
+        return [
+            (tensors, quantizer.dequantize(gather(tensors, quantizer)))
+            for tensors, quantizer in self.parts
+        ]
 
     def _encode_stacked(self, key_blocks, value_blocks) -> EncodedKV:
         return self.stacked.quantize_into(

@@ -9,27 +9,37 @@ loop's dominant cost: every batched append allocates one chunk (ten
 small arrays plus a dataclass) per sequence per tensor, and every
 batched read concatenates per-sequence chunk lists field by field.
 
-:class:`KVArena` removes the object traffic.  Per decoder layer it
-keeps one preallocated, capacity-doubling structure-of-arrays store per
-tensor — dense codes ``[cap, D]``, per-token scale bounds ``[cap]`` /
-``[cap, B]``, and an append-only packed payload log holding the sparse
-COO records, addressed by per-row ``(pay_start, pay_len)`` — plus a row
-table mapping ``seq_id -> (row_start, row_len, generation)``.  A
-sequence's cache is a contiguous row-slice:
+:class:`KVArena` removes the object traffic, in two levels.  The
+arena owns the one row table, ``seq_id -> (start, cap, generation,
+bits, elements, per-layer length/decoded)``: a sequence's cache is the
+same contiguous row-slice in every layer (the paper's MMU keeps a
+layer's keys and values in one address space behind one table; so does
+this).  Each decoder layer owns one preallocated, capacity-doubling
+structure-of-arrays store whose row-parallel buffers carry a K|V axis
+— dense codes ``[2, cap, D]``, per-token scale bounds ``[2, cap]`` /
+``[2, cap, B]`` — over one append-only packed payload log holding the
+sparse COO records of both tensors, addressed by per-row
+``(pay_start, pay_len)``:
 
 * ``append_batch`` is one fused encode (keys stacked over values)
-  followed by a vectorized scatter of the encoded fields into the
-  arena buffers — no per-sequence chunk allocation anywhere on the
+  followed by one vectorized scatter of that ``[keys; values]`` stack,
+  as it leaves the kernel, into the layer's buffers — no per-sequence
+  chunk allocation and no split back into tensors anywhere on the
   path.
 * ``read_batch`` is one ragged gather of every requested sequence's
-  undecoded rows into a single lazily materialized chunk view
-  (:func:`~repro.core.encoding.encoded_rows_view`), one fused decode,
-  and one scatter into the decoded-row mirror; reads then serve
-  zero-copy row-slice views.
+  undecoded ``[K rows; V rows]`` into a single lazily materialized
+  chunk view (:func:`~repro.core.encoding.encoded_rows_view`), one
+  stacked decode, and one scatter into the decoded-row mirror; reads
+  then serve zero-copy row-slice views.
 * ``free`` marks the sequence's rows dead; when dead rows exceed a
-  deterministic watermark fraction of the arena the store compacts,
-  rewriting live rows (and their payload records) front-to-back and
-  bumping every sequence's ``generation``.
+  deterministic watermark fraction of the arena the arena compacts,
+  rewriting every layer's live rows (and their payload records)
+  front-to-back and bumping every sequence's ``generation``.
+
+Whether a layer's keys and values can share a kernel call is
+:class:`~repro.core.quantizer.LayerEncoder`'s decision
+(``encoder.parts``); a pair that cannot goes through the same store
+methods one tensor at a time.
 
 Bit-exactness is the design constraint, not a best-effort property:
 the arena stores exactly the arrays :class:`EncodedKV` stores (float32
@@ -49,240 +59,227 @@ which sharing's refcounts need, simply does not exist in a flat arena.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.encoding import EncodedKV, encoded_rows_view, sparse_record_bits
+from repro.core.encoding import (
+    EncodedKV,
+    encoded_rows_view,
+    sparse_record_bits,
+)
 from repro.core.quantizer import LayerEncoder
 
 __all__ = ["KVArena", "ArenaCacheBackend"]
 
 #: Smallest per-sequence row-slice capacity (doubles from here).
 _MIN_ROWS = 8
+#: Dead-row fraction of the arena extent past which ``free`` compacts.
+_COMPACT_WATERMARK = 0.25
 #: Initial arena row-buffer capacity (doubles from here).
 _MIN_ARENA_ROWS = 256
 #: Initial payload-log capacity in records (doubles from here).
 _MIN_LOG_RECORDS = 256
 
+#: :class:`EncodedKV`'s row-parallel and per-record arrays; a layer
+#: store keeps each under its own name.
+_ROW_FIELDS = ("dense_codes", "middle_lo", "middle_hi", "band_lo", "band_hi")
+_RECORD_FIELDS = (
+    "sparse_pos", "sparse_band", "sparse_side", "sparse_mag_code",
+    "sparse_fp16",
+)
 
-def _rows_bits(
-    config, dim: int, rows: int, outliers: int
-) -> Tuple[int, int]:
-    """``(total_bits, element_count)`` of ``rows`` encoded rows holding
-    ``outliers`` sparse records: :meth:`EncodedKV.footprint_bits` in
-    closed form, so arena byte accounting is bit-identical to the
-    chunked pool's."""
-    elements = rows * dim
-    bits = (
-        elements * config.inlier_bits
-        + outliers * sparse_record_bits(config)
-        + rows * config.token_metadata_bits
-    )
-    return bits, elements
+
+def _ranges(starts, lens) -> np.ndarray:
+    """``arange(s, s + n)`` for every ``(s, n)`` pair, concatenated."""
+    lens = np.asarray(lens, dtype=np.int64)
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if ends.size else 0
+    first = np.asarray(starts, dtype=np.int64) - (ends - lens)
+    return np.repeat(first, lens) + np.arange(total)
+
+
+def _flat(buf: np.ndarray) -> np.ndarray:
+    """A ``[2, cap, ...]`` K|V buffer viewed as ``[2 * cap, ...]``:
+    keys' rows, then values'.  One leading-axis index over this view
+    is numpy's fast take/put path; ``buf[tensors, idx]`` is not."""
+    return buf.reshape((-1,) + buf.shape[2:])
+
+
+def _positions(tensors: slice, idx: np.ndarray, cap: int) -> np.ndarray:
+    """Rows ``idx`` of each tensor in ``tensors``, as :func:`_flat`
+    positions of ``cap``-row buffers (tensor-major: K rows, V rows)."""
+    first = np.arange(tensors.start, tensors.stop)[:, None] * cap
+    return (first + idx).ravel()
+
+
+def _item_bits(
+    encoded: EncodedKV, rows: Sequence[int]
+) -> Tuple[List[int], List[int]]:
+    """Per-item ``(bits, elements)`` of one batched encode.
+
+    ``encoded`` is one or more equal row blocks (keys, values, or keys
+    over values), each holding the items' ``rows`` in order.  This is
+    :meth:`EncodedKV.footprint_bits` in closed form, so arena byte
+    accounting is bit-identical to the chunked pool's: the COO stream
+    is token-major, so an item's records are one contiguous run per
+    block, counted for every item by one ``searchsorted``.
+    """
+    config = encoded.config
+    ends = np.cumsum(rows)
+    total = int(ends[-1])
+    blocks = encoded.num_tokens // total
+    # Where each item's run ends in each block; a run starts where the
+    # previous one (the previous block's last) ended.
+    edges = np.add.outer(np.arange(0, blocks * total, total), ends)
+    runs = np.searchsorted(encoded.sparse_token, edges.ravel())
+    runs[1:] -= runs[:-1]
+    outliers = runs.reshape(edges.shape).sum(axis=0)
+    tokens = blocks * np.asarray(rows)
+    per_token = encoded.dim * config.inlier_bits + config.token_metadata_bits
+    bits = tokens * per_token + outliers * sparse_record_bits(config)
+    return bits.tolist(), (tokens * encoded.dim).tolist()
 
 
 class _RowSlice:
-    """One sequence's contiguous row range in a layer's arena."""
+    """One sequence's contiguous row range, the same in every layer."""
 
     __slots__ = (
-        "start", "length", "cap", "decoded", "generation",
-        "bits", "elements",
+        "start", "cap", "generation", "bits", "elements",
+        "length", "decoded",
     )
 
-    def __init__(self, start: int, cap: int) -> None:
+    def __init__(self, start: int, num_layers: int) -> None:
         self.start = start
-        self.length = 0
-        self.cap = cap
-        #: Rows [0, decoded) have current entries in the decoded mirror.
-        self.decoded = 0
+        self.cap = 0
         #: Bumped every time the slice relocates (growth or compaction).
         self.generation = 0
-        #: Running encoded footprint of rows [0, length), keys plus
-        #: values, as exact integers: grown by appends and fork copies,
-        #: untouched by relocation and compaction, gone with the slice.
+        #: Running encoded footprint of the written rows, keys plus
+        #: values over all layers, as exact integers: grown by appends
+        #: and fork copies, untouched by relocation and compaction,
+        #: gone with the slice.
         self.bits = 0
         self.elements = 0
+        #: Per layer: rows [0, length) are written, rows [0, decoded)
+        #: have current entries in the decoded mirror.
+        self.length = [0] * num_layers
+        self.decoded = [0] * num_layers
 
-    def charge(self, footprint: Tuple[int, int]) -> None:
-        """Add newly written rows' ``(bits, elements)``."""
-        self.bits += footprint[0]
-        self.elements += footprint[1]
 
+class _LayerStore:
+    """One layer's rows, keys and values side by side.
 
-class _TensorArena:
-    """SoA buffers for one tensor (keys or values) of one layer.
-
-    Row-parallel arrays are indexed by arena row; the payload log is an
-    append-only record store addressed through ``pay_start``/``pay_len``
-    (records of one row are contiguous and token-ordered, records of
-    different rows need not be adjacent — relocation moves row metadata,
-    never payload; only compaction rewrites the log).
+    Row-parallel buffers are ``[2, cap, ...]`` — axis 0 is K|V (0 keys,
+    1 values), axis 1 the arena row — so the ``[keys; values]`` stack
+    the kernel emits scatters in, and gathers back out, as it is.  The
+    payload log is one append-only record store for both tensors,
+    addressed through ``pay_start``/``pay_len`` (records of one row are
+    contiguous and token-ordered, records of different rows need not be
+    adjacent — relocation moves row metadata, never payload; only
+    compaction rewrites the log).  Where rows live is the arena's
+    business: the store is told positions, it keeps no geometry.
     """
 
-    _ROW_FIELDS = (
-        "dense",
-        "middle_lo",
-        "middle_hi",
-        "band_lo",
-        "band_hi",
-        "pay_start",
-        "pay_len",
-        "decoded",
-    )
-    _LOG_FIELDS = ("log_pos", "log_band", "log_side", "log_mag", "log_fp16")
-
-    def __init__(self, quantizer) -> None:
-        self.quantizer = quantizer
-        self.dense: Optional[np.ndarray] = None
-        self.middle_lo: Optional[np.ndarray] = None
-        self.middle_hi: Optional[np.ndarray] = None
-        self.band_lo: Optional[np.ndarray] = None
-        self.band_hi: Optional[np.ndarray] = None
-        self.pay_start: Optional[np.ndarray] = None
-        self.pay_len: Optional[np.ndarray] = None
-        self.decoded: Optional[np.ndarray] = None
-        self.log_pos: Optional[np.ndarray] = None
-        self.log_band: Optional[np.ndarray] = None
-        self.log_side: Optional[np.ndarray] = None
-        self.log_mag: Optional[np.ndarray] = None
-        self.log_fp16: Optional[np.ndarray] = None
+    def __init__(self, key_quantizer, value_quantizer) -> None:
+        if key_quantizer.config != value_quantizer.config:
+            raise ValueError(
+                "a layer's key and value quantizers must share one "
+                "config (their rows share one set of buffers)"
+            )
+        self.encoder = LayerEncoder(key_quantizer, value_quantizer)
+        #: Row-parallel buffers: :data:`_ROW_FIELDS`, ``pay_start``,
+        #: ``pay_len`` and the ``decoded`` float32 mirror.
+        self.rows: Dict[str, np.ndarray] = {}
+        #: Payload log: the :data:`_RECORD_FIELDS` the config emits.
+        self.log: Dict[str, np.ndarray] = {}
         self.log_len = 0
-        self._has_fp16 = False
 
     @property
-    def row_capacity(self) -> int:
-        return 0 if self.dense is None else self.dense.shape[0]
-
-    def init_buffers(self, template: EncodedKV, rows: int) -> None:
-        """Shape the buffers from the first encoded batch seen."""
-        if self.dense is not None:
-            return
-        dim = template.dim
-        bands = template.band_lo.shape[1]
-        cap = max(_MIN_ARENA_ROWS, rows)
-        self.dense = np.empty((cap, dim), dtype=template.dense_codes.dtype)
-        self.middle_lo = np.empty(cap, dtype=template.middle_lo.dtype)
-        self.middle_hi = np.empty(cap, dtype=template.middle_hi.dtype)
-        self.band_lo = np.empty((cap, bands), dtype=template.band_lo.dtype)
-        self.band_hi = np.empty((cap, bands), dtype=template.band_hi.dtype)
-        self.pay_start = np.zeros(cap, dtype=np.int64)
-        self.pay_len = np.zeros(cap, dtype=np.int64)
-        self.decoded = np.empty((cap, dim), dtype=np.float32)
-        log_cap = _MIN_LOG_RECORDS
-        self.log_pos = np.empty(log_cap, dtype=template.sparse_pos.dtype)
-        self.log_band = np.empty(log_cap, dtype=template.sparse_band.dtype)
-        self.log_side = np.empty(log_cap, dtype=template.sparse_side.dtype)
-        self.log_mag = np.empty(
-            log_cap, dtype=template.sparse_mag_code.dtype
-        )
-        self._has_fp16 = template.sparse_fp16 is not None
-        if self._has_fp16:
-            self.log_fp16 = np.empty(
-                log_cap, dtype=template.sparse_fp16.dtype
-            )
+    def decoded(self) -> np.ndarray:
+        return self.rows["decoded"]
 
     def grow_rows(self, need: int) -> None:
         """Double the row-parallel buffers until ``need`` rows fit."""
-        cap = self.row_capacity
-        if need <= cap:
+        if not self.rows:
             return
-        new_cap = max(cap * 2, need, _MIN_ARENA_ROWS)
-        for name in self._ROW_FIELDS:
-            old = getattr(self, name)
-            shape = (new_cap,) + old.shape[1:]
-            grown = np.empty(shape, dtype=old.dtype)
-            grown[:cap] = old[:cap]
-            setattr(self, name, grown)
-
-    def copy_rows(self, src_lo: int, src_hi: int, dst_lo: int) -> None:
-        """Move a row range's metadata (relocation; payload stays put)."""
-        count = src_hi - src_lo
-        for name in self._ROW_FIELDS:
-            buf = getattr(self, name)
-            buf[dst_lo : dst_lo + count] = buf[src_lo:src_hi]
-
-    def _grow_log(self, extra: int) -> None:
-        cap = self.log_pos.shape[0]
-        need = self.log_len + extra
+        cap = self.decoded.shape[1]
         if need <= cap:
             return
         new_cap = max(cap * 2, need)
-        fields: List[str] = list(self._LOG_FIELDS)
-        if not self._has_fp16:
-            fields.remove("log_fp16")
-        for name in fields:
-            old = getattr(self, name)
-            grown = np.empty(new_cap, dtype=old.dtype)
-            grown[: self.log_len] = old[: self.log_len]
-            setattr(self, name, grown)
+        for name, old in self.rows.items():
+            grown = np.empty((2, new_cap) + old.shape[2:], dtype=old.dtype)
+            grown[:, :cap] = old
+            self.rows[name] = grown
 
-    def write(self, idx: np.ndarray, encoded: EncodedKV) -> None:
-        """Scatter one encoded batch's rows into arena positions ``idx``.
+    def move_rows(self, src: int, dst: int, count: int) -> None:
+        """Move a row range's metadata (relocation; payload stays put)."""
+        for buf in self.rows.values():
+            buf[:, dst : dst + count] = buf[:, src : src + count]
 
-        ``idx[i]`` receives encoded row ``i``; the batch's COO records
-        are appended to the payload log in token order, so every row's
-        records stay contiguous.
+    def write(
+        self, tensors: slice, idx: np.ndarray, encoded: EncodedKV
+    ) -> None:
+        """Scatter an encode's row blocks into rows ``idx`` of ``tensors``.
+
+        ``encoded`` holds one ``len(idx)``-row block per tensor of the
+        K|V-axis slice ``tensors``; ``idx[i]`` receives row ``i`` of
+        each.  The COO records are appended to the payload log in
+        token order, so every row's records stay contiguous.
         """
-        self.init_buffers(encoded, int(idx.max(initial=0)) + 1)
-        self.grow_rows(int(idx.max(initial=0)) + 1)
-        self.dense[idx] = encoded.dense_codes
-        self.middle_lo[idx] = encoded.middle_lo
-        self.middle_hi[idx] = encoded.middle_hi
-        self.band_lo[idx] = encoded.band_lo
-        self.band_hi[idx] = encoded.band_hi
-        lens = np.bincount(
-            encoded.sparse_token, minlength=encoded.num_tokens
-        ).astype(np.int64)
-        self.pay_len[idx] = lens
-        self.pay_start[idx] = self.log_len + np.concatenate(
-            ([0], np.cumsum(lens[:-1]))
-        ) if lens.size else self.log_len
-        nnz = encoded.num_outliers
-        if nnz:
-            self._grow_log(nnz)
-            lo, hi = self.log_len, self.log_len + nnz
-            self.log_pos[lo:hi] = encoded.sparse_pos
-            self.log_band[lo:hi] = encoded.sparse_band
-            self.log_side[lo:hi] = encoded.sparse_side
-            self.log_mag[lo:hi] = encoded.sparse_mag_code
-            if self._has_fp16:
-                self.log_fp16[lo:hi] = encoded.sparse_fp16
+        need = int(idx.max()) + 1
+        if not self.rows:
+            # Shape the buffers from the first encoded batch seen.
+            cap = max(_MIN_ARENA_ROWS, need)
+            for name in _ROW_FIELDS:
+                field = getattr(encoded, name)
+                self.rows[name] = np.empty(
+                    (2, cap) + field.shape[1:], dtype=field.dtype
+                )
+            self.rows["pay_start"] = np.zeros((2, cap), dtype=np.int64)
+            self.rows["pay_len"] = np.zeros((2, cap), dtype=np.int64)
+            self.rows["decoded"] = np.empty(
+                (2, cap, encoded.dim), dtype=np.float32
+            )
+            for name in _RECORD_FIELDS:
+                field = getattr(encoded, name)
+                if field is not None:
+                    self.log[name] = np.empty(
+                        _MIN_LOG_RECORDS, dtype=field.dtype
+                    )
+        self.grow_rows(need)
+        at = _positions(tensors, idx, self.decoded.shape[1])
+        for name in _ROW_FIELDS:
+            _flat(self.rows[name])[at] = getattr(encoded, name)
+        lens = np.bincount(encoded.sparse_token, minlength=at.size)
+        _flat(self.rows["pay_len"])[at] = lens
+        _flat(self.rows["pay_start"])[at] = (
+            self.log_len + np.cumsum(lens) - lens
+        )
+        lo, hi = self.log_len, self.log_len + encoded.num_outliers
+        if hi > lo:
+            for name, old in self.log.items():
+                if hi > old.shape[0]:
+                    grown = np.empty(max(old.shape[0] * 2, hi), old.dtype)
+                    grown[:lo] = old[:lo]
+                    self.log[name] = old = grown
+                old[lo:hi] = getattr(encoded, name)
             self.log_len = hi
 
-    def gather(self, idx: np.ndarray) -> EncodedKV:
-        """Materialize one lazy chunk view over arena rows ``idx``."""
-        lens = self.pay_len[idx]
-        total = int(lens.sum())
-        if total:
-            offsets = np.concatenate(([0], np.cumsum(lens)[:-1]))
-            rec = np.repeat(self.pay_start[idx] - offsets, lens)
-            rec += np.arange(total, dtype=np.int64)
-            sparse = (
-                self.log_pos[rec],
-                self.log_band[rec],
-                self.log_side[rec],
-                self.log_mag[rec],
-                self.log_fp16[rec] if self._has_fp16 else None,
-            )
-        else:
-            sparse = (
-                self.log_pos[:0],
-                self.log_band[:0],
-                self.log_side[:0],
-                self.log_mag[:0],
-                self.log_fp16[:0] if self._has_fp16 else None,
-            )
+    def gather(
+        self, tensors: slice, idx: np.ndarray, quantizer
+    ) -> EncodedKV:
+        """One lazy chunk view over rows ``idx`` of ``tensors``: a
+        ``len(idx)``-row block per tensor of the slice (``[K rows; V
+        rows]`` when it spans both), labelled for ``quantizer``."""
+        at = _positions(tensors, idx, self.decoded.shape[1])
+        lens = _flat(self.rows["pay_len"])[at]
+        rec = _ranges(_flat(self.rows["pay_start"])[at], lens)
         return encoded_rows_view(
-            self.quantizer.config,
-            self.quantizer.thresholds,
-            self.dense[idx],
-            self.middle_lo[idx],
-            self.middle_hi[idx],
-            self.band_lo[idx],
-            self.band_hi[idx],
-            lens,
-            *sparse,
+            quantizer.config,
+            quantizer.thresholds,
+            record_counts=lens,
+            **{name: _flat(self.rows[name])[at] for name in _ROW_FIELDS},
+            **{name: buf[rec] for name, buf in self.log.items()},
         )
 
     def compact(
@@ -291,225 +288,44 @@ class _TensorArena:
         """Rewrite live rows (old positions ``live_idx``) to ``new_idx``.
 
         Row metadata moves through fresh buffers; the payload log is
-        rebuilt record-by-record in the new row order, reclaiming dead
-        records along with dead rows.
+        rebuilt record-by-record in the new row order (keys' records,
+        then values'), reclaiming dead records along with dead rows.
         """
-        if self.dense is None:
+        if not self.rows:
             return
+        both = slice(0, 2)
+        cap = max(self.decoded.shape[1], buffer_rows)
+        live = _positions(both, live_idx, self.decoded.shape[1])
+        new = _positions(both, new_idx, cap)
         # Gather the surviving payload first (it reads pay_start/pay_len
         # at their *old* positions).
-        lens = self.pay_len[live_idx]
-        total = int(lens.sum())
-        if total:
-            offsets = np.concatenate(([0], np.cumsum(lens)[:-1]))
-            rec = np.repeat(self.pay_start[live_idx] - offsets, lens)
-            rec += np.arange(total, dtype=np.int64)
-        else:
-            rec = np.empty(0, dtype=np.int64)
-        log_fields: List[str] = list(self._LOG_FIELDS)
-        if not self._has_fp16:
-            log_fields.remove("log_fp16")
-        for name in log_fields:
-            old = getattr(self, name)
-            rebuilt = np.empty(old.shape[0], dtype=old.dtype)
-            rebuilt[:total] = old[rec]
-            setattr(self, name, rebuilt)
-        self.log_len = total
-        # Row-parallel fields: old live positions -> new positions.
-        cap = max(self.row_capacity, buffer_rows)
-        for name in self._ROW_FIELDS:
-            old = getattr(self, name)
-            fresh = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
-            fresh[new_idx] = old[live_idx]
-            setattr(self, name, fresh)
+        lens = _flat(self.rows["pay_len"])[live]
+        rec = _ranges(_flat(self.rows["pay_start"])[live], lens)
+        for name, old in self.log.items():
+            rebuilt = np.empty_like(old)
+            rebuilt[: rec.size] = old[rec]
+            self.log[name] = rebuilt
+        self.log_len = rec.size
+        for name, old in self.rows.items():
+            fresh = np.empty((2, cap) + old.shape[2:], dtype=old.dtype)
+            _flat(fresh)[new] = _flat(old)[live]
+            self.rows[name] = fresh
         # Payload addressing is rebuilt from scratch in new-row order.
-        starts = (
-            np.concatenate(([0], np.cumsum(lens)[:-1]))
-            if lens.size
-            else lens
-        )
-        self.pay_len[new_idx] = lens
-        self.pay_start[new_idx] = starts
+        _flat(self.rows["pay_start"])[new] = np.cumsum(lens) - lens
 
     def storage_nbytes(self) -> float:
         """Bytes of preallocated encoded-side buffers (slack included).
 
         The decoded mirror is a derived cache, not storage, and is
         excluded — this is the ``arena_capacity_bytes`` diagnostic."""
-        if self.dense is None:
-            return 0.0
-        total = 0.0
-        for name in self._ROW_FIELDS:
-            if name == "decoded":
-                continue
-            total += getattr(self, name).nbytes
-        fields: List[str] = list(self._LOG_FIELDS)
-        if not self._has_fp16:
-            fields.remove("log_fp16")
-        for name in fields:
-            total += getattr(self, name).nbytes
-        return total
-
-
-class _LayerArena:
-    """Row geometry plus the two tensor stores of one decoder layer."""
-
-    def __init__(self, key_quantizer, value_quantizer) -> None:
-        self.keys = _TensorArena(key_quantizer)
-        self.values = _TensorArena(value_quantizer)
-        self.encoder = LayerEncoder(key_quantizer, value_quantizer)
-        self.rows: Dict[Hashable, _RowSlice] = {}
-        self.tail = 0
-        self.dead_rows = 0
-        self.compactions = 0
-
-    # -- geometry ------------------------------------------------------
-
-    def slice_of(self, seq_id: Hashable) -> _RowSlice:
-        return self.rows[seq_id]
-
-    def allocate(self, seq_id: Hashable) -> None:
-        self.rows[seq_id] = _RowSlice(self.tail, 0)
-
-    def _ensure_buffer_rows(self, need: int) -> None:
-        if self.keys.dense is not None:
-            self.keys.grow_rows(need)
-        if self.values.dense is not None:
-            self.values.grow_rows(need)
-
-    def reserve(self, seq_id: Hashable, extra: int) -> None:
-        """Guarantee room for ``extra`` more rows in the slice.
-
-        A slice at the arena tail extends in place; anywhere else it
-        relocates to the tail with doubled capacity, abandoning its old
-        region as dead rows (reclaimed by the next compaction).
-        """
-        slc = self.rows[seq_id]
-        need = slc.length + extra
-        if need <= slc.cap:
-            return
-        new_cap = max(2 * slc.cap, need, _MIN_ROWS)
-        if slc.start + slc.cap == self.tail:
-            # Tail slice: grow in place.
-            self.tail = slc.start + new_cap
-            self._ensure_buffer_rows(self.tail)
-            slc.cap = new_cap
-            return
-        new_start = self.tail
-        self.tail = new_start + new_cap
-        self._ensure_buffer_rows(self.tail)
-        if slc.length:
-            for store in (self.keys, self.values):
-                if store.dense is not None:
-                    store.copy_rows(
-                        slc.start, slc.start + slc.length, new_start
-                    )
-        self.dead_rows += slc.cap
-        slc.start = new_start
-        slc.cap = new_cap
-        slc.generation += 1
-
-    def free(self, seq_id: Hashable) -> None:
-        slc = self.rows.pop(seq_id)
-        if slc.start + slc.cap == self.tail:
-            # Tail slice: reclaim immediately.
-            self.tail = slc.start
-        else:
-            self.dead_rows += slc.cap
-
-    def should_compact(self, watermark: float) -> bool:
-        return (
-            self.dead_rows >= _MIN_ROWS
-            and self.dead_rows > watermark * max(1, self.tail)
-        )
-
-    def compact(self) -> None:
-        """Deterministically rewrite live rows front-to-back."""
-        order = list(self.rows.items())
-        live_parts: List[np.ndarray] = []
-        new_parts: List[np.ndarray] = []
-        cursor = 0
-        for seq_id, slc in order:
-            new_start = cursor
-            new_cap = max(slc.length, _MIN_ROWS)
-            if slc.length:
-                live_parts.append(
-                    np.arange(slc.start, slc.start + slc.length)
-                )
-                new_parts.append(
-                    np.arange(new_start, new_start + slc.length)
-                )
-            slc.start = new_start
-            slc.cap = new_cap
-            slc.generation += 1
-            cursor += new_cap
-        live_idx = (
-            np.concatenate(live_parts)
-            if live_parts
-            else np.empty(0, dtype=np.int64)
-        )
-        new_idx = (
-            np.concatenate(new_parts)
-            if new_parts
-            else np.empty(0, dtype=np.int64)
-        )
-        for store in (self.keys, self.values):
-            store.compact(live_idx, new_idx, cursor)
-        self.tail = cursor
-        self.dead_rows = 0
-        self.compactions += 1
-
-    # -- accounting ----------------------------------------------------
-
-    def live_rows(self) -> int:
-        return sum(slc.length for slc in self.rows.values())
-
-    def seq_bits(self, seq_id: Hashable) -> Tuple[int, int]:
-        """(total_bits, element_count) of one sequence in this layer —
-        an O(1) read of the slice's running totals."""
-        slc = self.rows[seq_id]
-        return slc.bits, slc.elements
-
-    def check_invariants(self) -> None:
-        """Assert row geometry and the slices' running footprints.
-
-        Each slice's ``(bits, elements)`` must equal
-        :meth:`EncodedKV.footprint_bits` of a chunk view gathered over
-        its live rows — the walk the accumulators replaced.
-        """
-        cursor = 0
-        for seq_id, slc in sorted(
-            self.rows.items(), key=lambda item: item[1].start
-        ):
-            assert 0 <= slc.decoded <= slc.length <= slc.cap, seq_id
-            if slc.cap:
-                # (A never-written slice owns no rows wherever it sits.)
-                assert slc.start >= cursor, f"slice {seq_id!r} overlaps"
-                cursor = slc.start + slc.cap
-            bits = 0
-            elements = 0
-            if slc.length:
-                idx = np.arange(slc.start, slc.start + slc.length)
-                for store in (self.keys, self.values):
-                    view_bits, view_elements = store.gather(
-                        idx
-                    ).footprint_bits()
-                    bits += view_bits
-                    elements += view_elements
-            assert (slc.bits, slc.elements) == (bits, elements), (
-                f"sequence {seq_id!r}: footprint accumulator "
-                f"({slc.bits}, {slc.elements}) != recomputed "
-                f"({bits}, {elements})"
-            )
-        assert cursor <= self.tail
-        live_caps = sum(slc.cap for slc in self.rows.values())
-        assert live_caps + self.dead_rows == self.tail, (
-            live_caps, self.dead_rows, self.tail,
-        )
+        buffers = {**self.rows, **self.log}
+        buffers.pop("decoded", None)
+        return float(sum(buf.nbytes for buf in buffers.values()))
 
 
 class KVArena:
-    """Per-layer structure-of-arrays store behind ``KVCachePool``.
+    """One row table over per-layer structure-of-arrays stores, behind
+    ``KVCachePool``.
 
     Built from the shared per-layer quantizers of a fused pool
     (harvested from one template backend, the same objects
@@ -517,44 +333,100 @@ class KVArena:
     every sequence's rows encode and decode through identical kernels
     and batched operations are always fusible.
 
+    The arena owns all row geometry: one ``seq_id -> _RowSlice`` table,
+    one ``tail``, one dead-row count.  A sequence occupies the same row
+    range ``[start, start + cap)`` in every layer's store (how many of
+    those rows a layer has written and decoded is per layer, so layers
+    may be driven unevenly); growth, relocation and compaction are
+    decided once and applied to every layer.  Compaction is checked in
+    ``free`` only — when dead rows reach :data:`_MIN_ROWS` and exceed
+    :data:`_COMPACT_WATERMARK` of the arena extent — never on the
+    append path: a relocating append adds dead rows that wait for the
+    next ``free``.
+
     Args:
         key_quantizers / value_quantizers: per-layer fitted quantizers.
-        compact_watermark: dead-row fraction of the arena extent that
-            triggers deterministic compaction (checked after ``free``
-            and after relocating appends).
     """
 
     def __init__(
-        self,
-        key_quantizers: Sequence,
-        value_quantizers: Sequence,
-        compact_watermark: float = 0.25,
+        self, key_quantizers: Sequence, value_quantizers: Sequence
     ) -> None:
         if len(key_quantizers) != len(value_quantizers):
             raise ValueError(
                 "need one key and one value quantizer per layer"
             )
         self.layers = [
-            _LayerArena(kq, vq)
+            _LayerStore(kq, vq)
             for kq, vq in zip(key_quantizers, value_quantizers)
         ]
-        self.compact_watermark = float(compact_watermark)
-        self._seqs: Dict[Hashable, "ArenaCacheBackend"] = {}
+        self.rows: Dict[Hashable, _RowSlice] = {}
+        self.tail = 0
+        self.dead_rows = 0
+        self.compactions = 0
 
     @property
     def num_layers(self) -> int:
         return len(self.layers)
 
+    # -- geometry ------------------------------------------------------
+
+    def _reserve(self, slc: _RowSlice, need: int) -> None:
+        """Guarantee the slice holds ``need`` rows, in every layer.
+
+        A slice at the arena tail extends in place; anywhere else it
+        relocates to the tail with doubled capacity, abandoning its old
+        region as dead rows (reclaimed by the next compaction).
+        """
+        if need <= slc.cap:
+            return
+        new_cap = max(2 * slc.cap, need, _MIN_ROWS)
+        at_tail = slc.start + slc.cap == self.tail
+        new_start = slc.start if at_tail else self.tail
+        self.tail = new_start + new_cap
+        for store in self.layers:
+            store.grow_rows(self.tail)
+        if not at_tail:
+            for store, length in zip(self.layers, slc.length):
+                if length:
+                    store.move_rows(slc.start, new_start, length)
+            self.dead_rows += slc.cap
+            slc.start = new_start
+            slc.generation += 1
+        slc.cap = new_cap
+
+    def should_compact(self) -> bool:
+        return (
+            self.dead_rows >= _MIN_ROWS
+            and self.dead_rows > _COMPACT_WATERMARK * max(1, self.tail)
+        )
+
+    def compact(self) -> None:
+        """Deterministically rewrite live rows front-to-back."""
+        slices = list(self.rows.values())
+        old_starts = [slc.start for slc in slices]
+        cursor = 0
+        for slc in slices:
+            slc.start = cursor
+            slc.cap = max(_MIN_ROWS, *slc.length)
+            slc.generation += 1
+            cursor += slc.cap
+        new_starts = [slc.start for slc in slices]
+        for layer, store in enumerate(self.layers):
+            lens = [slc.length[layer] for slc in slices]
+            store.compact(
+                _ranges(old_starts, lens), _ranges(new_starts, lens), cursor
+            )
+        self.tail = cursor
+        self.dead_rows = 0
+        self.compactions += 1
+
     # -- lifecycle -----------------------------------------------------
 
     def allocate(self, seq_id: Hashable) -> "ArenaCacheBackend":
-        if seq_id in self._seqs:
+        if seq_id in self.rows:
             raise ValueError(f"sequence {seq_id!r} already in arena")
-        for layer in self.layers:
-            layer.allocate(seq_id)
-        backend = ArenaCacheBackend(self, seq_id)
-        self._seqs[seq_id] = backend
-        return backend
+        self.rows[seq_id] = _RowSlice(self.tail, self.num_layers)
+        return ArenaCacheBackend(self, seq_id)
 
     def fork(
         self, parent_id: Hashable, child_id: Hashable, prefix_len: int
@@ -567,43 +439,47 @@ class KVArena:
         the same rows (the adapter-fork contract class — no bytes are
         aliased, hence no byte savings and no refcounting).
         """
+        parent = self.rows[parent_id]
+        if prefix_len > min(parent.length):
+            raise ValueError(
+                f"prefix_len {prefix_len} outside the rows every layer "
+                f"of {parent_id!r} holds ({parent.length})"
+            )
         child = self.allocate(child_id)
         if prefix_len == 0:
             return child
-        for layer in self.layers:
-            parent = layer.slice_of(parent_id)
-            layer.reserve(child_id, prefix_len)
-            slc = layer.slice_of(child_id)
-            src = np.arange(parent.start, parent.start + prefix_len)
-            dst = np.arange(slc.start, slc.start + prefix_len)
-            for store in (layer.keys, layer.values):
-                if store.dense is None:
-                    continue
-                chunk = store.gather(src)
-                store.write(dst, chunk)
-                slc.charge(chunk.footprint_bits())
-            decoded = min(prefix_len, parent.decoded)
-            if decoded:
-                for store in (layer.keys, layer.values):
-                    store.decoded[slc.start : slc.start + decoded] = (
-                        store.decoded[
-                            parent.start : parent.start + decoded
-                        ]
-                    )
-            slc.length = prefix_len
-            slc.decoded = decoded
+        slc = self.rows[child_id]
+        self._reserve(slc, prefix_len)
+        src = np.arange(parent.start, parent.start + prefix_len)
+        dst = np.arange(slc.start, slc.start + prefix_len)
+        for layer, store in enumerate(self.layers):
+            for tensors, quantizer in store.encoder.parts:
+                chunk = store.gather(tensors, src, quantizer)
+                store.write(tensors, dst, chunk)
+                bits, elements = chunk.footprint_bits()
+                slc.bits += bits
+                slc.elements += elements
+            decoded = min(prefix_len, parent.decoded[layer])
+            store.decoded[:, slc.start : slc.start + decoded] = (
+                store.decoded[:, parent.start : parent.start + decoded]
+            )
+            slc.length[layer] = prefix_len
+            slc.decoded[layer] = decoded
         return child
 
     def free(self, seq_id: Hashable) -> None:
         """Mark the sequence's rows dead; compact past the watermark."""
-        self._seqs.pop(seq_id)
-        for layer in self.layers:
-            layer.free(seq_id)
-            if layer.should_compact(self.compact_watermark):
-                layer.compact()
+        slc = self.rows.pop(seq_id)
+        if slc.start + slc.cap == self.tail:
+            # Tail slice: reclaim immediately.
+            self.tail = slc.start
+        else:
+            self.dead_rows += slc.cap
+        if self.should_compact():
+            self.compact()
 
     def __contains__(self, seq_id: Hashable) -> bool:
-        return seq_id in self._seqs
+        return seq_id in self.rows
 
     # -- streaming -----------------------------------------------------
 
@@ -630,81 +506,62 @@ class KVArena:
             return 0
         # Encode before touching the row table: a block the kernel
         # refuses (wrong width) must leave every sequence untouched.
-        key_encoded, value_encoded = store.encoder.encode(
+        parts = store.encoder.encode_parts(
             [keys for _, keys, _ in items],
             [values for _, _, values in items],
         )
         # Reserve every destination first (relocations may shuffle
         # starts), then resolve final target positions.
-        spans: List[Tuple[_RowSlice, int, int]] = []
+        spans: List[Tuple[_RowSlice, int]] = []
         for (seq_id, _, _), count in zip(items, rows):
-            store.reserve(seq_id, count)
-            slc = store.slice_of(seq_id)
-            spans.append((slc, slc.length, count))
-            slc.length += count
-        idx_parts = [
-            np.arange(slc.start + offset, slc.start + offset + count)
-            for slc, offset, count in spans
-            if count
-        ]
-        idx = (
-            np.concatenate(idx_parts)
-            if len(idx_parts) > 1
-            else idx_parts[0]
-        )
-        store.keys.write(idx, key_encoded)
-        store.values.write(idx, value_encoded)
-        # Charge every slice its new rows (O(1) footprint reads): the
-        # COO stream is token-major, so each item's records are one
-        # contiguous run.
-        bounds = np.cumsum([0] + rows)
-        for encoded in (key_encoded, value_encoded):
-            starts = np.searchsorted(
-                encoded.sparse_token, bounds, side="left"
-            ).tolist()
-            for (slc, _, count), lo, hi in zip(
-                spans, starts[:-1], starts[1:]
+            slc = self.rows[seq_id]
+            self._reserve(slc, slc.length[layer] + count)
+            spans.append((slc, slc.length[layer]))
+            slc.length[layer] += count
+        idx = _ranges([slc.start + offset for slc, offset in spans], rows)
+        for tensors, encoded in parts:
+            store.write(tensors, idx, encoded)
+            # Charge every slice its new rows (O(1) footprint reads).
+            for (slc, _), bits, elements in zip(
+                spans, *_item_bits(encoded, rows)
             ):
-                slc.charge(
-                    _rows_bits(encoded.config, encoded.dim, count, hi - lo)
-                )
-        return store.encoder.kernel_calls
+                slc.bits += bits
+                slc.elements += elements
+        return len(parts)
 
     def decode_pending(
         self, layer: int, seq_ids: Sequence[Hashable]
-    ) -> bool:
-        """Decode every listed sequence's undecoded rows in one pass.
+    ) -> int:
+        """Decode every listed sequence's undecoded rows in one pass:
+        one gather of ``[K rows; V rows]``, one kernel call, one
+        scatter into the decoded mirror (per tensor when the layer's
+        quantizers do not stack).
 
-        Returns True when a merged decode actually ran (there were
-        pending rows).
+        Returns the number of kernel calls made — 0 when no row was
+        pending.
         """
         store = self.layers[layer]
-        pending: List[Tuple[_RowSlice, int]] = []
-        idx_parts: List[np.ndarray] = []
-        for seq_id in seq_ids:
-            slc = store.slice_of(seq_id)
-            fresh = slc.length - slc.decoded
-            if fresh <= 0:
-                continue
-            pending.append((slc, fresh))
-            idx_parts.append(
-                np.arange(
-                    slc.start + slc.decoded, slc.start + slc.length
-                )
-            )
+        pending = [
+            slc
+            for slc in (self.rows[seq_id] for seq_id in seq_ids)
+            if slc.decoded[layer] < slc.length[layer]
+        ]
         if not pending:
-            return False
-        idx = (
-            np.concatenate(idx_parts)
-            if len(idx_parts) > 1
-            else idx_parts[0]
+            return 0
+        idx = _ranges(
+            [slc.start + slc.decoded[layer] for slc in pending],
+            [slc.length[layer] - slc.decoded[layer] for slc in pending],
         )
-        for tensor in (store.keys, store.values):
-            decoded = tensor.quantizer.dequantize(tensor.gather(idx))
-            tensor.decoded[idx] = decoded
-        for slc, _ in pending:
-            slc.decoded = slc.length
-        return True
+        decodes = store.encoder.decode_parts(
+            lambda tensors, quantizer: store.gather(tensors, idx, quantizer)
+        )
+        for tensors, block in decodes:
+            store.decoded[tensors, idx] = block.reshape(
+                -1, idx.size, block.shape[1]
+            )
+        for slc in pending:
+            slc.decoded[layer] = slc.length[layer]
+        return len(decodes)
 
     def read(
         self, seq_id: Hashable, layer: int
@@ -716,59 +573,85 @@ class KVArena:
         (relocation or compaction may move the rows); copy before
         holding across appends or frees.
         """
-        store = self.layers[layer]
-        slc = store.slice_of(seq_id)
-        if slc.length == 0:
+        slc = self.rows[seq_id]
+        length = slc.length[layer]
+        if length == 0:
             raise RuntimeError("cache is empty")
-        if slc.decoded < slc.length:
+        if slc.decoded[layer] < length:
             self.decode_pending(layer, [seq_id])
-        out = []
-        for tensor in (store.keys, store.values):
-            view = tensor.decoded[slc.start : slc.start + slc.length]
-            view.flags.writeable = False
-            out.append(view)
-        return out[0], out[1]
+        view = self.layers[layer].decoded[:, slc.start : slc.start + length]
+        view.flags.writeable = False
+        return view[0], view[1]
 
     # -- accounting ----------------------------------------------------
 
     def seq_length(self, seq_id: Hashable) -> int:
-        return self.layers[0].slice_of(seq_id).length
+        return self.rows[seq_id].length[0]
 
     def seq_footprint(self, seq_id: Hashable) -> Tuple[int, int]:
         """(total_bits, element_count) across layers for one sequence:
-        one O(1) read per layer, exact integers."""
-        bits = 0
-        elements = 0
-        for layer in self.layers:
-            layer_bits, layer_elements = layer.seq_bits(seq_id)
-            bits += layer_bits
-            elements += layer_elements
-        return bits, elements
+        an O(1) read of the slice's running totals, exact integers."""
+        slc = self.rows[seq_id]
+        return slc.bits, slc.elements
 
     def check_invariants(self) -> None:
-        """Assert every layer's geometry and footprint accumulators."""
-        for layer in self.layers:
-            assert set(layer.rows) == set(self._seqs)
-            layer.check_invariants()
+        """Assert row geometry and the slices' running footprints.
+
+        Slices are disjoint, every layer's ``decoded <= length <= cap``,
+        live capacity plus dead rows is the arena extent, and each
+        slice's ``(bits, elements)`` equals
+        :meth:`EncodedKV.footprint_bits` of chunk views gathered over
+        its written rows in every layer — the walk the accumulators
+        replaced.
+        """
+        cursor = 0
+        for seq_id, slc in sorted(
+            self.rows.items(), key=lambda item: item[1].start
+        ):
+            for decoded, length in zip(slc.decoded, slc.length):
+                assert 0 <= decoded <= length <= slc.cap, seq_id
+            if slc.cap:
+                # (A never-written slice owns no rows wherever it sits.)
+                assert slc.start >= cursor, f"slice {seq_id!r} overlaps"
+                cursor = slc.start + slc.cap
+            bits = 0
+            elements = 0
+            for store, length in zip(self.layers, slc.length):
+                if not length:
+                    continue
+                idx = np.arange(slc.start, slc.start + length)
+                for tensors, quantizer in store.encoder.parts:
+                    view_bits, view_elements = store.gather(
+                        tensors, idx, quantizer
+                    ).footprint_bits()
+                    bits += view_bits
+                    elements += view_elements
+            assert (slc.bits, slc.elements) == (bits, elements), (
+                f"sequence {seq_id!r}: footprint accumulator "
+                f"({slc.bits}, {slc.elements}) != recomputed "
+                f"({bits}, {elements})"
+            )
+        assert cursor <= self.tail
+        live_caps = sum(slc.cap for slc in self.rows.values())
+        assert live_caps + self.dead_rows == self.tail, (
+            live_caps, self.dead_rows, self.tail,
+        )
 
     def summary(self) -> Dict[str, float]:
-        """Occupancy counters merged into the pool's :meth:`summary`."""
+        """Occupancy counters merged into the pool's :meth:`summary`.
+
+        Rows and compactions keep their per-layer unit (every layer's
+        store holds the slice and is rewritten by a pass), so the row
+        counts and ``arena_compactions`` are summed over layers.
+        """
         return {
             "arena_rows_live": float(
-                sum(layer.live_rows() for layer in self.layers)
+                sum(sum(slc.length) for slc in self.rows.values())
             ),
-            "arena_rows_dead": float(
-                sum(layer.dead_rows for layer in self.layers)
-            ),
-            "arena_compactions": float(
-                sum(layer.compactions for layer in self.layers)
-            ),
-            "arena_capacity_bytes": float(
-                sum(
-                    layer.keys.storage_nbytes()
-                    + layer.values.storage_nbytes()
-                    for layer in self.layers
-                )
+            "arena_rows_dead": float(self.dead_rows * self.num_layers),
+            "arena_compactions": float(self.compactions * self.num_layers),
+            "arena_capacity_bytes": sum(
+                store.storage_nbytes() for store in self.layers
             ),
         }
 

@@ -652,11 +652,11 @@ class KVCachePool:
         # the memoized prefix), then serve reads in request order.
         unique = list(dict.fromkeys(caches))
         if self._arena is not None:
-            ran = self._arena.decode_pending(
+            kernel_calls = self._arena.decode_pending(
                 layer, [cache.seq_id for cache in unique]
             )
-            if ran and len(unique) >= 2:
-                self.batched_decodes += 2
+            if len(unique) >= 2:
+                self.batched_decodes += kernel_calls
             return [cache.read(layer) for cache in caches]
         fusible = self._fusible_layers(unique, layer)
         if fusible is not None:
@@ -861,7 +861,7 @@ class KVCachePool:
         pool, including the peak, untouched.
         """
         if self._arena is not None:
-            assert set(self._arena._seqs) == set(self._caches)
+            assert set(self._arena.rows) == set(self._caches)
             self._arena.check_invariants()
             assert len(self._sharing) == 0, "arena pools never alias"
         else:

@@ -355,12 +355,9 @@ class TestCompaction:
         summary = pool.summary()
         assert summary["arena_compactions"] > 0.0
         assert summary["arena_rows_live"] == float(LAYERS * 3 * 5)
-        # Post-free invariant: no layer may be left past the
+        # Post-free invariant: the arena is never left past the
         # compaction watermark (frees compact eagerly).
-        for layer_arena in pool._arena.layers:
-            assert not layer_arena.should_compact(
-                pool._arena.compact_watermark
-            )
+        assert not pool._arena.should_compact()
         for seq_id in seqs[9:]:
             for layer in range(LAYERS):
                 a = pool.read(seq_id, layer)
@@ -412,6 +409,127 @@ class TestCompaction:
                 np.testing.assert_array_equal(a[1], b[1])
 
 
+class TestSharedGeometry:
+    """One row table serves every layer: a sequence's slice is the same
+    row range in each layer's store, but layers need not hold the same
+    number of rows."""
+
+    def test_layers_driven_unevenly_match_the_chunked_mirror(
+        self, fused_factory
+    ):
+        pool = KVCachePool(fused_factory, arena=True)
+        mirror = KVCachePool(fused_factory)
+        arena = pool._arena
+        rng = np.random.default_rng(29)
+        lengths = {}
+
+        def allocate(seq_id):
+            pool.allocate(seq_id)
+            mirror.allocate(seq_id)
+            lengths[seq_id] = [0] * LAYERS
+
+        def append(layer, counts):
+            batch = {
+                seq_id: (
+                    rng.standard_normal((n, DIM)).astype(np.float32),
+                    rng.standard_normal((n, DIM)).astype(np.float32),
+                )
+                for seq_id, n in counts.items()
+            }
+            pool.append_batch(layer, batch)
+            mirror.append_batch(layer, dict(batch))
+            for seq_id, n in counts.items():
+                lengths[seq_id][layer] += n
+
+        def check():
+            pool.check_invariants()
+            for seq_id, per_layer in lengths.items():
+                assert arena.rows[seq_id].length == per_layer
+                for layer, length in enumerate(per_layer):
+                    if not length:
+                        continue
+                    got = pool.read(seq_id, layer)
+                    want = mirror.read(seq_id, layer)
+                    for left, right in zip(got, want):
+                        assert left.shape == (length, DIM)
+                        assert left.tobytes() == right.tobytes()
+                assert np.isclose(
+                    pool.get(seq_id).nbytes(), mirror.get(seq_id).nbytes()
+                )
+            assert pool.summary()["arena_rows_live"] == float(
+                sum(sum(per_layer) for per_layer in lengths.values())
+            )
+
+        for seq_id in "abc":
+            allocate(seq_id)
+        for layer in range(LAYERS):
+            append(layer, {"a": 3, "b": 3, "c": 3})
+            check()
+        # Layer 0 runs ahead (past the slices' first capacity, so "a"
+        # relocates while layer 1 still holds its old row count).
+        append(0, {"a": 7, "c": 2})
+        check()
+        assert arena.rows["a"].generation > 0
+        # Fork mid-step: only rows every layer holds can be shared.
+        with pytest.raises(ValueError):
+            pool.fork("a", "x", 4)
+        assert "x" not in pool
+        check()
+        pool.fork("a", "d", 2)
+        mirror.fork("a", "d", 2)
+        lengths["d"] = [2] * LAYERS
+        check()
+        # Layer 1 catches up, and runs ahead on the child.
+        append(1, {"a": 7, "c": 2, "d": 5})
+        check()
+        # Free an interior sequence, then force a compaction pass.
+        assert arena.rows["b"].start + arena.rows["b"].cap < arena.tail
+        pool.free("b")
+        mirror.free("b")
+        del lengths["b"]
+        check()
+        generations = {s: arena.rows[s].generation for s in lengths}
+        passes = arena.compactions
+        arena.compact()
+        assert arena.compactions == passes + 1 and arena.dead_rows == 0
+        for seq_id, before in generations.items():
+            slc = arena.rows[seq_id]
+            assert slc.generation == before + 1
+            assert slc.cap == max(8, *slc.length)
+        check()
+        # Relocation after compaction, led by layer 1 this time.
+        append(1, {"a": 20})
+        check()
+        append(0, {"a": 20, "d": 5})
+        check()
+        assert pool.summary()["arena_compactions"] == float(
+            LAYERS * arena.compactions
+        )
+
+    def test_one_store_per_layer_with_a_kv_axis(self, fused_factory):
+        pool = KVCachePool(fused_factory, arena=True)
+        pool.allocate("seq")
+        rows = np.random.default_rng(31).standard_normal((3, DIM))
+        for layer in range(LAYERS):
+            pool.append("seq", layer, rows, -rows)
+        arena = pool._arena
+        assert len(arena.layers) == LAYERS and list(arena.rows) == ["seq"]
+        buffers = [
+            buf
+            for store in arena.layers
+            for buf in (*store.rows.values(), *store.log.values())
+        ]
+        # 8 row-parallel buffers + 4..5 record fields, once per layer.
+        assert len(buffers) <= 13 * LAYERS
+        for store in arena.layers:
+            assert all(buf.shape[0] == 2 for buf in store.rows.values())
+        # Reads are zero-copy, read-only, C-contiguous row-slice views.
+        for layer, store in enumerate(arena.layers):
+            for tensor, view in enumerate(pool.read("seq", layer)):
+                assert np.shares_memory(view, store.decoded[tensor])
+                assert view.flags.c_contiguous and not view.flags.writeable
+
+
 class TestCapacityGeometry:
     """Row-slice growth is geometric: appends double a sequence's row
     cap in place (or relocate it to the tail) instead of reallocating
@@ -430,9 +548,9 @@ class TestCapacityGeometry:
             row = rng.standard_normal((1, DIM)).astype(np.float32)
             for layer in range(LAYERS):
                 backend.append(layer, row, row)
-            row_slice = arena.layers[0].rows["seq"]
+            row_slice = arena.rows["seq"]
             caps.add(row_slice.cap)
-            assert row_slice.cap >= row_slice.length
+            assert row_slice.cap >= max(row_slice.length)
         # Geometric schedule: every observed cap is the floor times a
         # power of two, and the number of distinct caps stays
         # logarithmic in the appended length.

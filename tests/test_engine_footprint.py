@@ -174,12 +174,11 @@ class _Machine:
         self.did("free")
 
     def op_compact(self):
-        """Force a compaction of every arena layer (footprint-neutral)."""
+        """Force an arena compaction pass (footprint-neutral)."""
         if not self.pool.arena_enabled:
             return self.op_append()
         before = _accounting(self.pool)
-        for layer_arena in self.pool._arena.layers:
-            layer_arena.compact()
+        self.pool._arena.compact()
         assert _accounting(self.pool) == before
         self.did("compact")
 
@@ -281,7 +280,7 @@ class TestCheckerHasTeeth:
 
     def test_arena_slice_total(self, factory):
         pool = self._pool(factory, arena=True)
-        pool._arena.layers[1].rows["b"].elements -= 1
+        pool._arena.rows["b"].elements -= 1
         with pytest.raises(AssertionError, match="footprint accumulator"):
             pool.check_invariants()
 

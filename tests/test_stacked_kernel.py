@@ -7,6 +7,11 @@ per-tensor encodes — and, in ``exact_f64``, the frozen seed encoder in
 :mod:`repro.core.reference` — on every :class:`EncodedKV` field: dtype,
 shape and bytes.  Bytes, not ``==``: a flipped sign of zero or a
 different NaN would be a different stored tensor.
+
+The decode half has the same contract: the arena gathers a layer's
+pending ``[K rows; V rows]`` once and decodes them with one call, and
+what a pool read returns must equal the per-tensor decode, the
+method's one-shot ``roundtrip()`` and the reference, byte for byte.
 """
 
 from __future__ import annotations
@@ -294,9 +299,9 @@ def calibration():
     ]
 
 
-def _pool(calibration, store, kind="auto"):
+def _pool(calibration, store, kind="auto", mode="deploy_f32"):
     factory = shared_backend_factory(
-        "oaken", kind, calibration=calibration, mode="deploy_f32"
+        "oaken", kind, calibration=calibration, mode=mode
     )
     tiering = None
     if store == "tiered":
@@ -401,3 +406,183 @@ class TestOneKernelCallPerLayer:
         pool.append_batch(0, _updates(seq_ids, 1, seed=3))
         assert kernel_calls == [("OakenQuantizer", "quantize", 3)] * 2
         assert pool.batched_encodes == 0
+
+
+# -- decode contract ----------------------------------------------------
+#
+# The read side of the same guard: one ``dequantize`` per layer per
+# read on the arena, and a pool read is the one-shot roundtrip.
+
+
+@pytest.fixture
+def decode_calls(monkeypatch):
+    """Every decode-kernel entry as ``(class, encoded rows)``."""
+    calls = []
+    for owner in (OakenQuantizer, EngineBackedQuantizer):
+        original = vars(owner)["dequantize"]
+
+        def counting(self, encoded, _o=original):
+            calls.append((type(self).__name__, encoded.num_tokens))
+            return _o(self, encoded)
+
+        monkeypatch.setattr(owner, "dequantize", counting)
+    return calls
+
+
+class TestOneDecodePerLayer:
+    def _filled(self, calibration, store):
+        pool = _pool(calibration, store)
+        seq_ids = [0, 1, 2]
+        for seq_id in seq_ids:
+            pool.allocate(seq_id)
+        for layer in range(LAYERS):
+            pool.append(0, layer, *_updates([0], 5, seed=layer)[0])
+            pool.append_batch(layer, _updates(seq_ids, 1, seed=9 + layer))
+        return pool, seq_ids, 5 + len(seq_ids)
+
+    def test_arena_read_batch_and_lazy_read(self, calibration, decode_calls):
+        pool, seq_ids, pending = self._filled(calibration, "arena")
+        for layer in range(LAYERS):
+            before = pool.batched_decodes
+            pool.read_batch(layer, seq_ids)
+            assert decode_calls == [("OakenQuantizer", 2 * pending)]
+            assert pool.batched_decodes == before + 1
+            # Nothing pending: no kernel call, nothing counted.
+            del decode_calls[:]
+            pool.read_batch(layer, seq_ids)
+            pool.read(1, layer)
+            assert decode_calls == []
+            assert pool.batched_decodes == before + 1
+            # The lazy single-sequence read is one call too.
+            pool.append(1, layer, *_updates([1], 2, seed=3)[1])
+            pool.read(1, layer)
+            assert decode_calls == [("OakenQuantizer", 4)]
+            del decode_calls[:]
+        pool.check_invariants()
+
+    def test_chunked_read_batch_keeps_two_calls(
+        self, calibration, decode_calls
+    ):
+        pool, seq_ids, pending = self._filled(calibration, "chunked")
+        pool.read_batch(0, seq_ids)
+        assert decode_calls == [("OakenQuantizer", pending)] * 2
+        assert pool.batched_decodes == 2
+
+    def test_engine_backed_arena_keeps_two_calls(self, decode_calls):
+        """A pair that does not stack decodes per tensor, through the
+        same arena path."""
+        engine, requests = TestOneKernelCallPerLayer()._replay(
+            engine_cycles=True, arena=True
+        )
+        assert engine.pool.arena_enabled
+        del decode_calls[:]
+        engine.step(requests)
+        pending = len(requests) * (4 + 1)  # prompt rows + the new token
+        assert decode_calls == (
+            [("EngineBackedQuantizer", pending)] * 2 * LAYERS
+        )
+        assert engine.pool.batched_decodes == 2 * LAYERS
+        del decode_calls[:]
+        engine.pool.read_batch(0, [r.request_id for r in requests])
+        assert decode_calls == []
+
+
+def _snapshot(pool):
+    return (
+        pool.summary(),
+        {
+            seq_id: (pool.get(seq_id).footprint_bits(), pool.get(seq_id).length)
+            for seq_id in pool.seq_ids
+        },
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("store", ["arena", "chunked"])
+@pytest.mark.parametrize("mode", MODES)
+class TestPoolReadIsTheRoundtrip:
+    """Hostile rows through the pool boundary (``append_batch`` ->
+    ``read_batch``): stacked decode == per-tensor decode == reference."""
+
+    #: Rows per sequence of one hostile batch: ragged, one empty.
+    COUNTS = (3, 0, 1, 4)
+
+    def _quantizers(self, pool, layer):
+        if pool.arena_enabled:
+            encoder = pool._arena.layers[layer].encoder
+            assert encoder.stacked is not None
+        else:
+            encoder = pool.get(0).layers[layer].encoder
+        return encoder.key_quantizer, encoder.value_quantizer
+
+    def test_hostile_ragged_batches(self, calibration, mode, store):
+        pool = _pool(calibration, store, mode=mode)
+        seq_ids = list(range(len(self.COUNTS)))
+        for seq_id in seq_ids:
+            pool.allocate(seq_id)
+        bounds = np.cumsum((0,) + self.COUNTS)
+        for layer in range(LAYERS):
+            key_q, value_q = self._quantizers(pool, layer)
+            keys = _hostile(DIM, key_q.thresholds)
+            values = _hostile(DIM, value_q.thresholds)[::-1].copy()
+            history = {
+                seq_id: (keys[lo:hi], values[lo:hi])
+                for seq_id, lo, hi in zip(seq_ids, bounds, bounds[1:])
+            }
+            pool.append_batch(layer, history)
+            # A second, single-row round, read together with the first.
+            step = {
+                seq_id: (keys[seq_id : seq_id + 1], values[-1 - seq_id :][:1])
+                for seq_id in seq_ids
+            }
+            pool.append_batch(layer, step)
+            got = pool.read_batch(layer, seq_ids)
+            for seq_id, (got_keys, got_values) in zip(seq_ids, got):
+                for got_rows, quantizer, parts in (
+                    (got_keys, key_q, (history[seq_id][0], step[seq_id][0])),
+                    (got_values, value_q, (history[seq_id][1], step[seq_id][1])),
+                ):
+                    rows = np.concatenate(parts)
+                    want = quantizer.roundtrip(rows)
+                    assert got_rows.dtype == want.dtype
+                    assert got_rows.shape == want.shape
+                    assert got_rows.tobytes() == want.tobytes()
+                    if mode == "exact_f64":
+                        reference = ReferenceOakenQuantizer(
+                            quantizer.config, quantizer.thresholds, mode
+                        )
+                        assert (
+                            got_rows.tobytes()
+                            == reference.roundtrip(rows).tobytes()
+                        )
+                lazy = pool.read(seq_id, layer)
+                assert lazy[0].tobytes() == got_keys.tobytes()
+                assert lazy[1].tobytes() == got_values.tobytes()
+        pool.check_invariants()
+
+    def test_refused_batch_changes_no_accounting(
+        self, calibration, mode, store
+    ):
+        pool = _pool(calibration, store, mode=mode)
+        seq_ids = [0, 1, 2]
+        for seq_id in seq_ids:
+            pool.allocate(seq_id)
+        for layer in range(LAYERS):
+            pool.append_batch(layer, _updates(seq_ids, 2, seed=layer))
+        before = _snapshot(pool)
+        reads = [part.copy() for part in pool.read(1, 0)]
+        good = np.ones((1, DIM))
+        for bad_keys, bad_values in (
+            (np.ones((1, DIM + 1)), np.ones((1, DIM + 1))),  # wrong width
+            (np.ones((2, DIM)), np.ones((1, DIM))),  # K/V shape mismatch
+            (np.ones((1, 1, DIM)), np.ones((1, 1, DIM))),  # not [t, D]
+        ):
+            with pytest.raises(ValueError):
+                pool.append_batch(
+                    0, [(0, good, good), (1, bad_keys, bad_values),
+                        (2, good, good)],
+                )
+            assert _snapshot(pool) == before
+        pool.check_invariants()
+        for left, right in zip(reads, pool.read(1, 0)):
+            assert left.tobytes() == right.tobytes()
