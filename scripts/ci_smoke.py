@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Feature smoke checks behind CI's ``feature-smoke`` matrix.
 
-    python scripts/ci_smoke.py {cluster,tiering,sharing,arena}
+    python scripts/ci_smoke.py {cluster,tiering,sharing,arena,arena-e2e}
 
-Each smoke drives the real CLI (``python -m repro ... --json``) at a
-fixed seed and asserts that the feature actually engaged — failovers
-happened, pages spilled, prefixes forked, the arena compacted — while
-its contract held.  Everything is simulation time, so no retry is
-needed.  CI runs the same-named pytest marker first; this script is
-the part that used to live as inline heredocs in the workflow, so it
-can be run locally too.
+Each feature smoke drives the real CLI (``python -m repro ... --json``)
+at a fixed seed and asserts that the feature actually engaged —
+failovers happened, pages spilled, prefixes forked, the arena
+compacted — while its contract held.  Everything is simulation time,
+so no retry is needed.  CI runs the same-named pytest marker first;
+this script is the part that used to live as inline heredocs in the
+workflow, so it can be run locally too.  ``arena-e2e`` is the
+``e2e-smoke`` job's count gate on the end-to-end benchmark instead.
 """
 
 from __future__ import annotations
@@ -115,9 +116,10 @@ def arena_smoke() -> None:
 
     Replay the same trace through the chunked pool and the SoA arena
     and require that the arena is invisible in results (identical
-    generated tokens) while its storage actually worked: retirement
-    churn must have triggered compaction, and every batched append
-    made one row-stacked kernel call.
+    generated tokens) while its storage actually worked: the drain
+    must have compacted (recycling absorbs churn, not a drain) and
+    left no live row, and every batched append made one row-stacked
+    kernel call.
     """
     replay = ("replay", "--requests", "24", "--batch", "64", "--seed", "7")
     chunked = repro_json(*replay)
@@ -127,18 +129,51 @@ def arena_smoke() -> None:
     assert arena["generated_tokens"] == chunked["generated_tokens"], (
         arena["generated_tokens"], chunked["generated_tokens"])
     assert detail["arena"] == 1.0, "arena never engaged"
-    assert detail["arena_compactions"] > 0, "churn never compacted"
+    assert detail["arena_compactions"] > 0, "drain never compacted"
     assert detail["arena_rows_live"] == 0, "drained replay leaked rows"
     assert_stacked_encodes(detail)
+    # With nothing live the extent is exactly the free-listed rows;
+    # both counters are summed over layers (so are the passes).
     print("arena smoke: generated", arena["generated_tokens"],
-          "tokens,", int(detail["arena_compactions"]),
-          "compactions, capacity",
-          int(detail["arena_capacity_bytes"]), "bytes")
+          "tokens; tail", int(detail["arena_rows_dead"]),
+          "rows, capacity", int(detail["arena_capacity_bytes"]),
+          "bytes,", int(detail["arena_compactions"]),
+          "compaction passes (rows and passes x layers)")
+
+
+#: Ceiling on ``engine.arena.compactions_per_free`` (passes x layers
+#: per free) at the e2e benchmark's quick size: 1.25 when every pass
+#: trimmed every slice, 0.19 with size-class recycling.
+ARENA_COMPACTIONS_PER_FREE = 0.5
+
+
+def arena_e2e_gate() -> None:
+    """The e2e-smoke job's arena gate: a count, not a clock.
+
+    One traced quick-size ``replay-burst-arena`` run of the end-to-end
+    benchmark must pass its own output checks, and the compaction
+    passes it made per ``free`` — which repeat exactly for a seed, so
+    no retry is needed — must stay under the ceiling.
+    """
+    done = subprocess.run(
+        [
+            sys.executable, str(ROOT / "benchmarks" / "e2e" / "run.py"),
+            "--workload", "replay-burst-arena", "--quick", "--trace", "1",
+        ],
+        cwd=ROOT, stdout=subprocess.PIPE, text=True,
+    )
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert done.returncode == 0 and result["correct"], done.stdout
+    per_free = result["metrics"]["engine.arena.compactions_per_free"]["value"]
+    assert per_free <= ARENA_COMPACTIONS_PER_FREE, per_free
+    print("arena e2e gate:", per_free, "compactions per free (ceiling",
+          f"{ARENA_COMPACTIONS_PER_FREE})")
 
 
 SMOKES = {
     "cluster": cluster_smoke, "tiering": tiering_smoke,
     "sharing": sharing_smoke, "arena": arena_smoke,
+    "arena-e2e": arena_e2e_gate,
 }
 
 if __name__ == "__main__":

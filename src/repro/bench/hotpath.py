@@ -630,10 +630,14 @@ _DATAPATH = Entry(
 
 
 def _replay_arena_extra(ctx, outputs, result) -> Dict[str, float]:
+    # Recycling absorbs steady churn without a pass; the drain at the
+    # end of a closed trace cannot be absorbed, so a replay that never
+    # compacted never gave its buffers back.
     compactions = outputs["arena"].replay["arena_compactions"]
     if not compactions:
         raise AssertionError(
-            f"batch-{ctx.max_batch} replay churn never compacted the arena"
+            f"batch-{ctx.max_batch} replay drained without the arena "
+            "compacting"
         )
     tokens = float(outputs["arena"].generated_tokens)
     return {

@@ -14,7 +14,7 @@ arena owns the one row table, ``seq_id -> (start, cap, generation,
 bits, elements, per-layer length/decoded)``: a sequence's cache is the
 same contiguous row-slice in every layer (the paper's MMU keeps a
 layer's keys and values in one address space behind one table; so does
-this).  Each decoder layer owns one preallocated, capacity-doubling
+this).  Each decoder layer owns one preallocated
 structure-of-arrays store whose row-parallel buffers carry a K|V axis
 — dense codes ``[2, cap, D]``, per-token scale bounds ``[2, cap]`` /
 ``[2, cap, B]`` — over one append-only packed payload log holding the
@@ -31,10 +31,14 @@ sparse COO records of both tensors, addressed by per-row
   chunk view (:func:`~repro.core.encoding.encoded_rows_view`), one
   stacked decode, and one scatter into the decoded-row mirror; reads
   then serve zero-copy row-slice views.
-* ``free`` marks the sequence's rows dead; when dead rows exceed a
-  deterministic watermark fraction of the arena the arena compacts,
-  rewriting every layer's live rows (and their payload records)
-  front-to-back and bumping every sequence's ``generation``.
+* ``free`` puts the sequence's region on the free list of its size
+  class, where the next reservation of that class finds it: a stored
+  row is written once and moved O(1) times.  Only when free-listed
+  rows exceed a deterministic watermark fraction of the arena's row
+  capacity does the arena compact — every layer's slices slide
+  front-to-back with the capacities they have, the payload log is
+  rebuilt, the buffers are re-sized to what is left, and every
+  sequence's ``generation`` is bumped.
 
 Whether a layer's keys and values can share a kernel call is
 :class:`~repro.core.quantizer.LayerEncoder`'s decision
@@ -72,13 +76,16 @@ from repro.core.quantizer import LayerEncoder
 
 __all__ = ["KVArena", "ArenaCacheBackend"]
 
-#: Smallest per-sequence row-slice capacity (doubles from here).
+#: Smallest per-sequence row-slice capacity; the size classes are
+#: this times the powers of two.
 _MIN_ROWS = 8
-#: Dead-row fraction of the arena extent past which ``free`` compacts.
+#: Free-listed (dead) fraction of the arena's row capacity past which
+#: ``free`` compacts.
 _COMPACT_WATERMARK = 0.25
-#: Initial arena row-buffer capacity (doubles from here).
+#: Smallest arena row-buffer capacity (a power of two, as every
+#: larger one is).
 _MIN_ARENA_ROWS = 256
-#: Initial payload-log capacity in records (doubles from here).
+#: Smallest payload-log capacity in records (doubles from here).
 _MIN_LOG_RECORDS = 256
 
 #: :class:`EncodedKV`'s row-parallel and per-record arrays; a layer
@@ -88,6 +95,20 @@ _RECORD_FIELDS = (
     "sparse_pos", "sparse_band", "sparse_side", "sparse_mag_code",
     "sparse_fp16",
 )
+
+
+def as_rows(block) -> np.ndarray:
+    """``block`` as a 2-D row block — itself when it already is one, as
+    every block of the serving loop is: ``np.atleast_2d`` per block
+    per sequence is a measurable share of a batched append."""
+    if type(block) is np.ndarray and block.ndim == 2:
+        return block
+    return np.atleast_2d(block)
+
+
+def _pow2(n: int) -> int:
+    """The smallest power of two that is at least ``n``."""
+    return 1 << max(0, n - 1).bit_length()
 
 
 def _ranges(starts, lens) -> np.ndarray:
@@ -176,8 +197,9 @@ class _LayerStore:
     addressed through ``pay_start``/``pay_len`` (records of one row are
     contiguous and token-ordered, records of different rows need not be
     adjacent — relocation moves row metadata, never payload; only
-    compaction rewrites the log).  Where rows live is the arena's
-    business: the store is told positions, it keeps no geometry.
+    :meth:`rebuild_log` rewrites the log).  Where rows live, and how
+    many rows the buffers hold, is the arena's business: the store is
+    told positions and a capacity, it keeps no geometry.
     """
 
     def __init__(self, key_quantizer, value_quantizer) -> None:
@@ -193,23 +215,40 @@ class _LayerStore:
         #: Payload log: the :data:`_RECORD_FIELDS` the config emits.
         self.log: Dict[str, np.ndarray] = {}
         self.log_len = 0
+        #: Records in ``log[:log_len]`` that belonged to freed rows.
+        self.dead_records = 0
+        #: Rows every buffer holds — set by the arena through
+        #: :meth:`resize`, ahead of the buffers themselves: they are
+        #: shaped by the first write.
+        self.capacity = 0
+        #: Read-only alias of the decoded mirror; reads slice this.
+        self.readable = np.empty((2, 0, 0), dtype=np.float32)
 
     @property
     def decoded(self) -> np.ndarray:
         return self.rows["decoded"]
 
-    def grow_rows(self, need: int) -> None:
-        """Double the row-parallel buffers until ``need`` rows fit."""
+    def resize(self, capacity: int, moved=None) -> None:
+        """Replace every row-parallel buffer by a fresh ``capacity``-row
+        one.  Rows keep their positions (those that fit), or — given
+        ``moved = (old_idx, new_idx)`` — exactly the rows ``old_idx``
+        survive, at ``new_idx``."""
+        if moved is not None:
+            old_at = _positions(slice(0, 2), moved[0], self.capacity)
+            new_at = _positions(slice(0, 2), moved[1], capacity)
+        self.capacity = capacity
         if not self.rows:
             return
-        cap = self.decoded.shape[1]
-        if need <= cap:
-            return
-        new_cap = max(cap * 2, need)
         for name, old in self.rows.items():
-            grown = np.empty((2, new_cap) + old.shape[2:], dtype=old.dtype)
-            grown[:, :cap] = old
-            self.rows[name] = grown
+            fresh = np.empty((2, capacity) + old.shape[2:], dtype=old.dtype)
+            if moved is None:
+                keep = min(capacity, old.shape[1])
+                fresh[:, :keep] = old[:, :keep]
+            else:
+                _flat(fresh)[new_at] = _flat(old)[old_at]
+            self.rows[name] = fresh
+        self.readable = self.decoded.view()
+        self.readable.flags.writeable = False
 
     def move_rows(self, src: int, dst: int, count: int) -> None:
         """Move a row range's metadata (relocation; payload stays put)."""
@@ -226,28 +265,22 @@ class _LayerStore:
         each.  The COO records are appended to the payload log in
         token order, so every row's records stay contiguous.
         """
-        need = int(idx.max()) + 1
         if not self.rows:
-            # Shape the buffers from the first encoded batch seen.
-            cap = max(_MIN_ARENA_ROWS, need)
-            for name in _ROW_FIELDS:
-                field = getattr(encoded, name)
-                self.rows[name] = np.empty(
-                    (2, cap) + field.shape[1:], dtype=field.dtype
-                )
-            self.rows["pay_start"] = np.zeros((2, cap), dtype=np.int64)
-            self.rows["pay_len"] = np.zeros((2, cap), dtype=np.int64)
-            self.rows["decoded"] = np.empty(
-                (2, cap, encoded.dim), dtype=np.float32
-            )
+            # Shape the buffers from the first encoded batch seen, at
+            # zero rows; ``resize`` gives them the arena's capacity.
+            like = {name: getattr(encoded, name)[:0] for name in _ROW_FIELDS}
+            like["pay_start"] = like["pay_len"] = np.empty(0, dtype=np.int64)
+            like["decoded"] = np.empty((0, encoded.dim), dtype=np.float32)
+            for name, rows in like.items():
+                self.rows[name] = np.empty((2,) + rows.shape, rows.dtype)
+            self.resize(self.capacity)
             for name in _RECORD_FIELDS:
                 field = getattr(encoded, name)
                 if field is not None:
                     self.log[name] = np.empty(
                         _MIN_LOG_RECORDS, dtype=field.dtype
                     )
-        self.grow_rows(need)
-        at = _positions(tensors, idx, self.decoded.shape[1])
+        at = _positions(tensors, idx, self.capacity)
         for name in _ROW_FIELDS:
             _flat(self.rows[name])[at] = getattr(encoded, name)
         lens = np.bincount(encoded.sparse_token, minlength=at.size)
@@ -271,7 +304,7 @@ class _LayerStore:
         """One lazy chunk view over rows ``idx`` of ``tensors``: a
         ``len(idx)``-row block per tensor of the slice (``[K rows; V
         rows]`` when it spans both), labelled for ``quantizer``."""
-        at = _positions(tensors, idx, self.decoded.shape[1])
+        at = _positions(tensors, idx, self.capacity)
         lens = _flat(self.rows["pay_len"])[at]
         rec = _ranges(_flat(self.rows["pay_start"])[at], lens)
         return encoded_rows_view(
@@ -282,36 +315,32 @@ class _LayerStore:
             **{name: buf[rec] for name, buf in self.log.items()},
         )
 
-    def compact(
-        self, live_idx: np.ndarray, new_idx: np.ndarray, buffer_rows: int
-    ) -> None:
-        """Rewrite live rows (old positions ``live_idx``) to ``new_idx``.
+    def records(self, start: int, count: int) -> int:
+        """Payload records rows ``[start, start + count)`` hold, keys'
+        plus values'."""
+        if not count:
+            return 0
+        return int(self.rows["pay_len"][:, start : start + count].sum())
 
-        Row metadata moves through fresh buffers; the payload log is
-        rebuilt record-by-record in the new row order (keys' records,
-        then values'), reclaiming dead records along with dead rows.
-        """
+    def rebuild_log(self, live_idx: np.ndarray) -> None:
+        """Rewrite the payload log to the records of rows ``live_idx``
+        alone, in that order (keys' records, then values'), with as
+        much headroom again.  Rows stay put; only their ``pay_start``
+        is rewritten."""
         if not self.rows:
             return
-        both = slice(0, 2)
-        cap = max(self.decoded.shape[1], buffer_rows)
-        live = _positions(both, live_idx, self.decoded.shape[1])
-        new = _positions(both, new_idx, cap)
-        # Gather the surviving payload first (it reads pay_start/pay_len
-        # at their *old* positions).
+        live = _positions(slice(0, 2), live_idx, self.capacity)
         lens = _flat(self.rows["pay_len"])[live]
         rec = _ranges(_flat(self.rows["pay_start"])[live], lens)
         for name, old in self.log.items():
-            rebuilt = np.empty_like(old)
+            rebuilt = np.empty(
+                max(_MIN_LOG_RECORDS, 2 * rec.size), dtype=old.dtype
+            )
             rebuilt[: rec.size] = old[rec]
             self.log[name] = rebuilt
+        _flat(self.rows["pay_start"])[live] = np.cumsum(lens) - lens
         self.log_len = rec.size
-        for name, old in self.rows.items():
-            fresh = np.empty((2, cap) + old.shape[2:], dtype=old.dtype)
-            _flat(fresh)[new] = _flat(old)[live]
-            self.rows[name] = fresh
-        # Payload addressing is rebuilt from scratch in new-row order.
-        _flat(self.rows["pay_start"])[new] = np.cumsum(lens) - lens
+        self.dead_records = 0
 
     def storage_nbytes(self) -> float:
         """Bytes of preallocated encoded-side buffers (slack included).
@@ -334,15 +363,20 @@ class KVArena:
     and batched operations are always fusible.
 
     The arena owns all row geometry: one ``seq_id -> _RowSlice`` table,
-    one ``tail``, one dead-row count.  A sequence occupies the same row
-    range ``[start, start + cap)`` in every layer's store (how many of
-    those rows a layer has written and decoded is per layer, so layers
-    may be driven unevenly); growth, relocation and compaction are
-    decided once and applied to every layer.  Compaction is checked in
-    ``free`` only — when dead rows reach :data:`_MIN_ROWS` and exceed
-    :data:`_COMPACT_WATERMARK` of the arena extent — never on the
-    append path: a relocating append adds dead rows that wait for the
-    next ``free``.
+    one ``tail``, one row ``capacity``, one free list per size class.
+    A sequence occupies the same row range ``[start, start + cap)`` in
+    every layer's store (how many of those rows a layer has written and
+    decoded is per layer, so layers may be driven unevenly); growth,
+    recycling and compaction are decided once and applied to every
+    layer.  Live slices and free regions tile ``[0, tail)`` exactly.
+
+    Both bounds on what is left dead are checked in ``free`` only —
+    never on the append path, where a batch is half applied (its rows
+    are reserved, not yet written): free-listed rows compact the arena
+    when they reach :data:`_MIN_ROWS` and exceed
+    :data:`_COMPACT_WATERMARK` of ``capacity``; dead payload records,
+    which recycling alone would let pile up in the append-only log,
+    get a layer's log rebuilt when they outnumber its live ones.
 
     Args:
         key_quantizers / value_quantizers: per-layer fitted quantizers.
@@ -361,7 +395,13 @@ class KVArena:
         ]
         self.rows: Dict[Hashable, _RowSlice] = {}
         self.tail = 0
+        #: Per size class (a slice capacity), the starts of the free
+        #: regions of that capacity; last freed, first reused.
+        self.free_slices: Dict[int, List[int]] = {}
+        #: Rows on the free lists.
         self.dead_rows = 0
+        #: Rows every layer's buffers hold (``tail`` never exceeds it).
+        self.capacity = 0
         self.compactions = 0
 
     @property
@@ -370,53 +410,83 @@ class KVArena:
 
     # -- geometry ------------------------------------------------------
 
+    def _release(self, start: int, cap: int) -> None:
+        """Give a region back: the tail region shrinks the extent, any
+        other joins its size class's free list."""
+        if start + cap == self.tail:
+            self.tail = start
+        elif cap:
+            self.free_slices.setdefault(cap, []).append(start)
+            self.dead_rows += cap
+
     def _reserve(self, slc: _RowSlice, need: int) -> None:
         """Guarantee the slice holds ``need`` rows, in every layer.
 
-        A slice at the arena tail extends in place; anywhere else it
-        relocates to the tail with doubled capacity, abandoning its old
-        region as dead rows (reclaimed by the next compaction).
+        Capacities are size classes: :data:`_MIN_ROWS` times a power of
+        two.  A slice at the arena tail extends in place; anywhere else
+        it moves into the most recently freed region of its new class —
+        or, when there is none, to the tail — and its old region joins
+        the free list of the class it outgrew.
         """
         if need <= slc.cap:
             return
-        new_cap = max(2 * slc.cap, need, _MIN_ROWS)
-        at_tail = slc.start + slc.cap == self.tail
-        new_start = slc.start if at_tail else self.tail
-        self.tail = new_start + new_cap
-        for store in self.layers:
-            store.grow_rows(self.tail)
-        if not at_tail:
+        new_cap = max(_MIN_ROWS, _pow2(need))
+        at_tail = slc.cap and slc.start + slc.cap == self.tail
+        recycled = self.free_slices.get(new_cap)
+        if at_tail:
+            start = slc.start
+        elif recycled:
+            start = recycled.pop()
+            self.dead_rows -= new_cap
+        else:
+            start = self.tail
+        if start + new_cap > self.tail:
+            self.tail = start + new_cap
+            if self.tail > self.capacity:
+                self.capacity = max(_MIN_ARENA_ROWS, _pow2(self.tail))
+                for store in self.layers:
+                    store.resize(self.capacity)
+        if slc.cap and not at_tail:
             for store, length in zip(self.layers, slc.length):
                 if length:
-                    store.move_rows(slc.start, new_start, length)
-            self.dead_rows += slc.cap
-            slc.start = new_start
+                    store.move_rows(slc.start, start, length)
+            self._release(slc.start, slc.cap)
             slc.generation += 1
+        slc.start = start
         slc.cap = new_cap
 
     def should_compact(self) -> bool:
         return (
             self.dead_rows >= _MIN_ROWS
-            and self.dead_rows > _COMPACT_WATERMARK * max(1, self.tail)
+            and self.dead_rows > _COMPACT_WATERMARK * self.capacity
+        )
+
+    def _written(self, layer: int) -> np.ndarray:
+        """Every written row of ``layer``, in row-table order."""
+        slices = self.rows.values()
+        return _ranges(
+            [slc.start for slc in slices],
+            [slc.length[layer] for slc in slices],
         )
 
     def compact(self) -> None:
-        """Deterministically rewrite live rows front-to-back."""
-        slices = list(self.rows.values())
-        old_starts = [slc.start for slc in slices]
-        cursor = 0
-        for slc in slices:
-            slc.start = cursor
-            slc.cap = max(_MIN_ROWS, *slc.length)
+        """Deterministically close the gaps: slide every slice, with
+        the capacity it has, front-to-back in row-table order, into
+        buffers (and payload logs) sized to what is left and at least
+        as much headroom again — capacity follows use down as well as
+        up."""
+        old = [self._written(layer) for layer in range(self.num_layers)]
+        self.tail = 0
+        for slc in self.rows.values():
+            slc.start = self.tail
             slc.generation += 1
-            cursor += slc.cap
-        new_starts = [slc.start for slc in slices]
+            self.tail += slc.cap
+        self.capacity = max(_MIN_ARENA_ROWS, _pow2(2 * self.tail))
         for layer, store in enumerate(self.layers):
-            lens = [slc.length[layer] for slc in slices]
-            store.compact(
-                _ranges(old_starts, lens), _ranges(new_starts, lens), cursor
-            )
-        self.tail = cursor
+            new = self._written(layer)
+            store.resize(self.capacity, (old[layer], new))
+            store.rebuild_log(new)
+        self.free_slices.clear()
         self.dead_rows = 0
         self.compactions += 1
 
@@ -468,15 +538,23 @@ class KVArena:
         return child
 
     def free(self, seq_id: Hashable) -> None:
-        """Mark the sequence's rows dead; compact past the watermark."""
+        """Recycle the sequence's region and bound what is left dead.
+
+        The one quiescent point, so the only place either bound is
+        checked: free-listed rows past the watermark compact the arena
+        (rows and payload); otherwise a layer whose dead payload
+        records outnumber its live ones has its log alone rebuilt.
+        """
         slc = self.rows.pop(seq_id)
-        if slc.start + slc.cap == self.tail:
-            # Tail slice: reclaim immediately.
-            self.tail = slc.start
-        else:
-            self.dead_rows += slc.cap
+        for store, length in zip(self.layers, slc.length):
+            store.dead_records += store.records(slc.start, length)
+        self._release(slc.start, slc.cap)
         if self.should_compact():
             self.compact()
+            return
+        for layer, store in enumerate(self.layers):
+            if 2 * store.dead_records > store.log_len:
+                store.rebuild_log(self._written(layer))
 
     def __contains__(self, seq_id: Hashable) -> bool:
         return seq_id in self.rows
@@ -501,32 +579,42 @@ class KVArena:
         :attr:`~repro.core.quantizer.LayerEncoder.kernel_calls`).
         """
         store = self.layers[layer]
+        slices = [self.rows[seq_id] for seq_id, _, _ in items]
         rows = [keys.shape[0] for _, keys, _ in items]
         if sum(rows) == 0:
             return 0
-        # Encode before touching the row table: a block the kernel
-        # refuses (wrong width) must leave every sequence untouched.
+        # Look every slice up and encode before touching the row table:
+        # an unknown id or a block the kernel refuses (wrong width)
+        # must leave every sequence untouched.
         parts = store.encoder.encode_parts(
             [keys for _, keys, _ in items],
             [values for _, _, values in items],
         )
-        # Reserve every destination first (relocations may shuffle
-        # starts), then resolve final target positions.
-        spans: List[Tuple[_RowSlice, int]] = []
-        for (seq_id, _, _), count in zip(items, rows):
-            slc = self.rows[seq_id]
-            self._reserve(slc, slc.length[layer] + count)
-            spans.append((slc, slc.length[layer]))
-            slc.length[layer] += count
-        idx = _ranges([slc.start + offset for slc, offset in spans], rows)
+        # Where each item's rows go within its slice (a sequence named
+        # twice keeps its items in order), then one reservation per
+        # slice for its final length.  Lengths advance after the write.
+        lengths: Dict[_RowSlice, int] = {}
+        offsets = []
+        for slc, count in zip(slices, rows):
+            offset = lengths.get(slc, slc.length[layer])
+            offsets.append(offset)
+            lengths[slc] = offset + count
+        for slc, length in lengths.items():
+            self._reserve(slc, length)
+        idx = _ranges(
+            [slc.start + offset for slc, offset in zip(slices, offsets)],
+            rows,
+        )
         for tensors, encoded in parts:
             store.write(tensors, idx, encoded)
             # Charge every slice its new rows (O(1) footprint reads).
-            for (slc, _), bits, elements in zip(
-                spans, *_item_bits(encoded, rows)
+            for slc, bits, elements in zip(
+                slices, *_item_bits(encoded, rows)
             ):
                 slc.bits += bits
                 slc.elements += elements
+        for slc, length in lengths.items():
+            slc.length[layer] = length
         return len(parts)
 
     def decode_pending(
@@ -579,8 +667,7 @@ class KVArena:
             raise RuntimeError("cache is empty")
         if slc.decoded[layer] < length:
             self.decode_pending(layer, [seq_id])
-        view = self.layers[layer].decoded[:, slc.start : slc.start + length]
-        view.flags.writeable = False
+        view = self.layers[layer].readable[:, slc.start : slc.start + length]
         return view[0], view[1]
 
     # -- accounting ----------------------------------------------------
@@ -595,25 +682,31 @@ class KVArena:
         return slc.bits, slc.elements
 
     def check_invariants(self) -> None:
-        """Assert row geometry and the slices' running footprints.
+        """Assert the allocator's geometry and the running footprints.
 
-        Slices are disjoint, every layer's ``decoded <= length <= cap``,
-        live capacity plus dead rows is the arena extent, and each
-        slice's ``(bits, elements)`` equals
-        :meth:`EncodedKV.footprint_bits` of chunk views gathered over
-        its written rows in every layer — the walk the accumulators
-        replaced.
+        Every live capacity is 0 or a size class; live slices and free
+        regions are pairwise disjoint and tile the extent exactly
+        (``dead_rows`` is the rows on the free lists, live capacity
+        plus dead rows is ``tail``); every layer's ``decoded <= length
+        <= cap``; each layer's payload log is exactly its live records
+        plus the counted dead ones, which never outnumber them (every
+        ``free`` sees to it); and each slice's ``(bits,
+        elements)`` equals :meth:`EncodedKV.footprint_bits` of chunk
+        views gathered over its written rows in every layer — the walk
+        the accumulators replaced.
         """
-        cursor = 0
-        for seq_id, slc in sorted(
-            self.rows.items(), key=lambda item: item[1].start
-        ):
+        regions = [
+            (start, cap, "free")
+            for cap, starts in self.free_slices.items()
+            for start in starts
+        ]
+        assert self.dead_rows == sum(cap for _, cap, _ in regions)
+        for seq_id, slc in self.rows.items():
             for decoded, length in zip(slc.decoded, slc.length):
                 assert 0 <= decoded <= length <= slc.cap, seq_id
             if slc.cap:
                 # (A never-written slice owns no rows wherever it sits.)
-                assert slc.start >= cursor, f"slice {seq_id!r} overlaps"
-                cursor = slc.start + slc.cap
+                regions.append((slc.start, slc.cap, seq_id))
             bits = 0
             elements = 0
             for store, length in zip(self.layers, slc.length):
@@ -631,11 +724,25 @@ class KVArena:
                 f"({slc.bits}, {slc.elements}) != recomputed "
                 f"({bits}, {elements})"
             )
+        cursor = 0
+        for start, cap, owner in sorted(regions, key=lambda r: r[:2]):
+            assert cap >= _MIN_ROWS and cap & (cap - 1) == 0, (owner, cap)
+            assert start >= cursor, f"region of {owner!r} overlaps"
+            cursor = start + cap
         assert cursor <= self.tail
-        live_caps = sum(slc.cap for slc in self.rows.values())
-        assert live_caps + self.dead_rows == self.tail, (
-            live_caps, self.dead_rows, self.tail,
+        assert sum(cap for _, cap, _ in regions) == self.tail, (
+            regions, self.tail,
         )
+        for layer, store in enumerate(self.layers):
+            assert store.capacity == self.capacity >= self.tail
+            live_records = sum(
+                store.records(slc.start, slc.length[layer])
+                for slc in self.rows.values()
+            )
+            assert store.log_len == live_records + store.dead_records, (
+                layer, store.log_len, live_records, store.dead_records,
+            )
+            assert store.dead_records <= live_records, layer
 
     def summary(self) -> Dict[str, float]:
         """Occupancy counters merged into the pool's :meth:`summary`.
@@ -681,8 +788,8 @@ class ArenaCacheBackend:
     def append(
         self, layer: int, keys: np.ndarray, values: np.ndarray
     ) -> None:
-        keys = np.atleast_2d(keys)
-        values = np.atleast_2d(values)
+        keys = as_rows(keys)
+        values = as_rows(values)
         if keys.shape != values.shape:
             raise ValueError(
                 f"key/value shape mismatch: {keys.shape} vs "

@@ -59,7 +59,7 @@ import numpy as np
 
 from repro.core.encoding import concat_encoded
 from repro.core.kvcache import LayerKVCache, QuantizedKVCache
-from repro.engine.arena import ArenaCacheBackend, KVArena
+from repro.engine.arena import ArenaCacheBackend, KVArena, as_rows
 from repro.engine.backend import (
     BaselineCacheBackend,
     CacheBackend,
@@ -360,7 +360,7 @@ class KVCachePool:
                 "(double free, or never allocated)"
             )
         cache = self._caches.pop(seq_id)
-        # Read the footprint before the arena marks the rows dead
+        # Read the footprint before the arena recycles the rows
         # (freeing may trigger deterministic compaction).
         held = cache.nbytes()
         if self._arena is not None:
@@ -453,7 +453,9 @@ class KVCachePool:
                 budget and the projected footprint of the new rows
                 would exceed it (nothing is appended).
         """
-        self._check_capacity(seq_id, int(np.atleast_2d(keys).shape[0]))
+        keys = as_rows(keys)
+        values = as_rows(values)
+        self._check_capacity(seq_id, keys.shape[0])
         self._caches[seq_id].append(layer, keys, values)
         self._tier_record_append(seq_id, layer)
 
@@ -533,8 +535,8 @@ class KVCachePool:
         total_rows = 0
         for seq_id, keys, values in items:
             cache = self._caches[seq_id]
-            keys = np.atleast_2d(keys)
-            values = np.atleast_2d(values)
+            keys = as_rows(keys)
+            values = as_rows(values)
             if keys.shape != values.shape:
                 raise ValueError(
                     f"key/value shape mismatch for sequence "
@@ -916,14 +918,19 @@ class KVCachePool:
         ``tier_transfer_cycles``, ...).
 
         With the arena active, occupancy counters join too:
-        ``arena_rows_live`` / ``arena_rows_dead`` (summed over layers),
-        ``arena_compactions``, and ``arena_capacity_bytes`` — the
-        preallocated buffer bytes including slack.  ``bytes`` and
+        ``arena_rows_live`` (written rows) / ``arena_rows_dead`` (rows
+        of free-listed regions, waiting to be recycled), both summed
+        over layers; ``arena_compactions`` (passes x layers); and
+        ``arena_capacity_bytes`` — the encoded-side buffer bytes held
+        *now*, slack included: it follows use down as well as up (a
+        compaction pass re-sizes the buffers), so after a drain it is
+        the floor, not the high-water mark.  ``bytes`` and
         ``peak_bytes`` stay *live-content* footprints (bit-identical
         to the chunked pool's accounting), which is what the
         measured-footprint admission gate budgets against; the slack
-        the doubling policy holds beyond that is exactly
-        ``arena_capacity_bytes`` minus the encoded share of ``bytes``.
+        the size classes and the buffer headroom hold beyond that is
+        exactly ``arena_capacity_bytes`` minus the encoded share of
+        ``bytes``.
         """
         total, ebw = self.measure()
         out = {

@@ -34,6 +34,29 @@ def make_kv_matrix(
     return np.where(spikes, x * outlier_gain, x)
 
 
+def arena_state(arena):
+    """Everything of a :class:`~repro.engine.KVArena`'s row table, free
+    lists and payload-log counters that a refused operation must leave
+    untouched (``None`` for a chunked pool's missing arena)."""
+    if arena is None:
+        return None
+    return (
+        arena.tail,
+        arena.dead_rows,
+        arena.capacity,
+        arena.compactions,
+        {cap: list(starts) for cap, starts in arena.free_slices.items()},
+        {
+            seq_id: (
+                slc.start, slc.cap, slc.generation, slc.bits, slc.elements,
+                tuple(slc.length), tuple(slc.decoded),
+            )
+            for seq_id, slc in arena.rows.items()
+        },
+        [(store.log_len, store.dead_records) for store in arena.layers],
+    )
+
+
 @pytest.fixture(scope="session")
 def kv_matrix() -> np.ndarray:
     """Standard structured KV matrix."""

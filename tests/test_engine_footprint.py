@@ -31,7 +31,7 @@ from repro.engine import (
     shared_backend_factory,
 )
 
-from conftest import make_kv_matrix
+from conftest import arena_state, make_kv_matrix
 
 LAYERS = 2
 DIM = 8
@@ -174,12 +174,17 @@ class _Machine:
         self.did("free")
 
     def op_compact(self):
-        """Force an arena compaction pass (footprint-neutral)."""
+        """Force an arena compaction pass (footprint-neutral, and it
+        keeps every slice's capacity)."""
         if not self.pool.arena_enabled:
             return self.op_append()
+        arena = self.pool._arena
         before = _accounting(self.pool)
-        self.pool._arena.compact()
+        caps = {seq_id: slc.cap for seq_id, slc in arena.rows.items()}
+        arena.compact()
         assert _accounting(self.pool) == before
+        assert caps == {s: slc.cap for s, slc in arena.rows.items()}
+        assert arena.dead_rows == 0
         self.did("compact")
 
     def op_refused_batch(self):
@@ -194,10 +199,13 @@ class _Machine:
         self.pool.append_batch(0, batch)
         self.pool.check_invariants()
         self.pool.capacity_bytes = self.pool.measure()[0]
-        before = _accounting(self.pool)
+        def state():
+            return _accounting(self.pool), arena_state(self.pool._arena)
+
+        before = state()
         with pytest.raises(CacheCapacityError):
             self.pool.append_batch(1, batch)
-        assert _accounting(self.pool) == before
+        assert state() == before
         self.pool.capacity_bytes = None
         # Finish the step so layers stay in lock-step.
         self.pool.append_batch(1, batch)
