@@ -51,13 +51,28 @@ def cluster_smoke() -> None:
           rep["failed"], "failed,", rep["failovers"], "failovers")
 
 
+def assert_stacked_encodes(detail: dict) -> None:
+    """At most one merged kernel call per batched append: a layer's
+    keys and values went through the fused kernel row-stacked."""
+    assert 0 < detail["batched_encodes"] <= detail["batched_appends"], (
+        detail["batched_encodes"], detail["batched_appends"])
+
+
+def assert_stacked_decodes(detail: dict) -> None:
+    """At most one merged decode per batched read: a layer's pending
+    key and value rows came back through one ``dequantize``."""
+    assert 0 < detail["batched_decodes"] <= detail["batched_reads"], (
+        detail["batched_decodes"], detail["batched_reads"])
+
+
 def tiering_smoke() -> None:
     """Long-context spill smoke at a 25% device budget.
 
     Replay a long-context trace untiered to measure its working set,
     then again with the device tier capped at 25% of it: the tiered
     run must finish every request (nothing lost to capacity) while
-    actually exercising eviction.
+    actually exercising eviction — and the chunk store's batched reads
+    took the row-stacked decode.
     """
     replay = ("replay", "--workload", "longcontext", "--requests", "3",
               "--batch", "4")
@@ -74,17 +89,11 @@ def tiering_smoke() -> None:
     assert detail["tier_evictions"] > 0, "no eviction pressure"
     assert detail["tier_spilled_bytes"] > 0
     assert detail["gate_refusals"] == 0, "spill mode must not refuse"
+    assert_stacked_decodes(detail)
     print("spill smoke: generated", rep["generated_tokens"],
           "tokens at 25% budget,",
           int(detail["tier_evictions"]), "evictions,",
           int(detail["tier_transfer_cycles"]), "transfer cycles")
-
-
-def assert_stacked_encodes(detail: dict) -> None:
-    """At most one merged kernel call per batched append: a layer's
-    keys and values went through the fused kernel row-stacked."""
-    assert 0 < detail["batched_encodes"] <= detail["batched_appends"], (
-        detail["batched_encodes"], detail["batched_appends"])
 
 
 def sharing_smoke() -> None:
@@ -93,8 +102,9 @@ def sharing_smoke() -> None:
     Replay the RAG burst workload — every burst forks its wave's
     shared system prompt from the anchor request — and require that
     sharing actually engaged: nonzero forks, nonzero bytes saved, and
-    zero requests lost to the admission gate — and that the chunked
-    store's batched appends took the row-stacked encode.
+    zero requests lost to the admission gate — and that the chunk
+    store's batched appends took the row-stacked encode and its
+    batched reads the row-stacked decode.
     """
     rep = repro_json(
         "replay", "--workload", "rag", "--requests", "16",
@@ -106,6 +116,7 @@ def sharing_smoke() -> None:
     assert detail["shared_bytes_saved"] > 0, detail
     assert detail["gate_refusals"] == 0, detail["gate_refusals"]
     assert_stacked_encodes(detail)
+    assert_stacked_decodes(detail)
     print("sharing smoke:", int(detail["forks"]), "forks,",
           int(detail["shared_bytes_saved"]), "bytes saved,",
           rep["generated_tokens"], "tokens generated")

@@ -47,6 +47,7 @@ from repro.bench.scenarios import (
     replay_trace,
 )
 from repro.core.config import OakenConfig
+from repro.core.encoding import split_encoded
 from repro.core.kvcache import QuantizedKVCache
 from repro.core.quantizer import (
     LayerEncoder,
@@ -162,17 +163,21 @@ def _encode_pairs(ctx, stacked: bool):
     for keys, values in ctx.blocks:
         for _ in range(ctx.pairs):
             if stacked:
-                pair = ctx.encoder.encode([keys], [values])
+                ((_, pair),) = ctx.encoder.encode_parts([keys], [values])
             else:
                 pair = (
                     ctx.key_q.quantize_into(keys, ctx.scratch),
                     ctx.value_q.quantize_into(values, ctx.scratch),
                 )
-        last.extend(pair)
+        last.append(pair)
     seconds = time.perf_counter() - start
+    if stacked:
+        # Off the clock: the [keys; values] encode as the two tensors'.
+        last = [split_encoded(pair, [pair.num_tokens // 2]) for pair in last]
     return seconds, [
         [getattr(encoded, name) for name in _ENCODED_ARRAYS]
-        for encoded in last
+        for pair in last
+        for encoded in pair
     ]
 
 
@@ -201,7 +206,36 @@ _ENCODE_SERVING = Entry(
 # -- generation ------------------------------------------------------
 
 
-def _generate(ctx, quantizer_cls, incremental: bool, length=None):
+class _SeedCache:
+    """The seed's cache, kept here as the ``generation`` row's slow
+    side: one encoded chunk per append per tensor, and every chunk
+    dequantized and concatenated again on every read (O(T) per step)."""
+
+    def __init__(self, key_quantizers, value_quantizers):
+        self.quantizers = list(zip(key_quantizers, value_quantizers))
+        self.chunks = [([], []) for _ in self.quantizers]
+        self.num_layers = len(self.quantizers)
+
+    @property
+    def length(self):
+        return sum(chunk.num_tokens for chunk in self.chunks[0][0])
+
+    def append(self, layer, keys, values):
+        for quantizer, chunks, rows in zip(
+            self.quantizers[layer], self.chunks[layer], (keys, values)
+        ):
+            chunks.append(quantizer.quantize(np.atleast_2d(rows)))
+
+    def read(self, layer):
+        return tuple(
+            np.concatenate([quantizer.dequantize(c) for c in chunks])
+            for quantizer, chunks in zip(
+                self.quantizers[layer], self.chunks[layer]
+            )
+        )
+
+
+def _generate(ctx, quantizer_cls, cache_cls, length=None):
     """One quantized-cache generation; only the decode loop is timed."""
     from repro.models.quantized_generation import (
         generate_with_quantized_cache,
@@ -215,10 +249,9 @@ def _generate(ctx, quantizer_cls, incremental: bool, length=None):
         ]
         for layer in ctx.calibration_kv
     ]
-    cache = QuantizedKVCache(
+    cache = cache_cls(
         [keys for keys, _ in quantizers],
         [values for _, values in quantizers],
-        incremental=incremental,
     )
     start = time.perf_counter()
     result = generate_with_quantized_cache(
@@ -229,13 +262,13 @@ def _generate(ctx, quantizer_cls, incremental: bool, length=None):
 
 #: The seed side re-decodes the entire cached history on every decode
 #: step through the reference kernels (the O(T^2) behaviour); the
-#: fused side streams appends and reads incrementally.
+#: fused side streams appends and decodes each row once.
 _GENERATION = {
     "seed": partial(
-        _generate, quantizer_cls=ReferenceOakenQuantizer, incremental=False
+        _generate, quantizer_cls=ReferenceOakenQuantizer, cache_cls=_SeedCache
     ),
     "incremental": partial(
-        _generate, quantizer_cls=OakenQuantizer, incremental=True
+        _generate, quantizer_cls=OakenQuantizer, cache_cls=QuantizedKVCache
     ),
 }
 
@@ -474,23 +507,22 @@ def _baseline_setup(method: str, steps: int, dim: int) -> SimpleNamespace:
     )
 
 
-def _baseline_stream(ctx, amortize: bool):
+def _baseline_stream(ctx, amortized: bool):
     """Stream single-token appends, reading the history after each.
 
-    The full side re-applies the method's one-shot ``roundtrip`` to
-    the entire [T, D] history every read — O(T) per step; the
-    amortized side keeps the rows the method's ``stable_prefix``
-    contract guarantees stable and re-quantizes only the window delta.
-    Only read time is measured.
+    The full side (kept here, not in the engine) re-applies the
+    method's one-shot ``roundtrip`` to the entire [T, D] history every
+    read — O(T) per step; the amortized side is the adapter backend,
+    which keeps the rows the method's ``stable_prefix`` contract
+    guarantees stable and re-quantizes only the window delta.  Only
+    read time is measured.
     """
     from repro.engine import SyntheticKVStream
     from repro.engine.backend import BaselineCacheBackend
 
+    quantizers = (ctx.quantizers["key"], ctx.quantizers["value"])
     backend = BaselineCacheBackend(
-        [ctx.quantizers["key"]],
-        [ctx.quantizers["value"]],
-        method=ctx.method,
-        amortize=amortize,
+        *([q] for q in quantizers), method=ctx.method
     )
     stream = SyntheticKVStream(ctx.dim, seed=1)
     read_s = 0.0
@@ -498,7 +530,13 @@ def _baseline_stream(ctx, amortize: bool):
     for _ in range(ctx.steps):
         backend.append(0, stream.draw(1), stream.draw(1))
         start = time.perf_counter()
-        final = backend.read(0)
+        if amortized:
+            final = backend.read(0)
+        else:
+            final = tuple(
+                np.asarray(q.roundtrip(s.matrix()), dtype=np.float32)
+                for q, s in zip(quantizers, backend.layer_streams(0))
+            )
         read_s += time.perf_counter() - start
     return read_s, final
 
@@ -510,8 +548,8 @@ _BASELINE_READ = Entry(
     passes=at_least(2),
     echo_repeats=True,
     variants={
-        "full": partial(_baseline_stream, amortize=False),
-        "amortized": partial(_baseline_stream, amortize=True),
+        "full": partial(_baseline_stream, amortized=False),
+        "amortized": partial(_baseline_stream, amortized=True),
     },
     speedups={"amortized": ("full", "amortized")},
     check=lambda o: {"reads": same(o["amortized"], o["full"])},

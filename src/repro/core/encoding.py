@@ -18,7 +18,7 @@ accounting (Table 2 bottom rows and Table 3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -59,7 +59,7 @@ class EncodedKV:
         config: the quantizer configuration that produced this tensor.
         thresholds: the offline thresholds used for grouping/shifting
             (a tuple of them, one per equal row block, straight out of
-            a row-stacked quantizer — see :func:`row_block_views`).
+            a row-stacked quantizer — see :func:`split_encoded`).
         shape: original (T, D).
         dense_codes: [T, D] uint8; middle-group codes, with outlier
             slots holding the fused low bits of their outlier code (or
@@ -116,47 +116,48 @@ class EncodedKV:
         """Indices into the sparse arrays belonging to ``token``."""
         return np.nonzero(self.sparse_token == token)[0]
 
-    def footprint(self) -> StorageFootprint:
-        """Bit-exact storage accounting (the Table 2/3 metric).
+    def _bit_terms(self) -> Tuple[int, int, int]:
+        """``(dense, sparse, metadata)`` bits, exact integers — the one
+        spelling of the Table 2/3 accounting.
 
         Dense bits cover every element at ``inlier_bits``; sparse bits
         cover one aligned record per outlier; metadata bits cover the
         per-token per-group FP16 scale bounds (2 scalars for the middle
         group plus 2 per sparse band).
         """
-        if self._cached_footprint is not None:
-            return self._cached_footprint
-        elements = self.num_tokens * self.dim
-        dense_bits = float(elements * self.config.inlier_bits)
-        sparse_bits = float(
-            self.num_outliers * sparse_record_bits(self.config)
+        tokens, dim = self.shape
+        config = self.config
+        return (
+            tokens * dim * config.inlier_bits,
+            self.num_outliers * sparse_record_bits(config),
+            tokens * config.token_metadata_bits,
         )
-        metadata_bits = float(
-            self.num_tokens * self.config.token_metadata_bits
-        )
-        footprint = StorageFootprint(
-            element_count=elements,
-            dense_bits=dense_bits,
-            sparse_bits=sparse_bits,
-            metadata_bits=metadata_bits,
-            breakdown={
-                "dense_codes": dense_bits,
-                "sparse_records": sparse_bits,
-                "scales": metadata_bits,
-            },
-        )
-        self._cached_footprint = footprint
-        return footprint
+
+    def footprint(self) -> StorageFootprint:
+        """Bit-exact storage accounting (the Table 2/3 metric)."""
+        if self._cached_footprint is None:
+            dense, sparse, metadata = map(float, self._bit_terms())
+            self._cached_footprint = StorageFootprint(
+                element_count=self.num_tokens * self.dim,
+                dense_bits=dense,
+                sparse_bits=sparse,
+                metadata_bits=metadata,
+                breakdown={
+                    "dense_codes": dense,
+                    "sparse_records": sparse,
+                    "scales": metadata,
+                },
+            )
+        return self._cached_footprint
 
     def footprint_bits(self) -> Tuple[int, int]:
         """``(total_bits, element_count)`` as exact integers.
 
-        Every term of :meth:`footprint` is an integer bit count, so
-        the caches can keep running totals of these pairs that equal
-        a recomputed sum exactly, in any order.
+        Every term of the accounting is an integer bit count, so the
+        caches can keep running totals of these pairs that equal a
+        recomputed sum exactly, in any order.
         """
-        footprint = self.footprint()
-        return int(footprint.total_bits), footprint.element_count
+        return sum(self._bit_terms()), self.num_tokens * self.dim
 
     def effective_bitwidth(self) -> float:
         """Bits per original element including scale metadata."""
@@ -167,57 +168,73 @@ class EncodedKV:
         return self.footprint().total_bytes
 
 
-def concat_encoded(chunks: Sequence[EncodedKV]) -> EncodedKV:
+def concat_encoded(*blocks: Sequence[EncodedKV]) -> EncodedKV:
     """Stack encoded [T_i, D] tensors into one [sum T_i, D] layout.
 
     Every decode operation is row-local (per-token scales, per-record
     sparse reconstruction), so dequantizing the concatenated tensor is
     bit-identical to dequantizing each chunk separately — this is what
-    lets the serving pool decode the pending chunks of many sequences
-    in one fused pass.  :func:`split_encoded` is the inverse, used on
-    the encode side of the same batching trick.
+    lets the chunk store decode the pending chunks of many sequences in
+    one fused pass.  The inverse of :func:`split_encoded`, both ways:
 
-    All chunks must share the same quantizer configuration and
-    thresholds (the pool guarantees this by sharing per-layer
-    quantizers across sequences).
+    * ``concat_encoded(chunks)`` joins the chunks of one tensor; they
+      must share config and thresholds (by identity — sequences share
+      fitted quantizers);
+    * ``concat_encoded(key_chunks, value_chunks)`` joins equal row
+      blocks into a *row-stacked* encode, labelled with one thresholds
+      object per block and each block's chunks validated against that
+      block's thresholds — what a row-stacked quantizer (one built over
+      a sequence of thresholds) decodes in one call.
 
     Args:
-        chunks: non-empty sequence of same-width encoded tensors.
+        blocks: non-empty sequences of same-width encoded tensors, each
+            holding the same number of rows in total.
 
     Returns:
-        One :class:`EncodedKV` whose rows are the chunks' rows in
-        order.
+        One :class:`EncodedKV` whose rows are the blocks' chunks' rows
+        in order.
     """
-    if not chunks:
+    if not blocks or not all(blocks):
         raise ValueError("cannot concatenate zero chunks")
-    first = chunks[0]
+    first = blocks[0][0]
+    chunks = [chunk for block in blocks for chunk in block]
     if len(chunks) == 1:
         return first
     offsets: List[int] = []
+    block_rows = set()
     total = 0
-    for chunk in chunks:
-        if chunk.config is not first.config and chunk.config != first.config:
-            raise ValueError("chunks were encoded with different configs")
-        if chunk.thresholds is not first.thresholds:
-            raise ValueError(
-                "chunks were encoded with different thresholds; batched "
-                "decode requires sequences to share fitted quantizers"
-            )
-        if chunk.dim != first.dim:
-            raise ValueError(
-                f"width mismatch: {chunk.dim} vs {first.dim}"
-            )
-        offsets.append(total)
-        total += chunk.num_tokens
+    for block in blocks:
+        block_start = total
+        for chunk in block:
+            if chunk.config is not first.config and chunk.config != first.config:
+                raise ValueError("chunks were encoded with different configs")
+            if chunk.thresholds is not block[0].thresholds:
+                raise ValueError(
+                    "chunks were encoded with different thresholds; batched "
+                    "decode requires sequences to share fitted quantizers"
+                )
+            if chunk.dim != first.dim:
+                raise ValueError(
+                    f"width mismatch: {chunk.dim} vs {first.dim}"
+                )
+            offsets.append(total)
+            total += chunk.num_tokens
+        block_rows.add(total - block_start)
+    if len(block_rows) > 1:
+        raise ValueError(
+            f"row blocks of a row-stacked encode must be equal, got "
+            f"{sorted(block_rows)} rows"
+        )
     sparse_token = np.concatenate(
         [c.sparse_token + off for c, off in zip(chunks, offsets)]
     )
     sparse_fp16 = None
     if first.sparse_fp16 is not None:
         sparse_fp16 = np.concatenate([c.sparse_fp16 for c in chunks])
+    thresholds = tuple(block[0].thresholds for block in blocks)
     return EncodedKV(
         config=first.config,
-        thresholds=first.thresholds,
+        thresholds=thresholds if len(blocks) > 1 else thresholds[0],
         shape=(total, first.dim),
         dense_codes=np.concatenate([c.dense_codes for c in chunks]),
         middle_lo=np.concatenate([c.middle_lo for c in chunks]),
@@ -288,72 +305,6 @@ def encoded_rows_view(
     )
 
 
-def _row_range(
-    encoded: EncodedKV,
-    thresholds: GroupThresholds,
-    rows: slice,
-    records: slice,
-    own: Callable[[np.ndarray], np.ndarray],
-) -> EncodedKV:
-    """Rows ``rows`` of ``encoded`` with their COO records ``records``.
-
-    ``own`` decides aliasing: ``np.ndarray.copy`` for a piece owning
-    its arrays, :func:`_view` for one sliced out of ``encoded``.
-    """
-    sparse_fp16 = encoded.sparse_fp16
-    return EncodedKV(
-        config=encoded.config,
-        thresholds=thresholds,
-        shape=(rows.stop - rows.start, encoded.dim),
-        dense_codes=own(encoded.dense_codes[rows]),
-        middle_lo=own(encoded.middle_lo[rows]),
-        middle_hi=own(encoded.middle_hi[rows]),
-        band_lo=own(encoded.band_lo[rows]),
-        band_hi=own(encoded.band_hi[rows]),
-        sparse_token=encoded.sparse_token[records] - rows.start,
-        sparse_pos=own(encoded.sparse_pos[records]),
-        sparse_band=own(encoded.sparse_band[records]),
-        sparse_side=own(encoded.sparse_side[records]),
-        sparse_mag_code=own(encoded.sparse_mag_code[records]),
-        sparse_fp16=None if sparse_fp16 is None else own(sparse_fp16[records]),
-    )
-
-
-def _view(array: np.ndarray) -> np.ndarray:
-    return array
-
-
-def row_block_views(encoded: EncodedKV) -> List[EncodedKV]:
-    """The equal row blocks of a row-stacked encode, as views.
-
-    A row-stacked quantizer (one built over a sequence of thresholds)
-    encodes G equal row blocks in one kernel call and labels the result
-    with all G thresholds.  Encode is row-local, so block ``g`` of that
-    result *is* the encode of block ``g`` under ``thresholds[g]``; this
-    hands the blocks back as per-tensor :class:`EncodedKV` s, each
-    carrying its own thresholds.  Row-parallel and record arrays are
-    slices of ``encoded``'s (nothing is copied; only the token indices
-    are re-based), so the pieces alias one another's storage and are
-    meant to share a lifetime — a layer's key and value chunk do.
-    """
-    thresholds = encoded.thresholds
-    rows = encoded.num_tokens // len(thresholds)
-    bounds = [g * rows for g in range(len(thresholds) + 1)]
-    # The COO stream is token-major, hence sorted by token; each
-    # block's records form one contiguous slice.
-    starts = np.searchsorted(encoded.sparse_token, bounds).tolist()
-    return [
-        _row_range(
-            encoded,
-            thresholds[g],
-            slice(bounds[g], bounds[g + 1]),
-            slice(starts[g], starts[g + 1]),
-            _view,
-        )
-        for g in range(len(thresholds))
-    ]
-
-
 def split_encoded(
     encoded: EncodedKV, row_counts: Sequence[int]
 ) -> List[EncodedKV]:
@@ -363,61 +314,67 @@ def split_encoded(
     row-local (per-token scales, per-token COO records in token order),
     quantizing the concatenation of several row blocks and splitting
     the result is bit-identical to quantizing each block separately.
-    This is what lets the serving pool encode the freshly appended rows
+    This is what lets the chunk store encode the freshly appended rows
     of many sequences in one fused pass and scatter the chunks back to
     their per-sequence caches.
 
-    A row-stacked encode (see :func:`row_block_views`) splits the same
-    way, each chunk carrying the thresholds of the row block it lies
-    in; no chunk may straddle two blocks.
+    A row-stacked encode (G equal row blocks out of a row-stacked
+    quantizer, labelled with G thresholds) splits every block the same
+    way: ``row_counts`` partitions *one* block, and the chunks come
+    back block-major — all of block 0's, then block 1's — each carrying
+    the thresholds of the block it lies in.
 
     Args:
         encoded: the tensor to split.
         row_counts: tokens per output chunk, in row order; must sum to
-            ``encoded.num_tokens``.  Zero counts yield empty chunks.
+            the rows of one block (``encoded.num_tokens`` unless
+            row-stacked).  Zero counts yield empty chunks.
 
     Returns:
-        One :class:`EncodedKV` per entry of ``row_counts``, each owning
-        its arrays (no aliasing of ``encoded``).
+        One :class:`EncodedKV` per block per entry of ``row_counts``,
+        each owning its arrays (no aliasing of ``encoded``).
     """
     counts = [int(c) for c in row_counts]
     if any(c < 0 for c in counts):
         raise ValueError("row counts must be non-negative")
-    if sum(counts) != encoded.num_tokens:
+    thresholds = encoded.thresholds
+    if isinstance(thresholds, GroupThresholds):
+        thresholds = (thresholds,)
+    if sum(counts) * len(thresholds) != encoded.num_tokens:
         raise ValueError(
             f"row counts sum to {sum(counts)}, tensor has "
-            f"{encoded.num_tokens} tokens"
+            f"{encoded.num_tokens} tokens in {len(thresholds)} row block(s)"
         )
-    bounds = np.cumsum([0] + counts)
+    bounds = np.cumsum([0] + counts * len(thresholds))
     # The COO stream is token-major, hence sorted by token; each
     # segment's records form one contiguous slice.
     starts = np.searchsorted(
         encoded.sparse_token, bounds, side="left"
     ).tolist()
     bounds = bounds.tolist()
-    thresholds = encoded.thresholds
-    stacked = not isinstance(thresholds, GroupThresholds)
-    block_rows = encoded.num_tokens // len(thresholds) if stacked else 0
+    sparse_fp16 = encoded.sparse_fp16
     pieces: List[EncodedKV] = []
-    for i in range(len(counts)):
+    for i in range(len(bounds) - 1):
         rows = slice(bounds[i], bounds[i + 1])
-        own_thresholds = thresholds
-        if stacked:
-            # (a trailing empty chunk starts where the last block ends)
-            block = min(rows.start // max(block_rows, 1), len(thresholds) - 1)
-            if rows.stop > (block + 1) * block_rows:
-                raise ValueError(
-                    f"rows {rows.start}..{rows.stop} straddle two row "
-                    "blocks of a row-stacked encode"
-                )
-            own_thresholds = thresholds[block]
+        records = slice(starts[i], starts[i + 1])
         pieces.append(
-            _row_range(
-                encoded,
-                own_thresholds,
-                rows,
-                slice(starts[i], starts[i + 1]),
-                np.ndarray.copy,
+            EncodedKV(
+                config=encoded.config,
+                thresholds=thresholds[i // len(counts)],
+                shape=(rows.stop - rows.start, encoded.dim),
+                dense_codes=encoded.dense_codes[rows].copy(),
+                middle_lo=encoded.middle_lo[rows].copy(),
+                middle_hi=encoded.middle_hi[rows].copy(),
+                band_lo=encoded.band_lo[rows].copy(),
+                band_hi=encoded.band_hi[rows].copy(),
+                sparse_token=encoded.sparse_token[records] - rows.start,
+                sparse_pos=encoded.sparse_pos[records].copy(),
+                sparse_band=encoded.sparse_band[records].copy(),
+                sparse_side=encoded.sparse_side[records].copy(),
+                sparse_mag_code=encoded.sparse_mag_code[records].copy(),
+                sparse_fp16=(
+                    None if sparse_fp16 is None else sparse_fp16[records].copy()
+                ),
             )
         )
     return pieces

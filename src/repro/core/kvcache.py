@@ -11,84 +11,62 @@ generation: ``append`` quantizes only newly generated vectors ("Oaken
 performs per-token quantization ... focusing only on the key-value
 vector newly generated in each attention layer").
 
-Because chunks are append-only and immutable, their decoded form is
-memoized: :meth:`LayerKVCache.read` dequantizes each chunk exactly once
-into a growing float32 buffer and thereafter serves O(1) views of the
-decoded prefix.  This turns the per-step cost of autoregressive
-generation from O(T) re-decodes (O(T^2) per sequence, the seed
-behaviour) into O(new tokens).  Construct with ``incremental=False`` to
-restore the seed's re-decode-everything behaviour — the perf-regression
-harness (:mod:`repro.bench`) uses that mode as its baseline.
+The store has one write path and one read path, both over a *list* of
+layer caches sharing a layer's quantizers, both on the
+:class:`~repro.core.quantizer.LayerEncoder` pair the arena uses:
 
-The multi-sequence serving pool (:class:`repro.engine.KVCachePool`)
-batches both directions across sequences through three hooks here:
-:meth:`LayerKVCache.pending_chunks` /
-:meth:`LayerKVCache.commit_decoded` let it decode many sequences'
-not-yet-memoized chunks in one fused pass, and
-:meth:`LayerKVCache.append_encoded` lets it scatter back chunks it
-encoded in one fused pass (via
-:func:`~repro.core.encoding.split_encoded`).
+* :func:`append_batch` encodes every cache's new rows in one fused pass
+  (``encode_parts``: keys stacked over values in one kernel call when
+  the quantizers allow it) and scatters the chunks back with
+  :func:`~repro.core.encoding.split_encoded`;
+* :func:`decode_pending` gathers every cache's not-yet-memoized chunks
+  as ``[all key chunks; all value chunks]``, decodes them in one pass
+  (``decode_parts``) and scatters the rows into each cache's decode
+  memo.  Chunks are append-only and immutable, so each is decoded
+  exactly once: a read costs O(new tokens), not O(T).
+
+:meth:`LayerKVCache.append` / :meth:`LayerKVCache.read` are those two
+functions with a batch of one; the multi-sequence serving pool
+(:class:`repro.engine.KVCachePool`) calls them with many.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.config import OakenConfig
-from repro.core.encoding import EncodedKV, split_encoded
+from repro.core.encoding import EncodedKV, concat_encoded, split_encoded
 from repro.core.quantizer import LayerEncoder, OakenQuantizer
 
 
 class _DecodedPrefix:
-    """A growing float32 buffer memoizing decoded, immutable chunks."""
+    """A growing ``[2, cap, D]`` float32 buffer (axis 0 is K|V)
+    memoizing the decoded rows of immutable chunks."""
 
     def __init__(self) -> None:
         self.buffer: Optional[np.ndarray] = None
         self.rows = 0
         self.chunks_decoded = 0
 
-    def append_rows(self, decoded: np.ndarray, chunks: int = 1) -> None:
-        """Memoize ``decoded`` rows covering ``chunks`` encoded chunks.
-
-        The rows may have been decoded externally (the serving pool
-        dequantizes the pending chunks of many sequences in one fused
-        pass); the prefix only records that those chunks are now
-        represented in the buffer.
-        """
-        need = self.rows + decoded.shape[0]
-        if self.buffer is None:
-            capacity = max(64, need)
-            self.buffer = np.empty(
-                (capacity, decoded.shape[1]), dtype=np.float32
-            )
-        elif need > self.buffer.shape[0]:
-            capacity = max(need, 2 * self.buffer.shape[0])
-            grown = np.empty(
-                (capacity, self.buffer.shape[1]), dtype=np.float32
-            )
-            grown[: self.rows] = self.buffer[: self.rows]
+    def reserve(self, rows: int, dim: int) -> np.ndarray:
+        """The ``[2, rows, D]`` window past the memoized prefix, grown
+        into if need be; :func:`decode_pending` fills and commits it."""
+        need = self.rows + rows
+        if self.buffer is None or need > self.buffer.shape[1]:
+            held = 0 if self.buffer is None else 2 * self.buffer.shape[1]
+            grown = np.empty((2, max(64, need, held), dim), dtype=np.float32)
+            if self.buffer is not None:
+                grown[:, : self.rows] = self.buffer[:, : self.rows]
             self.buffer = grown
-        self.buffer[self.rows : need] = decoded
-        self.rows = need
-        self.chunks_decoded += chunks
+        return self.buffer[:, self.rows : need]
 
-    def view(self) -> np.ndarray:
-        """Read-only view of the memoized prefix."""
-        if self.buffer is None:
-            view = np.empty((0, 0), dtype=np.float32)
-        else:
-            view = self.buffer[: self.rows]
+    def view(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(keys, values)`` views of the memoized prefix."""
+        view = self.buffer[:, : self.rows]
         view.flags.writeable = False
-        return view
-
-    def extend(self, chunks: List[EncodedKV], quantizer) -> np.ndarray:
-        """Decode chunks not yet memoized, then view the full prefix."""
-        for chunk in chunks[self.chunks_decoded :]:
-            self.append_rows(quantizer.dequantize(chunk))
-        return self.view()
+        return view[0], view[1]
 
 
 @dataclass
@@ -98,13 +76,10 @@ class LayerKVCache:
     Attributes:
         key_quantizer: Oaken quantizer fitted for this layer's keys.
         value_quantizer: Oaken quantizer fitted for this layer's values.
-        incremental: memoize decoded chunks so :meth:`read` is O(new
-            tokens) instead of re-decoding the whole history (default).
     """
 
     key_quantizer: OakenQuantizer
     value_quantizer: OakenQuantizer
-    incremental: bool = True
     _key_chunks: List[EncodedKV] = field(default_factory=list)
     _value_chunks: List[EncodedKV] = field(default_factory=list)
     _length: int = 0
@@ -112,14 +87,13 @@ class LayerKVCache:
     # (see :meth:`footprint_bits`).
     _bits: int = 0
     _elements: int = 0
-    _key_decoded: _DecodedPrefix = field(
+    #: The one decode memo: rows of the first ``chunks_decoded`` chunk
+    #: pairs, keys and values side by side.
+    _decoded: _DecodedPrefix = field(
         default_factory=_DecodedPrefix, repr=False, compare=False
     )
-    _value_decoded: _DecodedPrefix = field(
-        default_factory=_DecodedPrefix, repr=False, compare=False
-    )
-    #: Encodes appended rows: one row-stacked kernel call for keys and
-    #: values when the two quantizers allow it.
+    #: The layer's kernel calls, each way: one row-stacked call for
+    #: keys and values when the two quantizers allow it.
     encoder: LayerEncoder = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -138,7 +112,8 @@ class LayerKVCache:
             self._elements += elements
 
     def append(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Quantize and append newly generated KV rows.
+        """Quantize and append newly generated KV rows
+        (:func:`append_batch` with a batch of one).
 
         Args:
             keys: [t, D] new key vectors (t >= 1).
@@ -150,20 +125,17 @@ class LayerKVCache:
             raise ValueError(
                 f"key/value shape mismatch: {keys.shape} vs {values.shape}"
             )
-        self.append_encoded(*self.encoder.encode([keys], [values]))
+        append_batch([self], [keys], [values])
 
     def append_encoded(
         self, key_chunk: EncodedKV, value_chunk: EncodedKV
     ) -> None:
         """Append pre-encoded KV chunks produced by this layer's quantizers.
 
-        The write-side counterpart of :meth:`pending_chunks`: the
-        serving pool quantizes the freshly appended rows of many
-        sequences in one fused encode, splits the result with
-        :func:`~repro.core.encoding.split_encoded`, and hands each
-        sequence its chunk here.  The chunks must have been encoded
-        with this layer's fitted quantizers (same thresholds), which
-        the pool guarantees by sharing quantizers across sequences.
+        Where :func:`append_batch` lands each cache's chunk pair.  The
+        chunks must have been encoded with this layer's fitted
+        quantizers (same thresholds, which :func:`decode_pending`
+        checks by identity) and must own their arrays.
         """
         if key_chunk.num_tokens != value_chunk.num_tokens:
             raise ValueError(
@@ -176,30 +148,17 @@ class LayerKVCache:
         self._charge((key_chunk, value_chunk))
 
     def read(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Dequantize the full cached (keys, values) history.
+        """Dequantize the full cached (keys, values) history
+        (:func:`decode_pending` with a batch of one).
 
         Returns:
-            ``(keys, values)`` float32 arrays of shape [length, D].  In
-            incremental mode these are read-only views of the memoized
-            decode buffers; copy before mutating.
+            ``(keys, values)`` float32 arrays of shape [length, D]:
+            read-only views of the decode memo; copy before mutating.
         """
         if not self._key_chunks:
             raise RuntimeError("cache is empty")
-        if self.incremental:
-            keys = self._key_decoded.extend(
-                self._key_chunks, self.key_quantizer
-            )
-            values = self._value_decoded.extend(
-                self._value_chunks, self.value_quantizer
-            )
-            return keys, values
-        keys = np.concatenate(
-            [self.key_quantizer.dequantize(c) for c in self._key_chunks]
-        )
-        values = np.concatenate(
-            [self.value_quantizer.dequantize(c) for c in self._value_chunks]
-        )
-        return keys, values
+        decode_pending([self])
+        return self._decoded.view()
 
     def split_chunk_boundary(
         self, prefix_len: int
@@ -212,8 +171,8 @@ class LayerKVCache:
         :func:`~repro.core.encoding.split_encoded` and the two pieces
         replace it in this cache's lists — a bit-exact rewrite (both
         encode and decode are row-local) that leaves every read
-        unchanged, including the incremental decode memo, whose chunk
-        counter is re-based when an already-memoized chunk splits.
+        unchanged, including the decode memo, whose chunk counter is
+        re-based when an already-memoized chunk splits.
 
         Returns:
             ``(count, replaced)`` — the number of chunks now covering
@@ -251,11 +210,10 @@ class LayerKVCache:
                 ), "chunk split changed the encoded footprint"
                 chunks[index : index + 1] = pieces
             # A memoized chunk that splits is now *two* memoized
-            # chunks; re-base the decode counters so pending_chunks
-            # keeps pointing past the memoized prefix.
-            for memo in (self._key_decoded, self._value_decoded):
-                if memo.chunks_decoded > index:
-                    memo.chunks_decoded += 1
+            # chunks; re-base the decode counter so decode_pending
+            # keeps starting past the memoized prefix.
+            if self._decoded.chunks_decoded > index:
+                self._decoded.chunks_decoded += 1
             replaced.append((key_chunk, value_chunk))
             rows = prefix_len
             index += 1
@@ -283,35 +241,6 @@ class LayerKVCache:
         self._length = length
         self._charge(self._key_chunks)
         self._charge(self._value_chunks)
-
-    def pending_chunks(self) -> Tuple[List[EncodedKV], List[EncodedKV]]:
-        """Chunks appended since the last read (incremental mode only).
-
-        The serving pool batches these across sequences into one fused
-        decode; the results come back through :meth:`commit_decoded`.
-        """
-        if not self.incremental:
-            raise RuntimeError(
-                "pending_chunks requires an incremental cache"
-            )
-        return (
-            self._key_chunks[self._key_decoded.chunks_decoded :],
-            self._value_chunks[self._value_decoded.chunks_decoded :],
-        )
-
-    def commit_decoded(
-        self,
-        key_rows: np.ndarray,
-        value_rows: np.ndarray,
-        chunks: int,
-    ) -> None:
-        """Memoize externally decoded pending rows covering ``chunks``.
-
-        ``key_rows`` / ``value_rows`` must be the exact decode of the
-        corresponding :meth:`pending_chunks` slices, in order.
-        """
-        self._key_decoded.append_rows(key_rows, chunks)
-        self._value_decoded.append_rows(value_rows, chunks)
 
     def footprint_bits(self) -> Tuple[int, int]:
         """``(total_bits, element_count)`` of the cached chunks; O(1).
@@ -354,30 +283,112 @@ class LayerKVCache:
         )
 
 
+def append_batch(
+    layers: Sequence[LayerKVCache],
+    key_blocks: Sequence[np.ndarray],
+    value_blocks: Sequence[np.ndarray],
+) -> int:
+    """The chunk store's write path: one fused encode, one scatter.
+
+    ``layers[i]`` receives the same-shape 2-D [t_i, D] blocks
+    ``key_blocks[i]`` / ``value_blocks[i]`` (callers check) as one
+    chunk pair; a cache listed twice keeps its items in order.  The
+    caches must share their layer's fitted quantizers, hence any one of
+    their encoders serves the batch.  Encode is row-local, so the
+    scattered chunks are bit-for-bit what per-cache appends would have
+    stored, and each owns its arrays — a fork may alias it for as long
+    as it likes.  Everything that can refuse the batch (a block of the
+    wrong width) does so in the encode, before any cache is touched.
+
+    Returns the number of kernel calls made (1 when keys and values
+    stack, else 2).
+    """
+    rows = [block.shape[0] for block in key_blocks]
+    parts = layers[0].encoder.encode_parts(key_blocks, value_blocks)
+    # Block-major out of every part: all key chunks, then all value
+    # chunks, whether they left the kernel in one encode or two.
+    chunks = [
+        chunk
+        for _, encoded in parts
+        for chunk in split_encoded(encoded, rows)
+    ]
+    for layer, key_chunk, value_chunk in zip(
+        layers, chunks[: len(rows)], chunks[len(rows) :]
+    ):
+        layer.append_encoded(key_chunk, value_chunk)
+    return len(parts)
+
+
+def decode_pending(layers: Sequence[LayerKVCache]) -> int:
+    """The chunk store's read path: decode every listed cache's
+    not-yet-memoized chunks in one pass.
+
+    Gathers them as ``[all key chunks; all value chunks]``, decodes
+    through :meth:`~repro.core.quantizer.LayerEncoder.decode_parts` —
+    one ``dequantize`` of the row-stacked encode when the layer's
+    quantizers stack, one per tensor otherwise — and scatters the rows
+    into each cache's decode memo.  The caches must share their layer's
+    fitted quantizers (:func:`~repro.core.encoding.concat_encoded`
+    checks every chunk's thresholds by identity); a cache may be listed
+    more than once.  Decode is row-local, so the memos end up
+    bit-identical to per-cache, per-chunk decodes.
+
+    Returns the number of kernel calls made — 0 when nothing was
+    pending.
+    """
+    pending = list(
+        {
+            id(layer): layer
+            for layer in layers
+            if layer._decoded.chunks_decoded < len(layer._key_chunks)
+        }.values()
+    )
+    if not pending:
+        return 0
+    blocks: Tuple[List[EncodedKV], List[EncodedKV]] = ([], [])
+    for layer in pending:
+        start = layer._decoded.chunks_decoded
+        blocks[0].extend(layer._key_chunks[start:])
+        blocks[1].extend(layer._value_chunks[start:])
+    decodes = pending[0].encoder.decode_parts(
+        lambda tensors, quantizer: concat_encoded(*blocks[tensors])
+    )
+    dim = blocks[0][0].dim
+    total = sum(layer._length - layer._decoded.rows for layer in pending)
+    by_tensor = [
+        (tensors, block.reshape(tensors.stop - tensors.start, total, dim))
+        for tensors, block in decodes
+    ]
+    offset = 0
+    for layer in pending:
+        memo = layer._decoded
+        rows = layer._length - memo.rows
+        window = memo.reserve(rows, dim)
+        for tensors, block in by_tensor:
+            window[tensors] = block[:, offset : offset + rows]
+        memo.rows = layer._length
+        memo.chunks_decoded = len(layer._key_chunks)
+        offset += rows
+    return len(decodes)
+
+
 class QuantizedKVCache:
     """Whole-model quantized KV cache: one :class:`LayerKVCache` per layer.
 
     Args:
         key_quantizers: per-layer key quantizers (index = layer).
         value_quantizers: per-layer value quantizers.
-        incremental: memoize decoded chunks per layer (default); pass
-            ``False`` for the seed's full re-decode on every read.
     """
 
     def __init__(
         self,
         key_quantizers: List[OakenQuantizer],
         value_quantizers: List[OakenQuantizer],
-        incremental: bool = True,
     ):
         if len(key_quantizers) != len(value_quantizers):
             raise ValueError("need one key and one value quantizer per layer")
         self.layers: List[LayerKVCache] = [
-            LayerKVCache(
-                key_quantizer=kq,
-                value_quantizer=vq,
-                incremental=incremental,
-            )
+            LayerKVCache(key_quantizer=kq, value_quantizer=vq)
             for kq, vq in zip(key_quantizers, value_quantizers)
         ]
 

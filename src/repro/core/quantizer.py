@@ -49,12 +49,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.config import OakenConfig
-from repro.core.encoding import (
-    EncodedKV,
-    row_block_views,
-    sparse_record_bits,
-    split_encoded,
-)
+from repro.core.encoding import EncodedKV, sparse_record_bits
 from repro.core.grouping import GroupThresholds
 from repro.core.modes import (
     EXACT_F64,
@@ -616,34 +611,27 @@ class OakenQuantizer:
         return expected_effective_bitwidth(self.config, dim)
 
 
-def _stack(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-
-
 class LayerEncoder:
-    """Encodes one layer's freshly generated key and value rows.
+    """Encodes and decodes one layer's key and value rows.
 
     A layer's keys and values are produced together, and the fused
-    kernel is row-local, so when the layer's two quantizers are plain
+    kernels are row-local, so when the layer's two quantizers are plain
     :class:`OakenQuantizer` s of equal config and mode the rows go
-    through **one** kernel call as a ``[keys; values]`` row stack (a
-    row-stacked quantizer over both tensors' thresholds) and come back
-    as per-tensor row-block views.  Any other pair — a subclass pinned
-    to other kernels, the engine-backed datapath models — keeps one
-    ``quantize_into`` call per tensor.  Either way the result is
-    bit-identical to ``(key_quantizer.quantize(keys),
-    value_quantizer.quantize(values))``.
+    through **one** kernel call each way as a ``[keys; values]`` row
+    stack (a row-stacked quantizer over both tensors' thresholds).  Any
+    other pair — a subclass pinned to other kernels, the engine-backed
+    datapath models — keeps one call per tensor.  Either way the result
+    is bit-identical to the two per-tensor calls.
 
     The stack/no-stack decision is :attr:`parts`, and it is made here
-    only.  A store that keeps keys and values side by side on a K|V
-    axis (the arena) takes the encode as it leaves the kernel
-    (:meth:`encode_parts`) and hands stored rows back for the decode
-    half (:meth:`decode_parts`): one kernel call each way when the pair
-    stacks, one per tensor otherwise, through the same store methods.
+    only.  Both stores — the chunk store and the arena — take the
+    encode as it leaves the kernel (:meth:`encode_parts`) and hand
+    stored rows back for the decode half (:meth:`decode_parts`): one
+    kernel call each way when the pair stacks, one per tensor
+    otherwise, through the same store code.
 
-    Owns the one scratch its calls need; the cache layers hold one
-    encoder per layer and never touch the kernel entry points
-    themselves.
+    Owns the one scratch its calls need; the stores hold one encoder
+    per layer and never touch the kernel entry points themselves.
 
     Attributes:
         parts: ``(tensors, quantizer)`` per kernel call — ``tensors``
@@ -674,73 +662,28 @@ class LayerEncoder:
             else ((slice(0, 1), key_quantizer), (slice(1, 2), value_quantizer))
         )
 
-    @property
-    def kernel_calls(self) -> int:
-        """Kernel calls one encode, or one decode, makes (1 stacked,
-        else 2)."""
-        return len(self.parts)
-
-    def encode(
-        self,
-        key_blocks: Sequence[np.ndarray],
-        value_blocks: Sequence[np.ndarray],
-    ) -> Tuple[EncodedKV, EncodedKV]:
-        """Encode row blocks of keys and the matching blocks of values.
-
-        ``key_blocks[i]`` and ``value_blocks[i]`` are same-shape
-        [t_i, D] matrices (callers check); each tensor's blocks are
-        encoded as one [sum t_i, D] matrix.
-        """
-        if self.stacked is None:
-            return (
-                self.key_quantizer.quantize_into(
-                    _stack(key_blocks), self.scratch
-                ),
-                self.value_quantizer.quantize_into(
-                    _stack(value_blocks), self.scratch
-                ),
-            )
-        return tuple(
-            row_block_views(self._encode_stacked(key_blocks, value_blocks))
-        )
-
-    def encode_chunks(
-        self,
-        key_blocks: Sequence[np.ndarray],
-        value_blocks: Sequence[np.ndarray],
-    ) -> Tuple[List[EncodedKV], List[EncodedKV]]:
-        """:meth:`encode`, scattered back: one chunk per input block.
-
-        Returns ``(key_chunks, value_chunks)``, chunk ``i`` the encode
-        of block ``i`` and owning its arrays — what a batched append
-        hands each sequence's cache.
-        """
-        rows = [block.shape[0] for block in key_blocks]
-        if self.stacked is None:
-            keys, values = self.encode(key_blocks, value_blocks)
-            return split_encoded(keys, rows), split_encoded(values, rows)
-        chunks = split_encoded(
-            self._encode_stacked(key_blocks, value_blocks), rows + rows
-        )
-        return chunks[: len(rows)], chunks[len(rows) :]
-
     def encode_parts(
         self,
         key_blocks: Sequence[np.ndarray],
         value_blocks: Sequence[np.ndarray],
     ) -> List[Tuple[slice, EncodedKV]]:
-        """:meth:`encode` for a K|V-axis row store: one ``(tensors,
-        encoded)`` per kernel call (see :attr:`parts`) — stacked, the
-        ``[keys; values]`` encode exactly as the kernel emits it."""
-        encodes = (
-            (self._encode_stacked(key_blocks, value_blocks),)
-            if self.stacked is not None
-            else self.encode(key_blocks, value_blocks)
-        )
-        return [
-            (tensors, encoded)
-            for (tensors, _), encoded in zip(self.parts, encodes)
-        ]
+        """The encode half: one ``quantize_into`` per kernel call.
+
+        ``key_blocks[i]`` and ``value_blocks[i]`` are same-shape
+        [t_i, D] matrices (callers check).  Returns one ``(tensors,
+        encoded)`` per entry of :attr:`parts`: the encode of that
+        slice's blocks as equal [sum t_i, D] row blocks — stacked, the
+        ``[keys; values]`` encode exactly as the kernel emits it.
+        """
+        tensors_blocks = (key_blocks, value_blocks)
+        parts = []
+        for tensors, quantizer in self.parts:
+            rows = [b for blocks in tensors_blocks[tensors] for b in blocks]
+            stack = rows[0] if len(rows) == 1 else np.concatenate(rows)
+            parts.append(
+                (tensors, quantizer.quantize_into(stack, self.scratch))
+            )
+        return parts
 
     def decode_parts(
         self, gather: Callable[[slice, OakenQuantizer], EncodedKV]
@@ -758,11 +701,6 @@ class LayerEncoder:
             (tensors, quantizer.dequantize(gather(tensors, quantizer)))
             for tensors, quantizer in self.parts
         ]
-
-    def _encode_stacked(self, key_blocks, value_blocks) -> EncodedKV:
-        return self.stacked.quantize_into(
-            np.concatenate([*key_blocks, *value_blocks]), self.scratch
-        )
 
 
 def expected_effective_bitwidth(config: OakenConfig, dim: int) -> float:

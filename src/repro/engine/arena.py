@@ -575,8 +575,8 @@ class KVArena:
         merged encode is bit-identical to per-sequence appends in
         ``items`` order.
 
-        Returns the number of kernel calls made (see
-        :attr:`~repro.core.quantizer.LayerEncoder.kernel_calls`).
+        Returns the number of kernel calls made (one per entry of
+        :attr:`~repro.core.quantizer.LayerEncoder.parts`).
         """
         store = self.layers[layer]
         slices = [self.rows[seq_id] for seq_id, _, _ in items]

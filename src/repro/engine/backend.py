@@ -16,8 +16,7 @@ all construct and drive caches through one entry point:
 Two implementations ship:
 
 * :class:`FusedCacheBackend` — the paper method on the fused
-  single-pass kernels with incremental memoized reads (PR 1's hot
-  path).  It *is* a :class:`~repro.core.kvcache.QuantizedKVCache`;
+  single-pass kernels with memoized reads (PR 1's hot path).  It *is* a :class:`~repro.core.kvcache.QuantizedKVCache`;
   the protocol was shaped around it.
 * :class:`BaselineCacheBackend` — lifts any registry
   :class:`~repro.baselines.base.KVCacheQuantizer` (fp16 / kvquant /
@@ -147,7 +146,7 @@ class FusedCacheBackend(QuantizedKVCache):
 
     Identical to :class:`~repro.core.kvcache.QuantizedKVCache` (fused
     single-pass kernels, streaming ``quantize_into`` appends,
-    incremental memoized reads); this subclass only adds the factory
+    memoized reads); this subclass only adds the factory
     classmethod and the method/kind tags the engine reports.
     """
 
@@ -164,7 +163,6 @@ class FusedCacheBackend(QuantizedKVCache):
         cls,
         calibration: Sequence[LayerCalibration],
         config: Optional[OakenConfig] = None,
-        incremental: bool = True,
         mode: ComputeModeLike = None,
     ) -> "FusedCacheBackend":
         """Profile per-layer thresholds and build a fresh cache.
@@ -172,7 +170,6 @@ class FusedCacheBackend(QuantizedKVCache):
         Args:
             calibration: one (keys, values) sample entry per layer.
             config: Oaken configuration (paper 4/90/6 default).
-            incremental: memoize decoded chunks (default).
             mode: :class:`~repro.core.modes.ComputeMode` policy for the
                 fused kernels.  The engine-layer default is
                 ``deploy_f32`` (the serving policy); pass
@@ -197,7 +194,7 @@ class FusedCacheBackend(QuantizedKVCache):
                     resolved,
                 )
             )
-        return cls(key_quantizers, value_quantizers, incremental)
+        return cls(key_quantizers, value_quantizers)
 
 
 class _BaselineStream:
@@ -226,9 +223,8 @@ class _BaselineStream:
     #: First buffer allocation, in rows.
     _INITIAL_CAPACITY = 16
 
-    def __init__(self, quantizer: KVCacheQuantizer, amortize: bool = True):
+    def __init__(self, quantizer: KVCacheQuantizer):
         self.quantizer = quantizer
-        self.amortize = amortize
         self._buffer: Optional[np.ndarray] = None
         self._length = 0
         self._decoded: Optional[np.ndarray] = None
@@ -294,7 +290,7 @@ class _BaselineStream:
         and hand the result to :meth:`commit_decoded`.
         """
         stable = 0
-        if self.amortize and self._decoded_length > 0:
+        if self._decoded_length > 0:
             stable = self.quantizer.stable_prefix(
                 self._decoded_length, self._length
             )
@@ -338,10 +334,6 @@ class BaselineCacheBackend:
         key_quantizers: per-layer fitted key quantizers.
         value_quantizers: per-layer fitted value quantizers.
         method: registry name tag (reporting only).
-        amortize: reuse stable decoded rows across reads (see
-            :class:`_BaselineStream`; default).  ``False`` restores
-            the full per-read re-quantization — bit-identical output,
-            used as the perf harness baseline.
     """
 
     kind = "adapter"
@@ -351,7 +343,6 @@ class BaselineCacheBackend:
         key_quantizers: Sequence[KVCacheQuantizer],
         value_quantizers: Sequence[KVCacheQuantizer],
         method: Optional[str] = None,
-        amortize: bool = True,
         mode: ComputeModeLike = None,
     ):
         if len(key_quantizers) != len(value_quantizers):
@@ -366,12 +357,8 @@ class BaselineCacheBackend:
         # (it parameterizes the oaken adapter's kernels, see
         # create_quantizer).
         self.mode: ComputeMode = resolve_compute_mode(mode, DEPLOY_F32)
-        self._keys = [
-            _BaselineStream(q, amortize) for q in key_quantizers
-        ]
-        self._values = [
-            _BaselineStream(q, amortize) for q in value_quantizers
-        ]
+        self._keys = [_BaselineStream(q) for q in key_quantizers]
+        self._values = [_BaselineStream(q) for q in value_quantizers]
 
     def layer_streams(
         self, layer: int
@@ -522,7 +509,6 @@ def create_backend(
     num_layers: Optional[int] = None,
     calibration: Optional[Sequence[LayerCalibration]] = None,
     config: Optional[OakenConfig] = None,
-    incremental: bool = True,
     mode: ComputeModeLike = None,
 ) -> CacheBackend:
     """Build a :class:`CacheBackend` for any registered method.
@@ -544,7 +530,6 @@ def create_backend(
             an offline phase; entries may be single [T, D] matrices or
             sequences of per-run matrices.
         config: Oaken configuration (oaken-family backends only).
-        incremental: fused backend only — memoize decoded chunks.
         mode: :class:`~repro.core.modes.ComputeMode` policy for the
             oaken-family kernels.  The engine-layer default is
             ``deploy_f32`` — the serving policy, anchored to the
@@ -580,10 +565,7 @@ def create_backend(
                 "threshold profiling"
             )
         return FusedCacheBackend.from_calibration(
-            calibration,
-            config=config,
-            incremental=incremental,
-            mode=resolved,
+            calibration, config=config, mode=resolved
         )
 
     if calibration is not None:
@@ -626,7 +608,6 @@ def shared_backend_factory(
     num_layers: Optional[int] = None,
     calibration: Optional[Sequence[LayerCalibration]] = None,
     config: Optional[OakenConfig] = None,
-    incremental: bool = True,
     mode: ComputeModeLike = None,
 ) -> Callable[[], CacheBackend]:
     """A zero-argument backend factory with shared fitted quantizers.
@@ -648,7 +629,6 @@ def shared_backend_factory(
         num_layers=num_layers,
         calibration=calibration,
         config=config,
-        incremental=incremental,
         mode=mode,
     )
     if isinstance(template, QuantizedKVCache):
@@ -660,9 +640,7 @@ def shared_backend_factory(
         ]
 
         def fused_factory() -> CacheBackend:
-            return FusedCacheBackend(
-                key_quantizers, value_quantizers, incremental
-            )
+            return FusedCacheBackend(key_quantizers, value_quantizers)
 
         return fused_factory
 
@@ -687,14 +665,13 @@ def backend_for_model(
     kind: str = "auto",
     calibration_tokens: Optional[np.ndarray] = None,
     config: Optional[OakenConfig] = None,
-    incremental: bool = True,
     mode: ComputeModeLike = None,
 ) -> CacheBackend:
     """Collect per-layer calibration KV from ``model`` and build.
 
     Args:
         model: a :class:`~repro.models.transformer.DecoderModel`.
-        method / kind / config / incremental / mode: see
+        method / kind / config / mode: see
             :func:`create_backend`.
         calibration_tokens: [B, T] token batch run through the model
             to collect exact per-layer KV; required for methods with
@@ -711,7 +688,6 @@ def backend_for_model(
         num_layers=model.shape.n_layers,
         calibration=calibration,
         config=config,
-        incremental=incremental,
         mode=mode,
     )
 

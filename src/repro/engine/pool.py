@@ -9,24 +9,25 @@ share the offline-fitted per-layer quantizers, as a real serving
 system would).  Both hot directions of the serving loop are batched
 across the resident set:
 
-``read_batch`` extends PR 1's incremental memoized reads *across*
-sequences: at every generation iteration each resident sequence has a
-handful of newly appended, not-yet-decoded chunks; instead of decoding
-them with one kernel call per sequence per tensor, the pool
-concatenates the pending chunks of all requested sequences into one
-merged :class:`~repro.core.encoding.EncodedKV` and decodes the whole
-batch in a single fused pass (decode is row-local, so this is
-bit-identical to the per-sequence loop — the conformance tests assert
-it).  At single-token decode granularity this turns ``2 * B`` tiny
-[1, D] kernel launches per layer into two [B, D] launches.
+``read_batch`` extends the memoized reads *across* sequences: at every
+generation iteration each resident sequence has a handful of newly
+appended, not-yet-decoded chunks; instead of decoding them with one
+kernel call per sequence, the pool hands all requested sequences'
+layer caches to the chunk store's one read path
+(:func:`repro.core.kvcache.decode_pending`), which merges their pending
+chunks — every sequence's key chunks over every sequence's value
+chunks — and decodes the whole batch in a single fused pass (decode is
+row-local, so this is bit-identical to the per-sequence loop — the
+conformance tests assert it).  At single-token decode granularity this
+turns ``B`` tiny [2, D] kernel launches per layer into one [2B, D]
+launch.
 
-``append_batch`` is the write-side mirror: the freshly generated rows
-of all updated sequences are gathered into one matrix — every
-sequence's key rows stacked over every sequence's value rows — encoded
-with a single fused quantize pass
-(:class:`~repro.core.quantizer.LayerEncoder`), and the resulting
-chunks are scattered back to each sequence's cache with
-:func:`~repro.core.encoding.split_encoded`.  The encode is row-local
+``append_batch`` is the write-side mirror, through the chunk store's
+one write path (:func:`repro.core.kvcache.append_batch`): the freshly
+generated rows of all updated sequences are gathered into one matrix —
+every sequence's key rows stacked over every sequence's value rows —
+encoded with a single fused quantize pass, and the resulting chunks
+are scattered back to each sequence's cache.  The encode is row-local
 (per-token scales, token-ordered COO records), so the scattered chunks
 are bit-for-bit what a per-sequence ``append`` loop would have stored.
 Adapter pools holding row-local registry methods batch their writes
@@ -57,7 +58,7 @@ from typing import (
 
 import numpy as np
 
-from repro.core.encoding import concat_encoded
+from repro.core import kvcache
 from repro.core.kvcache import LayerKVCache, QuantizedKVCache
 from repro.engine.arena import ArenaCacheBackend, KVArena, as_rows
 from repro.engine.backend import (
@@ -218,39 +219,38 @@ class KVCachePool:
                 f"prefix_len {prefix_len} outside parent "
                 f"{parent_seq_id!r}'s cached length {parent.length}"
             )
+        aliased = False
         if self._arena is not None:
             # Arena forks copy the prefix rows (bit-exact reads, no
             # byte aliasing — the adapter contract class), so the COW
             # registry stays out of the loop entirely.
-            arena_child = self._arena.fork(
+            child: CacheBackend = self._arena.fork(
                 parent_seq_id, new_seq_id, prefix_len
             )
-            self._caches[new_seq_id] = arena_child
-            self.forks += 1
-            if self.tiering is not None:
-                self._tier_seen[new_seq_id] = float(
-                    arena_child.nbytes()
-                )
-            return arena_child
-        child = self._factory()
-        if isinstance(parent, QuantizedKVCache) and isinstance(
-            child, QuantizedKVCache
-        ):
-            self._fork_fused(
-                parent_seq_id, parent, new_seq_id, child, prefix_len
-            )
-        elif isinstance(parent, BaselineCacheBackend) and isinstance(
-            child, BaselineCacheBackend
-        ):
-            self._fork_adapter(parent, child, prefix_len)
         else:
-            raise TypeError(
-                "fork supports fused (QuantizedKVCache) and adapter "
-                f"(BaselineCacheBackend) pools, got {type(parent).__name__}"
-            )
+            child = self._factory()
+            if isinstance(parent, QuantizedKVCache) and isinstance(
+                child, QuantizedKVCache
+            ):
+                self._fork_fused(
+                    parent_seq_id, parent, new_seq_id, child, prefix_len
+                )
+                aliased = True
+            elif isinstance(parent, BaselineCacheBackend) and isinstance(
+                child, BaselineCacheBackend
+            ):
+                self._fork_adapter(parent, child, prefix_len)
+            else:
+                raise TypeError(
+                    "fork supports fused (QuantizedKVCache) and adapter "
+                    "(BaselineCacheBackend) pools, got "
+                    f"{type(parent).__name__}"
+                )
         self._caches[new_seq_id] = child
         self.forks += 1
-        if self.tiering is not None:
+        if self.tiering is None:
+            return child
+        if aliased:
             # The shared prefix already resides in the owner's pages;
             # seed the child's watermark so only divergent growth is
             # charged, and touch the owner's pages so a fresh fork
@@ -259,6 +259,11 @@ class KVCachePool:
             for layer in range(parent.num_layers):
                 if self._sharing.shared_owners(new_seq_id, layer):
                     self.tiering.record_read(parent_seq_id, layer)
+        else:
+            # A copied prefix is new storage no page accounts for yet:
+            # charge it like the append it is (a fork covers every
+            # layer at once; the bytes go to the child's first stream).
+            self._tier_record_append(new_seq_id, 0)
         return child
 
     def _fork_fused(
@@ -570,12 +575,10 @@ class KVCachePool:
             self._tier_record_batch(entries, layer)
             return
         layers = self._fusible_layers(
-            [cache for _, cache, _, _ in entries],
-            layer,
-            require_incremental=False,
+            [cache for _, cache, _, _ in entries], layer
         )
         if layers is not None:
-            self._encode_scatter_batch(
+            self.batched_encodes += kvcache.append_batch(
                 layers,
                 [keys for _, _, keys, _ in entries],
                 [values for _, _, _, values in entries],
@@ -607,27 +610,6 @@ class KVCachePool:
         for seq_id in dict.fromkeys(seq_id for seq_id, _, _, _ in entries):
             self._tier_record_append(seq_id, layer)
 
-    def _encode_scatter_batch(
-        self,
-        layers: List[LayerKVCache],
-        key_blocks: List[np.ndarray],
-        value_blocks: List[np.ndarray],
-    ) -> None:
-        """Encode every sequence's new rows in one fused pass (keys
-        and values row-stacked when the layer's quantizers allow it),
-        then scatter the chunks back."""
-        # The sequences share this layer's quantizers, hence any one of
-        # their encoders serves the batch.
-        encoder = layers[0].encoder
-        key_chunks, value_chunks = encoder.encode_chunks(
-            key_blocks, value_blocks
-        )
-        self.batched_encodes += encoder.kernel_calls
-        for layer_cache, key_chunk, value_chunk in zip(
-            layers, key_chunks, value_chunks
-        ):
-            layer_cache.append_encoded(key_chunk, value_chunk)
-
     def read_batch(
         self, layer: int, seq_ids: List[Hashable]
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
@@ -637,8 +619,11 @@ class KVCachePool:
         bit-identical to calling :meth:`read` per sequence.  When the
         sequences are fused-kernel caches sharing per-layer quantizers
         (a :func:`~repro.engine.backend.shared_backend_factory` pool),
-        all pending chunks decode in one merged kernel call per
-        tensor.  Adapter caches batch too, when the method permits:
+        all pending chunks decode in one merged kernel call — every
+        sequence's key rows over every sequence's value rows; one call
+        per tensor when the layer's quantizers do not stack
+        (:attr:`batched_decodes` counts the calls made).  Adapter
+        caches batch too, when the method permits:
         row-local registry methods (fp16/oaken/qserve/atom/tender)
         sharing fitted quantizers roundtrip every sequence's pending
         suffix in one merged [sum t_i, D] transform per tensor.
@@ -662,7 +647,7 @@ class KVCachePool:
             return [cache.read(layer) for cache in caches]
         fusible = self._fusible_layers(unique, layer)
         if fusible is not None:
-            self._decode_pending_batch(fusible)
+            self.batched_decodes += kvcache.decode_pending(fusible)
         else:
             adapter = self._batchable_adapter_streams(unique, layer)
             if adapter is not None:
@@ -681,10 +666,9 @@ class KVCachePool:
         roundtrip depends on that row alone, so concatenating many
         sequences' pending rows into one [sum t_i, D] transform is
         bit-identical to per-sequence calls) sharing one fitted
-        quantizer per tensor (a shared-factory pool) with amortized
-        reads enabled.  KIVI's sliding window and KVQuant's online
-        topK are history-global and fall back to the per-sequence
-        loop.
+        quantizer per tensor (a shared-factory pool).  KIVI's sliding
+        window and KVQuant's online topK are history-global and fall
+        back to the per-sequence loop.
         """
         if len(caches) < 2:
             return None
@@ -701,7 +685,7 @@ class KVCachePool:
             if not first.row_local:
                 return None
             for stream in streams:
-                if stream.quantizer is not first or not stream.amortize:
+                if stream.quantizer is not first:
                     return None
         return key_streams, value_streams
 
@@ -744,27 +728,18 @@ class KVCachePool:
             stream.commit_decoded(chunk, stable)
 
     def _fusible_layers(
-        self,
-        caches: List[CacheBackend],
-        layer: int,
-        require_incremental: bool = True,
+        self, caches: List[CacheBackend], layer: int
     ) -> Optional[List[LayerKVCache]]:
-        """Per-sequence layer caches eligible for one merged kernel pass.
-
-        Batched decodes additionally require incremental caches (the
-        merged results land in the decode memos); batched encodes work
-        in either mode, so they pass ``require_incremental=False``.
-        """
+        """Per-sequence layer caches eligible for one merged kernel
+        pass, either way: chunk-store caches sharing this layer's
+        fitted quantizers."""
         if len(caches) < 2:
             return None
         layers: List[LayerKVCache] = []
         for cache in caches:
             if not isinstance(cache, QuantizedKVCache):
                 return None
-            layer_cache = cache.layers[layer]
-            if require_incremental and not layer_cache.incremental:
-                return None
-            layers.append(layer_cache)
+            layers.append(cache.layers[layer])
         first = layers[0]
         for other in layers[1:]:
             if (
@@ -773,36 +748,6 @@ class KVCachePool:
             ):
                 return None
         return layers
-
-    def _decode_pending_batch(
-        self, layers: List[LayerKVCache]
-    ) -> None:
-        """Decode every sequence's pending chunks in one fused pass."""
-        pending = [lc.pending_chunks() for lc in layers]
-        key_chunks = [c for key_part, _ in pending for c in key_part]
-        if not key_chunks:
-            return
-        value_chunks = [c for _, val_part in pending for c in val_part]
-        key_quantizer = layers[0].key_quantizer
-        value_quantizer = layers[0].value_quantizer
-        decoded_keys = key_quantizer.dequantize(
-            concat_encoded(key_chunks)
-        )
-        decoded_values = value_quantizer.dequantize(
-            concat_encoded(value_chunks)
-        )
-        self.batched_decodes += 2
-        offset = 0
-        for layer_cache, (key_part, val_part) in zip(layers, pending):
-            rows = sum(chunk.num_tokens for chunk in key_part)
-            if not rows:
-                continue
-            layer_cache.commit_decoded(
-                decoded_keys[offset : offset + rows],
-                decoded_values[offset : offset + rows],
-                len(key_part),
-            )
-            offset += rows
 
     # ------------------------------------------------------------------
     # footprint / admission control
@@ -853,7 +798,7 @@ class KVCachePool:
         return self._peak_bytes
 
     def check_invariants(self) -> None:
-        """Assert the incremental accounting against a recomputation.
+        """Assert the running accounting against a recomputation.
 
         Test support: walks every live sequence's chunks / arena rows
         and every registry entry — the O(history) scans the running

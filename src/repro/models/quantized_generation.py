@@ -11,7 +11,7 @@ This is the numpy twin of the hardware flow in Figure 8/9: QKV
 generation -> quantization engine -> memory -> dequantization engine ->
 attention.
 
-The per-layer loop rides the cache's incremental read path: appends go
+The per-layer loop rides the cache's memoized read path: appends go
 through the streaming ``quantize_into`` entry point and each
 ``cache.read`` decodes only the newly appended rows (the history is
 memoized), so a generation run costs O(T) decode work instead of the
@@ -87,12 +87,13 @@ def generate_with_quantized_cache(
 
     Every produced KV row passes through the cache's quantizers before
     storage; each decode step reads the dequantized history (the
-    software analogue of the streaming dequantization engine).  With an
-    incremental fused cache (the default backend) only the newly
-    appended rows are decoded per step;
-    ``create_backend(..., incremental=False)`` restores the seed's
-    full re-decode for baseline measurements.  Adapter backends make
-    every registry baseline runnable through the same loop.
+    software analogue of the streaming dequantization engine).  With
+    the fused cache (the default backend) only the newly appended rows
+    are decoded per step; the seed's full re-decode — every chunk
+    dequantized and concatenated on every read — survives only as the
+    perf harness's private slow side
+    (``repro.bench.hotpath._SeedCache``).  Adapter backends make every
+    registry baseline runnable through the same loop.
 
     Args:
         model: FP decoder model (weights stay exact; only the cache is

@@ -34,6 +34,22 @@ def make_kv_matrix(
     return np.where(spikes, x * outlier_gain, x)
 
 
+def encode_chunks(encoder, key_blocks, value_blocks):
+    """``(key_chunks, value_chunks)``, chunk ``i`` the encode of block
+    ``i``: what the chunk store keeps of a ``LayerEncoder``'s output
+    (``encode_parts`` + ``split_encoded``), spelled once for the tests
+    that pin it field by field."""
+    from repro.core.encoding import split_encoded
+
+    rows = [block.shape[0] for block in key_blocks]
+    chunks = [
+        chunk
+        for _, encoded in encoder.encode_parts(key_blocks, value_blocks)
+        for chunk in split_encoded(encoded, rows)
+    ]
+    return chunks[: len(rows)], chunks[len(rows) :]
+
+
 def arena_state(arena):
     """Everything of a :class:`~repro.engine.KVArena`'s row table, free
     lists and payload-log counters that a refused operation must leave

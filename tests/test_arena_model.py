@@ -1,16 +1,22 @@
-"""A stateful model of the KV arena (the arena slice of ROADMAP item 1a).
+"""A stateful model of the fused KV stores (ROADMAP item 1a's store
+and tiering axes).
 
 One ``hypothesis`` :class:`RuleBasedStateMachine` drives a
-``KVCachePool(arena=True)`` through allocate / ragged ``append_batch``
-(layers driven unevenly, zero-row and repeated ids included) / 1-D
-``append`` / ``read`` / ``read_batch`` / ``fork`` / ``free`` /
-free-then-allocate-in-the-same-size-class / forced ``compact()`` /
-a refused batch, against an oracle that is *only* per-sequence lists
-of the input rows pushed through the layer quantizer's one-shot
-``roundtrip()`` — re-derived here, not imported from
-``benchmarks/e2e/probe.py``, so the two stay independent witnesses.
-``pool.check_invariants()`` (allocator geometry, free lists, dead
-payload records, footprint accumulators) runs after every rule, and
+``KVCachePool`` — the store is an input: ``arena`` in {True, False} x
+{untiered, tiered on a device budget small enough to spill} — through
+allocate / ragged ``append_batch`` (layers driven unevenly, zero-row
+and repeated ids included) / 1-D ``append`` / ``read`` /
+``read_batch`` / ``fork`` (any live sequence at any row: on the chunk
+store that is mid-chunk boundaries, forks of forks, and — with the
+reads that may follow at once — the decode memo's re-base) / ``free``
+/ a refused batch, plus, on the arena,
+free-then-allocate-in-the-same-size-class and forced ``compact()``;
+against an oracle that is *only* per-sequence lists of the input rows
+pushed through the layer quantizer's one-shot ``roundtrip()`` —
+re-derived here, not imported from ``benchmarks/e2e/probe.py``, so the
+two stay independent witnesses.  ``pool.check_invariants()`` (allocator
+geometry, free lists, dead payload records, footprint accumulators,
+chunk walks, refcounts, tier watermarks) runs after every rule, and
 every live sequence is re-read at teardown.
 
 Counter-examples the machine shrinks are kept below it as named
@@ -28,7 +34,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.engine import KVCachePool, shared_backend_factory
+from repro.engine import KVCachePool, TieredKVStore, shared_backend_factory
 from repro.engine.arena import _MIN_ROWS
 
 from conftest import arena_state, make_kv_matrix
@@ -65,10 +71,36 @@ layers = st.integers(0, LAYERS - 1)
 counts = st.sampled_from([0, 1, 1, 1, 2, 3, 5, 9, 17, 40])
 
 
+def pool_state(pool):
+    """Everything a refused batch must leave alone, at the pool
+    boundary (whatever the store)."""
+    return (
+        pool.summary(),
+        {
+            seq: (pool.get(seq).footprint_bits(), pool.get(seq).length)
+            for seq in pool.seq_ids
+        },
+        dict(pool._tier_seen),
+        None if pool._arena is None else arena_state(pool._arena),
+    )
+
+
 class ArenaModel(RuleBasedStateMachine):
+    #: The store under test; the subclasses below are the other three.
+    ARENA = True
+    TIERED = False
+
     def __init__(self):
         super().__init__()
-        self.pool = KVCachePool(FACTORY, arena=True)
+        self.store = None
+        if self.TIERED:
+            # About a dozen rows' worth of device pages: runs spill.
+            self.store = TieredKVStore(
+                device_budget_bytes=1024.0, page_bytes=128
+            )
+        self.pool = KVCachePool(
+            FACTORY, tiering=self.store, arena=self.ARENA
+        )
         self.arena = self.pool._arena
         #: The oracle: history[seq][layer][tensor] -> list of row blocks.
         self.history = {}
@@ -108,9 +140,11 @@ class ArenaModel(RuleBasedStateMachine):
             assert have.tobytes() == want.tobytes(), (seq, layer, tensor)
             assert have.shape == want.shape
             assert have.flags.c_contiguous and not have.flags.writeable
-            assert np.shares_memory(
-                have, self.arena.layers[layer].decoded[tensor]
-            )
+            if self.ARENA:
+                mirror = self.arena.layers[layer].decoded
+            else:
+                mirror = self.pool.get(seq).layers[layer]._decoded.buffer
+            assert np.shares_memory(have, mirror[tensor])
 
     def check_all_reads(self):
         for seq in self.history:
@@ -175,8 +209,11 @@ class ArenaModel(RuleBasedStateMachine):
     @precondition(
         lambda self: self.history and len(self.history) < MAX_LIVE
     )
-    @rule(pick=picks, cut=picks)
-    def fork(self, pick, cut):
+    @rule(pick=picks, cut=picks, then_read=st.booleans())
+    def fork(self, pick, cut, then_read):
+        """Any live sequence — a fork's child included — at any row;
+        ``then_read`` reads both sides straight away, before anything
+        else can make the decode memos current."""
         parent = self.pick(pick)
         shared = min(self.length(parent, layer) for layer in range(LAYERS))
         prefix_len = cut % (shared + 1)
@@ -188,6 +225,10 @@ class ArenaModel(RuleBasedStateMachine):
             for tensor in (0, 1):
                 exact = np.concatenate(self.history[parent][layer][tensor])
                 self.history[child][layer][tensor].append(exact[:prefix_len])
+        if then_read:
+            for seq in (child, parent):
+                for layer in range(LAYERS):
+                    self.check_read(seq, layer, self.pool.read(seq, layer))
 
     @precondition(lambda self: self.history)
     @rule(pick=picks)
@@ -197,7 +238,8 @@ class ArenaModel(RuleBasedStateMachine):
         del self.history[seq]
 
     @precondition(
-        lambda self: any(slc.cap for slc in self.arena.rows.values())
+        lambda self: self.ARENA
+        and any(slc.cap for slc in self.arena.rows.values())
     )
     @rule(pick=picks, seed=picks)
     def free_then_allocate_same_class(self, pick, seed):
@@ -220,6 +262,7 @@ class ArenaModel(RuleBasedStateMachine):
             assert self.arena.tail <= tail
             assert at_tail or reused.start == start
 
+    @precondition(lambda self: self.ARENA)
     @rule()
     def compact(self):
         """A forced pass: slices move, keep their capacity and their
@@ -243,25 +286,30 @@ class ArenaModel(RuleBasedStateMachine):
         self.check_all_reads()
 
     @precondition(lambda self: self.history)
-    @rule(pick=picks, seed=picks, wide=st.booleans())
-    def refused_batch(self, pick, seed, wide):
+    @rule(pick=picks, other=picks, seed=picks, wide=st.booleans())
+    def refused_batch(self, pick, other, seed, wide):
         """An unknown id, or a block the kernel refuses, after a good
-        item: nothing — row table, free lists, accumulators — moves."""
+        item: nothing — row table, free lists, chunk lists,
+        accumulators, tier watermarks — moves."""
         seq = self.pick(pick)
         keys, values = self.blocks(seed, 40)
         bad = np.zeros((1, DIM + 1), dtype=np.float32)
-        before = arena_state(self.arena)
-        if wide:
-            with pytest.raises(ValueError):
-                self.arena.append_batch(
-                    0, [(seq, keys, values), (seq, bad, bad)]
-                )
-        else:
-            with pytest.raises(KeyError):
-                self.arena.append_batch(
-                    0, [(seq, keys, values), ("nobody", keys, values)]
-                )
-        assert arena_state(self.arena) == before
+        before = pool_state(self.pool)
+        # (the arena takes the same batches below the pool, where an
+        # unknown id is not caught by the pool's own lookup)
+        for target in (self.pool, self.arena) if self.ARENA else (self.pool,):
+            if wide:
+                with pytest.raises(ValueError):
+                    target.append_batch(
+                        0,
+                        [(seq, keys, values), (self.pick(other), bad, bad)],
+                    )
+            else:
+                with pytest.raises(KeyError):
+                    target.append_batch(
+                        0, [(seq, keys, values), ("nobody", keys, values)]
+                    )
+            assert pool_state(self.pool) == before
 
     # -- invariants ----------------------------------------------------
 
@@ -270,9 +318,15 @@ class ArenaModel(RuleBasedStateMachine):
         self.pool.check_invariants()
         assert set(self.pool.seq_ids) == set(self.history)
         for seq in self.history:
-            assert self.arena.rows[seq].length == [
+            if self.ARENA:
+                lengths = self.arena.rows[seq].length
+            else:
+                lengths = [lc.length for lc in self.pool.get(seq).layers]
+            assert lengths == [
                 self.length(seq, layer) for layer in range(LAYERS)
             ]
+        if self.TIERED:
+            assert self.store.device_bytes <= self.store.device_capacity_bytes
 
     def teardown(self):
         self.check_all_reads()
@@ -280,19 +334,42 @@ class ArenaModel(RuleBasedStateMachine):
             self.pool.free(seq)
             self.pool.check_invariants()
         summary = self.pool.summary()
-        assert summary["arena_rows_live"] == 0.0
         assert summary["bytes"] == 0.0
-        assert self.arena.tail == self.arena.dead_rows
+        assert summary["shared_chunks"] == 0.0
+        if self.ARENA:
+            assert summary["arena_rows_live"] == 0.0
+            assert self.arena.tail == self.arena.dead_rows
+        if self.TIERED:
+            assert self.store.total_pages() == 0
 
 
-TestArenaModel = ArenaModel.TestCase
-TestArenaModel.settings = settings(
-    max_examples=60,
-    stateful_step_count=30,
-    deadline=None,
-    derandomize=True,
-    database=None,
-)
+class ArenaTieredModel(ArenaModel):
+    TIERED = True
+
+
+class ChunkedModel(ArenaModel):
+    ARENA = False
+
+
+class ChunkedTieredModel(ChunkedModel):
+    TIERED = True
+
+
+def _case(model):
+    model.TestCase.settings = settings(
+        max_examples=60,
+        stateful_step_count=30,
+        deadline=None,
+        derandomize=True,
+        database=None,
+    )
+    return model.TestCase
+
+
+TestArenaModel = _case(ArenaModel)
+TestArenaTieredModel = _case(ArenaTieredModel)
+TestChunkedModel = _case(ChunkedModel)
+TestChunkedTieredModel = _case(ChunkedTieredModel)
 
 
 # -- named regressions -------------------------------------------------
@@ -311,4 +388,33 @@ def test_repeated_id_in_one_batch_keeps_item_order():
     slc = machine.arena.rows[0]
     assert slc.length == [15, 0] and slc.cap == 2 * _MIN_ROWS
     machine.read(0, 0)
+    machine.teardown()
+
+
+@pytest.mark.parametrize("model", [ChunkedModel, ChunkedTieredModel])
+def test_fork_inside_a_memoized_chunk_rebases_the_memo(model):
+    """A fork whose boundary falls inside a chunk the parent has already
+    decoded splits that chunk in two; the parent's one decode memo must
+    count both halves as decoded, or its next read decodes the tail
+    half again.  Then the same one level down: a fork of the fork,
+    inside the chunk the first fork aliased."""
+    machine = model()
+    machine.allocate()
+    machine.append_batch(0, [(0, 9, 1)])
+    machine.append_batch(1, [(0, 9, 2)])
+    machine.read(0, 0)  # layer 0 memoized, layer 1 still pending
+    machine.fork(0, 4, then_read=True)  # row 4 of a 9-row chunk
+    machine.accounting_and_geometry_hold()
+    parent = machine.pool.get(0).layers
+    assert [len(lc._key_chunks) for lc in parent] == [2, 2]
+    assert [lc._decoded.chunks_decoded for lc in parent] == [2, 2]
+    for seq in (0, 1):
+        for layer in range(LAYERS):
+            machine.append_one_row(seq, layer, 3 + seq)
+            machine.read(seq, layer)
+    machine.fork(1, 2, then_read=False)  # fork of the fork, mid-chunk
+    machine.accounting_and_geometry_hold()
+    machine.append_batch(0, [(0, 1, 5), (1, 2, 6), (2, 3, 7)])
+    machine.read_batch(0, [0, 1, 2])
+    machine.accounting_and_geometry_hold()
     machine.teardown()

@@ -5,7 +5,10 @@ The adapter backend's amortized read path
 :class:`repro.engine.backend._BaselineStream`) must be invisible: for
 every registry method, at every step of a streaming append pattern, the
 amortized read must equal the one-shot ``roundtrip`` of the full
-history — the transform the accuracy harness measures.
+history — the transform the accuracy harness measures, and the
+reference the adapter contract names.  A row-count guard pins the
+amortisation itself: the rows handed to ``roundtrip`` are exactly the
+suffix the method's ``stable_prefix`` leaves.
 """
 
 import numpy as np
@@ -35,45 +38,72 @@ def fitted(method, kind, **kwargs):
     return quantizer
 
 
-def stream_and_compare(make_backend):
+def oneshot(quantizer, blocks):
+    """The reference: one ``roundtrip`` of the accumulated rows."""
+    return np.asarray(
+        quantizer.roundtrip(np.concatenate(blocks)), dtype=np.float32
+    )
+
+
+def stream_and_compare(key_quantizer, value_quantizer, method):
     """Append the ragged pattern, comparing reads at every step."""
-    amortized = make_backend(True)
-    full = make_backend(False)
-    seed = 0
-    for rows in APPEND_PATTERN:
-        seed += 1
-        keys = make_kv_matrix(rows, DIM, seed=seed)
-        values = make_kv_matrix(rows, DIM, seed=seed + 999)
-        for backend in (amortized, full):
-            backend.append(0, keys, values)
+    amortized = BaselineCacheBackend(
+        [key_quantizer], [value_quantizer], method=method
+    )
+    keys, values = [], []
+    for seed, rows in enumerate(APPEND_PATTERN, start=1):
+        keys.append(make_kv_matrix(rows, DIM, seed=seed))
+        values.append(make_kv_matrix(rows, DIM, seed=seed + 999))
+        amortized.append(0, keys[-1], values[-1])
         amortized_keys, amortized_values = amortized.read(0)
-        full_keys, full_values = full.read(0)
-        np.testing.assert_array_equal(amortized_keys, full_keys)
-        np.testing.assert_array_equal(amortized_values, full_values)
-    # And against a one-shot roundtrip of the accumulated history.
-    matrix = np.concatenate(
-        [
-            make_kv_matrix(rows, DIM, seed=step + 1)
-            for step, rows in enumerate(APPEND_PATTERN)
-        ]
-    )
-    oneshot = np.asarray(
-        full._keys[0].quantizer.roundtrip(matrix), dtype=np.float32
-    )
-    np.testing.assert_array_equal(amortized.read(0)[0], oneshot)
+        np.testing.assert_array_equal(
+            amortized_keys, oneshot(key_quantizer, keys)
+        )
+        np.testing.assert_array_equal(
+            amortized_values, oneshot(value_quantizer, values)
+        )
 
 
 @pytest.mark.parametrize("method", sorted(available_methods()))
 def test_amortized_read_matches_full_for_every_method(method):
-    def make_backend(amortize):
-        return BaselineCacheBackend(
-            [fitted(method, "key")],
-            [fitted(method, "value")],
-            method=method,
-            amortize=amortize,
-        )
+    stream_and_compare(fitted(method, "key"), fitted(method, "value"), method)
 
-    stream_and_compare(make_backend)
+
+@pytest.mark.parametrize("kind", ["key", "value"])
+@pytest.mark.parametrize("method", sorted(available_methods()))
+def test_rows_requantized_are_the_unstable_suffix(method, kind, monkeypatch):
+    """Over a 64-step stream every read hands ``roundtrip`` exactly the
+    rows past the method's ``stable_prefix`` — the amortisation, pinned
+    by row count rather than by a clock."""
+    quantizers = {k: fitted(method, k) for k in ("key", "value")}
+    quantizer = quantizers[kind]
+    handed = []
+    original = quantizer.roundtrip
+
+    def counting(matrix):
+        handed.append(np.asarray(matrix).shape[0])
+        return original(matrix)
+
+    monkeypatch.setattr(quantizer, "roundtrip", counting)
+    backend = BaselineCacheBackend(
+        [quantizers["key"]], [quantizers["value"]], method=method
+    )
+    length = 0
+    for step in range(64):
+        rows = 5 if step == 0 else 1
+        backend.append(
+            0,
+            make_kv_matrix(rows, DIM, seed=step),
+            make_kv_matrix(rows, DIM, seed=step + 999),
+        )
+        stable = quantizer.stable_prefix(length, length + rows) if length else 0
+        stable = max(0, min(stable, length))
+        length += rows
+        del handed[:]
+        backend.read(0)
+        assert handed == [length - stable], (step, handed)
+        backend.read(0)  # memoized between appends
+        assert len(handed) == 1
 
 
 @pytest.mark.parametrize("residual_length", [0, 1, 5, 16, 32, 100])
@@ -86,18 +116,12 @@ def test_kivi_window_sizes(residual_length, group_size):
     length, so every read stays inside the window.
     """
 
-    def make_backend(amortize):
-        kwargs = dict(
-            group_size=group_size, residual_length=residual_length
-        )
-        return BaselineCacheBackend(
-            [fitted("kivi", "key", **kwargs)],
-            [fitted("kivi", "value", **kwargs)],
-            method="kivi",
-            amortize=amortize,
-        )
-
-    stream_and_compare(make_backend)
+    kwargs = dict(group_size=group_size, residual_length=residual_length)
+    stream_and_compare(
+        fitted("kivi", "key", **kwargs),
+        fitted("kivi", "value", **kwargs),
+        "kivi",
+    )
 
 
 def test_stable_prefix_contracts():

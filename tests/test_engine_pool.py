@@ -150,10 +150,10 @@ class TestReadBatch:
                         make_kv_matrix(1, seed=50 + seq_id))
         assert pool.batched_decodes == 0
         pool.read_batch(0, [0, 1, 2])
-        assert pool.batched_decodes == 2  # one per tensor kind
+        assert pool.batched_decodes == 1  # keys over values, one call
         # Nothing pending: a second batched read decodes nothing new.
         pool.read_batch(0, [0, 1, 2])
-        assert pool.batched_decodes == 2
+        assert pool.batched_decodes == 1
 
 
 def assert_same_cache_state(batched, looped, seq_ids):

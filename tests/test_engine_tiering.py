@@ -441,3 +441,71 @@ class TestCrossTierBitExactness:
         assert summary["tier_pages_allocated"] > 0
         assert "tier_transfer_cycles" in summary
         assert "tier_evictions" in summary
+
+
+class TestForkBytesReachTheStore:
+    """A fork that *copies* the prefix (arena pools, adapter pools)
+    stores new bytes, and the tiered store must hold pages for them; a
+    fork that *aliases* chunks (the chunked fused pool) stores none."""
+
+    PAGE = 256
+    ROWS = 100
+
+    def _forked(self, factory, arena=False):
+        store = TieredKVStore(
+            device_budget_bytes=1 << 20, page_bytes=self.PAGE
+        )
+        pool = KVCachePool(factory, tiering=store, arena=arena)
+        pool.allocate(0)
+        for layer in range(LAYERS):
+            pool.append(
+                0, layer,
+                make_kv_matrix(tokens=self.ROWS, seed=layer),
+                make_kv_matrix(tokens=self.ROWS, seed=10 + layer),
+            )
+        before = store.pages_allocated
+        parent_bytes = pool.get(0).nbytes()
+        pool.fork(0, 1, self.ROWS)
+        pool.check_invariants()
+        return pool, store, before, parent_bytes
+
+    @pytest.mark.parametrize(
+        "method, arena", [("oaken", True), ("kivi", False), ("atom", False)]
+    )
+    def test_copying_fork_is_charged_and_released(
+        self, factories, method, arena
+    ):
+        pool, store, before, parent_bytes = self._forked(
+            factories[method], arena=arena
+        )
+        assert pool.arena_enabled == arena
+        copied = pool.get(1).nbytes()
+        assert copied == parent_bytes > 0
+        # The whole pool's bytes are paged, not just the parent's.
+        assert pool.measure()[0] == 2 * parent_bytes
+        grown = store.pages_allocated - before
+        assert grown == -(-int(copied) // self.PAGE)
+        assert (
+            store.device_bytes + store.host_bytes
+            >= int(pool.measure()[0])
+        )
+        assert pool._tier_seen[1] == copied
+        # Divergent growth is charged on top, from the new watermark.
+        pool.append(1, 0, make_kv_matrix(tokens=3, seed=5),
+                    make_kv_matrix(tokens=3, seed=6))
+        pool.check_invariants()
+        held = store.total_pages()
+        assert pool.free(1)
+        assert store.total_pages() == before
+        assert held > before
+        pool.check_invariants()
+
+    def test_aliasing_fork_allocates_no_page(self, factories):
+        pool, store, before, parent_bytes = self._forked(factories["oaken"])
+        assert not pool.arena_enabled
+        assert store.pages_allocated == before
+        assert pool.measure()[0] == parent_bytes  # charged once
+        assert pool._tier_seen[1] == pool.get(1).nbytes()
+        assert not pool.free(1)  # every chunk survives through the parent
+        assert store.pages_allocated == before
+        pool.check_invariants()

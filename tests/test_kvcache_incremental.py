@@ -1,4 +1,10 @@
-"""Incremental cache reads: memoized prefixes vs. full re-decode."""
+"""Memoized cache reads vs. the reference they stand for.
+
+The cache decodes each chunk once into its memo; the reference —
+"dequantize every chunk and concatenate", the seed's read — is three
+lines of public API, spelled here (:func:`redecode`) rather than kept
+as a mode of the cache.
+"""
 
 import numpy as np
 import pytest
@@ -11,11 +17,18 @@ from repro.core.reference import ReferenceOakenQuantizer
 from conftest import make_kv_matrix
 
 
-def make_layer(samples, incremental=True):
+def make_layer(samples):
     return LayerKVCache(
         key_quantizer=OakenQuantizer.from_samples(samples, OakenConfig()),
         value_quantizer=OakenQuantizer.from_samples(samples, OakenConfig()),
-        incremental=incremental,
+    )
+
+
+def redecode(quantizer, blocks):
+    """The full re-decode: every block's own encode, dequantized and
+    concatenated — nothing memoized, nothing batched."""
+    return np.concatenate(
+        [quantizer.dequantize(quantizer.quantize(block)) for block in blocks]
     )
 
 
@@ -23,20 +36,17 @@ class TestIncrementalRead:
     def test_matches_full_redecode_after_interleaved_appends(
         self, kv_samples
     ):
-        fast = make_layer(kv_samples, incremental=True)
-        slow = make_layer(kv_samples, incremental=False)
-        # Same quantizers on both sides so chunks are identical.
-        slow.key_quantizer = fast.key_quantizer
-        slow.value_quantizer = fast.value_quantizer
+        fast = make_layer(kv_samples)
+        keys, values = [], []
         for step, rows in enumerate([3, 1, 1, 4, 1, 2, 1]):
-            k = make_kv_matrix(tokens=rows, seed=step)
-            v = make_kv_matrix(tokens=rows, seed=100 + step)
-            fast.append(k, v)
-            slow.append(k, v)
+            keys.append(make_kv_matrix(tokens=rows, seed=step))
+            values.append(make_kv_matrix(tokens=rows, seed=100 + step))
+            fast.append(keys[-1], values[-1])
             fk, fv = fast.read()
-            sk, sv = slow.read()
-            np.testing.assert_array_equal(fk, sk)
-            np.testing.assert_array_equal(fv, sv)
+            sk = redecode(fast.key_quantizer, keys)
+            sv = redecode(fast.value_quantizer, values)
+            assert fk.tobytes() == sk.tobytes()
+            assert fv.tobytes() == sv.tobytes()
             assert fk.shape[0] == fast.length
 
     def test_reads_are_readonly_views(self, kv_samples):
@@ -66,6 +76,26 @@ class TestIncrementalRead:
             cache.read()
         np.testing.assert_array_equal(first_keys, snapshot)
 
+    def test_zero_row_append_reads_empty_then_grows(self, kv_samples):
+        """A zero-row chunk is a chunk: pending, decoded (to nothing)
+        and labelled with its own tensor's thresholds."""
+        cache = make_layer(kv_samples)
+        empty = np.zeros((0, 64))
+        cache.append(empty, empty)
+        keys, values = cache.read()
+        assert keys.shape == values.shape == (0, 64)
+        assert (
+            cache._value_chunks[0].thresholds
+            is cache.value_quantizer.thresholds
+        )
+        block = make_kv_matrix(tokens=3, seed=4)
+        cache.append(block, block)
+        cache.append(empty, empty)
+        keys, values = cache.read()
+        assert keys.tobytes() == redecode(cache.key_quantizer, [block]).tobytes()
+        assert cache._decoded.chunks_decoded == 3
+        cache.check_invariants()
+
     def test_each_chunk_decoded_once(self, kv_samples):
         cache = make_layer(kv_samples)
         for step in range(6):
@@ -74,43 +104,44 @@ class TestIncrementalRead:
                 make_kv_matrix(tokens=1, seed=10 + step),
             )
             cache.read()
-        assert cache._key_decoded.chunks_decoded == 6
-        assert cache._value_decoded.chunks_decoded == 6
+        assert cache._decoded.chunks_decoded == 6
+        assert cache._decoded.rows == 6
 
         # With the history memoized, further reads must not decode:
         # poison the dequantizers and read again.
         def explode(encoded):
             raise AssertionError("memoized chunk was re-decoded")
 
-        cache.key_quantizer.dequantize = explode
-        cache.value_quantizer.dequantize = explode
+        for _, quantizer in cache.encoder.parts:
+            quantizer.dequantize = explode
         keys, values = cache.read()
         assert keys.shape[0] == 6 and values.shape[0] == 6
 
     def test_reference_quantizer_cache_identical(self, kv_samples):
-        """Seed-mode cache (reference kernels, full re-decode) reads the
-        same bytes as the fused incremental cache."""
-        fused = make_layer(kv_samples, incremental=True)
-        seed_cache = LayerKVCache(
-            key_quantizer=ReferenceOakenQuantizer(
-                fused.key_quantizer.config,
-                fused.key_quantizer.thresholds,
-            ),
-            value_quantizer=ReferenceOakenQuantizer(
-                fused.value_quantizer.config,
-                fused.value_quantizer.thresholds,
-            ),
-            incremental=False,
-        )
+        """The seed's read (reference kernels, full re-decode) and a
+        chunk-store cache over the reference kernels (per-tensor calls
+        through the same two verbs) read the same bytes as the fused
+        memoized cache."""
+        fused = make_layer(kv_samples)
+        references = [
+            ReferenceOakenQuantizer(quantizer.config, quantizer.thresholds)
+            for quantizer in (fused.key_quantizer, fused.value_quantizer)
+        ]
+        seed_cache = LayerKVCache(*references)
+        assert len(seed_cache.encoder.parts) == 2
+        keys, values = [], []
         for step in range(4):
-            k = make_kv_matrix(tokens=2, seed=step)
-            v = make_kv_matrix(tokens=2, seed=20 + step)
-            fused.append(k, v)
-            seed_cache.append(k, v)
+            keys.append(make_kv_matrix(tokens=2, seed=step))
+            values.append(make_kv_matrix(tokens=2, seed=20 + step))
+            fused.append(keys[-1], values[-1])
+            seed_cache.append(keys[-1], values[-1])
+            seed_cache.read()
         fk, fv = fused.read()
         sk, sv = seed_cache.read()
-        np.testing.assert_array_equal(fk, sk)
-        np.testing.assert_array_equal(fv, sv)
+        assert fk.tobytes() == sk.tobytes()
+        assert fv.tobytes() == sv.tobytes()
+        assert fk.tobytes() == redecode(references[0], keys).tobytes()
+        assert fv.tobytes() == redecode(references[1], values).tobytes()
 
     def test_whole_model_passthrough(self, kv_samples):
         keys = [
@@ -121,16 +152,20 @@ class TestIncrementalRead:
             OakenQuantizer.from_samples(kv_samples, OakenConfig())
             for _ in range(2)
         ]
-        fast = QuantizedKVCache(keys, values, incremental=True)
-        slow = QuantizedKVCache(keys, values, incremental=False)
+        fast = QuantizedKVCache(keys, values)
+        history = [([], []) for _ in range(2)]
         for layer in range(2):
             for step in range(3):
                 k = make_kv_matrix(tokens=2, seed=layer * 10 + step)
                 v = make_kv_matrix(tokens=2, seed=500 + layer * 10 + step)
                 fast.append(layer, k, v)
-                slow.append(layer, k, v)
+                history[layer][0].append(k)
+                history[layer][1].append(v)
         for layer in range(2):
             fk, fv = fast.read(layer)
-            sk, sv = slow.read(layer)
-            np.testing.assert_array_equal(fk, sk)
-            np.testing.assert_array_equal(fv, sv)
+            assert fk.tobytes() == redecode(
+                keys[layer], history[layer][0]
+            ).tobytes()
+            assert fv.tobytes() == redecode(
+                values[layer], history[layer][1]
+            ).tobytes()

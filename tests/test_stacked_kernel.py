@@ -8,10 +8,12 @@ per-tensor encodes — and, in ``exact_f64``, the frozen seed encoder in
 shape and bytes.  Bytes, not ``==``: a flipped sign of zero or a
 different NaN would be a different stored tensor.
 
-The decode half has the same contract: the arena gathers a layer's
-pending ``[K rows; V rows]`` once and decodes them with one call, and
-what a pool read returns must equal the per-tensor decode, the
-method's one-shot ``roundtrip()`` and the reference, byte for byte.
+The decode half has the same contract on both stores: the arena
+gathers a layer's pending ``[K rows; V rows]`` once, the chunk store
+joins its pending ``[key chunks; value chunks]`` once, each decodes
+them with one call, and what a pool read returns must equal the
+per-tensor decode, the method's one-shot ``roundtrip()`` and the
+reference, byte for byte.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import TABLE3_CONFIGURATIONS, OakenConfig
-from repro.core.encoding import EncodedKV, row_block_views, split_encoded
+from repro.core.encoding import EncodedKV, concat_encoded, split_encoded
+from repro.core import kvcache
+from repro.core.kvcache import LayerKVCache
 from repro.core.quantizer import LayerEncoder, OakenQuantizer
 from repro.core.reference import ReferenceOakenQuantizer
 from repro.core.thresholds import profile_thresholds
@@ -33,7 +37,7 @@ from repro.models.config import get_model
 from repro.serving.request import Request
 from repro.serving.simulator import CacheReplayConfig, _CacheReplay
 
-from conftest import make_kv_matrix
+from conftest import encode_chunks, make_kv_matrix
 
 CONFIGS = {
     f"{ratio}@{bits}": OakenConfig.from_ratio_string(
@@ -131,9 +135,11 @@ class TestStackedEqualsPerTensor:
         config = CONFIGS[name]
         key_q, value_q = _pair(config, dim, mode)
         encoder = LayerEncoder(key_q, value_q)
-        assert encoder.stacked is not None and encoder.kernel_calls == 1
+        assert encoder.stacked is not None and len(encoder.parts) == 1
         keys, values = _rows(tokens, dim, seed=100 + tokens)
-        stacked_keys, stacked_values = encoder.encode([keys], [values])
+        (stacked_keys,), (stacked_values,) = encode_chunks(
+            encoder, [keys], [values]
+        )
         assert_same_encoding(key_q.quantize(keys), stacked_keys, "keys.")
         assert_same_encoding(
             value_q.quantize(values), stacked_values, "values."
@@ -164,7 +170,9 @@ class TestStackedEqualsPerTensor:
         encoder = LayerEncoder(key_q, value_q)
         keys = _hostile(dim, key_q.thresholds)
         values = _hostile(dim, value_q.thresholds)[::-1].copy()
-        stacked_keys, stacked_values = encoder.encode([keys], [values])
+        (stacked_keys,), (stacked_values,) = encode_chunks(
+            encoder, [keys], [values]
+        )
         assert_same_encoding(key_q.quantize(keys), stacked_keys, "keys.")
         assert_same_encoding(
             value_q.quantize(values), stacked_values, "values."
@@ -188,18 +196,61 @@ class TestStackedEqualsPerTensor:
 
 
 class TestRowBlocks:
-    """The two ways a stacked encode is handed back."""
+    """How a stacked encode is handed back, and joined again."""
 
-    def test_views_carry_their_own_thresholds(self):
+    def test_blocks_carry_their_own_thresholds(self):
         key_q, value_q = _pair(OakenConfig(), 32, "deploy_f32")
         encoder = LayerEncoder(key_q, value_q)
         keys, values = _rows(6, 32, seed=3)
         whole = encoder.stacked.quantize(np.concatenate([keys, values]))
         assert whole.thresholds == (key_q.thresholds, value_q.thresholds)
-        key_block, value_block = row_block_views(whole)
+        key_block, value_block = split_encoded(whole, [6])
         assert key_block.thresholds is key_q.thresholds
         assert value_block.thresholds is value_q.thresholds
-        assert key_block.dense_codes.base is not None  # a view
+        assert key_block.dense_codes.base is None  # owns its arrays
+
+    @pytest.mark.parametrize("counts", [[6], [1, 0, 4, 1], [0], []])
+    def test_zero_row_chunks_keep_their_blocks_thresholds(self, counts):
+        """A block is told by position in the split, never by a row
+        offset — which an empty chunk at a block edge does not have."""
+        key_q, value_q = _pair(OakenConfig(), 32, "deploy_f32")
+        encoder = LayerEncoder(key_q, value_q)
+        keys, values = _rows(sum(counts), 32, seed=3)
+        whole = encoder.stacked.quantize(np.concatenate([keys, values]))
+        chunks = split_encoded(whole, counts)
+        assert [c.num_tokens for c in chunks] == counts * 2
+        for chunk in chunks[: len(counts)]:
+            assert chunk.thresholds is key_q.thresholds
+        for chunk in chunks[len(counts) :]:
+            assert chunk.thresholds is value_q.thresholds
+
+    def test_concat_is_the_inverse_of_split(self):
+        key_q, value_q = _pair(OakenConfig(), 32, "deploy_f32")
+        encoder = LayerEncoder(key_q, value_q)
+        keys, values = _rows(7, 32, seed=8)
+        whole = encoder.stacked.quantize(np.concatenate([keys, values]))
+        chunks = split_encoded(whole, [1, 0, 4, 2])
+        joined = concat_encoded(chunks[:4], chunks[4:])
+        assert joined.thresholds[0] is key_q.thresholds
+        assert joined.thresholds[1] is value_q.thresholds
+        assert_same_encoding(whole, joined)
+        assert (
+            encoder.stacked.dequantize(joined).tobytes()
+            == encoder.stacked.dequantize(whole).tobytes()
+        )
+
+    def test_concat_validates_each_block_against_its_own_thresholds(self):
+        key_q, value_q = _pair(OakenConfig(), 32, "deploy_f32")
+        keys, values = _rows(3, 32, seed=9)
+        key_chunks = [key_q.quantize(keys), key_q.quantize(keys)]
+        value_chunks = [value_q.quantize(values), value_q.quantize(values)]
+        concat_encoded(key_chunks, value_chunks)  # fine
+        with pytest.raises(ValueError, match="different thresholds"):
+            concat_encoded(key_chunks, [value_chunks[0], key_chunks[1]])
+        with pytest.raises(ValueError, match="must be equal"):
+            concat_encoded(key_chunks, value_chunks[:1])
+        with pytest.raises(ValueError, match="zero chunks"):
+            concat_encoded(key_chunks, [])
 
     def test_chunks_match_per_sequence_encodes(self):
         key_q, value_q = _pair(OakenConfig(), 32, "deploy_f32")
@@ -209,22 +260,28 @@ class TestRowBlocks:
         bounds = np.cumsum([0] + counts)
         key_blocks = [keys[a:b] for a, b in zip(bounds, bounds[1:])]
         value_blocks = [values[a:b] for a, b in zip(bounds, bounds[1:])]
-        key_chunks, value_chunks = encoder.encode_chunks(
-            key_blocks, value_blocks
+        key_chunks, value_chunks = encode_chunks(
+            encoder, key_blocks, value_blocks
         )
         for block, chunk in zip(key_blocks, key_chunks):
             assert_same_encoding(key_q.quantize(block), chunk)
             assert chunk.dense_codes.base is None  # owns its arrays
         for block, chunk in zip(value_blocks, value_chunks):
             assert_same_encoding(value_q.quantize(block), chunk)
+            assert chunk.dense_codes.base is None
 
-    def test_chunk_may_not_straddle_blocks(self):
+    def test_counts_partition_one_block(self):
+        """A chunk cannot straddle two blocks: the counts describe one
+        block and every block splits alike."""
         key_q, value_q = _pair(OakenConfig(), 32, "deploy_f32")
         encoder = LayerEncoder(key_q, value_q)
         keys, values = _rows(4, 32, seed=5)
         whole = encoder.stacked.quantize(np.concatenate([keys, values]))
-        with pytest.raises(ValueError, match="straddle"):
+        with pytest.raises(ValueError, match="2 row block"):
             split_encoded(whole, [3, 2, 3])
+        assert [c.num_tokens for c in split_encoded(whole, [3, 1])] == [
+            3, 1, 3, 1,
+        ]
 
     def test_uneven_stack_rejected(self):
         key_q, value_q = _pair(OakenConfig(), 32, "deploy_f32")
@@ -241,9 +298,9 @@ class TestPairing:
             OakenConfig(), 32, "exact_f64", ReferenceOakenQuantizer
         )
         encoder = LayerEncoder(key_q, value_q)
-        assert encoder.stacked is None and encoder.kernel_calls == 2
+        assert encoder.stacked is None and len(encoder.parts) == 2
         keys, values = _rows(3, 32, seed=6)
-        got_keys, got_values = encoder.encode([keys], [values])
+        (got_keys,), (got_values,) = encode_chunks(encoder, [keys], [values])
         assert_same_encoding(key_q.quantize(keys), got_keys)
         assert_same_encoding(value_q.quantize(values), got_values)
 
@@ -411,14 +468,17 @@ class TestOneKernelCallPerLayer:
 # -- decode contract ----------------------------------------------------
 #
 # The read side of the same guard: one ``dequantize`` per layer per
-# read on the arena, and a pool read is the one-shot roundtrip.
+# read on either store, every row decoded once, and a pool read is the
+# one-shot roundtrip.
 
 
 @pytest.fixture
 def decode_calls(monkeypatch):
     """Every decode-kernel entry as ``(class, encoded rows)``."""
     calls = []
-    for owner in (OakenQuantizer, EngineBackedQuantizer):
+    for owner in (
+        OakenQuantizer, EngineBackedQuantizer, ReferenceOakenQuantizer
+    ):
         original = vars(owner)["dequantize"]
 
         def counting(self, encoded, _o=original):
@@ -440,8 +500,9 @@ class TestOneDecodePerLayer:
             pool.append_batch(layer, _updates(seq_ids, 1, seed=9 + layer))
         return pool, seq_ids, 5 + len(seq_ids)
 
-    def test_arena_read_batch_and_lazy_read(self, calibration, decode_calls):
-        pool, seq_ids, pending = self._filled(calibration, "arena")
+    @pytest.mark.parametrize("store", ["arena", "chunked", "tiered"])
+    def test_read_batch_and_lazy_read(self, calibration, decode_calls, store):
+        pool, seq_ids, pending = self._filled(calibration, store)
         for layer in range(LAYERS):
             before = pool.batched_decodes
             pool.read_batch(layer, seq_ids)
@@ -460,13 +521,78 @@ class TestOneDecodePerLayer:
             del decode_calls[:]
         pool.check_invariants()
 
-    def test_chunked_read_batch_keeps_two_calls(
+    def test_layer_cache_read_is_one_call(self, decode_calls):
+        key_q, value_q = _pair(OakenConfig(), 32, "deploy_f32")
+        cache = LayerKVCache(key_q, value_q)
+        for rows in (5, 1, 1):
+            cache.append(*_rows(rows, 32, seed=rows))
+        cache.read()
+        assert decode_calls == [("OakenQuantizer", 14)]
+        cache.read()
+        assert len(decode_calls) == 1
+
+    @pytest.mark.parametrize(
+        "cls", [ReferenceOakenQuantizer, EngineBackedQuantizer]
+    )
+    def test_unstackable_pairs_keep_two_calls(self, decode_calls, cls):
+        """A pair that does not stack decodes per tensor, through the
+        same chunk-store path."""
+        def make(config, thresholds, mode):
+            return cls(config, thresholds, mode=mode)
+
+        key_q, value_q = _pair(OakenConfig(), 32, "exact_f64", make)
+        caches = [LayerKVCache(key_q, value_q) for _ in range(2)]
+        for seed, cache in enumerate(caches):
+            cache.append(*_rows(3, 32, seed=seed))
+            cache.append(*_rows(1, 32, seed=10 + seed))
+        assert kvcache.decode_pending(caches) == 2
+        assert decode_calls == [(cls.__name__, 8)] * 2
+        assert kvcache.decode_pending(caches) == 0
+        plain = _pair(OakenConfig(), 32, "exact_f64")
+        for seed, cache in enumerate(caches):
+            exact = [
+                np.concatenate(parts)
+                for parts in zip(
+                    _rows(3, 32, seed=seed), _rows(1, 32, seed=10 + seed)
+                )
+            ]
+            for got, quantizer, rows in zip(cache.read(), plain, exact):
+                assert got.tobytes() == quantizer.roundtrip(rows).tobytes()
+        # (the reads were memo hits: only the oracle decoded again)
+        assert [c for c in decode_calls if c[0] == cls.__name__] == (
+            [(cls.__name__, 8)] * 2
+        )
+
+    def test_adapter_pool_makes_no_decode_call(
         self, calibration, decode_calls
     ):
-        pool, seq_ids, pending = self._filled(calibration, "chunked")
+        """Adapter pools roundtrip; the chunk-store decode is not theirs."""
+        pool = _pool(calibration, "chunked", kind="adapter")
+        seq_ids = [0, 1, 2]
+        for seq_id in seq_ids:
+            pool.allocate(seq_id)
+        pool.append_batch(0, _updates(seq_ids, 1, seed=3))
+        del decode_calls[:]  # (the eager roundtrip's own)
         pool.read_batch(0, seq_ids)
-        assert decode_calls == [("OakenQuantizer", pending)] * 2
-        assert pool.batched_decodes == 2
+        pool.read(1, 0)
+        assert decode_calls == []
+        assert pool.batched_decodes == 0
+
+    def test_generation_decodes_every_row_once(self, calibration, decode_calls):
+        """The O(new rows) pin: over a 40-step single-sequence
+        generation, rows decoded == rows appended."""
+        cache = shared_backend_factory(
+            "oaken", calibration=calibration
+        )()
+        appended = 0
+        for step in range(40):
+            rows = 7 if step == 0 else 1
+            for layer in range(LAYERS):
+                cache.append(layer, *_updates([0], rows, seed=step)[0])
+                cache.read(layer)
+            appended += rows
+        assert len(decode_calls) == 40 * LAYERS
+        assert sum(rows for _, rows in decode_calls) == 2 * appended * LAYERS
 
     def test_engine_backed_arena_keeps_two_calls(self, decode_calls):
         """A pair that does not stack decodes per tensor, through the
@@ -498,7 +624,7 @@ def _snapshot(pool):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("store", ["arena", "chunked"])
+@pytest.mark.parametrize("store", ["arena", "chunked", "tiered"])
 @pytest.mark.parametrize("mode", MODES)
 class TestPoolReadIsTheRoundtrip:
     """Hostile rows through the pool boundary (``append_batch`` ->
@@ -569,8 +695,8 @@ class TestPoolReadIsTheRoundtrip:
             pool.allocate(seq_id)
         for layer in range(LAYERS):
             pool.append_batch(layer, _updates(seq_ids, 2, seed=layer))
-        before = _snapshot(pool)
         reads = [part.copy() for part in pool.read(1, 0)]
+        before = _snapshot(pool)  # (after the read: it touches the tier)
         good = np.ones((1, DIM))
         for bad_keys, bad_values in (
             (np.ones((1, DIM + 1)), np.ones((1, DIM + 1))),  # wrong width
