@@ -13,6 +13,8 @@ Two additions back the repo's regression rule:
 * ``--check PATH`` compares every ``speedup_*`` entry of this run
   against a committed report and exits non-zero when one fell below
   ``--check-factor`` times its committed value — the CI smoke gate.
+  A check writes no report unless ``--out`` is given, so gating
+  against the committed ``BENCH_quant.json`` never overwrites it.
 
 ``python -m repro bench`` mounts the same flags via
 :func:`add_arguments` and dispatches to the same :func:`run`, so the
@@ -30,8 +32,9 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     from repro.bench.hotpath import DEFAULT_OUT
 
     parser.add_argument(
-        "--out", default=DEFAULT_OUT,
-        help=f"output JSON path (default: {DEFAULT_OUT})",
+        "--out", default=None,
+        help=f"output JSON path (default: {DEFAULT_OUT}; with --check, "
+        "nothing is written unless --out is given)",
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -76,6 +79,7 @@ def run(args: argparse.Namespace) -> int:
     import json
 
     from repro.bench.hotpath import (
+        DEFAULT_OUT,
         find_regressions,
         format_summary,
         merge_reports,
@@ -104,11 +108,14 @@ def run(args: argparse.Namespace) -> int:
             print(f"run {index + 1}/{args.runs} complete")
     report = reports[0] if args.runs == 1 else merge_reports(reports)
 
-    if args.out:
-        write_report(report, args.out)
+    # A check is read-only: it compares against the committed report
+    # and writes only where --out explicitly says.
+    out = args.out or (None if args.check else DEFAULT_OUT)
+    if out:
+        write_report(report, out)
     print(format_summary(report))
-    if args.out:
-        print(f"\nreport written to {args.out}")
+    if out:
+        print(f"\nreport written to {out}")
 
     if args.check:
         with open(args.check, "r", encoding="utf-8") as handle:

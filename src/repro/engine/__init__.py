@@ -48,13 +48,8 @@ from repro.engine.sharing import SharedChunkRegistry
 from repro.engine.synthetic import SyntheticKVStream
 from repro.engine.tiering import (
     EVICTION_POLICIES,
-    EvictionPolicy,
-    LRUPolicy,
-    PLRUPolicy,
-    PageKey,
     TieredKVStore,
     TransferModel,
-    create_eviction_policy,
     default_transfer_model,
 )
 
@@ -67,13 +62,9 @@ __all__ = [
     "CacheBackend",
     "CacheCapacityError",
     "EVICTION_POLICIES",
-    "EvictionPolicy",
     "FusedCacheBackend",
     "KVCachePool",
-    "LRUPolicy",
     "MemoryCapacityError",
-    "PLRUPolicy",
-    "PageKey",
     "SharedChunkRegistry",
     "SyntheticKVStream",
     "TieredKVStore",
@@ -81,7 +72,6 @@ __all__ = [
     "available_methods",
     "backend_for_model",
     "create_backend",
-    "create_eviction_policy",
     "create_quantizer",
     "default_transfer_model",
     "shared_backend_factory",

@@ -44,6 +44,7 @@ cache-replay mode, replacing the analytic capacity estimate.
 
 from __future__ import annotations
 
+import math
 from typing import (
     Callable,
     Dict,
@@ -434,12 +435,16 @@ class KVCachePool:
         ``_tier_seen`` — an O(1) read of the store's running totals
         (:meth:`CacheBackend.footprint_bits`), not a walk of the
         history.  Charged to the layer that grew; eviction pressure is
-        pool-global either way.
+        pool-global either way.  Pages hold whole bytes, so the charge
+        is the growth of the *floored* footprint: fractions carry over
+        to the next append instead of being dropped.
         """
         if self.tiering is None:
             return
         nbytes = self._caches[seq_id].nbytes()
-        delta = nbytes - self._tier_seen.get(seq_id, 0.0)
+        delta = math.floor(nbytes) - math.floor(
+            self._tier_seen.get(seq_id, 0.0)
+        )
         if delta > 0:
             self.tiering.record_append(seq_id, layer, delta)
         self._tier_seen[seq_id] = nbytes
@@ -804,8 +809,10 @@ class KVCachePool:
         and every registry entry — the O(history) scans the running
         totals replaced — and asserts the totals equal them exactly;
         for tiered pools, also that each sequence's tier watermark
-        equals its footprint (every append was observed).  Leaves the
-        pool, including the peak, untouched.
+        equals its footprint (every append was observed) and the
+        store's own frame table
+        (:meth:`~repro.engine.tiering.TieredKVStore.check_invariants`).
+        Leaves the pool, including the peak, untouched.
         """
         if self._arena is not None:
             assert set(self._arena.rows) == set(self._caches)
@@ -825,6 +832,7 @@ class KVCachePool:
                     f"footprint {cache.nbytes()}"
                 )
             assert set(self._tier_seen) <= set(self._caches)
+            self.tiering.check_invariants()
 
     def total_tokens(self) -> int:
         """Cached token positions summed over live sequences."""

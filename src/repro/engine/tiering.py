@@ -4,9 +4,9 @@ The serving story of the paper is ultimately a memory story: quantized
 KV exists to fit more context per byte of device memory.  Up to now the
 pool's admission gate was a reject/queue binary — a sequence either fit
 the flat budget or never ran.  This module turns the budget into a
-**memory hierarchy**: a bounded "device HBM" tier of fixed-size pages
-holding the hot encoded KV, and an unbounded "host DDR" spill tier
-behind a PCIe-class link.  When the device tier fills, a pluggable
+**memory hierarchy**: a bounded "device HBM" tier of fixed-size page
+frames holding the hot encoded KV, and an unbounded "host DDR" spill
+tier behind a PCIe-class link.  When the device tier fills, the
 eviction policy (LRU, or the tree-PLRU of classic cache controllers)
 demotes cold pages to host; reads of spilled pages promote them back,
 optionally prefetching the sequential pages that follow, and every move
@@ -22,13 +22,23 @@ decodes the same bytes whichever tier its pages reside in — and the
 pinned cross-tier tests in ``tests/test_engine_tiering.py`` assert it
 end-to-end for every registry method under forced eviction.
 
+There is one page table.  The device tier is ``capacity_pages`` frames
+the store owns; each ``(seq_id, layer)`` stream is two flat int lists,
+the fill bytes of its pages and the frame each page occupies (``-1``
+for host), and each held frame points back at its page.  The eviction
+policy is a *name* over those frames, in the level that owns them (as
+Simu3's ``mem_sim.py`` keeps PLRU bits per cache level): LRU is a
+recency order of frame numbers, tree-PLRU one direction bit per
+internal node of a tree whose leaves are the frames.
+
 Accounting model (all deterministic, simulation-time):
 
 * Encoded bytes bump-allocate into per-``(seq_id, layer)`` page
-  streams; the page table is keyed ``(seq_id, layer, page_index)``.
-* ``record_append`` grows the stream on device, then evicts cold pages
-  to host while device residency exceeds the budget (each demotion is
-  one modeled transfer).
+  streams; a page entering the device tier takes the most recently
+  freed frame, or else the lowest never-used one.
+* ``record_append`` grows the stream on device, first evicting a cold
+  page to host whenever no frame is free (each demotion is one modeled
+  transfer).
 * ``record_read`` touches a stream's pages in order: device-resident
   pages are **hits**, host-resident pages are **misses** that promote
   back; runs of consecutive spilled pages coalesce into one merged
@@ -48,22 +58,18 @@ directions (``hardware.mmu`` imports ``engine.errors``).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
 __all__ = [
     "EVICTION_POLICIES",
-    "EvictionPolicy",
-    "LRUPolicy",
-    "PLRUPolicy",
-    "PageKey",
     "TieredKVStore",
     "TransferModel",
-    "create_eviction_policy",
     "default_transfer_model",
 ]
 
-#: Names accepted by :func:`create_eviction_policy` and the CLI flags.
+#: Eviction policy names accepted by :class:`TieredKVStore` and the
+#: CLI flags.
 EVICTION_POLICIES = ("lru", "plru")
 
 #: Paper-style 4 KiB pages, matching ``hardware/mmu.py``.
@@ -72,191 +78,6 @@ DEFAULT_PAGE_BYTES = 4096
 #: Device clock used to express transfer seconds as cycles (1 GHz, the
 #: same clock the analytic engine models assume).
 DEFAULT_CLOCK_HZ = 1.0e9
-
-
-@dataclass(frozen=True)
-class PageKey:
-    """Identifies one page: ``(seq_id, layer, page_index)``.
-
-    ``page_index`` is the position within the sequence+layer stream, so
-    consecutive indices are logically sequential history — the unit the
-    sequential prefetcher reasons about.
-    """
-
-    seq_id: Hashable
-    layer: int
-    page_index: int
-
-
-# ----------------------------------------------------------------------
-# eviction policies
-# ----------------------------------------------------------------------
-
-
-class EvictionPolicy:
-    """Replacement order over the device-resident page set.
-
-    The store drives the policy with three events: ``insert`` when a
-    page becomes device-resident (allocation or promotion), ``touch``
-    when a resident page is accessed, ``remove`` when it leaves the
-    device tier (eviction or release).  ``victim()`` names the page the
-    policy would evict next; the store then calls ``remove`` on it.
-    All implementations are deterministic: identical event sequences
-    yield identical victim sequences.
-    """
-
-    def insert(self, key: PageKey) -> None:
-        raise NotImplementedError
-
-    def touch(self, key: PageKey) -> None:
-        raise NotImplementedError
-
-    def remove(self, key: PageKey) -> None:
-        raise NotImplementedError
-
-    def victim(self) -> PageKey:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-
-class LRUPolicy(EvictionPolicy):
-    """Exact least-recently-used order (an :class:`OrderedDict` queue)."""
-
-    name = "lru"
-
-    def __init__(self, capacity_pages: int):
-        self._order: "OrderedDict[PageKey, None]" = OrderedDict()
-
-    def insert(self, key: PageKey) -> None:
-        if key in self._order:
-            raise KeyError(f"page {key} already resident")
-        self._order[key] = None
-
-    def touch(self, key: PageKey) -> None:
-        self._order.move_to_end(key)
-
-    def remove(self, key: PageKey) -> None:
-        del self._order[key]
-
-    def victim(self) -> PageKey:
-        if not self._order:
-            raise LookupError("no device-resident pages to evict")
-        return next(iter(self._order))
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-
-class PLRUPolicy(EvictionPolicy):
-    """Tree-based pseudo-LRU over a fixed number of ways.
-
-    The classic cache-controller structure (Simu3's ``mem_sim.py`` uses
-    the same scheme per set): ways are the leaves of a complete binary
-    tree whose internal nodes each hold one direction bit.  Touching a
-    way flips every bit on its root path to point *away* from it;
-    choosing a victim walks the bits from the root.  One bit per
-    internal node instead of a full recency order — the hardware-cheap
-    approximation of LRU.
-
-    The device tier is fully associative, so the tree spans
-    ``capacity_pages`` rounded up to a power of two.  Slots beyond the
-    real capacity (padding leaves) and not-yet-filled slots can be
-    reached by a victim walk; the walk then touches the empty leaf
-    (steering the bits away from it) and retries, with a deterministic
-    first-occupied-slot fallback bounding the loop.
-    """
-
-    name = "plru"
-
-    def __init__(self, capacity_pages: int):
-        if capacity_pages < 1:
-            raise ValueError("capacity_pages must be >= 1")
-        ways = 1
-        while ways < capacity_pages:
-            ways *= 2
-        self._ways = ways
-        self._bits = [0] * max(1, ways - 1)
-        self._key_at: List[Optional[PageKey]] = [None] * ways
-        self._slot_of: Dict[PageKey, int] = {}
-        # Pop order gives ascending slot numbers: deterministic fills.
-        self._free: List[int] = list(range(capacity_pages - 1, -1, -1))
-
-    def __len__(self) -> int:
-        return len(self._slot_of)
-
-    def insert(self, key: PageKey) -> None:
-        if key in self._slot_of:
-            raise KeyError(f"page {key} already resident")
-        if not self._free:
-            raise LookupError("PLRU tree full; evict a victim first")
-        slot = self._free.pop()
-        self._key_at[slot] = key
-        self._slot_of[key] = slot
-        self._touch_slot(slot)
-
-    def touch(self, key: PageKey) -> None:
-        self._touch_slot(self._slot_of[key])
-
-    def remove(self, key: PageKey) -> None:
-        slot = self._slot_of.pop(key)
-        self._key_at[slot] = None
-        self._free.append(slot)
-
-    def victim(self) -> PageKey:
-        if not self._slot_of:
-            raise LookupError("no device-resident pages to evict")
-        if self._ways == 1:
-            return self._key_at[0]  # type: ignore[return-value]
-        for _ in range(self._ways):
-            slot = self._walk()
-            key = self._key_at[slot]
-            if key is not None:
-                return key
-            # Landed on a padding/empty leaf: steer the path bits away
-            # from it and walk again.
-            self._touch_slot(slot)
-        # Deterministic fallback (cannot normally be reached: each
-        # empty-leaf touch redirects the walk, and at least one leaf is
-        # occupied): first occupied slot.
-        for key in self._key_at:
-            if key is not None:
-                return key
-        raise LookupError("no device-resident pages to evict")
-
-    # -- tree mechanics -------------------------------------------------
-
-    def _leaf_node(self, slot: int) -> int:
-        return (self._ways - 1) + slot
-
-    def _touch_slot(self, slot: int) -> None:
-        if self._ways == 1:
-            return
-        node = self._leaf_node(slot)
-        while node > 0:
-            parent = (node - 1) // 2
-            # Bit points away from the child we arrived from: 1 means
-            # "go right", so coming from the left child sets 1.
-            self._bits[parent] = 1 if node == 2 * parent + 1 else 0
-            node = parent
-
-    def _walk(self) -> int:
-        node = 0
-        while node < self._ways - 1:
-            node = 2 * node + 1 if self._bits[node] == 0 else 2 * node + 2
-        return node - (self._ways - 1)
-
-
-def create_eviction_policy(name: str, capacity_pages: int) -> EvictionPolicy:
-    """Instantiate a policy by CLI/config name (``lru`` or ``plru``)."""
-    if name == "lru":
-        return LRUPolicy(capacity_pages)
-    if name == "plru":
-        return PLRUPolicy(capacity_pages)
-    raise ValueError(
-        f"unknown eviction policy {name!r}; choose from {EVICTION_POLICIES}"
-    )
 
 
 # ----------------------------------------------------------------------
@@ -309,17 +130,17 @@ def default_transfer_model(clock_hz: float = DEFAULT_CLOCK_HZ) -> TransferModel:
 # the tiered store
 # ----------------------------------------------------------------------
 
-_DEVICE = 0
-_HOST = 1
+#: One stream's pages: ``(fills, frames)``, parallel lists indexed by
+#: page position; a frame of ``-1`` means the page lives on host.
+_Stream = Tuple[List[int], List[int]]
 
-
-@dataclass
-class _Page:
-    """One page table row: placement plus fill level."""
-
-    key: PageKey
-    used: int = 0
-    tier: int = _DEVICE
+#: ``summary()``'s keys, in report order; each is a store attribute.
+_SUMMARY_KEYS = (
+    "hits", "misses", "evictions", "promotions", "prefetched_pages",
+    "spilled_bytes", "promoted_bytes", "transfer_cycles",
+    "pages_allocated", "device_pages", "host_pages", "device_bytes",
+    "host_bytes", "device_capacity_bytes", "peak_device_bytes",
+)
 
 
 class TieredKVStore:
@@ -354,45 +175,58 @@ class TieredKVStore:
             raise ValueError("page_bytes must be positive")
         if prefetch_pages < 0:
             raise ValueError("prefetch_pages must be >= 0")
+        if policy not in EVICTION_POLICIES:
+            raise ValueError(
+                f"unknown eviction policy {policy!r}; "
+                f"choose from {EVICTION_POLICIES}"
+            )
         self.page_bytes = int(page_bytes)
         self.capacity_pages = max(1, int(device_budget_bytes // page_bytes))
         self.device_budget_bytes = float(device_budget_bytes)
         self.policy_name = str(policy)
         self.prefetch_pages = int(prefetch_pages)
         self.transfer = transfer if transfer is not None else default_transfer_model()
-        self._policy = create_eviction_policy(policy, self.capacity_pages)
-        # Streams of pages per (seq_id, layer); page_index == position.
-        self._streams: Dict[Tuple[Hashable, int], List[_Page]] = {}
-        self._device_pages = 0
-        self._host_pages = 0
+        # PLRU leaves: the frames, padded to a power of two.
+        self._ways = 1 << (self.capacity_pages - 1).bit_length()
+        # Held frames -> (stream, page index) of the page each holds, and
+        # the freed frames, reused last-in, first-out.
+        self._page_at: Dict[int, Tuple[_Stream, int]] = {}
+        self._free: List[int] = []
+        self._seqs: Dict[Hashable, Dict[int, _Stream]] = {}
+        self.host_pages = 0
+        # The policy: LRU's recency order of held frames, or PLRU's
+        # direction bits, one per internal node of the frame tree.
+        lru = policy == "lru"
+        self._recency = OrderedDict() if lru else None
+        self._bits = [] if lru else [0] * (self._ways - 1)
+        self._touch = self._recency.move_to_end if lru else self._plru_touch
+        self._victim = self._lru_victim if lru else self._plru_victim
         # counters
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.promotions = 0
-        self.prefetched_pages = 0
-        self.spilled_bytes = 0.0
-        self.promoted_bytes = 0.0
-        self.transfer_cycles = 0.0
-        self.pages_allocated = 0
+        self.hits = self.misses = self.evictions = self.promotions = 0
+        self.prefetched_pages = self.pages_allocated = 0
+        self.spilled_bytes = self.promoted_bytes = self.transfer_cycles = 0.0
         self.peak_device_bytes = 0.0
 
     # -- residency totals ----------------------------------------------
 
     @property
+    def device_pages(self) -> int:
+        return len(self._page_at)
+
+    @property
     def device_bytes(self) -> int:
-        return self._device_pages * self.page_bytes
+        return self.device_pages * self.page_bytes
 
     @property
     def host_bytes(self) -> int:
-        return self._host_pages * self.page_bytes
+        return self.host_pages * self.page_bytes
 
     @property
     def device_capacity_bytes(self) -> int:
         return self.capacity_pages * self.page_bytes
 
     def total_pages(self) -> int:
-        return self._device_pages + self._host_pages
+        return self.device_pages + self.host_pages
 
     # -- notifications from the pool -----------------------------------
 
@@ -402,36 +236,30 @@ class TieredKVStore:
         """Account ``nbytes`` of new encoded history for a stream.
 
         Bytes bump-allocate into the stream's open device page, opening
-        new device pages as needed; the device tier is then re-bounded
-        by demoting cold pages.  Returns the transfer cycles charged by
-        any demotions (also accumulated on the store).
+        new device pages as needed (a spilled open page is promoted
+        back first); a cold page is demoted whenever the device tier
+        has no free frame.  Returns the transfer cycles charged by any
+        demotions (also accumulated on the store).
         """
         remaining = int(nbytes)
         if remaining <= 0:
             return 0.0
-        stream = self._streams.setdefault((seq_id, layer), [])
+        layers = self._seqs.setdefault(seq_id, {})
+        stream = layers.get(layer) or layers.setdefault(layer, ([], []))
+        fills, frames = stream
         before = self.transfer_cycles
         while remaining > 0:
-            page = stream[-1] if stream else None
-            if page is None or page.used >= self.page_bytes:
-                self._make_room()
-                page = _Page(
-                    key=PageKey(seq_id, layer, len(stream)), used=0
-                )
-                stream.append(page)
+            if not fills or fills[-1] >= self.page_bytes:
+                fills.append(0)
+                frames.append(-1)
+                self._occupy(stream, len(frames) - 1)
                 self.pages_allocated += 1
-                self._device_pages += 1
-                self._policy.insert(page.key)
-            elif page.tier == _HOST:
-                # The open (partially filled) page was demoted between
-                # appends: writing more of the stream promotes it back.
-                self._promote_run(stream, page.key.page_index, limit=1)
-            take = min(remaining, self.page_bytes - page.used)
-            page.used += take
+            elif frames[-1] < 0:
+                self._promote_run(stream, len(frames) - 1, 1)
+            take = min(remaining, self.page_bytes - fills[-1])
+            fills[-1] += take
             remaining -= take
-            if page.tier == _DEVICE:
-                self._policy.touch(page.key)
-        self.peak_device_bytes = max(self.peak_device_bytes, self.device_bytes)
+            self._touch(frames[-1])
         return self.transfer_cycles - before
 
     def record_read(self, seq_id: Hashable, layer: int) -> float:
@@ -442,24 +270,22 @@ class TieredKVStore:
         spilled pages (up to ``1 + prefetch_pages``) into single merged
         transfers.  Returns the transfer cycles charged.
         """
-        stream = self._streams.get((seq_id, layer))
-        if not stream:
+        stream = self._seqs.get(seq_id, {}).get(layer)
+        if stream is None:
             return 0.0
+        frames = stream[1]
         before = self.transfer_cycles
         index = 0
-        while index < len(stream):
-            page = stream[index]
-            if page.tier == _DEVICE:
+        while index < len(frames):
+            if frames[index] >= 0:
                 self.hits += 1
-                self._policy.touch(page.key)
+                self._touch(frames[index])
                 index += 1
-                continue
-            self.misses += 1
-            promoted = self._promote_run(
-                stream, index, limit=1 + self.prefetch_pages
-            )
-            self.prefetched_pages += promoted - 1
-            index += promoted
+            else:
+                self.misses += 1
+                run = self._promote_run(stream, index, 1 + self.prefetch_pages)
+                self.prefetched_pages += run - 1
+                index += run
         return self.transfer_cycles - before
 
     def release(self, seq_id: Hashable) -> int:
@@ -470,91 +296,140 @@ class TieredKVStore:
         moving it.
         """
         freed = 0
-        for key in [k for k in self._streams if k[0] == seq_id]:
-            for page in self._streams.pop(key):
-                if page.tier == _DEVICE:
-                    self._policy.remove(page.key)
-                    self._device_pages -= 1
-                else:
-                    self._host_pages -= 1
-                freed += 1
+        for _, frames in self._seqs.pop(seq_id, {}).values():
+            for frame in frames:
+                if frame >= 0:
+                    self._vacate(frame)
+            self.host_pages -= frames.count(-1)
+            freed += len(frames)
         return freed
 
-    # -- internals ------------------------------------------------------
+    # -- frames ---------------------------------------------------------
 
-    def _make_room(self) -> None:
-        """Demote cold pages until one more device page fits.
+    def _occupy(self, stream: _Stream, index: int) -> None:
+        """Give page ``index`` of a stream a device frame.
 
-        Runs *before* a page enters the device tier, so the eviction
-        policy never holds more than ``capacity_pages`` entries and the
-        incoming page itself can never be chosen as its own victim.
+        Room is made *before* the page enters the device tier, so the
+        incoming page can never be chosen as its own victim.  Residency
+        only grows here, so this is where the peak is taken.
         """
-        while self._device_pages >= self.capacity_pages and len(self._policy):
-            victim_key = self._policy.victim()
-            victim = self._streams[(victim_key.seq_id, victim_key.layer)][
-                victim_key.page_index
-            ]
-            self._policy.remove(victim_key)
-            victim.tier = _HOST
-            self._device_pages -= 1
-            self._host_pages += 1
-            self.evictions += 1
-            self.spilled_bytes += victim.used
-            self.transfer_cycles += self.transfer.transfer_cycles(
-                victim.used, self.page_bytes
-            )
+        if self.device_pages == self.capacity_pages:
+            self._evict()
+        # With no freed frame, frames 0..held-1 are all held: the next
+        # new frame is the held count, so fills ascend.
+        frame = self._free.pop() if self._free else self.device_pages
+        stream[1][index] = frame
+        self._page_at[frame] = (stream, index)
+        if self._recency is not None:
+            self._recency[frame] = None
+        self._touch(frame)
+        self.peak_device_bytes = max(self.peak_device_bytes, self.device_bytes)
 
-    def _promote_run(
-        self, stream: List[_Page], start: int, limit: int
-    ) -> int:
+    def _vacate(self, frame: int) -> None:
+        del self._page_at[frame]
+        self._free.append(frame)
+        if self._recency is not None:
+            del self._recency[frame]
+
+    def _evict(self) -> None:
+        """Demote the policy's victim page to host."""
+        frame = self._victim()
+        (fills, frames), index = self._page_at[frame]
+        self._vacate(frame)
+        frames[index] = -1
+        self.host_pages += 1
+        self.evictions += 1
+        self.spilled_bytes += fills[index]
+        self.transfer_cycles += self.transfer.transfer_cycles(
+            fills[index], self.page_bytes
+        )
+
+    def _promote_run(self, stream: _Stream, start: int, limit: int) -> int:
         """Promote up to ``limit`` consecutive host pages starting at
-        ``start`` as one merged transfer.  Returns pages promoted."""
-        run: List[_Page] = []
-        index = start
-        while (
-            index < len(stream)
-            and len(run) < limit
-            and stream[index].tier == _HOST
-        ):
-            run.append(stream[index])
-            index += 1
-        if not run:
-            return 0
-        moved = sum(page.used for page in run)
+        ``start`` (a host page) as one merged transfer.  Returns pages
+        promoted."""
+        fills, frames = stream
+        end = start + 1
+        stop = min(len(frames), start + limit)
+        while end < stop and frames[end] < 0:
+            end += 1
+        moved = sum(fills[start:end])
         # One merged transfer: granularity is the whole run, so longer
         # runs ride the host link's burst efficiency curve.
         self.transfer_cycles += self.transfer.transfer_cycles(
-            moved, len(run) * self.page_bytes
+            moved, (end - start) * self.page_bytes
         )
         self.promoted_bytes += moved
-        for page in run:
-            self._make_room()
-            page.tier = _DEVICE
-            self._host_pages -= 1
-            self._device_pages += 1
-            self.promotions += 1
-            self._policy.insert(page.key)
-        self.peak_device_bytes = max(self.peak_device_bytes, self.device_bytes)
-        return len(run)
+        for index in range(start, end):
+            self._occupy(stream, index)
+        self.host_pages -= end - start
+        self.promotions += end - start
+        return end - start
+
+    # -- policies -------------------------------------------------------
+
+    def _lru_victim(self) -> int:
+        return next(iter(self._recency))
+
+    def _plru_touch(self, frame: int) -> None:
+        """Point every bit on the frame's root path away from it."""
+        node = self._ways - 1 + frame
+        while node:
+            parent = (node - 1) >> 1
+            # 1 means "go right": arriving from the left child (odd
+            # node) sets it.
+            self._bits[parent] = node & 1
+            node = parent
+
+    def _plru_victim(self) -> int:
+        """Walk the bits from the root to a leaf.
+
+        A padding or free leaf is touched (steering the bits away from
+        it) and the walk repeated; walk-then-touch visits every leaf
+        within ``ways`` walks, so a held frame is always reached.
+        """
+        leaves = self._ways - 1
+        while True:
+            node = 0
+            while node < leaves:
+                node = 2 * node + 1 + self._bits[node]
+            frame = node - leaves
+            if frame in self._page_at:
+                return frame
+            self._plru_touch(frame)
 
     # -- reporting ------------------------------------------------------
 
+    def check_invariants(self) -> None:
+        """Assert the frame table against a walk of every stream.
+
+        Test support: held and freed frames are exactly the frames
+        handed out so far, never more than the page budget (so
+        residency never exceeds it either); every held frame
+        and the page it holds name each other; LRU's order holds
+        exactly the held frames; the host count matches; and every
+        page except a stream's last is full.
+        """
+        held = sorted(self._page_at)
+        used = sorted(held + self._free)  # every frame ever handed out
+        assert used == list(range(len(used)))
+        assert len(used) <= self.capacity_pages
+        assert self._recency is None or sorted(self._recency) == held
+        device, host = [], 0
+        for layers in self._seqs.values():
+            for fills, frames in layers.values():
+                assert len(fills) == len(frames)
+                assert fills[:-1] == [self.page_bytes] * (len(fills) - 1)
+                assert 0 < fills[-1] <= self.page_bytes
+                host += frames.count(-1)
+                for index, frame in enumerate(frames):
+                    if frame >= 0:
+                        device.append(frame)
+                        (_, owner), at = self._page_at[frame]
+                        assert owner is frames and at == index
+        assert sorted(device) == held and host == self.host_pages
+        assert self.peak_device_bytes >= self.device_bytes
+
     def summary(self) -> Dict[str, float]:
         """Flat numeric counters for replay/cluster telemetry."""
-        return {
-            "hits": float(self.hits),
-            "misses": float(self.misses),
-            "evictions": float(self.evictions),
-            "promotions": float(self.promotions),
-            "prefetched_pages": float(self.prefetched_pages),
-            "spilled_bytes": float(self.spilled_bytes),
-            "promoted_bytes": float(self.promoted_bytes),
-            "transfer_cycles": float(self.transfer_cycles),
-            "pages_allocated": float(self.pages_allocated),
-            "device_pages": float(self._device_pages),
-            "host_pages": float(self._host_pages),
-            "device_bytes": float(self.device_bytes),
-            "host_bytes": float(self.host_bytes),
-            "device_capacity_bytes": float(self.device_capacity_bytes),
-            "peak_device_bytes": float(self.peak_device_bytes),
-        }
+        return {key: float(getattr(self, key)) for key in _SUMMARY_KEYS}

@@ -10,14 +10,16 @@ and repeated ids included) / 1-D ``append`` / ``read`` /
 store that is mid-chunk boundaries, forks of forks, and — with the
 reads that may follow at once — the decode memo's re-base) / ``free``
 / a refused batch, plus, on the arena,
-free-then-allocate-in-the-same-size-class and forced ``compact()``;
+free-then-allocate-in-the-same-size-class and forced ``compact()``, and,
+on the tiered models, an append burst larger than the device tier;
 against an oracle that is *only* per-sequence lists of the input rows
 pushed through the layer quantizer's one-shot ``roundtrip()`` —
 re-derived here, not imported from ``benchmarks/e2e/probe.py``, so the
 two stay independent witnesses.  ``pool.check_invariants()`` (allocator
 geometry, free lists, dead payload records, footprint accumulators,
-chunk walks, refcounts, tier watermarks) runs after every rule, and
-every live sequence is re-read at teardown.
+chunk walks, refcounts, tier watermarks, the tiered store's frame
+table) runs after every rule, and every live sequence is re-read at
+teardown.
 
 Counter-examples the machine shrinks are kept below it as named
 regression tests.
@@ -229,6 +231,24 @@ class ArenaModel(RuleBasedStateMachine):
             for seq in (child, parent):
                 for layer in range(LAYERS):
                     self.check_read(seq, layer, self.pool.read(seq, layer))
+
+    @precondition(lambda self: self.TIERED and self.history)
+    @rule(pick=picks, layer=layers, seed=picks, batched=st.booleans())
+    def forced_eviction(self, pick, layer, seed, batched):
+        """One append burst larger than the whole device tier: pages
+        spill, and every read still decodes the oracle's bytes."""
+        seq = self.pick(pick)
+        keys, values = self.blocks(seed, 48)
+        footprint, evictions = self.pool.nbytes(), self.store.evictions
+        if batched:
+            self.pool.append_batch(layer, [(seq, keys, values)])
+        else:
+            self.pool.append(seq, layer, keys, values)
+        self.record(seq, layer, keys, values)
+        burst = self.pool.nbytes() - footprint
+        assert burst > self.store.device_capacity_bytes
+        assert self.store.evictions > evictions
+        self.check_all_reads()
 
     @precondition(lambda self: self.history)
     @rule(pick=picks)

@@ -9,6 +9,7 @@ identically for both subcommands.
 
 import argparse
 import json
+from pathlib import Path
 
 import pytest
 
@@ -228,6 +229,34 @@ class TestBenchParserAgreement:
 
         assert bench_main(["--runs", "0"]) == 2
         assert main(["bench", "--runs", "0"]) == 2
+
+
+class TestBenchCheckIsReadOnly:
+    """``--check`` compares against the committed report; it writes a
+    report only when ``--out`` names one (harness stubbed: no timing)."""
+
+    def test_check_without_out_leaves_the_baseline_alone(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import repro.bench.hotpath as hotpath
+        from repro.bench.__main__ import main as bench_main
+
+        committed = Path(__file__).resolve().parents[1] / "BENCH_quant.json"
+        baseline = tmp_path / "BENCH_quant.json"
+        baseline.write_bytes(committed.read_bytes())
+        fresh = json.loads(committed.read_text())
+        fresh["stubbed"] = True  # would change the bytes if written
+        monkeypatch.setattr(hotpath, "run_benchmarks", lambda **_: fresh)
+        monkeypatch.chdir(tmp_path)
+        for spelling in (bench_main, lambda argv: main(["bench"] + argv)):
+            assert spelling(["--quick", "--check", str(baseline)]) == 0
+            assert baseline.read_bytes() == committed.read_bytes()
+            assert [p.name for p in tmp_path.iterdir()] == [baseline.name]
+        out = tmp_path / "out.json"
+        assert bench_main(
+            ["--quick", "--check", str(baseline), "--out", str(out)]
+        ) == 0
+        assert json.loads(out.read_text())["stubbed"]
 
 
 class TestSharedReplayClusterFlags:

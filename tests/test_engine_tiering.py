@@ -1,4 +1,4 @@
-"""Tiered paged KV hierarchy: eviction policies, spill/promotion
+"""Tiered paged KV hierarchy: eviction order, spill/promotion
 accounting, and the cross-tier bit-exactness gate.
 
 The contract under test is structural (the store is a placement model;
@@ -8,6 +8,8 @@ tiered pool under forced eviction and an untiered twin, through both
 the looped and batched paths.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,12 +18,8 @@ from repro.engine import (
     CacheCapacityError,
     EVICTION_POLICIES,
     KVCachePool,
-    LRUPolicy,
     MemoryCapacityError,
-    PLRUPolicy,
-    PageKey,
     TieredKVStore,
-    create_eviction_policy,
     default_transfer_model,
     shared_backend_factory,
 )
@@ -34,115 +32,110 @@ LAYERS = 2
 DIM = 64
 
 
-def _keys(n, layer=0, seq=0):
-    return [PageKey(seq, layer, i) for i in range(n)]
+def host_pages(store):
+    """``(seq_id, layer, page_index)`` of every spilled page."""
+    return {
+        (seq, layer, index)
+        for seq, layers in store._seqs.items()
+        for layer, (_, frames) in layers.items()
+        for index, frame in enumerate(frames)
+        if frame < 0
+    }
+
+
+def one_page_each(pages, policy):
+    """A store of ``pages`` frames, each holding sequence ``i``'s page."""
+    store = make_store(pages=pages, policy=policy)
+    for seq in range(pages):
+        store.record_append(seq, 0, store.page_bytes)
+    assert store.evictions == 0
+    return store
+
+
+def spill_order(store, pages, seq=99):
+    """Append ``pages`` full pages to ``seq``; the page each one
+    evicts, in order."""
+    order = []
+    for _ in range(pages):
+        before = host_pages(store), store.evictions
+        store.record_append(seq, 0, store.page_bytes)
+        (spilled,) = host_pages(store) - before[0]
+        assert store.evictions == before[1] + 1
+        store.check_invariants()
+        order.append(spilled)
+    return order
 
 
 # ----------------------------------------------------------------------
-# eviction policies
+# eviction policies, seen through which pages spill
 # ----------------------------------------------------------------------
 
 
-class TestLRUPolicy:
+class TestLRUEviction:
     def test_victim_is_insertion_order_without_touches(self):
-        policy = LRUPolicy(4)
-        keys = _keys(4)
-        for key in keys:
-            policy.insert(key)
-        evicted = []
-        while len(policy):
-            victim = policy.victim()
-            policy.remove(victim)
-            evicted.append(victim)
-        assert evicted == keys
+        store = one_page_each(4, "lru")
+        assert spill_order(store, 4) == [(seq, 0, 0) for seq in range(4)]
 
     def test_touch_protects_a_page(self):
-        policy = LRUPolicy(4)
-        keys = _keys(4)
-        for key in keys:
-            policy.insert(key)
-        policy.touch(keys[0])
-        assert policy.victim() == keys[1]
-
-    def test_duplicate_insert_raises(self):
-        policy = LRUPolicy(2)
-        policy.insert(PageKey(0, 0, 0))
-        with pytest.raises(KeyError):
-            policy.insert(PageKey(0, 0, 0))
-
-    def test_victim_on_empty_raises(self):
-        with pytest.raises(LookupError):
-            LRUPolicy(2).victim()
+        store = one_page_each(4, "lru")
+        store.record_read(0, 0)
+        assert spill_order(store, 1) == [(1, 0, 0)]
 
 
-class TestPLRUPolicy:
+class TestPLRUEviction:
     def test_rounds_ways_to_power_of_two(self):
-        policy = PLRUPolicy(5)
-        assert policy._ways == 8
+        assert make_store(pages=5, policy="plru")._ways == 8
 
     def test_victim_is_always_occupied(self):
-        # Non-power-of-two fill: padding leaves must never be chosen.
-        policy = PLRUPolicy(5)
-        keys = _keys(5)
-        for key in keys:
-            policy.insert(key)
-        for _ in range(20):
-            victim = policy.victim()
-            assert victim in keys
-            policy.touch(victim)
+        # Non-power-of-two fill: padding leaves must never be chosen;
+        # every append past the budget spills exactly one real page.
+        store = one_page_each(5, "plru")
+        order = spill_order(store, 20)
+        assert len(set(order)) == 20
+        assert len(host_pages(store)) == 20
 
     def test_touch_steers_victim_away(self):
-        policy = PLRUPolicy(4)
-        keys = _keys(4)
-        for key in keys:
-            policy.insert(key)
-        policy.touch(keys[0])
-        assert policy.victim() != keys[0]
+        store = one_page_each(4, "plru")
+        store.record_read(0, 0)
+        assert spill_order(store, 1) != [(0, 0, 0)]
 
     def test_deterministic_victim_sequence(self):
         def run():
-            policy = PLRUPolicy(6)
-            keys = _keys(6)
-            for key in keys:
-                policy.insert(key)
-            for i in (0, 3, 1, 4, 0):
-                policy.touch(keys[i])
-            evicted = []
-            while len(policy):
-                victim = policy.victim()
-                policy.remove(victim)
-                evicted.append(victim)
-            return evicted
+            store = one_page_each(6, "plru")
+            for seq in (0, 3, 1, 4, 0):
+                store.record_read(seq, 0)
+            return spill_order(store, 6)
 
-        assert run() == run()
-
-    def test_remove_frees_the_slot(self):
-        policy = PLRUPolicy(2)
-        a, b = _keys(2)
-        policy.insert(a)
-        policy.insert(b)
-        with pytest.raises(LookupError):
-            policy.insert(PageKey(9, 9, 9))
-        policy.remove(a)
-        policy.insert(PageKey(9, 9, 9))
-        assert len(policy) == 2
-
-    def test_capacity_one(self):
-        policy = PLRUPolicy(1)
-        key = PageKey(0, 0, 0)
-        policy.insert(key)
-        assert policy.victim() == key
+        assert run() == run() == [
+            (seq, 0, 0) for seq in (2, 5, 1, 3, 4, 0)
+        ]
 
 
-class TestCreatePolicy:
+@pytest.mark.parametrize("policy", EVICTION_POLICIES)
+class TestFrames:
+    def test_release_frees_the_frame(self, policy):
+        store = one_page_each(2, policy)
+        store.release(0)
+        store.record_append(2, 0, store.page_bytes)
+        assert store.evictions == 0
+        assert store._seqs[2][0][1] == [0]  # sequence 0's frame, reused
+        # Sequence 2's page is the hotter one under either policy.
+        assert spill_order(store, 1) == [(1, 0, 0)]
+
+    def test_capacity_one(self, policy):
+        store = one_page_each(1, policy)
+        assert spill_order(store, 2) == [(0, 0, 0), (99, 0, 0)]
+
+
+class TestPolicyNames:
     @pytest.mark.parametrize("name", EVICTION_POLICIES)
     def test_known_names(self, name):
-        policy = create_eviction_policy(name, 4)
-        assert policy.name == name
+        assert make_store(policy=name).policy_name == name
 
     def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown eviction policy"):
-            create_eviction_policy("mru", 4)
+        with pytest.raises(ValueError, match="unknown eviction policy") as err:
+            make_store(policy="mru")
+        assert str(EVICTION_POLICIES) in str(err.value)
 
 
 # ----------------------------------------------------------------------
@@ -213,6 +206,7 @@ class TestTieredKVStore:
             assert store.device_bytes <= store.device_capacity_bytes
             if step % 7 == 6:
                 store.release(seq)
+            store.check_invariants()
 
     def test_read_promotes_spilled_pages(self):
         store = make_store(pages=2, prefetch=0)
@@ -508,4 +502,26 @@ class TestForkBytesReachTheStore:
         assert pool._tier_seen[1] == pool.get(1).nbytes()
         assert not pool.free(1)  # every chunk survives through the parent
         assert store.pages_allocated == before
+        pool.check_invariants()
+
+
+class TestFractionalBytes:
+    """Footprints are fractional bytes; pages hold whole ones.  Every
+    append charges the growth of the floored footprint, so no fraction
+    is lost: a lone sequence's pages hold exactly ``floor(nbytes())``."""
+
+    @pytest.mark.parametrize("method", BASELINE_NAMES)
+    def test_page_fill_is_the_floored_footprint(self, factories, method):
+        store = TieredKVStore(device_budget_bytes=1 << 20, page_bytes=256)
+        pool = KVCachePool(factories[method], tiering=store)
+        pool.allocate(0)
+        for step in range(50):
+            for layer in range(LAYERS):
+                pool.append(
+                    0, layer,
+                    make_kv_matrix(tokens=1, seed=step),
+                    make_kv_matrix(tokens=1, seed=100 + step),
+                )
+                fill = sum(sum(fills) for fills, _ in store._seqs[0].values())
+                assert fill == math.floor(pool.nbytes()), (step, layer)
         pool.check_invariants()
