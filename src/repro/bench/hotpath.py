@@ -422,7 +422,7 @@ _POOL_READ = Entry(
 #: read), so the adapter variants time append *plus* the read that
 #: makes the decoded history current: the looped side pays ``batch``
 #: per-sequence [1, D] roundtrips per tensor, the batched side one
-#: merged ``roundtrip_batch`` followed by pure memo hits.
+#: merged ``roundtrip_batch`` per tensor in ``read_batch``.
 _POOL_APPEND = Entry(
     "pool_append",
     sizes={**_POOL_SIZES, "adapter_method": "atom"},

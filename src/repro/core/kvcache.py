@@ -297,8 +297,10 @@ def append_batch(
     their encoders serves the batch.  Encode is row-local, so the
     scattered chunks are bit-for-bit what per-cache appends would have
     stored, and each owns its arrays — a fork may alias it for as long
-    as it likes.  Everything that can refuse the batch (a block of the
-    wrong width) does so in the encode, before any cache is touched.
+    as it likes.  A block whose width differs from the others' is
+    refused in the encode, before any cache is touched; blocks of one
+    width unlike the rows a cache holds are the caller's to refuse (the
+    pool's ``append_batch`` does).
 
     Returns the number of kernel calls made (1 when keys and values
     stack, else 2).

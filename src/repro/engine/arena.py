@@ -51,8 +51,9 @@ scale bounds, uint8 codes, the token-ordered COO stream), encode and
 decode are row-local, and the fused kernels read scales through the
 same float32 storage either way — so every read is bit-identical to
 the chunked pool, looped or batched, tiered or untiered, including
-after compaction and after ``fork`` (``tests/test_engine_arena.py``
-pins this with a randomized differential harness).
+after compaction and after ``fork`` (the pool's state machine,
+``tests/test_pool_model.py``, checks every read against the one-shot
+``roundtrip()`` of the rows).
 
 Forks copy the parent's first ``prefix_len`` encoded rows (plus any
 already-decoded mirror rows) into the child's slice: reads are

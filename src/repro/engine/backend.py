@@ -237,6 +237,11 @@ class _BaselineStream:
         return self._length
 
     @property
+    def width(self) -> Optional[int]:
+        """Row width of the history; ``None`` before the first append."""
+        return None if self._buffer is None else self._buffer.shape[1]
+
+    @property
     def needs_decode(self) -> bool:
         """Whether the decode memo is stale (appends since last read)."""
         return self._length > 0 and self._decoded_length != self._length
@@ -285,9 +290,9 @@ class _BaselineStream:
         ``stable`` is how many memoized decoded rows survive per the
         method's ``stable_prefix`` contract; ``suffix`` is the exact
         history from that row on — the rows :meth:`read` would
-        re-quantize.  Callers (the pool's batched adapter read *and*
-        its eager batched append) may roundtrip the suffix themselves
-        and hand the result to :meth:`commit_decoded`.
+        re-quantize.  Callers (the pool's batched adapter read) may
+        roundtrip the suffix themselves and hand the result to
+        :meth:`commit_decoded`.
         """
         stable = 0
         if self._decoded_length > 0:
@@ -365,13 +370,12 @@ class BaselineCacheBackend:
     ) -> Tuple[_BaselineStream, _BaselineStream]:
         """One layer's (key, value) streaming state.
 
-        The hook both batched pool directions use for row-local
-        methods: :meth:`repro.engine.KVCachePool.read_batch` gathers
-        pending suffixes across the resident set into one merged
-        roundtrip per tensor, and
-        :meth:`repro.engine.KVCachePool.append_batch` does the same
-        eagerly right after scattering the new rows, so subsequent
-        reads are pure memo hits.
+        The hook the pool's batched paths use:
+        :meth:`repro.engine.KVCachePool.read_batch` gathers pending
+        suffixes of row-local methods across the resident set into one
+        merged roundtrip per tensor, and
+        :meth:`repro.engine.KVCachePool.append_batch` checks each
+        stream's width before any row of a batch is stored.
         """
         return self._keys[layer], self._values[layer]
 

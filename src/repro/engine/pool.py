@@ -30,12 +30,9 @@ encoded with a single fused quantize pass, and the resulting chunks
 are scattered back to each sequence's cache.  The encode is row-local
 (per-token scales, token-ordered COO records), so the scattered chunks
 are bit-for-bit what a per-sequence ``append`` loop would have stored.
-Adapter pools holding row-local registry methods batch their writes
-too: the new rows are quantized eagerly through one merged
-``roundtrip_batch`` per tensor across the resident set (the
-``batched_append_roundtrips`` counter), leaving every sequence's
-decode memo current — the state a per-sequence append + read loop
-reaches, at one transform's worth of per-call overhead.
+Adapter pools store the exact rows on append; holding row-local
+registry methods, they batch the quantize on the read side, through
+one merged ``roundtrip_batch`` per tensor across the resident set.
 
 Pool-wide footprint (current and peak encoded bytes, measured
 effective bitwidth) feeds the serving simulator's admission control in
@@ -61,7 +58,7 @@ import numpy as np
 
 from repro.core import kvcache
 from repro.core.kvcache import LayerKVCache, QuantizedKVCache
-from repro.engine.arena import ArenaCacheBackend, KVArena, as_rows
+from repro.engine.arena import KVArena, as_rows
 from repro.engine.backend import (
     BaselineCacheBackend,
     CacheBackend,
@@ -142,7 +139,6 @@ class KVCachePool:
         self.batched_decodes = 0
         self.batched_encodes = 0
         self.batched_roundtrips = 0
-        self.batched_append_roundtrips = 0
 
     # ------------------------------------------------------------------
     # allocation
@@ -184,9 +180,13 @@ class KVCachePool:
         Contract: the child's :meth:`read` is bit-identical to an
         unshared sequence that appended the same rows — for every
         registry method, with and without tiering, under looped and
-        batched paths (``tests/test_engine_sharing.py`` replays
-        randomized op sequences against a mirrored no-sharing pool to
-        pin this).
+        batched paths (the state machine in
+        ``tests/test_pool_model.py`` checks every read against the
+        one-shot ``roundtrip()`` of the rows to pin this).  One
+        exception to "a fork adds zero bytes": a boundary inside a
+        chunk that is already shared re-splits only the parent's list,
+        so the other holders keep the old chunk and the fork adds that
+        piece's bytes.
 
         Chunk aliasing requires a fused (:class:`QuantizedKVCache`)
         pool sharing fitted quantizers — a
@@ -199,10 +199,15 @@ class KVCachePool:
             parent_seq_id: live sequence to fork from.
             new_seq_id: id for the child (must not be allocated).
             prefix_len: rows of committed history to share; must not
-                exceed the parent's cached length.
+                exceed the rows every layer of the parent holds.
 
         Returns:
             The child's backend.
+
+        Raises:
+            KeyError: the parent is not allocated.
+            ValueError: the child is already allocated, or
+                ``prefix_len`` is out of range; the pool is untouched.
         """
         if parent_seq_id not in self._caches:
             raise KeyError(
@@ -215,10 +220,18 @@ class KVCachePool:
             )
         parent = self._caches[parent_seq_id]
         prefix_len = int(prefix_len)
-        if prefix_len < 0 or prefix_len > parent.length:
+        # Layers stand uneven between one layer's append and the next;
+        # a fork past the shortest would fail after splitting the others
+        # (the arena checks its own layers).
+        held = parent.length
+        if isinstance(parent, QuantizedKVCache):
+            held = min(layer.length for layer in parent.layers)
+        elif isinstance(parent, BaselineCacheBackend):
+            held = min(stream.length for stream in parent._keys)
+        if prefix_len < 0 or prefix_len > held:
             raise ValueError(
-                f"prefix_len {prefix_len} outside parent "
-                f"{parent_seq_id!r}'s cached length {parent.length}"
+                f"prefix_len {prefix_len} outside the rows every layer "
+                f"of parent {parent_seq_id!r} holds ({held})"
             )
         aliased = False
         if self._arena is not None:
@@ -290,15 +303,10 @@ class KVCachePool:
                     "quantizers; build the pool with "
                     "shared_backend_factory"
                 )
-            count, replaced = parent_layer.split_chunk_boundary(
-                prefix_len
-            )
-            for old_key, old_value in replaced:
-                for old in (old_key, old_value):
-                    for transfer in self._sharing.on_replace(
-                        parent_seq_id, old
-                    ):
-                        self._tier_transfer(transfer)
+            count, replaced = parent_layer.split_chunk_boundary(prefix_len)
+            for old in (chunk for pair in replaced for chunk in pair):
+                for transfer in self._sharing.on_replace(parent_seq_id, old):
+                    self._tier_transfer(transfer)
             child_layer.adopt_prefix(
                 parent_layer._key_chunks[:count],
                 parent_layer._value_chunks[:count],
@@ -505,34 +513,33 @@ class KVCachePool:
         granularity this turns ``2 * B`` tiny [1, D] encodes per layer
         into one [2B, D] encode (keys stacked over values).
 
-        Fusion requires caches sharing this layer's fitted quantizers
-        (a :func:`~repro.engine.backend.shared_backend_factory` pool)
-        and at least two sequences with new rows; otherwise this falls
-        back to the per-sequence loop.  Sequences updating with zero
-        rows are skipped entirely (no empty chunk is stored).
-
-        Adapter caches batch too, when the method permits: for
-        row-local registry methods (fp16/oaken/qserve/atom/tender) the
-        new rows are appended per sequence and every stale decode
-        suffix is then quantized through **one** merged
-        :meth:`~repro.baselines.base.KVCacheQuantizer.roundtrip_batch`
-        call per tensor across the resident set, leaving each
-        sequence's decode memo current — the same end state a
-        per-sequence ``append`` + ``read`` loop reaches, bit-for-bit,
-        tracked by :attr:`batched_append_roundtrips`.  History-global
-        methods (kivi, kvquant) and mixed pools fall back to the plain
-        per-sequence append loop.
+        One branch per store: the arena, the chunk store (caches
+        sharing this layer's fitted quantizers, a
+        :func:`~repro.engine.backend.shared_backend_factory` pool —
+        one sequence or many, the same kernel call), and a
+        per-sequence loop for everything else.  Only batches of two or
+        more items count as batched encodes.  Sequences updating with
+        zero rows are skipped entirely (no empty chunk is stored).
+        Adapter caches store the exact rows; the quantize happens on
+        the read side (:meth:`read_batch`).
 
         Args:
             layer: decoder layer index.
             updates: ``{seq_id: (keys, values)}`` mapping or iterable
                 of ``(seq_id, keys, values)`` triples; ``keys`` and
-                ``values`` are same-shape [t, D] row blocks.
+                ``values`` are same-shape [t, D] row blocks, all of one
+                width.
 
         Raises:
             CacheCapacityError: the pool has a ``capacity_bytes``
                 budget and the batch's projected footprint would
-                exceed it (no sequence is mutated).
+                exceed it.
+            ValueError: a key/value shape mismatch, or rows whose
+                width differs from the batch's or from the rows the
+                sequence's store already holds.
+            KeyError: an unknown sequence.
+
+        Whatever the error, no sequence is mutated.
         """
         if isinstance(updates, Mapping):
             items = [(s, k, v) for s, (k, v) in updates.items()]
@@ -542,6 +549,7 @@ class KVCachePool:
             Tuple[Hashable, CacheBackend, np.ndarray, np.ndarray]
         ] = []
         first_seq: Optional[Hashable] = None
+        width = 0
         total_rows = 0
         for seq_id, keys, values in items:
             cache = self._caches[seq_id]
@@ -555,65 +563,45 @@ class KVCachePool:
             if keys.shape[0] == 0:
                 continue
             if first_seq is None:
-                first_seq = seq_id
+                first_seq, width = seq_id, keys.shape[1]
+            if keys.shape[1] != width or (
+                self._held_width(cache, layer) not in (None, width)
+            ):
+                raise ValueError(
+                    f"sequence {seq_id!r}: rows of width {keys.shape[1]} "
+                    f"fit neither a batch of width {width} nor its cache"
+                )
             total_rows += keys.shape[0]
             entries.append((seq_id, cache, keys, values))
         # One capacity projection for the whole batch, before anything
         # mutates: a refused batch leaves every sequence untouched.
         self._check_capacity(first_seq, total_rows)
-        if self._arena is not None:
-            if entries:
-                kernel_calls = self._arena.append_batch(
-                    layer,
-                    [
-                        (seq_id, keys, values)
-                        for seq_id, _, keys, values in entries
-                    ],
-                )
-                if len(entries) >= 2:
-                    self.batched_encodes += kernel_calls
-            self._tier_record_batch(entries, layer)
-            return
-        if len(entries) < 2:
-            for seq_id, cache, keys, values in entries:
-                cache.append(layer, keys, values)
-            self._tier_record_batch(entries, layer)
-            return
-        layers = self._fusible_layers(
-            [cache for _, cache, _, _ in entries], layer
-        )
-        if layers is not None:
-            self.batched_encodes += kvcache.append_batch(
-                layers,
-                [keys for _, _, keys, _ in entries],
-                [values for _, _, _, values in entries],
+        kernel_calls = 0
+        if not entries:
+            pass
+        elif self._arena is not None:
+            kernel_calls = self._arena.append_batch(
+                layer,
+                [(seq, keys, values) for seq, _, keys, values in entries],
             )
-            self._tier_record_batch(entries, layer)
-            return
-        unique = list(
-            dict.fromkeys(cache for _, cache, _, _ in entries)
-        )
-        adapter = self._batchable_adapter_streams(unique, layer)
-        for seq_id, cache, keys, values in entries:
-            cache.append(layer, keys, values)
-        if adapter is not None:
-            # Quantize the freshly appended rows eagerly: one merged
-            # row-local roundtrip per tensor across the resident set,
-            # so the work the next read would do per sequence is done
-            # here at batch granularity instead.
-            for streams in adapter:
-                self._roundtrip_pending_batch(streams, write_side=True)
-        self._tier_record_batch(entries, layer)
-
-    def _tier_record_batch(
-        self,
-        entries: List[Tuple[Hashable, CacheBackend, np.ndarray, np.ndarray]],
-        layer: int,
-    ) -> None:
-        if self.tiering is None:
-            return
-        for seq_id in dict.fromkeys(seq_id for seq_id, _, _, _ in entries):
-            self._tier_record_append(seq_id, layer)
+        else:
+            layers = self._fusible_layers(
+                [cache for _, cache, _, _ in entries], layer
+            )
+            if layers is not None:
+                kernel_calls = kvcache.append_batch(
+                    layers,
+                    [keys for _, _, keys, _ in entries],
+                    [values for _, _, _, values in entries],
+                )
+            else:
+                for _, cache, keys, values in entries:
+                    cache.append(layer, keys, values)
+        if len(entries) >= 2:
+            self.batched_encodes += kernel_calls
+        if self.tiering is not None:
+            for seq_id in dict.fromkeys(seq for seq, _, _, _ in entries):
+                self._tier_record_append(seq_id, layer)
 
     def read_batch(
         self, layer: int, seq_ids: List[Hashable]
@@ -650,15 +638,29 @@ class KVCachePool:
             if len(unique) >= 2:
                 self.batched_decodes += kernel_calls
             return [cache.read(layer) for cache in caches]
-        fusible = self._fusible_layers(unique, layer)
-        if fusible is not None:
-            self.batched_decodes += kvcache.decode_pending(fusible)
-        else:
-            adapter = self._batchable_adapter_streams(unique, layer)
-            if adapter is not None:
-                for streams in adapter:
+        if len(unique) >= 2:
+            fusible = self._fusible_layers(unique, layer)
+            if fusible is not None:
+                self.batched_decodes += kvcache.decode_pending(fusible)
+            else:
+                adapter = self._batchable_adapter_streams(unique, layer)
+                for streams in adapter or ():
                     self._roundtrip_pending_batch(streams)
         return [cache.read(layer) for cache in caches]
+
+    def _held_width(self, cache: CacheBackend, layer: int) -> Optional[int]:
+        """Width of the rows ``cache``'s store already holds on
+        ``layer`` (``None`` before the first): the encode is per token,
+        so a batch of one consistent width passes it whatever that is."""
+        if self._arena is not None:
+            rows = self._arena.layers[layer].rows
+            return rows["decoded"].shape[2] if rows else None
+        if isinstance(cache, QuantizedKVCache):
+            chunks = cache.layers[layer]._key_chunks
+            return chunks[0].dim if chunks else None
+        if isinstance(cache, BaselineCacheBackend):
+            return cache.layer_streams(layer)[0].width
+        return None
 
     def _batchable_adapter_streams(
         self, caches: List[CacheBackend], layer: int
@@ -675,8 +677,6 @@ class KVCachePool:
         window and KVQuant's online topK are history-global and fall
         back to the per-sequence loop.
         """
-        if len(caches) < 2:
-            return None
         key_streams: List[_BaselineStream] = []
         value_streams: List[_BaselineStream] = []
         for cache in caches:
@@ -695,17 +695,10 @@ class KVCachePool:
         return key_streams, value_streams
 
     def _roundtrip_pending_batch(
-        self,
-        streams: List[_BaselineStream],
-        write_side: bool = False,
+        self, streams: List[_BaselineStream]
     ) -> None:
-        """One tensor's pending suffixes through a single roundtrip.
-
-        Shared by the read side (:meth:`read_batch`, counted in
-        :attr:`batched_roundtrips`) and the write side
-        (:meth:`append_batch`'s eager adapter quantize, counted in
-        :attr:`batched_append_roundtrips`).
-        """
+        """One tensor's pending suffixes through a single roundtrip
+        (counted in :attr:`batched_roundtrips`)."""
         work = []
         for stream in streams:
             if not stream.needs_decode:
@@ -718,10 +711,7 @@ class KVCachePool:
         chunks = quantizer.roundtrip_batch(
             [suffix for _, _, suffix in work]
         )
-        if write_side:
-            self.batched_append_roundtrips += 1
-        else:
-            self.batched_roundtrips += 1
+        self.batched_roundtrips += 1
         for (stream, stable, _), chunk in zip(work, chunks):
             chunk = np.asarray(chunk, dtype=np.float32)
             if stable == 0 and chunk.base is not None:
@@ -738,8 +728,6 @@ class KVCachePool:
         """Per-sequence layer caches eligible for one merged kernel
         pass, either way: chunk-store caches sharing this layer's
         fitted quantizers."""
-        if len(caches) < 2:
-            return None
         layers: List[LayerKVCache] = []
         for cache in caches:
             if not isinstance(cache, QuantizedKVCache):
@@ -808,9 +796,11 @@ class KVCachePool:
         Test support: walks every live sequence's chunks / arena rows
         and every registry entry — the O(history) scans the running
         totals replaced — and asserts the totals equal them exactly;
-        for tiered pools, also that each sequence's tier watermark
-        equals its footprint (every append was observed) and the
-        store's own frame table
+        that the registry tracks exactly the chunk objects two or more
+        live caches list, each held by exactly those caches; for
+        tiered pools, also that each sequence's tier watermark equals
+        its footprint (every append was observed) and the store's own
+        frame table
         (:meth:`~repro.engine.tiering.TieredKVStore.check_invariants`).
         Leaves the pool, including the peak, untouched.
         """
@@ -819,10 +809,25 @@ class KVCachePool:
             self._arena.check_invariants()
             assert len(self._sharing) == 0, "arena pools never alias"
         else:
-            for cache in self._caches.values():
-                if isinstance(cache, QuantizedKVCache):
-                    for layer_cache in cache.layers:
-                        layer_cache.check_invariants()
+            # id(chunk) -> [chunk, *the live caches listing it]
+            listed: Dict[int, list] = {}
+            for seq_id, cache in self._caches.items():
+                if not isinstance(cache, QuantizedKVCache):
+                    continue
+                for layer in cache.layers:
+                    layer.check_invariants()
+                    for chunk in layer._key_chunks + layer._value_chunks:
+                        listed.setdefault(id(chunk), [chunk]).append(seq_id)
+            shared = [held for held in listed.values() if len(held) > 2]
+            for chunk, *holders in shared:
+                assert set(self._sharing.holders_of(chunk)) == set(holders), (
+                    f"registry holders {self._sharing.holders_of(chunk)} "
+                    f"!= the caches listing the chunk {holders}"
+                )
+            assert len(self._sharing) == len(shared), (
+                f"{len(self._sharing)} registry entries for "
+                f"{len(shared)} chunks listed by two or more caches"
+            )
         self._sharing.check_invariants()
         if self.tiering is not None:
             for seq_id, cache in self._caches.items():
@@ -895,9 +900,6 @@ class KVCachePool:
             "batched_decodes": float(self.batched_decodes),
             "batched_encodes": float(self.batched_encodes),
             "batched_roundtrips": float(self.batched_roundtrips),
-            "batched_append_roundtrips": float(
-                self.batched_append_roundtrips
-            ),
             "forks": float(self.forks),
         }
         out.update(self._sharing.summary())

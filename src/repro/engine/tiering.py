@@ -19,7 +19,7 @@ and transfer accounting, while the encoded payloads themselves stay in
 the :class:`~repro.engine.backend.CacheBackend` caches the pool owns.
 That split is what makes the correctness contract structural — a read
 decodes the same bytes whichever tier its pages reside in — and the
-pinned cross-tier tests in ``tests/test_engine_tiering.py`` assert it
+pool's state machine (``tests/test_pool_model.py``) asserts it
 end-to-end for every registry method under forced eviction.
 
 There is one page table.  The device tier is ``capacity_pages`` frames

@@ -529,9 +529,6 @@ class _CacheReplay:
             "batched_decodes": float(self.pool.batched_decodes),
             "batched_encodes": float(self.pool.batched_encodes),
             "batched_roundtrips": float(self.pool.batched_roundtrips),
-            "batched_append_roundtrips": float(
-                self.pool.batched_append_roundtrips
-            ),
             "replayed_tokens": float(self.replayed_tokens),
             "forks": float(self.pool.forks),
             "shared_bytes_saved": summary["shared_bytes_saved"],

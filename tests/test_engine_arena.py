@@ -1,29 +1,20 @@
-"""Structure-of-arrays arena pool vs. the chunked pool, bit-for-bit.
+"""Structure-of-arrays arena pool: compaction, shared geometry,
+capacity growth, recycling and refused batches, case by case.
 
-The pinned contract: ``KVCachePool(arena=True)`` is *indistinguishable*
-from the chunked pool — every ``read()`` byte-identical, for every
-registry method, with and without tiering, under looped and batched
-paths, including after compaction and fork divergence.  The harness
-replays seeded random op sequences (allocate / fork / append /
-append_batch / read / read_batch / free at random points) against a
-chunked mirror pool built from the same factory, asserting byte
-equality plus footprint invariants after every op.
-
-Only the fused paper method actually gets an arena (adapter baselines
-keep their per-method cache objects; ``arena=True`` is a structural
-no-op for them), so the differential sweep doubles as a regression
-gate on that opt-in boundary.
+The randomized contract — arena reads match the one-shot roundtrip of
+the rows byte for byte, for every registry method (``arena=True`` is a
+no-op for adapter pools) × tiering × batching, through recycling,
+compaction and fork divergence — is the pool's state machine
+(``tests/test_pool_model.py``).
 """
 
 import numpy as np
 import pytest
 
 from repro.engine import (
-    BASELINE_NAMES,
     FusedCacheBackend,
     KVArena,
     KVCachePool,
-    TieredKVStore,
     shared_backend_factory,
 )
 
@@ -33,10 +24,6 @@ pytestmark = pytest.mark.arena
 
 LAYERS = 2
 DIM = 8
-SEEDS = range(3)
-OPS = 160
-MAX_LIVE = 8
-MAX_ROWS = 60
 
 
 def _factory(method):
@@ -56,17 +43,6 @@ def _factory(method):
     return shared_backend_factory(method, calibration=calibration)
 
 
-@pytest.fixture(scope="module", params=sorted(BASELINE_NAMES))
-def factory(request):
-    """One shared-quantizer factory per registry method.
-
-    Both twin pools are built from the *same* factory, so their
-    backends share fitted quantizers — any byte difference is the
-    arena's fault, never calibration drift.
-    """
-    return _factory(request.param)
-
-
 # Only the fused paper method routes through the arena, so the
 # arena-specific invariants (compaction counters, capacity geometry,
 # refused-batch atomicity) have nothing to measure for adapter
@@ -80,255 +56,6 @@ def fused_factory(request):
     factory = _factory(request.param)
     assert isinstance(factory(), FusedCacheBackend)
     return factory
-
-
-class _Driver:
-    """Twin-pool differential state machine.
-
-    ``arena`` stores rows in the SoA arena (when the method is fused);
-    ``mirror`` is the plain chunked pool.  ``history[seq][layer]`` is
-    the exact float32 row stream both pools have seen for that
-    sequence.  Forks diverge the storage models on purpose: the
-    chunked mirror forks copy-on-write while the arena copies rows, so
-    the byte-equality sweep exercises both against the same truth.
-    """
-
-    def __init__(self, factory, tiered, seed):
-        tiering = None
-        if tiered:
-            # Small device budget so the op stream genuinely spills.
-            tiering = TieredKVStore(
-                device_budget_bytes=2048.0, page_bytes=256.0
-            )
-        self.arena = KVCachePool(factory, tiering=tiering, arena=True)
-        self.mirror = KVCachePool(factory)
-        self.fused = isinstance(factory(), FusedCacheBackend)
-        # The opt-in boundary: fused pools get an arena, adapters are
-        # a structural no-op.
-        assert self.arena.arena_enabled == self.fused
-        self.rng = np.random.default_rng(seed)
-        self.history = {}
-        self.next_id = 0
-        self.forked = 0
-
-    # -- helpers -------------------------------------------------------
-
-    def rows(self, n):
-        return self.rng.standard_normal((n, DIM)).astype(np.float32)
-
-    def live(self):
-        return list(self.history)
-
-    def length(self, seq_id):
-        return sum(k.shape[0] for k, _ in self.history[seq_id][0])
-
-    def pick(self):
-        seqs = self.live()
-        return seqs[int(self.rng.integers(len(seqs)))]
-
-    # -- ops -----------------------------------------------------------
-
-    def op_allocate(self):
-        seq_id = self.next_id
-        self.next_id += 1
-        self.arena.allocate(seq_id)
-        self.mirror.allocate(seq_id)
-        self.history[seq_id] = {layer: [] for layer in range(LAYERS)}
-        return [seq_id]
-
-    def op_fork(self):
-        parent = self.pick()
-        parent_len = self.length(parent)
-        if parent_len < 1:
-            return self.op_append()
-        child = self.next_id
-        self.next_id += 1
-        prefix_len = int(self.rng.integers(1, parent_len + 1))
-        self.arena.fork(parent, child, prefix_len)
-        self.mirror.fork(parent, child, prefix_len)
-        self.history[child] = {}
-        for layer in range(LAYERS):
-            keys = np.concatenate(
-                [k for k, _ in self.history[parent][layer]]
-            )[:prefix_len]
-            values = np.concatenate(
-                [v for _, v in self.history[parent][layer]]
-            )[:prefix_len]
-            self.history[child][layer] = [(keys, values)]
-        self.forked += 1
-        return [parent, child]
-
-    def op_append(self):
-        seq_id = self.pick()
-        if self.length(seq_id) >= MAX_ROWS:
-            return [seq_id]
-        n = int(self.rng.integers(1, 4))
-        for layer in range(LAYERS):
-            keys, values = self.rows(n), self.rows(n)
-            self.arena.append(seq_id, layer, keys, values)
-            self.mirror.append(seq_id, layer, keys, values)
-            self.history[seq_id][layer].append((keys, values))
-        return [seq_id]
-
-    def op_append_batch(self):
-        seqs = [
-            s for s in self.live() if self.length(s) < MAX_ROWS
-        ]
-        if not seqs:
-            return []
-        size = int(self.rng.integers(1, min(4, len(seqs)) + 1))
-        picked = [
-            seqs[i]
-            for i in self.rng.choice(len(seqs), size=size, replace=False)
-        ]
-        for layer in range(LAYERS):
-            batch = {}
-            for seq_id in picked:
-                keys, values = self.rows(1), self.rows(1)
-                batch[seq_id] = (keys, values)
-                self.history[seq_id][layer].append((keys, values))
-            self.arena.append_batch(layer, batch)
-            self.mirror.append_batch(layer, dict(batch))
-        return picked
-
-    def op_read(self):
-        seq_id = self.pick()
-        if self.length(seq_id) == 0:
-            return [seq_id]
-        layer = int(self.rng.integers(LAYERS))
-        a = self.arena.read(seq_id, layer)
-        b = self.mirror.read(seq_id, layer)
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
-        return [seq_id]
-
-    def op_read_batch(self):
-        seqs = [s for s in self.live() if self.length(s) > 0]
-        if not seqs:
-            return []
-        size = int(self.rng.integers(1, min(4, len(seqs)) + 1))
-        picked = [
-            seqs[i]
-            for i in self.rng.choice(len(seqs), size=size, replace=False)
-        ]
-        layer = int(self.rng.integers(LAYERS))
-        got = self.arena.read_batch(layer, picked)
-        want = self.mirror.read_batch(layer, picked)
-        for (ak, av), (bk, bv) in zip(got, want):
-            np.testing.assert_array_equal(ak, bk)
-            np.testing.assert_array_equal(av, bv)
-        return picked
-
-    def op_free(self):
-        # Frees are how dead rows accumulate, so this op is the
-        # compaction trigger; the post-op verify then re-reads every
-        # survivor through relocated storage.
-        seq_id = self.pick()
-        self.arena.free(seq_id)
-        self.mirror.free(seq_id)
-        del self.history[seq_id]
-        return list(self.history)
-
-    # -- invariants ----------------------------------------------------
-
-    def verify(self, seq_ids):
-        """Byte equality for ``seq_ids`` + footprint invariants."""
-        for seq_id in seq_ids:
-            if seq_id not in self.history or self.length(seq_id) == 0:
-                continue
-            for layer in range(LAYERS):
-                a = self.arena.read(seq_id, layer)
-                b = self.mirror.read(seq_id, layer)
-                np.testing.assert_array_equal(a[0], b[0])
-                np.testing.assert_array_equal(a[1], b[1])
-            # Per-sequence accounting is storage-agnostic: the arena
-            # backend's closed-form bit count must equal the chunked
-            # backend's chunk-summed one.
-            a_cache = self.arena._caches[seq_id]
-            b_cache = self.mirror._caches[seq_id]
-            assert np.isclose(a_cache.nbytes(), b_cache.nbytes())
-            assert np.isclose(
-                a_cache.effective_bitwidth(),
-                b_cache.effective_bitwidth(),
-            )
-        # Accumulators == recomputed walks (arena rows / chunk lists).
-        self.arena.check_invariants()
-        self.mirror.check_invariants()
-        arena_bytes, _ = self.arena.measure()
-        mirror_bytes, _ = self.mirror.measure()
-        summary = self.mirror.summary()
-        # The arena copies forked rows while the chunked mirror
-        # charges shared chunks once, so the arena pool's footprint is
-        # the mirror's plus exactly the mirror's refcount savings.
-        assert np.isclose(
-            arena_bytes,
-            mirror_bytes + summary.get("shared_extra_bytes", 0.0),
-        ), (arena_bytes, mirror_bytes, summary)
-        if self.fused:
-            arena_summary = self.arena.summary()
-            # Live rows are token rows: every layer holds one row per
-            # token of every live sequence, dead or compacted storage
-            # never leaks into the live count.
-            total_tokens = sum(self.length(s) for s in self.history)
-            assert arena_summary["arena_rows_live"] == float(
-                LAYERS * total_tokens
-            )
-            assert arena_summary["arena_rows_dead"] >= 0.0
-            if total_tokens:
-                assert arena_summary["arena_capacity_bytes"] > 0.0
-
-    def drain(self):
-        for seq_id in list(self.history):
-            self.arena.free(seq_id)
-            self.mirror.free(seq_id)
-        self.arena.check_invariants()
-        arena_bytes, _ = self.arena.measure()
-        assert arena_bytes == 0.0
-        if self.fused:
-            assert self.arena.summary()["arena_rows_live"] == 0.0
-
-
-def _run(factory, tiered, seed):
-    driver = _Driver(factory, tiered, seed)
-    driver.op_allocate()
-    ops = (
-        ("allocate", 0.08),
-        ("fork", 0.16),
-        ("append", 0.26),
-        ("append_batch", 0.14),
-        ("read", 0.10),
-        ("read_batch", 0.10),
-        ("free", 0.16),
-    )
-    names = [name for name, _ in ops]
-    weights = np.array([w for _, w in ops])
-    weights /= weights.sum()
-    for step in range(OPS):
-        name = names[
-            int(driver.rng.choice(len(names), p=weights))
-        ]
-        if name in ("allocate", "fork") and len(driver.live()) >= MAX_LIVE:
-            name = "append"
-        if name == "free" and len(driver.live()) <= 1:
-            name = "allocate"
-        touched = getattr(driver, f"op_{name}")()
-        driver.verify(touched)
-        if step % 16 == 15:
-            driver.verify(driver.live())
-    driver.verify(driver.live())
-    assert driver.forked > 0, "op stream never forked; widen weights"
-    driver.drain()
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-class TestDifferentialReplay:
-    """Seeded op-stream replays: every method, both tiering modes."""
-
-    def test_untiered(self, factory, seed):
-        _run(factory, tiered=False, seed=seed)
-
-    def test_tiered(self, factory, seed):
-        _run(factory, tiered=True, seed=seed)
 
 
 class TestCompaction:

@@ -2,21 +2,20 @@
 
 Both fused KV stores keep their encoded footprint as running integer
 ``(bits, elements)`` totals instead of re-summing the cached history on
-every read.  Three things are pinned here:
+every read.  Two things are pinned here:
 
-* **Exactness.**  A seeded op-sequence machine over {chunked, arena} x
-  {tiered, untiered} drives allocate / append / append_batch / fork
-  (mid-chunk boundary splits included) / free / forced arena compaction
-  / a ``capacity_bytes`` refusal, calling
-  :meth:`KVCachePool.check_invariants` — the recomputing walk — after
-  every op.  A refused batch leaves every accumulator untouched; a
-  drained pool reads exactly ``0.0`` bytes.
-* **The checker has teeth.**  Corrupting any one accumulator makes
-  ``check_invariants`` raise.
+* **The checker has teeth.**  Corrupting any one accumulator, or the
+  sharing registry against the chunk lists, makes
+  :meth:`KVCachePool.check_invariants` raise.
 * **Complexity.**  ``EncodedKV.footprint`` is called a bounded number
   of times per chunk appended, however long the decode and however
   often ``measure()`` is polled — the guard that the O(history) walk
   cannot silently come back.
+
+Exactness itself — the recomputing walk after every rule of every
+configuration, refusals that change no accumulator, a drained pool at
+exactly ``0.0`` bytes — is the pool's state machine
+(``tests/test_pool_model.py``).
 """
 
 import numpy as np
@@ -25,19 +24,15 @@ import pytest
 from repro.core.config import OakenConfig
 from repro.core.encoding import EncodedKV, sparse_record_bits
 from repro.engine import (
-    CacheCapacityError,
     KVCachePool,
     TieredKVStore,
     shared_backend_factory,
 )
 
-from conftest import arena_state, make_kv_matrix
+from conftest import make_kv_matrix
 
 LAYERS = 2
 DIM = 8
-OPS = 140
-MAX_LIVE = 7
-MAX_ROWS = 48
 
 
 @pytest.fixture(scope="module")
@@ -64,206 +59,6 @@ def _make_pool(factory, arena, tiered):
         # Small device budget so the op stream genuinely spills.
         tiering = TieredKVStore(device_budget_bytes=2048.0, page_bytes=256.0)
     return KVCachePool(factory, tiering=tiering, arena=arena)
-
-
-def _accounting(pool):
-    """Every accumulator the pool's footprint reads depend on."""
-    state = {
-        "seqs": {
-            seq_id: (pool.get(seq_id).footprint_bits(), pool.get(seq_id).length)
-            for seq_id in pool.seq_ids
-        },
-        "registry": (
-            pool._sharing.extra_bytes(),
-            pool._sharing.shared_bytes(),
-            pool._sharing.saved_bytes,
-            len(pool._sharing),
-        ),
-        "tier_seen": dict(pool._tier_seen),
-        "peak": pool._peak_bytes,
-    }
-    if pool.tiering is not None:
-        state["tier"] = pool.tiering.summary()
-    return state
-
-
-class _Machine:
-    """Seeded op-sequence driver; checks invariants after every op."""
-
-    def __init__(self, factory, arena, tiered, seed):
-        self.pool = _make_pool(factory, arena, tiered)
-        self.rng = np.random.default_rng(seed)
-        self.lengths = {}
-        self.next_id = 0
-        self.counts = {}
-
-    def rows(self, n):
-        return self.rng.standard_normal((n, DIM)).astype(np.float32)
-
-    def did(self, name):
-        """Count an op where it actually ran (ops fall back to others)."""
-        self.counts[name] = self.counts.get(name, 0) + 1
-
-    def pick(self, predicate=lambda length: True):
-        seqs = [s for s, n in self.lengths.items() if predicate(n)]
-        if not seqs:
-            return None
-        return seqs[int(self.rng.integers(len(seqs)))]
-
-    def pick_batch(self):
-        seqs = [s for s, n in self.lengths.items() if n < MAX_ROWS]
-        if not seqs:
-            return []
-        size = int(self.rng.integers(1, min(4, len(seqs)) + 1))
-        return [
-            seqs[i]
-            for i in self.rng.choice(len(seqs), size=size, replace=False)
-        ]
-
-    # -- ops -----------------------------------------------------------
-
-    def op_allocate(self):
-        self.pool.allocate(self.next_id)
-        self.lengths[self.next_id] = 0
-        self.next_id += 1
-        self.did("allocate")
-
-    def op_append(self):
-        seq_id = self.pick(lambda n: n < MAX_ROWS)
-        if seq_id is None:
-            return self.op_free()
-        # Multi-row chunks, so a later fork can land mid-chunk.
-        n = int(self.rng.integers(1, 6))
-        for layer in range(LAYERS):
-            self.pool.append(seq_id, layer, self.rows(n), self.rows(n))
-        self.lengths[seq_id] += n
-        self.did("append")
-
-    def op_append_batch(self):
-        picked = self.pick_batch()
-        for layer in range(LAYERS):
-            self.pool.append_batch(
-                layer,
-                {s: (self.rows(1), self.rows(1)) for s in picked},
-            )
-        for seq_id in picked:
-            self.lengths[seq_id] += 1
-        self.did("append_batch")
-
-    def op_fork(self):
-        parent = self.pick(lambda n: n >= 2)
-        if parent is None:
-            return self.op_append()
-        prefix_len = int(self.rng.integers(1, self.lengths[parent] + 1))
-        if not self.pool.arena_enabled:
-            chunks = self.pool.get(parent).layers[0]._key_chunks
-            bounds = set(np.cumsum([c.num_tokens for c in chunks]).tolist())
-            if prefix_len not in bounds:
-                self.did("mid_chunk_fork")
-        self.pool.fork(parent, self.next_id, prefix_len)
-        self.lengths[self.next_id] = prefix_len
-        self.next_id += 1
-        self.did("fork")
-
-    def op_free(self):
-        seq_id = self.pick()
-        if seq_id is None:
-            return self.op_allocate()
-        self.pool.free(seq_id)
-        del self.lengths[seq_id]
-        self.did("free")
-
-    def op_compact(self):
-        """Force an arena compaction pass (footprint-neutral, and it
-        keeps every slice's capacity)."""
-        if not self.pool.arena_enabled:
-            return self.op_append()
-        arena = self.pool._arena
-        before = _accounting(self.pool)
-        caps = {seq_id: slc.cap for seq_id, slc in arena.rows.items()}
-        arena.compact()
-        assert _accounting(self.pool) == before
-        assert caps == {s: slc.cap for s, slc in arena.rows.items()}
-        assert arena.dead_rows == 0
-        self.did("compact")
-
-    def op_refused_batch(self):
-        """A ``capacity_bytes`` refusal in the middle of a step's
-        batch appends: layer 0 lands, layer 1 is refused and must
-        change nothing."""
-        picked = self.pick_batch()
-        used, _ = self.pool.measure()
-        if not picked or used == 0.0:
-            return self.op_append()
-        batch = {s: (self.rows(1), self.rows(1)) for s in picked}
-        self.pool.append_batch(0, batch)
-        self.pool.check_invariants()
-        self.pool.capacity_bytes = self.pool.measure()[0]
-        def state():
-            return _accounting(self.pool), arena_state(self.pool._arena)
-
-        before = state()
-        with pytest.raises(CacheCapacityError):
-            self.pool.append_batch(1, batch)
-        assert state() == before
-        self.pool.capacity_bytes = None
-        # Finish the step so layers stay in lock-step.
-        self.pool.append_batch(1, batch)
-        for seq_id in picked:
-            self.lengths[seq_id] += 1
-        self.did("refused_batch")
-
-    # -- driver --------------------------------------------------------
-
-    def run(self):
-        ops = (
-            ("allocate", 0.08),
-            ("append", 0.26),
-            ("append_batch", 0.16),
-            ("fork", 0.16),
-            ("free", 0.14),
-            ("compact", 0.08),
-            ("refused_batch", 0.12),
-        )
-        names = [name for name, _ in ops]
-        weights = np.array([w for _, w in ops])
-        weights /= weights.sum()
-        self.op_allocate()
-        for _ in range(OPS):
-            name = names[int(self.rng.choice(len(names), p=weights))]
-            if name in ("allocate", "fork") and len(self.lengths) >= MAX_LIVE:
-                name = "free"
-            getattr(self, f"op_{name}")()
-            self.pool.check_invariants()
-            for seq_id, length in self.lengths.items():
-                assert self.pool.get(seq_id).length == length
-        for seq_id in list(self.lengths):
-            self.pool.free(seq_id)
-            self.pool.check_invariants()
-        # Exactly zero: integer accumulators leave no float residue.
-        total, ebw = self.pool.measure()
-        assert total == 0.0 and ebw == 0.0
-        summary = self.pool.summary()
-        assert summary["bytes"] == 0.0
-        assert summary["shared_bytes"] == 0.0
-        assert summary["shared_extra_bytes"] == 0.0
-        assert not self.pool._tier_seen
-
-
-@pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("tiered", [False, True], ids=["untiered", "tiered"])
-@pytest.mark.parametrize("arena", [False, True], ids=["chunked", "arena"])
-def test_op_sequences_keep_accumulators_exact(factory, arena, tiered, seed):
-    machine = _Machine(factory, arena, tiered, seed)
-    machine.run()
-    # The stream must actually have exercised the interesting ops.
-    for name in ("fork", "free", "refused_batch"):
-        assert machine.counts.get(name, 0) > 0, machine.counts
-    if arena:
-        assert machine.counts.get("compact", 0) > 0
-        assert machine.pool.summary()["arena_compactions"] > 0.0
-    else:
-        assert machine.counts.get("mid_chunk_fork", 0) > 0
 
 
 class TestCheckerHasTeeth:
@@ -297,6 +92,23 @@ class TestCheckerHasTeeth:
         assert pool.summary()["shared_extra_bytes"] > 0.0
         pool._sharing._extra_bits += 8
         with pytest.raises(AssertionError, match="registry totals"):
+            pool.check_invariants()
+
+    @pytest.mark.parametrize(
+        "chunk, match",
+        [(0, "the caches listing"), (-1, "registry entries")],
+        ids=["shared-chunk", "exclusive-chunk"],
+    )
+    def test_registry_against_the_chunk_lists(self, factory, chunk, match):
+        """A holder no live cache backs — what a fork that failed after
+        aliasing one layer used to leave — is caught on a chunk two
+        caches list and on one only its owner lists; the registry's own
+        totals stay consistent, so only the cross-check can see it."""
+        pool = self._pool(factory)
+        listed = pool.get("a").layers[0]._key_chunks[chunk]
+        pool._sharing.share(listed, 0, "a", "ghost")
+        pool._sharing.check_invariants()
+        with pytest.raises(AssertionError, match=match):
             pool.check_invariants()
 
     def test_tier_watermark(self, factory):

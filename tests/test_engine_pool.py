@@ -379,9 +379,10 @@ class TestAppendBatch:
 
 
 class TestAdapterBatchedAppends:
-    """Row-local adapter pools quantize batched appends eagerly: one
-    merged ``roundtrip_batch`` per tensor across the resident set,
-    end state bit-identical to per-sequence ``append`` loops."""
+    """Adapter pools store batched appends as exact rows, end state
+    bit-identical to per-sequence ``append`` loops; row-local methods
+    quantize on the read side, one merged ``roundtrip_batch`` per
+    tensor across the resident set."""
 
     ROW_LOCAL = ["fp16", "oaken", "qserve", "atom", "tender"]
     HISTORY_GLOBAL = ["kivi", "kvquant"]
@@ -416,8 +417,6 @@ class TestAdapterBatchedAppends:
         batched, looped, seq_ids = self._stream_pools(
             method, calibration
         )
-        assert batched.batched_append_roundtrips > 0
-        assert looped.batched_append_roundtrips == 0
         assert_same_cache_state(batched, looped, seq_ids)
 
     @pytest.mark.parametrize("method", HISTORY_GLOBAL)
@@ -427,19 +426,22 @@ class TestAdapterBatchedAppends:
         batched, looped, seq_ids = self._stream_pools(
             method, calibration
         )
-        assert batched.batched_append_roundtrips == 0
         assert_same_cache_state(batched, looped, seq_ids)
 
-    def test_batched_appends_prime_reads(self, calibration):
-        """After an eager batched append, reads are pure memo hits:
-        no further merged roundtrip is needed on the read side."""
+    def test_batched_reads_quantize_the_appended_rows(self, calibration):
+        """Appends store rows; the next batched read quantizes every
+        sequence's new rows in one merged roundtrip per tensor, and a
+        second read is a pure memo hit."""
         batched, looped, seq_ids = self._stream_pools(
             "qserve", calibration
         )
-        before = batched.batched_roundtrips
+        assert batched.batched_roundtrips == 0
         for layer in range(LAYERS):
             assert_batch_equals_loop(batched, looped, layer, seq_ids)
-        assert batched.batched_roundtrips == before
+        assert batched.batched_roundtrips == 2 * LAYERS
+        for layer in range(LAYERS):
+            assert_batch_equals_loop(batched, looped, layer, seq_ids)
+        assert batched.batched_roundtrips == 2 * LAYERS
 
     def test_empty_updates_skipped_but_rest_batches(self, calibration):
         factory = shared_backend_factory(
@@ -457,7 +459,6 @@ class TestAdapterBatchedAppends:
             looped.append(seq_id, 0, keys, values)
         batched.append_batch(0, updates)
         assert batched.get(1).length == 0
-        assert batched.batched_append_roundtrips == 2  # per tensor
         assert_same_cache_state(batched, looped, [0, 2])
 
     def test_single_sequence_batch_falls_back(self, calibration):
@@ -469,11 +470,10 @@ class TestAdapterBatchedAppends:
         values = make_kv_matrix(tokens=2, seed=9801)
         batched.append_batch(0, {0: (keys, values)})
         looped.append(0, 0, keys, values)
-        assert batched.batched_append_roundtrips == 0
         assert_same_cache_state(batched, looped, [0])
 
     def test_duplicate_seq_ids_append_like_a_loop(self, calibration):
-        """Duplicated ids append twice, merge-quantize once."""
+        """Duplicated ids append twice, in order."""
         factory = shared_backend_factory(
             "qserve", "adapter", calibration=calibration
         )
@@ -488,7 +488,6 @@ class TestAdapterBatchedAppends:
             looped.append(seq_id, 0, keys, values)
         batched.append_batch(0, updates)
         assert batched.get(0).length == 2
-        assert batched.batched_append_roundtrips == 2  # per tensor
         assert_same_cache_state(batched, looped, [0, 1])
 
     def test_counter_reported_in_summary(self, calibration):
@@ -508,8 +507,9 @@ class TestAdapterBatchedAppends:
                 for seq_id in range(2)
             },
         )
-        assert pool.batched_append_roundtrips == 2  # one per tensor
-        assert pool.summary()["batched_append_roundtrips"] == 2.0
+        pool.read_batch(0, [0, 1])
+        assert pool.batched_roundtrips == 2  # one per tensor
+        assert pool.summary()["batched_roundtrips"] == 2.0
 
 
 class TestLifecycle:

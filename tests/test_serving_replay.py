@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.data.traces import TraceRequest, generate_trace
+from repro.engine import CacheCapacityError
 from repro.hardware.overheads import get_system
 from repro.models.config import get_model
 from repro.serving.request import Request
@@ -49,9 +50,9 @@ class TestReplayEndToEnd:
             assert replay["batched_encodes"] > 0
             assert replay["batched_decodes"] > 0
         if method == "fp16":
-            # Row-local adapter pools batch their writes: one merged
+            # Row-local adapter pools batch their reads: one merged
             # roundtrip per tensor across the resident set.
-            assert replay["batched_append_roundtrips"] > 0
+            assert replay["batched_roundtrips"] > 0
         # Admission worked off measured footprint, which exists.
         assert 0 < replay["measured_kv_bits"] <= 16.0
         assert replay["peak_pool_bytes"] > 0
@@ -329,3 +330,39 @@ class TestReplayRobustness:
     def test_abort_unknown_request_is_a_noop(self):
         engine = self.make_engine()
         engine.abort(self.request(42))  # never admitted: no error
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="known bug (ROADMAP item 1b): each pool.append_batch is "
+        "atomic, but a step calls it once per layer, so a refusal on "
+        "layer 1 leaves layer 0 one row ahead",
+    )
+    def test_a_step_refused_on_layer_1_leaves_the_layers_even(self):
+        """Four residents of 8 rows, and a budget with room for 4.5
+        more tokens: layer 0's batch lands, layer 1's is refused, and
+        every resident is left at ``[9, 8]`` on both stores — which the
+        cluster's mid-step handler then keeps, since it assumes the
+        refused step left every sequence untouched."""
+        lengths = []
+        for arena in (False, True):
+            engine = _CacheReplay(
+                CacheReplayConfig(method="oaken", arena=arena),
+                get_system("oaken-lpddr"),
+                ARCH,
+            )
+            residents = [self.request(rid) for rid in range(4)]
+            for request in residents:
+                engine.admit(request)
+            pool = engine.pool
+            pool.capacity_bytes = pool.nbytes() + 4.5 * pool.bytes_per_token()
+            with pytest.raises(CacheCapacityError):
+                engine.step(residents)
+            for request in residents:
+                rid = request.request_id
+                lengths.append(
+                    list(pool._arena.rows[rid].length)
+                    if arena
+                    else [layer.length for layer in pool.get(rid).layers]
+                )
+        assert lengths == [[8, 8]] * 8

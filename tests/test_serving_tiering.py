@@ -1,6 +1,6 @@
 """Serving-level tiering contracts: spill replay and cluster behavior.
 
-The engine-level gate (``test_engine_tiering.py``) proves reads are
+The engine-level gate (``test_pool_model.py``) proves reads are
 bit-exact across tiers; this file proves the *serving* claims — a
 longer-than-device-budget trace completes with evict-and-spill instead
 of being rejected, seeded replays are bit-identical rerun-to-rerun for

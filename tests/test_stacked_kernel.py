@@ -455,12 +455,15 @@ class TestOneKernelCallPerLayer:
         assert engine.pool.batched_encodes == 2 * LAYERS
 
     def test_adapter_pool_is_untouched(self, calibration, kernel_calls):
-        """Adapter pools roundtrip per tensor through ``quantize``."""
+        """Adapter pools store exact rows and roundtrip per tensor
+        through ``quantize`` when read."""
         pool = _pool(calibration, "chunked", kind="adapter")
         seq_ids = [0, 1, 2]
         for seq_id in seq_ids:
             pool.allocate(seq_id)
         pool.append_batch(0, _updates(seq_ids, 1, seed=3))
+        assert kernel_calls == []
+        pool.read_batch(0, seq_ids)
         assert kernel_calls == [("OakenQuantizer", "quantize", 3)] * 2
         assert pool.batched_encodes == 0
 
@@ -572,7 +575,11 @@ class TestOneDecodePerLayer:
         for seq_id in seq_ids:
             pool.allocate(seq_id)
         pool.append_batch(0, _updates(seq_ids, 1, seed=3))
-        del decode_calls[:]  # (the eager roundtrip's own)
+        assert decode_calls == []
+        pool.read_batch(0, seq_ids)
+        # (the merged per-tensor roundtrip's own decodes)
+        assert decode_calls == [("OakenQuantizer", 3)] * 2
+        del decode_calls[:]
         pool.read_batch(0, seq_ids)
         pool.read(1, 0)
         assert decode_calls == []
