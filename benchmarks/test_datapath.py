@@ -4,8 +4,8 @@ Not a paper table — this is the functional-verification step between
 the Figure 9 engine datapaths and the algorithm.  The bench streams a
 realistic KV slab through the structural engines, asserts bit-exact
 agreement with the vectorized quantizer, reports per-stage occupancy,
-and times the structural model (pytest-benchmark) so regressions in the
-scalar path show up.
+and times the engines (pytest-benchmark) so regressions in the
+datapath model show up.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from repro.core.quantizer import OakenQuantizer
 from repro.core.thresholds import profile_thresholds
 from repro.experiments.common import TextTable
 from repro.hardware.datapath import (
-    StreamingDequantEngine,
-    StreamingQuantEngine,
+    VectorizedDequantEngine,
+    VectorizedQuantEngine,
 )
 
 
@@ -38,8 +38,8 @@ def workload():
 def test_datapath_verification_report(benchmark, workload, results_dir):
     cfg, thresholds, slab = workload
     golden = OakenQuantizer(cfg, thresholds)
-    quant = StreamingQuantEngine(cfg, thresholds)
-    dequant = StreamingDequantEngine(cfg, thresholds)
+    quant = VectorizedQuantEngine(cfg, thresholds)
+    dequant = VectorizedDequantEngine(cfg, thresholds)
 
     encoded, quant_cycles = benchmark.pedantic(
         quant.quantize_matrix, args=(slab,), iterations=1, rounds=1
@@ -80,26 +80,22 @@ def test_datapath_verification_report(benchmark, workload, results_dir):
     save_result(results_dir, "datapath_verification", table.render())
 
 
-def test_streaming_quant_benchmark(benchmark, workload):
+def test_quant_engine_benchmark(benchmark, workload):
     cfg, thresholds, slab = workload
-    engine = StreamingQuantEngine(cfg, thresholds)
-    token = slab[0]
+    engine = VectorizedQuantEngine(cfg, thresholds)
 
-    def run():
-        return engine.quantize_token(token)
+    encoded, _ = benchmark(engine.quantize_matrix, slab)
+    np.testing.assert_array_equal(
+        encoded.dense_codes,
+        OakenQuantizer(cfg, thresholds).quantize(slab).dense_codes,
+    )
 
-    result = benchmark(run)
-    assert result.dense_codes.shape == (slab.shape[1],)
 
-
-def test_streaming_dequant_benchmark(benchmark, workload):
+def test_dequant_engine_benchmark(benchmark, workload):
     cfg, thresholds, slab = workload
     golden = OakenQuantizer(cfg, thresholds)
-    encoded = golden.quantize(slab[:4])
-    engine = StreamingDequantEngine(cfg, thresholds)
+    encoded = golden.quantize(slab)
+    engine = VectorizedDequantEngine(cfg, thresholds)
 
-    def run():
-        return engine.dequantize_token(encoded, 0)
-
-    row = benchmark(run)
-    assert row.shape == (slab.shape[1],)
+    rows, _ = benchmark(engine.dequantize_matrix, encoded)
+    np.testing.assert_array_equal(rows, golden.dequantize(encoded))

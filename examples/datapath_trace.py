@@ -1,12 +1,12 @@
 #!/usr/bin/env python
 """Trace one token through the Figure 9 engine datapaths.
 
-Streams a single KV vector through the structural quantization engine
-stage by stage — decomposer, min/max finder, σ-calculator, quantizers,
-zero-remove shifter — prints what each module sees, then reads the
-token back through the dequantization engine's zero-insert path and
-verifies the reconstruction matches the vectorized golden model bit
-for bit.
+Feeds a single KV vector (a one-token matrix) through the quantization
+engine's stages one at a time — decomposer, min/max finder,
+σ-calculator, quantizers, zero-remove shifter — prints what each module
+sees, then reads a slab back through the dequantization engine's
+zero-insert path and verifies the reconstruction matches the golden
+model bit for bit.
 
 Run:  python examples/datapath_trace.py
 """
@@ -16,11 +16,12 @@ import numpy as np
 from repro.core import OakenConfig, OakenQuantizer, OfflineProfiler
 from repro.core.grouping import MIDDLE_GROUP
 from repro.hardware.datapath import (
-    Decomposer,
-    MinMaxFinder,
-    ScaleCalculator,
-    StreamingDequantEngine,
-    StreamingQuantEngine,
+    VectorizedDecomposer,
+    VectorizedDequantEngine,
+    VectorizedMinMaxFinder,
+    VectorizedOutlierExtractor,
+    VectorizedQuantEngine,
+    VectorizedScaleCalculator,
 )
 
 
@@ -43,47 +44,57 @@ def main() -> None:
     print(f"  T_lo_outer={t_lo_o:+.3f}  T_lo_inner={t_lo_i:+.3f}  "
           f"T_hi_inner={t_hi_i:+.3f}  T_hi_outer={t_hi_o:+.3f}")
 
-    token = make_kv(tokens=1, seed=999)[0]
+    token = make_kv(tokens=1, seed=999)
 
     # --- pass 1: decomposer + min/max finder -------------------------
-    decomposer = Decomposer(config, thresholds)
-    finder = MinMaxFinder(config.num_sparse_bands)
-    routed = [decomposer.route(i, v) for i, v in enumerate(token)]
-    for element in routed:
-        finder.update(element)
+    decomposer = VectorizedDecomposer(config, thresholds)
+    raw, group, shifted, side = (a[0] for a in decomposer.route(token))
+    finder = VectorizedMinMaxFinder(config.num_sparse_bands)
+    mid_lo, mid_hi, band_lo, band_hi = finder.ranges(
+        group[None], shifted[None]
+    )
     names = {MIDDLE_GROUP: "middle", 0: "outer", 1: "inner"}
     print("\npass 1 — decomposer routing (first 8 elements):")
-    for element in routed[:8]:
-        print(f"  pos {element.position:2d}  value {element.raw:+7.3f}"
-              f"  -> {names[element.group]:6s}  shifted "
-              f"{element.shifted:+7.3f}  side={element.side}")
-    counts = {name: 0 for name in names.values()}
-    for element in routed:
-        counts[names[element.group]] += 1
-    print(f"  group census: {counts} (of {len(routed)} elements)")
+    for pos in range(8):
+        print(f"  pos {pos:2d}  value {raw[pos]:+7.3f}"
+              f"  -> {names[group[pos]]:6s}  shifted "
+              f"{shifted[pos]:+7.3f}  side={side[pos]}")
+    counts = {name: int((group == g).sum()) for g, name in names.items()}
+    print(f"  group census: {counts} (of {group.size} elements)")
 
     # --- σ-calculator turnaround --------------------------------------
-    calc = ScaleCalculator(config)
+    calc = VectorizedScaleCalculator(config)
     print("\nσ-calculator — per-group FP16 scales:")
-    for group in (MIDDLE_GROUP, 0, 1):
-        lo, hi = finder.range_of(group)
-        scale = calc.scale(group, lo, hi)
-        print(f"  {names[group]:6s}: lo={scale.lo:+7.3f} "
-              f"hi={scale.hi:+7.3f} sigma={scale.sigma:7.3f} "
-              f"({scale.bits}-bit codes)")
+    ranges = {
+        MIDDLE_GROUP: (mid_lo, mid_hi),
+        0: (band_lo[:, 0], band_hi[:, 0]),
+        1: (band_lo[:, 1], band_hi[:, 1]),
+    }
+    for g, (lo, hi) in ranges.items():
+        middle = g == MIDDLE_GROUP
+        lo16, hi16, sigma = calc.scales(lo, hi, middle=middle)
+        print(f"  {names[g]:6s}: lo={lo16[0]:+7.3f} "
+              f"hi={hi16[0]:+7.3f} sigma={sigma[0]:7.3f} "
+              f"({calc.group_bits(middle)}-bit codes)")
 
     # --- pass 2: engine end to end ------------------------------------
-    engine = StreamingQuantEngine(config, thresholds)
-    result = engine.quantize_token(token)
+    engine = VectorizedQuantEngine(config, thresholds)
+    encoded, _ = engine.quantize_matrix(token)
     print("\npass 2 — fused dense row (first 16 nibbles): "
-          f"{result.dense_codes[:16].tolist()}")
-    print(f"zero-remove shifter emitted {result.num_outliers} COO "
+          f"{encoded.dense_codes[0, :16].tolist()}")
+    nibbles = VectorizedOutlierExtractor(config).fused_nibbles(
+        encoded.sparse_side, encoded.sparse_mag_code
+    )
+    print(f"zero-remove shifter emitted {encoded.num_outliers} COO "
           "records:")
-    for record in result.records[:6]:
-        print(f"  pos {record.position:2d} -> chunk {record.chunk}, "
-              f"idx {record.index:2d}, band {record.band}, "
-              f"side={int(record.side)}, mag={record.mag_code:2d}, "
-              f"nibble={record.fused_nibble}")
+    for i in range(min(6, encoded.num_outliers)):
+        pos = int(encoded.sparse_pos[i])
+        print(f"  pos {pos:2d} -> chunk {pos // config.chunk_size}, "
+              f"idx {pos % config.chunk_size:2d}, "
+              f"band {encoded.sparse_band[i]}, "
+              f"side={int(encoded.sparse_side[i])}, "
+              f"mag={encoded.sparse_mag_code[i]:2d}, "
+              f"nibble={nibbles[i]}")
 
     # --- full matrix + cycle report -----------------------------------
     slab = make_kv(tokens=32, seed=7)
@@ -95,7 +106,7 @@ def main() -> None:
         print(f"  {name:20s} {fraction:6.2%}")
 
     # --- read back through the zero-insert path ----------------------
-    dequant = StreamingDequantEngine(config, thresholds)
+    dequant = VectorizedDequantEngine(config, thresholds)
     restored, _ = dequant.dequantize_matrix(encoded)
     golden = OakenQuantizer(config, thresholds)
     np.testing.assert_array_equal(restored, golden.roundtrip(slab))

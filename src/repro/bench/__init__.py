@@ -2,8 +2,8 @@
 
 This package times the repo's hot paths against their frozen or
 un-optimized twins (the seed kernels in :mod:`repro.core.reference`,
-looped pool calls, the chunked pool, the scalar datapath and analytic
-models) and records the results in a machine-readable
+looped pool calls, the chunked pool, the scalar analytic model) and
+records the results in a machine-readable
 ``BENCH_quant.json``, giving every future PR a trajectory to beat.
 
 Run it as a module::

@@ -561,109 +561,6 @@ _BASELINE_READ = Entry(
 )
 
 
-# -- datapath --------------------------------------------------------
-
-
-def _datapath_setup(tokens: int, dim: int) -> SimpleNamespace:
-    """The scalar Figure 9 engines and their vectorized twins."""
-    from repro.hardware.datapath import (
-        StreamingDequantEngine,
-        StreamingQuantEngine,
-        VectorizedDequantEngine,
-        VectorizedQuantEngine,
-    )
-
-    rng = np.random.default_rng(0)
-    cfg = OakenConfig()
-    thr = profile_thresholds([rng.standard_normal((64, dim)) * 2.0], cfg)
-    x = rng.standard_normal((tokens, dim))
-    scalar_q = StreamingQuantEngine(cfg, thr)
-    vec_q32 = VectorizedQuantEngine(cfg, thr, mode="deploy_f32")
-    return SimpleNamespace(
-        x=x,
-        scalar_q=scalar_q,
-        scalar_d=StreamingDequantEngine(cfg, thr),
-        vec_q=VectorizedQuantEngine(cfg, thr),
-        vec_d=VectorizedDequantEngine(cfg, thr),
-        vec_q32=vec_q32,
-        vec_d32=VectorizedDequantEngine(cfg, thr, mode="deploy_f32"),
-        encoded=scalar_q.quantize_matrix(x)[0],
-        encoded32=vec_q32.quantize_matrix(x)[0],
-    )
-
-
-def _datapath_check(outputs) -> Dict[str, bool]:
-    """Identical bits *and* identical modeled cycle reports.
-
-    The timing model prices the hardware, not the host, so the
-    vectorized tier must reproduce the scalar golden model's per-stage
-    busy cycles exactly, not just its output.
-    """
-
-    def cycles(report):
-        return report.total_cycles, {
-            name: stage.busy_cycles
-            for name, stage in report.stages.items()
-        }
-
-    scalar_enc, scalar_qreport = outputs["scalar_quantize"]
-    vec_enc, vec_qreport = outputs["vectorized_quantize"]
-    scalar_rows, scalar_dreport = outputs["scalar_dequantize"]
-    vec_rows, vec_dreport = outputs["vectorized_dequantize"]
-    return {
-        "bits": same(
-            [scalar_enc.dense_codes, scalar_enc.sparse_mag_code, scalar_rows],
-            [vec_enc.dense_codes, vec_enc.sparse_mag_code, vec_rows],
-        ),
-        "cycles": cycles(scalar_qreport) == cycles(vec_qreport)
-        and cycles(scalar_dreport) == cycles(vec_dreport),
-    }
-
-
-_DATAPATH = Entry(
-    "datapath",
-    sizes={"tokens": QF(48, 96), "dim": QF(128, 256)},
-    setup=_datapath_setup,
-    echo_repeats=True,
-    variants={
-        "scalar_quantize": timed(lambda c: c.scalar_q.quantize_matrix(c.x)),
-        "scalar_dequantize": timed(
-            lambda c: c.scalar_d.dequantize_matrix(c.encoded)
-        ),
-        "vectorized_quantize": timed(
-            lambda c: c.vec_q.quantize_matrix(c.x)
-        ),
-        "vectorized_dequantize": timed(
-            lambda c: c.vec_d.dequantize_matrix(c.encoded)
-        ),
-        "vectorized_f32_quantize": timed(
-            lambda c: c.vec_q32.quantize_matrix(c.x)
-        ),
-        "vectorized_f32_dequantize": timed(
-            lambda c: c.vec_d32.dequantize_matrix(c.encoded32)
-        ),
-    },
-    speedups={
-        "vectorized_quantize": ("scalar_quantize", "vectorized_quantize"),
-        "vectorized_dequantize": (
-            "scalar_dequantize", "vectorized_dequantize",
-        ),
-        "vectorized": (
-            ("scalar_quantize", "scalar_dequantize"),
-            ("vectorized_quantize", "vectorized_dequantize"),
-        ),
-    },
-    check=_datapath_check,
-    summary=lambda r: [
-        f"datapath engines [{r['tokens']}, {r['dim']}]:",
-        f"  scalar {r['scalar_quantize_s'] + r['scalar_dequantize_s']:.3f}s"
-        f"  vectorized "
-        f"{r['vectorized_quantize_s'] + r['vectorized_dequantize_s']:.4f}s"
-        f"  -> {r['speedup_vectorized']:.0f}x",
-    ],
-)
-
-
 # -- replay.batchN: the arena wall-clock sweep -----------------------
 
 
@@ -877,7 +774,6 @@ ENTRIES: Tuple[Entry, ...] = (
     _pool_arena_row("pool_append", "append", 64),
     _pool_arena_row("pool_append", "append", 128),
     _BASELINE_READ,
-    _DATAPATH,
     REPLAY,
     _replay_arena_row(64),
     _replay_arena_row(128),

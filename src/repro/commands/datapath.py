@@ -23,8 +23,8 @@ def run(args: argparse.Namespace) -> int:
     from repro.core.quantizer import OakenQuantizer
     from repro.core.thresholds import profile_thresholds
     from repro.hardware.datapath import (
-        StreamingDequantEngine,
-        StreamingQuantEngine,
+        VectorizedDequantEngine,
+        VectorizedQuantEngine,
     )
 
     config = OakenConfig.from_ratio_string(args.ratios)
@@ -35,8 +35,8 @@ def run(args: argparse.Namespace) -> int:
     thresholds = profile_thresholds(samples, config)
     slab = rng.standard_normal((args.tokens, args.dim)) * 3.0
 
-    quant = StreamingQuantEngine(config, thresholds)
-    dequant = StreamingDequantEngine(config, thresholds)
+    quant = VectorizedQuantEngine(config, thresholds)
+    dequant = VectorizedDequantEngine(config, thresholds)
     golden = OakenQuantizer(config, thresholds)
     encoded, quant_cycles = quant.quantize_matrix(slab)
     restored, dequant_cycles = dequant.dequantize_matrix(encoded)

@@ -585,8 +585,10 @@ class KVArena:
         if sum(rows) == 0:
             return 0
         # Look every slice up and encode before touching the row table:
-        # an unknown id or a block the kernel refuses (wrong width)
-        # must leave every sequence untouched.
+        # an unknown id, or blocks of mixed widths (the encode cannot
+        # stack them), must leave every sequence untouched.  The encode
+        # is per token, so a batch of one width unlike the layer's rows
+        # passes it; the pool refuses that before calling here.
         parts = store.encoder.encode_parts(
             [keys for _, keys, _ in items],
             [values for _, _, values in items],

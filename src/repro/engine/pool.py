@@ -464,18 +464,15 @@ class KVCachePool:
         keys: np.ndarray,
         values: np.ndarray,
     ) -> None:
-        """Append new KV rows to one sequence's layer cache.
+        """Append new KV rows to one sequence's layer cache:
+        :meth:`append_batch` with a batch of one, through the same
+        checks before anything is stored.
 
         Raises:
-            CacheCapacityError: the pool has a ``capacity_bytes``
-                budget and the projected footprint of the new rows
-                would exceed it (nothing is appended).
+            CacheCapacityError, ValueError, KeyError: as
+                :meth:`append_batch`; nothing is appended.
         """
-        keys = as_rows(keys)
-        values = as_rows(values)
-        self._check_capacity(seq_id, keys.shape[0])
-        self._caches[seq_id].append(layer, keys, values)
-        self._tier_record_append(seq_id, layer)
+        self._append(layer, [(seq_id, keys, values)])
 
     def _tier_record_read(self, seq_id: Hashable, layer: int) -> None:
         """Touch a read's pages — including shared-prefix pages.
@@ -545,6 +542,18 @@ class KVCachePool:
             items = [(s, k, v) for s, (k, v) in updates.items()]
         else:
             items = [(s, k, v) for s, k, v in updates]
+        self._append(layer, items)
+
+    def _append(
+        self,
+        layer: int,
+        items: List[Tuple[Hashable, np.ndarray, np.ndarray]],
+    ) -> None:
+        """The one body of :meth:`append` and :meth:`append_batch`:
+        every check (unknown id, shape, width, capacity) before the
+        first mutation.  (``append`` does not call ``append_batch``, so
+        a call to either counts once, under its own name, for anything
+        wrapping the public methods.)"""
         entries: List[
             Tuple[Hashable, CacheBackend, np.ndarray, np.ndarray]
         ] = []
@@ -564,12 +573,16 @@ class KVCachePool:
                 continue
             if first_seq is None:
                 first_seq, width = seq_id, keys.shape[1]
-            if keys.shape[1] != width or (
-                self._held_width(cache, layer) not in (None, width)
-            ):
+            if keys.shape[1] != width:
                 raise ValueError(
                     f"sequence {seq_id!r}: rows of width {keys.shape[1]} "
-                    f"fit neither a batch of width {width} nor its cache"
+                    f"in a batch of width {width}"
+                )
+            held = self._held_width(cache, layer)
+            if held not in (None, width):
+                raise ValueError(
+                    f"sequence {seq_id!r}: rows of width {width}, but its "
+                    f"layer {layer} cache holds rows of width {held}"
                 )
             total_rows += keys.shape[0]
             entries.append((seq_id, cache, keys, values))

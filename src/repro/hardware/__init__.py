@@ -14,10 +14,11 @@ DESIGN.md):
   sizes, burst-order reads).
 * :mod:`repro.hardware.engines` — throughput/latency models of the
   quantization and dequantization engines in the DMA unit.
-* :mod:`repro.hardware.datapath` — functional, bit-exact streaming
-  models of the Figure 9 engine datapaths (decomposer, min/max finder,
-  σ-calculator, zero-remove/zero-insert shifters, OR-merge), verified
-  against the vectorized algorithm — the RTL-vs-golden-model check.
+* :mod:`repro.hardware.datapath` — functional, bit-exact models of
+  the Figure 9 engine datapaths (decomposer, min/max finder,
+  σ-calculator, zero-remove/zero-insert shifters, OR-merge) with
+  per-stage cycle reports, verified against the algorithm and a scalar
+  element-streaming golden model — the RTL-vs-golden-model check.
 * :mod:`repro.hardware.interconnect` — transaction-level model of the
   cores/controllers fabric (Section 5.1): round-robin arbitration,
   broadcast weight reads vs private KV streams, burst overheads.
@@ -53,10 +54,6 @@ from repro.hardware.cache_layout import (
     OakenCacheLayout,
     naive_interleaved_schedule,
     read_bandwidth_efficiency,
-)
-from repro.hardware.datapath import (
-    StreamingDequantEngine,
-    StreamingQuantEngine,
 )
 from repro.hardware.engines import DequantEngine, QuantEngine
 from repro.hardware.interconnect import (
@@ -138,9 +135,7 @@ __all__ = [
     "QuantEngine",
     "SERVING_SYSTEMS",
     "ServingSystem",
-    "StreamingDequantEngine",
     "StreamingEnginePipeline",
-    "StreamingQuantEngine",
     "default_dequant_pipeline",
     "default_quant_pipeline",
     "generation_iteration",

@@ -1,76 +1,41 @@
-"""Functional, bit-exact two-tier models of the Figure 9 engines.
+"""Functional, bit-exact model of the Figure 9 engines.
 
 Where :mod:`repro.hardware.engines` and :mod:`repro.hardware.pipeline`
 price the quantization/dequantization engines analytically, this
-package *implements* them structurally, at two tiers:
+package *implements* them structurally: each module of the paper's
+Figure 9 (decomposer, min/max finder, σ-calculator, inlier/outlier
+quantizers, zero-remove/zero-insert shifters, OR-merge concatenator)
+is a whole-tensor stage class running its arithmetic over ``[T, D]``
+arrays in one pass (:mod:`~repro.hardware.datapath.vectorized`), and
+each engine returns the modeled per-stage cycles of the hardware
+alongside its bits.
 
-* the **scalar tier** (:mod:`~repro.hardware.datapath.quant_stages`,
-  :mod:`~repro.hardware.datapath.dequant_stages`) — every module in
-  the paper's Figure 9 (decomposer, min/max finder, σ-calculator,
-  inlier/outlier quantizers, zero-remove/zero-insert shifters,
-  outlier index buffer, OR-merge concatenator) is a class processing
-  element streams.  This is the frozen *structural golden model*: the
-  test suite asserts the streamed bits equal the vectorized reference
-  quantizer's output exactly — the same functional-equivalence check
-  the authors ran between their RTL and their algorithm.
-* the **vectorized tier** (:mod:`~repro.hardware.datapath.vectorized`)
-  — a whole-tensor twin of each stage running the same arithmetic
-  over ``[T, D]`` arrays in one pass, element-for-element equivalent
-  to the scalar tier (bit-exact in ``exact_f64``; float32-register
-  identical in ``deploy_f32``) and orders of magnitude faster on the
-  host.  This is the tier every system-level consumer drives.
-
-Both tiers honour the :class:`~repro.core.modes.ComputeMode` precision
-policy: ``exact_f64`` anchors bit-exactness, ``deploy_f32`` runs every
-stage's arithmetic in float32 — the datapath's float32 golden model
-that makes ``deploy_f32`` safe as the serving default.
+The tests hold it equal to the scalar element-streaming golden model
+kept in ``tests/datapath_oracle.py`` — bit for bit and cycle for cycle,
+in both :class:`~repro.core.modes.ComputeMode`\\ s — and to
+:class:`~repro.core.quantizer.OakenQuantizer`: the functional check the
+authors ran between their RTL and their algorithm.  ``exact_f64``
+anchors bit-exactness; ``deploy_f32`` runs every stage's arithmetic in
+float32 — the datapath's float32 golden model that makes ``deploy_f32``
+safe as the serving default.
 
 Public API:
 
-* :class:`StreamingQuantEngine` / :class:`StreamingDequantEngine` —
-  the scalar engines, returning ``(EncodedKV | matrix, CycleReport)``.
 * :class:`VectorizedQuantEngine` / :class:`VectorizedDequantEngine` —
-  the whole-tensor twins, same contract, same modeled cycles.
+  the engines, returning ``(EncodedKV | matrix, CycleReport)``.
 * :class:`DatapathTiming` / :class:`DequantTiming` — lane widths,
   clocks, and turnaround latencies.
 * :class:`CycleReport` — per-stage busy-cycle occupancy.
-* :class:`EngineBackedQuantizer` — either tier behind the
+* :class:`EngineBackedQuantizer` — the engines behind the
   ``quantize``/``dequantize`` surface of the software quantizer.
 """
 
-from repro.hardware.datapath.adapter import (
-    ENGINE_TIERS,
-    EngineBackedQuantizer,
-)
-from repro.hardware.datapath.dequant_engine import (
-    DequantTiming,
-    StreamingDequantEngine,
-)
-from repro.hardware.datapath.dequant_stages import (
-    DequantScales,
-    InlierDequantizer,
-    OutlierDequantizer,
-    OutlierIndexBuffer,
-    ZeroInsertShifter,
-)
-from repro.hardware.datapath.quant_engine import (
-    DatapathTiming,
-    StreamingQuantEngine,
-)
-from repro.hardware.datapath.quant_stages import (
-    Decomposer,
-    FusedConcatenator,
-    GroupScale,
-    MinMaxFinder,
-    OutlierExtractor,
-    ScaleCalculator,
-)
-from repro.hardware.datapath.records import (
-    COORecord,
+from repro.hardware.datapath.adapter import EngineBackedQuantizer
+from repro.hardware.datapath.timing import (
     CycleReport,
-    RoutedElement,
+    DatapathTiming,
+    DequantTiming,
     StageActivity,
-    TokenQuantResult,
 )
 from repro.hardware.datapath.vectorized import (
     VectorizedDecomposer,
@@ -86,27 +51,11 @@ from repro.hardware.datapath.vectorized import (
 )
 
 __all__ = [
-    "COORecord",
     "CycleReport",
-    "ENGINE_TIERS",
     "EngineBackedQuantizer",
     "DatapathTiming",
-    "Decomposer",
-    "DequantScales",
     "DequantTiming",
-    "FusedConcatenator",
-    "GroupScale",
-    "InlierDequantizer",
-    "MinMaxFinder",
-    "OutlierDequantizer",
-    "OutlierExtractor",
-    "OutlierIndexBuffer",
-    "RoutedElement",
-    "ScaleCalculator",
     "StageActivity",
-    "StreamingDequantEngine",
-    "StreamingQuantEngine",
-    "TokenQuantResult",
     "VectorizedDecomposer",
     "VectorizedDequantEngine",
     "VectorizedFusedConcatenator",
@@ -117,5 +66,4 @@ __all__ = [
     "VectorizedQuantEngine",
     "VectorizedScaleCalculator",
     "VectorizedZeroInsertShifter",
-    "ZeroInsertShifter",
 ]

@@ -7,14 +7,8 @@ accumulating their cycle reports.  Dropping it into
 :class:`~repro.core.kvcache.QuantizedKVCache` (or the model substrate's
 quantized generation) runs the whole software stack on the hardware
 datapath — the system-level counterpart of the per-tensor equivalence
-tests, and the source of end-to-end engine cycle counts.
-
-Two engine tiers are available (see
-:mod:`repro.hardware.datapath.vectorized`): the default
-``engine="vectorized"`` runs the whole-tensor twins — same bits, same
-modeled cycles, orders of magnitude faster on the host — while
-``engine="scalar"`` drives the frozen element-streaming golden model.
-Both honour the adapter's :class:`~repro.core.modes.ComputeMode`.
+tests, and the source of end-to-end engine cycle counts.  The engines
+honour the adapter's :class:`~repro.core.modes.ComputeMode`.
 """
 
 from __future__ import annotations
@@ -32,21 +26,11 @@ from repro.core.modes import (
     ComputeModeLike,
     resolve_compute_mode,
 )
-from repro.hardware.datapath.dequant_engine import (
-    DequantTiming,
-    StreamingDequantEngine,
-)
-from repro.hardware.datapath.quant_engine import (
-    DatapathTiming,
-    StreamingQuantEngine,
-)
+from repro.hardware.datapath.timing import DatapathTiming, DequantTiming
 from repro.hardware.datapath.vectorized import (
     VectorizedDequantEngine,
     VectorizedQuantEngine,
 )
-
-#: Engine tiers the adapter can drive.
-ENGINE_TIERS = ("vectorized", "scalar")
 
 
 class EngineBackedQuantizer:
@@ -58,8 +42,6 @@ class EngineBackedQuantizer:
         quant_timing / dequant_timing: datapath physical parameters.
         mode: :class:`~repro.core.modes.ComputeMode` precision policy
             (default ``exact_f64``, the golden anchor).
-        engine: ``"vectorized"`` (default — the whole-tensor twins) or
-            ``"scalar"`` (the frozen element-streaming golden model).
 
     Attributes:
         quant_cycles: engine cycles spent quantizing so far.
@@ -73,31 +55,16 @@ class EngineBackedQuantizer:
         quant_timing: Optional[DatapathTiming] = None,
         dequant_timing: Optional[DequantTiming] = None,
         mode: ComputeModeLike = None,
-        engine: str = "vectorized",
     ):
-        if engine not in ENGINE_TIERS:
-            raise ValueError(
-                f"unknown engine tier {engine!r}; expected one of "
-                f"{ENGINE_TIERS}"
-            )
         self.config = config
         self.thresholds = thresholds
         self.mode: ComputeMode = resolve_compute_mode(mode, EXACT_F64)
-        self.engine = engine
-        if engine == "scalar":
-            self._quant = StreamingQuantEngine(
-                config, thresholds, timing=quant_timing, mode=self.mode
-            )
-            self._dequant = StreamingDequantEngine(
-                config, thresholds, timing=dequant_timing, mode=self.mode
-            )
-        else:
-            self._quant = VectorizedQuantEngine(
-                config, thresholds, timing=quant_timing, mode=self.mode
-            )
-            self._dequant = VectorizedDequantEngine(
-                config, thresholds, timing=dequant_timing, mode=self.mode
-            )
+        self._quant = VectorizedQuantEngine(
+            config, thresholds, timing=quant_timing, mode=self.mode
+        )
+        self._dequant = VectorizedDequantEngine(
+            config, thresholds, timing=dequant_timing, mode=self.mode
+        )
         self.quant_cycles = 0
         self.dequant_cycles = 0
 

@@ -1,0 +1,112 @@
+"""Cycle model of the Figure 9 engines: timings and cycle reports.
+
+:class:`DatapathTiming` / :class:`DequantTiming` hold the physical
+parameters of the quantization and dequantization datapaths (lanes per
+cycle, clock, turnaround and fill latencies).  :class:`StageActivity` /
+:class:`CycleReport` carry what an engine pass cost: per-stage
+busy-cycle counters plus the engine's end-to-end cycle count, which the
+tests check against the analytic pipeline model in
+:mod:`repro.hardware.pipeline`.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from typing import Dict
+
+
+@dataclass(frozen=True)
+class DatapathTiming:
+    """Physical parameters of the quantization engine.
+
+    Attributes:
+        lanes: elements processed per cycle in each streaming pass.
+        freq_ghz: engine clock.
+        scale_latency_cycles: turnaround of the σ-calculator for one
+            token — every group has its own subtract/divide unit, so
+            this is a fixed latency, not per-group.
+    """
+
+    lanes: int = 32
+    freq_ghz: float = 1.0
+    scale_latency_cycles: int = 4
+
+    def pass_cycles(self, dim: int) -> int:
+        """Cycles for one streaming pass over a ``dim``-element token."""
+        return max(1, math.ceil(dim / self.lanes))
+
+
+@dataclass(frozen=True)
+class DequantTiming:
+    """Physical parameters of the dequantization datapath.
+
+    Wider than the quantization engine (it must keep pace with the
+    attention read stream), with a short fixed fill.
+    """
+
+    lanes: int = 128
+    freq_ghz: float = 1.0
+    fill_cycles: int = 16
+
+    def pass_cycles(self, dim: int) -> int:
+        """Cycles for one pass over a ``dim``-element token row."""
+        return max(1, math.ceil(dim / self.lanes))
+
+
+@dataclass
+class StageActivity:
+    """Busy-cycle accounting of one pipeline stage.
+
+    Attributes:
+        name: stage name (matches the Figure 9 module names).
+        busy_cycles: cycles the stage spent processing elements.
+        elements: elements that traversed the stage.
+    """
+
+    name: str
+    busy_cycles: int = 0
+    elements: int = 0
+
+    def record(self, elements: int, cycles: int) -> None:
+        """Accumulate one burst of work."""
+        self.elements += elements
+        self.busy_cycles += cycles
+
+
+@dataclass
+class CycleReport:
+    """End-to-end cycle accounting of one engine pass.
+
+    Attributes:
+        total_cycles: engine cycles from first element in to last
+            element out, including pipeline fill and the per-token
+            scale-calculation turnaround.
+        tokens: tokens processed.
+        elements: total elements processed.
+        stages: per-stage busy counters keyed by stage name.
+    """
+
+    total_cycles: int = 0
+    tokens: int = 0
+    elements: int = 0
+    stages: Dict[str, StageActivity] = field(default_factory=dict)
+
+    def stage(self, name: str) -> StageActivity:
+        """Fetch (or create) the activity counter of a stage."""
+        if name not in self.stages:
+            self.stages[name] = StageActivity(name)
+        return self.stages[name]
+
+    def time_s(self, freq_ghz: float) -> float:
+        """Wall-clock seconds at the given engine clock."""
+        return self.total_cycles / (freq_ghz * 1e9)
+
+    def occupancy(self) -> Dict[str, float]:
+        """Per-stage busy fraction of the total cycle count."""
+        if self.total_cycles <= 0:
+            return {name: 0.0 for name in self.stages}
+        return {
+            name: activity.busy_cycles / self.total_cycles
+            for name, activity in self.stages.items()
+        }

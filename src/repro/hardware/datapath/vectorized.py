@@ -1,54 +1,47 @@
-"""Vectorized whole-tensor twins of the Figure 9 streaming stages.
+"""The Figure 9 engines as whole-tensor stages.
 
-The scalar classes in :mod:`repro.hardware.datapath.quant_stages` /
-:mod:`~repro.hardware.datapath.dequant_stages` walk one
-:class:`~repro.hardware.datapath.records.RoutedElement` at a time —
-they are the frozen *structural* golden model, cheap to audit against
-the paper's block diagram but O(T·D) python-loop slow.  Each class in
-this module is the whole-tensor twin of one of those stages: the same
-arithmetic, in the same order, in the same
-:class:`~repro.core.modes.ComputeMode` working dtype, applied to
-``[T, D]`` arrays in one numpy pass.
+Each class in this module models one hardware module of the paper's
+quantization or dequantization engine, running its arithmetic over
+``[T, D]`` arrays in one numpy pass, in the
+:class:`~repro.core.modes.ComputeMode` working dtype.  Every class is
+the whole-tensor twin of one stage of the scalar element-streaming
+golden model kept in ``tests/datapath_oracle.py``: the same arithmetic,
+in the same order, in the same dtype.
 
 Equivalence contract (asserted by ``tests/test_datapath_vectorized``):
 
 * ``exact_f64`` stage mode — every emitted bit (dense codes, COO
   stream, FP16 scale bounds, reconstructed rows) is identical to the
-  scalar engines', which are themselves bit-identical to the
-  vectorized reference quantizer and the frozen seed kernels.
-* ``deploy_f32`` stage mode — bit-identical to the scalar engines run
-  in the same float32 stage mode (both sides do float32 arithmetic on
-  float32 registers), and within the mode's one-code-level tolerance
+  scalar golden model's, which is itself bit-identical to the reference
+  quantizer and the frozen seed kernels.
+* ``deploy_f32`` stage mode — bit-identical to the scalar golden model
+  run in the same float32 stage mode (both sides do float32 arithmetic
+  on float32 registers), and within the mode's one-code-level tolerance
   of the ``exact_f64`` output.
 
-Cycle accounting is also twinned: :class:`VectorizedQuantEngine` and
+Cycle accounting is twinned too: :class:`VectorizedQuantEngine` and
 :class:`VectorizedDequantEngine` return a
-:class:`~repro.hardware.datapath.records.CycleReport` with exactly the
-per-stage busy counters and end-to-end cycle count the scalar engines
-would have produced — the timing model describes the hardware, not the
-host implementation, so vectorizing the functional model must not move
-a single modeled cycle.
+:class:`~repro.hardware.datapath.timing.CycleReport` with exactly the
+per-stage busy counters and end-to-end cycle count the element-streaming
+pipeline records — the timing model describes the hardware, not the
+host implementation.
 """
 
 from __future__ import annotations
 
-import math
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import OakenConfig
 from repro.core.encoding import EncodedKV
 from repro.core.grouping import MIDDLE_GROUP, GroupThresholds
-from repro.core.modes import (
-    EXACT_F64,
-    ComputeMode,
-    ComputeModeLike,
-    resolve_compute_mode,
+from repro.core.modes import EXACT_F64, ComputeModeLike, resolve_compute_mode
+from repro.hardware.datapath.timing import (
+    CycleReport,
+    DatapathTiming,
+    DequantTiming,
 )
-from repro.hardware.datapath.dequant_engine import DequantTiming
-from repro.hardware.datapath.quant_engine import DatapathTiming
-from repro.hardware.datapath.records import CycleReport
 
 #: Degenerate-range guard, matching ``scale_sigma`` / ``_sigma``.
 _EPS = 1e-12
@@ -62,7 +55,7 @@ def _fp16_round_array(values: np.ndarray, wdtype: np.dtype) -> np.ndarray:
 def _sigma_array(
     lo: np.ndarray, hi: np.ndarray, bits: int, wdtype: np.dtype
 ) -> np.ndarray:
-    """Vectorized twin of :func:`~..records.scale_sigma` in ``wdtype``."""
+    """Vectorized twin of ``scale_sigma`` in ``wdtype``."""
     w = wdtype.type
     span = hi - lo
     return np.where(
@@ -95,7 +88,7 @@ def _fused_nibbles(
 
 
 class VectorizedDecomposer:
-    """Whole-tensor twin of :class:`~..quant_stages.Decomposer`.
+    """Whole-tensor twin of ``Decomposer``.
 
     One pass of vectorized threshold compares assigns every element
     its group (outer bands claim outermost-first, inner shells
@@ -187,7 +180,7 @@ class VectorizedDecomposer:
 
 
 class VectorizedMinMaxFinder:
-    """Whole-tensor twin of :class:`~..quant_stages.MinMaxFinder`.
+    """Whole-tensor twin of ``MinMaxFinder``.
 
     Per-(token, group) ranges via masked reductions; groups a token
     never routed to report the scalar registers' ``(0, 0)``.
@@ -236,7 +229,7 @@ class VectorizedMinMaxFinder:
 
 
 class VectorizedScaleCalculator:
-    """Whole-tensor twin of :class:`~..quant_stages.ScaleCalculator`.
+    """Whole-tensor twin of ``ScaleCalculator``.
 
     FP16-rounds every group range and derives sigma from the rounded
     bounds — one vectorized pass over all tokens and groups at once.
@@ -267,7 +260,7 @@ class VectorizedScaleCalculator:
 
 
 class VectorizedOutlierExtractor:
-    """Whole-tensor twin of :class:`~..quant_stages.OutlierExtractor`.
+    """Whole-tensor twin of ``OutlierExtractor``.
 
     One ``nonzero`` compacts the sparse stream in exactly the scalar
     emission order (row-major: token by token, positions ascending) —
@@ -296,7 +289,7 @@ class VectorizedOutlierExtractor:
 
 
 class VectorizedFusedConcatenator:
-    """Whole-tensor twin of :class:`~..quant_stages.FusedConcatenator`.
+    """Whole-tensor twin of ``FusedConcatenator``.
 
     The inlier and outlier paths never write the same slot, so the
     scalar OR-merge reduces to one scatter of the outlier nibbles into
@@ -322,10 +315,10 @@ class VectorizedFusedConcatenator:
 
 
 class VectorizedQuantEngine:
-    """Whole-tensor quantization engine (the fast functional twin).
+    """Whole-tensor quantization engine (Figure 9a, end to end).
 
     Same constructor contract, same ``(EncodedKV, CycleReport)``
-    return as :class:`~..quant_engine.StreamingQuantEngine`, with the
+    return as the golden model's quantization engine, with its
     per-element python loop replaced by one vectorized pass per stage.
 
     Args:
@@ -478,7 +471,7 @@ class VectorizedQuantEngine:
 
 
 class VectorizedZeroInsertShifter:
-    """Whole-tensor twin of :class:`~..dequant_stages.ZeroInsertShifter`.
+    """Whole-tensor twin of ``ZeroInsertShifter``.
 
     Validates every fused nibble against its dense slot in one
     comparison (the scalar corruption check, tensor-wide) and hands
@@ -513,7 +506,7 @@ class VectorizedZeroInsertShifter:
 
 
 class VectorizedInlierDequantizer:
-    """Whole-tensor twin of :class:`~..dequant_stages.InlierDequantizer`."""
+    """Whole-tensor twin of ``InlierDequantizer``."""
 
     def __init__(
         self,
@@ -549,7 +542,7 @@ class VectorizedInlierDequantizer:
 
 
 class VectorizedOutlierDequantizer:
-    """Whole-tensor twin of :class:`~..dequant_stages.OutlierDequantizer`."""
+    """Whole-tensor twin of ``OutlierDequantizer``."""
 
     def __init__(
         self,
@@ -604,10 +597,10 @@ class VectorizedOutlierDequantizer:
 
 
 class VectorizedDequantEngine:
-    """Whole-tensor dequantization engine (the fast functional twin).
+    """Whole-tensor dequantization engine (Figure 9b, end to end).
 
     Same constructor contract and ``(matrix, CycleReport)`` return as
-    :class:`~..dequant_engine.StreamingDequantEngine`.
+    the golden model's dequantization engine.
     """
 
     def __init__(

@@ -61,7 +61,6 @@ class CacheReplayConfig:
 
     Attributes:
         method: registry method name (``oaken`` or any baseline).
-        kind: backend kind for :func:`repro.engine.create_backend`.
         num_layers: miniature cache decoder layers.
         dim: miniature KV width per layer.
         calibration_tokens: synthetic calibration rows for methods
@@ -82,11 +81,6 @@ class CacheReplayConfig:
             datapath models and the replay report carries accumulated
             end-to-end engine cycles (``engine_*`` keys).  Requires
             ``method="oaken"`` (the engines model the paper datapath).
-        engine: engine tier for ``engine_cycles`` replays —
-            ``"vectorized"`` (default, the whole-tensor twins: same
-            bits, same modeled cycles) or ``"scalar"`` (the frozen
-            element-streaming golden model; orders of magnitude slower
-            on the host).
         device_budget_mb: enable the tiered KV memory hierarchy with
             this device-tier budget (MiB) for the miniature pool.  The
             pool then runs behind a
@@ -124,7 +118,6 @@ class CacheReplayConfig:
     """
 
     method: str = "oaken"
-    kind: str = "auto"
     num_layers: int = 2
     dim: int = 32
     calibration_tokens: int = 64
@@ -132,7 +125,6 @@ class CacheReplayConfig:
     seed: int = 0
     mode: str = "deploy_f32"
     engine_cycles: bool = False
-    engine: str = "vectorized"
     device_budget_mb: Optional[float] = None
     eviction: str = "lru"
     page_bytes: int = 1024
@@ -181,7 +173,6 @@ class _CacheReplay:
         else:
             factory = shared_backend_factory(
                 config.method,
-                config.kind,
                 calibration=calibration,
                 mode=config.mode,
             )
@@ -261,7 +252,6 @@ class _CacheReplay:
                     cfg,
                     profile_thresholds([keys], cfg),
                     mode=self.config.mode,
-                    engine=self.config.engine,
                 )
             )
             value_quantizers.append(
@@ -269,7 +259,6 @@ class _CacheReplay:
                     cfg,
                     profile_thresholds([values], cfg),
                     mode=self.config.mode,
-                    engine=self.config.engine,
                 )
             )
         self._engine_quantizers = key_quantizers + value_quantizers
@@ -549,7 +538,6 @@ class _CacheReplay:
             dequant = sum(
                 q.dequant_cycles for q in self._engine_quantizers
             ) - self._probe_dequant_cycles
-            out["engine"] = self.config.engine
             out["engine_quant_cycles"] = float(quant)
             out["engine_dequant_cycles"] = float(dequant)
             out["engine_cycles"] = float(quant + dequant)

@@ -1,10 +1,11 @@
-"""Cycle accounting of the streaming datapath models.
+"""Cycle accounting of the datapath models.
 
 Checks the double-buffered pipeline math of the quantization engine,
 the per-stage occupancy counters, and — the cross-validation the
 analytic models rest on — that the structural engines' throughput
 agrees with :mod:`repro.hardware.engines` within the fill/turnaround
-terms.
+terms.  (``tests/test_datapath_vectorized.py`` holds every counter
+equal to the element-streaming golden model's.)
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from repro.hardware.datapath import (
     CycleReport,
     DatapathTiming,
     DequantTiming,
-    StageActivity,
-    StreamingDequantEngine,
-    StreamingQuantEngine,
+    VectorizedDequantEngine,
+    VectorizedQuantEngine,
 )
 from repro.hardware.engines import DequantEngine, QuantEngine
 
@@ -65,7 +65,7 @@ class TestQuantPipelineMath:
     def test_total_cycles_formula(self, setup):
         cfg, thresholds, rng = setup
         timing = DatapathTiming(lanes=32, scale_latency_cycles=4)
-        engine = StreamingQuantEngine(cfg, thresholds, timing=timing)
+        engine = VectorizedQuantEngine(cfg, thresholds, timing=timing)
         tokens, dim = 10, 128
         _, report = engine.quantize_matrix(
             rng.standard_normal((tokens, dim))
@@ -79,10 +79,10 @@ class TestQuantPipelineMath:
     def test_doubling_lanes_roughly_halves_cycles(self, setup):
         cfg, thresholds, rng = setup
         x = rng.standard_normal((32, 128))
-        narrow = StreamingQuantEngine(
+        narrow = VectorizedQuantEngine(
             cfg, thresholds, timing=DatapathTiming(lanes=16)
         )
-        wide = StreamingQuantEngine(
+        wide = VectorizedQuantEngine(
             cfg, thresholds, timing=DatapathTiming(lanes=32)
         )
         _, slow = narrow.quantize_matrix(x)
@@ -92,7 +92,7 @@ class TestQuantPipelineMath:
 
     def test_stage_occupancy_covers_all_figure9_modules(self, setup):
         cfg, thresholds, rng = setup
-        engine = StreamingQuantEngine(cfg, thresholds)
+        engine = VectorizedQuantEngine(cfg, thresholds)
         _, report = engine.quantize_matrix(rng.standard_normal((4, 128)))
         assert set(report.stages) == {
             "decomposer",
@@ -104,7 +104,7 @@ class TestQuantPipelineMath:
 
     def test_zero_remove_shifter_sees_only_outliers(self, setup):
         cfg, thresholds, rng = setup
-        engine = StreamingQuantEngine(cfg, thresholds)
+        engine = VectorizedQuantEngine(cfg, thresholds)
         x = rng.standard_normal((8, 128)) * 3.0
         encoded, report = engine.quantize_matrix(x)
         assert (
@@ -114,7 +114,7 @@ class TestQuantPipelineMath:
 
     def test_empty_matrix_zero_cycles(self, setup):
         cfg, thresholds, _ = setup
-        engine = StreamingQuantEngine(cfg, thresholds)
+        engine = VectorizedQuantEngine(cfg, thresholds)
         _, report = engine.quantize_matrix(np.zeros((0, 128)))
         assert report.total_cycles == 0
 
@@ -127,7 +127,7 @@ class TestAgreementWithAnalyticModels:
     def test_quant_engine_steady_state_rate(self, setup):
         cfg, thresholds, rng = setup
         timing = DatapathTiming(lanes=32, freq_ghz=1.0)
-        engine = StreamingQuantEngine(cfg, thresholds, timing=timing)
+        engine = VectorizedQuantEngine(cfg, thresholds, timing=timing)
         tokens, dim = 64, 128
         x = rng.standard_normal((tokens, dim))
         _, report = engine.quantize_matrix(x)
@@ -142,7 +142,7 @@ class TestAgreementWithAnalyticModels:
     def test_dequant_engine_steady_state_rate(self, setup):
         cfg, thresholds, rng = setup
         timing = DequantTiming(lanes=128, freq_ghz=1.0)
-        engine = StreamingDequantEngine(cfg, thresholds, timing=timing)
+        engine = VectorizedDequantEngine(cfg, thresholds, timing=timing)
         reference = OakenQuantizer(cfg, thresholds)
         tokens, dim = 64, 128
         encoded = reference.quantize(rng.standard_normal((tokens, dim)))
@@ -156,7 +156,7 @@ class TestAgreementWithAnalyticModels:
         """Paper Section 5.3: per-token quantization occupies a tiny
         fraction of the generation iteration it overlaps."""
         cfg, thresholds, rng = setup
-        engine = StreamingQuantEngine(cfg, thresholds)
+        engine = VectorizedQuantEngine(cfg, thresholds)
         # One token's KV for one layer: kv_dim elements.
         _, report = engine.quantize_matrix(rng.standard_normal((1, 128)))
         engine_s = report.time_s(1.0)

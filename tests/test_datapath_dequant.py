@@ -1,9 +1,11 @@
-"""Bit-exact equivalence of the streaming dequantization datapath.
+"""Bit-exact equivalence of the dequantization datapath.
 
 Reconstruction through the zero-insert shifter (fused nibble + record
-bits) must match the vectorized golden dequantizer exactly — this also
-proves the fused dense-and-sparse encoding is lossless with respect to
-the quantized codes.
+bits) must match the reference dequantizer exactly — this also proves
+the fused dense-and-sparse encoding is lossless with respect to the
+quantized codes.  The per-record stages only the element-streaming
+golden model has (outlier index buffer, code reassembly) are checked on
+it (``tests/datapath_oracle.py``), and so is its end-to-end roundtrip.
 """
 
 from __future__ import annotations
@@ -17,27 +19,27 @@ from repro.core.config import OakenConfig
 from repro.core.quantizer import OakenQuantizer
 from repro.core.thresholds import profile_thresholds
 from repro.hardware.datapath import (
-    COORecord,
     DequantTiming,
-    OutlierIndexBuffer,
-    StreamingDequantEngine,
-    ZeroInsertShifter,
+    VectorizedDequantEngine,
+    VectorizedZeroInsertShifter,
 )
+
+import datapath_oracle as oracle
 
 
 def make_trio(config: OakenConfig, rng: np.random.Generator, dim: int = 96):
-    """Reference quantizer plus the streaming dequant engine."""
+    """Reference quantizer plus the dequant engine."""
     samples = [rng.standard_normal((24, dim)) * 3.0 for _ in range(4)]
     thresholds = profile_thresholds(samples, config)
     reference = OakenQuantizer(config, thresholds)
-    dequant = StreamingDequantEngine(config, thresholds)
+    dequant = VectorizedDequantEngine(config, thresholds)
     return reference, dequant
 
 
 class TestOutlierIndexBuffer:
     def test_lookup_by_position(self):
-        buffer = OutlierIndexBuffer()
-        record = COORecord(
+        buffer = oracle.OutlierIndexBuffer()
+        record = oracle.COORecord(
             position=5, chunk=0, index=5, band=0, side=True, mag_code=3
         )
         buffer.load([record])
@@ -46,9 +48,9 @@ class TestOutlierIndexBuffer:
         assert len(buffer) == 1
 
     def test_load_replaces_previous_token(self):
-        buffer = OutlierIndexBuffer()
+        buffer = oracle.OutlierIndexBuffer()
         buffer.load(
-            [COORecord(position=1, chunk=0, index=1, band=0,
+            [oracle.COORecord(position=1, chunk=0, index=1, band=0,
                        side=False, mag_code=0)]
         )
         buffer.load([])
@@ -59,8 +61,8 @@ class TestZeroInsertShifter:
     def test_reassembles_paper_default_code(self):
         """5-bit code in a 4-bit slot: side bit rides in the record."""
         cfg = OakenConfig()
-        shifter = ZeroInsertShifter(cfg)
-        record = COORecord(
+        shifter = oracle.ZeroInsertShifter(cfg)
+        record = oracle.COORecord(
             position=0, chunk=0, index=0, band=0, side=True,
             mag_code=0b1011, fused_nibble=0b1011,
         )
@@ -70,12 +72,12 @@ class TestZeroInsertShifter:
 
     def test_record_high_bits_is_side_bit(self):
         cfg = OakenConfig()
-        shifter = ZeroInsertShifter(cfg)
-        positive = COORecord(
+        shifter = oracle.ZeroInsertShifter(cfg)
+        positive = oracle.COORecord(
             position=0, chunk=0, index=0, band=0, side=True,
             mag_code=0b0011, fused_nibble=0b0011,
         )
-        negative = COORecord(
+        negative = oracle.COORecord(
             position=0, chunk=0, index=0, band=0, side=False,
             mag_code=0b0011, fused_nibble=0b0011,
         )
@@ -83,21 +85,21 @@ class TestZeroInsertShifter:
         assert shifter.record_high_bits(negative) == 0
 
     def test_corrupted_nibble_detected(self):
-        cfg = OakenConfig()
-        shifter = ZeroInsertShifter(cfg)
-        record = COORecord(
-            position=7, chunk=0, index=7, band=0, side=False,
-            mag_code=0b0101, fused_nibble=0b0101,
-        )
-        with pytest.raises(ValueError, match="mismatch"):
-            shifter.reassemble_code(record, 0b0100)
+        shifter = VectorizedZeroInsertShifter(OakenConfig())
+        dense = np.zeros((1, 8), dtype=np.uint8)
+        dense[0, 7] = 0b0100
+        with pytest.raises(ValueError, match="mismatch at position 7"):
+            shifter.validate(
+                dense, np.array([0]), np.array([7]), np.array([False]),
+                np.array([0b0101], dtype=np.uint8),
+            )
 
     def test_narrow_slot_wide_code(self):
         """2-bit slots with 5-bit codes: three high bits in the record."""
         cfg = OakenConfig(inlier_bits=2, outlier_bits=5)
-        shifter = ZeroInsertShifter(cfg)
+        shifter = oracle.ZeroInsertShifter(cfg)
         # full code = side(1) << 4 | mag(0b1101) = 0b11101
-        record = COORecord(
+        record = oracle.COORecord(
             position=0, chunk=0, index=0, band=0, side=True,
             mag_code=0b1101, fused_nibble=0b01,
         )
@@ -145,16 +147,14 @@ class TestStreamingDequantEquivalence:
         np.testing.assert_array_equal(actual, expected)
 
     def test_end_to_end_streaming_roundtrip(self):
-        """Quantize with the streaming engine, dequantize streaming."""
-        from repro.hardware.datapath import StreamingQuantEngine
-
+        """Quantize with the golden model, dequantize with it too."""
         rng = np.random.default_rng(59)
         cfg = OakenConfig()
         samples = [rng.standard_normal((24, 96)) * 3.0 for _ in range(4)]
         thresholds = profile_thresholds(samples, cfg)
         reference = OakenQuantizer(cfg, thresholds)
-        quant = StreamingQuantEngine(cfg, thresholds)
-        dequant = StreamingDequantEngine(cfg, thresholds)
+        quant = oracle.StreamingQuantEngine(cfg, thresholds)
+        dequant = oracle.StreamingDequantEngine(cfg, thresholds)
         x = rng.standard_normal((12, 96)) * 3.0
         encoded, _ = quant.quantize_matrix(x)
         actual, _ = dequant.dequantize_matrix(encoded)

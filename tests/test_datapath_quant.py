@@ -1,11 +1,14 @@
-"""Bit-exact equivalence of the streaming quantization datapath.
+"""Bit-exact equivalence of the quantization datapath.
 
-The streaming engine of :mod:`repro.hardware.datapath` is a structural
-re-implementation of the algorithm — scalar element streams through
-stage models instead of vectorized numpy.  These tests assert the two
+The quantization engine of :mod:`repro.hardware.datapath` is a
+structural re-implementation of the algorithm — the Figure 9 stages one
+after another instead of one fused kernel.  These tests assert the two
 produce *identical* bits (codes, scales, COO streams) across
 configurations, which is the functional-verification step between an
-RTL datapath and its golden model.
+RTL datapath and its golden model.  What only the per-element golden
+model (``tests/datapath_oracle.py``) has — per-token COO records,
+range registers that reset between tokens — is checked on it, against
+the same reference quantizer.
 """
 
 from __future__ import annotations
@@ -21,9 +24,15 @@ from repro.core.quantizer import OakenQuantizer
 from repro.core.thresholds import profile_thresholds
 from repro.hardware.datapath import (
     DatapathTiming,
-    Decomposer,
-    MinMaxFinder,
-    StreamingQuantEngine,
+    VectorizedDecomposer,
+    VectorizedMinMaxFinder,
+    VectorizedQuantEngine,
+)
+
+import datapath_oracle as oracle
+
+PAPER_THRESHOLDS = GroupThresholds(
+    outer_lo=(-8.0,), outer_hi=(8.0,), inner_mag=(0.1,)
 )
 
 
@@ -32,8 +41,13 @@ def make_pair(config: OakenConfig, rng: np.random.Generator, dim: int = 96):
     samples = [rng.standard_normal((24, dim)) * 3.0 for _ in range(4)]
     thresholds = profile_thresholds(samples, config)
     reference = OakenQuantizer(config, thresholds)
-    streaming = StreamingQuantEngine(config, thresholds)
-    return reference, streaming
+    engine = VectorizedQuantEngine(config, thresholds)
+    return reference, engine
+
+
+def classify(decomposer, *values):
+    """Group ids of a one-token matrix holding ``values``."""
+    return decomposer.classify(np.array([values])).tolist()[0]
 
 
 def assert_encoded_equal(expected, actual) -> None:
@@ -60,39 +74,22 @@ def assert_encoded_equal(expected, actual) -> None:
 
 class TestDecomposer:
     def test_middle_value_routes_dense(self):
-        thr = GroupThresholds(
-            outer_lo=(-8.0,), outer_hi=(8.0,), inner_mag=(0.1,)
-        )
-        decomposer = Decomposer(OakenConfig(), thr)
-        assert decomposer.classify(1.0) == MIDDLE_GROUP
+        decomposer = VectorizedDecomposer(OakenConfig(), PAPER_THRESHOLDS)
+        assert classify(decomposer, 1.0) == [MIDDLE_GROUP]
 
     def test_extreme_value_routes_outer(self):
-        thr = GroupThresholds(
-            outer_lo=(-8.0,), outer_hi=(8.0,), inner_mag=(0.1,)
-        )
-        decomposer = Decomposer(OakenConfig(), thr)
-        assert decomposer.classify(9.5) == 0
-        assert decomposer.classify(-8.5) == 0
+        decomposer = VectorizedDecomposer(OakenConfig(), PAPER_THRESHOLDS)
+        assert classify(decomposer, 9.5, -8.5) == [0, 0]
 
     def test_near_zero_routes_inner(self):
-        thr = GroupThresholds(
-            outer_lo=(-8.0,), outer_hi=(8.0,), inner_mag=(0.1,)
-        )
-        decomposer = Decomposer(OakenConfig(), thr)
-        assert decomposer.classify(0.05) == 1
-        assert decomposer.classify(-0.02) == 1
+        decomposer = VectorizedDecomposer(OakenConfig(), PAPER_THRESHOLDS)
+        assert classify(decomposer, 0.05, -0.02) == [1, 1]
 
     def test_group_shift_moves_outer_toward_zero(self):
-        thr = GroupThresholds(
-            outer_lo=(-8.0,), outer_hi=(8.0,), inner_mag=(0.1,)
-        )
-        decomposer = Decomposer(OakenConfig(), thr)
-        routed = decomposer.route(0, 9.5)
-        assert routed.side is True
-        assert routed.shifted == pytest.approx(1.5)
-        routed = decomposer.route(0, -8.5)
-        assert routed.side is False
-        assert routed.shifted == pytest.approx(0.5)
+        decomposer = VectorizedDecomposer(OakenConfig(), PAPER_THRESHOLDS)
+        _, _, shifted, side = decomposer.route(np.array([[9.5, -8.5]]))
+        assert side.tolist() == [[True, False]]
+        assert shifted[0] == pytest.approx([1.5, 0.5])
 
     def test_two_outer_bands_outermost_claims_first(self):
         thr = GroupThresholds(
@@ -102,10 +99,8 @@ class TestDecomposer:
             outer_ratios=(0.02, 0.02), middle_ratio=0.90,
             inner_ratios=(0.06,),
         )
-        decomposer = Decomposer(cfg, thr)
-        assert decomposer.classify(11.0) == 0
-        assert decomposer.classify(9.0) == 1
-        assert decomposer.classify(7.0) == MIDDLE_GROUP
+        decomposer = VectorizedDecomposer(cfg, thr)
+        assert classify(decomposer, 11.0, 9.0, 7.0) == [0, 1, MIDDLE_GROUP]
 
     def test_nested_inner_shells_innermost_claims_first(self):
         thr = GroupThresholds(
@@ -115,109 +110,104 @@ class TestDecomposer:
             outer_ratios=(0.04,), middle_ratio=0.90,
             inner_ratios=(0.03, 0.03),
         )
-        decomposer = Decomposer(cfg, thr)
-        assert decomposer.classify(0.01) == 2
-        assert decomposer.classify(0.1) == 1
-        assert decomposer.classify(0.5) == MIDDLE_GROUP
+        decomposer = VectorizedDecomposer(cfg, thr)
+        assert classify(decomposer, 0.01, 0.1, 0.5) == [2, 1, MIDDLE_GROUP]
 
 
 class TestMinMaxFinder:
     def test_tracks_range_per_group(self):
-        thr = GroupThresholds(
-            outer_lo=(-8.0,), outer_hi=(8.0,), inner_mag=(0.1,)
-        )
-        decomposer = Decomposer(OakenConfig(), thr)
-        finder = MinMaxFinder(2)
-        for value in (1.0, 2.0, -3.0):
-            finder.update(decomposer.route(0, value))
-        lo, hi = finder.range_of(MIDDLE_GROUP)
-        assert lo < hi
+        decomposer = VectorizedDecomposer(OakenConfig(), PAPER_THRESHOLDS)
+        _, group, shifted, _ = decomposer.route(np.array([[1.0, 2.0, -3.0]]))
+        lo, hi, _, _ = VectorizedMinMaxFinder(2).ranges(group, shifted)
+        assert lo[0] < hi[0]
 
     def test_empty_group_reports_zero_range(self):
-        finder = MinMaxFinder(2)
-        assert finder.range_of(0) == (0.0, 0.0)
+        decomposer = VectorizedDecomposer(OakenConfig(), PAPER_THRESHOLDS)
+        _, group, shifted, _ = decomposer.route(np.array([[1.0, 2.0]]))
+        _, _, band_lo, band_hi = VectorizedMinMaxFinder(2).ranges(
+            group, shifted
+        )
+        assert band_lo[0, 0] == band_hi[0, 0] == 0.0
 
     def test_reset_clears_registers(self):
-        thr = GroupThresholds(
-            outer_lo=(-8.0,), outer_hi=(8.0,), inner_mag=(0.1,)
-        )
-        decomposer = Decomposer(OakenConfig(), thr)
-        finder = MinMaxFinder(2)
+        """Range registers are per-element state: the golden model's."""
+        decomposer = oracle.Decomposer(OakenConfig(), PAPER_THRESHOLDS)
+        finder = oracle.MinMaxFinder(2)
         finder.update(decomposer.route(0, 1.0))
         finder.reset()
         assert finder.range_of(MIDDLE_GROUP) == (0.0, 0.0)
 
 
 class TestStreamingEquivalence:
-    """Streamed bits must equal the vectorized golden model exactly."""
+    """The engine's bits must equal the reference quantizer's exactly."""
 
     def test_paper_default_config(self):
         rng = np.random.default_rng(7)
-        reference, streaming = make_pair(OakenConfig(), rng)
+        reference, engine = make_pair(OakenConfig(), rng)
         x = rng.standard_normal((16, 96)) * 3.0
         expected = reference.quantize(x)
-        actual, _ = streaming.quantize_matrix(x)
+        actual, _ = engine.quantize_matrix(x)
         assert_encoded_equal(expected, actual)
 
     def test_no_group_shift_ablation(self):
         cfg = OakenConfig(group_shift=False)
         rng = np.random.default_rng(11)
-        reference, streaming = make_pair(cfg, rng)
+        reference, engine = make_pair(cfg, rng)
         x = rng.standard_normal((8, 96)) * 2.0
         expected = reference.quantize(x)
-        actual, _ = streaming.quantize_matrix(x)
+        actual, _ = engine.quantize_matrix(x)
         assert_encoded_equal(expected, actual)
 
     def test_naive_encoding_ablation(self):
         cfg = OakenConfig(fused_encoding=False)
         rng = np.random.default_rng(13)
-        reference, streaming = make_pair(cfg, rng)
+        reference, engine = make_pair(cfg, rng)
         x = rng.standard_normal((8, 96)) * 2.0
         expected = reference.quantize(x)
-        actual, _ = streaming.quantize_matrix(x)
+        actual, _ = engine.quantize_matrix(x)
         assert_encoded_equal(expected, actual)
 
     def test_five_group_config(self):
         cfg = OakenConfig.from_ratio_string("2/2/90/3/3")
         rng = np.random.default_rng(17)
-        reference, streaming = make_pair(cfg, rng)
+        reference, engine = make_pair(cfg, rng)
         x = rng.standard_normal((8, 96)) * 2.5
         expected = reference.quantize(x)
-        actual, _ = streaming.quantize_matrix(x)
+        actual, _ = engine.quantize_matrix(x)
         assert_encoded_equal(expected, actual)
 
     def test_four_bit_outliers(self):
         cfg = OakenConfig(outlier_bits=4)
         rng = np.random.default_rng(19)
-        reference, streaming = make_pair(cfg, rng)
+        reference, engine = make_pair(cfg, rng)
         x = rng.standard_normal((8, 96)) * 2.5
         expected = reference.quantize(x)
-        actual, _ = streaming.quantize_matrix(x)
+        actual, _ = engine.quantize_matrix(x)
         assert_encoded_equal(expected, actual)
 
     def test_single_token(self):
         rng = np.random.default_rng(23)
-        reference, streaming = make_pair(OakenConfig(), rng)
+        reference, engine = make_pair(OakenConfig(), rng)
         x = rng.standard_normal((1, 96))
         expected = reference.quantize(x)
-        actual, _ = streaming.quantize_matrix(x)
+        actual, _ = engine.quantize_matrix(x)
         assert_encoded_equal(expected, actual)
 
     def test_heavy_tailed_input(self):
         rng = np.random.default_rng(29)
-        reference, streaming = make_pair(OakenConfig(), rng)
+        reference, engine = make_pair(OakenConfig(), rng)
         x = rng.standard_t(df=2, size=(12, 96)) * 4.0
         expected = reference.quantize(x)
-        actual, _ = streaming.quantize_matrix(x)
+        actual, _ = engine.quantize_matrix(x)
         assert_encoded_equal(expected, actual)
 
     def test_constant_rows(self):
         """Degenerate span: every group collapses to sigma=1 codes."""
         rng = np.random.default_rng(31)
-        reference, streaming = make_pair(OakenConfig(), rng)
+        reference, engine = make_pair(OakenConfig(), rng)
         x = np.full((4, 96), 0.5)
         expected = reference.quantize(x)
-        actual, _ = streaming.quantize_matrix(x)
+        actual, _ = engine.quantize_matrix(x)
         assert_encoded_equal(expected, actual)
 
     @settings(max_examples=25, deadline=None)
@@ -228,10 +218,10 @@ class TestStreamingEquivalence:
     )
     def test_property_equivalence(self, seed, tokens, scale):
         rng = np.random.default_rng(seed)
-        reference, streaming = make_pair(OakenConfig(), rng, dim=64)
+        reference, engine = make_pair(OakenConfig(), rng, dim=64)
         x = rng.standard_normal((tokens, 64)) * scale
         expected = reference.quantize(x)
-        actual, _ = streaming.quantize_matrix(x)
+        actual, _ = engine.quantize_matrix(x)
         assert_encoded_equal(expected, actual)
 
     @settings(max_examples=10, deadline=None)
@@ -242,11 +232,61 @@ class TestStreamingEquivalence:
     def test_property_equivalence_across_group_layouts(self, seed, ratio):
         cfg = OakenConfig.from_ratio_string(ratio)
         rng = np.random.default_rng(seed)
-        reference, streaming = make_pair(cfg, rng, dim=64)
+        reference, engine = make_pair(cfg, rng, dim=64)
         x = rng.standard_normal((4, 64)) * 3.0
         expected = reference.quantize(x)
-        actual, _ = streaming.quantize_matrix(x)
+        actual, _ = engine.quantize_matrix(x)
         assert_encoded_equal(expected, actual)
+
+
+class TestGoldenModelTokens:
+    """Per-token output only the element-streaming golden model has,
+    anchored to the reference quantizer's encode of the whole matrix."""
+
+    @pytest.mark.parametrize(
+        "ratio, fused",
+        [("4/90/6", True), ("4/90/6", False), ("2/2/90/3/3", True)],
+    )
+    def test_token_records_are_the_reference_coo_stream(self, ratio, fused):
+        cfg = OakenConfig.from_ratio_string(ratio, fused_encoding=fused)
+        rng = np.random.default_rng(37)
+        reference, _ = make_pair(cfg, rng)
+        golden = oracle.StreamingQuantEngine(cfg, reference.thresholds)
+        x = rng.standard_normal((6, 96)) * 3.0
+        expected = reference.quantize(x)
+        for t in range(x.shape[0]):
+            result = golden.quantize_token(x[t])
+            np.testing.assert_array_equal(
+                result.dense_codes, expected.dense_codes[t]
+            )
+            assert (result.middle_lo, result.middle_hi) == (
+                expected.middle_lo[t], expected.middle_hi[t]
+            )
+            assert result.band_lo == expected.band_lo[t].tolist()
+            assert result.band_hi == expected.band_hi[t].tolist()
+            mine = expected.sparse_token == t
+            assert result.num_outliers == int(mine.sum())
+            for record, pos, band, side, mag in zip(
+                result.records,
+                expected.sparse_pos[mine],
+                expected.sparse_band[mine],
+                expected.sparse_side[mine],
+                expected.sparse_mag_code[mine],
+            ):
+                assert (record.position, record.band, record.side) == (
+                    pos, band, side
+                )
+                assert record.mag_code == mag
+                assert (record.chunk, record.index) == divmod(
+                    record.position, cfg.chunk_size
+                )
+                if fused:
+                    assert record.fused_nibble == result.dense_codes[pos]
+            if not fused:
+                np.testing.assert_array_equal(
+                    [r.fp16_value for r in result.records],
+                    expected.sparse_fp16[mine],
+                )
 
 
 class TestQuantEngineValidation:
@@ -256,20 +296,20 @@ class TestQuantEngineValidation:
             outer_lo=(-8.0, -6.0), outer_hi=(8.0, 6.0), inner_mag=(0.1,)
         )
         with pytest.raises(ValueError, match="outer band"):
-            StreamingQuantEngine(cfg, thr)
+            VectorizedQuantEngine(cfg, thr)
 
     def test_rejects_3d_input(self):
         rng = np.random.default_rng(3)
-        _, streaming = make_pair(OakenConfig(), rng)
+        _, engine = make_pair(OakenConfig(), rng)
         with pytest.raises(ValueError, match="matrix"):
-            streaming.quantize_matrix(np.zeros((2, 3, 4)))
+            engine.quantize_matrix(np.zeros((2, 3, 4)))
 
     def test_timing_is_configurable(self):
         rng = np.random.default_rng(5)
         cfg = OakenConfig()
         samples = [rng.standard_normal((16, 64))]
         thr = profile_thresholds(samples, cfg)
-        engine = StreamingQuantEngine(
+        engine = VectorizedQuantEngine(
             cfg, thr, timing=DatapathTiming(lanes=8)
         )
         assert engine.timing.pass_cycles(64) == 8

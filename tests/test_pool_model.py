@@ -24,7 +24,8 @@ free-then-allocate-in-the-same-size-class and a forced ``compact()``; on
 tiered pools, an append burst larger than the device tier.  The failure
 paths are rules too, each asserting that the pool's state did not move:
 a refused batch (an unknown id, or a block of the wrong width after a
-good item), a ``capacity_bytes`` refusal on layer 0 or on layer 1 after
+good item), a one-row ``append`` wider than the rows the layer holds, a
+``capacity_bytes`` refusal on layer 0 or on layer 1 after
 layer 0 landed, a double free, a fork from a freed parent, and a fork
 past the parent's rows or onto a live id.
 
@@ -384,10 +385,20 @@ class PoolModel(RuleBasedStateMachine):
             self.land(layer, batch)
 
     @precondition(lambda self: self.history)
-    @rule(pick=picks, layer=layers, seed=picks)
-    def append_one_row(self, pick, layer, seed):
-        """A 1-D row through ``pool.append``: normalised at the boundary."""
+    @rule(pick=picks, layer=layers, seed=picks, wide=st.booleans())
+    def append_one_row(self, pick, layer, seed, wide=False):
+        """A 1-D row through ``pool.append``: normalised at the boundary.
+        ``wide`` makes it one element wider than the rows the layer
+        holds: a ``ValueError`` naming the width held, and nothing
+        moves."""
         seq = self.pick(pick)
+        if wide and self.length(seq, layer):
+            bad = np.zeros(DIM + 1, dtype=np.float32)
+            before = self.pool_state()
+            with pytest.raises(ValueError, match=f"holds rows of width {DIM}"):
+                self.pool.append(seq, layer, bad, bad)
+            assert self.pool_state() == before
+            return
         keys, values = self.blocks(seed, 1)
         self.pool.append(seq, layer, keys[0], values[0])
         self.record(seq, layer, keys, values)
@@ -928,7 +939,8 @@ def test_a_fork_walk_charges_shared_rows_once(name):
 @pytest.mark.parametrize("name", _params(CONFIGS))
 def test_every_failure_path_changes_nothing(name):
     """With layer 0 a row ahead of layer 1: a refused batch (a wide item,
-    an unknown id), a capacity refusal on layer 0 and on layer 1 after
+    an unknown id), a wide one-row ``append`` on either layer, a
+    capacity refusal on layer 0 and on layer 1 after
     layer 0 landed (batched and looped), a fork past the parent's rows
     or onto a live id, a double free, and a fork from the freed parent —
     each rule asserts the pool's state did not move."""
@@ -939,6 +951,8 @@ def test_every_failure_path_changes_nothing(name):
         ("append_batch", dict(layer=0, chosen=[(0, 1, 3)])),
         ("refused_batch", dict(pick=0, other=1, seed=4, wide=True)),
         ("refused_batch", dict(pick=1, other=0, seed=5, wide=False)),
+        ("append_one_row", dict(pick=0, layer=0, seed=12, wide=True)),
+        ("append_one_row", dict(pick=1, layer=1, seed=13, wide=True)),
         ("capacity_refusal", dict(
             layer=0, chosen=[(0, 1, 6), (1, 2, 7)], batched=True
         )),
