@@ -19,6 +19,7 @@ from repro.hardware.area import (
     QUANT_ENGINE_AREA_MM2,
     AreaModel,
 )
+from repro.hardware.datapath import DatapathTiming, DequantTiming
 from repro.hardware.overlap import OverlapConfig, simulate_overlap
 
 MB = 1024.0 * 1024.0
@@ -29,9 +30,9 @@ KV_READ = 158 * MB
 NEW_KV = 512 * KB
 ATTN_S = 30e-6
 
-#: The paper's engine widths (Figure 9 datapaths).
-PAPER_QUANT_LANES = 32
-PAPER_DEQUANT_LANES = 128
+#: The paper's engine widths: the Figure 9 datapaths' defaults.
+PAPER_QUANT_LANES = DatapathTiming().lanes
+PAPER_DEQUANT_LANES = DequantTiming().lanes
 
 #: Stored bits per element at the 4/90/6 split; sets the compressed-
 #: side byte rate of a dequant lane.

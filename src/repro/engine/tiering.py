@@ -76,7 +76,7 @@ EVICTION_POLICIES = ("lru", "plru")
 DEFAULT_PAGE_BYTES = 4096
 
 #: Device clock used to express transfer seconds as cycles (1 GHz, the
-#: same clock the analytic engine models assume).
+#: same clock the Figure 9 engine timings default to).
 DEFAULT_CLOCK_HZ = 1.0e9
 
 

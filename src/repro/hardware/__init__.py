@@ -12,13 +12,13 @@ DESIGN.md):
   unit with separate dense and sparse management tables, reproducing
   Section 5.2's design (virtual-to-physical mapping, per-entry transfer
   sizes, burst-order reads).
-* :mod:`repro.hardware.engines` — throughput/latency models of the
-  quantization and dequantization engines in the DMA unit.
 * :mod:`repro.hardware.datapath` — functional, bit-exact models of
-  the Figure 9 engine datapaths (decomposer, min/max finder,
-  σ-calculator, zero-remove/zero-insert shifters, OR-merge) with
-  per-stage cycle reports, verified against the algorithm and a scalar
-  element-streaming golden model — the RTL-vs-golden-model check.
+  the Figure 9 quantization/dequantization engines in the DMA unit
+  (decomposer, min/max finder, σ-calculator, zero-remove/zero-insert
+  shifters, OR-merge) with per-stage cycle reports, verified against
+  the algorithm and a scalar element-streaming golden model — the
+  RTL-vs-golden-model check.  Their timing objects' ``cycles()`` is
+  the engines' one cycle model.
 * :mod:`repro.hardware.interconnect` — transaction-level model of the
   cores/controllers fabric (Section 5.1): round-robin arbitration,
   broadcast weight reads vs private KV streams, burst overheads.
@@ -55,7 +55,6 @@ from repro.hardware.cache_layout import (
     naive_interleaved_schedule,
     read_bandwidth_efficiency,
 )
-from repro.hardware.engines import DequantEngine, QuantEngine
 from repro.hardware.interconnect import (
     FabricReport,
     MemoryFabric,
@@ -64,11 +63,6 @@ from repro.hardware.interconnect import (
 )
 from repro.hardware.memory import HBM_80GB, HOST_DDR, LPDDR_256GB, MemorySpec
 from repro.hardware.mmu import MemoryManagementUnit, PageTableKind
-from repro.hardware.pipeline import (
-    StreamingEnginePipeline,
-    default_dequant_pipeline,
-    default_quant_pipeline,
-)
 from repro.hardware.overlap import (
     OverlapConfig,
     OverlapReport,
@@ -108,7 +102,6 @@ __all__ = [
     "AreaModel",
     "AreaReport",
     "DEVICES",
-    "DequantEngine",
     "DeviceSpec",
     "FabricReport",
     "GenerationRun",
@@ -132,12 +125,8 @@ __all__ = [
     "partition_layers",
     "pipeline_generation_iteration",
     "pipeline_max_batch",
-    "QuantEngine",
     "SERVING_SYSTEMS",
     "ServingSystem",
-    "StreamingEnginePipeline",
-    "default_dequant_pipeline",
-    "default_quant_pipeline",
     "generation_iteration",
     "naive_interleaved_schedule",
     "read_bandwidth_efficiency",

@@ -1,14 +1,15 @@
 """Functional, bit-exact model of the Figure 9 engines.
 
-Where :mod:`repro.hardware.engines` and :mod:`repro.hardware.pipeline`
-price the quantization/dequantization engines analytically, this
-package *implements* them structurally: each module of the paper's
-Figure 9 (decomposer, min/max finder, σ-calculator, inlier/outlier
-quantizers, zero-remove/zero-insert shifters, OR-merge concatenator)
-is a whole-tensor stage class running its arithmetic over ``[T, D]``
-arrays in one pass (:mod:`~repro.hardware.datapath.vectorized`), and
-each engine returns the modeled per-stage cycles of the hardware
-alongside its bits.
+This package *implements* the quantization/dequantization engines
+structurally: each module of the paper's Figure 9 (decomposer, min/max
+finder, σ-calculator, inlier/outlier quantizers, zero-remove/zero-insert
+shifters, OR-merge concatenator) is a whole-tensor stage class running
+its arithmetic over ``[T, D]`` arrays in one pass
+(:mod:`~repro.hardware.datapath.vectorized`), and each engine returns
+the modeled per-stage cycles of the hardware alongside its bits.  Their
+end-to-end cycle count is the one cost model of the engines:
+:meth:`DatapathTiming.cycles` / :meth:`DequantTiming.cycles`
+(:mod:`~repro.hardware.datapath.timing`).
 
 The tests hold it equal to the scalar element-streaming golden model
 kept in ``tests/datapath_oracle.py`` — bit for bit and cycle for cycle,
@@ -24,7 +25,8 @@ Public API:
 * :class:`VectorizedQuantEngine` / :class:`VectorizedDequantEngine` —
   the engines, returning ``(EncodedKV | matrix, CycleReport)``.
 * :class:`DatapathTiming` / :class:`DequantTiming` — lane widths,
-  clocks, and turnaround latencies.
+  clocks, turnaround latencies, and the closed-form ``cycles(tokens,
+  dim)`` every engine pass reports.
 * :class:`CycleReport` — per-stage busy-cycle occupancy.
 * :class:`EngineBackedQuantizer` — the engines behind the
   ``quantize``/``dequantize`` surface of the software quantizer.

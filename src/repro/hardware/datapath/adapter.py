@@ -102,8 +102,11 @@ class EngineBackedQuantizer:
         """Quantize then dequantize through both engines."""
         return self.dequantize(self.quantize(values))
 
-    def engine_time_s(self, freq_ghz: float = 1.0) -> float:
-        """Wall-clock engine time accumulated so far."""
-        return (self.quant_cycles + self.dequant_cycles) / (
-            freq_ghz * 1e9
+    def engine_time_s(self) -> float:
+        """Wall-clock engine time accumulated so far, each engine's
+        cycles at its own timing's clock."""
+        quant_hz = self._quant.timing.freq_ghz * 1e9
+        dequant_hz = self._dequant.timing.freq_ghz * 1e9
+        return (
+            self.quant_cycles / quant_hz + self.dequant_cycles / dequant_hz
         )

@@ -2,11 +2,14 @@
 
 :class:`DatapathTiming` / :class:`DequantTiming` hold the physical
 parameters of the quantization and dequantization datapaths (lanes per
-cycle, clock, turnaround and fill latencies).  :class:`StageActivity` /
+cycle, clock, turnaround and fill latencies) and are the engines' one
+cost model: each one's :meth:`cycles` is the closed-form end-to-end
+cycle count of a ``[tokens, dim]`` pass, which the vectorized engines
+report as their ``total_cycles``.  :class:`StageActivity` /
 :class:`CycleReport` carry what an engine pass cost: per-stage
-busy-cycle counters plus the engine's end-to-end cycle count, which the
-tests check against the analytic pipeline model in
-:mod:`repro.hardware.pipeline`.
+busy-cycle counters plus that end-to-end count.  The tests hold
+:meth:`cycles` equal to the independent element-streaming count of the
+golden model in ``tests/datapath_oracle.py``.
 """
 
 from __future__ import annotations
@@ -36,6 +39,23 @@ class DatapathTiming:
         """Cycles for one streaming pass over a ``dim``-element token."""
         return max(1, math.ceil(dim / self.lanes))
 
+    def cycles(self, tokens: int, dim: int) -> int:
+        """End-to-end cycles to quantize ``tokens`` rows of ``dim``.
+
+        Tokens are buffered three deep: while token *t* streams through
+        the quantize/emit pass, token *t+1* sits in the σ-calculator
+        and token *t+2* streams through decompose/min-max.  One token
+        fills the pipe (two passes and the turnaround); after it the
+        slowest of the three stages sets the initiation interval.
+        """
+        if tokens <= 0:
+            return 0
+        pass_cycles = self.pass_cycles(dim)
+        scale = self.scale_latency_cycles
+        return 2 * pass_cycles + scale + (tokens - 1) * max(
+            pass_cycles, scale
+        )
+
 
 @dataclass(frozen=True)
 class DequantTiming:
@@ -52,6 +72,13 @@ class DequantTiming:
     def pass_cycles(self, dim: int) -> int:
         """Cycles for one pass over a ``dim``-element token row."""
         return max(1, math.ceil(dim / self.lanes))
+
+    def cycles(self, tokens: int, dim: int) -> int:
+        """End-to-end cycles to dequantize ``tokens`` rows of ``dim``:
+        the fill, then one pass per row.  An empty pass is free."""
+        if tokens <= 0:
+            return 0
+        return self.fill_cycles + tokens * self.pass_cycles(dim)
 
 
 @dataclass

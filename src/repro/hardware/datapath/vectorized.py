@@ -24,7 +24,8 @@ Cycle accounting is twinned too: :class:`VectorizedQuantEngine` and
 :class:`~repro.hardware.datapath.timing.CycleReport` with exactly the
 per-stage busy counters and end-to-end cycle count the element-streaming
 pipeline records — the timing model describes the hardware, not the
-host implementation.
+host implementation.  The end-to-end count is the timing's closed-form
+``cycles(tokens, dim)``.
 """
 
 from __future__ import annotations
@@ -455,19 +456,8 @@ class VectorizedQuantEngine:
                 int(token.size),
                 int(np.minimum(counts, pass_cycles).sum()),
             )
-        report.total_cycles = self._pipeline_cycles(tokens, dim)
+        report.total_cycles = self.timing.cycles(tokens, dim)
         return report
-
-    def _pipeline_cycles(self, tokens: int, dim: int) -> int:
-        """Identical to the scalar engine's three-deep token pipeline."""
-        if tokens <= 0:
-            return 0
-        timing = self.timing
-        pass_cycles = timing.pass_cycles(dim)
-        scale_cycles = timing.scale_latency_cycles
-        interval = max(pass_cycles, scale_cycles)
-        fill = pass_cycles + scale_cycles + pass_cycles
-        return fill + (tokens - 1) * interval
 
 
 class VectorizedZeroInsertShifter:
@@ -663,8 +653,8 @@ class VectorizedDequantEngine:
     ) -> CycleReport:
         """The exact counters the scalar engine would have recorded."""
         report = CycleReport(tokens=tokens, elements=tokens * dim)
-        pass_cycles = self.timing.pass_cycles(dim)
         if tokens:
+            pass_cycles = self.timing.pass_cycles(dim)
             counts = np.bincount(token, minlength=tokens)
             busy = int(np.minimum(counts, pass_cycles).sum())
             report.stage("zero_insert_shifter").record(
@@ -676,9 +666,7 @@ class VectorizedDequantEngine:
             report.stage("outlier_dequantizer").record(
                 int(token.size), busy
             )
-        report.total_cycles = (
-            self.timing.fill_cycles + tokens * pass_cycles
-        )
+        report.total_cycles = self.timing.cycles(tokens, dim)
         return report
 
 

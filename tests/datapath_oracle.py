@@ -21,7 +21,10 @@ between, and tokens pipeline three deep, so the quantization engine's
 steady-state initiation interval is
 ``max(ceil(D / lanes), scale_latency_cycles)``.  Dequantization needs
 no turnaround (scales stream in with the data): one pass per token
-after a fixed fill.
+after a fixed fill, and an empty pass costs nothing.  These counts are
+kept independent of ``DatapathTiming.cycles`` / ``DequantTiming.cycles``
+— the closed forms the twin reports — so the cycle pin compares two
+implementations.
 
 Do not edit the arithmetic: operand order and each stage's working
 dtype are the contract.
@@ -559,8 +562,7 @@ class StreamingQuantEngine:
         and token *t+2* streams through decompose/min-max.  The
         steady-state initiation interval is therefore the slowest of
         the three stages, which for any realistic vector width is the
-        element pass itself — matching the analytic engine's
-        lanes-per-cycle rate.
+        element pass itself: ``lanes`` elements per cycle.
         """
         if tokens <= 0:
             return 0
@@ -953,10 +955,11 @@ class StreamingDequantEngine:
             self.dequantize_token(encoded, t, report=report)
             for t in range(tokens)
         ]
-        pass_cycles = self.timing.pass_cycles(dim)
-        report.total_cycles = (
-            self.timing.fill_cycles + tokens * pass_cycles
-        )
+        if tokens:
+            pass_cycles = self.timing.pass_cycles(dim)
+            report.total_cycles = (
+                self.timing.fill_cycles + tokens * pass_cycles
+            )
         out = np.stack(rows, axis=0) if rows else np.zeros(
             (0, dim), dtype=np.float32
         )

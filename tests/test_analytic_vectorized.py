@@ -8,9 +8,8 @@ float formula the kernel replaced, and every surface must agree with
 it **exactly** — ``==``, not ``allclose`` — over the full Table 4 /
 Figure 11 config grids.  The oracle is float64, so ``deploy_f32`` is
 pinned surface-against-surface plus literals captured before the
-scalar path was deleted.  :func:`repro.hardware.area.area_grid` and
-``*.time_s_batch`` keep their scalar twins, as in
-``tests/test_datapath_vectorized.py``.
+scalar path was deleted.  :func:`repro.hardware.area.area_grid` keeps
+its scalar twin, as in ``tests/test_datapath_vectorized.py``.
 """
 
 from dataclasses import replace
@@ -31,7 +30,6 @@ from repro.experiments.fig11 import (
 )
 from repro.experiments.table4 import run_table4
 from repro.hardware.area import AreaModel, area_grid
-from repro.hardware.engines import DequantEngine, QuantEngine
 from repro.commands import main
 from repro.hardware.overheads import SERVING_SYSTEMS, get_system
 from repro.hardware.parallel import (
@@ -655,16 +653,3 @@ class TestFig11Rewire:
                     assert cell.tokens_per_s == expected
         assert index == len(cells)
 
-
-class TestEngineBatch:
-    @pytest.mark.parametrize(
-        "engine", (QuantEngine(), DequantEngine()),
-        ids=("quant", "dequant"),
-    )
-    def test_time_s_batch_element_identical(self, engine):
-        counts = np.array(
-            [-16, 0, 1, 31, 32, 4096, 10**7, 3 * 10**9], dtype=np.int64
-        )
-        batched = engine.time_s_batch(counts)
-        for count, got in zip(counts, batched):
-            assert got == engine.time_s(int(count))

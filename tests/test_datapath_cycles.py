@@ -1,11 +1,11 @@
 """Cycle accounting of the datapath models.
 
 Checks the double-buffered pipeline math of the quantization engine,
-the per-stage occupancy counters, and — the cross-validation the
-analytic models rest on — that the structural engines' throughput
-agrees with :mod:`repro.hardware.engines` within the fill/turnaround
-terms.  (``tests/test_datapath_vectorized.py`` holds every counter
-equal to the element-streaming golden model's.)
+the per-stage occupancy counters, and that every engine pass reports
+exactly its timing's closed-form ``cycles(tokens, dim)`` — the engines'
+one cycle model — over a grid of lane widths, latencies, token counts
+and widths.  (``tests/test_datapath_vectorized.py`` holds every counter
+equal to the element-streaming golden model's independent count.)
 """
 
 from __future__ import annotations
@@ -25,7 +25,18 @@ from repro.hardware.datapath import (
     VectorizedDequantEngine,
     VectorizedQuantEngine,
 )
-from repro.hardware.engines import DequantEngine, QuantEngine
+from repro.hardware.overheads import get_system
+from repro.hardware.perf import generation_iteration
+from repro.models.config import get_model
+
+import datapath_oracle as oracle
+
+#: Token counts of the grid: empty, one, and enough to reach steady state.
+GRID_TOKENS = (0, 1, 9)
+
+#: Widths of the grid: below one lane group, non-multiples of every
+#: lane width, and an exact multiple.
+GRID_DIMS = (1, 33, 128, 200)
 
 
 @pytest.fixture(scope="module")
@@ -62,11 +73,13 @@ class TestCycleReport:
 
 
 class TestQuantPipelineMath:
-    def test_total_cycles_formula(self, setup):
+    # 64: the turnaround paces the stream; 200: the element pass does.
+    @pytest.mark.parametrize("dim", (64, 128, 200))
+    def test_total_cycles_formula(self, setup, dim):
         cfg, thresholds, rng = setup
         timing = DatapathTiming(lanes=32, scale_latency_cycles=4)
         engine = VectorizedQuantEngine(cfg, thresholds, timing=timing)
-        tokens, dim = 10, 128
+        tokens = 10
         _, report = engine.quantize_matrix(
             rng.standard_normal((tokens, dim))
         )
@@ -119,47 +132,106 @@ class TestQuantPipelineMath:
         assert report.total_cycles == 0
 
 
-class TestAgreementWithAnalyticModels:
-    """The analytic engines assume lanes elements/cycle steady state;
-    the structural pipeline must converge to that rate for long
-    streams (fill and turnaround amortize away)."""
+class TestClosedFormCycles:
+    """Every engine pass reports exactly its timing's ``cycles()``."""
 
-    def test_quant_engine_steady_state_rate(self, setup):
+    @pytest.mark.parametrize("tokens", GRID_TOKENS)
+    @pytest.mark.parametrize("scale_latency", (1, 4, 16))
+    @pytest.mark.parametrize("lanes", (8, 32, 128))
+    def test_quant_engine_reports_timing_cycles(
+        self, setup, lanes, scale_latency, tokens
+    ):
         cfg, thresholds, rng = setup
-        timing = DatapathTiming(lanes=32, freq_ghz=1.0)
+        timing = DatapathTiming(
+            lanes=lanes, scale_latency_cycles=scale_latency
+        )
         engine = VectorizedQuantEngine(cfg, thresholds, timing=timing)
-        tokens, dim = 64, 128
-        x = rng.standard_normal((tokens, dim))
-        _, report = engine.quantize_matrix(x)
-        analytic = QuantEngine(lanes=32, freq_ghz=1.0, num_cores=1)
-        structural_s = report.time_s(timing.freq_ghz)
-        analytic_s = analytic.time_s(tokens * dim)
-        # Both converge to lanes elements/cycle; they differ only in
-        # their fixed fill terms (structural: 2 passes + turnaround,
-        # analytic: a flat pipeline constant).
-        assert structural_s == pytest.approx(analytic_s, rel=0.15)
+        for dim in GRID_DIMS:
+            _, report = engine.quantize_matrix(
+                rng.standard_normal((tokens, dim)) * 3.0
+            )
+            assert report.total_cycles == timing.cycles(tokens, dim)
 
-    def test_dequant_engine_steady_state_rate(self, setup):
+    @pytest.mark.parametrize("tokens", GRID_TOKENS)
+    @pytest.mark.parametrize("fill", (0, 16))
+    @pytest.mark.parametrize("lanes", (8, 32, 128))
+    def test_dequant_engine_reports_timing_cycles(
+        self, setup, lanes, fill, tokens
+    ):
         cfg, thresholds, rng = setup
-        timing = DequantTiming(lanes=128, freq_ghz=1.0)
+        timing = DequantTiming(lanes=lanes, fill_cycles=fill)
         engine = VectorizedDequantEngine(cfg, thresholds, timing=timing)
         reference = OakenQuantizer(cfg, thresholds)
-        tokens, dim = 64, 128
-        encoded = reference.quantize(rng.standard_normal((tokens, dim)))
-        _, report = engine.dequantize_matrix(encoded)
-        analytic = DequantEngine(lanes=128, freq_ghz=1.0, num_cores=1)
-        structural_s = report.time_s(timing.freq_ghz)
-        analytic_s = analytic.time_s(tokens * dim)
-        assert structural_s == pytest.approx(analytic_s, rel=0.05)
+        for dim in GRID_DIMS:
+            encoded = reference.quantize(
+                rng.standard_normal((tokens, dim)) * 3.0
+            )
+            _, report = engine.dequantize_matrix(encoded)
+            assert report.total_cycles == timing.cycles(tokens, dim)
 
-    def test_engine_latency_hidden_behind_attention_window(self, setup):
-        """Paper Section 5.3: per-token quantization occupies a tiny
-        fraction of the generation iteration it overlaps."""
-        cfg, thresholds, rng = setup
-        engine = VectorizedQuantEngine(cfg, thresholds)
-        # One token's KV for one layer: kv_dim elements.
-        _, report = engine.quantize_matrix(rng.standard_normal((1, 128)))
-        engine_s = report.time_s(1.0)
-        # Generation iterations at batch>=16 are hundreds of
-        # microseconds; one token's quantization is tens of ns.
-        assert engine_s < 1e-6
+    def test_steady_state_interval_is_one_pass(self):
+        """Past the fill, each further token costs one element pass —
+        ``lanes`` elements per cycle — whenever the pass outlasts the
+        σ-calculator turnaround."""
+        quant = DatapathTiming()
+        dequant = DequantTiming()
+        for dim in (128, 200, 8192):
+            assert quant.cycles(65, dim) - quant.cycles(64, dim) == (
+                math.ceil(dim / quant.lanes)
+            )
+            assert dequant.cycles(65, dim) - dequant.cycles(64, dim) == (
+                math.ceil(dim / dequant.lanes)
+            )
+
+
+class TestEmptyPassIsFree:
+    """A zero-token pass costs nothing in either direction."""
+
+    def test_timings(self):
+        assert DatapathTiming().cycles(0, 128) == 0
+        assert DequantTiming().cycles(0, 128) == 0
+        assert DequantTiming(fill_cycles=16).cycles(1, 128) == 17
+
+    @pytest.mark.parametrize(
+        "engine_class",
+        (VectorizedDequantEngine, oracle.StreamingDequantEngine),
+        ids=("vectorized", "oracle"),
+    )
+    def test_dequant_engines(self, setup, engine_class):
+        cfg, thresholds, _ = setup
+        encoded = OakenQuantizer(cfg, thresholds).quantize(
+            np.zeros((0, 128))
+        )
+        _, report = engine_class(cfg, thresholds).dequantize_matrix(
+            encoded
+        )
+        assert report.total_cycles == 0
+
+
+class TestLatencyHiddenUnderAttention:
+    """Paper Section 5.3: the engines' work per iteration is a small
+    fraction of the attention it overlaps.  At batch 64 on Llama2-7B,
+    one layer's iteration quantizes 64 new KV vectors of 8,192 elements
+    (keys and values) while attention reads the whole history."""
+
+    TOKENS = 64
+    KV_DIM = 8192
+
+    def test_engine_latency_hidden_under_attention(self):
+        cycles = DatapathTiming().cycles(self.TOKENS, self.KV_DIM)
+        # Attention window at 1 GHz for ~10 ms of reads.
+        window_cycles = int(10e-3 * 1e9)
+        assert cycles < window_cycles / 100
+
+    def test_engine_latency_hidden_behind_attention_window(self):
+        arch = get_model("llama2-7b").arch
+        assert 2 * arch.kv_dim == self.KV_DIM
+        timing = DatapathTiming()
+        engine_s = timing.cycles(self.TOKENS, self.KV_DIM) / (
+            timing.freq_ghz * 1e9
+        )
+        iteration = generation_iteration(
+            get_system("oaken-lpddr"), arch, self.TOKENS, 1024
+        )
+        per_layer_attn_s = iteration.attn_s / arch.n_layers
+        assert engine_s < per_layer_attn_s / 10

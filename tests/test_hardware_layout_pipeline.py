@@ -1,4 +1,4 @@
-"""Tests for the MMU cache layout and the engine pipeline models."""
+"""Tests for the MMU cache layout."""
 
 import numpy as np
 import pytest
@@ -12,13 +12,6 @@ from repro.hardware.cache_layout import (
 )
 from repro.hardware.memory import LPDDR_256GB, MemorySpec
 from repro.hardware.mmu import MemoryManagementUnit
-from repro.hardware.pipeline import (
-    PipelineTiming,
-    StageSpec,
-    StreamingEnginePipeline,
-    default_dequant_pipeline,
-    default_quant_pipeline,
-)
 
 from conftest import make_kv_matrix
 
@@ -97,63 +90,3 @@ class TestCacheLayout:
         for (a0, a1), (b0, b1) in zip(spans, spans[1:]):
             assert a1 <= b0
 
-
-class TestPipeline:
-    def test_empty_pipeline_rejected(self):
-        with pytest.raises(ValueError):
-            StreamingEnginePipeline([])
-
-    def test_zero_tokens(self):
-        timing = default_quant_pipeline().process(0, 128)
-        assert timing.total_cycles == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            default_quant_pipeline().process(-1, 4)
-
-    def test_makespan_formula(self):
-        pipeline = StreamingEnginePipeline(
-            [
-                StageSpec("a", 8, setup_cycles=0),
-                StageSpec("b", 4, setup_cycles=0),
-            ]
-        )
-        # Per token: a = 2 cycles, b = 4 cycles for 16 elements.
-        timing = pipeline.process(tokens=3, elements_per_token=16)
-        assert timing.total_cycles == (2 + 4) + 2 * 4
-
-    def test_bottleneck_is_narrowest_stage(self):
-        timing = default_quant_pipeline().process(16, 256)
-        assert timing.bottleneck() != "scale_calculator"
-
-    def test_occupancy_bounds(self):
-        timing = default_quant_pipeline().process(64, 128)
-        for stage in timing.stage_busy_cycles:
-            assert 0.0 < timing.occupancy(stage) <= 1.0
-
-    def test_dequant_pipeline_wider(self):
-        quant = default_quant_pipeline().process(32, 512)
-        dequant = default_dequant_pipeline().process(32, 512)
-        assert dequant.total_cycles < quant.total_cycles
-
-    def test_hidden_fraction(self):
-        pipeline = default_quant_pipeline()
-        # A generous overlap window hides everything.
-        assert pipeline.hidden_fraction(8, 128, 10**9) == 1.0
-        # A zero window hides nothing.
-        assert pipeline.hidden_fraction(8, 128, 0) == 0.0
-
-    def test_engine_latency_hidden_under_attention(self):
-        """The paper's overlap claim at iteration scale.
-
-        At batch 64 on Llama2-7B-like dimensions, one iteration
-        quantizes 64 new KV vectors per layer while attention reads the
-        whole history; the engine's cycles fit many times over.
-        """
-        pipeline = default_quant_pipeline()
-        tokens = 64
-        kv_dim = 8192  # keys + values of one layer
-        timing = pipeline.process(tokens, kv_dim)
-        # Attention window at 1 GHz for ~10 ms of reads.
-        window_cycles = int(10e-3 * 1e9)
-        assert timing.total_cycles < window_cycles / 100

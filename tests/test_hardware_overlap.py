@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hardware.datapath import DatapathTiming, DequantTiming
 from repro.hardware.overlap import (
     OverlapConfig,
     simulate_overlap,
@@ -96,6 +97,39 @@ class TestOverlapClaim:
                 batch, KV_READ, NEW_KV, ATTN_S, config=slow
             )
             assert report.hidden_fraction < 0.5
+
+
+class TestEngineSizing:
+    """The default per-core rates are the Figure 9 datapaths' rates:
+    lanes x clock x bytes per element on each engine's stream side."""
+
+    def test_quant_rate_is_the_quant_datapath(self):
+        timing = DatapathTiming()
+        fp16_bytes = 2.0
+        assert OverlapConfig().quant_gbps == (
+            timing.lanes * timing.freq_ghz * fp16_bytes
+        )
+        assert OverlapConfig().quant_gbps == 64.0
+
+    def test_dequant_rate_is_the_dequant_datapath(self):
+        """77 GB/s is 128 lanes x 1 GHz x 4.82 stored bits (77.12)."""
+        timing = DequantTiming()
+        compressed_gbps = timing.lanes * timing.freq_ghz * 4.82 / 8.0
+        assert OverlapConfig().dequant_gbps == pytest.approx(
+            compressed_gbps, rel=5e-3
+        )
+
+    def test_dequant_engine_wider_than_quant_engine(self):
+        """The dequant engine must keep pace with attention reads, so
+        its datapath is wider (Figure 9b sizing)."""
+        assert DequantTiming().lanes > DatapathTiming().lanes
+
+    def test_dequant_outruns_per_core_memory_share(self):
+        """At serving batch sizes the per-core DMA share (bandwidth /
+        batch) sits far below one engine's compressed rate — the
+        sizing that makes Section 5.3's overlap work."""
+        per_core_share_gbps = 1100.0 / 16  # LPDDR at batch 16
+        assert OverlapConfig().dequant_gbps > per_core_share_gbps
 
 
 class TestScheduleShape:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.hardware.accelerator import DEVICES, get_device
-from repro.hardware.engines import DequantEngine, QuantEngine
 from repro.hardware.overheads import (
     PROFILES,
     SERVING_SYSTEMS,
@@ -226,26 +225,3 @@ class TestGenerationRun:
         assert oaken.tokens_per_s > qserve.tokens_per_s
         assert oaken.tokens_per_s > 1.5 * vllm.tokens_per_s
 
-
-class TestEngines:
-    def test_quant_engine_throughput(self):
-        engine = QuantEngine()
-        assert engine.elements_per_second == pytest.approx(
-            32 * 1e9 * 256
-        )
-        assert engine.time_s(0) == 0.0
-        assert engine.time_s(10**9) > 0
-
-    def test_dequant_engine_wider(self):
-        assert DequantEngine().elements_per_second > (
-            QuantEngine().elements_per_second
-        )
-
-    def test_time_linear_in_elements(self):
-        engine = DequantEngine()
-        t1 = engine.time_s(10**9)
-        t2 = engine.time_s(2 * 10**9)
-        assert t2 < 2.1 * t1
-
-    def test_throughput_gbps(self):
-        assert QuantEngine().throughput_gbps(16.0) > 0

@@ -17,7 +17,11 @@ from repro.core.config import OakenConfig
 from repro.core.kvcache import QuantizedKVCache
 from repro.core.quantizer import OakenQuantizer
 from repro.core.thresholds import profile_thresholds
-from repro.hardware.datapath import EngineBackedQuantizer
+from repro.hardware.datapath import (
+    DatapathTiming,
+    DequantTiming,
+    EngineBackedQuantizer,
+)
 from repro.models.config import get_model
 from repro.models.quantized_generation import (
     build_cache_for_model,
@@ -76,6 +80,26 @@ class TestEngineBackedQuantizer:
         before = engine.engine_time_s()
         engine.roundtrip(rng.standard_normal((4, 64)))
         assert engine.engine_time_s() > before
+
+    def test_engine_time_prices_each_engine_at_its_own_clock(self):
+        rng = np.random.default_rng(9)
+        cfg = OakenConfig()
+        thresholds = profile_thresholds(
+            [rng.standard_normal((32, 64))], cfg
+        )
+        quant_timing = DatapathTiming(freq_ghz=2.0)
+        dequant_timing = DequantTiming(freq_ghz=0.5)
+        engine = EngineBackedQuantizer(
+            cfg,
+            thresholds,
+            quant_timing=quant_timing,
+            dequant_timing=dequant_timing,
+        )
+        engine.roundtrip(rng.standard_normal((4, 64)))
+        expected = (
+            engine.quant_cycles / 2e9 + engine.dequant_cycles / 0.5e9
+        )
+        assert engine.engine_time_s() == pytest.approx(expected, rel=1e-12)
 
 
 class TestCacheEquivalence:
