@@ -237,9 +237,7 @@ class _SeedCache:
 
 def _generate(ctx, quantizer_cls, cache_cls, length=None):
     """One quantized-cache generation; only the decode loop is timed."""
-    from repro.models.quantized_generation import (
-        generate_with_quantized_cache,
-    )
+    from repro.models.generation import generate_with_quantized_cache
 
     cfg = OakenConfig()
     quantizers = [

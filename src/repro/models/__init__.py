@@ -16,12 +16,16 @@ provides the substitution documented in DESIGN.md:
   channel-concentrated outliers with isolated exceptions).
 * :mod:`repro.models.transformer` implements the decoder stack —
   RMSNorm/LayerNorm, RoPE or learned positions, MHA/GQA, sliding-window
-  attention, SiLU-gated or ReLU FFN, and mixture-of-experts — with a
-  pluggable KV transform so every quantization method can corrupt the
-  cache exactly where the hardware would.
-* :mod:`repro.models.generation` provides batched sampling, used to
-  build the self-consistent evaluation corpora (see
-  :mod:`repro.data.corpus`).
+  attention, SiLU-gated or ReLU FFN, and mixture-of-experts — as one
+  decoder pass whose attention reads each layer's keys and values from
+  a caller-supplied source.  The teacher-forced ``forward`` passes the
+  block through a pluggable KV transform so every quantization method
+  can corrupt the cache exactly where the hardware would.
+* :mod:`repro.models.generation` runs the same pass autoregressively
+  through one sampling loop, over an exact history
+  (``generate_tokens``, which builds the self-consistent evaluation
+  corpora of :mod:`repro.data.corpus`) or over a quantized cache
+  backend (``generate_with_quantized_cache``, the deployment path).
 """
 
 from repro.models.config import (

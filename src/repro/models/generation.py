@@ -1,42 +1,93 @@
-"""Batched incremental generation with an exact FP KV cache.
+"""Autoregressive generation: exact corpus sampling and the quantized
+deployment loop.
 
-Used to *construct* the evaluation corpora (see
-:mod:`repro.data.corpus`): sampling sequences from the FP model at
-temperature makes the model "perfectly trained" on its own output
-distribution, which gives perplexity and zero-shot comparisons a
-meaningful, reproducible reference point without requiring pretrained
-checkpoints (the substitution is documented in DESIGN.md).
+Both generators run the model's one decoder pass
+(:meth:`~repro.models.transformer.DecoderModel._decode`) through one
+sampling loop — prefill the prompt, then one token per step — and
+differ only in where each layer's attention reads its keys and values:
 
-The cache here is deliberately exact (float64): corpora are always
-generated with the uncorrupted model; quantizers only enter during
-evaluation through the teacher-forced forward pass.
+* :func:`generate_tokens` keeps an exact float64 history.  It
+  *constructs* the evaluation corpora (see :mod:`repro.data.corpus`):
+  sampling sequences from the FP model at temperature makes the model
+  "perfectly trained" on its own output distribution, which gives
+  perplexity and zero-shot comparisons a meaningful, reproducible
+  reference point without requiring pretrained checkpoints (the
+  substitution is documented in DESIGN.md).  Quantizers only enter
+  during evaluation, through the teacher-forced forward pass.
+* :func:`generate_with_quantized_cache` quantizes every new KV row into
+  a cache backend and attends over its dequantized history.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
-from repro.models.ops import apply_rope, rope_angles, softmax
-from repro.models.transformer import DecoderModel
+from repro.models.ops import softmax
+from repro.models.transformer import DecoderModel, KVSource
+
+if TYPE_CHECKING:
+    from repro.engine import CacheBackend
 
 
 @dataclass
-class _LayerCache:
-    """Growing per-layer KV tensors of shape [B, t, H_kv, Dh]."""
+class QuantizedGenerationResult:
+    """Output of a quantized-cache generation run.
 
-    keys: Optional[np.ndarray] = None
-    values: Optional[np.ndarray] = None
+    Attributes:
+        tokens: [B, T] generated tokens (prompt included).
+        cache: the cache backend after the run (inspect bytes,
+            effective bitwidth).
+        steps: decode steps executed.
+    """
 
-    def append(self, k: np.ndarray, v: np.ndarray) -> None:
-        if self.keys is None:
-            self.keys = k
-            self.values = v
-        else:
-            self.keys = np.concatenate([self.keys, k], axis=1)
-            self.values = np.concatenate([self.values, v], axis=1)
+    tokens: np.ndarray
+    cache: "CacheBackend"
+    steps: int
+
+
+def _sample(
+    model: DecoderModel,
+    kv_source: KVSource,
+    batch: int,
+    length: int,
+    temperature: float,
+    seed: int,
+    prompt: Optional[np.ndarray],
+) -> Tuple[np.ndarray, int]:
+    """Prefill the prompt, then sample one token per step.
+
+    Returns the [batch, length] tokens and the number of sampled steps.
+    """
+    if temperature <= 0:
+        raise ValueError("temperature must be > 0")
+    rng = np.random.default_rng(seed)
+    if prompt is None:
+        prompt = rng.integers(0, model.shape.vocab, size=(batch, 1))
+    tokens = np.array(prompt, dtype=np.int64, ndmin=2)
+    if tokens.shape[0] != batch:
+        raise ValueError(
+            f"prompt has {tokens.shape[0]} sequences, expected {batch}"
+        )
+    steps = 0
+    logits = model._decode(tokens, 0, kv_source)
+    while tokens.shape[1] < length:
+        probs = softmax(logits[:, -1, :] / temperature, axis=-1)
+        draws = rng.random((batch, 1))
+        next_token = np.minimum(
+            (np.cumsum(probs, axis=-1) < draws).sum(axis=-1),
+            model.shape.vocab - 1,
+        )
+        tokens = np.concatenate([tokens, next_token[:, None]], axis=1)
+        steps += 1
+        if tokens.shape[1] >= length:
+            break
+        logits = model._decode(
+            next_token[:, None], tokens.shape[1] - 1, kv_source
+        )
+    return tokens[:, :length], steps
 
 
 def generate_tokens(
@@ -61,106 +112,84 @@ def generate_tokens(
     Returns:
         int64 token array of shape [batch, length].
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be > 0")
-    shape = model.shape
-    weights = model.weights
-    rng = np.random.default_rng(seed)
+    history = [None] * model.shape.n_layers
 
-    if prompt is None:
-        prompt = rng.integers(0, shape.vocab, size=(batch, 1))
-    prompt = np.atleast_2d(np.asarray(prompt, dtype=np.int64))
-    if prompt.shape[0] != batch:
-        raise ValueError("prompt batch size mismatch")
-    if prompt.shape[1] >= length:
-        return prompt[:, :length]
+    def exact(index, k, v, rope):
+        block = (model._rotate(k, rope), v)
+        if history[index] is not None:
+            block = tuple(
+                np.concatenate([old, new], axis=1)
+                for old, new in zip(history[index], block)
+            )
+        history[index] = block
+        return block
 
-    caches: List[_LayerCache] = [
-        _LayerCache() for _ in range(shape.n_layers)
-    ]
-    repeat = shape.n_heads // shape.n_kv_heads
-    scale = 1.0 / np.sqrt(shape.head_dim)
-    tokens = prompt.copy()
+    tokens, _ = _sample(
+        model, exact, batch, length, temperature, seed, prompt
+    )
+    return tokens
 
-    def run_block(block: np.ndarray, start_pos: int) -> np.ndarray:
-        """Advance all layers over new tokens; returns final logits."""
-        b, t = block.shape
-        x = weights.embedding[block]
-        if not model.spec.uses_rope:
-            x = x + weights.position_embedding[
-                None, start_pos : start_pos + t, :
-            ]
-        cos, sin = rope_angles(
-            shape.head_dim, np.arange(start_pos, start_pos + t)
-        )
-        for index, layer in enumerate(weights.layers):
-            h = model._norm(
-                x, layer.attn_norm_gain, layer.attn_norm_bias
-            )
-            q = (h @ layer.wq).reshape(b, t, shape.n_heads, shape.head_dim)
-            k = (h @ layer.wk).reshape(
-                b, t, shape.n_kv_heads, shape.head_dim
-            )
-            v = (h @ layer.wv).reshape(
-                b, t, shape.n_kv_heads, shape.head_dim
-            )
-            if model.spec.uses_rope:
-                q = apply_rope(q, cos, sin)
-                k = apply_rope(k, cos, sin)
-            caches[index].append(k, v)
-            full_k = caches[index].keys
-            full_v = caches[index].values
-            # Sliding window: only the most recent W cached positions
-            # are visible (queries here are the newest tokens).
-            if shape.sliding_window is not None:
-                full_k = full_k[:, -shape.sliding_window - t :]
-                full_v = full_v[:, -shape.sliding_window - t :]
-            if repeat > 1:
-                ek = np.repeat(full_k, repeat, axis=2)
-                ev = np.repeat(full_v, repeat, axis=2)
-            else:
-                ek, ev = full_k, full_v
-            s = full_k.shape[1]
-            scores = np.einsum("bthd,bshd->bhts", q, ek) * scale
-            # Causal mask within the block (prefix positions are all
-            # visible to every new token).
-            q_pos = np.arange(s - t, s)[:, None]
-            k_pos = np.arange(s)[None, :]
-            visible = k_pos <= q_pos
-            if shape.sliding_window is not None:
-                visible &= k_pos > q_pos - shape.sliding_window
-            scores = scores + np.where(
-                visible[None, None], 0.0, -1e9
-            )
-            attn = softmax(scores, axis=-1)
-            context = np.einsum("bhts,bshd->bthd", attn, ev).reshape(
-                b, t, shape.n_heads * shape.head_dim
-            )
-            x = x + context @ layer.wo
-            h = model._norm(
-                x, layer.ffn_norm_gain, layer.ffn_norm_bias
-            )
-            x = x + model._ffn(layer, h)
-        x = model._norm(
-            x, weights.final_norm_gain, weights.final_norm_bias
-        )
-        return x @ weights.unembedding
 
-    # Prefill on the prompt, then decode one token at a time.
-    logits = run_block(tokens, 0)
-    while tokens.shape[1] < length:
-        last = logits[:, -1, :] / temperature
-        probs = softmax(last, axis=-1)
-        cumulative = np.cumsum(probs, axis=-1)
-        draws = rng.random((batch, 1))
-        next_token = (cumulative < draws).sum(axis=-1)
-        next_token = np.minimum(next_token, shape.vocab - 1)
-        tokens = np.concatenate(
-            [tokens, next_token[:, None]], axis=1
+def generate_with_quantized_cache(
+    model: DecoderModel,
+    cache: "CacheBackend",
+    length: int,
+    prompt: Optional[np.ndarray] = None,
+    temperature: float = 1.0,
+    seed: int = 0,
+) -> QuantizedGenerationResult:
+    """Generate a single sequence reading attention from ``cache``.
+
+    This is the *deployment* path, the numpy twin of the hardware flow
+    in Figures 8/9: QKV generation -> quantization engine -> memory ->
+    dequantization engine -> attention.  Each layer hands the block's
+    post-RoPE KV rows to ``cache.append``, which quantizes them, and
+    attends over ``cache.read``, the dequantized history cast to
+    float64, so errors compound across steps exactly as they would on
+    the accelerator.
+    With a row-local kernel the logits therefore equal the
+    teacher-forced :meth:`~repro.models.transformer.DecoderModel.forward`
+    under the cache's quantizers' ``roundtrip``.
+
+    Only ``num_layers``, ``length``, ``append`` and ``read`` are used,
+    so any :class:`~repro.engine.CacheBackend` runs through the loop:
+    the fused cache decodes only the newly appended rows per read,
+    adapter backends make every registry baseline generatable, and the
+    perf harness's seed cache (``repro.bench.hotpath._SeedCache``)
+    re-decodes the whole history on every read.
+
+    Args:
+        model: FP decoder model (weights stay exact; only the cache is
+            lossy, as in the paper).
+        cache: a fresh :class:`~repro.engine.CacheBackend` fitted for
+            ``model``.
+        length: total tokens including the prompt.
+        prompt: [1, P] int tokens; default one random token.
+        temperature: sampling temperature.
+        seed: sampling seed.
+
+    Returns:
+        A :class:`QuantizedGenerationResult`.
+    """
+    if cache.num_layers != model.shape.n_layers:
+        raise ValueError("cache layer count does not match the model")
+    if cache.length != 0:
+        raise ValueError("cache must be fresh")
+    kv_heads = (model.shape.n_kv_heads, model.shape.head_dim)
+
+    def quantized(index, k, v, rope):
+        k = model._rotate(k, rope)
+        cache.append(
+            index,
+            k.reshape(-1, model.shape.kv_dim),
+            v.reshape(-1, model.shape.kv_dim),
         )
-        if tokens.shape[1] >= length:
-            break
-        logits = run_block(
-            next_token[:, None], tokens.shape[1] - 1
+        return tuple(
+            rows.reshape(1, -1, *kv_heads).astype(np.float64)
+            for rows in cache.read(index)
         )
-    return tokens[:, :length]
+
+    tokens, steps = _sample(
+        model, quantized, 1, length, temperature, seed, prompt
+    )
+    return QuantizedGenerationResult(tokens=tokens, cache=cache, steps=steps)

@@ -93,15 +93,17 @@ def apply_rope(
 
 
 def causal_mask(
-    length: int, sliding_window: Optional[int] = None
+    queries: int, keys: int, sliding_window: Optional[int] = None
 ) -> np.ndarray:
-    """Boolean [T, T] mask; True marks attendable (query, key) pairs.
+    """Boolean [queries, keys] mask; True marks attendable pairs.
 
-    With a sliding window only the last ``sliding_window`` keys are
-    visible to each query (Mistral/Mixtral-style attention).
+    The queries are the newest ``queries`` of ``keys`` positions (all
+    of them for a teacher-forced pass, one for a decode step).  With a
+    sliding window only the last ``sliding_window`` keys are visible to
+    each query (Mistral/Mixtral-style attention).
     """
-    q = np.arange(length)[:, None]
-    k = np.arange(length)[None, :]
+    q = np.arange(keys - queries, keys)[:, None]
+    k = np.arange(keys)[None, :]
     mask = k <= q
     if sliding_window is not None:
         mask &= k > q - sliding_window

@@ -3,6 +3,10 @@
 The substrate runs real forward passes: embeddings, pre-norm decoder
 layers (MHA/GQA with RoPE or learned positions, optional sliding
 window, dense or mixture-of-experts FFN), final norm, unembedding.
+:meth:`DecoderModel._decode` is the one decoder pass: teacher-forced
+scoring (:meth:`DecoderModel.forward`) and both generators
+(:mod:`repro.models.generation`) run it and differ only in the
+:data:`KVSource` that hands each layer's attention its keys and values.
 
 The single hook that the whole reproduction hangs on is the **KV
 transform**: right after the key/value projections (and RoPE), each
@@ -16,7 +20,7 @@ reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,6 +40,18 @@ from repro.models.weights import LayerWeights, ModelWeights, build_weights
 
 #: A lossy (or identity) transform on a [N, kv_dim] matrix.
 KVTransform = Callable[[np.ndarray], np.ndarray]
+
+#: RoPE (cos, sin) tables for a block's positions, each [t, head_dim // 2].
+RopeTables = Tuple[np.ndarray, np.ndarray]
+
+#: Where one layer's attention reads its keys and values.  Called with
+#: the layer index, the block's [B, t, H_kv, Dh] keys and values before
+#: RoPE, and the block's RoPE tables; returns the float64 [B, s, H_kv,
+#: Dh] (keys, values) history the block attends over, the block itself
+#: as its newest t positions.
+KVSource = Callable[
+    [int, np.ndarray, np.ndarray, RopeTables], Tuple[np.ndarray, np.ndarray]
+]
 
 
 @dataclass
@@ -78,7 +94,6 @@ class DecoderModel:
         self.spec = spec
         self.shape = spec.sim
         self.weights: ModelWeights = build_weights(spec, max_positions)
-        self._rope_cache: dict = {}
 
     # ------------------------------------------------------------------
     # building blocks
@@ -89,12 +104,11 @@ class DecoderModel:
             return rmsnorm(x, gain)
         return layernorm(x, gain, bias)
 
-    def _rope(self, length: int) -> Tuple[np.ndarray, np.ndarray]:
-        if length not in self._rope_cache:
-            self._rope_cache[length] = rope_angles(
-                self.shape.head_dim, np.arange(length)
-            )
-        return self._rope_cache[length]
+    def _rotate(self, x: np.ndarray, rope: RopeTables) -> np.ndarray:
+        """RoPE on [B, t, H, Dh] (identity for learned positions)."""
+        if self.spec.uses_rope:
+            return apply_rope(x, *rope)
+        return x
 
     def _ffn(self, layer: LayerWeights, x: np.ndarray) -> np.ndarray:
         """Dense or mixture-of-experts feed-forward on [..., d]."""
@@ -136,6 +150,66 @@ class DecoderModel:
     # forward pass
     # ------------------------------------------------------------------
 
+    def _decode(
+        self, block: np.ndarray, start_pos: int, kv_source: KVSource
+    ) -> np.ndarray:
+        """The decoder pass: logits [B, t, vocab] for a [B, t] int64
+        token block at positions ``start_pos ..``, each layer attending
+        over the history ``kv_source`` returns."""
+        shape = self.shape
+        weights = self.weights
+        bad = block[(block < 0) | (block >= shape.vocab)]
+        if bad.size:
+            raise ValueError(
+                f"token id {bad[0]} is outside the vocabulary"
+                f" [0, {shape.vocab})"
+            )
+        batch, t = block.shape
+        x = weights.embedding[block]
+        if not self.spec.uses_rope:
+            x = x + weights.position_embedding[
+                None, start_pos : start_pos + t, :
+            ]
+        rope = rope_angles(
+            shape.head_dim, np.arange(start_pos, start_pos + t)
+        )
+        heads = (batch, t, shape.n_heads, shape.head_dim)
+        kv_heads = (batch, t, shape.n_kv_heads, shape.head_dim)
+        repeat = shape.n_heads // shape.n_kv_heads
+        scale = 1.0 / np.sqrt(shape.head_dim)
+        for index, layer in enumerate(weights.layers):
+            h = self._norm(x, layer.attn_norm_gain, layer.attn_norm_bias)
+            q = self._rotate((h @ layer.wq).reshape(heads), rope)
+            k, v = kv_source(
+                index,
+                (h @ layer.wk).reshape(kv_heads),
+                (h @ layer.wv).reshape(kv_heads),
+                rope,
+            )
+            if shape.sliding_window is not None:
+                # Only the newest W + t positions can be visible.
+                k = k[:, -shape.sliding_window - t :]
+                v = v[:, -shape.sliding_window - t :]
+            if repeat > 1:
+                k = np.repeat(k, repeat, axis=2)
+                v = np.repeat(v, repeat, axis=2)
+            visible = causal_mask(t, k.shape[1], shape.sliding_window)
+            scores = (
+                np.einsum("bthd,bshd->bhts", q, k) * scale
+                + np.where(visible, 0.0, -1e9)
+            )
+            attn = softmax(scores, axis=-1)
+            context = np.einsum("bhts,bshd->bthd", attn, v).reshape(
+                batch, t, shape.n_heads * shape.head_dim
+            )
+            x = x + context @ layer.wo
+            h = self._norm(x, layer.ffn_norm_gain, layer.ffn_norm_bias)
+            x = x + self._ffn(layer, h)
+        x = self._norm(
+            x, weights.final_norm_gain, weights.final_norm_bias
+        )
+        return x @ weights.unembedding
+
     def forward(
         self,
         tokens: np.ndarray,
@@ -156,87 +230,39 @@ class DecoderModel:
             ``logits`` of shape [B, T, vocab]; if ``collect_kv``, a
             tuple ``(logits, kv_list)`` with one (keys, values) pair per
             layer.
+
+        Raises:
+            ValueError: a token id lies outside ``[0, vocab)``.
         """
         tokens = np.atleast_2d(np.asarray(tokens, dtype=np.int64))
-        batch, length = tokens.shape
-        shape = self.shape
-        weights = self.weights
-
-        x = weights.embedding[tokens]
-        if not self.spec.uses_rope:
-            x = x + weights.position_embedding[None, :length, :]
-
-        mask = causal_mask(length, shape.sliding_window)
-        neg = np.where(mask[None, None, :, :], 0.0, -1e9)
-        cos, sin = self._rope(length)
-        repeat = shape.n_heads // shape.n_kv_heads
-        scale = 1.0 / np.sqrt(shape.head_dim)
-
+        rows = (tokens.size, self.shape.kv_dim)
+        pre_rope = kv_transforms is not None and kv_transforms.pre_rope_keys
         collected: List[Tuple[np.ndarray, np.ndarray]] = []
-        for index, layer in enumerate(weights.layers):
-            h = self._norm(x, layer.attn_norm_gain, layer.attn_norm_bias)
-            q = (h @ layer.wq).reshape(
-                batch, length, shape.n_heads, shape.head_dim
-            )
-            k = (h @ layer.wk).reshape(
-                batch, length, shape.n_kv_heads, shape.head_dim
-            )
-            v = (h @ layer.wv).reshape(
-                batch, length, shape.n_kv_heads, shape.head_dim
-            )
-            pre_rope = (
-                kv_transforms is not None
-                and kv_transforms.pre_rope_keys
-            )
+
+        def transformed(index, k, v, rope):
+            kv_heads = k.shape
             if pre_rope:
                 # KVQuant-style: quantize keys before rotation, where
                 # per-channel structure is intact; RoPE is applied to
                 # the reconstructed keys afterwards.
-                k_flat = k.reshape(batch * length, shape.kv_dim)
                 k = np.asarray(
-                    kv_transforms.key_fns[index](k_flat),
+                    kv_transforms.key_fns[index](k.reshape(rows)),
                     dtype=np.float64,
-                ).reshape(batch, length, shape.n_kv_heads, shape.head_dim)
-            if self.spec.uses_rope:
-                q = apply_rope(q, cos, sin)
-                k = apply_rope(k, cos, sin)
-
-            k_flat = k.reshape(batch * length, shape.kv_dim)
-            v_flat = v.reshape(batch * length, shape.kv_dim)
+                ).reshape(kv_heads)
+            k = self._rotate(k, rope).reshape(rows)
+            v = v.reshape(rows)
             if collect_kv:
-                collected.append((k_flat.copy(), v_flat.copy()))
+                collected.append((k.copy(), v.copy()))
             if kv_transforms is not None:
                 if not pre_rope:
-                    k_flat = kv_transforms.key_fns[index](k_flat)
-                v_flat = kv_transforms.value_fns[index](v_flat)
-            k = np.asarray(k_flat, dtype=np.float64).reshape(
-                batch, length, shape.n_kv_heads, shape.head_dim
-            )
-            v = np.asarray(v_flat, dtype=np.float64).reshape(
-                batch, length, shape.n_kv_heads, shape.head_dim
+                    k = kv_transforms.key_fns[index](k)
+                v = kv_transforms.value_fns[index](v)
+            return (
+                np.asarray(k, dtype=np.float64).reshape(kv_heads),
+                np.asarray(v, dtype=np.float64).reshape(kv_heads),
             )
 
-            if repeat > 1:
-                k = np.repeat(k, repeat, axis=2)
-                v = np.repeat(v, repeat, axis=2)
-
-            scores = (
-                np.einsum("bthd,bshd->bhts", q, k) * scale + neg
-            )
-            attn = softmax(scores, axis=-1)
-            context = np.einsum("bhts,bshd->bthd", attn, v)
-            context = context.reshape(
-                batch, length, shape.n_heads * shape.head_dim
-            )
-            x = x + context @ layer.wo
-
-            h = self._norm(x, layer.ffn_norm_gain, layer.ffn_norm_bias)
-            x = x + self._ffn(layer, h)
-
-        x = self._norm(
-            x, weights.final_norm_gain, weights.final_norm_bias
-        )
-        logits = x @ weights.unembedding
+        logits = self._decode(tokens, 0, transformed)
         if collect_kv:
             return logits, collected
         return logits

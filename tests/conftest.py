@@ -50,6 +50,26 @@ def encode_chunks(encoder, key_blocks, value_blocks):
     return chunks[: len(rows)], chunks[len(rows) :]
 
 
+def decode_logits(model, generate, *args, **kwargs):
+    """``(result, logits)``: what ``generate(model, *args, **kwargs)``
+    returns, and the logits of its prefill and decode steps joined
+    along time — [B, T - 1, vocab] for T generated tokens, the shape of
+    ``model.forward(tokens[:, :-1])``."""
+    steps = []
+    decode = model._decode
+
+    def recording(block, start_pos, kv_source):
+        steps.append(decode(block, start_pos, kv_source))
+        return steps[-1]
+
+    model._decode = recording
+    try:
+        result = generate(model, *args, **kwargs)
+    finally:
+        del model._decode
+    return result, np.concatenate(steps, axis=1)
+
+
 def arena_state(arena):
     """Everything of a :class:`~repro.engine.KVArena`'s row table, free
     lists and payload-log counters that a refused operation must leave

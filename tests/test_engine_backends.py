@@ -181,9 +181,7 @@ class TestModelIntegration:
     def test_generation_through_adapter_backend(self, small_model):
         """A baseline method is generatable through the same loop."""
         from repro.data.corpus import calibration_corpus
-        from repro.models.quantized_generation import (
-            generate_with_quantized_cache,
-        )
+        from repro.models.generation import generate_with_quantized_cache
 
         calibration_tokens = calibration_corpus(
             small_model, batch=2, length=32

@@ -17,16 +17,14 @@ from repro.core.config import OakenConfig
 from repro.core.kvcache import QuantizedKVCache
 from repro.core.quantizer import OakenQuantizer
 from repro.core.thresholds import profile_thresholds
+from repro.engine import backend_for_model
 from repro.hardware.datapath import (
     DatapathTiming,
     DequantTiming,
     EngineBackedQuantizer,
 )
 from repro.models.config import get_model
-from repro.models.quantized_generation import (
-    build_cache_for_model,
-    generate_with_quantized_cache,
-)
+from repro.models.generation import generate_with_quantized_cache
 from repro.models.transformer import DecoderModel
 
 
@@ -108,8 +106,8 @@ class TestCacheEquivalence:
         calibration = rng.integers(
             0, model.shape.vocab, size=(2, 48)
         )
-        vectorized = build_cache_for_model(
-            model, calibration, mode="exact_f64"
+        vectorized = backend_for_model(
+            model, calibration_tokens=calibration, mode="exact_f64"
         )
         engined = engine_backed_twin(vectorized)
         kv = model.collect_layer_kv(calibration)
@@ -125,8 +123,8 @@ class TestCacheEquivalence:
     def test_cache_accounting_identical(self, model):
         rng = np.random.default_rng(13)
         calibration = rng.integers(0, model.shape.vocab, size=(2, 48))
-        vectorized = build_cache_for_model(
-            model, calibration, mode="exact_f64"
+        vectorized = backend_for_model(
+            model, calibration_tokens=calibration, mode="exact_f64"
         )
         engined = engine_backed_twin(vectorized)
         kv = model.collect_layer_kv(calibration)
@@ -145,8 +143,8 @@ class TestModelLevelEquivalence:
         produces exactly the vectorized path's tokens."""
         rng = np.random.default_rng(17)
         calibration = rng.integers(0, model.shape.vocab, size=(2, 48))
-        vectorized = build_cache_for_model(
-            model, calibration, mode="exact_f64"
+        vectorized = backend_for_model(
+            model, calibration_tokens=calibration, mode="exact_f64"
         )
         engined = engine_backed_twin(vectorized)
         prompt = rng.integers(0, model.shape.vocab, size=(1, 8))
@@ -164,7 +162,9 @@ class TestModelLevelEquivalence:
         rng = np.random.default_rng(19)
         calibration = rng.integers(0, model.shape.vocab, size=(2, 48))
         cache = engine_backed_twin(
-            build_cache_for_model(model, calibration, mode="exact_f64")
+            backend_for_model(
+                model, calibration_tokens=calibration, mode="exact_f64"
+            )
         )
         prompt = rng.integers(0, model.shape.vocab, size=(1, 4))
         generate_with_quantized_cache(

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import decode_logits
 from repro.models.config import get_model
-from repro.models.ops import log_softmax
 from repro.models.generation import generate_tokens
 from repro.models.transformer import DecoderModel
 
@@ -56,19 +56,24 @@ class TestGeneration:
             generate_tokens(small_model, batch=1, length=4,
                             temperature=0.0)
 
-    def test_incremental_matches_teacher_forced(self, small_model):
-        """The cached decode path must agree with the full forward."""
-        tokens = generate_tokens(small_model, batch=2, length=18, seed=3)
-        # Re-scoring the generated text with the (non-cached) forward
-        # pass must produce finite likelihoods consistent with actual
-        # sampling: every sampled token must have nonzero probability.
-        logits = small_model.forward(tokens)
-        logprobs = log_softmax(logits[:, :-1, :], axis=-1)
-        picked = np.take_along_axis(
-            logprobs, tokens[:, 1:, None], axis=-1
-        )
-        assert np.isfinite(picked).all()
-        assert picked.min() > -15.0
+    def test_incremental_matches_teacher_forced(self):
+        """The cached decode's logits are the full forward's: llama2
+        (MHA), mistral past its sliding window (GQA), mixtral (MoE)
+        and opt (learned positions)."""
+        for name, length in (
+            ("llama2-7b", 18),
+            ("mistral-7b", 112),
+            ("mixtral-8x7b", 18),
+            ("opt-6.7b", 18),
+        ):
+            model = DecoderModel(get_model(name))
+            tokens, logits = decode_logits(
+                model, generate_tokens, batch=2, length=length, seed=3
+            )
+            np.testing.assert_allclose(
+                logits, model.forward(tokens[:, :-1]),
+                rtol=1e-12, atol=1e-12, err_msg=name,
+            )
 
     def test_sliding_window_model_generates(self):
         model = DecoderModel(get_model("mistral-7b"))
@@ -94,3 +99,22 @@ class TestGeneration:
             small_model, batch=4, length=48, seed=5, temperature=2.0
         )
         assert len(np.unique(cold)) <= len(np.unique(hot))
+
+
+class TestTokenIdValidation:
+    """Ids outside [0, vocab) raise instead of aliasing embedding rows."""
+
+    def test_forward_rejects(self, small_model):
+        vocab = small_model.shape.vocab
+        for bad in (-1, vocab):
+            with pytest.raises(
+                ValueError, match=rf"token id {bad} .*\[0, {vocab}\)"
+            ):
+                small_model.forward([[bad, 2, 3]])
+
+    def test_generate_tokens_rejects_prompt(self, small_model):
+        for bad in (-1, small_model.shape.vocab):
+            with pytest.raises(ValueError, match=rf"token id {bad} "):
+                generate_tokens(
+                    small_model, batch=1, length=4, prompt=[[3, bad]]
+                )

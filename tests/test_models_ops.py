@@ -117,12 +117,12 @@ class TestRope:
 
 class TestCausalMask:
     def test_lower_triangular(self):
-        mask = causal_mask(4)
+        mask = causal_mask(4, 4)
         expected = np.tril(np.ones((4, 4), dtype=bool))
         np.testing.assert_array_equal(mask, expected)
 
     def test_sliding_window_limits_lookback(self):
-        mask = causal_mask(6, sliding_window=2)
+        mask = causal_mask(6, 6, sliding_window=2)
         # Query 5 sees keys 4, 5 only.
         np.testing.assert_array_equal(
             mask[5], [False, False, False, False, True, True]
@@ -130,9 +130,15 @@ class TestCausalMask:
 
     def test_window_larger_than_length_is_causal(self):
         np.testing.assert_array_equal(
-            causal_mask(4, sliding_window=100), causal_mask(4)
+            causal_mask(4, 4, sliding_window=100), causal_mask(4, 4)
         )
 
     def test_diagonal_always_visible(self):
-        mask = causal_mask(8, sliding_window=1)
+        mask = causal_mask(8, 8, sliding_window=1)
         assert np.diag(mask).all()
+
+    def test_newest_queries_are_the_full_masks_last_rows(self):
+        for window in (None, 3):
+            np.testing.assert_array_equal(
+                causal_mask(2, 7, window), causal_mask(7, 7, window)[-2:]
+            )

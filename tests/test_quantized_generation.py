@@ -1,14 +1,19 @@
 """Tests for autoregressive generation through the quantized cache."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
+from conftest import decode_logits
 from repro.core.config import OakenConfig
 from repro.data.corpus import calibration_corpus
-from repro.models.quantized_generation import (
-    build_cache_for_model,
-    generate_with_quantized_cache,
-)
+from repro.engine import backend_for_model
+from repro.models.generation import generate_with_quantized_cache
+from repro.models.transformer import KVTransformBundle
 
 
 @pytest.fixture(scope="module")
@@ -16,9 +21,14 @@ def calibration(small_model):
     return calibration_corpus(small_model, batch=3, length=48)
 
 
+def fresh(model, calibration, **kwargs):
+    """A fresh fused cache calibrated for ``model``."""
+    return backend_for_model(model, calibration_tokens=calibration, **kwargs)
+
+
 @pytest.fixture()
 def fresh_cache(small_model, calibration):
-    return build_cache_for_model(small_model, calibration)
+    return fresh(small_model, calibration)
 
 
 class TestQuantizedGeneration:
@@ -49,11 +59,11 @@ class TestQuantizedGeneration:
 
     def test_deterministic(self, small_model, calibration):
         a = generate_with_quantized_cache(
-            small_model, build_cache_for_model(small_model, calibration),
+            small_model, fresh(small_model, calibration),
             length=20, seed=4,
         )
         b = generate_with_quantized_cache(
-            small_model, build_cache_for_model(small_model, calibration),
+            small_model, fresh(small_model, calibration),
             length=20, seed=4,
         )
         np.testing.assert_array_equal(a.tokens, b.tokens)
@@ -104,17 +114,67 @@ class TestQuantizedGeneration:
         from repro.models.transformer import DecoderModel
 
         other = DecoderModel(get_model("llama2-13b"))
-        cache = build_cache_for_model(small_model, calibration)
+        cache = fresh(small_model, calibration)
         with pytest.raises(ValueError):
             generate_with_quantized_cache(other, cache, length=8)
 
     def test_custom_config_flows_through(self, small_model,
                                          calibration):
         config = OakenConfig.from_ratio_string("2/2/90/6")
-        cache = build_cache_for_model(
-            small_model, calibration, config=config
-        )
+        cache = fresh(small_model, calibration, config=config)
         result = generate_with_quantized_cache(
             small_model, cache, length=12, seed=0
         )
         assert result.cache.effective_bitwidth() > 5.0
+
+
+class TestTeacherForcedEquivalence:
+    """The deployment loop applies the corruption the accuracy harness
+    measures: with the row-local fused kernel, quantized generation's
+    logits are the teacher-forced forward's under the cache's own
+    quantizers' roundtrip."""
+
+    @pytest.mark.parametrize("mode", ["exact_f64", "deploy_f32"])
+    def test_logits_match_forward_under_roundtrip(
+        self, small_model, calibration, mode
+    ):
+        cache = fresh(small_model, calibration, mode=mode)
+        result, logits = decode_logits(
+            small_model, generate_with_quantized_cache, cache,
+            length=40, seed=2,
+        )
+        bundle = KVTransformBundle(
+            key_fns=[layer.key_quantizer.roundtrip for layer in cache.layers],
+            value_fns=[
+                layer.value_quantizer.roundtrip for layer in cache.layers
+            ],
+        )
+        np.testing.assert_allclose(
+            logits,
+            small_model.forward(result.tokens[:, :-1], kv_transforms=bundle),
+            rtol=1e-12, atol=1e-12,
+        )
+
+    def test_out_of_vocab_prompt_rejected(self, small_model, calibration):
+        for bad in (-1, small_model.shape.vocab):
+            with pytest.raises(ValueError, match=rf"token id {bad} "):
+                generate_with_quantized_cache(
+                    small_model, fresh(small_model, calibration),
+                    length=4, prompt=[[bad]],
+                )
+
+
+def test_models_package_loads_no_engine_module():
+    """The quantized loop lives in ``repro.models.generation``, yet
+    ``import repro.models`` stays free of the engine layer."""
+    code = (
+        "import sys, repro.models; "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.engine')))"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"
