@@ -1,11 +1,11 @@
-"""Datapath verification bench: structural engines vs golden model.
+"""Datapath verification bench: the engines vs the golden model.
 
 Not a paper table — this is the functional-verification step between
 the Figure 9 engine datapaths and the algorithm.  The bench streams a
-realistic KV slab through the structural engines, asserts bit-exact
-agreement with the vectorized quantizer, reports per-stage occupancy,
-and times the engines (pytest-benchmark) so regressions in the
-datapath model show up.
+realistic KV slab through the engine-backed quantizer (the fused
+kernel, priced in engine cycles), asserts bit-exact agreement with the
+frozen seed kernels, reports per-stage occupancy from the engines'
+cycle reports, and times the engine-backed passes (pytest-benchmark).
 """
 
 from __future__ import annotations
@@ -15,13 +15,10 @@ import pytest
 from conftest import save_result
 
 from repro.core.config import OakenConfig
-from repro.core.quantizer import OakenQuantizer
+from repro.core.reference import ReferenceOakenQuantizer
 from repro.core.thresholds import profile_thresholds
 from repro.experiments.common import TextTable
-from repro.hardware.datapath import (
-    VectorizedDequantEngine,
-    VectorizedQuantEngine,
-)
+from repro.hardware.datapath import EngineBackedQuantizer
 
 
 @pytest.fixture(scope="module")
@@ -37,19 +34,20 @@ def workload():
 
 def test_datapath_verification_report(benchmark, workload, results_dir):
     cfg, thresholds, slab = workload
-    golden = OakenQuantizer(cfg, thresholds)
-    quant = VectorizedQuantEngine(cfg, thresholds)
-    dequant = VectorizedDequantEngine(cfg, thresholds)
+    golden = ReferenceOakenQuantizer(cfg, thresholds)
+    engine = EngineBackedQuantizer(cfg, thresholds)
 
-    encoded, quant_cycles = benchmark.pedantic(
-        quant.quantize_matrix, args=(slab,), iterations=1, rounds=1
+    encoded = benchmark.pedantic(
+        engine.quantize, args=(slab,), iterations=1, rounds=1
     )
     reference = golden.quantize(slab)
     np.testing.assert_array_equal(
         encoded.dense_codes, reference.dense_codes
     )
-    restored, dequant_cycles = dequant.dequantize_matrix(encoded)
+    restored = engine.dequantize(encoded)
     np.testing.assert_array_equal(restored, golden.dequantize(reference))
+    quant_cycles = engine.quant_timing.report(encoded)
+    dequant_cycles = engine.dequant_timing.report(encoded)
 
     table = TextTable(
         ["engine", "tokens", "cycles", "ns @1GHz",
@@ -82,20 +80,20 @@ def test_datapath_verification_report(benchmark, workload, results_dir):
 
 def test_quant_engine_benchmark(benchmark, workload):
     cfg, thresholds, slab = workload
-    engine = VectorizedQuantEngine(cfg, thresholds)
+    engine = EngineBackedQuantizer(cfg, thresholds)
 
-    encoded, _ = benchmark(engine.quantize_matrix, slab)
+    encoded = benchmark(engine.quantize, slab)
     np.testing.assert_array_equal(
         encoded.dense_codes,
-        OakenQuantizer(cfg, thresholds).quantize(slab).dense_codes,
+        ReferenceOakenQuantizer(cfg, thresholds).quantize(slab).dense_codes,
     )
 
 
 def test_dequant_engine_benchmark(benchmark, workload):
     cfg, thresholds, slab = workload
-    golden = OakenQuantizer(cfg, thresholds)
+    golden = ReferenceOakenQuantizer(cfg, thresholds)
     encoded = golden.quantize(slab)
-    engine = VectorizedDequantEngine(cfg, thresholds)
+    engine = EngineBackedQuantizer(cfg, thresholds)
 
-    rows, _ = benchmark(engine.dequantize_matrix, encoded)
+    rows = benchmark(engine.dequantize, encoded)
     np.testing.assert_array_equal(rows, golden.dequantize(encoded))

@@ -1,28 +1,24 @@
 #!/usr/bin/env python
 """Trace one token through the Figure 9 engine datapaths.
 
-Feeds a single KV vector (a one-token matrix) through the quantization
-engine's stages one at a time — decomposer, min/max finder,
-σ-calculator, quantizers, zero-remove shifter — prints what each module
-sees, then reads a slab back through the dequantization engine's
-zero-insert path and verifies the reconstruction matches the golden
-model bit for bit.
+Feeds a single KV vector (a one-token matrix) through the engine-backed
+quantizer — the fused kernel, priced as the quantization engine would
+run it — and prints what each module leaves in the encoded layout:
+the decomposer's routing, the σ-calculator's FP16 scales, the fused
+dense row and the zero-remove shifter's COO records.  Then it prices a
+slab with the engines' cycle reports, reads it back through the
+dequantization engine (whose zero-insert shifter checks every fused
+nibble), and verifies the reconstruction against the frozen seed
+kernels bit for bit.
 
 Run:  python examples/datapath_trace.py
 """
 
 import numpy as np
 
-from repro.core import OakenConfig, OakenQuantizer, OfflineProfiler
-from repro.core.grouping import MIDDLE_GROUP
-from repro.hardware.datapath import (
-    VectorizedDecomposer,
-    VectorizedDequantEngine,
-    VectorizedMinMaxFinder,
-    VectorizedOutlierExtractor,
-    VectorizedQuantEngine,
-    VectorizedScaleCalculator,
-)
+from repro.core import OakenConfig, OfflineProfiler
+from repro.core.reference import ReferenceOakenQuantizer
+from repro.hardware.datapath import EngineBackedQuantizer
 
 
 def make_kv(tokens: int, seed: int) -> np.ndarray:
@@ -44,47 +40,33 @@ def main() -> None:
     print(f"  T_lo_outer={t_lo_o:+.3f}  T_lo_inner={t_lo_i:+.3f}  "
           f"T_hi_inner={t_hi_i:+.3f}  T_hi_outer={t_hi_o:+.3f}")
 
+    engine = EngineBackedQuantizer(config, thresholds)
     token = make_kv(tokens=1, seed=999)
+    encoded = engine.quantize(token)
 
-    # --- pass 1: decomposer + min/max finder -------------------------
-    decomposer = VectorizedDecomposer(config, thresholds)
-    raw, group, shifted, side = (a[0] for a in decomposer.route(token))
-    finder = VectorizedMinMaxFinder(config.num_sparse_bands)
-    mid_lo, mid_hi, band_lo, band_hi = finder.ranges(
-        group[None], shifted[None]
-    )
-    names = {MIDDLE_GROUP: "middle", 0: "outer", 1: "inner"}
+    # --- pass 1: decomposer routing, read off the sparse stream ------
+    names = {-1: "middle", 0: "outer", 1: "inner"}
+    group = np.full(token.shape[1], -1)
+    group[encoded.sparse_pos] = encoded.sparse_band
     print("\npass 1 — decomposer routing (first 8 elements):")
     for pos in range(8):
-        print(f"  pos {pos:2d}  value {raw[pos]:+7.3f}"
-              f"  -> {names[group[pos]]:6s}  shifted "
-              f"{shifted[pos]:+7.3f}  side={side[pos]}")
+        print(f"  pos {pos:2d}  value {token[0, pos]:+7.3f}"
+              f"  -> {names[group[pos]]}")
     counts = {name: int((group == g).sum()) for g, name in names.items()}
     print(f"  group census: {counts} (of {group.size} elements)")
 
     # --- σ-calculator turnaround --------------------------------------
-    calc = VectorizedScaleCalculator(config)
-    print("\nσ-calculator — per-group FP16 scales:")
-    ranges = {
-        MIDDLE_GROUP: (mid_lo, mid_hi),
-        0: (band_lo[:, 0], band_hi[:, 0]),
-        1: (band_lo[:, 1], band_hi[:, 1]),
-    }
-    for g, (lo, hi) in ranges.items():
-        middle = g == MIDDLE_GROUP
-        lo16, hi16, sigma = calc.scales(lo, hi, middle=middle)
-        print(f"  {names[g]:6s}: lo={lo16[0]:+7.3f} "
-              f"hi={hi16[0]:+7.3f} sigma={sigma[0]:7.3f} "
-              f"({calc.group_bits(middle)}-bit codes)")
+    print("\nσ-calculator — per-group FP16 scale bounds:")
+    mag_bits = config.outlier_bits - 1
+    print(f"  middle: lo={encoded.middle_lo[0]:+7.3f} "
+          f"hi={encoded.middle_hi[0]:+7.3f} ({config.inlier_bits}-bit codes)")
+    for band in (0, 1):
+        print(f"  {names[band]:6s}: lo={encoded.band_lo[0, band]:+7.3f} "
+              f"hi={encoded.band_hi[0, band]:+7.3f} ({mag_bits}-bit codes)")
 
-    # --- pass 2: engine end to end ------------------------------------
-    engine = VectorizedQuantEngine(config, thresholds)
-    encoded, _ = engine.quantize_matrix(token)
+    # --- pass 2: fused dense row + zero-remove shifter -----------------
     print("\npass 2 — fused dense row (first 16 nibbles): "
           f"{encoded.dense_codes[0, :16].tolist()}")
-    nibbles = VectorizedOutlierExtractor(config).fused_nibbles(
-        encoded.sparse_side, encoded.sparse_mag_code
-    )
     print(f"zero-remove shifter emitted {encoded.num_outliers} COO "
           "records:")
     for i in range(min(6, encoded.num_outliers)):
@@ -94,11 +76,12 @@ def main() -> None:
               f"band {encoded.sparse_band[i]}, "
               f"side={int(encoded.sparse_side[i])}, "
               f"mag={encoded.sparse_mag_code[i]:2d}, "
-              f"nibble={nibbles[i]}")
+              f"nibble={encoded.dense_codes[0, pos]}")
 
     # --- full matrix + cycle report -----------------------------------
     slab = make_kv(tokens=32, seed=7)
-    encoded, cycles = engine.quantize_matrix(slab)
+    encoded = engine.quantize(slab)
+    cycles = engine.quant_timing.report(encoded)
     print(f"\n32-token slab: {cycles.total_cycles} cycles "
           f"({cycles.time_s(1.0) * 1e9:.0f} ns @ 1 GHz), "
           f"stage occupancy:")
@@ -106,9 +89,8 @@ def main() -> None:
         print(f"  {name:20s} {fraction:6.2%}")
 
     # --- read back through the zero-insert path ----------------------
-    dequant = VectorizedDequantEngine(config, thresholds)
-    restored, _ = dequant.dequantize_matrix(encoded)
-    golden = OakenQuantizer(config, thresholds)
+    restored = engine.dequantize(encoded)
+    golden = ReferenceOakenQuantizer(config, thresholds)
     np.testing.assert_array_equal(restored, golden.roundtrip(slab))
     error = np.abs(restored - slab)
     print(f"\nzero-insert readback verified bit-exact vs golden model; "

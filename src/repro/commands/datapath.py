@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -20,14 +21,19 @@ def register(sub) -> None:
 
 def run(args: argparse.Namespace) -> int:
     from repro.core.config import OakenConfig
-    from repro.core.quantizer import OakenQuantizer
+    from repro.core.reference import ReferenceOakenQuantizer
     from repro.core.thresholds import profile_thresholds
-    from repro.hardware.datapath import (
-        VectorizedDequantEngine,
-        VectorizedQuantEngine,
-    )
+    from repro.hardware.datapath import EngineBackedQuantizer
 
-    config = OakenConfig.from_ratio_string(args.ratios)
+    try:
+        if args.tokens < 0:
+            raise ValueError(f"--tokens must be >= 0, got {args.tokens}")
+        if args.dim < 1:
+            raise ValueError(f"--dim must be >= 1, got {args.dim}")
+        config = OakenConfig.from_ratio_string(args.ratios)
+    except ValueError as exc:
+        print(f"repro datapath: {exc}", file=sys.stderr)
+        return 2
     rng = np.random.default_rng(args.seed)
     samples = [
         rng.standard_normal((64, args.dim)) * 3.0 for _ in range(8)
@@ -35,11 +41,11 @@ def run(args: argparse.Namespace) -> int:
     thresholds = profile_thresholds(samples, config)
     slab = rng.standard_normal((args.tokens, args.dim)) * 3.0
 
-    quant = VectorizedQuantEngine(config, thresholds)
-    dequant = VectorizedDequantEngine(config, thresholds)
-    golden = OakenQuantizer(config, thresholds)
-    encoded, quant_cycles = quant.quantize_matrix(slab)
-    restored, dequant_cycles = dequant.dequantize_matrix(encoded)
+    engine = EngineBackedQuantizer(config, thresholds)
+    encoded = engine.quantize(slab)
+    restored = engine.dequantize(encoded)
+    # The golden model: the frozen seed kernels.
+    golden = ReferenceOakenQuantizer(config, thresholds)
     reference = golden.quantize(slab)
     bits_match = bool(
         np.array_equal(encoded.dense_codes, reference.dense_codes)
@@ -48,7 +54,8 @@ def run(args: argparse.Namespace) -> int:
     print(f"{args.tokens} tokens x {args.dim} dim, groups {args.ratios}")
     print(f"bit-exact vs golden model: {bits_match}")
     for name, report in (
-        ("quant ", quant_cycles), ("dequant", dequant_cycles),
+        ("quant ", engine.quant_timing.report(encoded)),
+        ("dequant", engine.dequant_timing.report(encoded)),
     ):
         print(
             f"{name} engine: {report.total_cycles} cycles "

@@ -319,6 +319,18 @@ def _edge_index(
     return band + bands * (token // (rows // groups))
 
 
+def _fused_nibbles(
+    config: OakenConfig, side: np.ndarray, mag_code: np.ndarray
+) -> np.ndarray:
+    """The low ``inlier_bits`` of every outlier's full code — the side
+    bit (when group-shifted) over the magnitude bits — as embedded in
+    the outlier's dense slot: the fused layout's one packing rule."""
+    code = mag_code
+    if config.group_shift:
+        code = (side.view(np.uint8) << (config.outlier_bits - 1)) | code
+    return code & ((1 << config.inlier_bits) - 1)
+
+
 def _fused_quantize(
     plan: _KernelPlan,
     thresholds: Union[GroupThresholds, Tuple[GroupThresholds, ...]],
@@ -421,10 +433,7 @@ def _fused_quantize(
     # --- fused nibble embed / naive FP16 records ----------------------------
     sparse_fp16 = None
     if cfg.fused_encoding:
-        code = sparse_mag
-        if cfg.group_shift:
-            code = (side.view(np.uint8) << (cfg.outlier_bits - 1)) | code
-        dense_codes.reshape(-1)[flat] = code & ((1 << cfg.inlier_bits) - 1)
+        dense_codes.reshape(-1)[flat] = _fused_nibbles(cfg, side, sparse_mag)
     else:
         sparse_fp16 = xg.astype(np.float16)
 
@@ -509,17 +518,21 @@ class OakenQuantizer:
         mode: the :class:`~repro.core.modes.ComputeMode` precision
             policy (a mode object, a registry name, or a float32/
             float64 dtype-like for backward compatibility).  The
-            default ``exact_f64`` is bit-identical to the seed encoder
-            and to the scalar hardware-datapath golden model;
-            ``deploy_f32`` halves the memory traffic of the dense pass
-            and may move codes by at most one level for values within
-            float32 epsilon of a rounding boundary or group threshold
-            (the mode's tolerance contract).
+            default ``exact_f64`` is bit-identical to the seed encoder;
+            ``deploy_f32`` runs the dense pass in float32 (half its
+            memory traffic) and the sparse records in float64 on the
+            float32-cast input, and may move codes by at most one level
+            for values within float32 epsilon of a rounding boundary or
+            group threshold (the mode's tolerance contract).  Both
+            modes are bit-identical to the scalar Figure 9 golden model
+            run in the same mode.
 
     :meth:`quantize`, :meth:`quantize_into` and :meth:`dequantize` are
-    the only entry points of the fused kernels, and their signatures
-    are frozen: ``benchmarks/e2e`` times the kernels by wrapping exactly
+    the entry points of the fused kernels, and their signatures are
+    frozen: ``benchmarks/e2e`` times the kernels by wrapping exactly
     these three attributes of this class (see ``docs/engine_api.md``).
+    The engine-backed subclass in :mod:`repro.hardware.datapath` calls
+    the kernels beside them, to price each call in engine cycles.
     """
 
     def __init__(
@@ -550,7 +563,7 @@ class OakenQuantizer:
     ) -> "OakenQuantizer":
         """Profile thresholds offline from samples and build a quantizer."""
         cfg = config if config is not None else OakenConfig()
-        return cls(cfg, profile_thresholds(samples, cfg), mode)
+        return cls(cfg, profile_thresholds(samples, cfg), mode=mode)
 
     # ------------------------------------------------------------------
     # quantization

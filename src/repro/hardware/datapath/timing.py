@@ -4,19 +4,27 @@
 parameters of the quantization and dequantization datapaths (lanes per
 cycle, clock, turnaround and fill latencies) and are the engines' one
 cost model: each one's :meth:`cycles` is the closed-form end-to-end
-cycle count of a ``[tokens, dim]`` pass, which the vectorized engines
-report as their ``total_cycles``.  :class:`StageActivity` /
-:class:`CycleReport` carry what an engine pass cost: per-stage
-busy-cycle counters plus that end-to-end count.  The tests hold
-:meth:`cycles` equal to the independent element-streaming count of the
-golden model in ``tests/datapath_oracle.py``.
+cycle count of a ``[tokens, dim]`` pass.  Each one's :meth:`report`
+prices one pass of the fused kernel as the engine would have run it —
+the engines compute the kernel's arithmetic, so what they add is only
+this accounting, read off the encoded layout (its shape and its
+per-token outlier counts).  :class:`StageActivity` /
+:class:`CycleReport` carry what a pass cost: per-stage busy-cycle
+counters plus the end-to-end count.  The tests hold every report equal
+to the independent element-streaming count of the golden model in
+``tests/datapath_oracle.py``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
+
+import numpy as np
+
+if TYPE_CHECKING:
+    from repro.core.encoding import EncodedKV
 
 
 @dataclass(frozen=True)
@@ -56,6 +64,40 @@ class DatapathTiming:
             pass_cycles, scale
         )
 
+    def report(self, encoded: "EncodedKV") -> "CycleReport":
+        """Per-stage cycles of quantizing ``encoded``'s rows (Figure 9a).
+
+        Every token makes two element passes (decompose + min/max, then
+        quantize) around one σ-calculator turnaround; the zero-remove
+        shifter compacts in line with the second pass, busy in one cycle
+        per outlier up to the pass length.
+        """
+        tokens, dim = encoded.shape
+        report = CycleReport(tokens=tokens, elements=tokens * dim)
+        if tokens:
+            pass_cycles = self.pass_cycles(dim)
+            groups = 1 + encoded.config.num_sparse_bands
+            token = encoded.sparse_token
+            counts = np.bincount(token, minlength=tokens)
+            report.stage("decomposer").record(
+                tokens * dim, tokens * pass_cycles
+            )
+            report.stage("minmax_finder").record(
+                tokens * dim, tokens * pass_cycles
+            )
+            report.stage("scale_calculator").record(
+                tokens * groups, tokens * self.scale_latency_cycles
+            )
+            report.stage("quantizer").record(
+                tokens * dim, tokens * pass_cycles
+            )
+            report.stage("zero_remove_shifter").record(
+                int(token.size),
+                int(np.minimum(counts, pass_cycles).sum()),
+            )
+        report.total_cycles = self.cycles(tokens, dim)
+        return report
+
 
 @dataclass(frozen=True)
 class DequantTiming:
@@ -79,6 +121,28 @@ class DequantTiming:
         if tokens <= 0:
             return 0
         return self.fill_cycles + tokens * self.pass_cycles(dim)
+
+    def report(self, encoded: "EncodedKV") -> "CycleReport":
+        """Per-stage cycles of dequantizing ``encoded`` (Figure 9b).
+
+        One pass per token row through the inlier dequantizer; the
+        zero-insert shifter and the outlier dequantizer are busy in one
+        cycle per outlier, up to the pass length.
+        """
+        tokens, dim = encoded.shape
+        report = CycleReport(tokens=tokens, elements=tokens * dim)
+        if tokens:
+            pass_cycles = self.pass_cycles(dim)
+            token = encoded.sparse_token
+            counts = np.bincount(token, minlength=tokens)
+            busy = int(np.minimum(counts, pass_cycles).sum())
+            report.stage("zero_insert_shifter").record(int(token.size), busy)
+            report.stage("inlier_dequantizer").record(
+                tokens * dim, tokens * pass_cycles
+            )
+            report.stage("outlier_dequantizer").record(int(token.size), busy)
+        report.total_cycles = self.cycles(tokens, dim)
+        return report
 
 
 @dataclass

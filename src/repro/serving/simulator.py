@@ -76,11 +76,12 @@ class CacheReplayConfig:
             the bit-exact bench configuration.
         engine_cycles: route the replay's caches through
             :class:`~repro.hardware.datapath.adapter.EngineBackedQuantizer`
-            instead of the plain fused kernels, so every KV row the
-            trace streams through the pool is priced by the Figure 9
-            datapath models and the replay report carries accumulated
-            end-to-end engine cycles (``engine_*`` keys).  Requires
-            ``method="oaken"`` (the engines model the paper datapath).
+            instead of the plain (stacked) fused quantizers, so every KV
+            row the trace streams through the pool is priced in Figure 9
+            engine cycles — the same kernels, the same bytes — and the
+            replay report carries accumulated end-to-end engine cycles
+            (``engine_*`` keys).  Requires ``method="oaken"`` (the
+            engines model the paper datapath).
         device_budget_mb: enable the tiered KV memory hierarchy with
             this device-tier budget (MiB) for the miniature pool.  The
             pool then runs behind a
@@ -229,9 +230,9 @@ class _CacheReplay:
         fused oaken cache, but the per-layer quantizers are
         :class:`~repro.hardware.datapath.adapter.EngineBackedQuantizer`
         instances: every quantize/dequantize the pool issues (including
-        the batched multi-sequence paths) runs through the Figure 9
-        engine models and accumulates modeled cycle reports, which
-        :meth:`report` sums into end-to-end engine cycles.
+        the batched multi-sequence paths) runs the fused kernel per
+        tensor and accumulates the Figure 9 engines' modeled cycles,
+        which :meth:`report` sums into end-to-end engine cycles.
         """
         from repro.core.config import OakenConfig
         from repro.core.thresholds import profile_thresholds

@@ -1,19 +1,15 @@
 """The scalar element-streaming Figure 9 datapath: the test oracle.
 
-Until it moved here this was the scalar tier of
-``repro.hardware.datapath`` (``records``, ``quant_stages``,
-``quant_engine``, ``dequant_stages``, ``dequant_engine``): every module
-of the paper's Figure 9 (decomposer, min/max finder, σ-calculator,
-inlier/outlier quantizers, zero-remove/zero-insert shifters, outlier
-index buffer, OR-merge concatenator) as a class processing one element
-at a time.  Production runs only the whole-tensor twin
-(:mod:`repro.hardware.datapath.vectorized`).  This per-element spelling
-is moved here verbatim (only the timings and the cycle report are
-imported instead of copied), so the tests can hold the twin equal to it
-bit for bit and cycle for cycle in both ComputeModes — it is the
-float32 golden model that makes ``deploy_f32`` safe — and anchor it to
-:class:`~repro.core.quantizer.OakenQuantizer`: the check the authors
-ran between their RTL and their algorithm.
+Every module of the paper's Figure 9 (decomposer, min/max finder,
+σ-calculator, inlier/outlier quantizers, zero-remove/zero-insert
+shifters, outlier index buffer, OR-merge concatenator) as a class
+processing one element at a time.  ``src/`` has one Oaken arithmetic,
+the fused kernel of :class:`~repro.core.quantizer.OakenQuantizer`, and
+prices it as the engines would run it
+(:meth:`~repro.hardware.datapath.DatapathTiming.report`); the tests
+hold the kernel equal to this model bit for bit in both ComputeModes,
+and the reports equal to its cycle counts — the check the authors ran
+between their RTL and their algorithm.
 
 Timing: each token makes two passes over its ``D`` elements (range
 discovery, then quantization) with a fixed σ-calculator turnaround in
@@ -23,11 +19,25 @@ steady-state initiation interval is
 no turnaround (scales stream in with the data): one pass per token
 after a fixed fill, and an empty pass costs nothing.  These counts are
 kept independent of ``DatapathTiming.cycles`` / ``DequantTiming.cycles``
-— the closed forms the twin reports — so the cycle pin compares two
+— the closed forms the reports carry — so the cycle pin compares two
 implementations.
 
-Do not edit the arithmetic: operand order and each stage's working
-dtype are the contract.
+Precision contract, register for register with the kernel:
+
+* ``exact_f64`` — every stage works in float64.
+* ``deploy_f32`` — the dense path works in float32 on the float32-cast
+  input: the decomposer's compares and middle shift, the middle
+  min/max, the inlier quantizer and the inlier dequantizer.  The sparse
+  path works in float64 on those same float32 values: band shift,
+  band min/max and scales, outlier quantizer and outlier dequantizer
+  (whose result is rounded once, into the float32 output row).  Every
+  σ is computed in float64 from the FP16 bounds and, on the dense
+  path, then rounded to float32.
+
+Operand order and each stage's working dtype are this contract: an
+edit here must keep the kernel ≡ oracle pins green in both modes, and
+one that needs a tolerance names the stage here and keeps the
+tolerance in this file.
 """
 
 from __future__ import annotations
@@ -131,37 +141,22 @@ class TokenQuantResult:
         return len(self.records)
 
 
-def fp16_round(value: float, dtype=None) -> float:
-    """Round one scalar to FP16 precision, as the hardware stores scales.
-
-    ``dtype`` selects the stage-mode working type of the result: the
-    default returns a python float (the float64 golden path);
-    ``np.float32`` returns a float32 scalar for the deploy_f32 stage
-    mode (fp16 values are exactly representable in both).
-    """
-    if dtype is not None:
-        return np.dtype(dtype).type(np.float16(value))
+def fp16_round(value: float) -> float:
+    """Round one scalar to FP16 precision, as the hardware stores scales
+    (a python float; fp16 values are exact in float32 and float64)."""
     return float(np.float16(value))
 
 
 def scale_sigma(lo: float, hi: float, bits: int, eps: float = 1e-12) -> float:
     """The uniform-quantization scale factor of Eq. 2 for one group.
 
-    Mirrors the vectorized kernels' guard (``_sigma`` in
+    Mirrors the fused kernel's guard (``_sigma`` in
     :mod:`repro.core.quantizer`, and the seed ``_rowwise_encode`` kept
     in :mod:`repro.core.reference`): a degenerate span (empty group or
-    constant values) gets sigma 1.0 so codes collapse to zero.
-
-    The arithmetic runs in the dtype of its operands: numpy float32
-    scalars under the deploy_f32 stage mode, python/float64 floats on
-    the golden path — so one definition serves both ComputeModes.
+    constant values) gets sigma 1.0 so codes collapse to zero.  Always
+    float64, in both ComputeModes.
     """
-    span = hi - lo
-    if isinstance(span, np.floating):
-        w = span.dtype.type
-        if span > w(eps):
-            return w(2.0**bits - 1.0) / max(span, w(eps))
-        return w(1.0)
+    span = float(hi) - float(lo)
     if span > eps:
         return (2.0**bits - 1.0) / max(span, eps)
     return 1.0
@@ -177,10 +172,11 @@ class Decomposer:
     element, performs the handful of compares that replace the online
     topK of prior work, then subtracts the band edge (group shift).
 
-    The control registers hold the thresholds at the stage-mode
-    precision (the :class:`~repro.core.modes.ComputeMode` working
-    dtype), so the float32 stage mode compares and shifts exactly as
-    float32 hardware would.
+    The compare registers and the middle shift edges hold the
+    thresholds at the stage-mode precision (the
+    :class:`~repro.core.modes.ComputeMode` working dtype); the band
+    shift edges are float64, and the band shift runs in float64 on the
+    stage-mode value (the sparse path's precision in both modes).
     """
 
     def __init__(
@@ -200,11 +196,8 @@ class Decomposer:
         self._mid_lo_edge = w(mid_lo)
         self._mid_hi_edge = w(mid_hi)
         self._band_edges = tuple(
-            (w(lo), w(hi))
-            for lo, hi in (
-                thresholds.band_shift_edges(b)
-                for b in range(thresholds.num_sparse_bands)
-            )
+            thresholds.band_shift_edges(b)
+            for b in range(thresholds.num_sparse_bands)
         )
 
     def classify(self, value: float) -> int:
@@ -241,12 +234,13 @@ class Decomposer:
                 side=False, raw=value,
             )
         lo_edge, hi_edge = self._band_edges[group]
+        wide = float(value)
         if cfg.group_shift:
-            side = value > 0
-            shifted = value - hi_edge if side else lo_edge - value
+            side = wide > 0
+            shifted = wide - hi_edge if side else lo_edge - wide
         else:
             side = False
-            shifted = value
+            shifted = wide
         return RoutedElement(
             position=position, group=group, shifted=shifted,
             side=bool(side), raw=value,
@@ -305,8 +299,9 @@ class ScaleCalculator:
     Runs once per token per group, between the two streaming passes.
     Stores lo/hi at FP16 precision first — exactly what the hardware
     writes alongside the data — then derives sigma from the rounded
-    bounds, matching the vectorized reference implementation.  Under
-    the deploy_f32 stage mode the subtract/divide runs in float32.
+    bounds in float64.  The middle group's triple is held in the
+    stage-mode dtype (sigma rounded to it); the sparse bands' stays
+    float64.
     """
 
     def __init__(self, config: OakenConfig, mode: ComputeModeLike = None):
@@ -324,13 +319,16 @@ class ScaleCalculator:
 
     def scale(self, group: int, lo: float, hi: float) -> GroupScale:
         """Turn one group's raw range into its FP16 scale triple."""
-        wdtype = self.mode.compute_dtype
-        lo16 = fp16_round(lo, wdtype)
-        hi16 = fp16_round(hi, wdtype)
         bits = self.group_bits(group)
-        return GroupScale(
-            lo=lo16, hi=hi16, sigma=scale_sigma(lo16, hi16, bits), bits=bits
-        )
+        lo16 = fp16_round(lo)
+        hi16 = fp16_round(hi)
+        sigma = scale_sigma(lo16, hi16, bits)
+        if group == MIDDLE_GROUP:
+            w = self.mode.compute_dtype.type
+            return GroupScale(
+                lo=w(lo16), hi=w(hi16), sigma=w(sigma), bits=bits
+            )
+        return GroupScale(lo=lo16, hi=hi16, sigma=sigma, bits=bits)
 
 
 class OutlierExtractor:
@@ -425,11 +423,9 @@ class StreamingQuantEngine:
         thresholds: offline-profiled thresholds held in the engine's
             control registers.
         timing: lane width and clock of the datapath.
-        mode: the :class:`~repro.core.modes.ComputeMode` stage mode.
-            The default ``exact_f64`` is the frozen structural golden
-            model; ``deploy_f32`` runs every stage's arithmetic in
-            float32, the scalar anchor for the vectorized engine's
-            float32 path.
+        mode: the :class:`~repro.core.modes.ComputeMode` stage mode
+            (``exact_f64`` by default; see the module's precision
+            contract for ``deploy_f32``).
     """
 
     def __init__(
@@ -540,7 +536,7 @@ class StreamingQuantEngine:
 
         Returns:
             ``(encoded, cycles)`` where ``encoded`` is bit-identical to
-            the vectorized quantizer's output and ``cycles`` carries the
+            the fused kernel's output and ``cycles`` carries the
             double-buffered pipeline timing.
         """
         x = np.atleast_2d(np.asarray(values, dtype=np.float64))
@@ -658,8 +654,8 @@ class DequantScales:
 
     Attributes:
         middle_lo / middle_hi: FP16 middle-group bounds as read back
-            from memory (float32 storage).
-        band_lo / band_hi: per-band magnitude bounds.
+            from memory (float32 storage), in the stage-mode dtype.
+        band_lo / band_hi: per-band magnitude bounds, float64.
     """
 
     middle_lo: float
@@ -674,7 +670,8 @@ class InlierDequantizer:
     The un-shift edges live in stage registers at the
     :class:`~repro.core.modes.ComputeMode` working precision, and the
     divide/add arithmetic runs in that dtype (float32 under the
-    deploy_f32 stage mode).
+    deploy_f32 stage mode) with sigma computed in float64 and rounded
+    to it.
     """
 
     def __init__(
@@ -693,7 +690,7 @@ class InlierDequantizer:
     def decode(self, code: int, scales: DequantScales) -> float:
         """Reconstruct one dense slot's value from its stored code.
 
-        Matches the vectorized reference: every slot decodes through the
+        Matches the fused kernel: every slot decodes through the
         middle-group scale (outlier slots are later overwritten by the
         sparse path), and the un-shift direction follows the sign of the
         decoded shifted value.
@@ -701,7 +698,7 @@ class InlierDequantizer:
         w = self.mode.compute_dtype.type
         lo = scales.middle_lo
         hi = scales.middle_hi
-        sigma = scale_sigma(lo, hi, self.config.inlier_bits)
+        sigma = w(scale_sigma(lo, hi, self.config.inlier_bits))
         shifted = w(code) / sigma + lo
         if not self.config.group_shift:
             return shifted
@@ -711,7 +708,9 @@ class InlierDequantizer:
 
 
 class OutlierDequantizer:
-    """Sparse-path decode: magnitude un-scale plus band un-shift."""
+    """Sparse-path decode: magnitude un-scale plus band un-shift, in
+    float64 in both stage modes (the caller's row store rounds the
+    result to the output dtype once)."""
 
     def __init__(
         self,
@@ -722,13 +721,9 @@ class OutlierDequantizer:
         self.config = config
         self.thresholds = thresholds
         self.mode = resolve_compute_mode(mode, EXACT_F64)
-        w = self.mode.compute_dtype.type
         self._band_edges = tuple(
-            (w(lo), w(hi))
-            for lo, hi in (
-                thresholds.band_shift_edges(b)
-                for b in range(thresholds.num_sparse_bands)
-            )
+            thresholds.band_shift_edges(b)
+            for b in range(thresholds.num_sparse_bands)
         )
 
     def decode(
@@ -754,7 +749,7 @@ class OutlierDequantizer:
         hi = scales.band_hi[band]
         bits = cfg.outlier_bits - 1 if cfg.group_shift else cfg.outlier_bits
         sigma = scale_sigma(lo, hi, bits)
-        magnitude = w(mag_code) / sigma + lo
+        magnitude = mag_code / sigma + lo
         if not cfg.group_shift:
             return magnitude
         lo_edge, hi_edge = self._band_edges[band]
@@ -834,7 +829,7 @@ class StreamingDequantEngine:
         timing: lane width and clock of the datapath.
         mode: the :class:`~repro.core.modes.ComputeMode` stage mode
             (``exact_f64`` golden default; ``deploy_f32`` runs the
-            un-scale/un-shift arithmetic in float32).
+            inlier un-scale/un-shift arithmetic in float32).
     """
 
     def __init__(
@@ -904,8 +899,8 @@ class StreamingDequantEngine:
         scales = DequantScales(
             middle_lo=w(encoded.middle_lo[token]),
             middle_hi=w(encoded.middle_hi[token]),
-            band_lo=tuple(w(v) for v in encoded.band_lo[token]),
-            band_hi=tuple(w(v) for v in encoded.band_hi[token]),
+            band_lo=tuple(float(v) for v in encoded.band_lo[token]),
+            band_hi=tuple(float(v) for v in encoded.band_hi[token]),
         )
         records = self._records_of_token(encoded, token)
         self._index_buffer.load(records)
@@ -945,7 +940,7 @@ class StreamingDequantEngine:
         """Stream a whole encoded tensor back to float rows.
 
         Returns:
-            ``(matrix, cycles)`` where ``matrix`` matches the vectorized
+            ``(matrix, cycles)`` where ``matrix`` matches the fused
             dequantizer bit for bit and ``cycles`` is the one-pass
             pipeline timing.
         """

@@ -9,7 +9,8 @@ it **exactly** — ``==``, not ``allclose`` — over the full Table 4 /
 Figure 11 config grids.  The oracle is float64, so ``deploy_f32`` is
 pinned surface-against-surface plus literals captured before the
 scalar path was deleted.  :func:`repro.hardware.area.area_grid` keeps
-its scalar twin, as in ``tests/test_datapath_vectorized.py``.
+its scalar twin, as the fused Oaken kernel keeps its
+element-streaming oracle (``tests/test_datapath_oracle.py``).
 """
 
 from dataclasses import replace

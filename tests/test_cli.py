@@ -106,6 +106,19 @@ class TestNewSubsystemCommands:
         assert code == 0
         assert "2/2/90/6" in capsys.readouterr().out
 
+    def test_datapath_rejects_negative_tokens(self, capsys):
+        assert main(["datapath", "--tokens", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("repro datapath: --tokens")
+
+    def test_datapath_rejects_empty_dim(self, capsys):
+        assert main(["datapath", "--dim", "0"]) == 2
+        assert capsys.readouterr().err.startswith("repro datapath: --dim")
+
+    def test_datapath_rejects_one_group(self, capsys):
+        assert main(["datapath", "--ratios", "100"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro datapath: ") and "two groups" in err
+
     def test_fabric_striped(self, capsys):
         assert main(["fabric", "--batch", "4"]) == 0
         out = capsys.readouterr().out

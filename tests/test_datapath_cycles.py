@@ -2,10 +2,11 @@
 
 Checks the double-buffered pipeline math of the quantization engine,
 the per-stage occupancy counters, and that every engine pass reports
-exactly its timing's closed-form ``cycles(tokens, dim)`` — the engines'
-one cycle model — over a grid of lane widths, latencies, token counts
-and widths.  (``tests/test_datapath_vectorized.py`` holds every counter
-equal to the element-streaming golden model's independent count.)
+and the engine-backed quantizer accumulates exactly its timing's
+closed-form ``cycles(tokens, dim)`` — the engines' one cycle model —
+over a grid of lane widths, latencies, token counts and widths.
+(``tests/test_datapath_oracle.py`` holds every counter equal to the
+element-streaming golden model's independent count.)
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from repro.hardware.datapath import (
     CycleReport,
     DatapathTiming,
     DequantTiming,
-    VectorizedDequantEngine,
-    VectorizedQuantEngine,
+    EngineBackedQuantizer,
 )
 from repro.hardware.overheads import get_system
 from repro.hardware.perf import generation_iteration
@@ -46,6 +46,13 @@ def setup():
     samples = [rng.standard_normal((32, 128)) * 3.0 for _ in range(4)]
     thresholds = profile_thresholds(samples, cfg)
     return cfg, thresholds, rng
+
+
+def quantize_report(cfg, thresholds, x, timing=None):
+    """``(encoded, report)`` of one quantization-engine pass."""
+    timing = timing if timing is not None else DatapathTiming()
+    encoded = OakenQuantizer(cfg, thresholds).quantize(x)
+    return encoded, timing.report(encoded)
 
 
 class TestCycleReport:
@@ -78,10 +85,9 @@ class TestQuantPipelineMath:
     def test_total_cycles_formula(self, setup, dim):
         cfg, thresholds, rng = setup
         timing = DatapathTiming(lanes=32, scale_latency_cycles=4)
-        engine = VectorizedQuantEngine(cfg, thresholds, timing=timing)
         tokens = 10
-        _, report = engine.quantize_matrix(
-            rng.standard_normal((tokens, dim))
+        _, report = quantize_report(
+            cfg, thresholds, rng.standard_normal((tokens, dim)), timing
         )
         pass_cycles = math.ceil(dim / 32)
         fill = 2 * pass_cycles + 4
@@ -92,34 +98,33 @@ class TestQuantPipelineMath:
     def test_doubling_lanes_roughly_halves_cycles(self, setup):
         cfg, thresholds, rng = setup
         x = rng.standard_normal((32, 128))
-        narrow = VectorizedQuantEngine(
-            cfg, thresholds, timing=DatapathTiming(lanes=16)
+        _, slow = quantize_report(
+            cfg, thresholds, x, DatapathTiming(lanes=16)
         )
-        wide = VectorizedQuantEngine(
-            cfg, thresholds, timing=DatapathTiming(lanes=32)
+        _, fast = quantize_report(
+            cfg, thresholds, x, DatapathTiming(lanes=32)
         )
-        _, slow = narrow.quantize_matrix(x)
-        _, fast = wide.quantize_matrix(x)
         ratio = slow.total_cycles / fast.total_cycles
         assert 1.5 < ratio <= 2.1
 
     def test_stage_occupancy_covers_all_figure9_modules(self, setup):
         cfg, thresholds, rng = setup
-        engine = VectorizedQuantEngine(cfg, thresholds)
-        _, report = engine.quantize_matrix(rng.standard_normal((4, 128)))
-        assert set(report.stages) == {
+        _, report = quantize_report(
+            cfg, thresholds, rng.standard_normal((4, 128))
+        )
+        # In recording order: occupancy() ties resolve to the first.
+        assert list(report.stages) == [
             "decomposer",
             "minmax_finder",
             "scale_calculator",
             "quantizer",
             "zero_remove_shifter",
-        }
+        ]
 
     def test_zero_remove_shifter_sees_only_outliers(self, setup):
         cfg, thresholds, rng = setup
-        engine = VectorizedQuantEngine(cfg, thresholds)
         x = rng.standard_normal((8, 128)) * 3.0
-        encoded, report = engine.quantize_matrix(x)
+        encoded, report = quantize_report(cfg, thresholds, x)
         assert (
             report.stage("zero_remove_shifter").elements
             == encoded.num_outliers
@@ -127,13 +132,13 @@ class TestQuantPipelineMath:
 
     def test_empty_matrix_zero_cycles(self, setup):
         cfg, thresholds, _ = setup
-        engine = VectorizedQuantEngine(cfg, thresholds)
-        _, report = engine.quantize_matrix(np.zeros((0, 128)))
+        _, report = quantize_report(cfg, thresholds, np.zeros((0, 128)))
         assert report.total_cycles == 0
 
 
 class TestClosedFormCycles:
-    """Every engine pass reports exactly its timing's ``cycles()``."""
+    """Every engine pass reports, and the engine-backed quantizer
+    accumulates, exactly its timing's ``cycles()``."""
 
     @pytest.mark.parametrize("tokens", GRID_TOKENS)
     @pytest.mark.parametrize("scale_latency", (1, 4, 16))
@@ -145,12 +150,17 @@ class TestClosedFormCycles:
         timing = DatapathTiming(
             lanes=lanes, scale_latency_cycles=scale_latency
         )
-        engine = VectorizedQuantEngine(cfg, thresholds, timing=timing)
+        engine = EngineBackedQuantizer(
+            cfg, thresholds, quant_timing=timing
+        )
         for dim in GRID_DIMS:
-            _, report = engine.quantize_matrix(
+            before = engine.quant_cycles
+            encoded = engine.quantize(
                 rng.standard_normal((tokens, dim)) * 3.0
             )
-            assert report.total_cycles == timing.cycles(tokens, dim)
+            expected = timing.cycles(tokens, dim)
+            assert timing.report(encoded).total_cycles == expected
+            assert engine.quant_cycles - before == expected
 
     @pytest.mark.parametrize("tokens", GRID_TOKENS)
     @pytest.mark.parametrize("fill", (0, 16))
@@ -160,14 +170,18 @@ class TestClosedFormCycles:
     ):
         cfg, thresholds, rng = setup
         timing = DequantTiming(lanes=lanes, fill_cycles=fill)
-        engine = VectorizedDequantEngine(cfg, thresholds, timing=timing)
-        reference = OakenQuantizer(cfg, thresholds)
+        engine = EngineBackedQuantizer(
+            cfg, thresholds, dequant_timing=timing
+        )
         for dim in GRID_DIMS:
-            encoded = reference.quantize(
+            encoded = engine.quantize(
                 rng.standard_normal((tokens, dim)) * 3.0
             )
-            _, report = engine.dequantize_matrix(encoded)
-            assert report.total_cycles == timing.cycles(tokens, dim)
+            before = engine.dequant_cycles
+            engine.dequantize(encoded)
+            expected = timing.cycles(tokens, dim)
+            assert timing.report(encoded).total_cycles == expected
+            assert engine.dequant_cycles - before == expected
 
     def test_steady_state_interval_is_one_pass(self):
         """Past the fill, each further token costs one element pass —
@@ -192,20 +206,16 @@ class TestEmptyPassIsFree:
         assert DequantTiming().cycles(0, 128) == 0
         assert DequantTiming(fill_cycles=16).cycles(1, 128) == 17
 
-    @pytest.mark.parametrize(
-        "engine_class",
-        (VectorizedDequantEngine, oracle.StreamingDequantEngine),
-        ids=("vectorized", "oracle"),
-    )
-    def test_dequant_engines(self, setup, engine_class):
+    def test_dequant_engines(self, setup):
         cfg, thresholds, _ = setup
         encoded = OakenQuantizer(cfg, thresholds).quantize(
             np.zeros((0, 128))
         )
-        _, report = engine_class(cfg, thresholds).dequantize_matrix(
-            encoded
-        )
+        _, report = oracle.StreamingDequantEngine(
+            cfg, thresholds
+        ).dequantize_matrix(encoded)
         assert report.total_cycles == 0
+        assert DequantTiming().report(encoded).total_cycles == 0
 
 
 class TestLatencyHiddenUnderAttention:

@@ -1,11 +1,12 @@
 """Bit-exact equivalence of the dequantization datapath.
 
-Reconstruction through the zero-insert shifter (fused nibble + record
-bits) must match the reference dequantizer exactly — this also proves
-the fused dense-and-sparse encoding is lossless with respect to the
-quantized codes.  The per-record stages only the element-streaming
-golden model has (outlier index buffer, code reassembly) are checked on
-it (``tests/datapath_oracle.py``), and so is its end-to-end roundtrip.
+Reconstruction through the element-streaming golden model's zero-insert
+shifter (fused nibble + record bits, ``tests/datapath_oracle.py``) must
+match the fused dequantizer exactly — this also proves the fused
+dense-and-sparse encoding is lossless with respect to the quantized
+codes.  Its per-record stages (outlier index buffer, code reassembly)
+are checked on their own, and the engine-backed quantizer's corruption
+check through the KV cache's read path.
 """
 
 from __future__ import annotations
@@ -16,23 +17,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import OakenConfig
+from repro.core.kvcache import LayerKVCache
 from repro.core.quantizer import OakenQuantizer
 from repro.core.thresholds import profile_thresholds
-from repro.hardware.datapath import (
-    DequantTiming,
-    VectorizedDequantEngine,
-    VectorizedZeroInsertShifter,
-)
+from repro.hardware.datapath import DequantTiming, EngineBackedQuantizer
 
 import datapath_oracle as oracle
 
 
 def make_trio(config: OakenConfig, rng: np.random.Generator, dim: int = 96):
-    """Reference quantizer plus the dequant engine."""
+    """The fused quantizer plus the golden model's dequant engine."""
     samples = [rng.standard_normal((24, dim)) * 3.0 for _ in range(4)]
     thresholds = profile_thresholds(samples, config)
     reference = OakenQuantizer(config, thresholds)
-    dequant = VectorizedDequantEngine(config, thresholds)
+    dequant = oracle.StreamingDequantEngine(config, thresholds)
     return reference, dequant
 
 
@@ -85,14 +83,27 @@ class TestZeroInsertShifter:
         assert shifter.record_high_bits(negative) == 0
 
     def test_corrupted_nibble_detected(self):
-        shifter = VectorizedZeroInsertShifter(OakenConfig())
-        dense = np.zeros((1, 8), dtype=np.uint8)
-        dense[0, 7] = 0b0100
-        with pytest.raises(ValueError, match="mismatch at position 7"):
-            shifter.validate(
-                dense, np.array([0]), np.array([7]), np.array([False]),
-                np.array([0b0101], dtype=np.uint8),
-            )
+        """A flipped fused slot in a stored chunk fails an
+        engine-backed cache read."""
+        rng = np.random.default_rng(67)
+        cfg = OakenConfig()
+        thresholds = profile_thresholds(
+            [rng.standard_normal((24, 32)) * 3.0], cfg
+        )
+        cache = LayerKVCache(
+            EngineBackedQuantizer(cfg, thresholds),
+            EngineBackedQuantizer(cfg, thresholds),
+        )
+        cache.append(*(rng.standard_normal((2, 4, 32)) * 3.0))
+        chunk = cache._value_chunks[0]
+        assert chunk.sparse_token.size > 0
+        token = int(chunk.sparse_token[-1])
+        pos = int(chunk.sparse_pos[-1])
+        chunk.dense_codes[token, pos] ^= 0b0100
+        with pytest.raises(
+            ValueError, match=f"fused nibble mismatch at position {pos}"
+        ):
+            cache.read()
 
     def test_narrow_slot_wide_code(self):
         """2-bit slots with 5-bit codes: three high bits in the record."""
@@ -203,10 +214,10 @@ class TestDequantTiming:
 
     def test_matrix_cycles_one_pass_per_token(self):
         rng = np.random.default_rng(61)
-        reference, dequant = make_trio(OakenConfig(), rng, dim=128)
+        reference, _ = make_trio(OakenConfig(), rng, dim=128)
         encoded = reference.quantize(rng.standard_normal((10, 128)))
-        _, report = dequant.dequantize_matrix(encoded)
-        timing = dequant.timing
+        timing = DequantTiming()
+        report = timing.report(encoded)
         assert report.total_cycles == (
             timing.fill_cycles + 10 * timing.pass_cycles(128)
         )

@@ -1,14 +1,16 @@
-"""Element-for-element equivalence of the datapath and its golden model.
+"""Element-for-element equivalence of the fused kernel and the datapath.
 
-The whole-tensor engines in :mod:`repro.hardware.datapath.vectorized`
-must reproduce the scalar element-streaming Figure 9 golden pipeline
-(``tests/datapath_oracle.py``) exactly — same bits, same COO stream,
-same FP16 scale bounds, same modeled cycle reports — in **both**
+The fused kernel of :class:`~repro.core.quantizer.OakenQuantizer` is
+``src/``'s one Oaken arithmetic, and the Figure 9 engines are its
+pricing (:meth:`~repro.hardware.datapath.DatapathTiming.report`).  The
+scalar element-streaming golden model (``tests/datapath_oracle.py``)
+implements every Figure 9 stage one element at a time; the kernel must
+reproduce it exactly — same bits, same COO stream, same FP16 scale
+bounds — and the reports its cycle counters, in **both**
 :class:`~repro.core.modes.ComputeMode`\\ s, across the paper's whole
 configuration registry (the Table 3 ratio sweep plus the feature
-ablations).  ``exact_f64`` additionally anchors to the vectorized
-reference quantizer; ``deploy_f32`` must stay within the mode's
-documented one-code-level tolerance of the ``exact_f64`` output.
+ablations).  ``deploy_f32`` must also stay within the mode's documented
+one-code-level tolerance of the ``exact_f64`` output.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ import pytest
 from repro.core.config import TABLE3_CONFIGURATIONS, OakenConfig
 from repro.core.modes import COMPUTE_MODES, DEPLOY_F32, EXACT_F64
 from repro.core.quantizer import OakenQuantizer
+from repro.core.reference import ReferenceOakenQuantizer
 from repro.core.thresholds import profile_thresholds
 from repro.hardware.datapath import (
+    DatapathTiming,
+    DequantTiming,
     EngineBackedQuantizer,
-    VectorizedDequantEngine,
-    VectorizedQuantEngine,
 )
 
 import datapath_oracle as oracle
@@ -52,7 +55,8 @@ CONFIG_IDS = [label for _, label in CONFIG_REGISTRY]
 
 
 def build(config, mode, dim=96, seed=0):
-    """Thresholds plus all four engines for one (config, mode) pair."""
+    """Thresholds, the kernel and both golden engines for one
+    (config, mode) pair."""
     rng = np.random.default_rng(seed)
     samples = [rng.standard_normal((24, dim)) * 3.0 for _ in range(4)]
     thresholds = profile_thresholds(samples, config)
@@ -66,8 +70,7 @@ def build(config, mode, dim=96, seed=0):
         "scalar_d": oracle.StreamingDequantEngine(
             config, thresholds, mode=mode
         ),
-        "vec_q": VectorizedQuantEngine(config, thresholds, mode=mode),
-        "vec_d": VectorizedDequantEngine(config, thresholds, mode=mode),
+        "kernel": OakenQuantizer(config, thresholds, mode),
     }
 
 
@@ -94,53 +97,58 @@ def assert_encoded_equal(expected, actual) -> None:
 
 
 def assert_reports_equal(expected, actual) -> None:
-    """Cycle-for-cycle equality of two CycleReports."""
+    """Cycle-for-cycle equality of two CycleReports, stage order too
+    (``occupancy()`` ties resolve to the first stage recorded)."""
     assert actual.total_cycles == expected.total_cycles
     assert actual.tokens == expected.tokens
     assert actual.elements == expected.elements
-    assert set(actual.stages) == set(expected.stages)
+    assert list(actual.stages) == list(expected.stages)
     for name, stage in expected.stages.items():
         assert actual.stages[name].busy_cycles == stage.busy_cycles, name
         assert actual.stages[name].elements == stage.elements, name
 
 
-class TestScalarVectorizedEquivalence:
+def assert_rows_identical(expected, actual) -> None:
+    """Bit equality of two float32 row blocks (signed zeros included)."""
+    assert actual.dtype == expected.dtype == np.float32
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestKernelOracleEquivalence:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
     def test_quantize_bits_and_cycles_identical(self, config, mode):
-        """Engine and golden model emit the same bits and cycles."""
+        """The kernel and the golden model emit the same bits; the
+        quantization engine's report of them its cycles."""
         setup = build(config, mode)
         encoded_s, report_s = setup["scalar_q"].quantize_matrix(
             setup["matrix"]
         )
-        encoded_v, report_v = setup["vec_q"].quantize_matrix(
-            setup["matrix"]
-        )
-        assert_encoded_equal(encoded_s, encoded_v)
-        assert_reports_equal(report_s, report_v)
+        encoded_k = setup["kernel"].quantize(setup["matrix"])
+        assert_encoded_equal(encoded_s, encoded_k)
+        assert_reports_equal(report_s, DatapathTiming().report(encoded_k))
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
     def test_dequantize_rows_and_cycles_identical(self, config, mode):
-        """Engine and golden model reconstruct identical rows."""
+        """The kernel and the golden model reconstruct identical rows."""
         setup = build(config, mode)
         encoded, _ = setup["scalar_q"].quantize_matrix(setup["matrix"])
         rows_s, report_s = setup["scalar_d"].dequantize_matrix(encoded)
-        rows_v, report_v = setup["vec_d"].dequantize_matrix(encoded)
-        np.testing.assert_array_equal(rows_s, rows_v)
-        assert rows_v.dtype == np.float32
-        assert_reports_equal(report_s, report_v)
+        rows_k = setup["kernel"].dequantize(encoded)
+        assert_rows_identical(rows_s, rows_k)
+        assert_reports_equal(report_s, DequantTiming().report(encoded))
 
-    def test_exact_f64_matches_reference_quantizer(self):
-        """The f64 engine inherits the golden anchor."""
+    def test_exact_f64_matches_the_frozen_seed(self):
+        """The engine-backed quantizer inherits the golden anchor."""
         config = OakenConfig()
         setup = build(config, EXACT_F64)
-        reference = OakenQuantizer(config, setup["thresholds"])
-        encoded_v, _ = setup["vec_q"].quantize_matrix(setup["matrix"])
-        assert_encoded_equal(reference.quantize(setup["matrix"]), encoded_v)
-        rows_v, _ = setup["vec_d"].dequantize_matrix(encoded_v)
-        np.testing.assert_array_equal(
-            reference.dequantize(encoded_v), rows_v
+        seed = ReferenceOakenQuantizer(config, setup["thresholds"])
+        engine = EngineBackedQuantizer(config, setup["thresholds"])
+        encoded = engine.quantize(setup["matrix"])
+        assert_encoded_equal(seed.quantize(setup["matrix"]), encoded)
+        assert_rows_identical(
+            seed.dequantize(encoded), engine.dequantize(encoded)
         )
 
     @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
@@ -148,12 +156,8 @@ class TestScalarVectorizedEquivalence:
         """float32 stage mode honours the mode's tolerance contract."""
         setup64 = build(config, EXACT_F64)
         setup32 = build(config, DEPLOY_F32)
-        encoded64, _ = setup64["vec_q"].quantize_matrix(
-            setup64["matrix"]
-        )
-        encoded32, _ = setup32["vec_q"].quantize_matrix(
-            setup32["matrix"]
-        )
+        encoded64 = setup64["kernel"].quantize(setup64["matrix"])
+        encoded32 = setup32["kernel"].quantize(setup32["matrix"])
         # Outlier selection may move a borderline element between
         # groups; when it does not, dense codes drift by at most
         # DEPLOY_F32.code_tolerance levels.
@@ -168,10 +172,11 @@ class TestScalarVectorizedEquivalence:
                 DEPLOY_F32.code_tolerance
             )
 
-    def test_empty_and_single_token_edges(self):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_empty_and_single_token_edges(self, mode):
         """Degenerate shapes stream through both identically."""
         config = OakenConfig()
-        setup = build(config, EXACT_F64)
+        setup = build(config, mode)
         for matrix in (
             np.zeros((0, 96)),
             setup["matrix"][:1],
@@ -180,25 +185,42 @@ class TestScalarVectorizedEquivalence:
             encoded_s, report_s = setup["scalar_q"].quantize_matrix(
                 matrix
             )
-            encoded_v, report_v = setup["vec_q"].quantize_matrix(matrix)
-            assert_encoded_equal(encoded_s, encoded_v)
-            assert_reports_equal(report_s, report_v)
+            encoded_k = setup["kernel"].quantize(matrix)
+            assert_encoded_equal(encoded_s, encoded_k)
+            assert_reports_equal(
+                report_s, DatapathTiming().report(encoded_k)
+            )
+            rows_s, dequant_s = setup["scalar_d"].dequantize_matrix(
+                encoded_k
+            )
+            assert_rows_identical(
+                rows_s, setup["kernel"].dequantize(encoded_k)
+            )
+            assert_reports_equal(
+                dequant_s, DequantTiming().report(encoded_k)
+            )
 
-    def test_vectorized_detects_corrupted_nibble(self):
+    def test_adapter_detects_corrupted_nibble(self):
         """The zero-insert shifter keeps the golden model's check."""
         config = OakenConfig()
         setup = build(config, EXACT_F64)
-        encoded, _ = setup["vec_q"].quantize_matrix(setup["matrix"])
+        engine = EngineBackedQuantizer(config, setup["thresholds"])
+        encoded = engine.quantize(setup["matrix"])
         assert encoded.sparse_token.size > 0
         token = int(encoded.sparse_token[0])
         pos = int(encoded.sparse_pos[0])
         encoded.dense_codes[token, pos] ^= 0x3
-        with pytest.raises(ValueError, match="fused nibble mismatch"):
-            setup["vec_d"].dequantize_matrix(encoded)
+        with pytest.raises(
+            ValueError, match=f"fused nibble mismatch at position {pos}"
+        ):
+            engine.dequantize(encoded)
+        # The plain kernel's hot path does not check.
+        setup["kernel"].dequantize(encoded)
 
 
-class TestEngineBackedTiers:
-    def test_vectorized_default_matches_scalar_tier(self):
+class TestEngineBackedQuantizer:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_adapter_matches_oracle_bits_and_cycles(self, mode):
         """The adapter agrees with the golden model's engines
         bit-for-bit and cycle-for-cycle."""
         config = OakenConfig()
@@ -206,19 +228,19 @@ class TestEngineBackedTiers:
         samples = [rng.standard_normal((24, 64)) * 2.0]
         thresholds = profile_thresholds(samples, config)
         matrix = rng.standard_normal((9, 64))
-        fast = EngineBackedQuantizer(config, thresholds)
+        engine = EngineBackedQuantizer(config, thresholds, mode=mode)
         encoded, quant_report = oracle.StreamingQuantEngine(
-            config, thresholds
+            config, thresholds, mode=mode
         ).quantize_matrix(matrix)
         rows, dequant_report = oracle.StreamingDequantEngine(
-            config, thresholds
+            config, thresholds, mode=mode
         ).dequantize_matrix(encoded)
-        np.testing.assert_array_equal(fast.roundtrip(matrix), rows)
-        assert fast.quant_cycles == quant_report.total_cycles > 0
-        assert fast.dequant_cycles == dequant_report.total_cycles > 0
+        assert_rows_identical(rows, engine.roundtrip(matrix))
+        assert engine.quant_cycles == quant_report.total_cycles > 0
+        assert engine.dequant_cycles == dequant_report.total_cycles > 0
 
     def test_engine_modes_thread_through(self):
-        """The adapter resolves and forwards its ComputeMode."""
+        """The adapter resolves its ComputeMode into the kernel plan."""
         config = OakenConfig()
         rng = np.random.default_rng(4)
         thresholds = profile_thresholds(
@@ -227,10 +249,11 @@ class TestEngineBackedTiers:
         adapter = EngineBackedQuantizer(
             config, thresholds, mode="deploy_f32"
         )
+        assert isinstance(adapter, OakenQuantizer)
         assert adapter.mode is DEPLOY_F32
         assert adapter.compute_dtype == np.float32
-        assert adapter._quant.mode is DEPLOY_F32
-        assert adapter._dequant.mode is DEPLOY_F32
+        plain = OakenQuantizer(config, thresholds, "deploy_f32")
+        assert adapter._plan is plain._plan
 
 
 class TestDegenerateConfigs:
@@ -244,12 +267,13 @@ class TestDegenerateConfigs:
             encoded_s, report_s = setup["scalar_q"].quantize_matrix(
                 setup["matrix"]
             )
-            encoded_v, report_v = setup["vec_q"].quantize_matrix(
-                setup["matrix"]
+            encoded_k = setup["kernel"].quantize(setup["matrix"])
+            assert_encoded_equal(encoded_s, encoded_k)
+            assert_reports_equal(
+                report_s, DatapathTiming().report(encoded_k)
             )
-            assert_encoded_equal(encoded_s, encoded_v)
-            assert_reports_equal(report_s, report_v)
-            assert encoded_v.sparse_token.size == 0
+            assert encoded_k.sparse_token.size == 0
             rows_s, _ = setup["scalar_d"].dequantize_matrix(encoded_s)
-            rows_v, _ = setup["vec_d"].dequantize_matrix(encoded_v)
-            np.testing.assert_array_equal(rows_s, rows_v)
+            assert_rows_identical(
+                rows_s, setup["kernel"].dequantize(encoded_k)
+            )

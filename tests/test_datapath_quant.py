@@ -1,14 +1,13 @@
 """Bit-exact equivalence of the quantization datapath.
 
-The quantization engine of :mod:`repro.hardware.datapath` is a
+The element-streaming golden model (``tests/datapath_oracle.py``) is a
 structural re-implementation of the algorithm — the Figure 9 stages one
-after another instead of one fused kernel.  These tests assert the two
-produce *identical* bits (codes, scales, COO streams) across
-configurations, which is the functional-verification step between an
-RTL datapath and its golden model.  What only the per-element golden
-model (``tests/datapath_oracle.py``) has — per-token COO records,
-range registers that reset between tokens — is checked on it, against
-the same reference quantizer.
+after another instead of one fused kernel.  These tests check its
+stages on their own, and assert it and the fused kernel produce
+*identical* bits (codes, scales, COO streams) across configurations,
+which is the functional-verification step between an RTL datapath and
+its golden model.  The engine-backed quantizer's construction and
+timing knobs are checked here too.
 """
 
 from __future__ import annotations
@@ -22,12 +21,7 @@ from repro.core.config import OakenConfig
 from repro.core.grouping import MIDDLE_GROUP, GroupThresholds
 from repro.core.quantizer import OakenQuantizer
 from repro.core.thresholds import profile_thresholds
-from repro.hardware.datapath import (
-    DatapathTiming,
-    VectorizedDecomposer,
-    VectorizedMinMaxFinder,
-    VectorizedQuantEngine,
-)
+from repro.hardware.datapath import DatapathTiming, EngineBackedQuantizer
 
 import datapath_oracle as oracle
 
@@ -41,13 +35,27 @@ def make_pair(config: OakenConfig, rng: np.random.Generator, dim: int = 96):
     samples = [rng.standard_normal((24, dim)) * 3.0 for _ in range(4)]
     thresholds = profile_thresholds(samples, config)
     reference = OakenQuantizer(config, thresholds)
-    engine = VectorizedQuantEngine(config, thresholds)
+    engine = oracle.StreamingQuantEngine(config, thresholds)
     return reference, engine
 
 
 def classify(decomposer, *values):
-    """Group ids of a one-token matrix holding ``values``."""
-    return decomposer.classify(np.array([values])).tolist()[0]
+    """Group ids the decomposer assigns ``values``."""
+    return [decomposer.classify(v) for v in values]
+
+
+def route(decomposer, *values):
+    """``(shifted, side)`` of each routed element of ``values``."""
+    routed = [decomposer.route(p, v) for p, v in enumerate(values)]
+    return [e.shifted for e in routed], [e.side for e in routed]
+
+
+def finder_over(decomposer, *values):
+    """A min/max finder that has seen one token holding ``values``."""
+    finder = oracle.MinMaxFinder(2)
+    for position, value in enumerate(values):
+        finder.update(decomposer.route(position, value))
+    return finder
 
 
 def assert_encoded_equal(expected, actual) -> None:
@@ -74,22 +82,22 @@ def assert_encoded_equal(expected, actual) -> None:
 
 class TestDecomposer:
     def test_middle_value_routes_dense(self):
-        decomposer = VectorizedDecomposer(OakenConfig(), PAPER_THRESHOLDS)
+        decomposer = oracle.Decomposer(OakenConfig(), PAPER_THRESHOLDS)
         assert classify(decomposer, 1.0) == [MIDDLE_GROUP]
 
     def test_extreme_value_routes_outer(self):
-        decomposer = VectorizedDecomposer(OakenConfig(), PAPER_THRESHOLDS)
+        decomposer = oracle.Decomposer(OakenConfig(), PAPER_THRESHOLDS)
         assert classify(decomposer, 9.5, -8.5) == [0, 0]
 
     def test_near_zero_routes_inner(self):
-        decomposer = VectorizedDecomposer(OakenConfig(), PAPER_THRESHOLDS)
+        decomposer = oracle.Decomposer(OakenConfig(), PAPER_THRESHOLDS)
         assert classify(decomposer, 0.05, -0.02) == [1, 1]
 
     def test_group_shift_moves_outer_toward_zero(self):
-        decomposer = VectorizedDecomposer(OakenConfig(), PAPER_THRESHOLDS)
-        _, _, shifted, side = decomposer.route(np.array([[9.5, -8.5]]))
-        assert side.tolist() == [[True, False]]
-        assert shifted[0] == pytest.approx([1.5, 0.5])
+        decomposer = oracle.Decomposer(OakenConfig(), PAPER_THRESHOLDS)
+        shifted, side = route(decomposer, 9.5, -8.5)
+        assert side == [True, False]
+        assert shifted == pytest.approx([1.5, 0.5])
 
     def test_two_outer_bands_outermost_claims_first(self):
         thr = GroupThresholds(
@@ -99,7 +107,7 @@ class TestDecomposer:
             outer_ratios=(0.02, 0.02), middle_ratio=0.90,
             inner_ratios=(0.06,),
         )
-        decomposer = VectorizedDecomposer(cfg, thr)
+        decomposer = oracle.Decomposer(cfg, thr)
         assert classify(decomposer, 11.0, 9.0, 7.0) == [0, 1, MIDDLE_GROUP]
 
     def test_nested_inner_shells_innermost_claims_first(self):
@@ -110,24 +118,21 @@ class TestDecomposer:
             outer_ratios=(0.04,), middle_ratio=0.90,
             inner_ratios=(0.03, 0.03),
         )
-        decomposer = VectorizedDecomposer(cfg, thr)
+        decomposer = oracle.Decomposer(cfg, thr)
         assert classify(decomposer, 0.01, 0.1, 0.5) == [2, 1, MIDDLE_GROUP]
 
 
 class TestMinMaxFinder:
     def test_tracks_range_per_group(self):
-        decomposer = VectorizedDecomposer(OakenConfig(), PAPER_THRESHOLDS)
-        _, group, shifted, _ = decomposer.route(np.array([[1.0, 2.0, -3.0]]))
-        lo, hi, _, _ = VectorizedMinMaxFinder(2).ranges(group, shifted)
-        assert lo[0] < hi[0]
+        decomposer = oracle.Decomposer(OakenConfig(), PAPER_THRESHOLDS)
+        finder = finder_over(decomposer, 1.0, 2.0, -3.0)
+        lo, hi = finder.range_of(MIDDLE_GROUP)
+        assert lo < hi
 
     def test_empty_group_reports_zero_range(self):
-        decomposer = VectorizedDecomposer(OakenConfig(), PAPER_THRESHOLDS)
-        _, group, shifted, _ = decomposer.route(np.array([[1.0, 2.0]]))
-        _, _, band_lo, band_hi = VectorizedMinMaxFinder(2).ranges(
-            group, shifted
-        )
-        assert band_lo[0, 0] == band_hi[0, 0] == 0.0
+        decomposer = oracle.Decomposer(OakenConfig(), PAPER_THRESHOLDS)
+        finder = finder_over(decomposer, 1.0, 2.0)
+        assert finder.range_of(0) == (0.0, 0.0)
 
     def test_reset_clears_registers(self):
         """Range registers are per-element state: the golden model's."""
@@ -139,7 +144,7 @@ class TestMinMaxFinder:
 
 
 class TestStreamingEquivalence:
-    """The engine's bits must equal the reference quantizer's exactly."""
+    """The golden model's bits must equal the fused kernel's exactly."""
 
     def test_paper_default_config(self):
         rng = np.random.default_rng(7)
@@ -296,20 +301,25 @@ class TestQuantEngineValidation:
             outer_lo=(-8.0, -6.0), outer_hi=(8.0, 6.0), inner_mag=(0.1,)
         )
         with pytest.raises(ValueError, match="outer band"):
-            VectorizedQuantEngine(cfg, thr)
+            EngineBackedQuantizer(cfg, thr)
 
     def test_rejects_3d_input(self):
         rng = np.random.default_rng(3)
-        _, engine = make_pair(OakenConfig(), rng)
+        reference, _ = make_pair(OakenConfig(), rng)
+        engine = EngineBackedQuantizer(
+            reference.config, reference.thresholds
+        )
         with pytest.raises(ValueError, match="matrix"):
-            engine.quantize_matrix(np.zeros((2, 3, 4)))
+            engine.quantize(np.zeros((2, 3, 4)))
 
     def test_timing_is_configurable(self):
         rng = np.random.default_rng(5)
         cfg = OakenConfig()
         samples = [rng.standard_normal((16, 64))]
         thr = profile_thresholds(samples, cfg)
-        engine = VectorizedQuantEngine(
-            cfg, thr, timing=DatapathTiming(lanes=8)
+        engine = EngineBackedQuantizer(
+            cfg, thr, quant_timing=DatapathTiming(lanes=8)
         )
-        assert engine.timing.pass_cycles(64) == 8
+        assert engine.quant_timing.pass_cycles(64) == 8
+        engine.quantize(rng.standard_normal((3, 64)))
+        assert engine.quant_cycles == DatapathTiming(lanes=8).cycles(3, 64)

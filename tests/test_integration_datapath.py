@@ -1,11 +1,12 @@
 """Hardware-in-the-loop integration: engines under the full stack.
 
 Runs the paged quantized KV cache — and whole-model autoregressive
-generation — with the structural Figure 9 engines substituted for the
-vectorized quantizer, asserting the system produces *identical* tokens
-and cache bytes.  This is the top of the verification pyramid: stage
-models -> tensor equivalence -> cache equivalence -> model-level
-equivalence.
+generation — on engine-backed quantizers (the fused kernel priced in
+Figure 9 engine cycles, one call per tensor) in place of the plain
+stacked quantizers, asserting the system produces *identical* tokens
+and cache bytes while the engine cycles accumulate.  This is the top
+of the verification pyramid: stage models -> tensor equivalence ->
+cache equivalence -> model-level equivalence.
 """
 
 from __future__ import annotations

@@ -187,6 +187,40 @@ class TestEngineCycles:
             == plain.replay["peak_pool_bytes"]
         )
 
+    @pytest.mark.parametrize("arena", [False, True], ids=["chunked", "arena"])
+    @pytest.mark.parametrize("mode", ["exact_f64", "deploy_f32"])
+    def test_engine_backed_replay_reads_the_fused_bytes(self, mode, arena):
+        """The cycles an engine-backed replay counts are the plain fused
+        replay's work: every layer reads back the same bytes."""
+        pools = []
+        for engine_cycles in (False, True):
+            replay = _CacheReplay(
+                CacheReplayConfig(
+                    method="oaken", mode=mode, arena=arena,
+                    engine_cycles=engine_cycles,
+                ),
+                get_system("oaken-lpddr"),
+                ARCH,
+            )
+            requests = [
+                Request(request_id=rid, arrival_s=0.0, input_tokens=32,
+                        output_tokens=4)
+                for rid in range(3)
+            ]
+            for request in requests:
+                replay.admit(request)
+            for _ in range(2):
+                replay.step(requests)
+            pools.append(replay.pool)
+        plain, backed = pools
+        ids = [0, 1, 2]
+        for layer in range(CacheReplayConfig().num_layers):
+            for (pk, pv), (bk, bv) in zip(
+                plain.read_batch(layer, ids), backed.read_batch(layer, ids)
+            ):
+                assert bk.tobytes() == pk.tobytes()
+                assert bv.tobytes() == pv.tobytes()
+
 
 class TestMeasuredAdmission:
     def make_engine(self, budget=None):

@@ -327,7 +327,8 @@ def kernel_calls(monkeypatch):
     calls = []
     for owner, names in (
         (OakenQuantizer, ("quantize", "quantize_into")),
-        # (its quantize_into forwards to its own quantize)
+        # (it calls the kernel itself; its quantize goes through
+        # its own quantize_into)
         (EngineBackedQuantizer, ("quantize_into",)),
     ):
         for name in names:
