@@ -20,12 +20,10 @@ The harness is **one table driven by one runner**:
     its named timed variants, which variant pairs form each
     ``speedup_*`` key, its identity check and its summary lines.
     ``run_benchmarks`` walks the table; ``format_summary`` renders it;
-    adding a benchmark edits the table and nothing else.
-
-:mod:`repro.bench.scenarios`
-    The table's scenario rows (``replay``, ``cluster``, ``tiering``,
-    ``prefix_sharing``): a single variant that returns a deterministic
-    simulation report, no A/B pair.
+    adding a benchmark edits the table and nothing else.  Every row is
+    a timed A/B pair or a header grouping its children; deterministic
+    simulation claims (replica scaling, prefetch, prefix sharing,
+    engine cycles) are exact tier-1 test pins, not rows.
 
 :mod:`repro.bench.runner`
     ``run_entry`` — the only code that times anything: warm-up,

@@ -88,8 +88,17 @@ def run(args: argparse.Namespace) -> int:
         write_report,
     )
 
-    if args.runs < 1:
-        print("error: --runs must be >= 1", file=sys.stderr)
+    # Bad arguments fail here, before the suite spends minutes running.
+    try:
+        for flag in ("tokens", "dim", "steps", "runs"):
+            value = getattr(args, flag)
+            if value is not None and value < 1:
+                raise ValueError(f"--{flag} must be >= 1, got {value}")
+        if args.check:
+            with open(args.check, "r", encoding="utf-8") as handle:
+                committed = json.load(handle)
+    except (OSError, ValueError) as exc:
+        print(f"repro bench: {exc}", file=sys.stderr)
         return 2
 
     reports = []
@@ -118,8 +127,6 @@ def run(args: argparse.Namespace) -> int:
         print(f"\nreport written to {out}")
 
     if args.check:
-        with open(args.check, "r", encoding="utf-8") as handle:
-            committed = json.load(handle)
         regressions = find_regressions(
             report, committed, args.check_factor
         )

@@ -4,10 +4,11 @@ Every timed entry pits the current optimized path against a frozen or
 un-optimized twin — the fused kernels against the seed implementation
 in :mod:`repro.core.reference`, batched pool calls against looped
 ones, the arena against the chunked pool — so the reported speedups
-stay meaningful as both sides evolve.  Scenario entries (``replay``,
-``cluster``, ``tiering``, ``prefix_sharing``; defined in
-:mod:`repro.bench.scenarios`) record one deterministic simulation
-report instead.
+stay meaningful as both sides evolve.  Every ``speedup_*`` is the
+ratio of two of its row's own variants; deterministic simulation
+claims (replica scaling, prefetch, prefix sharing, engine cycles) are
+not timings and are pinned by tier-1 tests instead (see
+``docs/benchmarks.md``).
 
 :data:`ENTRIES` is the whole harness: a row declares its sizes, its
 ``setup``, its named variants, which variant pairs form each
@@ -37,14 +38,6 @@ from repro.bench.runner import (
     run_entry,
     same,
     timed,
-)
-from repro.bench.scenarios import (
-    CLUSTER,
-    REPLAY,
-    SHARING,
-    TIERING,
-    closed_trace,
-    replay_trace,
 )
 from repro.core.config import OakenConfig
 from repro.core.encoding import split_encoded
@@ -562,6 +555,33 @@ _BASELINE_READ = Entry(
 # -- replay.batchN: the arena wall-clock sweep -----------------------
 
 
+def closed_trace(requests: int, inputs: int, outputs: int):
+    """``requests`` identical requests, all arriving at time zero."""
+    from repro.data.traces import TraceRequest
+
+    return [
+        TraceRequest(
+            arrival_s=0.0, input_tokens=inputs, output_tokens=outputs
+        )
+        for _ in range(requests)
+    ]
+
+
+def replay_trace(trace, max_batch: int, **replay):
+    """One closed-trace serving replay of llama2-13b on oaken-hbm."""
+    from repro.hardware.overheads import get_system
+    from repro.models.config import get_model
+    from repro.serving.simulator import CacheReplayConfig, simulate_trace
+
+    return simulate_trace(
+        get_system("oaken-hbm"),
+        get_model("llama2-13b").arch,
+        trace,
+        max_batch,
+        replay=CacheReplayConfig(**replay),
+    )
+
+
 def _replay_arena_extra(ctx, outputs, result) -> Dict[str, float]:
     # Recycling absorbs steady churn without a pass; the drain at the
     # end of a closed trace cannot be absorbed, so a replay that never
@@ -772,12 +792,9 @@ ENTRIES: Tuple[Entry, ...] = (
     _pool_arena_row("pool_append", "append", 64),
     _pool_arena_row("pool_append", "append", 128),
     _BASELINE_READ,
-    REPLAY,
+    Entry("replay", summary=lambda r: ["serving replay arena sweep:"]),
     _replay_arena_row(64),
     _replay_arena_row(128),
-    CLUSTER,
-    TIERING,
-    SHARING,
     _ANALYTIC,
     Entry("bitpack", summary=lambda r: ["bitpack fast paths:"]),
     _bitpack_row(4),
@@ -796,13 +813,16 @@ def declared_speedups(entries: Tuple[Entry, ...] = ENTRIES) -> List[str]:
 
 def _nodes(
     benchmarks: Dict[str, object]
-) -> Iterator[Tuple[Entry, Dict[str, object], str]]:
-    """Each table row with its parent dict and leaf key in ``benchmarks``."""
+) -> Iterator[Tuple[Entry, Optional[Dict[str, object]], str]]:
+    """Each table row with its parent dict in ``benchmarks`` (``None``
+    when the parent row is absent) and its leaf key."""
     for entry in ENTRIES:
         *parents, leaf = entry.name.split(".")
         node = benchmarks
         for key in parents:
-            node = node.get(key, {})
+            node = node.get(key)
+            if node is None:
+                break
         yield entry, node, leaf
 
 
@@ -829,6 +849,10 @@ def run_benchmarks(
     overrides = {"tokens": tokens, "dim": dim, "steps": steps}
     benchmarks: Dict[str, object] = {}
     for entry, node, leaf in _nodes(benchmarks):
+        if node is None:
+            raise ValueError(
+                f"bench row {entry.name!r} has no parent row before it"
+            )
         node[leaf] = run_entry(entry, quick, repeats, overrides)
     report: Dict[str, object] = {
         "schema": "repro.bench/v1",
@@ -959,6 +983,6 @@ def format_summary(report: Dict[str, object]) -> str:
     return "\n".join(
         line
         for entry, node, leaf in _nodes(report["benchmarks"])
-        if leaf in node
+        if node is not None and leaf in node
         for line in entry.summary(node[leaf])
     )

@@ -11,11 +11,9 @@ renders that dict for the console.
 A *variant* is ``fn(ctx) -> (seconds, output)``.  Stepped loops time
 themselves (only part of each step is the measured path);
 :func:`timed` wraps a plain call whose whole duration is the
-measurement.  Scenario entries (a replay or cluster run whose report
-*is* the result) are rows with one ``wall`` variant and an ``extra``
-that returns the report — no A/B pair is invented for them, and a
-``None`` speedup pair declares a ``speedup_*`` key the report itself
-carries.
+measurement.  Every ``speedup_*`` key is the ratio of two of its row's
+own variants; a deterministic simulation ratio (replica scaling, byte
+accounting) is not a timing and is pinned by a tier-1 test instead.
 """
 
 from __future__ import annotations
@@ -57,11 +55,6 @@ def at_least(floor: int) -> Callable[[int, bool], int]:
     return lambda repeats, quick: max(floor, repeats)
 
 
-def once(repeats: int, quick: bool) -> int:
-    """Pass policy of deterministic scenario rows: a single pass."""
-    return 1
-
-
 @dataclass(frozen=True)
 class Entry:
     """One row of the bench table.
@@ -72,19 +65,19 @@ class Entry:
     into the result and passed to ``setup(**sizes)``, whose return
     value is the context every variant receives (without a ``setup``
     the context is a namespace of the sizes).  ``overridable`` names
-    the sizes a same-named CLI flag replaces.
+    the sizes a same-named CLI flag replaces.  A row without
+    ``variants`` is a header that only groups its children.
 
     ``speedups`` maps a label to its ``(baseline, optimized)`` variant
     pair, emitted as ``speedup_<label>`` (bare ``speedup`` for the
-    empty label); ``None`` instead of a pair declares a key that
-    ``extra`` reports.  ``check(outputs)`` returns named identity
-    flags — a false one aborts the run, a true one is recorded as
+    empty label).  ``check(outputs)`` returns named identity flags — a
+    false one aborts the run, a true one is recorded as
     ``<name>_identical``.  ``extra(ctx, outputs, result)`` adds
     derived metrics.
 
     ``passes(repeats, quick)`` is the number of timed passes per
-    variant (:func:`at_least`, :func:`once`), each variant taking one
-    untimed warm-up pass first unless ``warm`` is off.
+    variant (e.g. :func:`at_least`), each variant taking one untimed
+    warm-up pass first unless ``warm`` is off.
     """
 
     name: str
@@ -92,9 +85,7 @@ class Entry:
     sizes: Mapping[str, object] = field(default_factory=dict)
     setup: Optional[Callable[..., object]] = None
     variants: Mapping[str, Variant] = field(default_factory=dict)
-    speedups: Mapping[str, Optional[Tuple[Names, Names]]] = field(
-        default_factory=dict
-    )
+    speedups: Mapping[str, Tuple[Names, Names]] = field(default_factory=dict)
     check: Optional[
         Callable[[Dict[str, object]], Dict[str, bool]]
     ] = None
@@ -121,31 +112,6 @@ def timed(fn: Callable[[object], object]) -> Variant:
         return time.perf_counter() - start, output
 
     return variant
-
-
-def scenario(
-    name: str,
-    run: Callable[[object], Dict[str, object]],
-    summary: Callable[[Dict[str, object]], List[str]],
-    sizes: Mapping[str, object],
-    speedups: Tuple[str, ...] = (),
-) -> Entry:
-    """A row whose single ``wall`` variant returns the report itself.
-
-    Simulation-time scenarios are deterministic for a fixed seed, so
-    they run once, unwarmed; ``speedups`` names the ``speedup_*`` keys
-    the report carries.
-    """
-    return Entry(
-        name,
-        summary,
-        sizes=sizes,
-        variants={"wall": timed(run)},
-        speedups={label: None for label in speedups},
-        extra=lambda ctx, outputs, result: outputs["wall"],
-        passes=once,
-        warm=False,
-    )
 
 
 def best_of(run: Callable[[], Tuple[float, object]], repeats: int):
@@ -212,9 +178,8 @@ def run_entry(
             variant(ctx)
         result[f"{name}_s"], outputs[name] = best_of(one_pass, passes)
     for key, pair in zip(entry.speedup_keys(), entry.speedups.values()):
-        if pair is not None:
-            baseline, optimized = (_seconds(result, n) for n in pair)
-            result[key] = baseline / optimized if optimized > 0 else 0.0
+        baseline, optimized = (_seconds(result, n) for n in pair)
+        result[key] = baseline / optimized if optimized > 0 else 0.0
     if entry.check is not None:
         for key, identical in entry.check(outputs).items():
             if not identical:
@@ -224,9 +189,4 @@ def run_entry(
             result[f"{key}_identical"] = True
     if entry.extra is not None:
         result.update(entry.extra(ctx, outputs, result))
-    unreported = [k for k in entry.speedup_keys() if k not in result]
-    if unreported:
-        raise AssertionError(
-            f"{entry.name}: declared but not reported: {unreported}"
-        )
     return result

@@ -46,8 +46,7 @@ def test_harness_runs_quickly_and_writes_json(tmp_path):
     assert set(bench) == {
         "encode_roundtrip", "encode_serving", "generation", "bitpack",
         "pool_read",
-        "pool_append", "baseline_read", "replay",
-        "cluster", "tiering", "prefix_sharing", "analytic",
+        "pool_append", "baseline_read", "replay", "analytic",
     }
 
     enc = bench["encode_roundtrip"]
@@ -85,52 +84,17 @@ def test_harness_runs_quickly_and_writes_json(tmp_path):
     assert baseline["reads_identical"] is True
     assert baseline["speedup_amortized"] > 1.0
     assert baseline["repeats"] >= 2
-    replay = bench["replay"]
-    assert replay["replayed_tokens"] > 0
-    assert replay["engine_cycles"] > 0
-    assert replay["tokens_per_mcycle"] > 0
-    assert replay["engine_cycles"] == (
-        replay["engine_quant_cycles"] + replay["engine_dequant_cycles"]
-    )
     # End-to-end replay sweep: the arena must not change the tokens a
     # trace generates, must compact when the closed trace drains
     # (recycling absorbs churn, never a drain), and must beat the
     # chunked pool on host wall clock.
+    replay = bench["replay"]
+    assert set(replay) == {"batch64", "batch128"}
     for key in ("batch64", "batch128"):
         sub = replay[key]
         assert sub["tokens_identical"] is True
         assert sub["arena_compactions"] > 0
         assert sub["speedup_arena"] > 1.0
-    cluster = bench["cluster"]
-    # Sim-time metrics: deterministic, so exact floors are safe.
-    assert cluster["speedup_replicas"] > 1.0
-    assert cluster["faulted"]["failovers"] > 0
-    assert cluster["faulted"]["completed"] + cluster["faulted"][
-        "failed"
-    ] == cluster["requests"]
-    tiering = bench["tiering"]
-    # Also sim-time: the pressure sweep must show rising transfer cost
-    # as the device budget shrinks, and merged prefetch must beat
-    # per-page promotion (the harness asserts token-count equality
-    # with the untiered run internally).
-    assert tiering["budget_25"]["transfer_cycles"] > (
-        tiering["budget_100"]["transfer_cycles"]
-    )
-    assert tiering["budget_25"]["evictions"] > 0
-    assert tiering["budget_25"]["hit_rate"] < (
-        tiering["budget_100"]["hit_rate"]
-    )
-    assert tiering["speedup_prefetch"] > 1.0
-    sharing = bench["prefix_sharing"]
-    # Byte accounting, also sim-time deterministic: the sharing run
-    # must hold a strictly smaller peak than its no-sharing twin and
-    # admit strictly more sequences into the bounded pool (the
-    # harness asserts token-count equality and nonzero forks
-    # internally).
-    assert sharing["forks"] > 0
-    assert sharing["shared_bytes_saved"] > 0
-    assert sharing["speedup_footprint"] > 1.0
-    assert sharing["speedup_admission"] > 1.0
     analytic = bench["analytic"]
     # bench_analytic raises if any grid cell diverges from the scalar
     # run, so runs_identical is an invariant, not a measurement; the
@@ -150,9 +114,6 @@ def test_harness_runs_quickly_and_writes_json(tmp_path):
     assert "compactions" in summary
     assert "baseline reads" in summary
     assert "serving replay" in summary
-    assert "cluster replay" in summary
-    assert "tiered KV" in summary
-    assert "prefix sharing" in summary
     assert "analytic sweep" in summary
 
 
@@ -234,6 +195,35 @@ def test_runner_times_a_toy_entry():
     assert run_entry(toy(), quick=True, overrides={"n": 8})["n"] == 8
     with pytest.raises(AssertionError, match="toy: values diverged"):
         run_entry(toy(fast=lambda c: c.data[:-1].tolist()), quick=True)
+
+
+def test_every_row_is_a_header_or_a_timed_ab_pair():
+    """The table's shape rule: a row is a header with no variants, or
+    each of its ``speedup_*`` keys is a pair of its own variants; and
+    every ``parent.child`` row follows its parent."""
+    from repro.bench.hotpath import ENTRIES
+
+    seen = {""}
+    for entry in ENTRIES:
+        assert entry.name.rpartition(".")[0] in seen, entry.name
+        seen.add(entry.name)
+        assert bool(entry.speedups) == bool(entry.variants), entry.name
+        for pair in entry.speedups.values():
+            names = [n for side in pair for n in np.atleast_1d(side)]
+            assert len(pair) == 2, entry.name
+            assert set(names) <= set(entry.variants), entry.name
+
+
+def test_orphan_child_row_is_refused(monkeypatch):
+    """A ``parent.child`` row with no parent row before it raises,
+    naming the row, instead of filing its result nowhere."""
+    import repro.bench.hotpath as hotpath
+    from repro.bench.runner import Entry
+
+    orphan = Entry("ghost.child", summary=lambda r: [])
+    monkeypatch.setattr(hotpath, "ENTRIES", (orphan,))
+    with pytest.raises(ValueError, match="ghost.child"):
+        hotpath.run_benchmarks(out_path=None)
 
 
 def test_declared_speedups_match_committed_baseline():

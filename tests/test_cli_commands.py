@@ -224,11 +224,27 @@ class TestBenchParserAgreement:
 
         assert surface(standalone) == surface(mounted)
 
-    def test_runs_validation_both_spellings(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [["--runs", "0"], ["--tokens", "0"], ["--dim", "0"],
+         ["--steps", "0"], ["--check", "missing.json"]],
+        ids=["runs", "tokens", "dim", "steps", "check-missing"],
+    )
+    def test_bad_arguments_fail_before_the_suite_runs(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        import repro.bench.hotpath as hotpath
         from repro.bench.__main__ import main as bench_main
 
-        assert bench_main(["--runs", "0"]) == 2
-        assert main(["bench", "--runs", "0"]) == 2
+        def run_benchmarks(**_):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(hotpath, "run_benchmarks", run_benchmarks)
+        monkeypatch.chdir(tmp_path)
+        for spelling in (bench_main, lambda args: main(["bench"] + args)):
+            assert spelling(["--quick"] + argv) == 2
+            err = capsys.readouterr().err  # one line, no traceback
+            assert err.startswith("repro bench: ") and err.count("\n") == 1
 
 
 class TestBenchCheckIsReadOnly:

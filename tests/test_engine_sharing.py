@@ -7,15 +7,23 @@ batched — is a rule of the pool's state machine
 (``tests/test_pool_model.py``).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.data.traces import generate_rag_trace
 from repro.engine import (
     BASELINE_NAMES,
+    CacheCapacityError,
     FusedCacheBackend,
     KVCachePool,
+    SyntheticKVStream,
     shared_backend_factory,
 )
+from repro.hardware.overheads import get_system
+from repro.models.config import get_model
+from repro.serving.simulator import CacheReplayConfig, simulate_trace
 
 from conftest import make_kv_matrix
 
@@ -113,6 +121,61 @@ class TestChargeOnceAccounting:
         total, _ = pool.measure()
         assert total == 0.0
         assert pool.summary()["shared_chunks"] == 0.0
+
+    def test_shared_prompts_shrink_the_replay_peak(self):
+        """The RAG-burst replay forks each wave's system prompt; its
+        stripped twin re-encodes every prompt."""
+        trace = [
+            dataclasses.replace(r, output_tokens=min(r.output_tokens, 12))
+            for r in generate_rag_trace(num_bursts=4, burst_size=6, seed=0)
+        ]
+        stripped = [
+            dataclasses.replace(r, prefix_group=-1, shared_tokens=0)
+            for r in trace
+        ]
+        sharing, copying = (
+            simulate_trace(
+                get_system("oaken-hbm"), get_model("llama2-13b").arch,
+                requests, 6, replay=CacheReplayConfig(prompt_rows=48),
+            )
+            for requests in (trace, stripped)
+        )
+        assert sharing.generated_tokens == copying.generated_tokens
+        assert copying.replay["peak_pool_bytes"] / sharing.replay[
+            "peak_pool_bytes"
+        ] == pytest.approx(1.2509323388385722, rel=1e-9)
+
+    def test_forks_multiply_bounded_admission(self):
+        """A pool sized for six unshared sequences admits nine times as
+        many when each forks a 16-row prefix instead of copying it."""
+        stream = SyntheticKVStream(32, seed=0)
+        factory = shared_backend_factory(
+            "oaken", calibration=stream.calibration(LAYERS, 64)
+        )
+        probe = KVCachePool(factory)
+        probe.allocate(0)
+        for layer in range(LAYERS):
+            probe.append(0, layer, stream.draw(18), stream.draw(18))
+        capacity = probe.nbytes() * 6
+
+        def admitted(fork):
+            pool = KVCachePool(factory, capacity_bytes=capacity)
+            prefix = [(stream.draw(16), stream.draw(16)) for _ in range(LAYERS)]
+            with pytest.raises(CacheCapacityError):
+                for index in range(384):
+                    if fork and index:
+                        pool.fork(0, index, 16)
+                    else:
+                        pool.allocate(index)
+                        for layer in range(LAYERS):
+                            pool.append(index, layer, *prefix[layer])
+                    for layer in range(LAYERS):
+                        pool.append(
+                            index, layer, stream.draw(2), stream.draw(2)
+                        )
+            return index
+
+        assert (admitted(False), admitted(True)) == (5, 46)
 
 
 class TestForkValidation:

@@ -428,11 +428,22 @@ class TestValidation:
 
 
 class TestScaling:
-    def test_more_replicas_raise_token_rate(self):
-        one = run_cluster(replicas=1, max_batch=4)
-        four = run_cluster(replicas=4, max_batch=4)
-        assert four.completed == one.completed == len(TRACE)
-        assert four.tokens_per_s > one.tokens_per_s
+    @pytest.mark.parametrize(
+        "trace, speedup",
+        [
+            (TRACE, 2.726625331896533),
+            # The committed replica-scaling claim.
+            (generate_trace("conversation", 64, seed=0), 3.2318119000204595),
+        ],
+        ids=["seed3-32", "seed0-64"],
+    )
+    def test_more_replicas_raise_token_rate(self, trace, speedup):
+        one = run_cluster(trace, replicas=1, max_batch=4)
+        four = run_cluster(trace, replicas=4, max_batch=4)
+        assert four.completed == one.completed == len(trace)
+        assert four.tokens_per_s / one.tokens_per_s == pytest.approx(
+            speedup, rel=1e-9
+        )
 
     def test_report_serializes(self):
         import json

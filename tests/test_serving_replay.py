@@ -152,18 +152,29 @@ class TestEngineCycles:
                                          engine_cycles=True),
             )
 
-    def test_engine_cycles_equal_the_scalar_tier_totals(self):
+    @pytest.mark.parametrize(
+        "trace, batch, quant, dequant",
+        [
+            (closed_trace(count=2, inputs=16, outputs=2), 2, 352.0, 208.0),
+            # The committed full-size engine-backed replay.
+            (closed_trace(count=12, inputs=48, outputs=24), 4,
+             6816.0, 6144.0),
+        ],
+        ids=["2x16", "12x48"],
+    )
+    def test_engine_cycles_equal_the_scalar_tier_totals(
+        self, trace, batch, quant, dequant
+    ):
         """The cycle model prices the hardware, not the host: the
-        totals the element-streaming golden model reported for this
-        trace, when the replay could still run on it, pinned."""
+        totals the element-streaming golden model reported for these
+        traces, when the replay could still run on it, pinned."""
         replay = simulate_trace(
-            get_system("oaken-lpddr"), ARCH,
-            closed_trace(count=2, inputs=16, outputs=2), 2,
+            get_system("oaken-lpddr"), ARCH, trace, batch,
             replay=CacheReplayConfig(method="oaken", engine_cycles=True),
         ).replay
-        assert replay["engine_quant_cycles"] == 352.0
-        assert replay["engine_dequant_cycles"] == 208.0
-        assert replay["engine_cycles"] == 560.0
+        assert replay["engine_quant_cycles"] == quant
+        assert replay["engine_dequant_cycles"] == dequant
+        assert replay["engine_cycles"] == quant + dequant
 
     def test_measured_bits_match_plain_replay(self):
         """Engine-backed caches are bit-compatible with the fused

@@ -10,7 +10,7 @@ survives fault injection with tiering enabled.
 
 import pytest
 
-from repro.data.traces import generate_longcontext_trace
+from repro.data.traces import TraceRequest, generate_longcontext_trace
 from repro.hardware.overheads import get_system
 from repro.models.config import get_model
 from repro.serving.cluster import ClusterConfig, simulate_cluster
@@ -30,15 +30,18 @@ SYSTEM = get_system("oaken-hbm")
 TRACE = generate_longcontext_trace(
     num_requests=3, input_tokens=48, output_tokens=160, seed=4
 )
+# Four closed long decodes: the committed prefetch claim's trace.
+CLOSED = [TraceRequest(arrival_s=0.0, input_tokens=32, output_tokens=96)] * 4
 
 
 def run_replay(device_budget_mb=None, eviction="lru", trace=TRACE,
-               max_batch=4, charge_transfer_cycles=False):
+               max_batch=4, charge_transfer_cycles=False, prefetch_pages=1):
     return simulate_trace(
         SYSTEM, ARCH, trace, max_batch,
         replay=CacheReplayConfig(
             device_budget_mb=device_budget_mb, eviction=eviction,
             charge_transfer_cycles=charge_transfer_cycles,
+            prefetch_pages=prefetch_pages,
         ),
     )
 
@@ -69,15 +72,21 @@ class TestLongContextTrace:
 
 
 class TestSpillReplay:
-    def test_completes_longer_than_budget_trace(self):
+    @pytest.mark.parametrize(
+        "trace, speedup_prefetch",
+        [(TRACE, 1.2007995190986676), (CLOSED, 1.1788717370504744)],
+        ids=["longctx", "closed"],
+    )
+    def test_completes_longer_than_budget_trace(self, trace,
+                                                speedup_prefetch):
         # The headline capability: at 25% of the measured working set
         # the replay still generates every token the untiered run does,
         # absorbing the pressure as spill traffic instead of refusing
         # admissions.
-        flat = run_replay()
+        flat = run_replay(trace=trace)
         working_set = flat.replay["peak_pool_bytes"]
         budget_mb = 0.25 * working_set / 2.0**20
-        tiered = run_replay(device_budget_mb=budget_mb)
+        tiered = run_replay(device_budget_mb=budget_mb, trace=trace)
         assert not tiered.oom
         assert tiered.generated_tokens == flat.generated_tokens
         detail = tiered.replay
@@ -90,6 +99,14 @@ class TestSpillReplay:
         )
         # Evict-and-spill admission: the gate never refuses.
         assert detail["gate_refusals"] == 0
+        # Sequential prefetch merges runs of spilled pages into one
+        # burst each, so promoting page by page costs more cycles.
+        per_page = run_replay(
+            device_budget_mb=budget_mb, trace=trace, prefetch_pages=0
+        )
+        assert per_page.replay["tier_transfer_cycles"] / detail[
+            "tier_transfer_cycles"
+        ] == pytest.approx(speedup_prefetch, rel=1e-9)
 
     @pytest.mark.parametrize("eviction", ("lru", "plru"))
     def test_seeded_reruns_bit_identical(self, eviction):
