@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Feature smoke checks behind CI's ``feature-smoke`` matrix.
 
-    python scripts/ci_smoke.py {cluster,tiering,sharing,arena,arena-e2e}
+    python scripts/ci_smoke.py NAME
+
+NAME is one of cluster, tiering, sharing, arena, arena-e2e and
+analytic-e2e.
 
 Each feature smoke drives the real CLI (``python -m repro ... --json``)
 at a fixed seed and asserts that the feature actually engaged —
@@ -9,8 +12,9 @@ failovers happened, pages spilled, prefixes forked, the arena
 compacted — while its contract held.  Everything is simulation time,
 so no retry is needed.  CI runs the same-named pytest marker first;
 this script is the part that used to live as inline heredocs in the
-workflow, so it can be run locally too.  ``arena-e2e`` is the
-``e2e-smoke`` job's count gate on the end-to-end benchmark instead.
+workflow, so it can be run locally too.  ``arena-e2e`` and
+``analytic-e2e`` are the ``e2e-smoke`` job's count gates on the
+end-to-end benchmark instead.
 """
 
 from __future__ import annotations
@@ -158,6 +162,21 @@ def arena_smoke() -> None:
 ARENA_COMPACTIONS_PER_FREE = 0.5
 
 
+def traced_quick_e2e(workload: str) -> dict:
+    """One traced quick-size run of an end-to-end benchmark workload;
+    it must pass its own output checks.  Returns its metrics."""
+    done = subprocess.run(
+        [
+            sys.executable, str(ROOT / "benchmarks" / "e2e" / "run.py"),
+            "--workload", workload, "--quick", "--trace", "1",
+        ],
+        cwd=ROOT, stdout=subprocess.PIPE, text=True,
+    )
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert done.returncode == 0 and result["correct"], done.stdout
+    return result["metrics"]
+
+
 def arena_e2e_gate() -> None:
     """The e2e-smoke job's arena gate: a count, not a clock.
 
@@ -166,25 +185,44 @@ def arena_e2e_gate() -> None:
     passes it made per ``free`` — which repeat exactly for a seed, so
     no retry is needed — must stay under the ceiling.
     """
-    done = subprocess.run(
-        [
-            sys.executable, str(ROOT / "benchmarks" / "e2e" / "run.py"),
-            "--workload", "replay-burst-arena", "--quick", "--trace", "1",
-        ],
-        cwd=ROOT, stdout=subprocess.PIPE, text=True,
-    )
-    result = json.loads(done.stdout.splitlines()[-1])
-    assert done.returncode == 0 and result["correct"], done.stdout
-    per_free = result["metrics"]["engine.arena.compactions_per_free"]["value"]
+    metrics = traced_quick_e2e("replay-burst-arena")
+    per_free = metrics["engine.arena.compactions_per_free"]["value"]
     assert per_free <= ARENA_COMPACTIONS_PER_FREE, per_free
     print("arena e2e gate:", per_free, "compactions per free (ceiling",
           f"{ARENA_COMPACTIONS_PER_FREE})")
 
 
+#: The work a seed-0 quick-size ``cluster-scale-analytic`` run does:
+#: scheduler iterations, pricing calls and failovers.  A change that
+#: makes the serving loop cheaper per call leaves every one of these
+#: alone; a change that alters the work updates them in the same diff.
+ANALYTIC_WORK = {
+    "serving.scheduler.plan_iteration.calls": 19854,
+    "serving.scheduler.complete_iteration.calls": 19792,
+    "serving.simulator.iteration_time_s.calls": 19809,
+    "hardware.perf.generation_iteration.calls": 19809,
+    "hardware.perf.prefill_time.calls": 965,
+    "serving.cluster.failovers": 119,
+}
+
+
+def analytic_e2e_gate() -> None:
+    """The e2e-smoke job's analytic work gate: counts, not a clock.
+
+    One traced quick-size ``cluster-scale-analytic`` run (seed 0) must
+    pass its own output checks and do exactly the work in
+    ``ANALYTIC_WORK``; the counts repeat exactly, so no retry.
+    """
+    metrics = traced_quick_e2e("cluster-scale-analytic")
+    counts = {name: metrics[name]["value"] for name in ANALYTIC_WORK}
+    assert counts == ANALYTIC_WORK, counts
+    print("analytic e2e gate: work counts match", counts)
+
+
 SMOKES = {
     "cluster": cluster_smoke, "tiering": tiering_smoke,
     "sharing": sharing_smoke, "arena": arena_smoke,
-    "arena-e2e": arena_e2e_gate,
+    "arena-e2e": arena_e2e_gate, "analytic-e2e": analytic_e2e_gate,
 }
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from typing import Callable, Dict
 from repro.core.config import OakenConfig
 from repro.core.quantizer import expected_effective_bitwidth
 from repro.hardware.accelerator import DeviceSpec, get_device
-from repro.models.config import ArchShape
+from repro.models.config import ArchShape, hash_once
 
 #: FP16 weight bytes above which a model needs two pipeline-parallel
 #: devices (Section 6.1 splits OPT-30B/Mixtral/Llama2-70B over 2 GPUs).
@@ -132,6 +132,7 @@ PROFILES: Dict[str, MethodProfile] = {
 }
 
 
+@hash_once
 @dataclass(frozen=True)
 class ServingSystem:
     """A (device, method) pairing from the paper's figures.

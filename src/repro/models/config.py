@@ -9,10 +9,46 @@ that the numpy substrate actually runs for the accuracy experiments.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 
+def hash_once(cls):
+    """Class decorator for a frozen dataclass: hash its fields once.
+
+    The analytic pricer's LRU cache keys on ``ServingSystem`` and
+    ``ArchShape`` at every serving iteration; the generated
+    ``__hash__`` re-hashes every field (recursively) each time.  This
+    one hashes the same fields as the generated one on first use and
+    keeps the value on the instance, so equal values still hash equal.
+    The kept value is left out of pickled state, because string
+    hashes differ between processes.
+    """
+    names = tuple(
+        f.name for f in dataclasses.fields(cls)
+        if (f.compare if f.hash is None else f.hash)
+    )
+
+    def __hash__(self) -> int:
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = hash(tuple(getattr(self, name) for name in names))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@hash_once
 @dataclass(frozen=True)
 class ArchShape:
     """Published architecture dimensions of a paper model.

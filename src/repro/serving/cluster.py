@@ -253,7 +253,7 @@ class _Replica:
     @property
     def load(self) -> int:
         """In-flight requests (resident + queued) — routing weight."""
-        return len(self.scheduler.resident) + self.scheduler.pending
+        return self.scheduler.in_flight
 
     def accepting(self, queue_limit: Optional[int]) -> bool:
         """Whether the router may place new work here.

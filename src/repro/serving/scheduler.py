@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.serving.request import Request, RequestPhase
 
@@ -28,7 +28,9 @@ class IterationPlan:
     Attributes:
         admitted: requests entering prefill this step.
         resident: requests participating in the generation iteration
-            (after admissions).
+            (after admissions).  This is the scheduler's own list,
+            which it rebinds rather than mutates, so a plan keeps
+            reading the same batch; consumers must not mutate it.
         mean_context: average context length across residents.
         ragged: True when resident prompt lengths differ enough to
             trigger padding penalties on systolic platforms.
@@ -37,9 +39,10 @@ class IterationPlan:
             incrementally instead of stalling the batch — the
             Sarathi-style scheduling the paper's serving layer cites).
         resident_ids: the resident requests' ids, in ``resident``
-            order, computed once here so per-iteration consumers (the
-            cache replay's batched append/read pair per layer) never
-            rebuild the id list per layer inside the hot loop.
+            order, kept by the scheduler as the batch changes so
+            per-iteration consumers (the cache replay's batched
+            append/read pair per layer) never rebuild the id list per
+            layer inside the hot loop.
     """
 
     admitted: List[Request]
@@ -94,8 +97,17 @@ class ContinuousBatchScheduler:
         self.gate_refusals = 0
         self._queue: Deque[Request] = deque()
         self._resident: List[Request] = []
-        self._prefilling: dict = {}
+        # request_id -> (request, prompt tokens still to prefill), in
+        # admission order; chunked-prefill mode only.
+        self._prefilling: Dict[int, Tuple[Request, int]] = {}
         self._finished: List[Request] = []
+        # Running state of the resident set, changed only by admit,
+        # chunk-finish, retire and evict.  ``_generating`` is rebound,
+        # never mutated, so a plan may hand it out.
+        self._generating: List[Request] = []
+        self._generating_ids: Tuple[int, ...] = ()
+        self._context_sum = 0  # sum of the generating context lengths
+        self._ragged = False
 
     # ------------------------------------------------------------------
 
@@ -107,6 +119,11 @@ class ContinuousBatchScheduler:
     @property
     def pending(self) -> int:
         return len(self._queue)
+
+    @property
+    def in_flight(self) -> int:
+        """Resident plus queued requests."""
+        return len(self._resident) + len(self._queue)
 
     @property
     def resident(self) -> List[Request]:
@@ -127,12 +144,20 @@ class ContinuousBatchScheduler:
         None when the scheduler does not hold it (already finished or
         never submitted).  Finished requests are never evicted.
         """
-        for bucket in (self._queue, self._resident):
-            for index, request in enumerate(bucket):
-                if request.request_id == request_id:
-                    del bucket[index]
-                    self._prefilling.pop(request_id, None)
-                    return request
+        for index, request in enumerate(self._queue):
+            if request.request_id == request_id:
+                del self._queue[index]
+                return request
+        for index, request in enumerate(self._resident):
+            if request.request_id == request_id:
+                del self._resident[index]
+                if self._prefilling.pop(request_id, None) is None:
+                    self._context_sum -= request.context_length
+                    self._set_generating([
+                        r for r in self._generating if r is not request
+                    ])
+                self._refresh_ragged()
+                return request
         return None
 
     @property
@@ -144,6 +169,20 @@ class ContinuousBatchScheduler:
         return bool(self._queue or self._resident)
 
     # ------------------------------------------------------------------
+
+    def _set_generating(self, generating: List[Request]) -> None:
+        self._generating = generating
+        self._generating_ids = tuple(r.request_id for r in generating)
+
+    def _refresh_ragged(self) -> None:
+        """Systolic padding flag: resident prompt lengths (prefilling
+        ones included) spread by more than a quarter of the longest."""
+        if len(self._resident) < 2:
+            self._ragged = False
+            return
+        prompts = [r.input_tokens for r in self._resident]
+        longest = max(prompts)
+        self._ragged = (longest - min(prompts)) > 0.25 * longest
 
     def plan_iteration(self, now_s: float) -> Optional[IterationPlan]:
         """Admit queued requests into free slots and plan one iteration.
@@ -172,77 +211,90 @@ class ContinuousBatchScheduler:
             request.start_s = now_s
             admitted.append(request)
             self._resident.append(request)
-            if self.prefill_chunk is not None:
-                self._prefilling[request.request_id] = (
-                    request.input_tokens
-                )
+        if admitted:
+            self._refresh_ragged()
+            if self.prefill_chunk is None:
+                self._context_sum += sum(r.context_length for r in admitted)
+                self._set_generating(self._generating + admitted)
+            else:
+                for request in admitted:
+                    self._prefilling[request.request_id] = (
+                        request, request.input_tokens
+                    )
         if not self._resident:
             return None
 
         prefill_tokens = 0
-        if self.prefill_chunk is not None and self._prefilling:
-            # FCFS chunk budget across prefilling requests.
+        if self._prefilling:
+            # FCFS chunk budget across prefilling requests, which are
+            # the residents admitted last, in admission order.
             budget = self.prefill_chunk
-            for request in self._resident:
-                remaining = self._prefilling.get(request.request_id)
-                if remaining is None or budget <= 0:
-                    continue
+            done: List[Request] = []
+            for request_id, (request, remaining) in list(
+                self._prefilling.items()
+            ):
+                if budget <= 0:
+                    break
                 consumed = min(remaining, budget)
                 budget -= consumed
                 prefill_tokens += consumed
                 if remaining - consumed <= 0:
-                    del self._prefilling[request.request_id]
+                    del self._prefilling[request_id]
                     request.phase = RequestPhase.GENERATION
+                    done.append(request)
                 else:
-                    self._prefilling[request.request_id] = (
-                        remaining - consumed
+                    self._prefilling[request_id] = (
+                        request, remaining - consumed
                     )
+            if done:
+                self._context_sum += sum(r.context_length for r in done)
+                self._set_generating(self._generating + done)
 
-        generating = [
-            r for r in self._resident
-            if r.request_id not in self._prefilling
-        ]
-        contexts = [r.context_length for r in generating] or [1]
-        prompts = [r.input_tokens for r in self._resident]
-        ragged = (
-            len(prompts) > 1
-            and (max(prompts) - min(prompts)) > 0.25 * max(prompts)
-        )
+        generating = self._generating
         return IterationPlan(
             admitted=admitted,
             resident=generating,
-            mean_context=float(sum(contexts)) / len(contexts),
-            ragged=ragged,
+            # A batch that is all prefilling prices context 1.
+            mean_context=(
+                float(self._context_sum) / len(generating)
+                if generating else 1.0
+            ),
+            ragged=self._ragged,
             prefill_tokens=prefill_tokens,
-            resident_ids=tuple(r.request_id for r in generating),
+            resident_ids=self._generating_ids,
         )
 
     def complete_iteration(self, now_s: float) -> List[Request]:
-        """Advance every resident request one token; retire finished ones.
+        """Advance every generating request one token; retire finished
+        ones (requests still consuming their prompt in chunked-prefill
+        mode generate nothing this iteration).
 
         Returns:
             Requests that finished in this iteration.
         """
         retired: List[Request] = []
-        still_resident: List[Request] = []
-        for request in self._resident:
-            if request.request_id in self._prefilling:
-                # Still consuming its prompt (chunked prefill mode);
-                # no token generated this iteration.
-                still_resident.append(request)
-                continue
-            request.phase = RequestPhase.GENERATION
-            request.generated += 1
-            if request.generated == 1:
+        generation, finished = RequestPhase.GENERATION, RequestPhase.FINISHED
+        for request in self._generating:
+            request.phase = generation
+            generated = request.generated + 1
+            request.generated = generated
+            if generated == 1:
                 request.first_token_s = now_s
-            if request.done:
-                request.phase = RequestPhase.FINISHED
+            if generated >= request.output_tokens:
+                request.phase = finished
                 request.finish_s = now_s
                 retired.append(request)
-                self._finished.append(request)
-            else:
-                still_resident.append(request)
-        self._resident = still_resident
+        self._context_sum += len(self._generating)
+        if retired:
+            self._finished.extend(retired)
+            self._context_sum -= sum(r.context_length for r in retired)
+            self._resident = [
+                r for r in self._resident if r.phase is not finished
+            ]
+            self._set_generating([
+                r for r in self._generating if r.phase is not finished
+            ])
+            self._refresh_ragged()
         return retired
 
     def next_arrival(self) -> Optional[float]:

@@ -34,6 +34,7 @@ Two capacity regimes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -563,18 +564,39 @@ class _CacheReplay:
 
 
 def validate_trace(trace: Sequence[TraceRequest]) -> None:
-    """Reject empty or arrival-unsorted traces.
+    """Reject empty, arrival-unsorted or malformed traces.
 
     The replay's queueing-delay accounting assumes arrival order: an
     unsorted trace silently mis-attributes waiting time (a late
     arrival at the FIFO head stalls earlier ones).  Generators in
     :mod:`repro.data.traces` always emit sorted traces; hand-built
-    ones must too.
+    ones must too.  Every request must also be one the scheduler can
+    replay: a finite arrival (a NaN never becomes admissible and
+    blocks the FIFO behind it), at least one prompt token, at least
+    one output token (the scheduler retires a request after the token
+    that reaches ``output_tokens``, so it always generates one), and
+    ``shared_tokens`` within ``[0, input_tokens]``.
     """
     if not trace:
         raise ValueError("empty trace")
-    previous = trace[0].arrival_s
-    for index, item in enumerate(trace[1:], start=1):
+    for index, item in enumerate(trace):
+        problem = None
+        if not math.isfinite(item.arrival_s):
+            problem = f"arrival_s must be finite, got {item.arrival_s}"
+        elif item.input_tokens < 1:
+            problem = f"input_tokens must be >= 1, got {item.input_tokens}"
+        elif item.output_tokens < 1:
+            problem = (
+                f"output_tokens must be >= 1, got {item.output_tokens}"
+            )
+        elif not 0 <= item.shared_tokens <= item.input_tokens:
+            problem = (
+                f"shared_tokens must lie in [0, input_tokens="
+                f"{item.input_tokens}], got {item.shared_tokens}"
+            )
+        if problem is not None:
+            raise ValueError(f"request {index}: {problem}")
+        previous = trace[index - 1].arrival_s if index else -math.inf
         if item.arrival_s < previous:
             raise ValueError(
                 "trace must be sorted by arrival time: request "
@@ -582,7 +604,6 @@ def validate_trace(trace: Sequence[TraceRequest]) -> None:
                 f"request {index - 1} at {previous:.6f}s; sort the "
                 "trace by arrival_s before replaying"
             )
-        previous = item.arrival_s
 
 
 def iteration_time_s(
@@ -624,7 +645,7 @@ def iteration_time_s(
             prompt = max(prompts)
             scale = 1.0 / system.profile.ragged_batch_efficiency
         else:
-            prompt = int(np.mean(prompts))
+            prompt = int(sum(prompts) / len(prompts))
             scale = 1.0
         step_time += scale * prefill_time(
             system, arch, len(plan.admitted), max(1, prompt)

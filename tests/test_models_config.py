@@ -1,7 +1,11 @@
 """Unit tests for the model zoo and architecture math."""
 
+import dataclasses
+import pickle
+
 import pytest
 
+from repro.hardware.overheads import get_system
 from repro.models.config import (
     MODEL_ZOO,
     ArchShape,
@@ -107,3 +111,30 @@ class TestArchMath:
         assert arch.flops_per_token_attn(8192) == (
             arch.flops_per_token_attn(4096)
         )
+
+
+class TestHashOnce:
+    """``ArchShape`` and ``ServingSystem`` key the analytic pricer's LRU
+    cache by value and hash their fields once."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: get_model("llama2-13b").arch,
+        lambda: get_system("oaken-hbm"),
+    ])
+    def test_equal_values_hash_equal(self, make):
+        one = make()
+        hash(one)  # keeps the value on ``one`` only
+        twin = dataclasses.replace(one)
+        assert twin == one and twin is not one
+        assert hash(twin) == hash(one)
+        assert hash(one) == hash(
+            tuple(getattr(one, f.name) for f in dataclasses.fields(one))
+        )
+        # The kept hash never travels: string hashes are per process.
+        assert "_hash" not in pickle.loads(pickle.dumps(one)).__dict__
+        assert dataclasses.asdict(twin) == dataclasses.asdict(one)
+
+    def test_different_values_key_different_entries(self):
+        arch = get_model("llama2-13b").arch
+        wider = dataclasses.replace(arch, d_model=arch.d_model + 1)
+        assert len({arch, wider, dataclasses.replace(arch)}) == 2

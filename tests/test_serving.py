@@ -13,6 +13,8 @@ from repro.data.traces import (
 )
 from repro.hardware.overheads import get_system
 from repro.models.config import get_model
+from repro.serving.cluster import ClusterConfig, simulate_cluster
+from repro.serving.faults import generate_fault_plan
 from repro.serving.request import Request, RequestPhase
 from repro.serving.scheduler import ContinuousBatchScheduler
 from repro.serving.simulator import (
@@ -139,6 +141,27 @@ class TestTraceSimulation:
         message = str(excinfo.value)
         assert "sorted by arrival" in message
         assert "request 1" in message  # names the offending index
+
+    @pytest.mark.parametrize("bad, match", [
+        (dict(output_tokens=0), "output_tokens must be >= 1"),
+        (dict(output_tokens=-3), "output_tokens must be >= 1"),
+        (dict(arrival_s=float("nan")), "arrival_s must be finite"),
+        (dict(arrival_s=float("inf")), "arrival_s must be finite"),
+        (dict(input_tokens=0), "input_tokens must be >= 1"),
+        (dict(input_tokens=-5), "input_tokens must be >= 1"),
+        (dict(shared_tokens=200), r"shared_tokens must lie in \[0, "),
+        (dict(shared_tokens=-1), r"shared_tokens must lie in \[0, "),
+    ])
+    @pytest.mark.parametrize("entry", ["simulate_trace", "simulate_cluster"])
+    def test_malformed_request_rejected(self, bad, match, entry):
+        good = dict(arrival_s=0.0, input_tokens=100, output_tokens=4)
+        trace = [TraceRequest(**good), TraceRequest(**{**good, **bad})]
+        system = get_system("oaken-hbm")
+        with pytest.raises(ValueError, match=f"request 1: {match}"):
+            if entry == "simulate_trace":
+                simulate_trace(system, ARCH, trace, 4)
+            else:
+                simulate_cluster(system, ARCH, trace)
 
     def test_equal_arrival_times_accepted(self):
         trace = [
@@ -495,3 +518,115 @@ class TestGoldenReports:
 
     def test_oom_replay_report_has_no_scheduler_counters(self):
         assert "gate_refusals" not in golden_report("replay_oom").replay
+
+
+def cluster_golden_report(name):
+    """Run the cluster golden case ``name``: four analytic replicas,
+    least-loaded routing, a few hundred requests under a seeded fault
+    plan (inputs frozen with the goldens)."""
+    chunk = {"faults_monolithic": None, "faults_chunked_256": 256}[name]
+    return simulate_cluster(
+        get_system("oaken-hbm"), ARCH,
+        generate_trace("conversation", 300, seed=21),
+        ClusterConfig(
+            replicas=4, max_batch=8, policy="least_loaded",
+            prefill_chunk=chunk, replay=None,
+        ),
+        generate_fault_plan(4, 35.0, seed=5),
+    )
+
+
+# Captured at the last commit whose scheduler rebuilt its resident-set
+# views every iteration (the running state must reproduce them).
+# Unlike TestDeterminism, which compares two runs of the same code,
+# these pin a multi-replica analytic run's values under crashes,
+# failovers, brownouts and admission blackouts.
+CLUSTER_GOLDENS = {
+    "faults_monolithic": dict(
+        system="oaken-hbm", replicas=4, policy="least_loaded", oom=False,
+        completed=300, failed=0, generated_tokens=47881,
+        total_time_s=60.22473703825986, busy_s=157.66498775465166,
+        generation_throughput=303.68822325036047,
+        tokens_per_s=795.0387557455324, mean_latency_s=18.91201733513897,
+        p95_latency_s=45.23704557469816, mean_ttft_s=15.70713737456824,
+        p95_ttft_s=40.92833949319777, mean_tpot_s=0.02202238545950784,
+        mean_queue_delay_s=15.438152445091337,
+        p95_queue_delay_s=40.79148727103131,
+        p99_queue_delay_s=49.14374701449151, retries=0, requeues=393,
+        failovers=393, rejections=0, capacity_rejections=0,
+        detected_failures=7, downtime_s=14.575530551820048,
+        duplicate_completions=0, lost=0, tier_hits=0, tier_misses=0,
+        tier_evictions=0, tier_spilled_bytes=0.0, tier_promoted_bytes=0.0,
+        tier_transfer_cycles=0.0, forks=0, shared_bytes_saved=0.0,
+        per_replica=[
+            dict(
+                replica=0, generated_tokens=17560.0, busy_s=53.44707659237612,
+                steps=2375.0, completed=104.0,
+                tokens_per_s=328.54930745650586, crashes=3.0,
+                downtime_s=2.3475101967911014,
+            ),
+            dict(
+                replica=1, generated_tokens=17704.0,
+                busy_s=55.937265377703575, steps=2467.0, completed=112.0,
+                tokens_per_s=316.49741689118684, crashes=2.0,
+                downtime_s=3.6785026494151536,
+            ),
+            dict(
+                replica=2, generated_tokens=7649.0, busy_s=28.591092956987563,
+                steps=1182.0, completed=50.0, tokens_per_s=267.5308709431694,
+                crashes=1.0, downtime_s=2.026948704116201,
+            ),
+            dict(
+                replica=3, generated_tokens=4968.0, busy_s=19.689552827584414,
+                steps=693.0, completed=34.0, tokens_per_s=252.31654794313033,
+                crashes=3.0, downtime_s=6.522569001497592,
+            ),
+        ],
+    ),
+    "faults_chunked_256": dict(
+        system="oaken-hbm", replicas=4, policy="least_loaded", oom=False,
+        completed=300, failed=0, generated_tokens=48190,
+        total_time_s=63.18402398226853, busy_s=158.36854662691456,
+        generation_throughput=304.2902206681624,
+        tokens_per_s=762.6927973679497, mean_latency_s=20.05122336382878,
+        p95_latency_s=47.71511748721666, mean_ttft_s=16.838978199513953,
+        p95_ttft_s=43.90974948437782, mean_tpot_s=0.02207746632317977,
+        mean_queue_delay_s=16.46968640677215,
+        p95_queue_delay_s=43.719941806232505,
+        p99_queue_delay_s=51.24838086943616, retries=0, requeues=397,
+        failovers=397, rejections=0, capacity_rejections=0,
+        detected_failures=7, downtime_s=14.575530551820048,
+        duplicate_completions=0, lost=0, tier_hits=0, tier_misses=0,
+        tier_evictions=0, tier_spilled_bytes=0.0, tier_promoted_bytes=0.0,
+        tier_transfer_cycles=0.0, forks=0, shared_bytes_saved=0.0,
+        per_replica=[
+            dict(
+                replica=0, generated_tokens=17413.0,
+                busy_s=56.565797423544005, steps=2530.0, completed=107.0,
+                tokens_per_s=307.83619772241207, crashes=3.0,
+                downtime_s=2.3475101967911014,
+            ),
+            dict(
+                replica=1, generated_tokens=18435.0, busy_s=57.06967937433563,
+                steps=2521.0, completed=114.0, tokens_per_s=323.0261708512465,
+                crashes=2.0, downtime_s=3.6785026494151536,
+            ),
+            dict(
+                replica=2, generated_tokens=7530.0, busy_s=25.487865465024917,
+                steps=1081.0, completed=51.0, tokens_per_s=295.43470442171207,
+                crashes=1.0, downtime_s=2.026948704116201,
+            ),
+            dict(
+                replica=3, generated_tokens=4812.0, busy_s=19.245204364010036,
+                steps=753.0, completed=28.0, tokens_per_s=250.03631600809592,
+                crashes=3.0, downtime_s=6.522569001497592,
+            ),
+        ],
+    ),
+}
+
+
+class TestClusterGoldenReports:
+    @pytest.mark.parametrize("name", sorted(CLUSTER_GOLDENS))
+    def test_report_matches_golden(self, name):
+        assert cluster_golden_report(name).as_dict() == CLUSTER_GOLDENS[name]
