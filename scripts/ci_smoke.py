@@ -3,8 +3,8 @@
 
     python scripts/ci_smoke.py NAME
 
-NAME is one of cluster, tiering, sharing, arena, arena-e2e and
-analytic-e2e.
+NAME is one of cluster, tiering, sharing, arena, arena-e2e,
+analytic-e2e and replay-e2e.
 
 Each feature smoke drives the real CLI (``python -m repro ... --json``)
 at a fixed seed and asserts that the feature actually engaged —
@@ -12,9 +12,9 @@ failovers happened, pages spilled, prefixes forked, the arena
 compacted — while its contract held.  Everything is simulation time,
 so no retry is needed.  CI runs the same-named pytest marker first;
 this script is the part that used to live as inline heredocs in the
-workflow, so it can be run locally too.  ``arena-e2e`` and
-``analytic-e2e`` are the ``e2e-smoke`` job's count gates on the
-end-to-end benchmark instead.
+workflow, so it can be run locally too.  ``arena-e2e``,
+``analytic-e2e`` and ``replay-e2e`` are the ``e2e-smoke`` job's count
+gates on the end-to-end benchmark instead.
 """
 
 from __future__ import annotations
@@ -219,10 +219,79 @@ def analytic_e2e_gate() -> None:
     print("analytic e2e gate: work counts match", counts)
 
 
+#: The kernel, row, tier, sharing and arena work a seed-0 quick-size
+#: traced run of each pool workload does.  A change that restructures
+#: how the replay drives the pool without changing what it stores and
+#: reads leaves every one of these alone; a change that alters the work
+#: updates them in the same diff.
+REPLAY_WORK = {
+    "replay-burst-arena": {
+        "core.quantizer.quantize.calls": 325,
+        "core.quantizer.dequantize.calls": 260,
+        "core.quantizer.rows_enc": 15524,
+        "core.quantizer.rows_dec": 15396,
+        "engine.synthetic.rows": 15652,
+        "engine.tiering.record_append.calls": 0,
+        "engine.tiering.record_read.calls": 0,
+        "engine.sharing.forks": 0,
+        "engine.arena.compactions": 6,
+    },
+    "replay-rag-shared": {
+        "core.quantizer.quantize.calls": 399,
+        "core.quantizer.dequantize.calls": 366,
+        "core.quantizer.rows_enc": 7000,
+        "core.quantizer.rows_dec": 7212,
+        "engine.synthetic.rows": 7128,
+        "engine.tiering.record_append.calls": 0,
+        "engine.tiering.record_read.calls": 0,
+        "engine.sharing.forks": 14,
+        "engine.arena.compactions": 0,
+    },
+    "replay-longctx-tiered": {
+        "core.quantizer.quantize.calls": 269,
+        "core.quantizer.dequantize.calls": 256,
+        "core.quantizer.rows_enc": 1536,
+        "core.quantizer.rows_dec": 1408,
+        "engine.synthetic.rows": 1664,
+        "engine.tiering.record_append.calls": 620,
+        "engine.tiering.record_read.calls": 608,
+        "engine.sharing.forks": 0,
+        "engine.arena.compactions": 0,
+    },
+    "cluster-replay-faults": {
+        "core.quantizer.quantize.calls": 877,
+        "core.quantizer.dequantize.calls": 826,
+        "core.quantizer.rows_enc": 10840,
+        "core.quantizer.rows_dec": 10200,
+        "engine.synthetic.rows": 11480,
+        "engine.tiering.record_append.calls": 0,
+        "engine.tiering.record_read.calls": 0,
+        "engine.sharing.forks": 15,
+        "engine.arena.compactions": 16,
+    },
+}
+
+
+def replay_e2e_gate() -> None:
+    """The e2e-smoke job's pool work ledger: counts, not a clock.
+
+    One traced quick-size run (seed 0) of each of the four workloads
+    that drive a real pool must pass its own output checks and do
+    exactly the work in ``REPLAY_WORK``; the counts repeat exactly, so
+    no retry.
+    """
+    for workload, want in REPLAY_WORK.items():
+        metrics = traced_quick_e2e(workload)
+        counts = {name: metrics[name]["value"] for name in want}
+        assert counts == want, (workload, counts)
+        print(f"replay e2e gate: {workload} work counts match")
+
+
 SMOKES = {
     "cluster": cluster_smoke, "tiering": tiering_smoke,
     "sharing": sharing_smoke, "arena": arena_smoke,
     "arena-e2e": arena_e2e_gate, "analytic-e2e": analytic_e2e_gate,
+    "replay-e2e": replay_e2e_gate,
 }
 
 if __name__ == "__main__":
