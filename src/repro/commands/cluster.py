@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import sys
 
 from repro.commands.common import (
     add_profile_flags,
     add_tiering_flags,
     build_trace,
+    check_counts,
     replay_config,
     run_profiled,
 )
@@ -81,15 +83,20 @@ def run(args: argparse.Namespace) -> int:
     from repro.serving.cluster import ClusterConfig, simulate_cluster
     from repro.serving.faults import generate_fault_plan
 
+    try:
+        check_counts(args, "replicas", "batch", "requests")
+        config = ClusterConfig(
+            replicas=args.replicas,
+            max_batch=args.batch,
+            policy=args.policy,
+            replay=replay_config(args),
+        )
+    except ValueError as exc:
+        print(f"repro cluster: {exc}", file=sys.stderr)
+        return 2
     arch = get_model(args.model).arch
     system = get_system(args.system)
     trace = build_trace(args)
-    config = ClusterConfig(
-        replicas=args.replicas,
-        max_batch=args.batch,
-        policy=args.policy,
-        replay=replay_config(args),
-    )
     faults = None
     if args.faults:
         # Scale the fault horizon to the fault-free makespan so the

@@ -75,6 +75,16 @@ def replay_config(args: argparse.Namespace):
     )
 
 
+def check_counts(args: argparse.Namespace, *names: str) -> None:
+    """Raise ``ValueError`` naming the first ``--flag`` in ``names``
+    whose value is below 1, before anything runs."""
+    for name in names:
+        value = getattr(args, name)
+        if value < 1:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} must be >= 1, got {value}")
+
+
 def run_profiled(args: argparse.Namespace, fn):
     """Run ``fn`` under cProfile when profiling flags are set.
 

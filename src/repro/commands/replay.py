@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import sys
 
 from repro.commands.common import (
     add_profile_flags,
     add_tiering_flags,
     build_trace,
+    check_counts,
     replay_config,
     run_profiled,
 )
@@ -62,18 +64,23 @@ def run(args: argparse.Namespace) -> int:
     from repro.models.config import get_model
     from repro.serving.simulator import CacheReplayConfig, simulate_trace
 
+    try:
+        check_counts(args, "batch", "requests")
+        replay = replay_config(args)
+        if replay is None:
+            # Token-level replay is this subcommand's whole point: even
+            # without a device budget it runs the measured-footprint
+            # pool (untiered) rather than the analytic capacity model.
+            replay = CacheReplayConfig(
+                method=args.method, arena=args.arena,
+                charge_transfer_cycles=args.charge_transfer_cycles,
+            )
+    except ValueError as exc:
+        print(f"repro replay: {exc}", file=sys.stderr)
+        return 2
     arch = get_model(args.model).arch
     system = get_system(args.system)
     trace = build_trace(args)
-    replay = replay_config(args)
-    if replay is None:
-        # Token-level replay is this subcommand's whole point: even
-        # without a device budget it runs the measured-footprint pool
-        # (untiered) rather than the analytic capacity model.
-        replay = CacheReplayConfig(
-            method=args.method, arena=args.arena,
-            charge_transfer_cycles=args.charge_transfer_cycles,
-        )
     report = run_profiled(
         args,
         lambda: simulate_trace(

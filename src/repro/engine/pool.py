@@ -34,6 +34,11 @@ Adapter pools store the exact rows on append; holding row-local
 registry methods, they batch the quantize on the read side, through
 one merged ``roundtrip_batch`` per tensor across the resident set.
 
+``step`` is the serving loop's unit: one token's rows on every layer,
+checked and priced against the byte budget once, then one
+``append_batch`` / ``read_batch`` pair per layer — so a refused step
+leaves every layer of every sequence as it was.
+
 Pool-wide footprint (current and peak encoded bytes, measured
 effective bitwidth) feeds the serving simulator's admission control in
 cache-replay mode, replacing the analytic capacity estimate.
@@ -50,6 +55,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
@@ -76,6 +82,18 @@ BatchUpdates = Union[
     Iterable[Tuple[Hashable, np.ndarray, np.ndarray]],
 ]
 
+#: One step's rows for :meth:`KVCachePool.step`: ``(seq_id, keys,
+#: values)`` triples, ``keys`` and ``values`` holding one [t, D] block
+#: per layer.
+StepUpdates = Iterable[Tuple[Hashable, Sequence, Sequence]]
+
+
+class _StagedLayer(list):
+    """One layer's ``(seq_id, cache, keys, values)`` entries of a
+    transaction that :meth:`KVCachePool._stage` has checked and priced:
+    what :meth:`KVCachePool.append_batch` stores without checking
+    again."""
+
 
 class KVCachePool:
     """Per-request cache arena with batched multi-sequence reads and
@@ -84,9 +102,10 @@ class KVCachePool:
     Args:
         backend_factory: zero-argument callable producing a fresh
             :class:`CacheBackend` per allocated sequence.
-        capacity_bytes: optional encoded-byte budget used by
-            :meth:`would_fit` for admission control; ``None`` means
-            unbounded.  With ``tiering`` set it bounds the *total*
+        capacity_bytes: optional encoded-byte budget: an append or a
+            :meth:`step` whose tokens :meth:`would_fit` refuses raises
+            :class:`~repro.engine.errors.CacheCapacityError`; ``None``
+            means unbounded.  With ``tiering`` set it bounds the *total*
             (device + host) footprint; the device tier's own budget
             lives on the store.
         tiering: optional :class:`~repro.engine.tiering.TieredKVStore`
@@ -409,32 +428,6 @@ class KVCachePool:
     # streaming
     # ------------------------------------------------------------------
 
-    def _check_capacity(
-        self, seq_id: Optional[Hashable], new_tokens: int
-    ) -> None:
-        """Refuse an append that would blow the byte budget.
-
-        Projects ``new_tokens`` more cached rows at the pool's measured
-        bytes-per-token and raises the **typed, retryable**
-        :class:`~repro.engine.errors.CacheCapacityError` when the
-        projection exceeds ``capacity_bytes`` — carrying the sequence
-        id and the measured footprint, so a retry layer can distinguish
-        backpressure from bugs.  Unbounded pools (``capacity_bytes``
-        None) and unmeasured pools (nothing cached yet) never refuse,
-        matching :meth:`would_fit`.
-        """
-        if self.capacity_bytes is None or new_tokens <= 0:
-            return
-        used, _ = self.measure()
-        tokens = self.total_tokens()
-        if tokens == 0 or used == 0.0:
-            return
-        requested = new_tokens * (used / tokens)
-        if used + requested > self.capacity_bytes:
-            raise CacheCapacityError(
-                seq_id, requested, used, self.capacity_bytes
-            )
-
     def _tier_record_append(self, seq_id: Hashable, layer: int) -> None:
         """Push a sequence's encoded-byte growth into the tiered store.
 
@@ -472,7 +465,8 @@ class KVCachePool:
             CacheCapacityError, ValueError, KeyError: as
                 :meth:`append_batch`; nothing is appended.
         """
-        self._append(layer, [(seq_id, keys, values)])
+        [entries] = self._stage([layer], [(seq_id, (keys,), (values,))])
+        self._store(layer, entries)
 
     def _tier_record_read(self, seq_id: Hashable, layer: int) -> None:
         """Touch a read's pages — including shared-prefix pages.
@@ -500,15 +494,16 @@ class KVCachePool:
     def append_batch(self, layer: int, updates: BatchUpdates) -> None:
         """Append new KV rows to many sequences, one fused encode.
 
-        The write-side counterpart of :meth:`read_batch`: all updated
-        sequences' new [t, D] rows are gathered into one matrix (key
-        rows over value rows), quantized in a single fused pass
-        (counted in :attr:`batched_encodes`), and the encoded
-        chunks are scattered back to each sequence's layer cache —
-        bit-for-bit identical to calling :meth:`append` once per
-        sequence, in ``updates`` order.  At single-token decode
-        granularity this turns ``2 * B`` tiny [1, D] encodes per layer
-        into one [2B, D] encode (keys stacked over values).
+        The write-side counterpart of :meth:`read_batch` and the
+        one-layer case of :meth:`step`: all updated sequences' new
+        [t, D] rows are gathered into one matrix (key rows over value
+        rows), quantized in a single fused pass (counted in
+        :attr:`batched_encodes`), and the encoded chunks are scattered
+        back to each sequence's layer cache — bit-for-bit identical to
+        calling :meth:`append` once per sequence, in ``updates`` order.
+        At single-token decode granularity this turns ``2 * B`` tiny
+        [1, D] encodes per layer into one [2B, D] encode (keys stacked
+        over values).
 
         One branch per store: the arena, the chunk store (caches
         sharing this layer's fitted quantizers, a
@@ -525,7 +520,9 @@ class KVCachePool:
             updates: ``{seq_id: (keys, values)}`` mapping or iterable
                 of ``(seq_id, keys, values)`` triples; ``keys`` and
                 ``values`` are same-shape [t, D] row blocks, all of one
-                width.
+                width.  (:meth:`step` hands each of its layers back
+                through here already checked and priced, so every store
+                of a step runs under this method's name.)
 
         Raises:
             CacheCapacityError: the pool has a ``capacity_bytes``
@@ -538,57 +535,146 @@ class KVCachePool:
 
         Whatever the error, no sequence is mutated.
         """
-        if isinstance(updates, Mapping):
-            items = [(s, k, v) for s, (k, v) in updates.items()]
-        else:
-            items = [(s, k, v) for s, k, v in updates]
-        self._append(layer, items)
+        if not isinstance(updates, _StagedLayer):
+            if isinstance(updates, Mapping):
+                items = [(s, (k,), (v,)) for s, (k, v) in updates.items()]
+            else:
+                items = [(s, (k,), (v,)) for s, k, v in updates]
+            [updates] = self._stage([layer], items)
+        self._store(layer, updates)
 
-    def _append(
+    def step(self, updates: StepUpdates, read: bool = True) -> None:
+        """Append one step's rows on every layer, as one transaction.
+
+        Every generated token is written on every decoder layer, so the
+        unit a KV budget admits or refuses is a token across all layers.
+        The step checks every id, shape and width on every layer and
+        projects its tokens against ``capacity_bytes`` once, before any
+        layer changes.  Then each layer in turn stores its rows with one
+        kernel call (through :meth:`append_batch`) and, with ``read``
+        set, decodes the sequences it stored to (through
+        :meth:`read_batch`), as attention reads a layer's history before
+        the next layer's rows are written.  A refused step leaves every
+        layer of every sequence as it was; an accepted one is
+        bit-identical to the same per-layer ``append_batch`` /
+        ``read_batch`` pairs.  Nothing is returned: a read is a view
+        that a later layer's append may relocate, so the histories are
+        for :meth:`read` / :meth:`read_batch` afterwards, served from
+        the memo the step brought current.
+
+        Args:
+            updates: ``(seq_id, keys, values)`` triples; ``keys`` and
+                ``values`` hold one [t, D] block per layer, layers
+                ``0 .. L-1`` in order (a list of blocks or an
+                [L, t, D] array).  ``t`` may differ between sequences
+                but not between one sequence's layers: a token is
+                stored on every layer the step covers.
+            read: read each layer straight after storing it (a decode
+                step); ``False`` only stores (a prompt admission).
+
+        Raises:
+            CacheCapacityError, ValueError, KeyError: as
+                :meth:`append_batch`, on any layer; also ``ValueError``
+                when one sequence's layers hold different row counts or
+                the triples disagree on the number of layers.  Nothing
+                is appended.
+        """
+        items = [(s, k, v) for s, k, v in updates]
+        layers = range(len(items[0][1]) if items else 0)
+        staged = self._stage(layers, items)
+        stored: List[Hashable] = []
+        if read and staged:
+            # A sequence stores rows on every layer or on none, so each
+            # layer reads the same sequences back.
+            stored = list(dict.fromkeys(seq for seq, *_ in staged[0]))
+        for layer, entries in zip(layers, staged):
+            self.append_batch(layer, entries)
+            if read:
+                self.read_batch(layer, stored)
+
+    def _stage(
         self,
-        layer: int,
-        items: List[Tuple[Hashable, np.ndarray, np.ndarray]],
-    ) -> None:
-        """The one body of :meth:`append` and :meth:`append_batch`:
-        every check (unknown id, shape, width, capacity) before the
-        first mutation.  (``append`` does not call ``append_batch``, so
-        a call to either counts once, under its own name, for anything
-        wrapping the public methods.)"""
-        entries: List[
-            Tuple[Hashable, CacheBackend, np.ndarray, np.ndarray]
-        ] = []
+        layers: Sequence[int],
+        items: List[Tuple[Hashable, Sequence, Sequence]],
+    ) -> List[_StagedLayer]:
+        """The one check of :meth:`append`, :meth:`append_batch` and
+        :meth:`step`, made before the first mutation: every id, shape
+        and width on every layer, then one capacity projection for the
+        whole transaction.  ``items`` give one key and one value block
+        per entry of ``layers``.  Returns each layer's entries with
+        zero-row blocks dropped.
+
+        Capacity is priced in tokens: each item's rows count once, on
+        however many layers the call covers, at the pool's measured
+        bytes per (all-layer) token.  So a step of ``B`` one-row
+        sequences projects ``B`` tokens, and so does one layer's
+        ``append_batch`` of the same rows.
+        """
+        staged = [_StagedLayer() for _ in layers]
+        widths: Dict[int, int] = {}
         first_seq: Optional[Hashable] = None
-        width = 0
-        total_rows = 0
+        tokens = 0
         for seq_id, keys, values in items:
             cache = self._caches[seq_id]
-            keys = as_rows(keys)
-            values = as_rows(values)
-            if keys.shape != values.shape:
+            if len(keys) != len(layers) or len(values) != len(layers):
                 raise ValueError(
-                    f"key/value shape mismatch for sequence "
-                    f"{seq_id!r}: {keys.shape} vs {values.shape}"
+                    f"sequence {seq_id!r}: {len(keys)} key and "
+                    f"{len(values)} value blocks for {len(layers)} layers"
                 )
-            if keys.shape[0] == 0:
-                continue
-            if first_seq is None:
-                first_seq, width = seq_id, keys.shape[1]
-            if keys.shape[1] != width:
-                raise ValueError(
-                    f"sequence {seq_id!r}: rows of width {keys.shape[1]} "
-                    f"in a batch of width {width}"
+            rows = None
+            for layer, entries, layer_keys, layer_values in zip(
+                layers, staged, keys, values
+            ):
+                layer_keys = as_rows(layer_keys)
+                layer_values = as_rows(layer_values)
+                if layer_keys.shape != layer_values.shape:
+                    raise ValueError(
+                        f"key/value shape mismatch for sequence "
+                        f"{seq_id!r}: {layer_keys.shape} vs "
+                        f"{layer_values.shape}"
+                    )
+                if rows is None:
+                    rows = layer_keys.shape[0]
+                elif layer_keys.shape[0] != rows:
+                    raise ValueError(
+                        f"sequence {seq_id!r}: {layer_keys.shape[0]} rows "
+                        f"on layer {layer} but {rows} on layer {layers[0]}"
+                        "; a step stores its tokens on every layer"
+                    )
+                if not rows:
+                    continue
+                width = widths.setdefault(layer, layer_keys.shape[1])
+                if layer_keys.shape[1] != width:
+                    raise ValueError(
+                        f"sequence {seq_id!r}: rows of width "
+                        f"{layer_keys.shape[1]} in a batch of width {width}"
+                    )
+                held = self._held_width(cache, layer)
+                if held not in (None, width):
+                    raise ValueError(
+                        f"sequence {seq_id!r}: rows of width {width}, but "
+                        f"its layer {layer} cache holds rows of width "
+                        f"{held}"
+                    )
+                entries.append((seq_id, cache, layer_keys, layer_values))
+            if rows:
+                tokens += rows
+                if first_seq is None:
+                    first_seq = seq_id
+        if tokens:
+            overrun = self._overrun(tokens)
+            if overrun is not None:
+                raise CacheCapacityError(
+                    first_seq, *overrun, self.capacity_bytes
                 )
-            held = self._held_width(cache, layer)
-            if held not in (None, width):
-                raise ValueError(
-                    f"sequence {seq_id!r}: rows of width {width}, but its "
-                    f"layer {layer} cache holds rows of width {held}"
-                )
-            total_rows += keys.shape[0]
-            entries.append((seq_id, cache, keys, values))
-        # One capacity projection for the whole batch, before anything
-        # mutates: a refused batch leaves every sequence untouched.
-        self._check_capacity(first_seq, total_rows)
+        return staged
+
+    def _store(self, layer: int, entries: _StagedLayer) -> None:
+        """Store one layer's checked entries: one kernel call per
+        store, then the tiered store's notifications.  (:meth:`append`
+        stores through here, not through :meth:`append_batch`, so a
+        call to either counts once, under its own name, for anything
+        wrapping the public methods.)"""
         kernel_calls = 0
         if not entries:
             pass
@@ -867,19 +953,30 @@ class KVCachePool:
             return 0.0
         return self.nbytes() / tokens
 
-    def would_fit(self, tokens: int) -> bool:
-        """Whether ``tokens`` more cached positions fit the budget.
+    def _overrun(self, tokens: int) -> Optional[Tuple[float, float]]:
+        """The pool's one capacity projection.
 
-        Uses the measured bytes-per-token of the live pool; with no
-        measurement yet (empty pool) or no budget, admission is
-        granted.
+        Prices ``tokens`` more cached positions at the measured
+        bytes-per-token of the live pool and returns ``(requested,
+        measured)`` bytes when they would exceed ``capacity_bytes``,
+        ``None`` when they fit.  With no budget, or no measurement yet
+        (nothing cached), everything fits.
         """
         if self.capacity_bytes is None:
-            return True
-        per_token = self.bytes_per_token()
-        if per_token == 0.0:
-            return True
-        return self.nbytes() + tokens * per_token <= self.capacity_bytes
+            return None
+        used, _ = self.measure()
+        held = self.total_tokens()
+        if held == 0 or used == 0.0:
+            return None
+        requested = tokens * (used / held)
+        if used + requested <= self.capacity_bytes:
+            return None
+        return requested, used
+
+    def would_fit(self, tokens: int) -> bool:
+        """Whether ``tokens`` more cached positions fit the budget —
+        the projection an append or a :meth:`step` is refused by."""
+        return self._overrun(tokens) is None
 
     def summary(self) -> Dict[str, float]:
         """Pool-wide reporting dict.

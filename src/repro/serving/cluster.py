@@ -633,23 +633,28 @@ class _ClusterSim:
             self.system, self.arch, plan, self.config.prefill_chunk
         )
         step_time *= replica.brownout_factor
-        generated_now = len(plan.resident)
+        resident, resident_ids = plan.resident, plan.resident_ids
         if replica.cache is not None:
-            try:
-                replica.cache.step(plan.resident, plan.resident_ids)
-            except CacheCapacityError as error:
-                # Mid-step append refusal: the batch append left every
-                # sequence untouched; evict the named offender and let
-                # the remaining residents finish the (already priced)
-                # iteration without further cache work this step.
-                self.capacity_rejections += 1
-                offender = replica.scheduler.evict(error.seq_id)
-                if offender is not None:
-                    replica.cache.abort(offender)
-                    self._requeue(
-                        self.requests[error.seq_id], now, failover=False
-                    )
-                generated_now = max(0, generated_now - 1)
+            while True:
+                try:
+                    replica.cache.step(resident, resident_ids)
+                    break
+                except CacheCapacityError as error:
+                    # A refused step leaves every layer of every
+                    # resident as it was: evict the named offender and
+                    # re-run the (already priced) step for the rest.
+                    self.capacity_rejections += 1
+                    offender = replica.scheduler.evict(error.seq_id)
+                    if offender is not None:
+                        replica.cache.abort(offender)
+                        self._requeue(
+                            self.requests[error.seq_id], now,
+                            failover=False,
+                        )
+                    resident = [
+                        r for r in resident if r.request_id != error.seq_id
+                    ]
+                    resident_ids = None
             # Charge modeled tier-transfer time (admissions + this
             # step's spill traffic) into the iteration when the replay
             # config opted in; brownout already applied — transfers are
@@ -658,7 +663,7 @@ class _ClusterSim:
         replica.stepping = True
         self._push(
             now + step_time, _STEP_DONE,
-            (replica.rid, replica.epoch, step_time, generated_now),
+            (replica.rid, replica.epoch, step_time, len(resident)),
         )
 
     def _finish_step(self, replica: _Replica, now: float,

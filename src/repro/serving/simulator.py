@@ -134,15 +134,39 @@ class CacheReplayConfig:
     arena: bool = False
     charge_transfer_cycles: bool = False
 
+    def __post_init__(self):
+        from repro.engine.tiering import EVICTION_POLICIES
+
+        for name in ("num_layers", "dim", "calibration_tokens",
+                     "prompt_rows", "page_bytes"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.prefetch_pages < 0:
+            raise ValueError(
+                f"prefetch_pages must be >= 0, got {self.prefetch_pages}"
+            )
+        budget = self.device_budget_mb
+        if budget is not None and not (math.isfinite(budget) and budget > 0):
+            raise ValueError(
+                f"device_budget_mb must be a finite number > 0 when set, "
+                f"got {budget}"
+            )
+        if self.eviction not in EVICTION_POLICIES:
+            raise ValueError(
+                f"unknown eviction policy {self.eviction!r}; choose from "
+                f"{EVICTION_POLICIES}"
+            )
+
 
 class _CacheReplay:
     """Drives a real :class:`KVCachePool` under the scheduler.
 
-    One miniature cache per resident request: admissions append a
-    sample of prompt KV rows; every generation iteration streams one
-    row per resident per layer through ``append_batch`` (one fused
-    encode across the batch) and ``read_batch`` (one fused decode);
-    retirement frees the sequence.  Admission control
+    One miniature cache per resident request: an admission stores a
+    sample of prompt KV rows in one pool step; every generation
+    iteration streams one row per resident per layer through one pool
+    step (per layer, one fused encode and one fused decode across the
+    batch); retirement frees the sequence.  Admission control
     projects the device's KV budget (capacity minus weights) against
     per-request KV priced at the **measured** pool bitwidth — the
     analytic ``system.kv_bits`` estimate is never consulted.
@@ -270,8 +294,13 @@ class _CacheReplay:
 
         return factory
 
-    def _draw_rows(self, n: int) -> np.ndarray:
-        return self._stream.draw(n)
+    def _draw_layers(self, n: int):
+        """``n`` fresh rows per tensor per layer: per-layer lists of
+        [n, D] keys and values, drawn layer by layer, keys first."""
+        draws = [
+            self._stream.draw(n) for _ in range(2 * self.config.num_layers)
+        ]
+        return draws[0::2], draws[1::2]
 
     # -- admission -----------------------------------------------------
 
@@ -382,13 +411,8 @@ class _CacheReplay:
             self.pool.allocate(rid)
         fresh = rows - shared_rows
         if fresh > 0:
-            for layer in range(self.config.num_layers):
-                self.pool.append(
-                    rid,
-                    layer,
-                    self._draw_rows(fresh),
-                    self._draw_rows(fresh),
-                )
+            keys, values = self._draw_layers(fresh)
+            self.pool.step([(rid, keys, values)], read=False)
         incoming = request.input_tokens + request.output_tokens
         if shared_rows > 0:
             incoming = max(
@@ -411,15 +435,18 @@ class _CacheReplay:
         resident: Sequence[Request],
         resident_ids: Optional[Sequence[int]] = None,
     ) -> None:
-        """One generation iteration: batched append, batched read.
+        """One generation iteration: one pool step over every layer.
 
-        Exactly one ``append_batch`` / ``read_batch`` pair per layer:
-        the iteration's fresh rows are drawn as one [B, D] block per
-        tensor and handed to the pool as per-sequence row views, so
-        the per-sequence Python loop (and its per-row RNG calls) never
-        runs here.  ``resident_ids``, when the scheduler's
-        :class:`~repro.serving.scheduler.IterationPlan` provides it,
-        skips rebuilding the id list from the request objects.
+        The iteration's fresh rows are drawn as one [B, D] block per
+        tensor per layer and handed to
+        :meth:`~repro.engine.KVCachePool.step` as per-sequence row
+        views, so the per-sequence Python loop (and its per-row RNG
+        calls) never runs here.  A refused step raises
+        :class:`~repro.engine.CacheCapacityError` with every layer of
+        every resident as it was.  ``resident_ids``, when the
+        scheduler's :class:`~repro.serving.scheduler.IterationPlan`
+        provides it, skips rebuilding the id list from the request
+        objects.
         """
         if not resident:
             return
@@ -429,21 +456,19 @@ class _CacheReplay:
             else [r.request_id for r in resident]
         )
         batch = len(seq_ids)
-        for layer in range(self.config.num_layers):
-            # One fused encode across the whole resident batch per
-            # tensor, mirroring the fused decode on the read side.
-            keys = self._draw_rows(batch)
-            values = self._draw_rows(batch)
-            self.pool.append_batch(
-                layer,
-                [
-                    (seq_id, keys[i : i + 1], values[i : i + 1])
-                    for i, seq_id in enumerate(seq_ids)
-                ],
-            )
-            self.batched_appends += 1
-            self.pool.read_batch(layer, seq_ids)
-            self.batched_reads += 1
+        keys, values = self._draw_layers(batch)
+        self.pool.step(
+            [
+                (
+                    seq_id,
+                    [layer[i : i + 1] for layer in keys],
+                    [layer[i : i + 1] for layer in values],
+                )
+                for i, seq_id in enumerate(seq_ids)
+            ]
+        )
+        self.batched_appends += self.config.num_layers
+        self.batched_reads += self.config.num_layers
         self.replayed_tokens += batch
         # Refresh the measured footprint (peak bytes, effective
         # bitwidth) while the pool is populated; admission gating and

@@ -196,6 +196,40 @@ class TestTieringCommands:
             )
 
 
+class TestServingUsageErrors:
+    """A bad value to ``replay`` / ``cluster`` (or ``serve`` through
+    them) is a usage error: ``repro <verb>: <message>`` on stderr and
+    exit 2, before anything runs."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["replay", "--batch", "0"], "--batch must be >= 1"),
+            (["replay", "--requests", "0"], "--requests must be >= 1"),
+            (["replay", "--device-budget-mb", "-1"], "device_budget_mb"),
+            (["cluster", "--replicas", "0"], "--replicas must be >= 1"),
+            (["cluster", "--batch", "0"], "--batch must be >= 1"),
+            (["cluster", "--requests", "0"], "--requests must be >= 1"),
+            (["cluster", "--device-budget-mb", "nan"], "device_budget_mb"),
+        ],
+    )
+    def test_bad_value_exits_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"repro {argv[0]}: {message}")
+        assert captured.out == ""
+
+    def test_serve_reports_the_verb_it_runs(self, capsys, tmp_path):
+        import json
+
+        config = tmp_path / "serve.json"
+        config.write_text(json.dumps({"mode": "cluster", "batch": 0}))
+        assert main(["serve", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "repro cluster: --batch must be >= 1"
+        )
+
+
 @pytest.mark.sharing
 class TestSharingCommands:
     def test_replay_rag_workload_forks(self, capsys):

@@ -17,7 +17,8 @@ device tier small enough to spill); the unstacked pairs run untiered and
 under ``lru``.
 
 The rules: allocate; ragged ``append_batch`` (layers driven unevenly,
-zero-row and repeated ids included); 1-D ``append``; ``read`` and
+zero-row and repeated ids included); a ragged ``step`` over every layer,
+reading or not; 1-D ``append``; ``read`` and
 ``read_batch``; ``fork`` of any live sequence at any row (mid-chunk,
 fork of a fork, reads straight after); ``free``; on the arena,
 free-then-allocate-in-the-same-size-class and a forced ``compact()``; on
@@ -26,8 +27,10 @@ paths are rules too, each asserting that the pool's state did not move:
 a refused batch (an unknown id, or a block of the wrong width after a
 good item), a one-row ``append`` wider than the rows the layer holds, a
 ``capacity_bytes`` refusal on layer 0 or on layer 1 after
-layer 0 landed, a double free, a fork from a freed parent, and a fork
-past the parent's rows or onto a live id.
+layer 0 landed, a refused ``step`` (a block of the wrong width or row
+count on any layer index, an unknown id, or over capacity), a double
+free, a fork from a freed parent, and a fork past the parent's rows or
+onto a live id.
 
 The oracle is only per-sequence lists of the input rows, tagged with
 the id of the append that produced each row:
@@ -383,6 +386,72 @@ class PoolModel(RuleBasedStateMachine):
             )
             self.pool.append_batch(layer, batch)
             self.land(layer, batch)
+
+    @precondition(lambda self: self.history)
+    @rule(
+        chosen=items,
+        read=st.booleans(),
+        refusal=st.sampled_from([None, None, "wide", "uneven", "unknown",
+                                 "capacity"]),
+        bad_layer=layers,
+    )
+    def step(self, chosen, read, refusal=None, bad_layer=0):
+        """One ``pool.step`` over every layer: ragged rows (the same
+        count on each of a sequence's layers), an id may repeat.  An
+        accepted step reads back the one-shot roundtrip on every layer.
+        A refused one leaves every layer as it was: after a good
+        one-row item, a block one wider on layer ``bad_layer``, an item
+        one row longer on that layer, an unknown id, or a budget the
+        step overruns."""
+        def layered(seed, count):
+            """``[keys per layer], [values per layer]``."""
+            blocks = [self.blocks(seed + at, count) for at in range(LAYERS)]
+            return [list(tensor) for tensor in zip(*blocks)]
+
+        updates = [
+            (self.pick(pick), *layered(seed, count))
+            for pick, count, seed in chosen
+        ]
+        if refusal is None:
+            self.pool.step(updates, read=read)
+            for seq, keys, values in updates:
+                for layer in range(LAYERS):
+                    if keys[layer].shape[0]:
+                        self.record(seq, layer, keys[layer], values[layer])
+            stepped = dict.fromkeys(
+                seq for seq, keys, _ in updates if keys[0].shape[0]
+            )
+            for layer in range(LAYERS):
+                for seq, got in zip(
+                    stepped, self.pool.read_batch(layer, list(stepped))
+                ):
+                    self.check_read(seq, layer, got)
+            return
+        seq = updates[0][0]
+        updates.append((seq, *layered(len(updates), 1)))
+        bad = layered(len(updates), 1)
+        error = ValueError
+        if refusal == "wide":
+            wide = np.zeros((1, DIM + 1), dtype=np.float32)
+            bad[0][bad_layer] = bad[1][bad_layer] = wide
+        elif refusal == "uneven":
+            bad[0][bad_layer], bad[1][bad_layer] = self.blocks(bad_layer, 2)
+        elif refusal == "unknown":
+            seq, error = "nobody", KeyError
+        if refusal != "capacity":
+            updates.append((seq, *bad))
+        elif any(self.length(held, 0) for held in self.history):
+            error = CacheCapacityError
+            self.pool.capacity_bytes = self.pool.nbytes()
+        else:
+            return  # nothing measured yet: no budget can refuse
+        before = self.pool_state()
+        try:
+            with pytest.raises(error):
+                self.pool.step(updates, read=read)
+        finally:
+            self.pool.capacity_bytes = None
+        assert self.pool_state() == before
 
     @precondition(lambda self: self.history)
     @rule(pick=picks, layer=layers, seed=picks, wide=st.booleans())
@@ -900,6 +969,11 @@ def test_a_serving_walk_reads_the_oracle(name):
         ("allocate", {}),
         ("append_batch", dict(layer=None, chosen=[(2, 3, 8), (0, 1, 9)])),
         ("read_batch", dict(layer=0, chosen=[0, 1, 2])),
+        ("step", dict(chosen=[(0, 1, 10), (1, 1, 11), (2, 1, 12)], read=True)),
+        ("step", dict(
+            chosen=[(1, 9, 13), (2, 0, 14), (1, 2, 15)], read=False
+        )),
+        ("step", dict(chosen=[(0, 1, 16), (1, 1, 17), (2, 1, 18)], read=True)),
     ])
     if not machine.adapter:
         # Multi-sequence batches took the one-kernel paths both ways.
@@ -941,9 +1015,11 @@ def test_every_failure_path_changes_nothing(name):
     """With layer 0 a row ahead of layer 1: a refused batch (a wide item,
     an unknown id), a wide one-row ``append`` on either layer, a
     capacity refusal on layer 0 and on layer 1 after
-    layer 0 landed (batched and looped), a fork past the parent's rows
-    or onto a live id, a double free, and a fork from the freed parent —
-    each rule asserts the pool's state did not move."""
+    layer 0 landed (batched and looped), a refused step (a wide or an
+    uneven block on either layer, an unknown id, over capacity), a fork
+    past the parent's rows or onto a live id, a double free, and a fork
+    from the freed parent — each rule asserts the pool's state did not
+    move."""
     machine = walk(name, [
         ("allocate", {}),
         ("allocate", {}),
@@ -963,6 +1039,14 @@ def test_every_failure_path_changes_nothing(name):
         ("capacity_refusal", dict(
             layer=1, chosen=[(1, 3, 11)], batched=False
         )),
+        *[
+            ("step", dict(
+                chosen=[(0, 1, 12), (1, 2, 13)], read=True,
+                refusal=refusal, bad_layer=bad_layer,
+            ))
+            for refusal in ("wide", "uneven", "unknown", "capacity")
+            for bad_layer in range(LAYERS)
+        ],
         ("refused_fork", dict(pick=0, other=0, over=1, how="past")),
         ("refused_fork", dict(pick=0, other=1, over=2, how="onto")),
         ("free", dict(pick=0, again=True)),

@@ -31,7 +31,12 @@ from repro.serving.faults import (
     crash_forever,
     generate_fault_plan,
 )
-from repro.serving.simulator import CacheReplayConfig, simulate_trace
+from repro.engine import CacheCapacityError
+from repro.serving.simulator import (
+    CacheReplayConfig,
+    _CacheReplay,
+    simulate_trace,
+)
 
 pytestmark = pytest.mark.cluster
 
@@ -377,12 +382,35 @@ class TestBackpressure:
         assert rep.completed + rep.failed == len(trace)
         assert rep.lost == 0
 
-    def test_capacity_error_requeues_not_loses(self):
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_capacity_error_requeues_not_loses(self, num_layers, monkeypatch):
+        """Refusals at admission and mid-step evict and requeue.  Every
+        pool sequence's layers stay even after every step, refused or
+        not (at one layer that cannot fail; at two it catches layer 0
+        landing before layer 1 is refused), and a refused step is re-run
+        at once for every resident but the offender."""
+        steps = []
+        replay_step = _CacheReplay.step
+
+        def step(engine, resident, resident_ids=None):
+            ids = [request.request_id for request in resident]
+            try:
+                replay_step(engine, resident, resident_ids)
+                steps.append((engine, ids, None))
+            except CacheCapacityError as error:
+                steps.append((engine, ids, error.seq_id))
+                raise
+            finally:
+                for seq in engine.pool.seq_ids:
+                    layers = engine.pool.get(seq).layers
+                    assert len({layer.length for layer in layers}) == 1
+
+        monkeypatch.setattr(_CacheReplay, "step", step)
         trace = generate_trace("conversation", 8, seed=6)
         rep = run_cluster(
             trace, replicas=2, max_batch=4,
             replay=CacheReplayConfig(
-                num_layers=1, dim=16, prompt_rows=2
+                num_layers=num_layers, dim=16, prompt_rows=2
             ),
             pool_capacity_bytes=3000.0,
         )
@@ -390,6 +418,15 @@ class TestBackpressure:
         assert rep.completed + rep.failed == len(trace)
         assert rep.lost == 0
         assert rep.duplicate_completions == 0
+        refused = [
+            i for i, (*_, offender) in enumerate(steps) if offender is not None
+        ]
+        assert refused
+        for i in refused:
+            engine, ids, offender = steps[i]
+            assert steps[i + 1][:2] == (
+                engine, [seq for seq in ids if seq != offender]
+            )
 
 
 class TestValidation:

@@ -304,6 +304,32 @@ class TestMeasuredAdmission:
         assert report.replay is not None
 
 
+class TestReplayConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("device_budget_mb", -1.0),
+            ("device_budget_mb", 0.0),
+            ("device_budget_mb", float("nan")),
+            ("device_budget_mb", float("inf")),
+            ("prompt_rows", 0),
+            ("prompt_rows", -3),
+            ("num_layers", 0),
+            ("dim", 0),
+            ("calibration_tokens", 0),
+            ("page_bytes", 0),
+            ("prefetch_pages", -1),
+            ("eviction", "fifo"),
+        ],
+    )
+    def test_a_bad_field_is_refused_by_name(self, field, value):
+        """Each of these used to be accepted and either ran (a negative
+        device budget ran a tiered replay) or failed later with an
+        unrelated message (a bare ``IndexError``, a numpy error)."""
+        with pytest.raises(ValueError, match=field):
+            CacheReplayConfig(**{field: value})
+
+
 class TestReplayRobustness:
     """OOM edges and admission-gate bookkeeping for the replay."""
 
@@ -371,38 +397,40 @@ class TestReplayRobustness:
         engine = self.make_engine()
         engine.abort(self.request(42))  # never admitted: no error
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="known bug (ROADMAP item 1b): each pool.append_batch is "
-        "atomic, but a step calls it once per layer, so a refusal on "
-        "layer 1 leaves layer 0 one row ahead",
-    )
     def test_a_step_refused_on_layer_1_leaves_the_layers_even(self):
-        """Four residents of 8 rows, and a budget with room for 4.5
-        more tokens: layer 0's batch lands, layer 1's is refused, and
-        every resident is left at ``[9, 8]`` on both stores — which the
-        cluster's mid-step handler then keeps, since it assumes the
-        refused step left every sequence untouched."""
-        lengths = []
-        for arena in (False, True):
-            engine = _CacheReplay(
-                CacheReplayConfig(method="oaken", arena=arena),
-                get_system("oaken-lpddr"),
-                ARCH,
-            )
-            residents = [self.request(rid) for rid in range(4)]
-            for request in residents:
-                engine.admit(request)
-            pool = engine.pool
-            pool.capacity_bytes = pool.nbytes() + 4.5 * pool.bytes_per_token()
-            with pytest.raises(CacheCapacityError):
-                engine.step(residents)
-            for request in residents:
-                rid = request.request_id
-                lengths.append(
-                    list(pool._arena.rows[rid].length)
-                    if arena
-                    else [layer.length for layer in pool.get(rid).layers]
+        """Four residents of 8 rows on both stores, and a step of four
+        one-row tokens.  The pool projects the step once, across both
+        layers, so it lands on every layer or on none: with room for
+        4.5 more tokens every resident is at ``[9, 9]``, with room for
+        3.5 the step is refused at ``[8, 8]`` — never the ``[9, 8]``
+        that layer 0 landing before layer 1's refusal used to leave
+        (ROADMAP item 1b)."""
+        for room, lengths in ((4.5, [9, 9]), (3.5, [8, 8])):
+            for arena in (False, True):
+                engine = _CacheReplay(
+                    CacheReplayConfig(method="oaken", arena=arena),
+                    get_system("oaken-lpddr"),
+                    ARCH,
                 )
-        assert lengths == [[8, 8]] * 8
+                residents = [self.request(rid) for rid in range(4)]
+                for request in residents:
+                    engine.admit(request)
+                pool = engine.pool
+                pool.capacity_bytes = (
+                    pool.nbytes() + room * pool.bytes_per_token()
+                )
+                if lengths == [8, 8]:
+                    with pytest.raises(CacheCapacityError) as excinfo:
+                        engine.step(residents)
+                    assert excinfo.value.seq_id == 0
+                else:
+                    engine.step(residents)
+                for request in residents:
+                    rid = request.request_id
+                    held = (
+                        list(pool._arena.rows[rid].length)
+                        if arena
+                        else [layer.length for layer in pool.get(rid).layers]
+                    )
+                    assert held == lengths, (room, arena, rid)
+                pool.check_invariants()
