@@ -4,7 +4,7 @@
     python scripts/ci_smoke.py NAME
 
 NAME is one of cluster, tiering, sharing, arena, arena-e2e,
-analytic-e2e and replay-e2e.
+analytic-e2e, replay-e2e and arena-work.
 
 Each feature smoke drives the real CLI (``python -m repro ... --json``)
 at a fixed seed and asserts that the feature actually engaged —
@@ -13,8 +13,8 @@ compacted — while its contract held.  Everything is simulation time,
 so no retry is needed.  CI runs the same-named pytest marker first;
 this script is the part that used to live as inline heredocs in the
 workflow, so it can be run locally too.  ``arena-e2e``,
-``analytic-e2e`` and ``replay-e2e`` are the ``e2e-smoke`` job's count
-gates on the end-to-end benchmark instead.
+``analytic-e2e``, ``replay-e2e`` and ``arena-work`` are the
+``e2e-smoke`` job's count gates on the end-to-end benchmark instead.
 """
 
 from __future__ import annotations
@@ -287,11 +287,94 @@ def replay_e2e_gate() -> None:
         print(f"replay e2e gate: {workload} work counts match")
 
 
+#: The arena geometry work one seed-0 quick-size repetition of each
+#: arena workload does: row relocations (calls and rows moved),
+#: buffer re-sizes (calls, one per layer store), payload-log rebuilds
+#: (calls, one per layer store) and compaction passes (calls, one per
+#: arena).  A change that makes a write, a gather or a pass cheaper
+#: leaves every one of these alone; a change to reservation,
+#: recycling or compaction updates them in the same diff.
+ARENA_WORK = {
+    "replay-burst-arena": {
+        "move_rows.calls": 298,
+        "move_rows.rows": 13296,
+        "resize.calls": 22,
+        "rebuild_log.calls": 14,
+        "compact.calls": 3,
+    },
+    "cluster-replay-faults": {
+        "move_rows.calls": 184,
+        "move_rows.rows": 8464,
+        "resize.calls": 52,
+        "rebuild_log.calls": 28,
+        "compact.calls": 8,
+    },
+}
+
+
+def arena_geometry_work(workload: str) -> dict:
+    """The :data:`ARENA_WORK` counts of one seed-0 quick-size
+    repetition of ``workload``, counted in this process.
+
+    The tracer does not see below the arena's public methods, so the
+    allocator's own steps are counted by wrapping them on the classes
+    that the benchmark's set-up imported (it re-imports the program,
+    so the wrappers go on after it) for one timed-region repetition.
+    """
+    sys.path.insert(0, str(ROOT / "src"))
+    sys.path.insert(0, str(ROOT / "benchmarks" / "e2e"))
+    import workloads
+
+    prepared = workloads.set_up(workload, 0, quick=True)
+    from repro.engine.arena import KVArena, _LayerStore
+
+    counts = dict.fromkeys(ARENA_WORK[workload], 0)
+
+    def counted(cls, name, rows=None):
+        method = getattr(cls, name)
+
+        def wrapper(self, *args, **kwargs):
+            counts[name + ".calls"] += 1
+            if rows is not None:
+                counts[name + ".rows"] += rows(*args)
+            return method(self, *args, **kwargs)
+
+        setattr(cls, name, wrapper)
+        return method
+
+    originals = [
+        (_LayerStore, "move_rows",
+         counted(_LayerStore, "move_rows", lambda src, dst, n: n)),
+        (_LayerStore, "resize", counted(_LayerStore, "resize")),
+        (_LayerStore, "rebuild_log", counted(_LayerStore, "rebuild_log")),
+        (KVArena, "compact", counted(KVArena, "compact")),
+    ]
+    try:
+        prepared.repetition()
+    finally:
+        for cls, name, method in originals:
+            setattr(cls, name, method)
+    return counts
+
+
+def arena_work_gate() -> None:
+    """The e2e-smoke job's arena geometry ledger: counts, not a clock.
+
+    One repetition (seed 0, quick size) of each arena workload must
+    relocate, re-size, rebuild and compact exactly as often as
+    ``ARENA_WORK`` says; the counts repeat exactly, so no retry.
+    """
+    for workload, want in ARENA_WORK.items():
+        counts = arena_geometry_work(workload)
+        assert counts == want, (workload, counts)
+        print(f"arena work gate: {workload} geometry counts match", counts)
+
+
 SMOKES = {
     "cluster": cluster_smoke, "tiering": tiering_smoke,
     "sharing": sharing_smoke, "arena": arena_smoke,
     "arena-e2e": arena_e2e_gate, "analytic-e2e": analytic_e2e_gate,
-    "replay-e2e": replay_e2e_gate,
+    "replay-e2e": replay_e2e_gate, "arena-work": arena_work_gate,
 }
 
 if __name__ == "__main__":
