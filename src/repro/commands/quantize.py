@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -31,20 +32,27 @@ def run(args: argparse.Namespace) -> int:
     from repro.engine import create_quantizer
     from repro.quant.metrics import signal_to_quantization_noise
 
+    # Every registry method builds through the one engine factory; the
+    # group-ratio knobs only parameterize the paper method.
+    config = None
+    try:
+        if args.tokens < 1:
+            raise ValueError(f"--tokens must be >= 1, got {args.tokens}")
+        if args.dim < 1:
+            raise ValueError(f"--dim must be >= 1, got {args.dim}")
+        if args.method == "oaken":
+            config = OakenConfig.from_ratio_string(
+                args.ratios, outlier_bits=args.outlier_bits
+            )
+    except ValueError as exc:
+        print(f"repro quantize: {exc}", file=sys.stderr)
+        return 2
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal((args.tokens, args.dim))
     outlier_channels = rng.choice(
         args.dim, size=max(1, args.dim // 20), replace=False
     )
     x[:, outlier_channels] *= 10.0
-
-    # Every registry method builds through the one engine factory; the
-    # group-ratio knobs only parameterize the paper method.
-    config = None
-    if args.method == "oaken":
-        config = OakenConfig.from_ratio_string(
-            args.ratios, outlier_bits=args.outlier_bits
-        )
     quantizer = create_quantizer(args.method, "key", config=config)
     quantizer.fit([x])
     print(f"method: {args.method}")

@@ -61,6 +61,13 @@ from repro.core.thresholds import profile_thresholds
 
 #: Guard below which a quantization range is treated as degenerate.
 _EPS = 1e-12
+#: Band of a record by whether the outer mask holds it (``[False,
+#: True]`` as a uint8 index), when each side has one band.
+_SIDE_BAND = np.array([1, 0], dtype=np.int16)
+_SIDE_BAND.flags.writeable = False
+#: The input dtypes the encode takes as they are.
+_FLOAT32 = np.dtype(np.float32)
+_FLOAT64 = np.dtype(np.float64)
 
 
 def _fp16_round(values: np.ndarray) -> np.ndarray:
@@ -68,40 +75,93 @@ def _fp16_round(values: np.ndarray) -> np.ndarray:
     return np.asarray(values, dtype=np.float16).astype(np.float64)
 
 
-def _sigma(lo: np.ndarray, hi: np.ndarray, levels: float) -> np.ndarray:
+def _sigma(lo: np.ndarray, hi: np.ndarray, levels) -> np.ndarray:
     """Uniform-quantization scale factor of Eq. 2 with the seed's guard.
 
-    ``levels`` is ``2**bits - 1``, the top code of the target width.
+    ``levels`` is ``2**bits - 1``, the top code of the target width: a
+    scalar, or one per column of a table whose columns mix widths.
     """
     span = hi - lo
     return np.where(span > _EPS, levels / np.maximum(span, _EPS), 1.0)
 
 
+#: Largest ``rows * dim`` whose :class:`_ShapePlan` a scratch keeps.
+#: Larger encodes build theirs per call, where its cost is noise next
+#: to the O(rows * dim) work.
+_CACHED_SHAPE_ELEMENTS = 1 << 12
+#: Shape plans one scratch keeps; the oldest goes first.
+_CACHED_SHAPES = 64
+
+
 class QuantizeScratch:
-    """Reusable work buffers for the fused kernel.
+    """Reusable per-shape plans for the fused encode.
 
     Single-token appends during generation call the quantizer thousands
-    of times on tiny [1, D] matrices, where buffer allocation is a
-    measurable fraction of the cost.  A scratch object owned by the
-    caller (one per :class:`LayerEncoder`) lets
-    :meth:`OakenQuantizer.quantize_into` reuse its full-matrix
-    temporaries across calls.  Buffers grow monotonically and are never
-    shared between concurrent encodes.
+    of times on tiny matrices, where the fixed per-call work — work
+    buffers, index tables, views — is most of the cost.  A scratch
+    owned by the caller (one per :class:`LayerEncoder`) lets
+    :meth:`OakenQuantizer.quantize_into` compile that work once per
+    input shape (a :class:`_ShapePlan`) and reuse it.  The cache is
+    bounded, in entries and in the size of a cached shape.
+
+    A scratch is never shared between concurrent encodes, and nothing
+    it holds is ever part of a result: every array an encode returns is
+    allocated by that encode.
     """
 
     def __init__(self) -> None:
-        self._buffers: Dict[str, np.ndarray] = {}
+        self._shapes: Dict[tuple, "_ShapePlan"] = {}
+        self._edge_tables: Dict[tuple, np.ndarray] = {}
+        self._position_tables: Dict[int, np.ndarray] = {}
 
-    def array(self, key: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        """A reusable uninitialized array of ``shape`` and ``dtype``."""
-        need = 1
-        for extent in shape:
-            need *= int(extent)
-        buf = self._buffers.get(key)
-        if buf is None or buf.dtype != np.dtype(dtype) or buf.size < need:
-            buf = np.empty(max(need, 1), dtype=dtype)
-            self._buffers[key] = buf
-        return buf[:need].reshape(shape)
+    def shape(self, plan: "_KernelPlan", rows: int, dim: int) -> "_ShapePlan":
+        """The plan of a ``[rows, dim]`` encode under ``plan``."""
+        key = (plan, rows, dim)
+        shape = self._shapes.get(key)
+        if shape is None:
+            if rows * dim > _CACHED_SHAPE_ELEMENTS:
+                return _ShapePlan(plan, rows, dim)
+            shape = _ShapePlan(
+                plan, rows, dim,
+                self._edges(plan, rows // plan.groups, dim),
+                self._positions(rows, dim),
+            )
+            if len(self._shapes) >= _CACHED_SHAPES:
+                del self._shapes[next(iter(self._shapes))]
+            self._shapes[key] = shape
+        return shape
+
+    def _positions(self, rows: int, dim: int) -> np.ndarray:
+        """``[row; column]`` of each flat position of a ``[rows, dim]``
+        matrix, for at least ``rows`` rows: one table per width, shared
+        by every cached shape of it."""
+        table = self._position_tables.get(dim)
+        if table is None or table.shape[1] < rows * dim:
+            table = np.stack(np.divmod(np.arange(rows * dim), dim))
+            table.flags.writeable = False
+            self._position_tables[dim] = table
+        return table
+
+    def _edges(
+        self, plan: "_KernelPlan", per_block: int, dim: int
+    ) -> np.ndarray:
+        """``plan``'s dense-pass edge columns (:attr:`_KernelPlan.
+        dense_edges`) broadcast to ``[edges, G, T, dim]``, for at least
+        ``per_block`` rows per block: one table per plan and width,
+        shared by every cached shape of it.  A NumPy operation against
+        a full operand is several times cheaper than one that
+        broadcasts a ``[G, 1, 1]`` column over a small matrix."""
+        key = (plan, dim)
+        table = self._edge_tables.get(key)
+        if table is None or table.shape[2] < per_block:
+            columns = plan.dense_edges
+            table = np.empty(
+                (len(columns), plan.groups, per_block, dim), plan.wdtype
+            )
+            for full, column in zip(table, columns):
+                full[...] = column
+            self._edge_tables[key] = table
+        return table[:, :, :per_block]
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,6 +191,9 @@ class _KernelPlan:
             block-major (gathered per outlier record).
         band_levels / mid_levels: top code ``2**bits - 1`` of the
             sparse magnitude and the dense inlier codes.
+        nibble_is_code: whether :func:`_fused_nibbles` is the magnitude
+            code itself — the side bit sits above the dense slot and
+            the magnitude fits it (5-bit outliers over 4-bit slots).
     """
 
     config: OakenConfig
@@ -145,6 +208,20 @@ class _KernelPlan:
     band_hi_edges: np.ndarray
     band_levels: float
     mid_levels: float
+    nibble_is_code: bool
+
+    @property
+    def dense_edges(self) -> Tuple[np.ndarray, ...]:
+        """The columns every element is compared with or shifted by:
+        the outermost band's ``outer_hi`` / ``outer_lo``, the outermost
+        shell's ``inner_hi`` / ``inner_lo`` (each pair when its side
+        has bands), then ``mid_edge``."""
+        pairs = ()
+        if self.outer_hi:
+            pairs += (self.outer_hi[-1], self.outer_lo[-1])
+        if self.inner_hi:
+            pairs += (self.inner_hi[0], self.inner_lo[0])
+        return pairs + (self.mid_edge,)
 
 
 @functools.lru_cache(maxsize=256)
@@ -207,11 +284,129 @@ def _kernel_plan(
         band_hi_edges=band_edges(1),
         band_levels=2.0**mag_bits - 1.0,
         mid_levels=2.0**config.inlier_bits - 1.0,
+        nibble_is_code=(
+            mag_bits == config.inlier_bits
+            if config.group_shift
+            else mag_bits <= config.inlier_bits
+        ),
     )
 
 
+@functools.lru_cache(maxsize=256)
+def _scale_columns(
+    plan: "_KernelPlan", rows: int
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """The read-only per-row tables of a ``rows``-row encode or decode
+    under ``plan``, shared by every quantizer and scratch.
+
+    Returns ``(levels, row_column, row_edge, row_mid_edge)``.  The kernels keep one
+    ``[lo; hi]`` scale table: ``rows`` middle-group columns, then one
+    column per (token, band) slot, token-major.  ``levels`` is the top
+    code of each column; ``row_column[r]`` is where row ``r``'s band
+    slots start; ``row_edge[r]`` is where row ``r``'s block starts in
+    the plan's block-major ``band_*_edges`` tables (``None`` for one
+    block); ``row_mid_edge`` is the ``[rows, 1]`` middle-group shift of
+    each row's block.
+    """
+    groups = plan.groups
+    if rows % groups:
+        raise ValueError(
+            f"{rows} rows do not split into {groups} equal row blocks"
+        )
+    bands = plan.config.num_sparse_bands
+    levels = np.full(rows * (1 + bands), plan.band_levels)
+    levels[:rows] = plan.mid_levels
+    row = np.arange(rows)
+    row_column = rows + bands * row
+    row_edge = None
+    if groups > 1:
+        row_edge = bands * (row // (rows // groups))
+    row_mid_edge = np.repeat(plan.mid_edge.reshape(-1), rows // groups)
+    row_mid_edge = row_mid_edge[:, None]
+    for table in (levels, row_column, row_edge, row_mid_edge):
+        if table is not None:
+            table.flags.writeable = False
+    return levels, row_column, row_edge, row_mid_edge
+
+
+class _ShapePlan:
+    """The shape-dependent half of the fused encode, compiled once per
+    ``(kernel plan, rows, dim)`` — as :class:`_KernelPlan` is the
+    threshold-dependent half.
+
+    Attributes:
+        blocks: the ``[G, T, D]`` row-block view of the input.
+        levels / row_column / row_edge: :func:`_scale_columns`.
+        token / pos: the row and column of every flat position, for a
+            cached shape (``None`` otherwise: the kernel divides).
+        outer_hi / outer_lo / inner_hi / inner_lo / mid_edge: the dense
+            pass's operands (:attr:`_KernelPlan.dense_edges`), full
+            ``[G, T, D]`` tables for a cached shape, the plan's
+            ``[G, 1, 1]`` columns otherwise; ``None`` for a side
+            without bands.
+        shifted: ``[rows, dim]`` work buffer of the dense pass, with
+            its ``[G, T, D]`` and flat views.
+        outer / mask / spare: ``[G, T, D]`` boolean work buffers of the
+            COO extraction, with flat views of the first two.
+        middle: ``[2, rows]`` work buffer of the middle group's
+            ``[min; max]``.
+        row_scales: ``[rows, 1]`` work buffers of each row's lower
+            bound and scale in the compute dtype, with read-only
+            ``row_lo`` / ``row_sigma`` views broadcasting it over the
+            row: a broadcast view costs a NumPy operation less than a
+            ``[rows, 1]`` operand.
+
+    Every buffer is overwritten by each encode of this shape and copied
+    out of, never returned.
+    """
+
+    __slots__ = (
+        "blocks", "levels", "row_column", "row_edge", "token", "pos",
+        "outer_hi", "outer_lo",
+        "inner_hi", "inner_lo", "mid_edge", "shifted", "shifted_blocks",
+        "shifted_flat", "outer", "mask", "spare", "outer_flat",
+        "mask_flat", "middle", "row_scales", "row_lo", "row_sigma",
+    )
+
+    def __init__(
+        self,
+        plan: "_KernelPlan",
+        rows: int,
+        dim: int,
+        edges: Optional[np.ndarray] = None,
+        positions: Optional[np.ndarray] = None,
+    ) -> None:
+        self.levels, self.row_column, self.row_edge, _ = _scale_columns(
+            plan, rows
+        )
+        self.blocks = (plan.groups, rows // plan.groups, dim)
+        self.token = self.pos = None
+        if positions is not None:
+            self.token, self.pos = positions[:, : rows * dim]
+        edges = list(plan.dense_edges if edges is None else edges)
+        self.outer_hi = self.outer_lo = self.inner_hi = self.inner_lo = None
+        if plan.outer_hi:
+            self.outer_hi, self.outer_lo = edges[:2]
+            del edges[:2]
+        if plan.inner_hi:
+            self.inner_hi, self.inner_lo = edges[:2]
+        self.mid_edge = edges[-1]
+        self.shifted = np.empty((rows, dim), dtype=plan.wdtype)
+        self.shifted_blocks = self.shifted.reshape(self.blocks)
+        self.shifted_flat = self.shifted.reshape(-1)
+        self.outer, self.mask, self.spare = np.empty(
+            (3,) + self.blocks, dtype=bool
+        )
+        self.outer_flat = self.outer.reshape(-1)
+        self.mask_flat = self.mask.reshape(-1)
+        self.middle = np.empty((2, rows), dtype=plan.wdtype)
+        scales = np.empty((2, rows, 1), dtype=plan.wdtype)
+        self.row_scales = (scales[0], scales[1])
+        self.row_lo, self.row_sigma = np.broadcast_to(scales, (2, rows, dim))
+
+
 def _outlier_coo(
-    x: np.ndarray, plan: _KernelPlan
+    x: np.ndarray, plan: _KernelPlan, shape: Optional[_ShapePlan] = None
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Extract the sparse stream of ``x`` viewed as ``[G, T, D]``.
 
@@ -225,27 +420,41 @@ def _outlier_coo(
     * inner shells are nested prefix sets (magnitude edges shrink
       inward), so the claimed band is the innermost containing shell;
     * outer claims take precedence, as in the sequential assignment.
+
+    ``shape`` supplies the mask buffers (one is built when omitted).
     """
-    num_outer = len(plan.outer_lo)
-    num_inner = len(plan.inner_hi)
-    mask = outer = None
-    if num_outer:
-        outer = (x > plan.outer_hi[-1]) | (x < plan.outer_lo[-1])
-        mask = outer
-    if num_inner:
-        inner = (x <= plan.inner_hi[0]) & (x >= plan.inner_lo[0])
-        mask = inner if mask is None else (mask | inner)
-    if mask is None:
+    num_outer = plan.config.num_outer_bands
+    num_inner = plan.config.num_inner_bands
+    if not (num_outer or num_inner):
         flat = np.zeros(0, dtype=np.int64)
         return flat, np.zeros(0, dtype=x.dtype), np.zeros(0, dtype=np.int16)
-    flat = mask.reshape(-1).nonzero()[0]
+    if shape is None:
+        groups, tokens, dim = x.shape
+        shape = _ShapePlan(plan, groups * tokens, dim)
+    outer, spare = shape.outer, shape.spare
+    if num_outer:
+        np.greater(x, shape.outer_hi, out=outer)
+        np.less(x, shape.outer_lo, out=spare)
+        np.logical_or(outer, spare, out=outer)
+    if num_inner:
+        mask = shape.mask
+        np.less_equal(x, shape.inner_hi, out=mask)
+        np.greater_equal(x, shape.inner_lo, out=spare)
+        np.logical_and(mask, spare, out=mask)
+        if num_outer:
+            np.logical_or(mask, outer, out=mask)
+        flat = shape.mask_flat.nonzero()[0]
+    else:
+        flat = shape.outer_flat.nonzero()[0]
     xg = x.reshape(-1)[flat]
 
     # Single-band sides need no per-record threshold compare: the dense
-    # masks above already decided them.
+    # masks above already decided them, and with one band a side the
+    # outer mask alone names every record's band.
+    band_lut = num_outer <= 1 and num_inner <= 1
     outer_band = np.int16(0)
     inner_band = np.int16(num_outer)
-    if num_outer > 1 or num_inner > 1:
+    if not band_lut:
         block = flat // (x.shape[1] * x.shape[2]) if x.shape[0] > 1 else 0
 
         def of_record(column: np.ndarray) -> np.ndarray:
@@ -262,7 +471,10 @@ def _outlier_coo(
                 shells += (xg <= of_record(hi)) & (xg >= of_record(lo))
             inner_band = np.maximum(shells, 1) + np.int16(num_outer - 1)
     if num_outer and num_inner:
-        band = np.where(outer.reshape(-1)[flat], outer_band, inner_band)
+        if band_lut:
+            band = _SIDE_BAND[shape.outer_flat[flat].view(np.uint8)]
+        else:
+            band = np.where(shape.outer_flat[flat], outer_band, inner_band)
     else:
         band = np.full(
             flat.shape, outer_band if num_outer else inner_band
@@ -271,52 +483,36 @@ def _outlier_coo(
 
 
 def _segment_bounds(
-    slot: np.ndarray,
+    column: np.ndarray,
     band: np.ndarray,
     mag: np.ndarray,
-    slots: int,
     num_bands: int,
-) -> np.ndarray:
-    """FP16-rounded min/max of the outlier magnitudes per (token, band).
+    scales: np.ndarray,
+) -> None:
+    """Min/max of the outlier magnitudes per (token, band), into the
+    ``[lo; hi]`` columns of ``scales`` that ``column`` names.
 
-    ``slot = token * num_bands + band`` names each record's group.  The
-    COO stream is token-sorted, so a stable sort by band alone (a radix
-    pass over a 16-bit key) makes every group one contiguous run, and
-    one ``reduceat`` per bound covers all of them in O(nnz) without
-    touching the dense matrix.  A group is empty when no record names
-    it — decided by the run starts, never by a sentinel, so infinite
-    magnitudes reduce like any other — and keeps the seed convention
-    ``lo = hi = 0``.
-
-    Returns a ``[2, slots]`` float64 array: row 0 the lower bounds,
-    row 1 the upper.
+    The COO stream is token-sorted, so a stable sort by band alone (a
+    radix pass over a 16-bit key) makes every (token, band) group one
+    contiguous run, and one ``reduceat`` per bound covers all of them
+    in O(nnz) without touching the dense matrix.  A group is found by
+    its run start, never by a sentinel, so infinite magnitudes reduce
+    like any other; the column of a group no record names is left as
+    it is (zero: the seed convention ``lo = hi = 0``).
     """
-    bounds = np.zeros((2, slots), dtype=np.float64)
-    if slot.size == 0:
-        return bounds
+    if column.size == 0:
+        return
     if num_bands > 1:
-        order = np.argsort(band, kind="stable")
-        slot = slot[order]
+        order = band.argsort(kind="stable")
+        column = column[order]
         mag = mag[order]
-    first = np.empty(slot.size, dtype=bool)
+    first = np.empty(column.size, dtype=bool)
     first[0] = True
-    np.not_equal(slot[1:], slot[:-1], out=first[1:])
+    np.not_equal(column[1:], column[:-1], out=first[1:])
     starts = first.nonzero()[0]
-    extremes = np.empty((2, starts.size), dtype=np.float64)
-    np.minimum.reduceat(mag, starts, out=extremes[0])
-    np.maximum.reduceat(mag, starts, out=extremes[1])
-    bounds[:, slot[starts]] = _fp16_round(extremes)
-    return bounds
-
-
-def _edge_index(
-    band: np.ndarray, token: np.ndarray, bands: int, groups: int, rows: int
-) -> np.ndarray:
-    """Where each record's band sits in a plan's block-major
-    ``band_*_edges`` tables, for ``rows`` rows in ``groups`` blocks."""
-    if groups == 1:
-        return band
-    return band + bands * (token // (rows // groups))
+    at = column[starts]
+    scales[0][at] = np.minimum.reduceat(mag, starts)
+    scales[1][at] = np.maximum.reduceat(mag, starts)
 
 
 def _fused_nibbles(
@@ -324,11 +520,22 @@ def _fused_nibbles(
 ) -> np.ndarray:
     """The low ``inlier_bits`` of every outlier's full code — the side
     bit (when group-shifted) over the magnitude bits — as embedded in
-    the outlier's dense slot: the fused layout's one packing rule."""
+    the outlier's dense slot: the fused layout's one packing rule.
+
+    Magnitude codes are clipped to their width, so bits that cannot
+    reach the slot are never computed: for the default 5-bit outliers
+    over 4-bit slots the nibble is the magnitude code itself."""
+    keep = config.inlier_bits
     code = mag_code
+    width = config.outlier_bits
     if config.group_shift:
-        code = (side.view(np.uint8) << (config.outlier_bits - 1)) | code
-    return code & ((1 << config.inlier_bits) - 1)
+        width -= 1  # the magnitude bits, under the side bit
+        if width < keep:
+            code = (side.view(np.uint8) << width) | code
+            width += 1
+    if width > keep:
+        code = code & ((1 << keep) - 1)
+    return code
 
 
 def _fused_quantize(
@@ -339,43 +546,60 @@ def _fused_quantize(
 ) -> EncodedKV:
     """Single-pass fused encode of a [G*T, D] matrix of G row blocks.
 
-    Pipeline: COO extraction -> gathered per-band encode (segment
-    reductions over outliers only) -> one dense in-place encode pass
-    with outlier slots neutralized by an inf-scatter -> fused nibble
+    Pipeline: COO extraction -> gathered per-band magnitudes -> one
+    dense in-place pass with outlier slots neutralized by an
+    inf-scatter -> one FP16 rounding and one scale computation over
+    every middle-group and band bound -> code emission -> fused nibble
     embed.  Every step is row-local or elementwise, so block ``g`` of
     the result is exactly the encode of block ``g`` under the
     thresholds ``plan`` was compiled from for it; in float64 every
     emitted array is bit-identical to
     :func:`repro.core.reference.reference_quantize`.  ``thresholds``
     labels the result: the calling quantizer's own objects (plans are
-    shared by value, chunk identity checks are not).
+    shared by value, chunk identity checks are not).  ``scratch``
+    supplies the shape's compiled half; without one it is built here.
     """
     cfg = plan.config
-    x = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    x = values
+    if type(x) is not np.ndarray or (
+        x.dtype is not _FLOAT64 and x.dtype is not _FLOAT32
+    ):
+        x = np.asarray(values, dtype=np.float64)
     if x.ndim != 2:
-        raise ValueError(f"expected a [T, D] matrix, got shape {x.shape}")
+        x = np.atleast_2d(x)
+        if x.ndim != 2:
+            raise ValueError(f"expected a [T, D] matrix, got shape {x.shape}")
     rows, dim = x.shape
-    groups = plan.groups
-    if rows % groups:
-        raise ValueError(
-            f"{rows} rows do not split into {groups} equal row blocks"
-        )
+    if scratch is None:
+        shape = _ShapePlan(plan, rows, dim)
+    else:
+        # (the cache hit inline: the serving loop's case)
+        shape = scratch._shapes.get((plan, rows, dim))
+        if shape is None:
+            shape = scratch.shape(plan, rows, dim)
     wdtype = plan.wdtype
-    xw = x if wdtype == np.float64 else x.astype(wdtype)
-    blocks = xw.reshape(groups, rows // groups, dim)
+    # (float32 -> float64 -> compute dtype is exact, so a float32 input
+    # converts straight to the compute dtype.)
+    if x.dtype is not wdtype:
+        x = x.astype(wdtype)
+    blocks = x.reshape(shape.blocks)
     bands = cfg.num_sparse_bands
 
     # --- COO stream first ---------------------------------------------------
     # ``flat`` indexes the outlier slots of any [rows, dim] matrix viewed
     # flat: the value gather and all three scatters below share it.
-    flat, xg, band = _outlier_coo(blocks, plan)
-    token, pos = np.divmod(flat, dim)
-    xg = xg.astype(np.float64, copy=False)
+    flat, xg, band = _outlier_coo(blocks, plan, shape)
+    if shape.token is None:
+        token, pos = np.divmod(flat, dim)
+    else:
+        token = shape.token[flat]
+        pos = shape.pos[flat]
+    if xg.dtype is not _FLOAT64:
+        xg = xg.astype(np.float64)
 
-    # --- sparse bands: gathered encode on outliers only ---------------------
-    slot = token * bands + band
+    # --- sparse bands: gathered magnitudes on outliers only -----------------
     if cfg.group_shift:
-        edge = _edge_index(band, token, bands, groups, rows)
+        edge = band if shape.row_edge is None else band + shape.row_edge[token]
         side = xg > 0
         mag = np.where(
             side, xg - plan.band_hi_edges[edge], plan.band_lo_edges[edge] - xg
@@ -383,71 +607,80 @@ def _fused_quantize(
     else:
         mag = xg
         side = np.zeros(flat.size, dtype=bool)
-    bounds = _segment_bounds(slot, band, mag, rows * bands, bands)
-    sigma = _sigma(bounds[0], bounds[1], plan.band_levels)
-    sparse_mag = (
-        np.rint((mag - bounds[0][slot]) * sigma[slot])
-        .clip(0, plan.band_levels)
-        .astype(np.uint8)
-    )
+    # One ``[lo; hi]`` scale table: the middle group's bounds per row,
+    # then each (token, band) slot's — rounded and scaled in one pass.
+    scales = np.zeros((2, shape.levels.size))
+    column = shape.row_column[token] + band
+    _segment_bounds(column, band, mag, bands, scales)
 
     # --- dense middle group: one in-place pass ------------------------------
-    if scratch is not None:
-        # No full-matrix allocation survives on the streaming append path.
-        shifted = scratch.array("shifted", (rows, dim), wdtype)
-    else:
-        shifted = np.empty((rows, dim), dtype=wdtype)
+    shifted = shape.shifted
     if cfg.group_shift:
         # x - copysign(edge, x): where this differs from the seed's
         # ``x > 0`` select (x = +-0) the slot is an inner-band outlier,
         # overwritten below.
-        by_block = shifted.reshape(blocks.shape)
-        np.copysign(plan.mid_edge, blocks, out=by_block)
+        by_block = shape.shifted_blocks
+        np.copysign(shape.mid_edge, blocks, out=by_block)
         np.subtract(blocks, by_block, out=by_block)
     else:
-        np.copyto(shifted, xw)
+        np.copyto(shape.shifted_blocks, blocks)
 
     # Outlier slots are overwritten after encoding, so they can carry
     # sentinels: +inf is transparent to the row minimum, -inf to the
     # maximum, and -inf clips to code 0 exactly like the seed's masking.
-    slots = shifted.reshape(-1)
-    middle = np.empty((2, rows), dtype=wdtype)
+    slots = shape.shifted_flat
+    middle = shape.middle
     slots[flat] = np.inf
-    shifted.min(axis=1, out=middle[0])
+    np.minimum.reduce(shifted, axis=1, out=middle[0])
     slots[flat] = -np.inf
-    shifted.max(axis=1, out=middle[1])
-    middle = middle.astype(np.float64, copy=False)
+    np.maximum.reduce(shifted, axis=1, out=middle[1])
+    bounds = scales[:, :rows]
+    bounds[...] = middle
     # A row of outliers only reduced over sentinels alone.
-    empty_mid = middle[0] > middle[1]
-    if empty_mid.any():
-        middle[:, empty_mid] = 0.0
-    middle = _fp16_round(middle)
-    sigma_mid = _sigma(middle[0], middle[1], plan.mid_levels)
+    np.copyto(bounds, 0.0, where=bounds[0] > bounds[1])
+    scales = scales.astype(np.float16).astype(np.float64)  # FP16 storage
+    sigma = _sigma(scales[0], scales[1], shape.levels)
 
-    np.subtract(shifted, middle[0].astype(wdtype)[:, None], out=shifted)
-    np.multiply(shifted, sigma_mid.astype(wdtype)[:, None], out=shifted)
+    sparse = mag - scales[0][column]
+    sparse *= sigma[column]
+    np.rint(sparse, out=sparse)
+    np.maximum(sparse, 0.0, out=sparse)
+    np.minimum(sparse, plan.band_levels, out=sparse)
+    sparse_mag = sparse.astype(np.uint8)
+
+    # Each row's lower bound and scale, in the compute dtype, broadcast
+    # over the row.
+    row_lo, row_sigma = shape.row_scales
+    row_lo[...] = scales[0, :rows, None]
+    row_sigma[...] = sigma[:rows, None]
+    np.subtract(shifted, shape.row_lo, out=shifted)
+    np.multiply(shifted, shape.row_sigma, out=shifted)
     np.rint(shifted, out=shifted)
-    shifted.clip(0, plan.mid_levels, out=shifted)
+    np.maximum(shifted, 0.0, out=shifted)
+    np.minimum(shifted, plan.mid_levels, out=shifted)
     dense_codes = shifted.astype(np.uint8)
 
     # --- fused nibble embed / naive FP16 records ----------------------------
     sparse_fp16 = None
     if cfg.fused_encoding:
-        dense_codes.reshape(-1)[flat] = _fused_nibbles(cfg, side, sparse_mag)
+        dense_codes[token, pos] = (
+            sparse_mag if plan.nibble_is_code
+            else _fused_nibbles(cfg, side, sparse_mag)
+        )
     else:
         sparse_fp16 = xg.astype(np.float16)
 
-    middle = middle.astype(np.float32)
-    bounds = bounds.astype(np.float32).reshape(2, rows, bands)
+    scales = scales.astype(np.float32)
+    band_scales = scales[:, rows:].reshape(2, rows, bands)
     return EncodedKV(
         config=cfg,
         thresholds=thresholds,
-        shape=x.shape,
+        shape=(rows, dim),
         dense_codes=dense_codes,
-        middle_lo=middle[0],
-        middle_hi=middle[1],
-        band_lo=bounds[0],
-        band_hi=bounds[1],
+        middle_lo=scales[0, :rows],
+        middle_hi=scales[1, :rows],
+        band_lo=band_scales[0],
+        band_hi=band_scales[1],
         sparse_token=token,
         sparse_pos=pos,
         sparse_band=band,
@@ -461,37 +694,39 @@ def _fused_dequantize(plan: _KernelPlan, encoded: EncodedKV) -> np.ndarray:
     """In-place decode of the fused layout back to a float32 matrix."""
     cfg = plan.config
     wdtype = plan.wdtype
-    groups = plan.groups
     rows, dim = encoded.shape
-    sigma = _sigma(
-        encoded.middle_lo.astype(np.float64),
-        encoded.middle_hi.astype(np.float64),
-        plan.mid_levels,
+    levels, row_column, row_edge, row_mid_edge = _scale_columns(plan, rows)
+    # The encode's ``[lo; hi]`` scale table, rebuilt in float64: one
+    # scale computation for the middle group and every band.
+    scales = np.concatenate(
+        (encoded.middle_lo, encoded.band_lo,
+         encoded.middle_hi, encoded.band_hi),
+        axis=None, dtype=np.float64,
     )
+    lo = scales[: levels.size]
+    sigma = _sigma(lo, scales[levels.size :], levels)
     out = encoded.dense_codes.astype(wdtype)
-    np.divide(out, sigma.astype(wdtype)[:, None], out=out)
-    np.add(out, encoded.middle_lo.astype(wdtype)[:, None], out=out)
+    np.divide(out, sigma[:rows, None].astype(wdtype, copy=False), out=out)
+    np.add(
+        out, encoded.middle_lo[:, None].astype(wdtype, copy=False), out=out
+    )
     if cfg.group_shift:
         # ``out`` is never -0.0 here (a non-negative code over a positive
         # scale, plus the bound), so copysign selects as ``out >= 0`` did.
-        by_block = out.reshape(groups, rows // groups, dim)
-        np.add(by_block, np.copysign(plan.mid_edge, by_block), out=by_block)
+        np.add(out, np.copysign(row_mid_edge, out), out=out)
 
     token = encoded.sparse_token
-    pos = encoded.sparse_pos
     if token.size:
+        pos = encoded.sparse_pos
         if encoded.sparse_fp16 is not None:
-            out[token, pos] = encoded.sparse_fp16.astype(wdtype)
+            out[token, pos] = encoded.sparse_fp16
         else:
-            bands = cfg.num_sparse_bands
             band = encoded.sparse_band
-            slot = token * bands + band
-            lo = encoded.band_lo.astype(np.float64).reshape(-1)
-            hi = encoded.band_hi.astype(np.float64).reshape(-1)
-            sigma = _sigma(lo, hi, plan.band_levels)
-            mag = encoded.sparse_mag_code / sigma[slot] + lo[slot]
+            column = row_column[token] + band
+            mag = encoded.sparse_mag_code / sigma[column]
+            mag += lo[column]
             if cfg.group_shift:
-                edge = _edge_index(band, token, bands, groups, rows)
+                edge = band if row_edge is None else band + row_edge[token]
                 mag = np.where(
                     encoded.sparse_side,
                     plan.band_hi_edges[edge] + mag,
@@ -499,7 +734,7 @@ def _fused_dequantize(plan: _KernelPlan, encoded: EncodedKV) -> np.ndarray:
                 )
             out[token, pos] = mag
 
-    return out.astype(np.float32)
+    return out if out.dtype is _FLOAT32 else out.astype(np.float32)
 
 
 class OakenQuantizer:

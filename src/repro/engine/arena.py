@@ -113,54 +113,17 @@ def _pow2(n: int) -> int:
 
 
 def _ranges(starts, lens) -> np.ndarray:
-    """``arange(s, s + n)`` for every ``(s, n)`` pair, concatenated."""
+    """``arange(s, s + n)`` for every ``(s, n)`` pair, concatenated.
+
+    Given lists, ranges of one row each — a decode step's — are the
+    starts themselves."""
+    if type(lens) is list and lens.count(1) == len(lens):
+        return np.array(starts, dtype=np.int64)
     lens = np.asarray(lens, dtype=np.int64)
-    ends = np.cumsum(lens)
+    ends = lens.cumsum()
     total = int(ends[-1]) if ends.size else 0
     first = np.asarray(starts, dtype=np.int64) - (ends - lens)
     return np.repeat(first, lens) + np.arange(total)
-
-
-def _flat(buf: np.ndarray) -> np.ndarray:
-    """A ``[2, cap, ...]`` K|V buffer viewed as ``[2 * cap, ...]``:
-    keys' rows, then values'.  One leading-axis index over this view
-    is numpy's fast take/put path; ``buf[tensors, idx]`` is not."""
-    return buf.reshape((-1,) + buf.shape[2:])
-
-
-def _positions(tensors: slice, idx: np.ndarray, cap: int) -> np.ndarray:
-    """Rows ``idx`` of each tensor in ``tensors``, as :func:`_flat`
-    positions of ``cap``-row buffers (tensor-major: K rows, V rows)."""
-    first = np.arange(tensors.start, tensors.stop)[:, None] * cap
-    return (first + idx).ravel()
-
-
-def _item_bits(
-    encoded: EncodedKV, rows: Sequence[int]
-) -> Tuple[List[int], List[int]]:
-    """Per-item ``(bits, elements)`` of one batched encode.
-
-    ``encoded`` is one or more equal row blocks (keys, values, or keys
-    over values), each holding the items' ``rows`` in order.  This is
-    :meth:`EncodedKV.footprint_bits` in closed form, so arena byte
-    accounting is bit-identical to the chunked pool's: the COO stream
-    is token-major, so an item's records are one contiguous run per
-    block, counted for every item by one ``searchsorted``.
-    """
-    config = encoded.config
-    ends = np.cumsum(rows)
-    total = int(ends[-1])
-    blocks = encoded.num_tokens // total
-    # Where each item's run ends in each block; a run starts where the
-    # previous one (the previous block's last) ended.
-    edges = np.add.outer(np.arange(0, blocks * total, total), ends)
-    runs = np.searchsorted(encoded.sparse_token, edges.ravel())
-    runs[1:] -= runs[:-1]
-    outliers = runs.reshape(edges.shape).sum(axis=0)
-    tokens = blocks * np.asarray(rows)
-    per_token = encoded.dim * config.inlier_bits + config.token_metadata_bits
-    bits = tokens * per_token + outliers * sparse_record_bits(config)
-    return bits.tolist(), (tokens * encoded.dim).tolist()
 
 
 class _RowSlice:
@@ -213,6 +176,10 @@ class _LayerStore:
         #: Row-parallel buffers: :data:`_ROW_FIELDS`, ``pay_start``,
         #: ``pay_len`` and the ``decoded`` float32 mirror.
         self.rows: Dict[str, np.ndarray] = {}
+        #: The same buffers viewed ``[2 * cap, ...]``: keys' rows, then
+        #: values'.  One leading-axis index over such a view is numpy's
+        #: fast take/put path; ``buf[tensors, idx]`` is not.
+        self.flat: Dict[str, np.ndarray] = {}
         #: Payload log: the :data:`_RECORD_FIELDS` the config emits.
         self.log: Dict[str, np.ndarray] = {}
         self.log_len = 0
@@ -229,25 +196,35 @@ class _LayerStore:
     def decoded(self) -> np.ndarray:
         return self.rows["decoded"]
 
+    def positions(self, tensors: slice, idx: np.ndarray) -> np.ndarray:
+        """Rows ``idx`` of each tensor in ``tensors``, as positions in
+        the :attr:`flat` views (keys' rows, then values')."""
+        if tensors.stop - tensors.start == 2:
+            return np.concatenate((idx, idx + self.capacity))
+        return idx + tensors.start * self.capacity
+
     def resize(self, capacity: int, moved=None) -> None:
         """Replace every row-parallel buffer by a fresh ``capacity``-row
         one.  Rows keep their positions (those that fit), or — given
         ``moved = (old_idx, new_idx)`` — exactly the rows ``old_idx``
         survive, at ``new_idx``."""
         if moved is not None:
-            old_at = _positions(slice(0, 2), moved[0], self.capacity)
-            new_at = _positions(slice(0, 2), moved[1], capacity)
+            old_at = self.positions(slice(0, 2), moved[0])
         self.capacity = capacity
+        if moved is not None:
+            new_at = self.positions(slice(0, 2), moved[1])
         if not self.rows:
             return
         for name, old in self.rows.items():
             fresh = np.empty((2, capacity) + old.shape[2:], dtype=old.dtype)
+            flat = fresh.reshape((-1,) + old.shape[2:])
             if moved is None:
                 keep = min(capacity, old.shape[1])
                 fresh[:, :keep] = old[:, :keep]
             else:
-                _flat(fresh)[new_at] = _flat(old)[old_at]
+                flat[new_at] = self.flat[name][old_at]
             self.rows[name] = fresh
+            self.flat[name] = flat
         self.readable = self.decoded.view()
         self.readable.flags.writeable = False
 
@@ -256,15 +233,13 @@ class _LayerStore:
         for buf in self.rows.values():
             buf[:, dst : dst + count] = buf[:, src : src + count]
 
-    def write(
-        self, tensors: slice, idx: np.ndarray, encoded: EncodedKV
-    ) -> None:
-        """Scatter an encode's row blocks into rows ``idx`` of ``tensors``.
+    def write(self, at: np.ndarray, encoded: EncodedKV) -> np.ndarray:
+        """Scatter an encode's rows into the :attr:`flat` positions
+        ``at`` (row ``i`` of ``encoded`` to ``at[i]``).
 
-        ``encoded`` holds one ``len(idx)``-row block per tensor of the
-        K|V-axis slice ``tensors``; ``idx[i]`` receives row ``i`` of
-        each.  The COO records are appended to the payload log in
-        token order, so every row's records stay contiguous.
+        The COO records are appended to the payload log in token order,
+        so every row's records stay contiguous.  Returns the record
+        count of every written row, in ``encoded``'s row order.
         """
         if not self.rows:
             # Shape the buffers from the first encoded batch seen, at
@@ -281,38 +256,43 @@ class _LayerStore:
                     self.log[name] = np.empty(
                         _MIN_LOG_RECORDS, dtype=field.dtype
                     )
-        at = _positions(tensors, idx, self.capacity)
-        for name in _ROW_FIELDS:
-            _flat(self.rows[name])[at] = getattr(encoded, name)
+        flat = self.flat
+        flat["dense_codes"][at] = encoded.dense_codes
+        flat["middle_lo"][at] = encoded.middle_lo
+        flat["middle_hi"][at] = encoded.middle_hi
+        flat["band_lo"][at] = encoded.band_lo
+        flat["band_hi"][at] = encoded.band_hi
         lens = np.bincount(encoded.sparse_token, minlength=at.size)
-        _flat(self.rows["pay_len"])[at] = lens
-        _flat(self.rows["pay_start"])[at] = (
-            self.log_len + np.cumsum(lens) - lens
-        )
-        lo, hi = self.log_len, self.log_len + encoded.num_outliers
+        ends = lens.cumsum()
+        lo = self.log_len
+        hi = lo + int(ends[-1])
+        flat["pay_len"][at] = lens
+        ends -= lens
+        ends += lo
+        flat["pay_start"][at] = ends
         if hi > lo:
+            fields = vars(encoded)
             for name, old in self.log.items():
                 if hi > old.shape[0]:
                     grown = np.empty(max(old.shape[0] * 2, hi), old.dtype)
                     grown[:lo] = old[:lo]
                     self.log[name] = old = grown
-                old[lo:hi] = getattr(encoded, name)
+                old[lo:hi] = fields[name]
             self.log_len = hi
+        return lens
 
-    def gather(
-        self, tensors: slice, idx: np.ndarray, quantizer
-    ) -> EncodedKV:
-        """One lazy chunk view over rows ``idx`` of ``tensors``: a
-        ``len(idx)``-row block per tensor of the slice (``[K rows; V
-        rows]`` when it spans both), labelled for ``quantizer``."""
-        at = _positions(tensors, idx, self.capacity)
-        lens = _flat(self.rows["pay_len"])[at]
-        rec = _ranges(_flat(self.rows["pay_start"])[at], lens)
+    def gather(self, at: np.ndarray, quantizer) -> EncodedKV:
+        """One lazy chunk view over the :attr:`flat` positions ``at``
+        (``[K rows; V rows]`` when they span both tensors), labelled
+        for ``quantizer``."""
+        flat = self.flat
+        lens = flat["pay_len"][at]
+        rec = _ranges(flat["pay_start"][at], lens)
         return encoded_rows_view(
             quantizer.config,
             quantizer.thresholds,
             record_counts=lens,
-            **{name: _flat(self.rows[name])[at] for name in _ROW_FIELDS},
+            **{name: flat[name][at] for name in _ROW_FIELDS},
             **{name: buf[rec] for name, buf in self.log.items()},
         )
 
@@ -330,16 +310,16 @@ class _LayerStore:
         is rewritten."""
         if not self.rows:
             return
-        live = _positions(slice(0, 2), live_idx, self.capacity)
-        lens = _flat(self.rows["pay_len"])[live]
-        rec = _ranges(_flat(self.rows["pay_start"])[live], lens)
+        live = self.positions(slice(0, 2), live_idx)
+        lens = self.flat["pay_len"][live]
+        rec = _ranges(self.flat["pay_start"][live], lens)
         for name, old in self.log.items():
             rebuilt = np.empty(
                 max(_MIN_LOG_RECORDS, 2 * rec.size), dtype=old.dtype
             )
             rebuilt[: rec.size] = old[rec]
             self.log[name] = rebuilt
-        _flat(self.rows["pay_start"])[live] = np.cumsum(lens) - lens
+        self.flat["pay_start"][live] = lens.cumsum() - lens
         self.log_len = rec.size
         self.dead_records = 0
 
@@ -525,8 +505,8 @@ class KVArena:
         dst = np.arange(slc.start, slc.start + prefix_len)
         for layer, store in enumerate(self.layers):
             for tensors, quantizer in store.encoder.parts:
-                chunk = store.gather(tensors, src, quantizer)
-                store.write(tensors, dst, chunk)
+                chunk = store.gather(store.positions(tensors, src), quantizer)
+                store.write(store.positions(tensors, dst), chunk)
                 bits, elements = chunk.footprint_bits()
                 slc.bits += bits
                 slc.elements += elements
@@ -582,7 +562,7 @@ class KVArena:
         store = self.layers[layer]
         slices = [self.rows[seq_id] for seq_id, _, _ in items]
         rows = [keys.shape[0] for _, keys, _ in items]
-        if sum(rows) == 0:
+        if not any(rows):
             return 0
         # Look every slice up and encode before touching the row table:
         # an unknown id, or blocks of mixed widths (the encode cannot
@@ -597,28 +577,62 @@ class KVArena:
         # twice keeps its items in order), then one reservation per
         # slice for its final length.  Lengths advance after the write.
         lengths: Dict[_RowSlice, int] = {}
-        offsets = []
-        for slc, count in zip(slices, rows):
-            offset = lengths.get(slc, slc.length[layer])
-            offsets.append(offset)
+        offsets = [0] * len(slices)
+        for item, (slc, count) in enumerate(zip(slices, rows)):
+            offset = lengths[slc] if slc in lengths else slc.length[layer]
+            offsets[item] = offset
             lengths[slc] = offset + count
         for slc, length in lengths.items():
-            self._reserve(slc, length)
+            if length > slc.cap:
+                self._reserve(slc, length)
         idx = _ranges(
             [slc.start + offset for slc, offset in zip(slices, offsets)],
             rows,
         )
         for tensors, encoded in parts:
-            store.write(tensors, idx, encoded)
-            # Charge every slice its new rows (O(1) footprint reads).
-            for slc, bits, elements in zip(
-                slices, *_item_bits(encoded, rows)
-            ):
-                slc.bits += bits
-                slc.elements += elements
+            lens = store.write(store.positions(tensors, idx), encoded)
+            self._charge(slices, rows, encoded, lens)
         for slc, length in lengths.items():
             slc.length[layer] = length
         return len(parts)
+
+    @staticmethod
+    def _charge(
+        slices: List[_RowSlice],
+        rows: List[int],
+        encoded: EncodedKV,
+        lens: np.ndarray,
+    ) -> None:
+        """Charge every item its rows of ``encoded`` — one or more
+        equal row blocks, each holding the items' ``rows`` in order —
+        from the record count of every row the write just took: this
+        is :meth:`EncodedKV.footprint_bits` item by item in closed
+        form, so arena byte accounting is bit-identical to the chunked
+        pool's."""
+        config = encoded.config
+        total = sum(rows)
+        blocks = lens.size // total
+        # Records per item row, summed over the blocks, then per item.
+        per_row = lens[:total]
+        for block in range(1, blocks):
+            per_row = per_row + lens[block * total : (block + 1) * total]
+        if total == len(rows):
+            outliers = per_row.tolist()
+        else:
+            ends = [0] + per_row.cumsum().tolist()
+            outliers = []
+            first = 0
+            for count in rows:
+                outliers.append(ends[first + count] - ends[first])
+                first += count
+        token_bits = blocks * (
+            encoded.dim * config.inlier_bits + config.token_metadata_bits
+        )
+        record_bits = config.sparse_record_bits
+        token_elements = blocks * encoded.dim
+        for slc, count, records in zip(slices, rows, outliers):
+            slc.bits += count * token_bits + records * record_bits
+            slc.elements += count * token_elements
 
     def decode_pending(
         self, layer: int, seq_ids: Sequence[Hashable]
@@ -632,10 +646,9 @@ class KVArena:
         pending.
         """
         store = self.layers[layer]
+        slices = [self.rows[seq_id] for seq_id in seq_ids]
         pending = [
-            slc
-            for slc in (self.rows[seq_id] for seq_id in seq_ids)
-            if slc.decoded[layer] < slc.length[layer]
+            slc for slc in slices if slc.decoded[layer] < slc.length[layer]
         ]
         if not pending:
             return 0
@@ -643,13 +656,16 @@ class KVArena:
             [slc.start + slc.decoded[layer] for slc in pending],
             [slc.length[layer] - slc.decoded[layer] for slc in pending],
         )
-        decodes = store.encoder.decode_parts(
-            lambda tensors, quantizer: store.gather(tensors, idx, quantizer)
-        )
-        for tensors, block in decodes:
-            store.decoded[tensors, idx] = block.reshape(
-                -1, idx.size, block.shape[1]
-            )
+        gathered = []
+
+        def gather(tensors: slice, quantizer) -> EncodedKV:
+            gathered.append(store.positions(tensors, idx))
+            return store.gather(gathered[-1], quantizer)
+
+        decodes = store.encoder.decode_parts(gather)
+        mirror = store.flat["decoded"]
+        for at, (_, block) in zip(gathered, decodes):
+            mirror[at] = block
         for slc in pending:
             slc.decoded[layer] = slc.length[layer]
         return len(decodes)
@@ -672,6 +688,25 @@ class KVArena:
             self.decode_pending(layer, [seq_id])
         view = self.layers[layer].readable[:, slc.start : slc.start + length]
         return view[0], view[1]
+
+    def read_batch(
+        self, layer: int, seq_ids: Sequence[Hashable]
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """:meth:`read` of every listed sequence, in order, after one
+        :meth:`decode_pending` of whatever is pending."""
+        slices = [self.rows[seq_id] for seq_id in seq_ids]
+        for slc in slices:
+            if slc.length[layer] == 0:
+                raise RuntimeError("cache is empty")
+            if slc.decoded[layer] < slc.length[layer]:
+                self.decode_pending(layer, seq_ids)
+                break
+        readable = self.layers[layer].readable
+        views = [
+            readable[:, slc.start : slc.start + slc.length[layer]]
+            for slc in slices
+        ]
+        return [(view[0], view[1]) for view in views]
 
     # -- accounting ----------------------------------------------------
 
@@ -718,7 +753,7 @@ class KVArena:
                 idx = np.arange(slc.start, slc.start + length)
                 for tensors, quantizer in store.encoder.parts:
                     view_bits, view_elements = store.gather(
-                        tensors, idx, quantizer
+                        store.positions(tensors, idx), quantizer
                     ).footprint_bits()
                     bits += view_bits
                     elements += view_elements

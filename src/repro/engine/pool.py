@@ -579,14 +579,14 @@ class KVCachePool:
                 the triples disagree on the number of layers.  Nothing
                 is appended.
         """
-        items = [(s, k, v) for s, k, v in updates]
+        items = list(updates)
         layers = range(len(items[0][1]) if items else 0)
         staged = self._stage(layers, items)
         stored: List[Hashable] = []
         if read and staged:
             # A sequence stores rows on every layer or on none, so each
             # layer reads the same sequences back.
-            stored = list(dict.fromkeys(seq for seq, *_ in staged[0]))
+            stored = list(dict.fromkeys([seq for seq, *_ in staged[0]]))
         for layer, entries in zip(layers, staged):
             self.append_batch(layer, entries)
             if read:
@@ -610,54 +610,73 @@ class KVCachePool:
         sequences projects ``B`` tokens, and so does one layer's
         ``append_batch`` of the same rows.
         """
-        staged = [_StagedLayer() for _ in layers]
-        widths: Dict[int, int] = {}
+        count = len(layers)
+        # Per layer: the batch's width, set by its first non-empty
+        # block, and — on the arena, where it is one per layer — the
+        # width the store already holds.
+        widths: List[Optional[int]] = [None] * count
+        held = None
+        if self._arena is not None:
+            held = [self._held_width(None, layer) for layer in layers]
+        checked = []
         first_seq: Optional[Hashable] = None
         tokens = 0
         for seq_id, keys, values in items:
             cache = self._caches[seq_id]
-            if len(keys) != len(layers) or len(values) != len(layers):
+            if len(keys) != count or len(values) != count:
                 raise ValueError(
                     f"sequence {seq_id!r}: {len(keys)} key and "
-                    f"{len(values)} value blocks for {len(layers)} layers"
+                    f"{len(values)} value blocks for {count} layers"
                 )
             rows = None
-            for layer, entries, layer_keys, layer_values in zip(
-                layers, staged, keys, values
-            ):
-                layer_keys = as_rows(layer_keys)
-                layer_values = as_rows(layer_values)
-                if layer_keys.shape != layer_values.shape:
+            for i, layer in enumerate(layers):
+                layer_keys = keys[i]
+                layer_values = values[i]
+                if not (
+                    type(layer_keys) is np.ndarray and layer_keys.ndim == 2
+                    and type(layer_values) is np.ndarray
+                    and layer_values.ndim == 2
+                ):
+                    keys = [as_rows(block) for block in keys]
+                    values = [as_rows(block) for block in values]
+                    layer_keys = keys[i]
+                    layer_values = values[i]
+                shape = layer_keys.shape
+                if shape != layer_values.shape:
                     raise ValueError(
                         f"key/value shape mismatch for sequence "
-                        f"{seq_id!r}: {layer_keys.shape} vs "
-                        f"{layer_values.shape}"
+                        f"{seq_id!r}: {shape} vs {layer_values.shape}"
                     )
                 if rows is None:
-                    rows = layer_keys.shape[0]
-                elif layer_keys.shape[0] != rows:
+                    rows = shape[0]
+                elif shape[0] != rows:
                     raise ValueError(
-                        f"sequence {seq_id!r}: {layer_keys.shape[0]} rows "
+                        f"sequence {seq_id!r}: {shape[0]} rows "
                         f"on layer {layer} but {rows} on layer {layers[0]}"
                         "; a step stores its tokens on every layer"
                     )
                 if not rows:
                     continue
-                width = widths.setdefault(layer, layer_keys.shape[1])
-                if layer_keys.shape[1] != width:
+                width = widths[i]
+                if width is None:
+                    width = widths[i] = shape[1]
+                elif shape[1] != width:
                     raise ValueError(
                         f"sequence {seq_id!r}: rows of width "
-                        f"{layer_keys.shape[1]} in a batch of width {width}"
+                        f"{shape[1]} in a batch of width {width}"
                     )
-                held = self._held_width(cache, layer)
-                if held not in (None, width):
+                have = (
+                    held[i] if held is not None
+                    else self._held_width(cache, layer)
+                )
+                if have is not None and have != width:
                     raise ValueError(
                         f"sequence {seq_id!r}: rows of width {width}, but "
                         f"its layer {layer} cache holds rows of width "
-                        f"{held}"
+                        f"{have}"
                     )
-                entries.append((seq_id, cache, layer_keys, layer_values))
             if rows:
+                checked.append((seq_id, cache, keys, values))
                 tokens += rows
                 if first_seq is None:
                     first_seq = seq_id
@@ -667,7 +686,13 @@ class KVCachePool:
                 raise CacheCapacityError(
                     first_seq, *overrun, self.capacity_bytes
                 )
-        return staged
+        return [
+            _StagedLayer(
+                [(seq, cache, keys[i], values[i])
+                 for seq, cache, keys, values in checked]
+            )
+            for i in range(count)
+        ]
 
     def _store(self, layer: int, entries: _StagedLayer) -> None:
         """Store one layer's checked entries: one kernel call per
@@ -736,7 +761,7 @@ class KVCachePool:
             )
             if len(unique) >= 2:
                 self.batched_decodes += kernel_calls
-            return [cache.read(layer) for cache in caches]
+            return self._arena.read_batch(layer, seq_ids)
         if len(unique) >= 2:
             fusible = self._fusible_layers(unique, layer)
             if fusible is not None:

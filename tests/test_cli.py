@@ -198,8 +198,8 @@ class TestTieringCommands:
 
 class TestServingUsageErrors:
     """A bad value to ``replay`` / ``cluster`` (or ``serve`` through
-    them) is a usage error: ``repro <verb>: <message>`` on stderr and
-    exit 2, before anything runs."""
+    them) or ``quantize`` is a usage error: ``repro <verb>: <message>``
+    on stderr and exit 2, before anything runs."""
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -217,6 +217,25 @@ class TestServingUsageErrors:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"repro {argv[0]}: {message}")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["quantize", "--dim", "0"], "--dim must be >= 1"),
+            (["quantize", "--tokens", "-1"], "--tokens must be >= 1"),
+            (["quantize", "--tokens", "0"], "--tokens must be >= 1"),
+            (["quantize", "--ratios", "abc"], "could not convert"),
+            (["quantize", "--ratios", "4/90"], "group ratios must sum"),
+            (["quantize", "--outlier-bits", "9"], "outlier_bits must be"),
+            (["quantize", "--method", "kivi", "--tokens", "0"],
+             "--tokens must be >= 1"),
+        ],
+    )
+    def test_quantize_bad_value_exits_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"repro quantize: {message}")
         assert captured.out == ""
 
     def test_serve_reports_the_verb_it_runs(self, capsys, tmp_path):

@@ -147,15 +147,43 @@ class TestGoldenEquivalence:
         x = make_kv_matrix(tokens=1, seed=7)
         assert_encoded_identical(reference.quantize(x), fused.quantize(x))
 
-    def test_quantize_into_matches_quantize(self, kv_samples):
-        """The streaming entry point is the same encode, scratch reused."""
-        _, fused = _pair(OakenConfig(), kv_samples)
+    @pytest.mark.parametrize("mode", ["exact_f64", "deploy_f32"])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_quantize_into_matches_quantize(self, kv_samples, mode, stacked):
+        """The streaming entry point is the same encode, scratch reused,
+        and nothing a scratch holds is part of a result: every encode
+        and decode of a sequence of shapes on one scratch — cached
+        plans, no rows, one too big to cache, a cached one again —
+        still equals the one-shot encode and decode of its input after
+        the last, on a per-tensor and on a row-stacked quantizer."""
+        config = OakenConfig()
+        thresholds = profile_thresholds(kv_samples, config)
+        blocks = 1
+        if stacked:
+            values = profile_thresholds(
+                [0.5 * sample for sample in kv_samples], config
+            )
+            thresholds = (thresholds, values)
+            blocks = 2
+        fused = OakenQuantizer(config, thresholds, mode)
         scratch = QuantizeScratch()
         for step in range(5):
-            rows = make_kv_matrix(tokens=1 + step % 3, seed=step)
+            rows = make_kv_matrix(tokens=blocks * (1 + step % 3), seed=step)
             assert_encoded_identical(
                 fused.quantize(rows), fused.quantize_into(rows, scratch)
             )
+        held = []
+        for step, tokens in enumerate((1, 3, 12, 0, 1024, 12)):
+            rows = make_kv_matrix(tokens=blocks * tokens, seed=10 + step)
+            encoded = fused.quantize_into(rows, scratch)
+            held.append((rows, encoded, fused.dequantize(encoded)))
+        for rows, encoded, decoded in held:
+            expected = fused.quantize(rows)
+            assert_encoded_identical(expected, encoded)
+            assert encoded.thresholds == expected.thresholds
+            want = fused.dequantize(expected)
+            assert decoded.dtype == want.dtype
+            assert decoded.tobytes() == want.tobytes()
 
 
 class TestLabelEquivalence:

@@ -18,7 +18,9 @@ reference, byte for byte.
 
 from __future__ import annotations
 
+import cProfile
 import dataclasses
+import pstats
 
 import numpy as np
 import pytest
@@ -27,7 +29,11 @@ from repro.core.config import TABLE3_CONFIGURATIONS, OakenConfig
 from repro.core.encoding import EncodedKV, concat_encoded, split_encoded
 from repro.core import kvcache
 from repro.core.kvcache import LayerKVCache
-from repro.core.quantizer import LayerEncoder, OakenQuantizer
+from repro.core.quantizer import (
+    LayerEncoder,
+    OakenQuantizer,
+    QuantizeScratch,
+)
 from repro.core.reference import ReferenceOakenQuantizer
 from repro.core.thresholds import profile_thresholds
 from repro.engine import KVCachePool, TieredKVStore, shared_backend_factory
@@ -720,3 +726,65 @@ class TestPoolReadIsTheRoundtrip:
         pool.check_invariants()
         for left, right in zip(reads, pool.read(1, 0)):
             assert left.tobytes() == right.tobytes()
+
+
+# -- counts-not-clocks guards ---------------------------------------------
+#
+# A small-batch pool step costs mostly fixed per-call work: NumPy
+# dispatch, work buffers, Python glue.  cProfile's count of the Python
+# and C functions a call enters is deterministic, so these ceilings
+# gate that work without a clock.
+
+
+def _profiled_calls(fn, *args) -> int:
+    profile = cProfile.Profile()
+    profile.runcall(fn, *args)
+    return pstats.Stats(profile).total_calls
+
+
+class TestPerCallWork:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_small_stacked_encode_and_decode(self, mode):
+        """A layer's 12-row dim-32 ``[K; V]`` stack (a batch-6 decode
+        step) through ``quantize_into`` and ``dequantize``: 94
+        (``exact_f64``) and 95 (``deploy_f32``) profiled calls before
+        the kernels compiled their shape-dependent half once per
+        shape."""
+        key_q, value_q = _pair(OakenConfig(), 32, mode)
+        stacked = LayerEncoder(key_q, value_q).stacked
+        rows = np.concatenate(_rows(6, 32, seed=21))
+        scratch = QuantizeScratch()
+        encoded = stacked.quantize_into(rows, scratch)  # compiles the shape
+        calls = _profiled_calls(stacked.quantize_into, rows, scratch)
+        calls += _profiled_calls(stacked.dequantize, encoded)
+        assert calls <= 45, calls
+
+    def test_small_batch_arena_steps(self, calibration):
+        """20 two-layer batch-6 ``KVCachePool(arena=True).step`` calls of
+        ``[1, D]`` row views, as the replay hands them: 14,198 profiled
+        calls before the per-call work was cut; at most half of that
+        now."""
+        pool = _pool(calibration, "arena")
+        seq_ids = list(range(6))
+        for seq_id in seq_ids:
+            pool.allocate(seq_id)
+        rng = np.random.default_rng(22)
+        steps = []
+        for _ in range(20):
+            keys = rng.standard_normal((LAYERS, len(seq_ids), DIM))
+            values = rng.standard_normal((LAYERS, len(seq_ids), DIM))
+            steps.append([
+                (seq_id,
+                 [layer[i : i + 1] for layer in keys],
+                 [layer[i : i + 1] for layer in values])
+                for i, seq_id in enumerate(seq_ids)
+            ])
+        pool.step(steps[0])  # compiles the step's shapes
+
+        def run():
+            for updates in steps[1:]:
+                pool.step(updates)
+            pool.step(steps[0])
+
+        assert _profiled_calls(run) <= 14198 // 2
+        pool.check_invariants()
