@@ -68,11 +68,7 @@ from typing import Dict, Hashable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.encoding import (
-    EncodedKV,
-    encoded_rows_view,
-    sparse_record_bits,
-)
+from repro.core.encoding import EncodedKV, encoded_rows_view
 from repro.core.quantizer import LayerEncoder
 
 __all__ = ["KVArena", "ArenaCacheBackend"]
