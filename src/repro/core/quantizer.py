@@ -27,8 +27,8 @@ per-token semantics are identical to quantizing each newly generated
 KV vector as it streams out of the attention layer.
 
 The encode path is a *fused single pass*: the sparse COO stream is
-extracted first, per-(token, band) scale bounds come from segment
-reductions over only the outlier elements, and the dense matrix is
+extracted first, per-(token, band) scale bounds come from unbuffered
+min/max reductions over only the outlier elements, and the dense matrix is
 touched exactly once — unlike the seed implementation (preserved in
 :mod:`repro.core.reference`), which ran one full [T, D] pass per sparse
 band.  The working dtype comes from the quantizer's
@@ -85,24 +85,29 @@ def _sigma(lo: np.ndarray, hi: np.ndarray, levels) -> np.ndarray:
     return np.where(span > _EPS, levels / np.maximum(span, _EPS), 1.0)
 
 
-#: Largest ``rows * dim`` whose :class:`_ShapePlan` a scratch keeps.
-#: Larger encodes build theirs per call, where its cost is noise next
-#: to the O(rows * dim) work.
+#: Largest ``rows * dim`` a scratch compiles and keeps a
+#: :class:`_ShapePlan` for; a larger encode builds a plain plan for
+#: itself alone.  Every kernel call of the five benchmark workloads is
+#: at most 128 stacked rows of width 32 (4,096 elements), so all of
+#: them fit.
 _CACHED_SHAPE_ELEMENTS = 1 << 12
-#: Shape plans one scratch keeps; the oldest goes first.
-_CACHED_SHAPES = 64
+#: Shape plans one scratch keeps, least recently used out first.  One
+#: layer's scratch meets at most 35 distinct shapes in a full-size
+#: benchmark repetition (``replay-burst-arena``); keeping 16 loses
+#: under half a percentage point of hit rate there and none elsewhere.
+_CACHED_SHAPES = 16
 
 
 class QuantizeScratch:
-    """Reusable per-shape plans for the fused encode.
+    """Per-shape plans for the fused encode, reused across calls.
 
     Single-token appends during generation call the quantizer thousands
     of times on tiny matrices, where the fixed per-call work — work
-    buffers, index tables, views — is most of the cost.  A scratch
-    owned by the caller (one per :class:`LayerEncoder`) lets
+    buffers, index and operand tables, views — is most of the cost.  A
+    scratch owned by the caller (one per :class:`LayerEncoder`) lets
     :meth:`OakenQuantizer.quantize_into` compile that work once per
     input shape (a :class:`_ShapePlan`) and reuse it.  The cache is
-    bounded, in entries and in the size of a cached shape.
+    bounded, in entries and in the size of a kept shape.
 
     A scratch is never shared between concurrent encodes, and nothing
     it holds is ever part of a result: every array an encode returns is
@@ -111,57 +116,19 @@ class QuantizeScratch:
 
     def __init__(self) -> None:
         self._shapes: Dict[tuple, "_ShapePlan"] = {}
-        self._edge_tables: Dict[tuple, np.ndarray] = {}
-        self._position_tables: Dict[int, np.ndarray] = {}
 
     def shape(self, plan: "_KernelPlan", rows: int, dim: int) -> "_ShapePlan":
         """The plan of a ``[rows, dim]`` encode under ``plan``."""
         key = (plan, rows, dim)
-        shape = self._shapes.get(key)
+        shape = self._shapes.pop(key, None)
         if shape is None:
             if rows * dim > _CACHED_SHAPE_ELEMENTS:
                 return _ShapePlan(plan, rows, dim)
-            shape = _ShapePlan(
-                plan, rows, dim,
-                self._edges(plan, rows // plan.groups, dim),
-                self._positions(rows, dim),
-            )
+            shape = _ShapePlan(plan, rows, dim, compiled=True)
             if len(self._shapes) >= _CACHED_SHAPES:
                 del self._shapes[next(iter(self._shapes))]
-            self._shapes[key] = shape
+        self._shapes[key] = shape  # the most recently used goes last
         return shape
-
-    def _positions(self, rows: int, dim: int) -> np.ndarray:
-        """``[row; column]`` of each flat position of a ``[rows, dim]``
-        matrix, for at least ``rows`` rows: one table per width, shared
-        by every cached shape of it."""
-        table = self._position_tables.get(dim)
-        if table is None or table.shape[1] < rows * dim:
-            table = np.stack(np.divmod(np.arange(rows * dim), dim))
-            table.flags.writeable = False
-            self._position_tables[dim] = table
-        return table
-
-    def _edges(
-        self, plan: "_KernelPlan", per_block: int, dim: int
-    ) -> np.ndarray:
-        """``plan``'s dense-pass edge columns (:attr:`_KernelPlan.
-        dense_edges`) broadcast to ``[edges, G, T, dim]``, for at least
-        ``per_block`` rows per block: one table per plan and width,
-        shared by every cached shape of it.  A NumPy operation against
-        a full operand is several times cheaper than one that
-        broadcasts a ``[G, 1, 1]`` column over a small matrix."""
-        key = (plan, dim)
-        table = self._edge_tables.get(key)
-        if table is None or table.shape[2] < per_block:
-            columns = plan.dense_edges
-            table = np.empty(
-                (len(columns), plan.groups, per_block, dim), plan.wdtype
-            )
-            for full, column in zip(table, columns):
-                full[...] = column
-            self._edge_tables[key] = table
-        return table[:, :, :per_block]
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,6 +158,7 @@ class _KernelPlan:
             block-major (gathered per outlier record).
         band_levels / mid_levels: top code ``2**bits - 1`` of the
             sparse magnitude and the dense inlier codes.
+        band_counts: the config's ``(outer, inner)`` band counts.
         nibble_is_code: whether :func:`_fused_nibbles` is the magnitude
             code itself — the side bit sits above the dense slot and
             the magnitude fits it (5-bit outliers over 4-bit slots).
@@ -208,6 +176,7 @@ class _KernelPlan:
     band_hi_edges: np.ndarray
     band_levels: float
     mid_levels: float
+    band_counts: Tuple[int, int]
     nibble_is_code: bool
 
     @property
@@ -284,6 +253,7 @@ def _kernel_plan(
         band_hi_edges=band_edges(1),
         band_levels=2.0**mag_bits - 1.0,
         mid_levels=2.0**config.inlier_bits - 1.0,
+        band_counts=(config.num_outer_bands, config.num_inner_bands),
         nibble_is_code=(
             mag_bits == config.inlier_bits
             if config.group_shift
@@ -292,64 +262,48 @@ def _kernel_plan(
     )
 
 
-@functools.lru_cache(maxsize=256)
-def _scale_columns(
-    plan: "_KernelPlan", rows: int
-) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """The read-only per-row tables of a ``rows``-row encode or decode
-    under ``plan``, shared by every quantizer and scratch.
-
-    Returns ``(levels, row_column, row_edge, row_mid_edge)``.  The kernels keep one
-    ``[lo; hi]`` scale table: ``rows`` middle-group columns, then one
-    column per (token, band) slot, token-major.  ``levels`` is the top
-    code of each column; ``row_column[r]`` is where row ``r``'s band
-    slots start; ``row_edge[r]`` is where row ``r``'s block starts in
-    the plan's block-major ``band_*_edges`` tables (``None`` for one
-    block); ``row_mid_edge`` is the ``[rows, 1]`` middle-group shift of
-    each row's block.
-    """
-    groups = plan.groups
-    if rows % groups:
-        raise ValueError(
-            f"{rows} rows do not split into {groups} equal row blocks"
-        )
-    bands = plan.config.num_sparse_bands
-    levels = np.full(rows * (1 + bands), plan.band_levels)
+def _column_levels(plan: "_KernelPlan", rows: int) -> np.ndarray:
+    """The top code of every column of a ``rows``-row encode's ``[lo;
+    hi]`` scale table: the kernels keep ``rows`` middle-group columns,
+    then one column per (token, band) slot, token-major."""
+    levels = np.empty(rows * (1 + plan.config.num_sparse_bands))
     levels[:rows] = plan.mid_levels
-    row = np.arange(rows)
-    row_column = rows + bands * row
-    row_edge = None
-    if groups > 1:
-        row_edge = bands * (row // (rows // groups))
-    row_mid_edge = np.repeat(plan.mid_edge.reshape(-1), rows // groups)
-    row_mid_edge = row_mid_edge[:, None]
-    for table in (levels, row_column, row_edge, row_mid_edge):
-        if table is not None:
-            table.flags.writeable = False
-    return levels, row_column, row_edge, row_mid_edge
+    levels[rows:] = plan.band_levels
+    return levels
 
 
 class _ShapePlan:
-    """The shape-dependent half of the fused encode, compiled once per
-    ``(kernel plan, rows, dim)`` — as :class:`_KernelPlan` is the
+    """The shape-dependent half of the fused encode, for one ``(kernel
+    plan, rows, dim)`` — as :class:`_KernelPlan` is the
     threshold-dependent half.
+
+    A *compiled* plan, the kind a :class:`QuantizeScratch` keeps,
+    spends memory to save work on every reuse: its dense-pass operands
+    are full ``[G, T, D]`` tables (on a small matrix a NumPy operation
+    against a full operand costs about half of one that broadcasts a
+    ``[G, 1, 1]`` column), and it looks up the row and column of each
+    outlier's flat position instead of dividing.  A plan built for one
+    call takes the kernel plan's columns and divides.
 
     Attributes:
         blocks: the ``[G, T, D]`` row-block view of the input.
-        levels / row_column / row_edge: :func:`_scale_columns`.
-        token / pos: the row and column of every flat position, for a
-            cached shape (``None`` otherwise: the kernel divides).
+        levels: :func:`_column_levels`.
+        row_column: where each row's band slots start in the scale
+            table.
+        row_edge: where each row's block starts in the kernel plan's
+            block-major ``band_*_edges`` tables (``None`` for one
+            block).
+        unset: the scale table before any value reaches it: ``+inf``
+            lows over ``-inf`` highs.
+        token / pos: the row and column of every flat position
+            (compiled; ``None`` otherwise).
         outer_hi / outer_lo / inner_hi / inner_lo / mid_edge: the dense
-            pass's operands (:attr:`_KernelPlan.dense_edges`), full
-            ``[G, T, D]`` tables for a cached shape, the plan's
-            ``[G, 1, 1]`` columns otherwise; ``None`` for a side
-            without bands.
+            pass's operands (:attr:`_KernelPlan.dense_edges`); ``None``
+            for a side without bands.
         shifted: ``[rows, dim]`` work buffer of the dense pass, with
             its ``[G, T, D]`` and flat views.
         outer / mask / spare: ``[G, T, D]`` boolean work buffers of the
             COO extraction, with flat views of the first two.
-        middle: ``[2, rows]`` work buffer of the middle group's
-            ``[min; max]``.
         row_scales: ``[rows, 1]`` work buffers of each row's lower
             bound and scale in the compute dtype, with read-only
             ``row_lo`` / ``row_sigma`` views broadcasting it over the
@@ -361,11 +315,11 @@ class _ShapePlan:
     """
 
     __slots__ = (
-        "blocks", "levels", "row_column", "row_edge", "token", "pos",
-        "outer_hi", "outer_lo",
-        "inner_hi", "inner_lo", "mid_edge", "shifted", "shifted_blocks",
-        "shifted_flat", "outer", "mask", "spare", "outer_flat",
-        "mask_flat", "middle", "row_scales", "row_lo", "row_sigma",
+        "blocks", "levels", "row_column", "row_edge", "unset", "token",
+        "pos", "outer_hi", "outer_lo", "inner_hi", "inner_lo",
+        "mid_edge", "shifted", "shifted_blocks", "shifted_flat",
+        "outer", "mask", "spare", "outer_flat", "mask_flat",
+        "row_scales", "row_lo", "row_sigma",
     )
 
     def __init__(
@@ -373,17 +327,32 @@ class _ShapePlan:
         plan: "_KernelPlan",
         rows: int,
         dim: int,
-        edges: Optional[np.ndarray] = None,
-        positions: Optional[np.ndarray] = None,
+        compiled: bool = False,
     ) -> None:
-        self.levels, self.row_column, self.row_edge, _ = _scale_columns(
-            plan, rows
-        )
-        self.blocks = (plan.groups, rows // plan.groups, dim)
+        groups = plan.groups
+        if rows % groups:
+            raise ValueError(
+                f"{rows} rows do not split into {groups} equal row blocks"
+            )
+        bands = plan.config.num_sparse_bands
+        self.blocks = (groups, rows // groups, dim)
+        self.levels = _column_levels(plan, rows)
+        row = np.arange(rows)
+        self.row_column = rows + bands * row
+        self.row_edge = None
+        if groups > 1:
+            self.row_edge = bands * (row // (rows // groups))
+        self.unset = np.empty((2, self.levels.size))
+        self.unset[0] = np.inf
+        self.unset[1] = -np.inf
+        edges = list(plan.dense_edges)
         self.token = self.pos = None
-        if positions is not None:
-            self.token, self.pos = positions[:, : rows * dim]
-        edges = list(plan.dense_edges if edges is None else edges)
+        if compiled:
+            self.token, self.pos = np.divmod(np.arange(rows * dim), dim)
+            edges = [
+                np.broadcast_to(column, self.blocks).copy()
+                for column in edges
+            ]
         self.outer_hi = self.outer_lo = self.inner_hi = self.inner_lo = None
         if plan.outer_hi:
             self.outer_hi, self.outer_lo = edges[:2]
@@ -399,7 +368,6 @@ class _ShapePlan:
         )
         self.outer_flat = self.outer.reshape(-1)
         self.mask_flat = self.mask.reshape(-1)
-        self.middle = np.empty((2, rows), dtype=plan.wdtype)
         scales = np.empty((2, rows, 1), dtype=plan.wdtype)
         self.row_scales = (scales[0], scales[1])
         self.row_lo, self.row_sigma = np.broadcast_to(scales, (2, rows, dim))
@@ -423,8 +391,7 @@ def _outlier_coo(
 
     ``shape`` supplies the mask buffers (one is built when omitted).
     """
-    num_outer = plan.config.num_outer_bands
-    num_inner = plan.config.num_inner_bands
+    num_outer, num_inner = plan.band_counts
     if not (num_outer or num_inner):
         flat = np.zeros(0, dtype=np.int64)
         return flat, np.zeros(0, dtype=x.dtype), np.zeros(0, dtype=np.int16)
@@ -482,39 +449,6 @@ def _outlier_coo(
     return flat, xg, band
 
 
-def _segment_bounds(
-    column: np.ndarray,
-    band: np.ndarray,
-    mag: np.ndarray,
-    num_bands: int,
-    scales: np.ndarray,
-) -> None:
-    """Min/max of the outlier magnitudes per (token, band), into the
-    ``[lo; hi]`` columns of ``scales`` that ``column`` names.
-
-    The COO stream is token-sorted, so a stable sort by band alone (a
-    radix pass over a 16-bit key) makes every (token, band) group one
-    contiguous run, and one ``reduceat`` per bound covers all of them
-    in O(nnz) without touching the dense matrix.  A group is found by
-    its run start, never by a sentinel, so infinite magnitudes reduce
-    like any other; the column of a group no record names is left as
-    it is (zero: the seed convention ``lo = hi = 0``).
-    """
-    if column.size == 0:
-        return
-    if num_bands > 1:
-        order = band.argsort(kind="stable")
-        column = column[order]
-        mag = mag[order]
-    first = np.empty(column.size, dtype=bool)
-    first[0] = True
-    np.not_equal(column[1:], column[:-1], out=first[1:])
-    starts = first.nonzero()[0]
-    at = column[starts]
-    scales[0][at] = np.minimum.reduceat(mag, starts)
-    scales[1][at] = np.maximum.reduceat(mag, starts)
-
-
 def _fused_nibbles(
     config: OakenConfig, side: np.ndarray, mag_code: np.ndarray
 ) -> np.ndarray:
@@ -570,20 +504,16 @@ def _fused_quantize(
         if x.ndim != 2:
             raise ValueError(f"expected a [T, D] matrix, got shape {x.shape}")
     rows, dim = x.shape
-    if scratch is None:
-        shape = _ShapePlan(plan, rows, dim)
-    else:
-        # (the cache hit inline: the serving loop's case)
-        shape = scratch._shapes.get((plan, rows, dim))
-        if shape is None:
-            shape = scratch.shape(plan, rows, dim)
+    shape = (
+        _ShapePlan(plan, rows, dim) if scratch is None
+        else scratch.shape(plan, rows, dim)
+    )
     wdtype = plan.wdtype
     # (float32 -> float64 -> compute dtype is exact, so a float32 input
     # converts straight to the compute dtype.)
     if x.dtype is not wdtype:
         x = x.astype(wdtype)
     blocks = x.reshape(shape.blocks)
-    bands = cfg.num_sparse_bands
 
     # --- COO stream first ---------------------------------------------------
     # ``flat`` indexes the outlier slots of any [rows, dim] matrix viewed
@@ -609,9 +539,15 @@ def _fused_quantize(
         side = np.zeros(flat.size, dtype=bool)
     # One ``[lo; hi]`` scale table: the middle group's bounds per row,
     # then each (token, band) slot's — rounded and scaled in one pass.
-    scales = np.zeros((2, shape.levels.size))
+    # The band slots' bounds are the min/max of their records'
+    # magnitudes, O(nnz) without touching the dense matrix: from
+    # ``+inf`` / ``-inf``, the identities of min and max, one unbuffered
+    # minimum and one maximum over the records.  A slot no record names
+    # keeps ``lo > hi`` until the zeroing below.
+    scales = shape.unset.copy()
     column = shape.row_column[token] + band
-    _segment_bounds(column, band, mag, bands, scales)
+    np.minimum.at(scales[0], column, mag)
+    np.maximum.at(scales[1], column, mag)
 
     # --- dense middle group: one in-place pass ------------------------------
     shifted = shape.shifted
@@ -629,15 +565,14 @@ def _fused_quantize(
     # sentinels: +inf is transparent to the row minimum, -inf to the
     # maximum, and -inf clips to code 0 exactly like the seed's masking.
     slots = shape.shifted_flat
-    middle = shape.middle
     slots[flat] = np.inf
-    np.minimum.reduce(shifted, axis=1, out=middle[0])
+    np.minimum.reduce(shifted, axis=1, out=scales[0, :rows])
     slots[flat] = -np.inf
-    np.maximum.reduce(shifted, axis=1, out=middle[1])
-    bounds = scales[:, :rows]
-    bounds[...] = middle
-    # A row of outliers only reduced over sentinels alone.
-    np.copyto(bounds, 0.0, where=bounds[0] > bounds[1])
+    np.maximum.reduce(shifted, axis=1, out=scales[1, :rows])
+    # A column no value reached — a band slot without records, a row of
+    # outliers whose middle group reduced over sentinels alone — is
+    # ``lo = hi = 0``, the seed convention.
+    np.copyto(scales, 0.0, where=scales[0] > scales[1])
     scales = scales.astype(np.float16).astype(np.float64)  # FP16 storage
     sigma = _sigma(scales[0], scales[1], shape.levels)
 
@@ -671,7 +606,7 @@ def _fused_quantize(
         sparse_fp16 = xg.astype(np.float16)
 
     scales = scales.astype(np.float32)
-    band_scales = scales[:, rows:].reshape(2, rows, bands)
+    band_scales = scales[:, rows:].reshape(2, rows, cfg.num_sparse_bands)
     return EncodedKV(
         config=cfg,
         thresholds=thresholds,
@@ -695,16 +630,15 @@ def _fused_dequantize(plan: _KernelPlan, encoded: EncodedKV) -> np.ndarray:
     cfg = plan.config
     wdtype = plan.wdtype
     rows, dim = encoded.shape
-    levels, row_column, row_edge, row_mid_edge = _scale_columns(plan, rows)
+    bands = cfg.num_sparse_bands
     # The encode's ``[lo; hi]`` scale table, rebuilt in float64: one
     # scale computation for the middle group and every band.
-    scales = np.concatenate(
+    lo, hi = np.concatenate(
         (encoded.middle_lo, encoded.band_lo,
          encoded.middle_hi, encoded.band_hi),
         axis=None, dtype=np.float64,
-    )
-    lo = scales[: levels.size]
-    sigma = _sigma(lo, scales[levels.size :], levels)
+    ).reshape(2, -1)
+    sigma = _sigma(lo, hi, _column_levels(plan, rows))
     out = encoded.dense_codes.astype(wdtype)
     np.divide(out, sigma[:rows, None].astype(wdtype, copy=False), out=out)
     np.add(
@@ -713,7 +647,8 @@ def _fused_dequantize(plan: _KernelPlan, encoded: EncodedKV) -> np.ndarray:
     if cfg.group_shift:
         # ``out`` is never -0.0 here (a non-negative code over a positive
         # scale, plus the bound), so copysign selects as ``out >= 0`` did.
-        np.add(out, np.copysign(row_mid_edge, out), out=out)
+        blocks = out.reshape(plan.groups, -1, dim)
+        np.add(blocks, np.copysign(plan.mid_edge, blocks), out=blocks)
 
     token = encoded.sparse_token
     if token.size:
@@ -722,11 +657,18 @@ def _fused_dequantize(plan: _KernelPlan, encoded: EncodedKV) -> np.ndarray:
             out[token, pos] = encoded.sparse_fp16
         else:
             band = encoded.sparse_band
-            column = row_column[token] + band
-            mag = encoded.sparse_mag_code / sigma[column]
-            mag += lo[column]
+            # Each record's band slot (the encode's ``row_column[token]
+            # + band``, counted from the first band column).
+            column = token * bands
+            column += band
+            mag = encoded.sparse_mag_code / sigma[rows:][column]
+            mag += lo[rows:][column]
             if cfg.group_shift:
-                edge = band if row_edge is None else band + row_edge[token]
+                edge = band
+                if plan.groups > 1:  # (the encode's ``row_edge``)
+                    edge = token // (rows // plan.groups)
+                    edge *= bands
+                    edge += band
                 mag = np.where(
                     encoded.sparse_side,
                     plan.band_hi_edges[edge] + mag,

@@ -612,7 +612,7 @@ class KVArena:
         per_row = lens[:total]
         for block in range(1, blocks):
             per_row = per_row + lens[block * total : (block + 1) * total]
-        if total == len(rows):
+        if rows.count(1) == len(rows):
             outliers = per_row.tolist()
         else:
             ends = [0] + per_row.cumsum().tolist()
@@ -688,15 +688,13 @@ class KVArena:
     def read_batch(
         self, layer: int, seq_ids: Sequence[Hashable]
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """:meth:`read` of every listed sequence, in order, after one
-        :meth:`decode_pending` of whatever is pending."""
+        """:meth:`read` of every listed sequence, in order, for a caller
+        that has run :meth:`decode_pending` on them: this serves the
+        decoded mirror as it stands and decodes nothing."""
         slices = [self.rows[seq_id] for seq_id in seq_ids]
         for slc in slices:
             if slc.length[layer] == 0:
                 raise RuntimeError("cache is empty")
-            if slc.decoded[layer] < slc.length[layer]:
-                self.decode_pending(layer, seq_ids)
-                break
         readable = self.layers[layer].readable
         views = [
             readable[:, slc.start : slc.start + slc.length[layer]]

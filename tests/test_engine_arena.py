@@ -348,6 +348,35 @@ class TestCapacityGeometry:
         assert content < grown
 
 
+class TestBatchCharge:
+    """A batch charges every item the records of its own rows."""
+
+    def test_zero_row_item_beside_a_multi_row_one(self, fused_factory):
+        """Items of 2 and 0 rows make as many rows as items: the
+        footprint of each must still come from its own rows."""
+        arena_pool = KVCachePool(fused_factory, arena=True)
+        chunked = KVCachePool(fused_factory)
+        arena = arena_pool._arena
+        for pool in (arena_pool, chunked):
+            pool.allocate("full")
+            pool.allocate("empty")
+        for step in range(3):
+            block = make_kv_matrix(
+                tokens=2, dim=DIM, seed=90 + step, outlier_channels=(1, 5)
+            ).astype(np.float32)
+            items = [("full", block, block), ("empty", block[:0], block[:0])]
+            for layer in range(LAYERS):
+                arena.append_batch(layer, items[:: 1 if step % 2 else -1])
+                chunked.append("full", layer, block, block)
+            arena_pool.check_invariants()
+        for seq_id in ("full", "empty"):
+            assert (
+                arena_pool.get(seq_id).footprint_bits()
+                == chunked.get(seq_id).footprint_bits()
+            )
+        assert arena.seq_footprint("empty") == (0, 0)
+
+
 class TestRecycling:
     """Freed and outgrown regions are reused, exact fit, last freed
     first; the tail region is reclaimed in place."""
