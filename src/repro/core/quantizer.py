@@ -348,11 +348,14 @@ class _ShapePlan:
         edges = list(plan.dense_edges)
         self.token = self.pos = None
         if compiled:
-            self.token, self.pos = np.divmod(np.arange(rows * dim), dim)
-            edges = [
-                np.broadcast_to(column, self.blocks).copy()
-                for column in edges
-            ]
+            positions = np.empty((2, rows, dim), dtype=np.int64)
+            positions[0] = np.arange(rows)[:, None]
+            positions[1] = np.arange(dim)
+            self.token, self.pos = positions.reshape(2, -1)
+            full = np.empty((len(edges),) + self.blocks, dtype=plan.wdtype)
+            for table, column in zip(full, edges):
+                table[...] = column
+            edges = list(full)
         self.outer_hi = self.outer_lo = self.inner_hi = self.inner_lo = None
         if plan.outer_hi:
             self.outer_hi, self.outer_lo = edges[:2]

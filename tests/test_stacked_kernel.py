@@ -29,6 +29,7 @@ from repro.core.config import TABLE3_CONFIGURATIONS, OakenConfig
 from repro.core.encoding import EncodedKV, concat_encoded, split_encoded
 from repro.core import kvcache
 from repro.core.kvcache import LayerKVCache
+from repro.core import quantizer as quantizer_module
 from repro.core.quantizer import (
     LayerEncoder,
     OakenQuantizer,
@@ -758,6 +759,34 @@ class TestPerCallWork:
         calls = _profiled_calls(stacked.quantize_into, rows, scratch)
         calls += _profiled_calls(stacked.dequantize, encoded)
         assert calls <= 45, calls
+
+    def test_shape_cache_is_bounded_and_least_recently_used(self):
+        """A scratch keeps at most ``_CACHED_SHAPES`` plans, none
+        larger than ``_CACHED_SHAPE_ELEMENTS``, and evicts the one used
+        longest ago."""
+        limit = quantizer_module._CACHED_SHAPES
+        largest = quantizer_module._CACHED_SHAPE_ELEMENTS
+        key_q, value_q = _pair(OakenConfig(), 32, "deploy_f32")
+        stacked = LayerEncoder(key_q, value_q).stacked
+        scratch = QuantizeScratch()
+
+        def kept(tokens):
+            return (stacked._plan, 2 * tokens, 32) in scratch._shapes
+
+        def encode(tokens):
+            stacked.quantize_into(
+                np.concatenate(_rows(tokens, 32, seed=tokens)), scratch
+            )
+
+        for tokens in range(1, limit + 1):
+            encode(tokens)
+        encode(1)  # now the most recently used
+        encode(limit + 1)  # evicts 2, the least recently used
+        assert len(scratch._shapes) == limit
+        assert kept(1) and not kept(2) and kept(limit + 1)
+        too_big = largest // 64 + 1
+        encode(too_big)
+        assert not kept(too_big) and len(scratch._shapes) == limit
 
     def test_small_batch_arena_steps(self, calibration):
         """20 two-layer batch-6 ``KVCachePool(arena=True).step`` calls of
