@@ -288,25 +288,26 @@ def replay_e2e_gate() -> None:
 
 
 #: The arena geometry work one seed-0 quick-size repetition of each
-#: arena workload does: row relocations (calls and rows moved),
-#: buffer re-sizes (calls, one per layer store), payload-log rebuilds
-#: (calls, one per layer store) and compaction passes (calls, one per
-#: arena).  A change that makes a write, a gather or a pass cheaper
-#: leaves every one of these alone; a change to reservation,
-#: recycling or compaction updates them in the same diff.
+#: arena workload does, on the arena's one store: row relocations
+#: (calls, and rows moved in every layer's blocks at once), buffer
+#: re-sizes, payload-log rebuilds and compaction passes (calls, each
+#: one per arena whatever the number of layers).  A change that makes
+#: a write, a gather or a pass cheaper leaves every one of these
+#: alone; a change to reservation, recycling or compaction updates
+#: them in the same diff.
 ARENA_WORK = {
     "replay-burst-arena": {
-        "move_rows.calls": 298,
-        "move_rows.rows": 13296,
-        "resize.calls": 22,
-        "rebuild_log.calls": 14,
+        "move_rows.calls": 149,
+        "move_rows.rows": 6648,
+        "resize.calls": 11,
+        "rebuild_log.calls": 7,
         "compact.calls": 3,
     },
     "cluster-replay-faults": {
-        "move_rows.calls": 184,
-        "move_rows.rows": 8464,
-        "resize.calls": 52,
-        "rebuild_log.calls": 28,
+        "move_rows.calls": 92,
+        "move_rows.rows": 4232,
+        "resize.calls": 26,
+        "rebuild_log.calls": 14,
         "compact.calls": 8,
     },
 }
@@ -326,7 +327,7 @@ def arena_geometry_work(workload: str) -> dict:
     import workloads
 
     prepared = workloads.set_up(workload, 0, quick=True)
-    from repro.engine.arena import KVArena, _LayerStore
+    from repro.engine.arena import KVArena, _Store
 
     counts = dict.fromkeys(ARENA_WORK[workload], 0)
 
@@ -343,10 +344,10 @@ def arena_geometry_work(workload: str) -> dict:
         return method
 
     originals = [
-        (_LayerStore, "move_rows",
-         counted(_LayerStore, "move_rows", lambda src, dst, n: n)),
-        (_LayerStore, "resize", counted(_LayerStore, "resize")),
-        (_LayerStore, "rebuild_log", counted(_LayerStore, "rebuild_log")),
+        (_Store, "move_rows",
+         counted(_Store, "move_rows", lambda src, dst, n: n)),
+        (_Store, "resize", counted(_Store, "resize")),
+        (_Store, "rebuild_log", counted(_Store, "rebuild_log")),
         (KVArena, "compact", counted(KVArena, "compact")),
     ]
     try:

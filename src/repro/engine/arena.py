@@ -2,30 +2,27 @@
 buffers.
 
 The chunked fused cache (:class:`~repro.core.kvcache.LayerKVCache`)
-stores one immutable :class:`~repro.core.encoding.EncodedKV` object per
-append.  That object model is what makes prefix sharing structural and
-tiering chunk-agnostic, but at serving batch sizes it is also the hot
-loop's dominant cost: every batched append allocates one chunk (ten
-small arrays plus a dataclass) per sequence per tensor, and every
-batched read concatenates per-sequence chunk lists field by field.
+stores one immutable :class:`~repro.core.encoding.EncodedKV` per
+append: that makes prefix sharing structural, but at serving batch
+sizes every batched append allocates one chunk per sequence per tensor
+and every batched read concatenates chunk lists field by field.
 
-:class:`KVArena` removes the object traffic, in two levels.  The
-arena owns the one row table, ``seq_id -> (start, cap, generation,
-bits, elements, per-layer length/decoded)``: a sequence's cache is the
-same contiguous row-slice in every layer (the paper's MMU keeps a
-layer's keys and values in one address space behind one table; so does
-this).  Each decoder layer owns one preallocated
-structure-of-arrays store whose row-parallel buffers carry a K|V axis
-— dense codes ``[2, cap, D]``, per-token scale bounds ``[2, cap]`` /
-``[2, cap, B]`` — over one append-only packed payload log holding the
-sparse COO records of both tensors, addressed by per-row
-``(pay_start, pay_len)``:
+:class:`KVArena` removes the object traffic.  It owns one row table,
+``seq_id -> (start, cap, generation, bits, elements, per-layer
+length/decoded)``: a sequence's cache is the same contiguous row-slice
+in every layer.  Behind the table is one preallocated
+structure-of-arrays store for the whole cache, as the paper's MMU keeps
+it in one address space behind one dense and one sparse table: its
+row-parallel buffers carry a (layer, K|V) axis — dense codes ``[L, 2,
+cap, D]``, per-token scale bounds ``[L, 2, cap]`` / ``[L, 2, cap, B]``
+— over one append-only payload log of every layer's COO records,
+addressed by per-row ``(pay_start, pay_len)``:
 
 * ``append_batch`` is one fused encode (keys stacked over values)
   followed by one vectorized scatter of that ``[keys; values]`` stack,
-  as it leaves the kernel, into the layer's buffers — no per-sequence
-  chunk allocation and no split back into tensors anywhere on the
-  path.
+  as it leaves the kernel, into the layer's blocks of the store — no
+  per-sequence chunk allocation and no split back into tensors
+  anywhere on the path.
 * ``read_batch`` is one ragged gather of every requested sequence's
   undecoded ``[K rows; V rows]`` into a single lazily materialized
   chunk view (:func:`~repro.core.encoding.encoded_rows_view`), one
@@ -35,15 +32,15 @@ sparse COO records of both tensors, addressed by per-row
   class, where the next reservation of that class finds it: a stored
   row is written once and moved O(1) times.  Only when free-listed
   rows exceed a deterministic watermark fraction of the arena's row
-  capacity does the arena compact — every layer's slices slide
-  front-to-back with the capacities they have, the payload log is
-  rebuilt, the buffers are re-sized to what is left, and every
+  capacity does the arena compact — every slice slides front-to-back
+  with the capacity it has, the payload log is rebuilt, and every
   sequence's ``generation`` is bumped.
 
-Whether a layer's keys and values can share a kernel call is
-:class:`~repro.core.quantizer.LayerEncoder`'s decision
-(``encoder.parts``); a pair that cannot goes through the same store
-methods one tensor at a time.
+Every geometry decision — a relocation, a growth, a compaction, a
+fork's copy — is one operation on the one store, whatever the number
+of layers.  Whether a layer's keys and values share a kernel call is
+its :class:`~repro.core.quantizer.LayerEncoder`'s decision; a pair
+that cannot goes through the same store methods one tensor at a time.
 
 Bit-exactness is the design constraint, not a best-effort property:
 the arena stores exactly the arrays :class:`EncodedKV` stores (float32
@@ -55,16 +52,16 @@ after compaction and after ``fork`` (the pool's state machine,
 ``tests/test_pool_model.py``, checks every read against the one-shot
 ``roundtrip()`` of the rows).
 
-Forks copy the parent's first ``prefix_len`` encoded rows (plus any
-already-decoded mirror rows) into the child's slice: reads are
+Forks copy the parent's prefix rows into the child's slice: reads are
 bit-identical to the chunk-aliasing COW fork, but no bytes are shared
-— the same contract class as adapter-pool forks.  Chunk identity,
-which sharing's refcounts need, simply does not exist in a flat arena.
+(chunk identity, which sharing's refcounts need, does not exist here).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import (
+    Collection, Dict, Hashable, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -85,8 +82,8 @@ _MIN_ARENA_ROWS = 256
 #: Smallest payload-log capacity in records (doubles from here).
 _MIN_LOG_RECORDS = 256
 
-#: :class:`EncodedKV`'s row-parallel and per-record arrays; a layer
-#: store keeps each under its own name.
+#: :class:`EncodedKV`'s row-parallel and per-record arrays; the store
+#: keeps each under its own name.
 _ROW_FIELDS = ("dense_codes", "middle_lo", "middle_hi", "band_lo", "band_hi")
 _RECORD_FIELDS = (
     "sparse_pos", "sparse_band", "sparse_side", "sparse_mag_code",
@@ -147,87 +144,84 @@ class _RowSlice:
         self.decoded = [0] * num_layers
 
 
-class _LayerStore:
-    """One layer's rows, keys and values side by side.
+class _Store:
+    """The whole cache's rows: every layer's keys and values.
 
-    Row-parallel buffers are ``[2, cap, ...]`` — axis 0 is K|V (0 keys,
-    1 values), axis 1 the arena row — so the ``[keys; values]`` stack
-    the kernel emits scatters in, and gathers back out, as it is.  The
-    payload log is one append-only record store for both tensors,
+    Row-parallel buffers are ``[L, 2, cap, ...]`` — layer, K|V (0 keys,
+    1 values), arena row — each also viewed flat as ``[L * 2 * cap,
+    ...]``, block ``2 * layer + tensor`` after block.  A layer's
+    ``[keys; values]`` stack, as the kernel emits it, is two adjacent
+    blocks, so it scatters in, and gathers back out, as it is.  The
+    payload log is one append-only record store for every block,
     addressed through ``pay_start``/``pay_len`` (records of one row are
-    contiguous and token-ordered, records of different rows need not be
-    adjacent — relocation moves row metadata, never payload; only
+    contiguous and token-ordered, records of different rows need not
+    be adjacent — relocation moves row metadata, never payload; only
     :meth:`rebuild_log` rewrites the log).  Where rows live, and how
-    many rows the buffers hold, is the arena's business: the store is
-    told positions and a capacity, it keeps no geometry.
+    many a block holds, is the arena's business: the store is told
+    positions and a capacity, it keeps no geometry.
     """
 
-    def __init__(self, key_quantizer, value_quantizer) -> None:
-        if key_quantizer.config != value_quantizer.config:
-            raise ValueError(
-                "a layer's key and value quantizers must share one "
-                "config (their rows share one set of buffers)"
-            )
-        self.encoder = LayerEncoder(key_quantizer, value_quantizer)
+    def __init__(self, num_layers: int) -> None:
+        self.num_layers = num_layers
         #: Row-parallel buffers: :data:`_ROW_FIELDS`, ``pay_start``,
         #: ``pay_len`` and the ``decoded`` float32 mirror.
         self.rows: Dict[str, np.ndarray] = {}
-        #: The same buffers viewed ``[2 * cap, ...]``: keys' rows, then
-        #: values'.  One leading-axis index over such a view is numpy's
-        #: fast take/put path; ``buf[tensors, idx]`` is not.
+        #: The same buffers viewed flat: one leading-axis index is
+        #: numpy's fast take/put path; ``buf[layer, tensors, idx]`` is not.
         self.flat: Dict[str, np.ndarray] = {}
         #: Payload log: the :data:`_RECORD_FIELDS` the config emits.
         self.log: Dict[str, np.ndarray] = {}
         self.log_len = 0
         #: Records in ``log[:log_len]`` that belonged to freed rows.
         self.dead_records = 0
-        #: Rows every buffer holds — set by the arena through
+        #: Rows every block holds — set by the arena through
         #: :meth:`resize`, ahead of the buffers themselves: they are
         #: shaped by the first write.
         self.capacity = 0
         #: Read-only alias of the decoded mirror; reads slice this.
-        self.readable = np.empty((2, 0, 0), dtype=np.float32)
+        self.readable = np.empty((num_layers, 2, 0, 0), dtype=np.float32)
 
-    @property
-    def decoded(self) -> np.ndarray:
-        return self.rows["decoded"]
+    def positions(
+        self, layer: int, tensors: slice, idx: np.ndarray
+    ) -> np.ndarray:
+        """Rows ``idx`` of blocks ``2 * layer + tensors`` (a slice of
+        the K|V axis, or from layer 0 of every layer's), as positions
+        in the :attr:`flat` views, block by block."""
+        cap = self.capacity
+        first = (2 * layer + tensors.start) * cap
+        last = first + (tensors.stop - tensors.start) * cap
+        return np.concatenate([idx + at for at in range(first, last, cap)])
 
-    def positions(self, tensors: slice, idx: np.ndarray) -> np.ndarray:
-        """Rows ``idx`` of each tensor in ``tensors``, as positions in
-        the :attr:`flat` views (keys' rows, then values')."""
-        if tensors.stop - tensors.start == 2:
-            return np.concatenate((idx, idx + self.capacity))
-        return idx + tensors.start * self.capacity
+    def resize(
+        self, capacity: int, old_at: np.ndarray, new_at: np.ndarray
+    ) -> None:
+        """Replace every row-parallel buffer by a fresh one of
+        ``capacity`` rows a block, holding exactly the rows at the flat
+        positions ``old_at`` (at the old capacity), now at ``new_at``.
 
-    def resize(self, capacity: int, moved=None) -> None:
-        """Replace every row-parallel buffer by a fresh ``capacity``-row
-        one.  Rows keep their positions (those that fit), or — given
-        ``moved = (old_idx, new_idx)`` — exactly the rows ``old_idx``
-        survive, at ``new_idx``."""
-        if moved is not None:
-            old_at = self.positions(slice(0, 2), moved[0])
+        Each buffer's kept rows are gathered, and the buffer dropped,
+        before its successor is allocated: a re-size holds one
+        buffer's kept rows twice, never two whole buffers."""
         self.capacity = capacity
-        if moved is not None:
-            new_at = self.positions(slice(0, 2), moved[1])
         if not self.rows:
             return
-        for name, old in self.rows.items():
-            fresh = np.empty((2, capacity) + old.shape[2:], dtype=old.dtype)
-            flat = fresh.reshape((-1,) + old.shape[2:])
-            if moved is None:
-                keep = min(capacity, old.shape[1])
-                fresh[:, :keep] = old[:, :keep]
-            else:
-                flat[new_at] = self.flat[name][old_at]
+        self.readable = None  # (it aliases the old mirror)
+        for name in list(self.rows):
+            shape = self.rows[name].shape
+            kept = self.flat[name][old_at]
+            self.rows[name] = self.flat[name] = None
+            fresh = np.empty(shape[:2] + (capacity,) + shape[3:], kept.dtype)
+            self.flat[name] = fresh.reshape((-1,) + shape[3:])
+            self.flat[name][new_at] = kept
             self.rows[name] = fresh
-            self.flat[name] = flat
-        self.readable = self.decoded.view()
+        self.readable = self.rows["decoded"].view()
         self.readable.flags.writeable = False
 
     def move_rows(self, src: int, dst: int, count: int) -> None:
-        """Move a row range's metadata (relocation; payload stays put)."""
+        """Move a row range's metadata in every block (relocation;
+        payload stays put)."""
         for buf in self.rows.values():
-            buf[:, dst : dst + count] = buf[:, src : src + count]
+            buf[:, :, dst : dst + count] = buf[:, :, src : src + count]
 
     def write(self, at: np.ndarray, encoded: EncodedKV) -> np.ndarray:
         """Scatter an encode's rows into the :attr:`flat` positions
@@ -240,12 +234,15 @@ class _LayerStore:
         if not self.rows:
             # Shape the buffers from the first encoded batch seen, at
             # zero rows; ``resize`` gives them the arena's capacity.
+            none = np.empty(0, dtype=np.int64)
             like = {name: getattr(encoded, name)[:0] for name in _ROW_FIELDS}
-            like["pay_start"] = like["pay_len"] = np.empty(0, dtype=np.int64)
+            like["pay_start"] = like["pay_len"] = none
             like["decoded"] = np.empty((0, encoded.dim), dtype=np.float32)
+            blocks = (self.num_layers, 2)
             for name, rows in like.items():
-                self.rows[name] = np.empty((2,) + rows.shape, rows.dtype)
-            self.resize(self.capacity)
+                self.rows[name] = rows.reshape(blocks + rows.shape)
+                self.flat[name] = rows
+            self.resize(self.capacity, none, none)
             for name in _RECORD_FIELDS:
                 field = getattr(encoded, name)
                 if field is not None:
@@ -292,27 +289,21 @@ class _LayerStore:
             **{name: buf[rec] for name, buf in self.log.items()},
         )
 
-    def records(self, start: int, count: int) -> int:
-        """Payload records rows ``[start, start + count)`` hold, keys'
-        plus values'."""
-        if not count:
-            return 0
-        return int(self.rows["pay_len"][:, start : start + count].sum())
+    def records(self, at: np.ndarray) -> int:
+        """Payload records the rows at the flat positions ``at`` hold."""
+        return int(self.flat["pay_len"][at].sum()) if at.size else 0
 
-    def rebuild_log(self, live_idx: np.ndarray) -> None:
-        """Rewrite the payload log to the records of rows ``live_idx``
-        alone, in that order (keys' records, then values'), with as
-        much headroom again.  Rows stay put; only their ``pay_start``
-        is rewritten."""
+    def rebuild_log(self, live: np.ndarray) -> None:
+        """Rewrite the payload log to the records of the rows at the
+        flat positions ``live`` alone, in that order, with as much
+        headroom again.  Rows stay put; only their ``pay_start`` is
+        rewritten."""
         if not self.rows:
             return
-        live = self.positions(slice(0, 2), live_idx)
         lens = self.flat["pay_len"][live]
         rec = _ranges(self.flat["pay_start"][live], lens)
         for name, old in self.log.items():
-            rebuilt = np.empty(
-                max(_MIN_LOG_RECORDS, 2 * rec.size), dtype=old.dtype
-            )
+            rebuilt = np.empty(max(_MIN_LOG_RECORDS, 2 * rec.size), old.dtype)
             rebuilt[: rec.size] = old[rec]
             self.log[name] = rebuilt
         self.flat["pay_start"][live] = lens.cumsum() - lens
@@ -330,22 +321,23 @@ class _LayerStore:
 
 
 class KVArena:
-    """One row table over per-layer structure-of-arrays stores, behind
+    """One row table over one structure-of-arrays store, behind
     ``KVCachePool``.
 
     Built from the shared per-layer quantizers of a fused pool
     (harvested from one template backend, the same objects
     :func:`~repro.engine.backend.shared_backend_factory` shares), so
     every sequence's rows encode and decode through identical kernels
-    and batched operations are always fusible.
+    and batched operations are always fusible; all of them share one
+    config, as every layer's rows share the store's buffers.
 
     The arena owns all row geometry: one ``seq_id -> _RowSlice`` table,
     one ``tail``, one row ``capacity``, one free list per size class.
-    A sequence occupies the same row range ``[start, start + cap)`` in
-    every layer's store (how many of those rows a layer has written and
-    decoded is per layer, so layers may be driven unevenly); growth,
-    recycling and compaction are decided once and applied to every
-    layer.  Live slices and free regions tile ``[0, tail)`` exactly.
+    A sequence occupies the same rows ``[start, start + cap)`` in every
+    block of the store (how many a layer has written and decoded is per
+    layer, so layers may be driven unevenly); growth, recycling and
+    compaction are decided and applied once.  Live slices and free
+    regions tile ``[0, tail)`` exactly.
 
     Both bounds on what is left dead are checked in ``free`` only —
     never on the append path, where a batch is half applied (its rows
@@ -353,7 +345,7 @@ class KVArena:
     when they reach :data:`_MIN_ROWS` and exceed
     :data:`_COMPACT_WATERMARK` of ``capacity``; dead payload records,
     which recycling alone would let pile up in the append-only log,
-    get a layer's log rebuilt when they outnumber its live ones.
+    get the log rebuilt when they outnumber the live ones.
 
     Args:
         key_quantizers / value_quantizers: per-layer fitted quantizers.
@@ -366,10 +358,18 @@ class KVArena:
             raise ValueError(
                 "need one key and one value quantizer per layer"
             )
-        self.layers = [
-            _LayerStore(kq, vq)
+        configs = [q.config for q in (*key_quantizers, *value_quantizers)]
+        if any(config != configs[0] for config in configs):
+            raise ValueError(
+                "every layer's key and value quantizers must share one "
+                "config (their rows share one set of buffers)"
+            )
+        #: One encoder per layer; the kernels stay per layer.
+        self.encoders = [
+            LayerEncoder(kq, vq)
             for kq, vq in zip(key_quantizers, value_quantizers)
         ]
+        self.store = _Store(len(self.encoders))
         self.rows: Dict[Hashable, _RowSlice] = {}
         self.tail = 0
         #: Per size class (a slice capacity), the starts of the free
@@ -377,13 +377,22 @@ class KVArena:
         self.free_slices: Dict[int, List[int]] = {}
         #: Rows on the free lists.
         self.dead_rows = 0
-        #: Rows every layer's buffers hold (``tail`` never exceeds it).
-        self.capacity = 0
         self.compactions = 0
 
     @property
     def num_layers(self) -> int:
-        return len(self.layers)
+        return len(self.encoders)
+
+    @property
+    def capacity(self) -> int:
+        """Rows every block of the store holds (at least ``tail``)."""
+        return self.store.capacity
+
+    @property
+    def width(self) -> Optional[int]:
+        """Every layer's row width (``None`` before the first write)."""
+        rows = self.store.rows
+        return rows["decoded"].shape[3] if rows else None
 
     # -- geometry ------------------------------------------------------
 
@@ -420,13 +429,15 @@ class KVArena:
         if start + new_cap > self.tail:
             self.tail = start + new_cap
             if self.tail > self.capacity:
-                self.capacity = max(_MIN_ARENA_ROWS, _pow2(self.tail))
-                for store in self.layers:
-                    store.resize(self.capacity)
+                capacity = max(_MIN_ARENA_ROWS, _pow2(self.tail))
+                slices = self.rows.values()
+                self.store.resize(
+                    capacity,
+                    self._written(slices),
+                    self._written(slices, capacity),
+                )
         if slc.cap and not at_tail:
-            for store, length in zip(self.layers, slc.length):
-                if length:
-                    store.move_rows(slc.start, start, length)
+            self.store.move_rows(slc.start, start, max(slc.length))
             self._release(slc.start, slc.cap)
             slc.generation += 1
         slc.start = start
@@ -438,31 +449,36 @@ class KVArena:
             and self.dead_rows > _COMPACT_WATERMARK * self.capacity
         )
 
-    def _written(self, layer: int) -> np.ndarray:
-        """Every written row of ``layer``, in row-table order."""
-        slices = self.rows.values()
+    def _written(
+        self, slices: Collection[_RowSlice], capacity: int = 0
+    ) -> np.ndarray:
+        """Flat store positions, at ``capacity`` rows a block (the
+        store's by default), of every written row of ``slices``: block
+        by block, each block's rows in ``slices`` order."""
+        starts = np.array([slc.start for slc in slices], dtype=np.int64)
+        lengths = np.array([slc.length for slc in slices], dtype=np.int64)
+        firsts = np.arange(2 * self.num_layers) * (capacity or self.capacity)
         return _ranges(
-            [slc.start for slc in slices],
-            [slc.length[layer] for slc in slices],
+            (firsts[:, None] + starts).ravel(),
+            lengths.reshape(-1, self.num_layers).T.repeat(2, axis=0).ravel(),
         )
 
     def compact(self) -> None:
         """Deterministically close the gaps: slide every slice, with
         the capacity it has, front-to-back in row-table order, into
-        buffers (and payload logs) sized to what is left and at least
+        buffers (and a payload log) sized to what is left and at least
         as much headroom again — capacity follows use down as well as
         up."""
-        old = [self._written(layer) for layer in range(self.num_layers)]
+        old = self._written(self.rows.values())
         self.tail = 0
         for slc in self.rows.values():
             slc.start = self.tail
             slc.generation += 1
             self.tail += slc.cap
-        self.capacity = max(_MIN_ARENA_ROWS, _pow2(2 * self.tail))
-        for layer, store in enumerate(self.layers):
-            new = self._written(layer)
-            store.resize(self.capacity, (old[layer], new))
-            store.rebuild_log(new)
+        capacity = max(_MIN_ARENA_ROWS, _pow2(2 * self.tail))
+        new = self._written(self.rows.values(), capacity)
+        self.store.resize(capacity, old, new)
+        self.store.rebuild_log(new)
         self.free_slices.clear()
         self.dead_rows = 0
         self.compactions += 1
@@ -484,10 +500,11 @@ class KVArena:
         already-decoded mirror rows are duplicated, so the child's
         reads are bit-identical to an unshared sequence that appended
         the same rows (the adapter-fork contract class — no bytes are
-        aliased, hence no byte savings and no refcounting).
+        aliased, hence no byte savings and no refcounting): one gather
+        and one write of the prefix in every block, charged as appended.
         """
         parent = self.rows[parent_id]
-        if prefix_len > min(parent.length):
+        if not 0 <= prefix_len <= min(parent.length):
             raise ValueError(
                 f"prefix_len {prefix_len} outside the rows every layer "
                 f"of {parent_id!r} holds ({parent.length})"
@@ -497,21 +514,16 @@ class KVArena:
             return child
         slc = self.rows[child_id]
         self._reserve(slc, prefix_len)
-        src = np.arange(parent.start, parent.start + prefix_len)
-        dst = np.arange(slc.start, slc.start + prefix_len)
-        for layer, store in enumerate(self.layers):
-            for tensors, quantizer in store.encoder.parts:
-                chunk = store.gather(store.positions(tensors, src), quantizer)
-                store.write(store.positions(tensors, dst), chunk)
-                bits, elements = chunk.footprint_bits()
-                slc.bits += bits
-                slc.elements += elements
-            decoded = min(prefix_len, parent.decoded[layer])
-            store.decoded[:, slc.start : slc.start + decoded] = (
-                store.decoded[:, parent.start : parent.start + decoded]
-            )
-            slc.length[layer] = prefix_len
-            slc.decoded[layer] = decoded
+        store = self.store
+        every = slice(0, 2 * self.num_layers)
+        src = store.positions(0, every, np.arange(prefix_len) + parent.start)
+        dst = store.positions(0, every, np.arange(prefix_len) + slc.start)
+        # Any quantizer labels the copy: all share the one config.
+        chunk = store.gather(src, self.encoders[0].key_quantizer)
+        self._charge([slc], [prefix_len], chunk, store.write(dst, chunk))
+        store.flat["decoded"][dst] = store.flat["decoded"][src]
+        slc.length = [prefix_len] * self.num_layers
+        slc.decoded = [min(prefix_len, done) for done in parent.decoded]
         return child
 
     def free(self, seq_id: Hashable) -> None:
@@ -519,19 +531,17 @@ class KVArena:
 
         The one quiescent point, so the only place either bound is
         checked: free-listed rows past the watermark compact the arena
-        (rows and payload); otherwise a layer whose dead payload
-        records outnumber its live ones has its log alone rebuilt.
+        (rows and payload); otherwise, when the log's dead records
+        outnumber its live ones, the log alone is rebuilt.
         """
         slc = self.rows.pop(seq_id)
-        for store, length in zip(self.layers, slc.length):
-            store.dead_records += store.records(slc.start, length)
+        store = self.store
+        store.dead_records += store.records(self._written([slc]))
         self._release(slc.start, slc.cap)
         if self.should_compact():
             self.compact()
-            return
-        for layer, store in enumerate(self.layers):
-            if 2 * store.dead_records > store.log_len:
-                store.rebuild_log(self._written(layer))
+        elif 2 * store.dead_records > store.log_len:
+            store.rebuild_log(self._written(self.rows.values()))
 
     def __contains__(self, seq_id: Hashable) -> bool:
         return seq_id in self.rows
@@ -555,7 +565,6 @@ class KVArena:
         Returns the number of kernel calls made (one per entry of
         :attr:`~repro.core.quantizer.LayerEncoder.parts`).
         """
-        store = self.layers[layer]
         slices = [self.rows[seq_id] for seq_id, _, _ in items]
         rows = [keys.shape[0] for _, keys, _ in items]
         if not any(rows):
@@ -563,9 +572,9 @@ class KVArena:
         # Look every slice up and encode before touching the row table:
         # an unknown id, or blocks of mixed widths (the encode cannot
         # stack them), must leave every sequence untouched.  The encode
-        # is per token, so a batch of one width unlike the layer's rows
+        # is per token, so a batch of one width unlike the store's rows
         # passes it; the pool refuses that before calling here.
-        parts = store.encoder.encode_parts(
+        parts = self.encoders[layer].encode_parts(
             [keys for _, keys, _ in items],
             [values for _, _, values in items],
         )
@@ -585,9 +594,10 @@ class KVArena:
             [slc.start + offset for slc, offset in zip(slices, offsets)],
             rows,
         )
+        store = self.store
         for tensors, encoded in parts:
-            lens = store.write(store.positions(tensors, idx), encoded)
-            self._charge(slices, rows, encoded, lens)
+            at = store.positions(layer, tensors, idx)
+            self._charge(slices, rows, encoded, store.write(at, encoded))
         for slc, length in lengths.items():
             slc.length[layer] = length
         return len(parts)
@@ -641,7 +651,7 @@ class KVArena:
         Returns the number of kernel calls made — 0 when no row was
         pending.
         """
-        store = self.layers[layer]
+        store = self.store
         slices = [self.rows[seq_id] for seq_id in seq_ids]
         pending = [
             slc for slc in slices if slc.decoded[layer] < slc.length[layer]
@@ -655,10 +665,10 @@ class KVArena:
         gathered = []
 
         def gather(tensors: slice, quantizer) -> EncodedKV:
-            gathered.append(store.positions(tensors, idx))
+            gathered.append(store.positions(layer, tensors, idx))
             return store.gather(gathered[-1], quantizer)
 
-        decodes = store.encoder.decode_parts(gather)
+        decodes = self.encoders[layer].decode_parts(gather)
         mirror = store.flat["decoded"]
         for at, (_, block) in zip(gathered, decodes):
             mirror[at] = block
@@ -682,7 +692,7 @@ class KVArena:
             raise RuntimeError("cache is empty")
         if slc.decoded[layer] < length:
             self.decode_pending(layer, [seq_id])
-        view = self.layers[layer].readable[:, slc.start : slc.start + length]
+        view = self.store.readable[layer, :, slc.start : slc.start + length]
         return view[0], view[1]
 
     def read_batch(
@@ -695,7 +705,7 @@ class KVArena:
         for slc in slices:
             if slc.length[layer] == 0:
                 raise RuntimeError("cache is empty")
-        readable = self.layers[layer].readable
+        readable = self.store.readable[layer]
         views = [
             readable[:, slc.start : slc.start + slc.length[layer]]
             for slc in slices
@@ -717,16 +727,14 @@ class KVArena:
         """Assert the allocator's geometry and the running footprints.
 
         Every live capacity is 0 or a size class; live slices and free
-        regions are pairwise disjoint and tile the extent exactly
-        (``dead_rows`` is the rows on the free lists, live capacity
-        plus dead rows is ``tail``); every layer's ``decoded <= length
-        <= cap``; each layer's payload log is exactly its live records
-        plus the counted dead ones, which never outnumber them (every
-        ``free`` sees to it); and each slice's ``(bits,
-        elements)`` equals :meth:`EncodedKV.footprint_bits` of chunk
-        views gathered over its written rows in every layer — the walk
-        the accumulators replaced.
+        regions tile the extent exactly (``dead_rows`` is the rows on
+        the free lists); every layer's ``decoded <= length <= cap``;
+        the payload log is the live records plus the counted dead ones,
+        never more dead than live; and each slice's ``(bits,
+        elements)`` is :meth:`EncodedKV.footprint_bits` of a chunk view
+        of its written rows — the walk the accumulators replaced.
         """
+        store = self.store
         regions = [
             (start, cap, "free")
             for cap, starts in self.free_slices.items()
@@ -739,18 +747,11 @@ class KVArena:
             if slc.cap:
                 # (A never-written slice owns no rows wherever it sits.)
                 regions.append((slc.start, slc.cap, seq_id))
-            bits = 0
-            elements = 0
-            for store, length in zip(self.layers, slc.length):
-                if not length:
-                    continue
-                idx = np.arange(slc.start, slc.start + length)
-                for tensors, quantizer in store.encoder.parts:
-                    view_bits, view_elements = store.gather(
-                        store.positions(tensors, idx), quantizer
-                    ).footprint_bits()
-                    bits += view_bits
-                    elements += view_elements
+            written = self._written([slc])
+            bits = elements = 0
+            if written.size:
+                view = store.gather(written, self.encoders[0].key_quantizer)
+                bits, elements = view.footprint_bits()
             assert (slc.bits, slc.elements) == (bits, elements), (
                 f"sequence {seq_id!r}: footprint accumulator "
                 f"({slc.bits}, {slc.elements}) != recomputed "
@@ -761,27 +762,22 @@ class KVArena:
             assert cap >= _MIN_ROWS and cap & (cap - 1) == 0, (owner, cap)
             assert start >= cursor, f"region of {owner!r} overlaps"
             cursor = start + cap
-        assert cursor <= self.tail
+        assert cursor <= self.tail <= self.capacity
         assert sum(cap for _, cap, _ in regions) == self.tail, (
             regions, self.tail,
         )
-        for layer, store in enumerate(self.layers):
-            assert store.capacity == self.capacity >= self.tail
-            live_records = sum(
-                store.records(slc.start, slc.length[layer])
-                for slc in self.rows.values()
-            )
-            assert store.log_len == live_records + store.dead_records, (
-                layer, store.log_len, live_records, store.dead_records,
-            )
-            assert store.dead_records <= live_records, layer
+        live_records = store.records(self._written(self.rows.values()))
+        assert store.log_len == live_records + store.dead_records, (
+            store.log_len, live_records, store.dead_records,
+        )
+        assert store.dead_records <= live_records
 
     def summary(self) -> Dict[str, float]:
         """Occupancy counters merged into the pool's :meth:`summary`.
 
         Rows and compactions keep their per-layer unit (every layer's
-        store holds the slice and is rewritten by a pass), so the row
-        counts and ``arena_compactions`` are summed over layers.
+        blocks hold the slice, and a pass rewrites them all), so the
+        row counts and ``arena_compactions`` are summed over layers.
         """
         return {
             "arena_rows_live": float(
@@ -789,9 +785,7 @@ class KVArena:
             ),
             "arena_rows_dead": float(self.dead_rows * self.num_layers),
             "arena_compactions": float(self.compactions * self.num_layers),
-            "arena_capacity_bytes": sum(
-                store.storage_nbytes() for store in self.layers
-            ),
+            "arena_capacity_bytes": self.store.storage_nbytes(),
         }
 
 

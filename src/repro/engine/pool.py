@@ -612,12 +612,12 @@ class KVCachePool:
         """
         count = len(layers)
         # Per layer: the batch's width, set by its first non-empty
-        # block, and — on the arena, where it is one per layer — the
-        # width the store already holds.
+        # block, and — on the arena, whose one store holds every
+        # layer's rows at one width — the width the store already holds.
         widths: List[Optional[int]] = [None] * count
         held = None
         if self._arena is not None:
-            held = [self._held_width(None, layer) for layer in layers]
+            held = [self._arena.width] * count
         checked = []
         first_seq: Optional[Hashable] = None
         tokens = 0
@@ -680,6 +680,10 @@ class KVCachePool:
                 tokens += rows
                 if first_seq is None:
                     first_seq = seq_id
+        if held is not None and len(set(widths) - {None}) > 1:
+            raise ValueError(
+                f"layers of widths {widths}: the arena holds one width"
+            )
         if tokens:
             overrun = self._overrun(tokens)
             if overrun is not None:
@@ -776,9 +780,6 @@ class KVCachePool:
         """Width of the rows ``cache``'s store already holds on
         ``layer`` (``None`` before the first): the encode is per token,
         so a batch of one consistent width passes it whatever that is."""
-        if self._arena is not None:
-            rows = self._arena.layers[layer].rows
-            return rows["decoded"].shape[2] if rows else None
         if isinstance(cache, QuantizedKVCache):
             chunks = cache.layers[layer]._key_chunks
             return chunks[0].dim if chunks else None

@@ -89,7 +89,7 @@ def arena_state(arena):
             )
             for seq_id, slc in arena.rows.items()
         },
-        [(store.log_len, store.dead_records) for store in arena.layers],
+        (arena.store.log_len, arena.store.dead_records),
     )
 
 

@@ -119,8 +119,19 @@ def test_harness_runs_quickly_and_writes_json(tmp_path):
 
 @pytest.mark.bench
 def test_no_output_file_when_disabled(tmp_path, monkeypatch):
+    """``out_path=None`` writes nothing.  Only the bitpack rows run:
+    every row runs at these sizes, from an empty directory, in
+    ``test_cli_commands.py::TestSubcommandSweep::test_bench_exits_zero``.
+    """
+    import repro.bench.hotpath as hotpath
+
     monkeypatch.chdir(tmp_path)
-    run_benchmarks(
+    monkeypatch.setattr(
+        hotpath,
+        "ENTRIES",
+        tuple(e for e in hotpath.ENTRIES if e.name.startswith("bitpack")),
+    )
+    report = run_benchmarks(
         quick=True,
         out_path=None,
         tokens=128,
@@ -128,6 +139,7 @@ def test_no_output_file_when_disabled(tmp_path, monkeypatch):
         steps=16,
         repeats=1,
     )
+    assert set(report["benchmarks"]) == {"bitpack"}
     assert not (tmp_path / "BENCH_quant.json").exists()
 
 

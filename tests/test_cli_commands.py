@@ -95,13 +95,19 @@ class TestSubcommandSweep:
         assert "tokens/s" in capsys.readouterr().out
 
     @pytest.mark.bench
-    def test_bench_exits_zero(self, tmp_path, capsys):
+    def test_bench_exits_zero(self, tmp_path, capsys, monkeypatch):
+        # Every row, at the small encode / generation sizes; run from
+        # an empty directory, so a row that wrote the default report
+        # name itself would show.
+        monkeypatch.chdir(tmp_path)
         out = tmp_path / "bench.json"
         argv = [
             "bench", "--quick", "--repeats", "1",
+            "--tokens", "128", "--dim", "128", "--steps", "16",
             "--out", str(out),
         ]
         assert main(argv) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bench.json"]
         report = json.loads(out.read_text(encoding="utf-8"))
         assert "analytic" in report["benchmarks"]
         entry = report["benchmarks"]["analytic"]

@@ -8,9 +8,12 @@ compaction and fork divergence — is the pool's state machine
 (``tests/test_pool_model.py``).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.core.quantizer import OakenQuantizer
 from repro.engine import (
     FusedCacheBackend,
     KVArena,
@@ -273,28 +276,49 @@ class TestSharedGeometry:
             LAYERS * arena.compactions
         )
 
-    def test_one_store_per_layer_with_a_kv_axis(self, fused_factory):
+    def test_one_store_with_a_layer_and_a_kv_axis(self, fused_factory):
         pool = KVCachePool(fused_factory, arena=True)
         pool.allocate("seq")
         rows = np.random.default_rng(31).standard_normal((3, DIM))
         for layer in range(LAYERS):
             pool.append("seq", layer, rows, -rows)
         arena = pool._arena
-        assert len(arena.layers) == LAYERS and list(arena.rows) == ["seq"]
-        buffers = [
-            buf
-            for store in arena.layers
-            for buf in (*store.rows.values(), *store.log.values())
-        ]
-        # 8 row-parallel buffers + 4..5 record fields, once per layer.
-        assert len(buffers) <= 13 * LAYERS
-        for store in arena.layers:
-            assert all(buf.shape[0] == 2 for buf in store.rows.values())
+        store = arena.store
+        assert len(arena.encoders) == LAYERS and list(arena.rows) == ["seq"]
+        # 8 row-parallel buffers + 4..5 record fields, once per arena.
+        assert len(store.rows) == 8 and len(store.log) <= 5
+        for name, buf in store.rows.items():
+            assert buf.shape[:3] == (LAYERS, 2, arena.capacity)
+            flat = store.flat[name]
+            assert flat.shape[0] == LAYERS * 2 * arena.capacity
+            assert flat.shape[1:] == buf.shape[3:]
+            assert np.shares_memory(flat, buf)
+        # One payload log holds every layer's records, keys' and values'.
+        assert all(buf.ndim == 1 for buf in store.log.values())
+        start = arena.rows["seq"].start
+        assert store.log_len == store.rows["pay_len"][:, :, start:start + 3].sum()
         # Reads are zero-copy, read-only, C-contiguous row-slice views.
-        for layer, store in enumerate(arena.layers):
+        for layer in range(LAYERS):
             for tensor, view in enumerate(pool.read("seq", layer)):
-                assert np.shares_memory(view, store.decoded[tensor])
+                assert np.shares_memory(
+                    view, store.rows["decoded"][layer, tensor]
+                )
                 assert view.flags.c_contiguous and not view.flags.writeable
+
+    def test_quantizers_of_unequal_config_are_refused(self, fused_factory):
+        """Every layer's rows share the store's buffers: one config for
+        every layer's keys and values."""
+        template = fused_factory()
+        keys = [layer.key_quantizer for layer in template.layers]
+        values = [layer.value_quantizer for layer in template.layers]
+        odd = OakenQuantizer(
+            dataclasses.replace(keys[1].config, outlier_bits=4),
+            keys[1].thresholds,
+            keys[1].mode,
+        )
+        for k, v in ((keys[:1] + [odd], values), (keys, values[:1] + [odd])):
+            with pytest.raises(ValueError, match="share one config"):
+                KVArena(k, v)
 
 
 class TestCapacityGeometry:
@@ -458,14 +482,13 @@ class TestRecycling:
             (s, layer): [part.copy() for part in arena.read(s, layer)]
             for s in "bc" for layer in range(LAYERS)
         }
-        logs = [store.log_len for store in arena.layers]
-        assert all(logs), "calibrated outliers must emit payload records"
+        log = arena.store.log_len
+        assert log, "calibrated outliers must emit payload records"
         # "a" holds most records; freeing it leaves more dead than live
         # — but only 64 of 256 buffer rows free-listed: no pass.
         arena.free("a")
         assert arena.compactions == 0 and arena.dead_rows == 64
-        for store, before in zip(arena.layers, logs):
-            assert store.dead_records == 0 and 0 < store.log_len < before
+        assert arena.store.dead_records == 0 and 0 < arena.store.log_len < log
         # Rows stayed put; only their payload addressing was rewritten.
         for seq_id in "bc":
             slc = arena.rows[seq_id]
@@ -509,7 +532,7 @@ class TestBoundedUnderChurn:
             now = [
                 arena.tail,
                 pool.summary()["arena_capacity_bytes"],
-                *(s.log_len - s.dead_records for s in arena.layers),
+                arena.store.log_len - arena.store.dead_records,
             ]
             return [max(pair) for pair in zip(mark, now)]
 
@@ -518,7 +541,7 @@ class TestBoundedUnderChurn:
             # 3..18 rows), decode the whole resident batch, retire the
             # half admitted a round ago.
             rng = np.random.default_rng(41)
-            mark = [0] * (2 + LAYERS)
+            mark = [0] * 3
             for i in range(half):
                 seq_id = (number, i)
                 pool.allocate(seq_id)
@@ -605,6 +628,28 @@ class TestRefusedBatchIsAtomic:
             for left, right in zip(before, after):
                 assert np.array_equal(left, right)
 
+    def test_a_block_of_another_width_on_layer_1_changes_nothing(
+        self, fused_factory
+    ):
+        """The arena holds every layer's rows at one width: after layer
+        0's rows, a layer-1 block of another width is refused, as is a
+        fresh arena's step whose layers disagree."""
+        pool = KVCachePool(fused_factory, arena=True)
+        rng = np.random.default_rng(29)
+        pool.allocate(0)
+        rows = rng.standard_normal((2, DIM)).astype(np.float32)
+        wide = rng.standard_normal((2, DIM + 1)).astype(np.float32)
+        before = arena_state(pool._arena), pool.measure()
+        with pytest.raises(ValueError, match="one width"):
+            pool.step([(0, [rows, wide], [rows, wide])])
+        assert (arena_state(pool._arena), pool.measure()) == before
+        pool.append(0, 0, rows, rows)
+        before = arena_state(pool._arena), pool.measure()
+        with pytest.raises(ValueError, match=f"holds rows of width {DIM}"):
+            pool.append(0, 1, wide, wide)
+        assert (arena_state(pool._arena), pool.measure()) == before
+        pool.check_invariants()
+
     def test_unknown_id_late_in_a_batch_changes_nothing(self, fused_factory):
         """Reachable through the public arena API (the pool happens to
         pre-check ids): earlier items must not be left claiming rows
@@ -638,3 +683,26 @@ class TestRefusedBatchIsAtomic:
         arena.append_batch(0, [(0, block, block), (0, block[:2], block[:2])])
         assert arena.rows[0].length == [14, 7]
         pool.check_invariants()
+
+
+class TestRefusedFork:
+    """A fork the arena refuses leaves no child behind."""
+
+    @pytest.mark.parametrize("prefix_len", [-3, -1, 6])
+    def test_a_prefix_outside_the_parent_changes_nothing(
+        self, fused_factory, prefix_len
+    ):
+        template = fused_factory()
+        arena = KVArena(
+            [layer.key_quantizer for layer in template.layers],
+            [layer.value_quantizer for layer in template.layers],
+        )
+        arena.allocate("parent")
+        block = np.random.default_rng(47).standard_normal((5, DIM))
+        for layer in range(LAYERS):
+            arena.append_batch(layer, [("parent", block, block)])
+        before = arena_state(arena)
+        with pytest.raises(ValueError, match="outside the rows"):
+            arena.fork("parent", "child", prefix_len)
+        assert "child" not in arena and arena_state(arena) == before
+        arena.check_invariants()

@@ -357,7 +357,7 @@ class PoolModel(RuleBasedStateMachine):
                 continue
             assert have.flags.c_contiguous
             if self.arena is not None:
-                mirror = self.arena.layers[layer].decoded
+                mirror = self.arena.store.rows["decoded"][layer]
             else:
                 mirror = self.pool.get(seq).layers[layer]._decoded.buffer
             assert np.shares_memory(have, mirror[tensor])
@@ -616,9 +616,7 @@ class PoolModel(RuleBasedStateMachine):
         self.arena.compact()
         assert self.arena.compactions == passes + 1
         assert self.arena.dead_rows == 0 and not self.arena.free_slices
-        assert all(
-            store.dead_records == 0 for store in self.arena.layers
-        )
+        assert self.arena.store.dead_records == 0
         for seq, (cap, generation, bits, elements) in before.items():
             slc = self.arena.rows[seq]
             assert (slc.cap, slc.generation, slc.bits, slc.elements) == (
