@@ -116,7 +116,7 @@ class LayerKVCache:
         (:func:`append_batch` with a batch of one).
 
         Args:
-            keys: [t, D] new key vectors (t >= 1).
+            keys: [t, D] new key vectors; ``t == 0`` stores nothing.
             values: [t, D] new value vectors, same shape as ``keys``.
         """
         keys = np.atleast_2d(keys)
@@ -125,7 +125,8 @@ class LayerKVCache:
             raise ValueError(
                 f"key/value shape mismatch: {keys.shape} vs {values.shape}"
             )
-        append_batch([self], [keys], [values])
+        if keys.shape[0]:
+            append_batch([self], [keys], [values])
 
     def append_encoded(
         self, key_chunk: EncodedKV, value_chunk: EncodedKV

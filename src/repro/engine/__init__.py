@@ -44,7 +44,7 @@ from repro.engine.backend import (
     shared_backend_factory,
 )
 from repro.engine.pool import KVCachePool
-from repro.engine.sharing import SharedChunkRegistry
+from repro.engine.sharing import ChunkStore
 from repro.engine.synthetic import SyntheticKVStream
 from repro.engine.tiering import (
     EVICTION_POLICIES,
@@ -61,11 +61,11 @@ __all__ = [
     "KVArena",
     "CacheBackend",
     "CacheCapacityError",
+    "ChunkStore",
     "EVICTION_POLICIES",
     "FusedCacheBackend",
     "KVCachePool",
     "MemoryCapacityError",
-    "SharedChunkRegistry",
     "SyntheticKVStream",
     "TieredKVStore",
     "TransferModel",

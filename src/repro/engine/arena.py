@@ -67,6 +67,7 @@ import numpy as np
 
 from repro.core.encoding import EncodedKV, encoded_rows_view
 from repro.core.quantizer import LayerEncoder
+from repro.engine.store import PoolStore
 
 __all__ = ["KVArena", "ArenaCacheBackend"]
 
@@ -320,7 +321,7 @@ class _Store:
         return float(sum(buf.nbytes for buf in buffers.values()))
 
 
-class KVArena:
+class KVArena(PoolStore):
     """One row table over one structure-of-arrays store, behind
     ``KVCachePool``.
 
@@ -545,6 +546,9 @@ class KVArena:
 
     def __contains__(self, seq_id: Hashable) -> bool:
         return seq_id in self.rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
 
     # -- streaming -----------------------------------------------------
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 from typing import (
     Callable,
     Dict,
+    Hashable,
     List,
     Optional,
     Protocol,
@@ -71,6 +72,9 @@ from repro.core.modes import (
 )
 from repro.core.quantizer import OakenQuantizer
 from repro.core.thresholds import profile_thresholds
+from repro.engine.arena import KVArena
+from repro.engine.sharing import ChunkStore
+from repro.engine.store import BackendStore, PoolStore
 from repro.quant.metrics import StorageFootprint
 
 #: A per-layer calibration sample: (keys, values), each either one
@@ -92,7 +96,9 @@ class CacheBackend(Protocol):
     Keys and values stream in token-major [t, D] blocks and read back
     as the dequantized [T, D] history; byte accounting covers the
     encoded storage, which is what the serving pool reports for
-    admission control.
+    admission control.  A :class:`~repro.engine.KVCachePool` also
+    asks its factory's backend for ``pool_store(arena)``, which only
+    :class:`FusedCacheBackend` and :class:`BaselineCacheBackend` have.
     """
 
     @property
@@ -196,6 +202,26 @@ class FusedCacheBackend(QuantizedKVCache):
             )
         return cls(key_quantizers, value_quantizers)
 
+    def twin(self) -> "FusedCacheBackend":
+        """An empty cache over this one's fitted quantizers."""
+        return type(self)(
+            [layer.key_quantizer for layer in self.layers],
+            [layer.value_quantizer for layer in self.layers],
+        )
+
+    def pool_store(self, arena: bool = False) -> PoolStore:
+        """The store a :class:`~repro.engine.KVCachePool` keeps its
+        sequences in, this backend being the template: one
+        :class:`~repro.engine.arena.KVArena` over its quantizers with
+        ``arena``, else a :class:`~repro.engine.sharing.ChunkStore` of
+        its twins."""
+        if arena:
+            return KVArena(
+                [layer.key_quantizer for layer in self.layers],
+                [layer.value_quantizer for layer in self.layers],
+            )
+        return ChunkStore(self)
+
 
 class _BaselineStream:
     """One tensor's streaming state under a batch-transform method.
@@ -237,11 +263,6 @@ class _BaselineStream:
         return self._length
 
     @property
-    def width(self) -> Optional[int]:
-        """Row width of the history; ``None`` before the first append."""
-        return None if self._buffer is None else self._buffer.shape[1]
-
-    @property
     def needs_decode(self) -> bool:
         """Whether the decode memo is stale (appends since last read)."""
         return self._length > 0 and self._decoded_length != self._length
@@ -275,8 +296,7 @@ class _BaselineStream:
         """The exact accumulated [T, D] history (a read-only view).
 
         A zero-row append still establishes the history (an empty
-        [0, D] matrix), matching the seed chunk-list behaviour; only a
-        stream that never saw an append raises.
+        [0, D] matrix); only a stream that never saw an append raises.
         """
         if self._buffer is None:
             raise RuntimeError("cache is empty")
@@ -332,6 +352,95 @@ class _BaselineStream:
         return self._footprint
 
 
+class AdapterStore(BackendStore):
+    """Registry-baseline sequences as exact-row streams: the pool's
+    store for :class:`BaselineCacheBackend` pools (``arena=`` is a
+    no-op for them — their flat ``_BaselineStream`` buffers already
+    are an arena).
+
+    Appends store the exact rows; the quantize happens on the read
+    side.  For a *row-local* method (fp16/oaken/qserve/atom/tender: a
+    row's roundtrip depends on that row alone) :meth:`decode_pending`
+    roundtrips every listed sequence's pending suffix in one merged
+    [sum t_i, D] transform per tensor — bit-identical to per-sequence
+    reads, since every sequence holds the template's fitted quantizer.
+    KIVI's sliding window and KVQuant's online topK are history-global:
+    each sequence's own read quantizes it.  Forks copy the exact prefix
+    rows.
+    """
+
+    def append_batch(
+        self,
+        layer: int,
+        items: Sequence[Tuple[Hashable, np.ndarray, np.ndarray]],
+    ) -> int:
+        """Store every item's exact rows; no kernel runs."""
+        for seq_id, keys, values in items:
+            self.caches[seq_id].append(layer, keys, values)
+        self.width = items[0][1].shape[1]
+        return 0
+
+    def decode_pending(
+        self, layer: int, seq_ids: Sequence[Hashable]
+    ) -> int:
+        """One merged roundtrip per tensor over the listed sequences'
+        pending suffixes, when the method is row-local and two or more
+        are pending (counted in :attr:`roundtrips`).  No decode kernel
+        runs: returns 0."""
+        pairs = [self.caches[seq].layer_streams(layer) for seq in seq_ids]
+        if pairs and all(stream.quantizer.row_local for stream in pairs[0]):
+            for streams in zip(*pairs):
+                self._roundtrip_pending(streams)
+        return 0
+
+    def _roundtrip_pending(self, streams: Sequence[_BaselineStream]) -> None:
+        work = []
+        for stream in streams:
+            if not stream.needs_decode:
+                continue
+            stable, suffix = stream.pending()
+            work.append((stream, stable, suffix))
+        if len(work) < 2:
+            return  # nothing to merge; lazy per-sequence reads suffice
+        quantizer = work[0][0].quantizer
+        chunks = quantizer.roundtrip_batch(
+            [suffix for _, _, suffix in work]
+        )
+        self.roundtrips += 1
+        for (stream, stable, _), chunk in zip(work, chunks):
+            chunk = np.asarray(chunk, dtype=np.float32)
+            if stable == 0 and chunk.base is not None:
+                # A bare slice would become the stream's decode memo as
+                # a view, pinning the whole merged tensor per stream;
+                # the stable > 0 path copies inside commit_decoded's
+                # concatenate already.
+                chunk = chunk.copy()
+            stream.commit_decoded(chunk, stable)
+
+    def fork(
+        self, parent_id: Hashable, child_id: Hashable, prefix_len: int
+    ) -> "BaselineCacheBackend":
+        """Copy the exact prefix rows into a new child's streams.
+
+        Adapter storage is the exact accumulated history, so copying
+        the first ``prefix_len`` rows reproduces an unshared twin
+        bit-for-bit — including history-global methods, whose reads
+        depend only on the exact rows — but saves no bytes.
+        """
+        parent = self.caches[parent_id]
+        held = min(stream.length for stream in parent._keys)
+        if not 0 <= prefix_len <= held:
+            raise ValueError(
+                f"prefix_len {prefix_len} outside the rows every layer "
+                f"of parent {parent_id!r} holds ({held})"
+            )
+        child = self.allocate(child_id)
+        if prefix_len:
+            for mine, theirs in zip(child._streams(), parent._streams()):
+                mine.append(theirs.matrix()[:prefix_len])
+        return child
+
+
 class BaselineCacheBackend:
     """Any registry :class:`KVCacheQuantizer` as a streaming backend.
 
@@ -365,18 +474,26 @@ class BaselineCacheBackend:
         self._keys = [_BaselineStream(q) for q in key_quantizers]
         self._values = [_BaselineStream(q) for q in value_quantizers]
 
+    def twin(self) -> "BaselineCacheBackend":
+        """An empty cache over this one's fitted quantizers."""
+        return BaselineCacheBackend(
+            [stream.quantizer for stream in self._keys],
+            [stream.quantizer for stream in self._values],
+            method=self.method,
+            mode=self.mode,
+        )
+
+    def pool_store(self, arena: bool = False) -> PoolStore:
+        """The store a :class:`~repro.engine.KVCachePool` keeps its
+        sequences in, this backend being the template: an
+        :class:`AdapterStore` of its twins, whatever ``arena`` says."""
+        return AdapterStore(self)
+
     def layer_streams(
         self, layer: int
     ) -> Tuple[_BaselineStream, _BaselineStream]:
-        """One layer's (key, value) streaming state.
-
-        The hook the pool's batched paths use:
-        :meth:`repro.engine.KVCachePool.read_batch` gathers pending
-        suffixes of row-local methods across the resident set into one
-        merged roundtrip per tensor, and
-        :meth:`repro.engine.KVCachePool.append_batch` checks each
-        stream's width before any row of a batch is stored.
-        """
+        """One layer's (key, value) streaming state: what
+        :meth:`AdapterStore.decode_pending` merges across sequences."""
         return self._keys[layer], self._values[layer]
 
     @property
@@ -625,42 +742,17 @@ def shared_backend_factory(
     chunks of many sequences into one fused decode.
 
     Per-backend mutable state (scratch buffers, decode memos) is never
-    shared; only the immutable fitted quantizers are.
+    shared; only the immutable fitted quantizers are: the factory is
+    the fitted template's ``twin``.
     """
-    template = create_backend(
+    return create_backend(
         method,
         kind,
         num_layers=num_layers,
         calibration=calibration,
         config=config,
         mode=mode,
-    )
-    if isinstance(template, QuantizedKVCache):
-        key_quantizers = [
-            layer.key_quantizer for layer in template.layers
-        ]
-        value_quantizers = [
-            layer.value_quantizer for layer in template.layers
-        ]
-
-        def fused_factory() -> CacheBackend:
-            return FusedCacheBackend(key_quantizers, value_quantizers)
-
-        return fused_factory
-
-    key_quantizers = [s.quantizer for s in template._keys]
-    value_quantizers = [s.quantizer for s in template._values]
-    adapter_mode = template.mode
-
-    def adapter_factory() -> CacheBackend:
-        return BaselineCacheBackend(
-            key_quantizers,
-            value_quantizers,
-            method=method,
-            mode=adapter_mode,
-        )
-
-    return adapter_factory
+    ).twin
 
 
 def backend_for_model(

@@ -1,38 +1,33 @@
-"""Multi-sequence cache arena with batched reads, batched appends and
+"""Multi-sequence cache pool with batched reads, batched appends and
 footprint reporting.
 
 A :class:`KVCachePool` owns one
-:class:`~repro.engine.backend.CacheBackend` per live request id,
-allocated from a factory (usually
-:func:`~repro.engine.backend.shared_backend_factory`, so all sequences
-share the offline-fitted per-layer quantizers, as a real serving
-system would).  Both hot directions of the serving loop are batched
-across the resident set:
+:class:`~repro.engine.backend.CacheBackend` per live request id, held
+in **one store** picked once, from a template backend of its factory
+(usually :func:`~repro.engine.backend.shared_backend_factory`, so all
+sequences share the offline-fitted per-layer quantizers, as a real
+serving system would): the structure-of-arrays
+:class:`~repro.engine.arena.KVArena`, the copy-on-write
+:class:`~repro.engine.sharing.ChunkStore`, or the registry baselines'
+:class:`~repro.engine.backend.AdapterStore`.  Every store answers the
+same verbs (:mod:`repro.engine.store`), so the pool never asks how KV
+is stored; it keeps the work that does not depend on the format —
+checking and pricing a transaction, tier notifications, the measured
+footprint and the batch counters.
 
-``read_batch`` extends the memoized reads *across* sequences: at every
-generation iteration each resident sequence has a handful of newly
-appended, not-yet-decoded chunks; instead of decoding them with one
-kernel call per sequence, the pool hands all requested sequences'
-layer caches to the chunk store's one read path
-(:func:`repro.core.kvcache.decode_pending`), which merges their pending
-chunks — every sequence's key chunks over every sequence's value
-chunks — and decodes the whole batch in a single fused pass (decode is
-row-local, so this is bit-identical to the per-sequence loop — the
-conformance tests assert it).  At single-token decode granularity this
-turns ``B`` tiny [2, D] kernel launches per layer into one [2B, D]
+Both hot directions of the serving loop are batched across the
+resident set.  ``append_batch`` gathers the freshly generated rows of
+all updated sequences into one matrix — every sequence's key rows
+stacked over every sequence's value rows — encodes it in a single
+fused pass and scatters the result back to each sequence (the adapter
+store keeps the exact rows instead).  ``read_batch`` is the mirror:
+each sequence's not-yet-decoded rows, merged the same way, decode in a
+single pass (the adapter store roundtrips row-local methods' pending
+rows in one merged transform per tensor).  Encode and decode are
+row-local, so both are bit-identical to per-sequence loops — the
+conformance tests assert it — and at single-token decode granularity
+they turn ``B`` tiny [2, D] kernel launches per layer into one [2B, D]
 launch.
-
-``append_batch`` is the write-side mirror, through the chunk store's
-one write path (:func:`repro.core.kvcache.append_batch`): the freshly
-generated rows of all updated sequences are gathered into one matrix —
-every sequence's key rows stacked over every sequence's value rows —
-encoded with a single fused quantize pass, and the resulting chunks
-are scattered back to each sequence's cache.  The encode is row-local
-(per-token scales, token-ordered COO records), so the scattered chunks
-are bit-for-bit what a per-sequence ``append`` loop would have stored.
-Adapter pools store the exact rows on append; holding row-local
-registry methods, they batch the quantize on the read side, through
-one merged ``roundtrip_batch`` per tensor across the resident set.
 
 ``step`` is the serving loop's unit: one token's rows on every layer,
 checked and priced against the byte budget once, then one
@@ -62,16 +57,9 @@ from typing import (
 
 import numpy as np
 
-from repro.core import kvcache
-from repro.core.kvcache import LayerKVCache, QuantizedKVCache
 from repro.engine.arena import KVArena, as_rows
-from repro.engine.backend import (
-    BaselineCacheBackend,
-    CacheBackend,
-    _BaselineStream,
-)
+from repro.engine.backend import CacheBackend
 from repro.engine.errors import CacheCapacityError
-from repro.engine.sharing import SharedChunkRegistry
 from repro.engine.tiering import TieredKVStore
 
 #: One sequence's new rows for :meth:`KVCachePool.append_batch`:
@@ -89,19 +77,24 @@ StepUpdates = Iterable[Tuple[Hashable, Sequence, Sequence]]
 
 
 class _StagedLayer(list):
-    """One layer's ``(seq_id, cache, keys, values)`` entries of a
-    transaction that :meth:`KVCachePool._stage` has checked and priced:
-    what :meth:`KVCachePool.append_batch` stores without checking
-    again."""
+    """One layer's ``(seq_id, keys, values)`` items of a transaction
+    that :meth:`KVCachePool._stage` has checked and priced: what
+    :meth:`KVCachePool.append_batch` stores without checking again."""
 
 
 class KVCachePool:
-    """Per-request cache arena with batched multi-sequence reads and
+    """Per-request cache pool with batched multi-sequence reads and
     appends.
 
     Args:
-        backend_factory: zero-argument callable producing a fresh
-            :class:`CacheBackend` per allocated sequence.
+        backend_factory: zero-argument callable producing a
+            :class:`CacheBackend` that also has ``pool_store(arena)``
+            (a :class:`~repro.engine.backend.FusedCacheBackend` or
+            :class:`~repro.engine.backend.BaselineCacheBackend`, e.g.
+            from :func:`~repro.engine.backend.shared_backend_factory`).
+            It is called once, here: that template picks the store, and
+            every allocated sequence holds the template's fitted
+            quantizers.
         capacity_bytes: optional encoded-byte budget: an append or a
             :meth:`step` whose tokens :meth:`would_fit` refuses raises
             :class:`~repro.engine.errors.CacheCapacityError`; ``None``
@@ -117,19 +110,14 @@ class KVCachePool:
             :class:`~repro.engine.errors.CacheCapacityError` reject
             path.  Placement never changes decoded values: reads are
             bit-identical with or without a store attached.
-        arena: opt into the structure-of-arrays resident set
-            (:class:`~repro.engine.arena.KVArena`).  Applies only to
-            fused pools (the factory yields
-            :class:`~repro.core.kvcache.QuantizedKVCache` backends):
-            one template backend is built to harvest the shared
-            per-layer quantizers, and every sequence then lives as a
-            row-slice in flat per-layer buffers — no per-chunk objects
-            on the hot path, reads bit-identical to the chunked pool.
-            Arena forks copy prefix rows (the adapter-fork contract:
-            bit-exact reads, no byte sharing), so the COW registry is
-            bypassed.  For adapter (registry-baseline) pools the flag
-            is a structural no-op: their flat ``_BaselineStream``
-            buffers already are an arena.
+        arena: hold fused sequences in the structure-of-arrays
+            :class:`~repro.engine.arena.KVArena` instead of the chunk
+            store: every sequence lives as a row-slice of flat buffers
+            — no per-chunk objects on the hot path, reads bit-identical
+            to the chunk store.  Arena forks copy prefix rows (bit-exact
+            reads, no byte sharing).  For adapter (registry-baseline)
+            pools the flag is a structural no-op: their flat
+            ``_BaselineStream`` buffers already are an arena.
     """
 
     def __init__(
@@ -139,25 +127,24 @@ class KVCachePool:
         tiering: Optional[TieredKVStore] = None,
         arena: bool = False,
     ):
-        self._factory = backend_factory
+        template = backend_factory()
+        if not hasattr(template, "pool_store"):
+            raise TypeError(
+                f"{type(template).__name__} has no pool_store(arena): "
+                "a pool's factory builds a FusedCacheBackend or a "
+                "BaselineCacheBackend"
+            )
+        #: The one store holding every sequence (see
+        #: :mod:`repro.engine.store`).
+        self.store = template.pool_store(arena)
         self._caches: Dict[Hashable, CacheBackend] = {}
-        self._arena: Optional[KVArena] = None
-        if arena:
-            template = backend_factory()
-            if isinstance(template, QuantizedKVCache):
-                self._arena = KVArena(
-                    [lc.key_quantizer for lc in template.layers],
-                    [lc.value_quantizer for lc in template.layers],
-                )
         self.capacity_bytes = capacity_bytes
         self.tiering = tiering
         self._tier_seen: Dict[Hashable, float] = {}
-        self._sharing = SharedChunkRegistry()
         self.forks = 0
         self._peak_bytes = 0.0
         self.batched_decodes = 0
         self.batched_encodes = 0
-        self.batched_roundtrips = 0
 
     # ------------------------------------------------------------------
     # allocation
@@ -166,16 +153,18 @@ class KVCachePool:
     @property
     def arena_enabled(self) -> bool:
         """Whether the structure-of-arrays resident set is active."""
-        return self._arena is not None
+        return isinstance(self.store, KVArena)
+
+    @property
+    def batched_roundtrips(self) -> int:
+        """Merged adapter roundtrips made by :meth:`read_batch`."""
+        return self.store.roundtrips
 
     def allocate(self, seq_id: Hashable) -> CacheBackend:
         """Create a fresh cache for ``seq_id``."""
         if seq_id in self._caches:
             raise ValueError(f"sequence {seq_id!r} already allocated")
-        if self._arena is not None:
-            backend: CacheBackend = self._arena.allocate(seq_id)
-        else:
-            backend = self._factory()
+        backend = self.store.allocate(seq_id)
         self._caches[seq_id] = backend
         return backend
 
@@ -187,32 +176,19 @@ class KVCachePool:
     ) -> CacheBackend:
         """Fork ``new_seq_id`` from a committed prefix of the parent.
 
-        The child shares the parent's first ``prefix_len`` rows by
-        **aliasing the encoded chunk objects** covering them (splitting
-        the boundary chunk in place first, a bit-exact rewrite) — no
-        bytes are copied and, because the pool's accounting charges
-        every shared chunk once, no new footprint is added.  Chunks are
-        immutable and appends only extend the lists, so parent and
-        child diverge copy-on-write at their first post-fork appends;
-        shared chunks are freed only when the last holder is freed.
+        The chunk store aliases the encoded chunks covering the first
+        ``prefix_len`` rows (copy-on-write: no bytes are copied and,
+        because the pool charges every shared chunk once, almost none
+        are added — see :meth:`~repro.engine.sharing.ChunkStore.fork`);
+        the arena and the adapter store copy the prefix rows, saving
+        no bytes.
 
         Contract: the child's :meth:`read` is bit-identical to an
         unshared sequence that appended the same rows — for every
-        registry method, with and without tiering, under looped and
-        batched paths (the state machine in
+        registry method, on every store, with and without tiering,
+        under looped and batched paths (the state machine in
         ``tests/test_pool_model.py`` checks every read against the
-        one-shot ``roundtrip()`` of the rows to pin this).  One
-        exception to "a fork adds zero bytes": a boundary inside a
-        chunk that is already shared re-splits only the parent's list,
-        so the other holders keep the old chunk and the fork adds that
-        piece's bytes.
-
-        Chunk aliasing requires a fused (:class:`QuantizedKVCache`)
-        pool sharing fitted quantizers — a
-        :func:`~repro.engine.backend.shared_backend_factory` pool.
-        Adapter pools (registry baselines) fork by copying the exact
-        prefix rows instead: reads are identically bit-exact, but no
-        bytes are saved (their storage model has no shareable unit).
+        one-shot ``roundtrip()`` of the rows to pin this).
 
         Args:
             parent_seq_id: live sequence to fork from.
@@ -237,138 +213,32 @@ class KVCachePool:
             raise ValueError(
                 f"sequence {new_seq_id!r} already allocated"
             )
-        parent = self._caches[parent_seq_id]
-        prefix_len = int(prefix_len)
-        # Layers stand uneven between one layer's append and the next;
-        # a fork past the shortest would fail after splitting the others
-        # (the arena checks its own layers).
-        held = parent.length
-        if isinstance(parent, QuantizedKVCache):
-            held = min(layer.length for layer in parent.layers)
-        elif isinstance(parent, BaselineCacheBackend):
-            held = min(stream.length for stream in parent._keys)
-        if prefix_len < 0 or prefix_len > held:
-            raise ValueError(
-                f"prefix_len {prefix_len} outside the rows every layer "
-                f"of parent {parent_seq_id!r} holds ({held})"
-            )
-        aliased = False
-        if self._arena is not None:
-            # Arena forks copy the prefix rows (bit-exact reads, no
-            # byte aliasing — the adapter contract class), so the COW
-            # registry stays out of the loop entirely.
-            child: CacheBackend = self._arena.fork(
-                parent_seq_id, new_seq_id, prefix_len
-            )
-        else:
-            child = self._factory()
-            if isinstance(parent, QuantizedKVCache) and isinstance(
-                child, QuantizedKVCache
-            ):
-                self._fork_fused(
-                    parent_seq_id, parent, new_seq_id, child, prefix_len
-                )
-                aliased = True
-            elif isinstance(parent, BaselineCacheBackend) and isinstance(
-                child, BaselineCacheBackend
-            ):
-                self._fork_adapter(parent, child, prefix_len)
-            else:
-                raise TypeError(
-                    "fork supports fused (QuantizedKVCache) and adapter "
-                    "(BaselineCacheBackend) pools, got "
-                    f"{type(parent).__name__}"
-                )
+        store = self.store
+        child = store.fork(parent_seq_id, new_seq_id, int(prefix_len))
         self._caches[new_seq_id] = child
         self.forks += 1
+        transfers = store.take_transfers()
         if self.tiering is None:
             return child
-        if aliased:
-            # The shared prefix already resides in the owner's pages;
-            # seed the child's watermark so only divergent growth is
-            # charged, and touch the owner's pages so a fresh fork
-            # finds its prefix hot.
-            self._tier_seen[new_seq_id] = float(child.nbytes())
-            for layer in range(parent.num_layers):
-                if self._sharing.shared_owners(new_seq_id, layer):
-                    self.tiering.record_read(parent_seq_id, layer)
-        else:
-            # A copied prefix is new storage no page accounts for yet:
-            # charge it like the append it is (a fork covers every
-            # layer at once; the bytes go to the child's first stream).
-            self._tier_record_append(new_seq_id, 0)
+        self._tier_rehome(transfers)
+        # An aliased prefix already resides in the owner's pages: seed
+        # the child's watermark with it so only the rest — a copied
+        # prefix, new storage no page accounts for yet — is charged,
+        # like the append it is (a fork covers every layer at once;
+        # the bytes go to the child's first stream).
+        self._tier_seen[new_seq_id] = store.retained_bytes(new_seq_id)
+        self._tier_record_append(new_seq_id, 0)
+        # Touch the parent's pages so a fresh fork finds its shared
+        # prefix hot.
+        for layer in range(store.num_layers):
+            if store.shared_owners(new_seq_id, layer):
+                self.tiering.record_read(parent_seq_id, layer)
         return child
 
-    def _fork_fused(
-        self,
-        parent_seq_id: Hashable,
-        parent: QuantizedKVCache,
-        new_seq_id: Hashable,
-        child: QuantizedKVCache,
-        prefix_len: int,
-    ) -> None:
-        """Alias the committed prefix chunks into the child's layers."""
-        for layer_index, (parent_layer, child_layer) in enumerate(
-            zip(parent.layers, child.layers)
-        ):
-            if (
-                child_layer.key_quantizer
-                is not parent_layer.key_quantizer
-                or child_layer.value_quantizer
-                is not parent_layer.value_quantizer
-            ):
-                raise ValueError(
-                    "fork requires sequences sharing fitted "
-                    "quantizers; build the pool with "
-                    "shared_backend_factory"
-                )
-            count, replaced = parent_layer.split_chunk_boundary(prefix_len)
-            for old in (chunk for pair in replaced for chunk in pair):
-                for transfer in self._sharing.on_replace(parent_seq_id, old):
-                    self._tier_transfer(transfer)
-            child_layer.adopt_prefix(
-                parent_layer._key_chunks[:count],
-                parent_layer._value_chunks[:count],
-                prefix_len,
-            )
-            for key_chunk, value_chunk in zip(
-                child_layer._key_chunks, child_layer._value_chunks
-            ):
-                self._sharing.share(
-                    key_chunk, layer_index, parent_seq_id, new_seq_id
-                )
-                self._sharing.share(
-                    value_chunk, layer_index, parent_seq_id, new_seq_id
-                )
-
-    @staticmethod
-    def _fork_adapter(
-        parent: BaselineCacheBackend,
-        child: BaselineCacheBackend,
-        prefix_len: int,
-    ) -> None:
-        """Copy the exact prefix rows into the child's streams.
-
-        Adapter storage is the exact accumulated history (quantization
-        happens at read time), so copying the first ``prefix_len``
-        rows reproduces an unshared twin bit-for-bit — including
-        history-global methods, whose reads depend only on the exact
-        rows.
-        """
-        if prefix_len == 0:
-            return
-        for layer in range(parent.num_layers):
-            parent_keys, parent_values = parent.layer_streams(layer)
-            child_keys, child_values = child.layer_streams(layer)
-            child_keys.append(parent_keys.matrix()[:prefix_len])
-            child_values.append(parent_values.matrix()[:prefix_len])
-
-    def _tier_transfer(self, transfer) -> None:
+    def _tier_rehome(self, transfers) -> None:
         """Re-home transferred shared bytes in the tiered store."""
-        if self.tiering is None:
-            return
-        new_owner, layer, nbytes = transfer
-        self.tiering.record_append(new_owner, layer, nbytes)
+        for new_owner, layer, nbytes in transfers:
+            self.tiering.record_append(new_owner, layer, nbytes)
 
     def free(self, seq_id: Hashable) -> bool:
         """Retire ``seq_id`` and release its cache (and its pages).
@@ -393,21 +263,19 @@ class KVCachePool:
                 "(double free, or never allocated)"
             )
         cache = self._caches.pop(seq_id)
-        # Read the footprint before the arena recycles the rows
-        # (freeing may trigger deterministic compaction).
-        held = cache.nbytes()
-        if self._arena is not None:
-            self._arena.free(seq_id)
-        retained, transfers = self._sharing.release_seq(seq_id)
+        # Read the footprint before the store lets go of the rows
+        # (freeing may trigger the arena's compaction).
+        released = cache.nbytes() - self.store.retained_bytes(seq_id)
+        self.store.free(seq_id)
+        transfers = self.store.take_transfers()
         if self.tiering is not None:
             # Drop the freed sequence's pages first, then re-home the
             # surviving shared bytes, so the migration never doubles
             # transient device pressure.
             self.tiering.release(seq_id)
             self._tier_seen.pop(seq_id, None)
-        for transfer in transfers:
-            self._tier_transfer(transfer)
-        return held - retained > 0.0
+            self._tier_rehome(transfers)
+        return released > 0.0
 
     def get(self, seq_id: Hashable) -> CacheBackend:
         """The backend owning ``seq_id``'s cache."""
@@ -428,6 +296,13 @@ class KVCachePool:
     # streaming
     # ------------------------------------------------------------------
 
+    def _check_layer(self, layer: int) -> None:
+        if not 0 <= layer < self.store.num_layers:
+            raise ValueError(
+                f"layer {layer} outside the pool's "
+                f"{self.store.num_layers} layers"
+            )
+
     def _tier_record_append(self, seq_id: Hashable, layer: int) -> None:
         """Push a sequence's encoded-byte growth into the tiered store.
 
@@ -440,8 +315,6 @@ class KVCachePool:
         is the growth of the *floored* footprint: fractions carry over
         to the next append instead of being dropped.
         """
-        if self.tiering is None:
-            return
         nbytes = self._caches[seq_id].nbytes()
         delta = math.floor(nbytes) - math.floor(
             self._tier_seen.get(seq_id, 0.0)
@@ -465,8 +338,8 @@ class KVCachePool:
             CacheCapacityError, ValueError, KeyError: as
                 :meth:`append_batch`; nothing is appended.
         """
-        [entries] = self._stage([layer], [(seq_id, (keys,), (values,))])
-        self._store(layer, entries)
+        [items] = self._stage([layer], [(seq_id, (keys,), (values,))])
+        self._store(layer, items)
 
     def _tier_record_read(self, seq_id: Hashable, layer: int) -> None:
         """Touch a read's pages — including shared-prefix pages.
@@ -477,19 +350,25 @@ class KVCachePool:
         are never evicted out from under a fork (and spilled shared
         pages promote back on any holder's read).
         """
-        if self.tiering is None:
-            return
         self.tiering.record_read(seq_id, layer)
-        for owner in self._sharing.shared_owners(seq_id, layer):
+        for owner in self.store.shared_owners(seq_id, layer):
             if owner in self._caches:
                 self.tiering.record_read(owner, layer)
 
     def read(
         self, seq_id: Hashable, layer: int
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """One sequence's dequantized (keys, values) history."""
-        self._tier_record_read(seq_id, layer)
-        return self._caches[seq_id].read(layer)
+        """One sequence's dequantized (keys, values) history.
+
+        Raises:
+            ValueError: ``layer`` is outside the pool's layers.
+            KeyError: an unknown sequence.
+        """
+        self._check_layer(layer)
+        cache = self._caches[seq_id]
+        if self.tiering is not None:
+            self._tier_record_read(seq_id, layer)
+        return cache.read(layer)
 
     def append_batch(self, layer: int, updates: BatchUpdates) -> None:
         """Append new KV rows to many sequences, one fused encode.
@@ -498,22 +377,14 @@ class KVCachePool:
         one-layer case of :meth:`step`: all updated sequences' new
         [t, D] rows are gathered into one matrix (key rows over value
         rows), quantized in a single fused pass (counted in
-        :attr:`batched_encodes`), and the encoded chunks are scattered
-        back to each sequence's layer cache — bit-for-bit identical to
-        calling :meth:`append` once per sequence, in ``updates`` order.
-        At single-token decode granularity this turns ``2 * B`` tiny
-        [1, D] encodes per layer into one [2B, D] encode (keys stacked
-        over values).
-
-        One branch per store: the arena, the chunk store (caches
-        sharing this layer's fitted quantizers, a
-        :func:`~repro.engine.backend.shared_backend_factory` pool —
-        one sequence or many, the same kernel call), and a
-        per-sequence loop for everything else.  Only batches of two or
-        more items count as batched encodes.  Sequences updating with
-        zero rows are skipped entirely (no empty chunk is stored).
-        Adapter caches store the exact rows; the quantize happens on
-        the read side (:meth:`read_batch`).
+        :attr:`batched_encodes` for batches of two or more items), and
+        scattered back to each sequence's layer — bit-for-bit
+        identical to calling :meth:`append` once per sequence, in
+        ``updates`` order.  At single-token decode granularity this
+        turns ``2 * B`` tiny [1, D] encodes per layer into one [2B, D]
+        encode.  Sequences updating with zero rows are skipped
+        entirely.  The adapter store keeps the exact rows; its quantize
+        happens on the read side (:meth:`read_batch`).
 
         Args:
             layer: decoder layer index.
@@ -528,9 +399,9 @@ class KVCachePool:
             CacheCapacityError: the pool has a ``capacity_bytes``
                 budget and the batch's projected footprint would
                 exceed it.
-            ValueError: a key/value shape mismatch, or rows whose
-                width differs from the batch's or from the rows the
-                sequence's store already holds.
+            ValueError: ``layer`` outside the pool's layers, a
+                key/value shape mismatch, or rows whose width differs
+                from the batch's or from the rows the store holds.
             KeyError: an unknown sequence.
 
         Whatever the error, no sequence is mutated.
@@ -564,11 +435,11 @@ class KVCachePool:
 
         Args:
             updates: ``(seq_id, keys, values)`` triples; ``keys`` and
-                ``values`` hold one [t, D] block per layer, layers
-                ``0 .. L-1`` in order (a list of blocks or an
+                ``values`` hold one [t, D] block per layer of the pool,
+                layers ``0 .. L-1`` in order (a list of blocks or an
                 [L, t, D] array).  ``t`` may differ between sequences
                 but not between one sequence's layers: a token is
-                stored on every layer the step covers.
+                stored on every layer.
             read: read each layer straight after storing it (a decode
                 step); ``False`` only stores (a prompt admission).
 
@@ -576,19 +447,21 @@ class KVCachePool:
             CacheCapacityError, ValueError, KeyError: as
                 :meth:`append_batch`, on any layer; also ``ValueError``
                 when one sequence's layers hold different row counts or
-                the triples disagree on the number of layers.  Nothing
+                a triple holds other than one block per layer.  Nothing
                 is appended.
         """
         items = list(updates)
-        layers = range(len(items[0][1]) if items else 0)
+        if not items:
+            return
+        layers = range(self.store.num_layers)
         staged = self._stage(layers, items)
         stored: List[Hashable] = []
-        if read and staged:
+        if read:
             # A sequence stores rows on every layer or on none, so each
             # layer reads the same sequences back.
-            stored = list(dict.fromkeys([seq for seq, *_ in staged[0]]))
-        for layer, entries in zip(layers, staged):
-            self.append_batch(layer, entries)
+            stored = list(dict.fromkeys([seq for seq, _, _ in staged[0]]))
+        for layer, layer_items in zip(layers, staged):
+            self.append_batch(layer, layer_items)
             if read:
                 self.read_batch(layer, stored)
 
@@ -598,11 +471,12 @@ class KVCachePool:
         items: List[Tuple[Hashable, Sequence, Sequence]],
     ) -> List[_StagedLayer]:
         """The one check of :meth:`append`, :meth:`append_batch` and
-        :meth:`step`, made before the first mutation: every id, shape
-        and width on every layer, then one capacity projection for the
-        whole transaction.  ``items`` give one key and one value block
-        per entry of ``layers``.  Returns each layer's entries with
-        zero-row blocks dropped.
+        :meth:`step`, made before the first mutation: the layers, then
+        every id, shape and width on every layer, then one capacity
+        projection for the whole transaction.  ``items`` give one key
+        and one value block per entry of ``layers``.  Returns each
+        layer's ``(seq_id, keys, values)`` items with zero-row blocks
+        dropped.
 
         Capacity is priced in tokens: each item's rows count once, on
         however many layers the call covers, at the pool's measured
@@ -610,19 +484,20 @@ class KVCachePool:
         sequences projects ``B`` tokens, and so does one layer's
         ``append_batch`` of the same rows.
         """
+        for layer in layers:
+            self._check_layer(layer)
         count = len(layers)
-        # Per layer: the batch's width, set by its first non-empty
-        # block, and — on the arena, whose one store holds every
-        # layer's rows at one width — the width the store already holds.
+        # Per layer, the batch's width, set by its first non-empty
+        # block; every layer's rows must have the one width the store
+        # holds.
         widths: List[Optional[int]] = [None] * count
-        held = None
-        if self._arena is not None:
-            held = [self._arena.width] * count
+        held = self.store.width
         checked = []
         first_seq: Optional[Hashable] = None
         tokens = 0
         for seq_id, keys, values in items:
-            cache = self._caches[seq_id]
+            if seq_id not in self._caches:
+                raise KeyError(seq_id)
             if len(keys) != count or len(values) != count:
                 raise ValueError(
                     f"sequence {seq_id!r}: {len(keys)} key and "
@@ -665,24 +540,19 @@ class KVCachePool:
                         f"sequence {seq_id!r}: rows of width "
                         f"{shape[1]} in a batch of width {width}"
                     )
-                have = (
-                    held[i] if held is not None
-                    else self._held_width(cache, layer)
-                )
-                if have is not None and have != width:
+                if held is not None and held != width:
                     raise ValueError(
                         f"sequence {seq_id!r}: rows of width {width}, but "
-                        f"its layer {layer} cache holds rows of width "
-                        f"{have}"
+                        f"the store holds rows of width {held}"
                     )
             if rows:
-                checked.append((seq_id, cache, keys, values))
+                checked.append((seq_id, keys, values))
                 tokens += rows
                 if first_seq is None:
                     first_seq = seq_id
-        if held is not None and len(set(widths) - {None}) > 1:
+        if len(set(widths) - {None}) > 1:
             raise ValueError(
-                f"layers of widths {widths}: the arena holds one width"
+                f"layers of widths {widths}: the store holds one width"
             )
         if tokens:
             overrun = self._overrun(tokens)
@@ -692,43 +562,24 @@ class KVCachePool:
                 )
         return [
             _StagedLayer(
-                [(seq, cache, keys[i], values[i])
-                 for seq, cache, keys, values in checked]
+                [(seq, keys[i], values[i]) for seq, keys, values in checked]
             )
             for i in range(count)
         ]
 
-    def _store(self, layer: int, entries: _StagedLayer) -> None:
-        """Store one layer's checked entries: one kernel call per
-        store, then the tiered store's notifications.  (:meth:`append`
-        stores through here, not through :meth:`append_batch`, so a
-        call to either counts once, under its own name, for anything
-        wrapping the public methods.)"""
-        kernel_calls = 0
-        if not entries:
-            pass
-        elif self._arena is not None:
-            kernel_calls = self._arena.append_batch(
-                layer,
-                [(seq, keys, values) for seq, _, keys, values in entries],
-            )
-        else:
-            layers = self._fusible_layers(
-                [cache for _, cache, _, _ in entries], layer
-            )
-            if layers is not None:
-                kernel_calls = kvcache.append_batch(
-                    layers,
-                    [keys for _, _, keys, _ in entries],
-                    [values for _, _, _, values in entries],
-                )
-            else:
-                for _, cache, keys, values in entries:
-                    cache.append(layer, keys, values)
-        if len(entries) >= 2:
+    def _store(self, layer: int, items: _StagedLayer) -> None:
+        """Store one layer's checked items: one kernel call per store,
+        then the tiered store's notifications.  (:meth:`append` stores
+        through here, not through :meth:`append_batch`, so a call to
+        either counts once, under its own name, for anything wrapping
+        the public methods.)"""
+        if not items:
+            return
+        kernel_calls = self.store.append_batch(layer, items)
+        if len(items) >= 2:
             self.batched_encodes += kernel_calls
         if self.tiering is not None:
-            for seq_id in dict.fromkeys(seq for seq, _, _, _ in entries):
+            for seq_id in dict.fromkeys(seq for seq, _, _ in items):
                 self._tier_record_append(seq_id, layer)
 
     def read_batch(
@@ -737,135 +588,37 @@ class KVCachePool:
         """Dequantized histories of many sequences, one fused decode.
 
         Returns ``[(keys, values), ...]`` in ``seq_ids`` order,
-        bit-identical to calling :meth:`read` per sequence.  When the
-        sequences are fused-kernel caches sharing per-layer quantizers
-        (a :func:`~repro.engine.backend.shared_backend_factory` pool),
-        all pending chunks decode in one merged kernel call — every
-        sequence's key rows over every sequence's value rows; one call
-        per tensor when the layer's quantizers do not stack
-        (:attr:`batched_decodes` counts the calls made).  Adapter
-        caches batch too, when the method permits:
-        row-local registry methods (fp16/oaken/qserve/atom/tender)
-        sharing fitted quantizers roundtrip every sequence's pending
-        suffix in one merged [sum t_i, D] transform per tensor.
-        History-global methods (kivi, kvquant) and mixed pools fall
-        back to the per-sequence loop.
+        bit-identical to calling :meth:`read` per sequence.  Every
+        requested sequence's pending rows decode in one merged kernel
+        call — every sequence's key rows over every sequence's value
+        rows; one call per tensor when the layer's quantizers do not
+        stack (:attr:`batched_decodes` counts the calls made for two or
+        more sequences).  The adapter store batches too, when the
+        method permits: row-local registry methods
+        (fp16/oaken/qserve/atom/tender) roundtrip every sequence's
+        pending suffix in one merged [sum t_i, D] transform per tensor
+        (:attr:`batched_roundtrips`); history-global methods (kivi,
+        kvquant) quantize per sequence.
+
+        Raises:
+            ValueError: ``layer`` is outside the pool's layers.
+            KeyError: an unknown sequence.
         """
-        caches = [self._caches[s] for s in seq_ids]
+        self._check_layer(layer)
+        for seq_id in seq_ids:
+            if seq_id not in self._caches:
+                raise KeyError(seq_id)
+        # Duplicate ids decode each sequence's pending rows exactly
+        # once (committing twice would corrupt the memoized prefix);
+        # reads are served in request order.
+        unique = list(dict.fromkeys(seq_ids))
         if self.tiering is not None:
-            for seq_id in dict.fromkeys(seq_ids):
+            for seq_id in unique:
                 self._tier_record_read(seq_id, layer)
-        # Duplicate ids map to the same cache; decode each cache's
-        # pending chunks exactly once (committing twice would corrupt
-        # the memoized prefix), then serve reads in request order.
-        unique = list(dict.fromkeys(caches))
-        if self._arena is not None:
-            kernel_calls = self._arena.decode_pending(
-                layer, [cache.seq_id for cache in unique]
-            )
-            if len(unique) >= 2:
-                self.batched_decodes += kernel_calls
-            return self._arena.read_batch(layer, seq_ids)
+        kernel_calls = self.store.decode_pending(layer, unique)
         if len(unique) >= 2:
-            fusible = self._fusible_layers(unique, layer)
-            if fusible is not None:
-                self.batched_decodes += kvcache.decode_pending(fusible)
-            else:
-                adapter = self._batchable_adapter_streams(unique, layer)
-                for streams in adapter or ():
-                    self._roundtrip_pending_batch(streams)
-        return [cache.read(layer) for cache in caches]
-
-    def _held_width(self, cache: CacheBackend, layer: int) -> Optional[int]:
-        """Width of the rows ``cache``'s store already holds on
-        ``layer`` (``None`` before the first): the encode is per token,
-        so a batch of one consistent width passes it whatever that is."""
-        if isinstance(cache, QuantizedKVCache):
-            chunks = cache.layers[layer]._key_chunks
-            return chunks[0].dim if chunks else None
-        if isinstance(cache, BaselineCacheBackend):
-            return cache.layer_streams(layer)[0].width
-        return None
-
-    def _batchable_adapter_streams(
-        self, caches: List[CacheBackend], layer: int
-    ) -> Optional[Tuple[List[_BaselineStream], List[_BaselineStream]]]:
-        """Adapter streams eligible for one merged roundtrip per tensor.
-
-        Mirrors :meth:`_fusible_layers` for
-        :class:`~repro.engine.backend.BaselineCacheBackend` caches:
-        batching is sound only for *row-local* methods (a row's
-        roundtrip depends on that row alone, so concatenating many
-        sequences' pending rows into one [sum t_i, D] transform is
-        bit-identical to per-sequence calls) sharing one fitted
-        quantizer per tensor (a shared-factory pool).  KIVI's sliding
-        window and KVQuant's online topK are history-global and fall
-        back to the per-sequence loop.
-        """
-        key_streams: List[_BaselineStream] = []
-        value_streams: List[_BaselineStream] = []
-        for cache in caches:
-            if not isinstance(cache, BaselineCacheBackend):
-                return None
-            keys, values = cache.layer_streams(layer)
-            key_streams.append(keys)
-            value_streams.append(values)
-        for streams in (key_streams, value_streams):
-            first = streams[0].quantizer
-            if not first.row_local:
-                return None
-            for stream in streams:
-                if stream.quantizer is not first:
-                    return None
-        return key_streams, value_streams
-
-    def _roundtrip_pending_batch(
-        self, streams: List[_BaselineStream]
-    ) -> None:
-        """One tensor's pending suffixes through a single roundtrip
-        (counted in :attr:`batched_roundtrips`)."""
-        work = []
-        for stream in streams:
-            if not stream.needs_decode:
-                continue
-            stable, suffix = stream.pending()
-            work.append((stream, stable, suffix))
-        if len(work) < 2:
-            return  # nothing to merge; lazy per-sequence reads suffice
-        quantizer = work[0][0].quantizer
-        chunks = quantizer.roundtrip_batch(
-            [suffix for _, _, suffix in work]
-        )
-        self.batched_roundtrips += 1
-        for (stream, stable, _), chunk in zip(work, chunks):
-            chunk = np.asarray(chunk, dtype=np.float32)
-            if stable == 0 and chunk.base is not None:
-                # A bare slice would become the stream's decode memo as
-                # a view, pinning the whole merged tensor per stream;
-                # the stable > 0 path copies inside commit_decoded's
-                # concatenate already.
-                chunk = chunk.copy()
-            stream.commit_decoded(chunk, stable)
-
-    def _fusible_layers(
-        self, caches: List[CacheBackend], layer: int
-    ) -> Optional[List[LayerKVCache]]:
-        """Per-sequence layer caches eligible for one merged kernel
-        pass, either way: chunk-store caches sharing this layer's
-        fitted quantizers."""
-        layers: List[LayerKVCache] = []
-        for cache in caches:
-            if not isinstance(cache, QuantizedKVCache):
-                return None
-            layers.append(cache.layers[layer])
-        first = layers[0]
-        for other in layers[1:]:
-            if (
-                other.key_quantizer is not first.key_quantizer
-                or other.value_quantizer is not first.value_quantizer
-            ):
-                return None
-        return layers
+            self.batched_decodes += kernel_calls
+        return self.store.read_batch(layer, seq_ids)
 
     # ------------------------------------------------------------------
     # footprint / admission control
@@ -882,7 +635,8 @@ class KVCachePool:
         high-water mark — the only place it moves.
 
         Cost: one :meth:`CacheBackend.footprint_bits` read per live
-        sequence plus one registry total.  The fused stores maintain
+        sequence plus the store's sharing overcount.  The fused stores
+        maintain
         those as running exact integers on every mutation, so a poll
         is O(live sequences) whatever the cached history's length.
         """
@@ -900,7 +654,7 @@ class KVCachePool:
         # Chunks aliased across forked sequences were summed once per
         # holder above; subtract the overcount so shared bytes are
         # charged exactly once pool-wide (the admission-control number).
-        total -= self._sharing.extra_bytes()
+        total -= self.store.extra_bytes()
         if total > self._peak_bytes:
             self._peak_bytes = total
         return total, (bits / elements if elements else 0.0)
@@ -918,42 +672,22 @@ class KVCachePool:
     def check_invariants(self) -> None:
         """Assert the running accounting against a recomputation.
 
-        Test support: walks every live sequence's chunks / arena rows
-        and every registry entry — the O(history) scans the running
-        totals replaced — and asserts the totals equal them exactly;
-        that the registry tracks exactly the chunk objects two or more
-        live caches list, each held by exactly those caches; for
-        tiered pools, also that each sequence's tier watermark equals
-        its footprint (every append was observed) and the store's own
-        frame table
+        Test support: the store's own check (every running total
+        against the O(history) walk it replaced: chunks and their
+        sharing entries, or arena rows and geometry), after checking
+        it holds exactly the live sequences; for tiered pools, also
+        that each sequence's tier watermark equals its footprint (every
+        append was observed) and the store's own frame table
         (:meth:`~repro.engine.tiering.TieredKVStore.check_invariants`).
         Leaves the pool, including the peak, untouched.
         """
-        if self._arena is not None:
-            assert set(self._arena.rows) == set(self._caches)
-            self._arena.check_invariants()
-            assert len(self._sharing) == 0, "arena pools never alias"
-        else:
-            # id(chunk) -> [chunk, *the live caches listing it]
-            listed: Dict[int, list] = {}
-            for seq_id, cache in self._caches.items():
-                if not isinstance(cache, QuantizedKVCache):
-                    continue
-                for layer in cache.layers:
-                    layer.check_invariants()
-                    for chunk in layer._key_chunks + layer._value_chunks:
-                        listed.setdefault(id(chunk), [chunk]).append(seq_id)
-            shared = [held for held in listed.values() if len(held) > 2]
-            for chunk, *holders in shared:
-                assert set(self._sharing.holders_of(chunk)) == set(holders), (
-                    f"registry holders {self._sharing.holders_of(chunk)} "
-                    f"!= the caches listing the chunk {holders}"
-                )
-            assert len(self._sharing) == len(shared), (
-                f"{len(self._sharing)} registry entries for "
-                f"{len(shared)} chunks listed by two or more caches"
-            )
-        self._sharing.check_invariants()
+        for seq_id in self._caches:
+            assert seq_id in self.store, seq_id
+        assert len(self.store) == len(self._caches), (
+            f"the store holds {len(self.store)} sequences, the pool "
+            f"{len(self._caches)}"
+        )
+        self.store.check_invariants()
         if self.tiering is not None:
             for seq_id, cache in self._caches.items():
                 seen = self._tier_seen.get(seq_id, 0.0)
@@ -1038,9 +772,8 @@ class KVCachePool:
             "batched_roundtrips": float(self.batched_roundtrips),
             "forks": float(self.forks),
         }
-        out.update(self._sharing.summary())
-        if self._arena is not None:
-            out.update(self._arena.summary())
+        out.update(self.store.sharing_summary())
+        out.update(self.store.summary())
         if self.tiering is not None:
             for key, value in self.tiering.summary().items():
                 out[f"tier_{key}"] = value

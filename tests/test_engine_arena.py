@@ -18,6 +18,7 @@ from repro.engine import (
     FusedCacheBackend,
     KVArena,
     KVCachePool,
+    TieredKVStore,
     shared_backend_factory,
 )
 
@@ -87,7 +88,7 @@ class TestCompaction:
         assert summary["arena_rows_live"] == float(LAYERS * 3 * 5)
         # Post-free invariant: the arena is never left past the
         # compaction watermark (frees compact eagerly).
-        assert not pool._arena.should_compact()
+        assert not pool.store.should_compact()
         for seq_id in seqs[9:]:
             for layer in range(LAYERS):
                 a = pool.read(seq_id, layer)
@@ -122,7 +123,7 @@ class TestCompaction:
         for layer in range(LAYERS):
             pool.append("child", layer, fresh, fresh)
             mirror.append("child", layer, fresh, fresh)
-        arena = pool._arena
+        arena = pool.store
         before = arena.compactions
         tails = []
         for burst in range(6):
@@ -186,7 +187,7 @@ class TestSharedGeometry:
     ):
         pool = KVCachePool(fused_factory, arena=True)
         mirror = KVCachePool(fused_factory)
-        arena = pool._arena
+        arena = pool.store
         rng = np.random.default_rng(29)
         lengths = {}
 
@@ -282,7 +283,7 @@ class TestSharedGeometry:
         rows = np.random.default_rng(31).standard_normal((3, DIM))
         for layer in range(LAYERS):
             pool.append("seq", layer, rows, -rows)
-        arena = pool._arena
+        arena = pool.store
         store = arena.store
         assert len(arena.encoders) == LAYERS and list(arena.rows) == ["seq"]
         # 8 row-parallel buffers + 4..5 record fields, once per arena.
@@ -380,7 +381,7 @@ class TestBatchCharge:
         footprint of each must still come from its own rows."""
         arena_pool = KVCachePool(fused_factory, arena=True)
         chunked = KVCachePool(fused_factory)
-        arena = arena_pool._arena
+        arena = arena_pool.store
         for pool in (arena_pool, chunked):
             pool.allocate("full")
             pool.allocate("empty")
@@ -519,7 +520,7 @@ class TestBoundedUnderChurn:
 
     def test_identical_rounds_stop_growing(self, fused_factory):
         pool = KVCachePool(fused_factory, arena=True)
-        arena = pool._arena
+        arena = pool.store
         half = self.BATCH // 2
         born = {}
         marks = []
@@ -628,6 +629,62 @@ class TestRefusedBatchIsAtomic:
             for left, right in zip(before, after):
                 assert np.array_equal(left, right)
 
+    @staticmethod
+    def _tiered_pool(fused_factory, arena):
+        """A two-layer tiered pool holding one row of sequence 1."""
+        tiering = TieredKVStore(device_budget_bytes=2048.0, page_bytes=256.0)
+        pool = KVCachePool(fused_factory, tiering=tiering, arena=arena)
+        pool.allocate(1)
+        rows = np.random.default_rng(31).standard_normal((1, DIM))
+        pool.step([(1, [rows] * LAYERS, [rows] * LAYERS)])
+        return pool, rows.astype(np.float32)
+
+    @staticmethod
+    def _state(pool):
+        return (
+            pool.summary(),
+            pool.get(1).length,
+            pool.get(1).footprint_bits(),
+            arena_state(pool.store if pool.arena_enabled else None),
+            {seq: sorted(streams) for seq, streams in pool.tiering._seqs.items()},
+        )
+
+    @pytest.mark.parametrize("arena", [True, False], ids=["arena", "chunked"])
+    @pytest.mark.parametrize("layer", [-1, LAYERS])
+    def test_a_layer_outside_the_pool_changes_nothing(
+        self, fused_factory, arena, layer
+    ):
+        """Layer -1 used to write layer 1's rows into a second tier
+        stream ``(1, -1)``; layer 2 died with a bare ``IndexError``."""
+        pool, rows = self._tiered_pool(fused_factory, arena)
+        before = self._state(pool)
+        for call in (
+            lambda: pool.append(1, layer, rows, rows),
+            lambda: pool.append_batch(layer, [(1, rows, rows)]),
+            lambda: pool.read(1, layer),
+            lambda: pool.read_batch(layer, [1]),
+        ):
+            with pytest.raises(ValueError, match="outside the pool's 2 layers"):
+                call()
+            assert self._state(pool) == before
+        pool.check_invariants()
+
+    @pytest.mark.parametrize("arena", [True, False], ids=["arena", "chunked"])
+    @pytest.mark.parametrize("blocks", [LAYERS + 1, LAYERS - 1])
+    def test_a_step_of_another_layer_count_changes_nothing(
+        self, fused_factory, arena, blocks
+    ):
+        """Three blocks used to store layers 0 and 1, then raise
+        ``IndexError`` (length 1 -> 2 on the arena); one block was
+        accepted, leaving layer 0 a row ahead of layer 1."""
+        pool, rows = self._tiered_pool(fused_factory, arena)
+        before = self._state(pool)
+        with pytest.raises(ValueError, match=f"{blocks} key and {blocks} "
+                           f"value blocks for {LAYERS} layers"):
+            pool.step([(1, [rows] * blocks, [rows] * blocks)])
+        assert self._state(pool) == before
+        pool.check_invariants()
+
     def test_a_block_of_another_width_on_layer_1_changes_nothing(
         self, fused_factory
     ):
@@ -639,15 +696,15 @@ class TestRefusedBatchIsAtomic:
         pool.allocate(0)
         rows = rng.standard_normal((2, DIM)).astype(np.float32)
         wide = rng.standard_normal((2, DIM + 1)).astype(np.float32)
-        before = arena_state(pool._arena), pool.measure()
+        before = arena_state(pool.store), pool.measure()
         with pytest.raises(ValueError, match="one width"):
             pool.step([(0, [rows, wide], [rows, wide])])
-        assert (arena_state(pool._arena), pool.measure()) == before
+        assert (arena_state(pool.store), pool.measure()) == before
         pool.append(0, 0, rows, rows)
-        before = arena_state(pool._arena), pool.measure()
+        before = arena_state(pool.store), pool.measure()
         with pytest.raises(ValueError, match=f"holds rows of width {DIM}"):
             pool.append(0, 1, wide, wide)
-        assert (arena_state(pool._arena), pool.measure()) == before
+        assert (arena_state(pool.store), pool.measure()) == before
         pool.check_invariants()
 
     def test_unknown_id_late_in_a_batch_changes_nothing(self, fused_factory):
@@ -655,7 +712,7 @@ class TestRefusedBatchIsAtomic:
         pre-check ids): earlier items must not be left claiming rows
         that were never written."""
         pool = KVCachePool(fused_factory, arena=True)
-        arena = pool._arena
+        arena = pool.store
         rng = np.random.default_rng(43)
         for seq_id in (0, 1):
             pool.allocate(seq_id)

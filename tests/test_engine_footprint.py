@@ -83,14 +83,14 @@ class TestCheckerHasTeeth:
 
     def test_arena_slice_total(self, factory):
         pool = self._pool(factory, arena=True)
-        pool._arena.rows["b"].elements -= 1
+        pool.store.rows["b"].elements -= 1
         with pytest.raises(AssertionError, match="footprint accumulator"):
             pool.check_invariants()
 
     def test_registry_totals(self, factory):
         pool = self._pool(factory)
         assert pool.summary()["shared_extra_bytes"] > 0.0
-        pool._sharing._extra_bits += 8
+        pool.store._extra_bits += 8
         with pytest.raises(AssertionError, match="registry totals"):
             pool.check_invariants()
 
@@ -106,9 +106,18 @@ class TestCheckerHasTeeth:
         totals stay consistent, so only the cross-check can see it."""
         pool = self._pool(factory)
         listed = pool.get("a").layers[0]._key_chunks[chunk]
-        pool._sharing.share(listed, 0, "a", "ghost")
-        pool._sharing.check_invariants()
+        pool.store.share(listed, 0, "a", "ghost")
+        pool.store.check_registry()
         with pytest.raises(AssertionError, match=match):
+            pool.check_invariants()
+
+    @pytest.mark.parametrize("arena", [False, True], ids=["chunked", "arena"])
+    def test_a_sequence_only_the_store_holds(self, factory, arena):
+        """The store must hold exactly the pool's sequences: one the
+        pool never allocated (or already dropped) is caught."""
+        pool = self._pool(factory, arena=arena)
+        pool.store.allocate("ghost")
+        with pytest.raises(AssertionError, match="the store holds 3"):
             pool.check_invariants()
 
     def test_tier_watermark(self, factory):

@@ -7,6 +7,7 @@ import pytest
 from repro.engine import (
     CacheCapacityError,
     KVCachePool,
+    create_backend,
     shared_backend_factory,
 )
 
@@ -21,6 +22,21 @@ def calibration():
     return [
         (make_kv_matrix(seed=70 + layer), make_kv_matrix(seed=80 + layer))
         for layer in range(LAYERS)
+    ]
+
+
+def _quantizers(backend):
+    """A backend's fitted quantizers, layer by layer, keys then values."""
+    if hasattr(backend, "layers"):
+        return [
+            q
+            for layer in backend.layers
+            for q in (layer.key_quantizer, layer.value_quantizer)
+        ]
+    return [
+        stream.quantizer
+        for layer in range(backend.num_layers)
+        for stream in backend.layer_streams(layer)
     ]
 
 
@@ -522,6 +538,35 @@ class TestLifecycle:
     def test_free_unknown_rejected(self, factory):
         with pytest.raises(KeyError):
             KVCachePool(factory).free("ghost")
+
+    @pytest.mark.parametrize("method", ["oaken", "kivi"])
+    def test_every_sequence_holds_the_templates_quantizers(
+        self, method, calibration
+    ):
+        """The factory is called once, for the pool's template; every
+        allocated or forked sequence holds that template's fitted
+        quantizers (what lets any batch share one layer's kernels),
+        even from a factory that would fit its own per backend."""
+        built = []
+
+        def unshared():
+            built.append(create_backend(method, calibration=calibration))
+            return built[-1]
+
+        pool = KVCachePool(unshared)
+        pool.allocate("a")
+        pool.allocate("b")
+        pool.fork("a", "c", 0)
+        assert len(built) == 1
+        fitted = _quantizers(built[0])
+        for seq_id in ("a", "b", "c"):
+            held = _quantizers(pool.get(seq_id))
+            assert all(mine is theirs for mine, theirs in zip(held, fitted))
+            assert len(held) == len(fitted) == 2 * LAYERS
+
+    def test_a_backend_without_a_store_is_refused(self):
+        with pytest.raises(TypeError, match="pool_store"):
+            KVCachePool(object)
 
     def test_membership_and_len(self, factory):
         pool = KVCachePool(factory)

@@ -76,24 +76,34 @@ class TestIncrementalRead:
             cache.read()
         np.testing.assert_array_equal(first_keys, snapshot)
 
-    def test_zero_row_append_reads_empty_then_grows(self, kv_samples):
-        """A zero-row chunk is a chunk: pending, decoded (to nothing)
-        and labelled with its own tensor's thresholds."""
+    def test_zero_row_append_stores_nothing(self, kv_samples):
+        """A zero-row append stores no chunk pair: the cache stays as
+        empty as a fresh one (and as an arena sequence), and a read
+        still says so."""
         cache = make_layer(kv_samples)
         empty = np.zeros((0, 64))
         cache.append(empty, empty)
-        keys, values = cache.read()
-        assert keys.shape == values.shape == (0, 64)
-        assert (
-            cache._value_chunks[0].thresholds
-            is cache.value_quantizer.thresholds
+        assert (cache.length, cache._key_chunks, cache._value_chunks) == (
+            0, [], [],
         )
+        with pytest.raises(RuntimeError, match="cache is empty"):
+            cache.read()
+        whole = QuantizedKVCache(
+            [cache.key_quantizer], [cache.value_quantizer]
+        )
+        whole.append(0, empty, empty)
+        with pytest.raises(RuntimeError, match="cache is empty"):
+            whole.read(0)
         block = make_kv_matrix(tokens=3, seed=4)
         cache.append(block, block)
         cache.append(empty, empty)
         keys, values = cache.read()
         assert keys.tobytes() == redecode(cache.key_quantizer, [block]).tobytes()
-        assert cache._decoded.chunks_decoded == 3
+        assert (
+            cache._value_chunks[0].thresholds
+            is cache.value_quantizer.thresholds
+        )
+        assert cache._decoded.chunks_decoded == 1
         cache.check_invariants()
 
     def test_each_chunk_decoded_once(self, kv_samples):

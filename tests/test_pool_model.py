@@ -25,10 +25,12 @@ free-then-allocate-in-the-same-size-class and a forced ``compact()``; on
 tiered pools, an append burst larger than the device tier.  The failure
 paths are rules too, each asserting that the pool's state did not move:
 a refused batch (an unknown id, or a block of the wrong width after a
-good item), a one-row ``append`` wider than the rows the layer holds, a
+good item), a layer outside the pool's through any streaming call, a
+one-row ``append`` wider than the rows the layer holds, a
 ``capacity_bytes`` refusal on layer 0 or on layer 1 after
 layer 0 landed, a refused ``step`` (a block of the wrong width or row
-count on any layer index, an unknown id, or over capacity), a double
+count on any layer index, an unknown id, over capacity, or one block
+more or fewer than the layers), a double
 free, a fork from a freed parent, and a fork past the parent's rows or
 onto a live id.
 
@@ -202,7 +204,7 @@ class PoolModel(RuleBasedStateMachine):
         self.adapter = config.method != "oaken"
         # The flag is a no-op for adapter pools.
         assert self.pool.arena_enabled == (config.arena and not self.adapter)
-        self.arena = self.pool._arena
+        self.arena = self.pool.store if self.pool.arena_enabled else None
         #: Whether forks alias rows (the chunk store) or copy them.
         self.aliases = not (self.adapter or config.arena)
         self.quantizers = tensor_quantizers(make())
@@ -392,7 +394,7 @@ class PoolModel(RuleBasedStateMachine):
         chosen=items,
         read=st.booleans(),
         refusal=st.sampled_from([None, None, "wide", "uneven", "unknown",
-                                 "capacity"]),
+                                 "capacity", "more", "fewer"]),
         bad_layer=layers,
     )
     def step(self, chosen, read, refusal=None, bad_layer=0):
@@ -401,8 +403,9 @@ class PoolModel(RuleBasedStateMachine):
         accepted step reads back the one-shot roundtrip on every layer.
         A refused one leaves every layer as it was: after a good
         one-row item, a block one wider on layer ``bad_layer``, an item
-        one row longer on that layer, an unknown id, or a budget the
-        step overruns."""
+        one row longer on that layer, an unknown id, a budget the
+        step overruns, or an item with one block more or fewer than
+        the pool has layers."""
         def layered(seed, count):
             """``[keys per layer], [values per layer]``."""
             blocks = [self.blocks(seed + at, count) for at in range(LAYERS)]
@@ -438,6 +441,10 @@ class PoolModel(RuleBasedStateMachine):
             bad[0][bad_layer], bad[1][bad_layer] = self.blocks(bad_layer, 2)
         elif refusal == "unknown":
             seq, error = "nobody", KeyError
+        elif refusal == "more":
+            bad = [blocks + blocks[:1] for blocks in bad]
+        elif refusal == "fewer":
+            bad = [blocks[:-1] for blocks in bad]
         if refusal != "capacity":
             updates.append((seq, *bad))
         elif any(self.length(held, 0) for held in self.history):
@@ -627,15 +634,34 @@ class PoolModel(RuleBasedStateMachine):
     # -- failure rules: each leaves the pool's state where it was -------
 
     @precondition(lambda self: self.history)
-    @rule(pick=picks, other=picks, seed=picks, wide=st.booleans())
-    def refused_batch(self, pick, other, seed, wide):
+    @rule(
+        pick=picks,
+        other=picks,
+        seed=picks,
+        wide=st.booleans(),
+        outside=st.sampled_from([None, None, -1, LAYERS]),
+    )
+    def refused_batch(self, pick, other, seed, wide, outside=None):
         """An unknown id, or a block of the wrong width, after a good
-        item: nothing — row table, free lists, chunk lists, streams,
-        accumulators, tier watermarks — moves."""
+        item; or a layer ``outside`` the pool's, through ``append``,
+        ``append_batch``, ``read`` and ``read_batch``: nothing — row
+        table, free lists, chunk lists, streams, accumulators, tier
+        watermarks and streams — moves."""
         seq = self.pick(pick)
         keys, values = self.blocks(seed, 40)
         bad = np.zeros((1, DIM + 1), dtype=np.float32)
         before = self.pool_state()
+        if outside is not None:
+            for call in (
+                lambda: self.pool.append(seq, outside, keys, values),
+                lambda: self.pool.append_batch(outside, [(seq, keys, values)]),
+                lambda: self.pool.read(seq, outside),
+                lambda: self.pool.read_batch(outside, [seq]),
+            ):
+                with pytest.raises(ValueError, match="outside the pool"):
+                    call()
+                assert self.pool_state() == before
+            return
         # (the arena takes the same batches below the pool, where an
         # unknown id is not caught by the pool's own lookup)
         for target in filter(None, (self.pool, self.arena)):
@@ -1014,7 +1040,8 @@ def test_every_failure_path_changes_nothing(name):
     an unknown id), a wide one-row ``append`` on either layer, a
     capacity refusal on layer 0 and on layer 1 after
     layer 0 landed (batched and looped), a refused step (a wide or an
-    uneven block on either layer, an unknown id, over capacity), a fork
+    uneven block on either layer, an unknown id, over capacity, a block
+    more or fewer than the layers), a layer outside the pool's, a fork
     past the parent's rows or onto a live id, a double free, and a fork
     from the freed parent — each rule asserts the pool's state did not
     move."""
@@ -1045,6 +1072,16 @@ def test_every_failure_path_changes_nothing(name):
             for refusal in ("wide", "uneven", "unknown", "capacity")
             for bad_layer in range(LAYERS)
         ],
+        *[
+            ("step", dict(
+                chosen=[(0, 1, 12), (1, 2, 13)], read=True, refusal=refusal,
+            ))
+            for refusal in ("more", "fewer")
+        ],
+        ("refused_batch", dict(pick=0, other=1, seed=4, wide=False,
+                               outside=-1)),
+        ("refused_batch", dict(pick=1, other=0, seed=5, wide=False,
+                               outside=LAYERS)),
         ("refused_fork", dict(pick=0, other=0, over=1, how="past")),
         ("refused_fork", dict(pick=0, other=1, over=2, how="onto")),
         ("free", dict(pick=0, again=True)),

@@ -428,7 +428,7 @@ class TestReplayRobustness:
                 for request in residents:
                     rid = request.request_id
                     held = (
-                        list(pool._arena.rows[rid].length)
+                        list(pool.store.rows[rid].length)
                         if arena
                         else [layer.length for layer in pool.get(rid).layers]
                     )

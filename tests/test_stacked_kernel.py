@@ -650,7 +650,7 @@ class TestPoolReadIsTheRoundtrip:
 
     def _quantizers(self, pool, layer):
         if pool.arena_enabled:
-            encoder = pool._arena.encoders[layer]
+            encoder = pool.store.encoders[layer]
             assert encoder.stacked is not None
         else:
             encoder = pool.get(0).layers[layer].encoder
