@@ -4,7 +4,7 @@
     python scripts/ci_smoke.py NAME
 
 NAME is one of cluster, tiering, sharing, arena, arena-e2e,
-analytic-e2e, replay-e2e and arena-work.
+analytic-e2e, replay-e2e, arena-work and op-ledger.
 
 Each feature smoke drives the real CLI (``python -m repro ... --json``)
 at a fixed seed and asserts that the feature actually engaged —
@@ -14,14 +14,17 @@ so no retry is needed.  CI runs the same-named pytest marker first;
 this script is the part that used to live as inline heredocs in the
 workflow, so it can be run locally too.  ``arena-e2e``,
 ``analytic-e2e``, ``replay-e2e`` and ``arena-work`` are the
-``e2e-smoke`` job's count gates on the end-to-end benchmark instead.
+``e2e-smoke`` job's count gates on the end-to-end benchmark instead,
+and ``op-ledger`` its per-package call ledger.
 """
 
 from __future__ import annotations
 
+import cProfile
 import json
 import os
 import pathlib
+import pstats
 import subprocess
 import sys
 
@@ -313,6 +316,17 @@ ARENA_WORK = {
 }
 
 
+def _set_up_quick(workload: str):
+    """The benchmark's own seed-0 quick-size set-up of ``workload``
+    (it re-imports the program, so anything wrapped on its classes is
+    wrapped after this)."""
+    sys.path.insert(0, str(ROOT / "src"))
+    sys.path.insert(0, str(ROOT / "benchmarks" / "e2e"))
+    import workloads
+
+    return workloads.set_up(workload, 0, quick=True)
+
+
 def arena_geometry_work(workload: str) -> dict:
     """The :data:`ARENA_WORK` counts of one seed-0 quick-size
     repetition of ``workload``, counted in this process.
@@ -322,11 +336,7 @@ def arena_geometry_work(workload: str) -> dict:
     that the benchmark's set-up imported (it re-imports the program,
     so the wrappers go on after it) for one timed-region repetition.
     """
-    sys.path.insert(0, str(ROOT / "src"))
-    sys.path.insert(0, str(ROOT / "benchmarks" / "e2e"))
-    import workloads
-
-    prepared = workloads.set_up(workload, 0, quick=True)
+    prepared = _set_up_quick(workload)
     from repro.engine.arena import KVArena, _Store
 
     counts = dict.fromkeys(ARENA_WORK[workload], 0)
@@ -371,11 +381,124 @@ def arena_work_gate() -> None:
         print(f"arena work gate: {workload} geometry counts match", counts)
 
 
+#: Calls one seed-0 quick-size repetition of each workload makes under
+#: cProfile, per ``src/repro`` package and in one NumPy + builtins
+#: bucket (C functions and ``numpy`` frames, whoever calls them);
+#: stdlib and benchmark frames are not counted.  The counts repeat
+#: exactly from run to run, so the ledger attributes a per-call saving
+#: without a clock.  A change that removes work lowers its pins in the
+#: same diff: a count may not exceed its pin, nor fall more than
+#: ``OP_LEDGER_SLACK`` below it.  Which frames exist depends on the
+#: interpreter (3.12 inlines comprehensions) and on NumPy's Python
+#: wrappers, so the pins hold under ``OP_LEDGER_ENV`` only.
+OP_WORK = {
+    "replay-burst-arena": {
+        "baselines": 1,
+        "core": 5168,
+        "engine": 21477,
+        "hardware": 382,
+        "models": 895,
+        "numpy+builtins": 47063,
+        "serving": 10550,
+    },
+    "replay-rag-shared": {
+        "baselines": 1,
+        "core": 133278,
+        "engine": 8095,
+        "hardware": 468,
+        "models": 565,
+        "numpy+builtins": 168096,
+        "quant": 464,
+        "serving": 6599,
+    },
+    "replay-longctx-tiered": {
+        "baselines": 1,
+        "core": 33421,
+        "engine": 15897,
+        "hardware": 7203,
+        "models": 276,
+        "numpy+builtins": 68661,
+        "serving": 2647,
+    },
+    "cluster-replay-faults": {
+        "baselines": 5,
+        "core": 15278,
+        "engine": 42985,
+        "hardware": 951,
+        "models": 1022,
+        "numpy+builtins": 99890,
+        "serving": 11665,
+    },
+    "cluster-scale-analytic": {
+        "core": 20777,
+        "hardware": 45168,
+        "models": 41796,
+        "numpy+builtins": 305736,
+        "serving": 202434,
+    },
+}
+OP_LEDGER_SLACK = 0.02
+OP_LEDGER_ENV = {"python": "3.11", "numpy": "2.4.6"}
+_NUMPY_BUCKET = "numpy+builtins"
+
+
+def op_ledger(workload: str) -> dict:
+    """The :data:`OP_WORK` counts of one seed-0 quick-size repetition
+    of ``workload``, profiled in this process."""
+    prepared = _set_up_quick(workload)
+    profile = cProfile.Profile()
+    profile.runcall(prepared.repetition)
+    src = str(ROOT / "src" / "repro") + os.sep
+    numpy_frames = os.sep + "numpy" + os.sep
+    counts: dict = {}
+    for (filename, _, _), (_, calls, *_) in pstats.Stats(
+        profile
+    ).stats.items():
+        if filename.startswith(src):
+            bucket = pathlib.PurePath(filename[len(src):]).parts[0]
+            bucket = bucket.removesuffix(".py")
+        elif filename == "~" or numpy_frames in filename:
+            bucket = _NUMPY_BUCKET
+        else:
+            continue
+        counts[bucket] = counts.get(bucket, 0) + calls
+    return dict(sorted(counts.items()))
+
+
+def op_ledger_gate() -> None:
+    """The e2e-smoke job's per-package call ledger: counts, not a clock.
+
+    Each workload's :func:`op_ledger` must match ``OP_WORK``: no bucket
+    above its pin (a new bucket is pinned at 0), none more than
+    ``OP_LEDGER_SLACK`` below it, under the interpreter and NumPy the
+    pins were captured with.  The counts repeat exactly, so no retry.
+    """
+    import numpy
+
+    env = {
+        "python": "%d.%d" % sys.version_info[:2],
+        "numpy": numpy.__version__,
+    }
+    assert env == OP_LEDGER_ENV, (
+        f"OP_WORK was captured under {OP_LEDGER_ENV}; this is {env}"
+    )
+    failures = []
+    for workload, want in OP_WORK.items():
+        got = op_ledger(workload)
+        for bucket in sorted(set(want) | set(got)):
+            pin, count = want.get(bucket, 0), got.get(bucket, 0)
+            if count > pin or count < (1.0 - OP_LEDGER_SLACK) * pin:
+                failures.append((workload, bucket, count, pin))
+        print(f"op ledger: {workload}", got)
+    assert not failures, "(workload, bucket, count, pin): " + repr(failures)
+
+
 SMOKES = {
     "cluster": cluster_smoke, "tiering": tiering_smoke,
     "sharing": sharing_smoke, "arena": arena_smoke,
     "arena-e2e": arena_e2e_gate, "analytic-e2e": analytic_e2e_gate,
     "replay-e2e": replay_e2e_gate, "arena-work": arena_work_gate,
+    "op-ledger": op_ledger_gate,
 }
 
 if __name__ == "__main__":
