@@ -229,8 +229,8 @@ def analytic_e2e_gate() -> None:
 #: updates them in the same diff.
 REPLAY_WORK = {
     "replay-burst-arena": {
-        "core.quantizer.quantize.calls": 325,
-        "core.quantizer.dequantize.calls": 260,
+        "core.quantizer.quantize.calls": 163,
+        "core.quantizer.dequantize.calls": 130,
         "core.quantizer.rows_enc": 15524,
         "core.quantizer.rows_dec": 15396,
         "engine.synthetic.rows": 15652,
@@ -262,8 +262,8 @@ REPLAY_WORK = {
         "engine.arena.compactions": 0,
     },
     "cluster-replay-faults": {
-        "core.quantizer.quantize.calls": 877,
-        "core.quantizer.dequantize.calls": 826,
+        "core.quantizer.quantize.calls": 441,
+        "core.quantizer.dequantize.calls": 413,
         "core.quantizer.rows_enc": 10840,
         "core.quantizer.rows_dec": 10200,
         "engine.synthetic.rows": 11480,
@@ -394,39 +394,39 @@ def arena_work_gate() -> None:
 OP_WORK = {
     "replay-burst-arena": {
         "baselines": 1,
-        "core": 5168,
-        "engine": 21477,
+        "core": 2897,
+        "engine": 15946,
         "hardware": 382,
         "models": 895,
-        "numpy+builtins": 47063,
+        "numpy+builtins": 39051,
         "serving": 10550,
     },
     "replay-rag-shared": {
         "baselines": 1,
-        "core": 133278,
-        "engine": 8095,
+        "core": 117008,
+        "engine": 7530,
         "hardware": 468,
         "models": 565,
-        "numpy+builtins": 168096,
+        "numpy+builtins": 162107,
         "quant": 464,
         "serving": 6599,
     },
     "replay-longctx-tiered": {
         "baselines": 1,
-        "core": 33421,
-        "engine": 15897,
+        "core": 31001,
+        "engine": 16839,
         "hardware": 7203,
         "models": 276,
-        "numpy+builtins": 68661,
+        "numpy+builtins": 67763,
         "serving": 2647,
     },
     "cluster-replay-faults": {
         "baselines": 5,
-        "core": 15278,
-        "engine": 42985,
+        "core": 8879,
+        "engine": 26172,
         "hardware": 951,
         "models": 1022,
-        "numpy+builtins": 99890,
+        "numpy+builtins": 77375,
         "serving": 11665,
     },
     "cluster-scale-analytic": {

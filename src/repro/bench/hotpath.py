@@ -143,7 +143,7 @@ def _serving_setup(rows: Tuple[int, ...], dim: int, pairs: int):
         blocks=[(stream.draw(n), stream.draw(n)) for n in rows],
         key_q=key_q,
         value_q=value_q,
-        encoder=LayerEncoder(key_q, value_q),
+        encoder=LayerEncoder([key_q], [value_q]),
         scratch=QuantizeScratch(),
     )
 
@@ -156,7 +156,7 @@ def _encode_pairs(ctx, stacked: bool):
     for keys, values in ctx.blocks:
         for _ in range(ctx.pairs):
             if stacked:
-                ((_, pair),) = ctx.encoder.encode_parts([keys], [values])
+                ((_, pair),) = ctx.encoder.encode_parts((0,), [keys, values], 1)
             else:
                 pair = (
                     ctx.key_q.quantize_into(keys, ctx.scratch),

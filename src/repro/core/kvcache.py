@@ -12,8 +12,9 @@ performs per-token quantization ... focusing only on the key-value
 vector newly generated in each attention layer").
 
 The store has one write path and one read path, both over a *list* of
-layer caches sharing a layer's quantizers, both on the
-:class:`~repro.core.quantizer.LayerEncoder` pair the arena uses:
+layer caches sharing a layer's quantizers, both on a one-layer
+:class:`~repro.core.quantizer.LayerEncoder` (the arena's spans every
+layer):
 
 * :func:`append_batch` encodes every cache's new rows in one fused pass
   (``encode_parts``: keys stacked over values in one kernel call when
@@ -97,7 +98,9 @@ class LayerKVCache:
     encoder: LayerEncoder = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.encoder = LayerEncoder(self.key_quantizer, self.value_quantizer)
+        self.encoder = LayerEncoder(
+            [self.key_quantizer], [self.value_quantizer]
+        )
 
     @property
     def length(self) -> int:
@@ -307,7 +310,9 @@ def append_batch(
     stack, else 2).
     """
     rows = [block.shape[0] for block in key_blocks]
-    parts = layers[0].encoder.encode_parts(key_blocks, value_blocks)
+    parts = layers[0].encoder.encode_parts(
+        (0,), [*key_blocks, *value_blocks], len(rows)
+    )
     # Block-major out of every part: all key chunks, then all value
     # chunks, whether they left the kernel in one encode or two.
     chunks = [
@@ -354,7 +359,7 @@ def decode_pending(layers: Sequence[LayerKVCache]) -> int:
         blocks[0].extend(layer._key_chunks[start:])
         blocks[1].extend(layer._value_chunks[start:])
     decodes = pending[0].encoder.decode_parts(
-        lambda tensors, quantizer: concat_encoded(*blocks[tensors])
+        (0,), lambda tensors, quantizer: concat_encoded(*blocks[tensors])
     )
     dim = blocks[0][0].dim
     total = sum(layer._length - layer._decoded.rows for layer in pending)

@@ -87,12 +87,13 @@ def _sigma(lo: np.ndarray, hi: np.ndarray, levels) -> np.ndarray:
 
 #: Largest ``rows * dim`` a scratch compiles and keeps a
 #: :class:`_ShapePlan` for; a larger encode builds a plain plan for
-#: itself alone.  Every kernel call of the five benchmark workloads is
-#: at most 128 stacked rows of width 32 (4,096 elements), so all of
-#: them fit.
+#: itself alone.  A compiled plan saves a quarter to two fifths of a
+#: call below 4,096 elements and nothing measurable above, where a
+#: full-size ``replay-burst-arena`` step (256 stacked rows of width 32)
+#: lands: see ``docs/engine_api.md`` for the figures.
 _CACHED_SHAPE_ELEMENTS = 1 << 12
-#: Shape plans one scratch keeps, least recently used out first.  One
-#: layer's scratch meets at most 35 distinct shapes in a full-size
+#: Shape plans one scratch keeps, least recently used out first.  The
+#: arena's scratch meets at most 35 distinct shapes in a full-size
 #: benchmark repetition (``replay-burst-arena``); keeping 16 loses
 #: under half a percentage point of hit rate there and none elsewhere.
 _CACHED_SHAPES = 16
@@ -804,95 +805,149 @@ class OakenQuantizer:
         return expected_effective_bitwidth(self.config, dim)
 
 
+def _stacks(quantizers: Sequence) -> bool:
+    """Whether ``quantizers`` can share one row-stacked kernel call:
+    plain :class:`OakenQuantizer` s of one tensor each, of one config
+    and one mode."""
+    return bool(quantizers) and all(
+        type(q) is OakenQuantizer
+        and isinstance(q.thresholds, GroupThresholds)
+        and q.config == quantizers[0].config
+        and q.mode == quantizers[0].mode
+        for q in quantizers
+    )
+
+
 class LayerEncoder:
-    """Encodes and decodes one layer's key and value rows.
+    """Encodes and decodes the key and value rows of a model's layers.
 
-    A layer's keys and values are produced together, and the fused
-    kernels are row-local, so when the layer's two quantizers are plain
-    :class:`OakenQuantizer` s of equal config and mode the rows go
-    through **one** kernel call each way as a ``[keys; values]`` row
-    stack (a row-stacked quantizer over both tensors' thresholds).  Any
-    other pair — a subclass pinned to other kernels, the engine-backed
-    datapath models — keeps one call per tensor.  Either way the result
-    is bit-identical to the two per-tensor calls.
+    A step produces every layer's keys and values together, and the
+    fused kernels are row-local, so a transaction's rows are one stack
+    of equal row blocks along a (layer, K|V) axis: block ``2 * i + t``
+    holds tensor ``t`` (0 keys, 1 values) of the ``i``-th listed layer.
+    When every listed quantizer is a plain :class:`OakenQuantizer` of
+    one config and mode, the whole stack goes through **one** kernel
+    call each way (a row-stacked quantizer over every block's
+    thresholds).  Otherwise each layer keeps its own: one call for a
+    pair that stacks, one per tensor for any other — a subclass pinned
+    to other kernels, the engine-backed datapath models.  Either way
+    the result is bit-identical to the per-tensor calls.
 
-    The stack/no-stack decision is :attr:`parts`, and it is made here
-    only.  Both stores — the chunk store and the arena — take the
-    encode as it leaves the kernel (:meth:`encode_parts`) and hand
-    stored rows back for the decode half (:meth:`decode_parts`): one
-    kernel call each way when the pair stacks, one per tensor
-    otherwise, through the same store code.
+    The stack/no-stack decision is :meth:`parts_of`, and it is made
+    here only.  Both stores — the chunk store, one layer per call, and
+    the arena, a whole step per call — take the encode as it leaves the
+    kernel (:meth:`encode_parts`) and hand stored rows back for the
+    decode half (:meth:`decode_parts`), through the same store code
+    whatever the parts are.
 
-    Owns the one scratch its calls need; the stores hold one encoder
-    per layer and never touch the kernel entry points themselves.
+    Owns the one scratch its calls need; the stores never touch the
+    kernel entry points themselves.
+
+    Args:
+        key_quantizers / value_quantizers: one fitted quantizer per
+            layer.
 
     Attributes:
-        parts: ``(tensors, quantizer)`` per kernel call — ``tensors``
-            the slice of the K|V axis (0 keys, 1 values) whose rows
-            ``quantizer`` encodes and decodes as equal row blocks.
+        parts: :meth:`parts_of` every layer.
+        stacked: the one quantizer of :attr:`parts` when every layer
+            stacks (over ``[keys; values]`` for a one-layer encoder),
+            else ``None``.
     """
 
-    def __init__(self, key_quantizer, value_quantizer) -> None:
-        self.key_quantizer = key_quantizer
-        self.value_quantizer = value_quantizer
+    def __init__(
+        self, key_quantizers: Sequence, value_quantizers: Sequence
+    ) -> None:
+        self.key_quantizers = tuple(key_quantizers)
+        self.value_quantizers = tuple(value_quantizers)
         self.scratch = QuantizeScratch()
-        self.stacked: Optional[OakenQuantizer] = None
-        pair = (key_quantizer, value_quantizer)
-        if (
-            all(type(q) is OakenQuantizer for q in pair)
-            and all(isinstance(q.thresholds, GroupThresholds) for q in pair)
-            and key_quantizer.config == value_quantizer.config
-            and key_quantizer.mode == value_quantizer.mode
-        ):
-            self.stacked = OakenQuantizer(
-                key_quantizer.config,
-                (key_quantizer.thresholds, value_quantizer.thresholds),
-                key_quantizer.mode,
-            )
-        self.parts: Tuple[Tuple[slice, OakenQuantizer], ...] = (
-            ((slice(0, 2), self.stacked),)
-            if self.stacked is not None
-            else ((slice(0, 1), key_quantizer), (slice(1, 2), value_quantizer))
+        self._parts: Dict[tuple, tuple] = {}
+        self.parts = self.parts_of(range(len(self.key_quantizers)))
+        self.stacked: Optional[OakenQuantizer] = (
+            self.parts[0][1] if len(self.parts) == 1 else None
         )
+
+    def parts_of(
+        self, layers: Sequence[int]
+    ) -> Tuple[Tuple[slice, OakenQuantizer], ...]:
+        """``(blocks, quantizer)`` per kernel call of a transaction over
+        ``layers``: ``blocks`` the slice of its (layer, K|V) block axis
+        whose rows ``quantizer`` encodes and decodes as equal row
+        blocks.  Built once per tuple of layers."""
+        key = tuple(layers)
+        parts = self._parts.get(key)
+        if parts is None:
+            quantizers = [
+                q
+                for layer in key
+                for q in (
+                    self.key_quantizers[layer], self.value_quantizers[layer]
+                )
+            ]
+            if _stacks(quantizers):
+                first = quantizers[0]
+                parts = ((
+                    slice(0, len(quantizers)),
+                    OakenQuantizer(
+                        first.config,
+                        tuple(q.thresholds for q in quantizers),
+                        first.mode,
+                    ),
+                ),)
+            elif len(key) == 1:
+                parts = tuple(
+                    (slice(block, block + 1), q)
+                    for block, q in enumerate(quantizers)
+                )
+            else:
+                parts = tuple(
+                    (slice(2 * i + span.start, 2 * i + span.stop), q)
+                    for i, layer in enumerate(key)
+                    for span, q in self.parts_of((layer,))
+                )
+            self._parts[key] = parts
+        return parts
 
     def encode_parts(
         self,
-        key_blocks: Sequence[np.ndarray],
-        value_blocks: Sequence[np.ndarray],
+        layers: Sequence[int],
+        rows: Sequence[np.ndarray],
+        per_block: int,
     ) -> List[Tuple[slice, EncodedKV]]:
         """The encode half: one ``quantize_into`` per kernel call.
 
-        ``key_blocks[i]`` and ``value_blocks[i]`` are same-shape
-        [t_i, D] matrices (callers check).  Returns one ``(tensors,
-        encoded)`` per entry of :attr:`parts`: the encode of that
-        slice's blocks as equal [sum t_i, D] row blocks — stacked, the
-        ``[keys; values]`` encode exactly as the kernel emits it.
+        ``rows`` are the transaction's [t_i, D] matrices block by block,
+        ``per_block`` of them to a block (the blocks of one transaction
+        are equal; callers check).  Returns one ``(blocks, encoded)``
+        per entry of :meth:`parts_of` ``layers``: the encode of those
+        blocks' rows as equal row blocks — for a stacking transaction,
+        the whole stack exactly as the kernel emits it.
         """
-        tensors_blocks = (key_blocks, value_blocks)
         parts = []
-        for tensors, quantizer in self.parts:
-            rows = [b for blocks in tensors_blocks[tensors] for b in blocks]
-            stack = rows[0] if len(rows) == 1 else np.concatenate(rows)
+        for blocks, quantizer in self.parts_of(layers):
+            own = rows[blocks.start * per_block : blocks.stop * per_block]
+            stack = own[0] if len(own) == 1 else np.concatenate(own)
             parts.append(
-                (tensors, quantizer.quantize_into(stack, self.scratch))
+                (blocks, quantizer.quantize_into(stack, self.scratch))
             )
         return parts
 
     def decode_parts(
-        self, gather: Callable[[slice, OakenQuantizer], EncodedKV]
+        self,
+        layers: Sequence[int],
+        gather: Callable[[slice, OakenQuantizer], EncodedKV],
     ) -> List[Tuple[slice, np.ndarray]]:
         """The decode half: one ``dequantize`` per kernel call.
 
-        ``gather(tensors, quantizer)`` returns the stored rows of
-        ``tensors`` as equal row blocks (``[K rows; V rows]`` when the
-        slice spans both), labelled with ``quantizer``'s config and
-        thresholds; the result pairs each slice with its float32
-        ``[blocks * rows, D]`` decode — bit-identical, row for row, to
-        the two per-tensor decodes.
+        ``gather(blocks, quantizer)`` returns the stored rows of
+        ``blocks`` (a slice of the transaction's block axis over
+        ``layers``) as equal row blocks, labelled with ``quantizer``'s
+        config and thresholds; the result pairs each slice with its
+        float32 ``[blocks * rows, D]`` decode — bit-identical, row for
+        row, to the per-tensor decodes.
         """
         return [
-            (tensors, quantizer.dequantize(gather(tensors, quantizer)))
-            for tensors, quantizer in self.parts
+            (blocks, quantizer.dequantize(gather(blocks, quantizer)))
+            for blocks, quantizer in self.parts_of(layers)
         ]
 
 

@@ -1,33 +1,27 @@
 """Structure-of-arrays KV arena: the pool's fused resident set as flat
 buffers.
 
-The chunked fused cache (:class:`~repro.core.kvcache.LayerKVCache`)
-stores one immutable :class:`~repro.core.encoding.EncodedKV` per
-append: that makes prefix sharing structural, but at serving batch
-sizes every batched append allocates one chunk per sequence per tensor
-and every batched read concatenates chunk lists field by field.
+The chunk store (:class:`~repro.core.kvcache.LayerKVCache`) keeps one
+immutable :class:`~repro.core.encoding.EncodedKV` per append, so at
+serving batch sizes every append allocates chunks and every read
+concatenates them.  :class:`KVArena` removes the object traffic: one
+row table, ``seq_id -> _RowSlice`` (a sequence is the same contiguous
+row-slice in every layer), over one preallocated structure-of-arrays
+store for the whole cache, as the paper's MMU keeps it in one address
+space behind one dense and one sparse table — row-parallel buffers
+with a (layer, K|V) axis (dense codes ``[L, 2, cap, D]``, scale bounds
+``[L, 2, cap]`` / ``[L, 2, cap, B]``) over one append-only payload log
+of every layer's COO records, addressed by per-row ``(pay_start,
+pay_len)``:
 
-:class:`KVArena` removes the object traffic.  It owns one row table,
-``seq_id -> (start, cap, generation, bits, elements, per-layer
-length/decoded)``: a sequence's cache is the same contiguous row-slice
-in every layer.  Behind the table is one preallocated
-structure-of-arrays store for the whole cache, as the paper's MMU keeps
-it in one address space behind one dense and one sparse table: its
-row-parallel buffers carry a (layer, K|V) axis — dense codes ``[L, 2,
-cap, D]``, per-token scale bounds ``[L, 2, cap]`` / ``[L, 2, cap, B]``
-— over one append-only payload log of every layer's COO records,
-addressed by per-row ``(pay_start, pay_len)``:
-
-* ``append_batch`` is one fused encode (keys stacked over values)
-  followed by one vectorized scatter of that ``[keys; values]`` stack,
-  as it leaves the kernel, into the layer's blocks of the store — no
-  per-sequence chunk allocation and no split back into tensors
-  anywhere on the path.
-* ``read_batch`` is one ragged gather of every requested sequence's
-  undecoded ``[K rows; V rows]`` into a single lazily materialized
-  chunk view (:func:`~repro.core.encoding.encoded_rows_view`), one
-  stacked decode, and one scatter into the decoded-row mirror; reads
-  then serve zero-copy row-slice views.
+* ``append_batch`` is a whole step's one fused encode — its 2L row
+  blocks, (layer, K|V) after (layer, K|V) — and one vectorized scatter
+  of that stack, as it leaves the kernel, into the store: no chunk
+  allocation, no split back into layers or tensors.
+* ``decode_pending`` is the mirror: one ragged gather of the step's
+  undecoded rows into one lazy chunk view
+  (:func:`~repro.core.encoding.encoded_rows_view`), one decode, one
+  scatter into the decoded mirror; reads serve zero-copy views of it.
 * ``free`` puts the sequence's region on the free list of its size
   class, where the next reservation of that class finds it: a stored
   row is written once and moved O(1) times.  Only when free-listed
@@ -38,9 +32,10 @@ addressed by per-row ``(pay_start, pay_len)``:
 
 Every geometry decision — a relocation, a growth, a compaction, a
 fork's copy — is one operation on the one store, whatever the number
-of layers.  Whether a layer's keys and values share a kernel call is
-its :class:`~repro.core.quantizer.LayerEncoder`'s decision; a pair
-that cannot goes through the same store methods one tensor at a time.
+of layers, and so is a step's write and decode.  Whether a step's
+blocks share a kernel call is the
+:class:`~repro.core.quantizer.LayerEncoder`'s decision; blocks that
+cannot take the same store path a layer or a tensor at a time.
 
 Bit-exactness is the design constraint, not a best-effort property:
 the arena stores exactly the arrays :class:`EncodedKV` stores (float32
@@ -50,11 +45,9 @@ same float32 storage either way — so every read is bit-identical to
 the chunked pool, looped or batched, tiered or untiered, including
 after compaction and after ``fork`` (the pool's state machine,
 ``tests/test_pool_model.py``, checks every read against the one-shot
-``roundtrip()`` of the rows).
-
-Forks copy the parent's prefix rows into the child's slice: reads are
-bit-identical to the chunk-aliasing COW fork, but no bytes are shared
-(chunk identity, which sharing's refcounts need, does not exist here).
+``roundtrip()`` of the rows).  Forks copy the parent's prefix rows:
+reads are bit-identical to the chunk store's aliasing fork, but no
+bytes are shared.
 """
 
 from __future__ import annotations
@@ -94,8 +87,8 @@ _RECORD_FIELDS = (
 
 def as_rows(block) -> np.ndarray:
     """``block`` as a 2-D row block — itself when it already is one, as
-    every block of the serving loop is: ``np.atleast_2d`` per block
-    per sequence is a measurable share of a batched append."""
+    every block of the serving loop is (``np.atleast_2d`` per block is
+    a measurable share of a batched append)."""
     if type(block) is np.ndarray and block.ndim == 2:
         return block
     return np.atleast_2d(block)
@@ -107,10 +100,8 @@ def _pow2(n: int) -> int:
 
 
 def _ranges(starts, lens) -> np.ndarray:
-    """``arange(s, s + n)`` for every ``(s, n)`` pair, concatenated.
-
-    Given lists, ranges of one row each — a decode step's — are the
-    starts themselves."""
+    """``arange(s, s + n)`` for every ``(s, n)`` pair, concatenated
+    (given lists of one-row ranges, a decode step's, the starts)."""
     if type(lens) is list and lens.count(1) == len(lens):
         return np.array(starts, dtype=np.int64)
     lens = np.asarray(lens, dtype=np.int64)
@@ -124,7 +115,7 @@ class _RowSlice:
     """One sequence's contiguous row range, the same in every layer."""
 
     __slots__ = (
-        "start", "cap", "generation", "bits", "elements",
+        "start", "cap", "generation", "bits", "layer_bits", "elements",
         "length", "decoded",
     )
 
@@ -133,11 +124,11 @@ class _RowSlice:
         self.cap = 0
         #: Bumped every time the slice relocates (growth or compaction).
         self.generation = 0
-        #: Running encoded footprint of the written rows, keys plus
-        #: values over all layers, as exact integers: grown by appends
-        #: and fork copies, untouched by relocation and compaction,
-        #: gone with the slice.
+        #: Running encoded footprint of the written rows as exact
+        #: integers — bits and elements over all layers, bits per layer
+        #: — grown by appends and fork copies, kept by relocation.
         self.bits = 0
+        self.layer_bits = [0] * num_layers
         self.elements = 0
         #: Per layer: rows [0, length) are written, rows [0, decoded)
         #: have current entries in the decoded mirror.
@@ -150,16 +141,13 @@ class _Store:
 
     Row-parallel buffers are ``[L, 2, cap, ...]`` — layer, K|V (0 keys,
     1 values), arena row — each also viewed flat as ``[L * 2 * cap,
-    ...]``, block ``2 * layer + tensor`` after block.  A layer's
-    ``[keys; values]`` stack, as the kernel emits it, is two adjacent
-    blocks, so it scatters in, and gathers back out, as it is.  The
-    payload log is one append-only record store for every block,
-    addressed through ``pay_start``/``pay_len`` (records of one row are
-    contiguous and token-ordered, records of different rows need not
-    be adjacent — relocation moves row metadata, never payload; only
-    :meth:`rebuild_log` rewrites the log).  Where rows live, and how
-    many a block holds, is the arena's business: the store is told
-    positions and a capacity, it keeps no geometry.
+    ...]``, block ``2 * layer + tensor`` after block: the order of a
+    step's stack as the kernel emits it.  The payload log is one
+    append-only record store for every block, addressed through
+    ``pay_start``/``pay_len`` (a row's records are contiguous and
+    token-ordered; relocation moves row metadata, never payload; only
+    :meth:`rebuild_log` rewrites the log).  The store is told positions
+    and a capacity; it keeps no geometry.
     """
 
     def __init__(self, num_layers: int) -> None:
@@ -182,16 +170,16 @@ class _Store:
         #: Read-only alias of the decoded mirror; reads slice this.
         self.readable = np.empty((num_layers, 2, 0, 0), dtype=np.float32)
 
-    def positions(
-        self, layer: int, tensors: slice, idx: np.ndarray
-    ) -> np.ndarray:
-        """Rows ``idx`` of blocks ``2 * layer + tensors`` (a slice of
-        the K|V axis, or from layer 0 of every layer's), as positions
-        in the :attr:`flat` views, block by block."""
-        cap = self.capacity
-        first = (2 * layer + tensors.start) * cap
-        last = first + (tensors.stop - tensors.start) * cap
-        return np.concatenate([idx + at for at in range(first, last, cap)])
+    def positions(self, layers: Sequence[int], idx) -> np.ndarray:
+        """Rows ``idx`` of both blocks of each of ``layers``, as
+        positions in the :attr:`flat` views, block by block: keys then
+        values of the first layer, then of the next.  ``idx`` holds the
+        same rows for every layer, or one row list per layer."""
+        blocks = 2 * np.asarray(layers)[:, None] + (0, 1)
+        idx = np.asarray(idx)
+        if idx.ndim == 2:
+            idx = idx[:, None]
+        return (blocks[:, :, None] * self.capacity + idx).ravel()
 
     def resize(
         self, capacity: int, old_at: np.ndarray, new_at: np.ndarray
@@ -199,10 +187,8 @@ class _Store:
         """Replace every row-parallel buffer by a fresh one of
         ``capacity`` rows a block, holding exactly the rows at the flat
         positions ``old_at`` (at the old capacity), now at ``new_at``.
-
-        Each buffer's kept rows are gathered, and the buffer dropped,
-        before its successor is allocated: a re-size holds one
-        buffer's kept rows twice, never two whole buffers."""
+        Each buffer's kept rows are gathered, and it is dropped, before
+        its successor is allocated: never two whole buffers at once."""
         self.capacity = capacity
         if not self.rows:
             return
@@ -325,12 +311,11 @@ class KVArena(PoolStore):
     """One row table over one structure-of-arrays store, behind
     ``KVCachePool``.
 
-    Built from the shared per-layer quantizers of a fused pool
-    (harvested from one template backend, the same objects
-    :func:`~repro.engine.backend.shared_backend_factory` shares), so
-    every sequence's rows encode and decode through identical kernels
-    and batched operations are always fusible; all of them share one
-    config, as every layer's rows share the store's buffers.
+    Built from the shared per-layer quantizers of a fused pool (one
+    template backend's, as
+    :func:`~repro.engine.backend.shared_backend_factory` shares them),
+    so every sequence's rows go through the same kernels and any batch
+    fuses; they share one config, as all rows share the buffers.
 
     The arena owns all row geometry: one ``seq_id -> _RowSlice`` table,
     one ``tail``, one row ``capacity``, one free list per size class.
@@ -338,15 +323,8 @@ class KVArena(PoolStore):
     block of the store (how many a layer has written and decoded is per
     layer, so layers may be driven unevenly); growth, recycling and
     compaction are decided and applied once.  Live slices and free
-    regions tile ``[0, tail)`` exactly.
-
-    Both bounds on what is left dead are checked in ``free`` only —
-    never on the append path, where a batch is half applied (its rows
-    are reserved, not yet written): free-listed rows compact the arena
-    when they reach :data:`_MIN_ROWS` and exceed
-    :data:`_COMPACT_WATERMARK` of ``capacity``; dead payload records,
-    which recycling alone would let pile up in the append-only log,
-    get the log rebuilt when they outnumber the live ones.
+    regions tile ``[0, tail)`` exactly; what is left dead is bounded in
+    :meth:`free` only, never mid-append.
 
     Args:
         key_quantizers / value_quantizers: per-layer fitted quantizers.
@@ -365,12 +343,9 @@ class KVArena(PoolStore):
                 "every layer's key and value quantizers must share one "
                 "config (their rows share one set of buffers)"
             )
-        #: One encoder per layer; the kernels stay per layer.
-        self.encoders = [
-            LayerEncoder(kq, vq)
-            for kq, vq in zip(key_quantizers, value_quantizers)
-        ]
-        self.store = _Store(len(self.encoders))
+        #: The one encoder of every transaction, over every layer.
+        self.encoder = LayerEncoder(key_quantizers, value_quantizers)
+        self.store = _Store(len(key_quantizers))
         self.rows: Dict[Hashable, _RowSlice] = {}
         self.tail = 0
         #: Per size class (a slice capacity), the starts of the free
@@ -382,7 +357,7 @@ class KVArena(PoolStore):
 
     @property
     def num_layers(self) -> int:
-        return len(self.encoders)
+        return self.store.num_layers
 
     @property
     def capacity(self) -> int:
@@ -497,12 +472,11 @@ class KVArena(PoolStore):
     ) -> "ArenaCacheBackend":
         """Copy the parent's first ``prefix_len`` rows into a child.
 
-        Row-exact: encoded fields, payload records and any
-        already-decoded mirror rows are duplicated, so the child's
-        reads are bit-identical to an unshared sequence that appended
-        the same rows (the adapter-fork contract class — no bytes are
-        aliased, hence no byte savings and no refcounting): one gather
-        and one write of the prefix in every block, charged as appended.
+        Row-exact: encoded fields, payload records and decoded mirror
+        rows are duplicated — one gather and one write of the prefix in
+        every block, charged as appended — so the child reads as an
+        unshared sequence that appended the same rows; nothing is
+        aliased, so nothing is saved or reference-counted.
         """
         parent = self.rows[parent_id]
         if not 0 <= prefix_len <= min(parent.length):
@@ -516,12 +490,14 @@ class KVArena(PoolStore):
         slc = self.rows[child_id]
         self._reserve(slc, prefix_len)
         store = self.store
-        every = slice(0, 2 * self.num_layers)
-        src = store.positions(0, every, np.arange(prefix_len) + parent.start)
-        dst = store.positions(0, every, np.arange(prefix_len) + slc.start)
+        every = range(self.num_layers)
+        src = store.positions(every, np.arange(prefix_len) + parent.start)
+        dst = store.positions(every, np.arange(prefix_len) + slc.start)
         # Any quantizer labels the copy: all share the one config.
-        chunk = store.gather(src, self.encoders[0].key_quantizer)
-        self._charge([slc], [prefix_len], chunk, store.write(dst, chunk))
+        chunk = store.gather(src, self.encoder.key_quantizers[0])
+        self._charge(
+            [slc], [prefix_len], every, chunk, store.write(dst, chunk)
+        )
         store.flat["decoded"][dst] = store.flat["decoded"][src]
         slc.length = [prefix_len] * self.num_layers
         slc.decoded = [min(prefix_len, done) for done in parent.decoded]
@@ -530,10 +506,12 @@ class KVArena(PoolStore):
     def free(self, seq_id: Hashable) -> None:
         """Recycle the sequence's region and bound what is left dead.
 
-        The one quiescent point, so the only place either bound is
-        checked: free-listed rows past the watermark compact the arena
-        (rows and payload); otherwise, when the log's dead records
-        outnumber its live ones, the log alone is rebuilt.
+        The one quiescent point (an append's rows are reserved before
+        they are written), so the only place either bound is checked:
+        free-listed rows that reach :data:`_MIN_ROWS` and exceed
+        :data:`_COMPACT_WATERMARK` of the capacity compact the arena
+        (rows and payload); otherwise, when the append-only log's dead
+        records outnumber its live ones, the log alone is rebuilt.
         """
         slc = self.rows.pop(seq_id)
         store = self.store
@@ -554,157 +532,179 @@ class KVArena(PoolStore):
 
     def append_batch(
         self,
-        layer: int,
-        items: Sequence[Tuple[Hashable, np.ndarray, np.ndarray]],
+        layers: Sequence[int],
+        items: Sequence[Tuple[Hashable, Sequence, Sequence]],
     ) -> int:
-        """One fused encode of keys and values, one vectorized scatter.
+        """Store a transaction on ``layers``: one fused encode, one
+        vectorized scatter.
 
-        ``items`` are ``(seq_id, keys, values)`` with ``keys`` and
-        ``values`` same-shape 2-D [t, D] row blocks — the pool and
-        :class:`ArenaCacheBackend` normalize and check them — ragged
-        across items is fine; encode is row-local, so scattering the
-        merged encode is bit-identical to per-sequence appends in
-        ``items`` order.
+        ``items`` are ``(seq_id, keys, values)``, ``keys`` and
+        ``values`` one same-shape 2-D [t, D] row block per entry of
+        ``layers`` (checked by the caller; ``t`` may vary across
+        items) — or, for one layer index, one block each.  The encode
+        is row-local, so scattering its (layer, K|V) blocks is
+        bit-identical to per-layer, per-sequence appends in ``items``
+        order.  Each layer's rows land after its own, so layers driven
+        unevenly stay exact.
 
         Returns the number of kernel calls made (one per entry of
-        :attr:`~repro.core.quantizer.LayerEncoder.parts`).
+        :meth:`~repro.core.quantizer.LayerEncoder.parts_of` ``layers``).
         """
+        if isinstance(layers, (int, np.integer)):
+            layers = (layers,)
+            items = [(seq_id, (k,), (v,)) for seq_id, k, v in items]
         slices = [self.rows[seq_id] for seq_id, _, _ in items]
-        rows = [keys.shape[0] for _, keys, _ in items]
+        rows = [keys[0].shape[0] for _, keys, _ in items]
         if not any(rows):
             return 0
         # Look every slice up and encode before touching the row table:
-        # an unknown id, or blocks of mixed widths (the encode cannot
-        # stack them), must leave every sequence untouched.  The encode
-        # is per token, so a batch of one width unlike the store's rows
-        # passes it; the pool refuses that before calling here.
-        parts = self.encoders[layer].encode_parts(
-            [keys for _, keys, _ in items],
-            [values for _, _, values in items],
+        # an unknown id, or blocks of mixed widths, must leave every
+        # sequence untouched (rows of one width unlike the store's pass
+        # the encode; the pool refuses them).
+        count = len(layers)
+        parts = self.encoder.encode_parts(
+            layers,
+            [
+                item[tensor][i]
+                for i in range(count)
+                for tensor in (1, 2)
+                for item in items
+            ],
+            len(items),
         )
-        # Where each item's rows go within its slice (a sequence named
+        # Each item's offset past its slice's rows (a sequence named
         # twice keeps its items in order), then one reservation per
-        # slice for its final length.  Lengths advance after the write.
-        lengths: Dict[_RowSlice, int] = {}
-        offsets = [0] * len(slices)
-        for item, (slc, count) in enumerate(zip(slices, rows)):
-            offset = lengths[slc] if slc in lengths else slc.length[layer]
-            offsets[item] = offset
-            lengths[slc] = offset + count
-        for slc, length in lengths.items():
-            if length > slc.cap:
-                self._reserve(slc, length)
-        idx = _ranges(
-            [slc.start + offset for slc, offset in zip(slices, offsets)],
-            rows,
-        )
+        # slice; lengths advance after the write.
+        added: Dict[_RowSlice, int] = {}
+        within = [0] * len(slices)
+        for item, (slc, rows_in) in enumerate(zip(slices, rows)):
+            within[item] = offset = added[slc] if slc in added else 0
+            added[slc] = offset + rows_in
+        for slc, rows_in in added.items():
+            for layer in layers:
+                if slc.length[layer] + rows_in > slc.cap:
+                    self._reserve(slc, rows_in + max(
+                        [slc.length[layer] for layer in layers]
+                    ))
+                    break
+        idx = _ranges([
+            slc.start + offset + slc.length[layer]
+            for layer in layers for slc, offset in zip(slices, within)
+        ], rows * count).reshape(count, -1)
         store = self.store
-        for tensors, encoded in parts:
-            at = store.positions(layer, tensors, idx)
-            self._charge(slices, rows, encoded, store.write(at, encoded))
-        for slc, length in lengths.items():
-            slc.length[layer] = length
+        at = store.positions(layers, idx).reshape(2 * count, -1)
+        lens = [store.write(at[blocks].ravel(), encoded)
+                for blocks, encoded in parts]
+        self._charge(
+            slices, rows, layers, parts[0][1],
+            lens[0] if len(lens) == 1 else np.concatenate(lens),
+        )
+        for slc, rows_in in added.items():
+            for layer in layers:
+                slc.length[layer] += rows_in
         return len(parts)
 
     @staticmethod
-    def _charge(
-        slices: List[_RowSlice],
-        rows: List[int],
-        encoded: EncodedKV,
-        lens: np.ndarray,
-    ) -> None:
-        """Charge every item its rows of ``encoded`` — one or more
-        equal row blocks, each holding the items' ``rows`` in order —
-        from the record count of every row the write just took: this
-        is :meth:`EncodedKV.footprint_bits` item by item in closed
-        form, so arena byte accounting is bit-identical to the chunked
-        pool's."""
+    def _charge(slices, rows, layers, encoded: EncodedKV, lens) -> None:
+        """Charge every item its rows on each of ``layers`` from the
+        record count of every row the write just took (``lens``, block
+        by block, each block the items' ``rows`` in order): this is
+        :meth:`EncodedKV.footprint_bits` item by item and layer by
+        layer in closed form, so arena byte accounting is bit-identical
+        to the chunked pool's."""
         config = encoded.config
-        total = sum(rows)
-        blocks = lens.size // total
-        # Records per item row, summed over the blocks, then per item.
-        per_row = lens[:total]
-        for block in range(1, blocks):
-            per_row = per_row + lens[block * total : (block + 1) * total]
-        if rows.count(1) == len(rows):
-            outliers = per_row.tolist()
-        else:
-            ends = [0] + per_row.cumsum().tolist()
-            outliers = []
-            first = 0
-            for count in rows:
-                outliers.append(ends[first + count] - ends[first])
-                first += count
-        token_bits = blocks * (
-            encoded.dim * config.inlier_bits + config.token_metadata_bits
-        )
-        record_bits = config.sparse_record_bits
-        token_elements = blocks * encoded.dim
-        for slc, count, records in zip(slices, rows, outliers):
-            slc.bits += count * token_bits + records * record_bits
-            slc.elements += count * token_elements
+        count = len(layers)
+        # Records per layer per item: its key rows' plus its value rows'.
+        records = lens.reshape(count, 2, -1).sum(axis=1)
+        if rows.count(1) != len(rows):
+            ends = np.zeros((count, records.shape[1] + 1), dtype=np.int64)
+            np.cumsum(records, axis=1, out=ends[:, 1:])
+            bounds = np.cumsum([0] + rows)
+            records = ends[:, bounds[1:]] - ends[:, bounds[:-1]]
+        grown = records * config.sparse_record_bits
+        grown += np.multiply(rows, 2 * (
+            encoded.dim * config.inlier_bits + config.token_metadata_bits))
+        totals = grown.sum(axis=0).tolist()
+        for layer, bits in zip(layers, grown.tolist()):
+            for slc, item_bits in zip(slices, bits):
+                slc.layer_bits[layer] += item_bits
+        token_elements = 2 * count * encoded.dim
+        for slc, rows_in, item_bits in zip(slices, rows, totals):
+            slc.bits += item_bits
+            slc.elements += rows_in * token_elements
 
     def decode_pending(
-        self, layer: int, seq_ids: Sequence[Hashable]
+        self, layers: Sequence[int], seq_ids: Sequence[Hashable]
     ) -> int:
-        """Decode every listed sequence's undecoded rows in one pass:
-        one gather of ``[K rows; V rows]``, one kernel call, one
-        scatter into the decoded mirror (per tensor when the layer's
-        quantizers do not stack).
+        """Decode every listed sequence's undecoded rows on ``layers``:
+        per group of layers whose pending rows agree — every layer of a
+        step's; layers driven unevenly split it — one gather of their
+        blocks, one kernel call (per layer or tensor when the
+        quantizers do not stack), one scatter into the decoded mirror.
 
         Returns the number of kernel calls made — 0 when no row was
         pending.
         """
-        store = self.store
         slices = [self.rows[seq_id] for seq_id in seq_ids]
-        pending = [
-            slc for slc in slices if slc.decoded[layer] < slc.length[layer]
-        ]
-        if not pending:
-            return 0
-        idx = _ranges(
-            [slc.start + slc.decoded[layer] for slc in pending],
-            [slc.length[layer] - slc.decoded[layer] for slc in pending],
-        )
-        gathered = []
-
-        def gather(tensors: slice, quantizer) -> EncodedKV:
-            gathered.append(store.positions(layer, tensors, idx))
-            return store.gather(gathered[-1], quantizer)
-
-        decodes = self.encoders[layer].decode_parts(gather)
-        mirror = store.flat["decoded"]
-        for at, (_, block) in zip(gathered, decodes):
-            mirror[at] = block
-        for slc in pending:
-            slc.decoded[layer] = slc.length[layer]
-        return len(decodes)
+        groups: Dict[tuple, List[int]] = {}
+        for layer in layers:
+            spans = tuple([
+                (slc.decoded[layer], slc.length[layer])
+                if slc.decoded[layer] < slc.length[layer] else None
+                for slc in slices
+            ])
+            groups.setdefault(spans, []).append(layer)
+        store = self.store
+        calls = 0
+        for spans, group in groups.items():
+            pending = [
+                (slc, span) for slc, span in zip(slices, spans) if span
+            ]
+            if not pending:
+                continue
+            idx = _ranges([slc.start + done for slc, (done, _) in pending],
+                          [length - done for _, (done, length) in pending])
+            at = store.positions(group, idx).reshape(2 * len(group), -1)
+            decodes = self.encoder.decode_parts(
+                group, lambda blocks, q: store.gather(at[blocks].ravel(), q)
+            )
+            for blocks, block in decodes:
+                store.flat["decoded"][at[blocks].ravel()] = block
+            for slc, (_, length) in pending:
+                for layer in group:
+                    slc.decoded[layer] = length
+            calls += len(decodes)
+        return calls
 
     def read(
         self, seq_id: Hashable, layer: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Zero-copy row-slice views of the decoded history.
 
-        Like the chunked cache, the views are read-only and remain
-        valid in content only until the next mutating operation
-        (relocation or compaction may move the rows); copy before
-        holding across appends or frees.
+        Like the chunk store's, the views are read-only and valid only
+        until the next mutation (relocation or compaction may move the
+        rows): copy before holding them across appends or frees.
+
+        Raises:
+            RuntimeError: the sequence holds no rows on ``layer``
+                (``"cache is empty"``).
         """
         slc = self.rows[seq_id]
-        length = slc.length[layer]
-        if length == 0:
-            raise RuntimeError("cache is empty")
-        if slc.decoded[layer] < length:
-            self.decode_pending(layer, [seq_id])
-        view = self.store.readable[layer, :, slc.start : slc.start + length]
-        return view[0], view[1]
+        if slc.decoded[layer] < slc.length[layer]:
+            self.decode_pending((layer,), [seq_id])
+        return self.read_batch(layer, [seq_id])[0]
 
     def read_batch(
         self, layer: int, seq_ids: Sequence[Hashable]
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
         """:meth:`read` of every listed sequence, in order, for a caller
         that has run :meth:`decode_pending` on them: this serves the
-        decoded mirror as it stands and decodes nothing."""
+        decoded mirror as it stands and decodes nothing.
+
+        Raises:
+            RuntimeError: a listed sequence holds no rows on ``layer``
+                (``"cache is empty"``).
+        """
         slices = [self.rows[seq_id] for seq_id in seq_ids]
         for slc in slices:
             if slc.length[layer] == 0:
@@ -727,6 +727,10 @@ class KVArena(PoolStore):
         slc = self.rows[seq_id]
         return slc.bits, slc.elements
 
+    def layer_bits(self, seq_id: Hashable, layer: int) -> int:
+        """Encoded bits of one sequence's rows on one layer; O(1)."""
+        return self.rows[seq_id].layer_bits[layer]
+
     def check_invariants(self) -> None:
         """Assert the allocator's geometry and the running footprints.
 
@@ -734,9 +738,9 @@ class KVArena(PoolStore):
         regions tile the extent exactly (``dead_rows`` is the rows on
         the free lists); every layer's ``decoded <= length <= cap``;
         the payload log is the live records plus the counted dead ones,
-        never more dead than live; and each slice's ``(bits,
-        elements)`` is :meth:`EncodedKV.footprint_bits` of a chunk view
-        of its written rows — the walk the accumulators replaced.
+        never more dead than live; and each slice's bits on each layer
+        are :meth:`EncodedKV.footprint_bits` of a chunk view of its
+        written rows there — the walk the accumulators replaced.
         """
         store = self.store
         regions = [
@@ -751,16 +755,18 @@ class KVArena(PoolStore):
             if slc.cap:
                 # (A never-written slice owns no rows wherever it sits.)
                 regions.append((slc.start, slc.cap, seq_id))
-            written = self._written([slc])
-            bits = elements = 0
-            if written.size:
-                view = store.gather(written, self.encoders[0].key_quantizer)
-                bits, elements = view.footprint_bits()
-            assert (slc.bits, slc.elements) == (bits, elements), (
-                f"sequence {seq_id!r}: footprint accumulator "
-                f"({slc.bits}, {slc.elements}) != recomputed "
-                f"({bits}, {elements})"
-            )
+            bits = [
+                store.gather(
+                    store.positions((layer,), slc.start + np.arange(length)),
+                    self.encoder.key_quantizers[0],
+                ).footprint_bits()[0] if length else 0
+                for layer, length in enumerate(slc.length)
+            ]
+            elements = 2 * sum(slc.length) * (self.width or 0)
+            held = (slc.layer_bits, slc.bits, slc.elements)
+            assert held == (bits, sum(bits), elements), (
+                f"sequence {seq_id!r}: footprint accumulators {held} != "
+                f"recomputed {(bits, sum(bits), elements)}")
         cursor = 0
         for start, cap, owner in sorted(regions, key=lambda r: r[:2]):
             assert cap >= _MIN_ROWS and cap & (cap - 1) == 0, (owner, cap)
@@ -777,12 +783,9 @@ class KVArena(PoolStore):
         assert store.dead_records <= live_records
 
     def summary(self) -> Dict[str, float]:
-        """Occupancy counters merged into the pool's :meth:`summary`.
-
-        Rows and compactions keep their per-layer unit (every layer's
-        blocks hold the slice, and a pass rewrites them all), so the
-        row counts and ``arena_compactions`` are summed over layers.
-        """
+        """Occupancy counters merged into the pool's :meth:`summary`;
+        rows and compactions are summed over layers (every layer's
+        blocks hold a slice, and a pass rewrites them all)."""
         return {
             "arena_rows_live": float(
                 sum(sum(slc.length) for slc in self.rows.values())
@@ -794,12 +797,9 @@ class KVArena(PoolStore):
 
 
 class ArenaCacheBackend:
-    """One sequence's :class:`CacheBackend` view of a shared arena.
-
-    Implements the protocol the pool and replay drive — ``append`` /
-    ``read`` / ``nbytes`` / ``effective_bitwidth`` — as row-slice
-    operations on the owning :class:`KVArena`.
-    """
+    """One sequence's :class:`CacheBackend` view of a shared arena:
+    ``append`` / ``read`` / ``nbytes`` / ``effective_bitwidth`` as
+    row-slice operations on the owning :class:`KVArena`."""
 
     kind = "arena"
 

@@ -369,18 +369,26 @@ class AdapterStore(BackendStore):
     rows.
     """
 
-    def append_batch(
+    def append_layer(
         self,
         layer: int,
         items: Sequence[Tuple[Hashable, np.ndarray, np.ndarray]],
     ) -> int:
-        """Store every item's exact rows; no kernel runs."""
+        """Store every item's exact rows on ``layer``; no kernel runs."""
         for seq_id, keys, values in items:
             self.caches[seq_id].append(layer, keys, values)
-        self.width = items[0][1].shape[1]
         return 0
 
-    def decode_pending(
+    def layer_bits(self, seq_id: Hashable, layer: int) -> float:
+        """One sequence's bits on one layer, under the method's
+        accounting (each stream's footprint is memoized per length)."""
+        return sum(
+            stream.footprint().total_bits
+            for stream in self.caches[seq_id].layer_streams(layer)
+            if stream.length
+        )
+
+    def decode_layer(
         self, layer: int, seq_ids: Sequence[Hashable]
     ) -> int:
         """One merged roundtrip per tensor over the listed sequences'

@@ -30,8 +30,9 @@ they turn ``B`` tiny [2, D] kernel launches per layer into one [2B, D]
 launch.
 
 ``step`` is the serving loop's unit: one token's rows on every layer,
-checked and priced against the byte budget once, then one
-``append_batch`` / ``read_batch`` pair per layer — so a refused step
+checked and priced against the byte budget once, then stored with one
+``append_batch`` and decoded with one ``read_batch`` across every
+layer — one kernel call each way on the arena — so a refused step
 leaves every layer of every sequence as it was.
 
 Pool-wide footprint (current and peak encoded bytes, measured
@@ -42,6 +43,7 @@ cache-replay mode, replacing the analytic capacity estimate.
 from __future__ import annotations
 
 import math
+import operator
 from typing import (
     Callable,
     Dict,
@@ -76,10 +78,20 @@ BatchUpdates = Union[
 StepUpdates = Iterable[Tuple[Hashable, Sequence, Sequence]]
 
 
-class _StagedLayer(list):
-    """One layer's ``(seq_id, keys, values)`` items of a transaction
-    that :meth:`KVCachePool._stage` has checked and priced: what
-    :meth:`KVCachePool.append_batch` stores without checking again."""
+class _Staged(list):
+    """A transaction's ``(seq_id, keys, values)`` items, ``keys`` and
+    ``values`` one block per entry of :attr:`layers`, that
+    :meth:`KVCachePool._stage` has checked and priced: what
+    :meth:`KVCachePool.append_batch` stores, and
+    :meth:`KVCachePool.read_batch` decodes (:attr:`reads`), without
+    checking again."""
+
+    def __init__(self, items, layers: Sequence[int]) -> None:
+        super().__init__(items)
+        self.layers = layers
+        #: Sequences the transaction reads back once stored (a decode
+        #: step's; none for an append).
+        self.reads: List[Hashable] = []
 
 
 class KVCachePool:
@@ -203,6 +215,8 @@ class KVCachePool:
             KeyError: the parent is not allocated.
             ValueError: the child is already allocated, or
                 ``prefix_len`` is out of range; the pool is untouched.
+            TypeError: ``prefix_len`` is not an integer (``1.5`` or
+                ``np.float64(2.0)`` alike); the pool is untouched.
         """
         if parent_seq_id not in self._caches:
             raise KeyError(
@@ -214,7 +228,9 @@ class KVCachePool:
                 f"sequence {new_seq_id!r} already allocated"
             )
         store = self.store
-        child = store.fork(parent_seq_id, new_seq_id, int(prefix_len))
+        child = store.fork(
+            parent_seq_id, new_seq_id, operator.index(prefix_len)
+        )
         self._caches[new_seq_id] = child
         self.forks += 1
         transfers = store.take_transfers()
@@ -227,7 +243,7 @@ class KVCachePool:
         # like the append it is (a fork covers every layer at once;
         # the bytes go to the child's first stream).
         self._tier_seen[new_seq_id] = store.retained_bytes(new_seq_id)
-        self._tier_record_append(new_seq_id, 0)
+        self._tier_record_append(new_seq_id, 0, child.nbytes())
         # Touch the parent's pages so a fresh fork finds its shared
         # prefix hot.
         for layer in range(store.num_layers):
@@ -303,19 +319,20 @@ class KVCachePool:
                 f"{self.store.num_layers} layers"
             )
 
-    def _tier_record_append(self, seq_id: Hashable, layer: int) -> None:
+    def _tier_record_append(
+        self, seq_id: Hashable, layer: int, nbytes: float
+    ) -> None:
         """Push a sequence's encoded-byte growth into the tiered store.
 
         The store models placement, not payloads, so growth is observed
-        as the delta of the cache's footprint against the watermark
-        ``_tier_seen`` — an O(1) read of the store's running totals
-        (:meth:`CacheBackend.footprint_bits`), not a walk of the
-        history.  Charged to the layer that grew; eviction pressure is
-        pool-global either way.  Pages hold whole bytes, so the charge
-        is the growth of the *floored* footprint: fractions carry over
-        to the next append instead of being dropped.
+        as the delta of the cache's footprint, ``nbytes`` once ``layer``
+        has landed, against the watermark ``_tier_seen`` — running
+        totals, not a walk of the history.  Charged to the layer that
+        grew; eviction pressure is pool-global either way.  Pages hold
+        whole bytes, so the charge is the growth of the *floored*
+        footprint: fractions carry over to the next append instead of
+        being dropped.
         """
-        nbytes = self._caches[seq_id].nbytes()
         delta = math.floor(nbytes) - math.floor(
             self._tier_seen.get(seq_id, 0.0)
         )
@@ -338,8 +355,7 @@ class KVCachePool:
             CacheCapacityError, ValueError, KeyError: as
                 :meth:`append_batch`; nothing is appended.
         """
-        [items] = self._stage([layer], [(seq_id, (keys,), (values,))])
-        self._store(layer, items)
+        self._store(self._stage([layer], [(seq_id, (keys,), (values,))]))
 
     def _tier_record_read(self, seq_id: Hashable, layer: int) -> None:
         """Touch a read's pages — including shared-prefix pages.
@@ -363,6 +379,8 @@ class KVCachePool:
         Raises:
             ValueError: ``layer`` is outside the pool's layers.
             KeyError: an unknown sequence.
+            RuntimeError: the sequence holds no rows on ``layer``
+                (``"cache is empty"``).
         """
         self._check_layer(layer)
         cache = self._caches[seq_id]
@@ -391,9 +409,10 @@ class KVCachePool:
             updates: ``{seq_id: (keys, values)}`` mapping or iterable
                 of ``(seq_id, keys, values)`` triples; ``keys`` and
                 ``values`` are same-shape [t, D] row blocks, all of one
-                width.  (:meth:`step` hands each of its layers back
-                through here already checked and priced, so every store
-                of a step runs under this method's name.)
+                width.  (:meth:`step` hands its whole transaction, its
+                ``layers`` as ``layer``, through here already checked
+                and priced, so a step's store runs under this method's
+                name.)
 
         Raises:
             CacheCapacityError: the pool has a ``capacity_bytes``
@@ -406,13 +425,13 @@ class KVCachePool:
 
         Whatever the error, no sequence is mutated.
         """
-        if not isinstance(updates, _StagedLayer):
+        if not isinstance(updates, _Staged):
             if isinstance(updates, Mapping):
                 items = [(s, (k,), (v,)) for s, (k, v) in updates.items()]
             else:
                 items = [(s, (k,), (v,)) for s, k, v in updates]
-            [updates] = self._stage([layer], items)
-        self._store(layer, updates)
+            updates = self._stage([layer], items)
+        self._store(updates)
 
     def step(self, updates: StepUpdates, read: bool = True) -> None:
         """Append one step's rows on every layer, as one transaction.
@@ -421,17 +440,18 @@ class KVCachePool:
         unit a KV budget admits or refuses is a token across all layers.
         The step checks every id, shape and width on every layer and
         projects its tokens against ``capacity_bytes`` once, before any
-        layer changes.  Then each layer in turn stores its rows with one
-        kernel call (through :meth:`append_batch`) and, with ``read``
-        set, decodes the sequences it stored to (through
-        :meth:`read_batch`), as attention reads a layer's history before
-        the next layer's rows are written.  A refused step leaves every
+        layer changes.  Then every layer's rows are stored in one go
+        (through :meth:`append_batch`: one kernel call on the arena, for
+        the step's 2L row blocks) and, with ``read`` set, the sequences
+        stored to are decoded on every layer (through
+        :meth:`read_batch`: one more).  A refused step leaves every
         layer of every sequence as it was; an accepted one is
-        bit-identical to the same per-layer ``append_batch`` /
-        ``read_batch`` pairs.  Nothing is returned: a read is a view
-        that a later layer's append may relocate, so the histories are
-        for :meth:`read` / :meth:`read_batch` afterwards, served from
-        the memo the step brought current.
+        bit-identical — stored bytes, decoded rows and every tier
+        notification, in order — to the per-layer ``append_batch`` /
+        ``read_batch`` pairs attention would make, each layer read
+        before the next is written.  Nothing is returned: the histories
+        are for :meth:`read` / :meth:`read_batch` afterwards, served
+        from the memo the step brought current.
 
         Args:
             updates: ``(seq_id, keys, values)`` triples; ``keys`` and
@@ -455,28 +475,25 @@ class KVCachePool:
             return
         layers = range(self.store.num_layers)
         staged = self._stage(layers, items)
-        stored: List[Hashable] = []
         if read:
             # A sequence stores rows on every layer or on none, so each
             # layer reads the same sequences back.
-            stored = list(dict.fromkeys([seq for seq, _, _ in staged[0]]))
-        for layer, layer_items in zip(layers, staged):
-            self.append_batch(layer, layer_items)
-            if read:
-                self.read_batch(layer, stored)
+            staged.reads = list(dict.fromkeys([seq for seq, _, _ in staged]))
+        self.append_batch(layers, staged)
+        if read:
+            self.read_batch(layers, staged)
 
     def _stage(
         self,
         layers: Sequence[int],
         items: List[Tuple[Hashable, Sequence, Sequence]],
-    ) -> List[_StagedLayer]:
+    ) -> _Staged:
         """The one check of :meth:`append`, :meth:`append_batch` and
         :meth:`step`, made before the first mutation: the layers, then
         every id, shape and width on every layer, then one capacity
         projection for the whole transaction.  ``items`` give one key
-        and one value block per entry of ``layers``.  Returns each
-        layer's ``(seq_id, keys, values)`` items with zero-row blocks
-        dropped.
+        and one value block per entry of ``layers``.  Returns the
+        transaction's items, zero-row ones dropped.
 
         Capacity is priced in tokens: each item's rows count once, on
         however many layers the call covers, at the pool's measured
@@ -560,27 +577,42 @@ class KVCachePool:
                 raise CacheCapacityError(
                     first_seq, *overrun, self.capacity_bytes
                 )
-        return [
-            _StagedLayer(
-                [(seq, keys[i], values[i]) for seq, keys, values in checked]
-            )
-            for i in range(count)
-        ]
+        return _Staged(checked, layers)
 
-    def _store(self, layer: int, items: _StagedLayer) -> None:
-        """Store one layer's checked items: one kernel call per store,
-        then the tiered store's notifications.  (:meth:`append` stores
-        through here, not through :meth:`append_batch`, so a call to
-        either counts once, under its own name, for anything wrapping
-        the public methods.)"""
-        if not items:
+    def _store(self, staged: _Staged) -> None:
+        """Store a checked transaction with one store call, then tell the
+        tiered store.  (:meth:`append` stores through here, not through
+        :meth:`append_batch`, so a call to either counts once, under its
+        own name, for anything wrapping the public methods.)
+
+        The tiered store sees what per-layer calls would have told it:
+        layer by layer, each stored sequence's growth, at the footprint
+        it had once that layer landed (from the store's per-layer
+        bits), then the transaction's :attr:`_Staged.reads` of that
+        layer.
+        """
+        if not staged:
             return
-        kernel_calls = self.store.append_batch(layer, items)
-        if len(items) >= 2:
-            self.batched_encodes += kernel_calls
+        store = self.store
+        layers = staged.layers
         if self.tiering is not None:
-            for seq_id in dict.fromkeys(seq for seq, _, _ in items):
-                self._tier_record_append(seq_id, layer)
+            seqs = list(dict.fromkeys(seq for seq, _, _ in staged))
+            held = [
+                [store.layer_bits(seq, layer) for seq in seqs]
+                for layer in layers
+            ]
+            bits = [self._caches[seq].footprint_bits()[0] for seq in seqs]
+        kernel_calls = store.append_batch(layers, staged)
+        if len(staged) >= 2:
+            self.batched_encodes += kernel_calls
+        if self.tiering is None:
+            return
+        for layer, before in zip(layers, held):
+            for i, seq_id in enumerate(seqs):
+                bits[i] += store.layer_bits(seq_id, layer) - before[i]
+                self._tier_record_append(seq_id, layer, bits[i] / 8.0)
+            for seq_id in staged.reads:
+                self._tier_record_read(seq_id, layer)
 
     def read_batch(
         self, layer: int, seq_ids: List[Hashable]
@@ -600,10 +632,20 @@ class KVCachePool:
         (:attr:`batched_roundtrips`); history-global methods (kivi,
         kvquant) quantize per sequence.
 
+        (:meth:`step` hands its transaction, its ``layers`` as
+        ``layer``, through here once stored: its reads decode on every
+        layer at once, nothing is returned, and the tiered store was
+        already told when the transaction was stored.)
+
         Raises:
             ValueError: ``layer`` is outside the pool's layers.
             KeyError: an unknown sequence.
+            RuntimeError: a listed sequence holds no rows on ``layer``
+                (``"cache is empty"``).
         """
+        if isinstance(seq_ids, _Staged):
+            self._decode(seq_ids.layers, seq_ids.reads)
+            return []
         self._check_layer(layer)
         for seq_id in seq_ids:
             if seq_id not in self._caches:
@@ -615,10 +657,13 @@ class KVCachePool:
         if self.tiering is not None:
             for seq_id in unique:
                 self._tier_record_read(seq_id, layer)
-        kernel_calls = self.store.decode_pending(layer, unique)
+        self._decode([layer], unique)
+        return self.store.read_batch(layer, seq_ids)
+
+    def _decode(self, layers: Sequence[int], unique: List[Hashable]) -> None:
+        kernel_calls = self.store.decode_pending(layers, unique)
         if len(unique) >= 2:
             self.batched_decodes += kernel_calls
-        return self.store.read_batch(layer, seq_ids)
 
     # ------------------------------------------------------------------
     # footprint / admission control

@@ -97,27 +97,29 @@ class ChunkStore(BackendStore):
 
     # -- the pool's verbs ----------------------------------------------
 
-    def append_batch(
+    def append_layer(
         self, layer: int, items: Sequence[Tuple[Hashable, object, object]]
     ) -> int:
-        """One fused encode of every item's rows, one chunk pair per
-        item (see :func:`repro.core.kvcache.append_batch`)."""
-        calls = kvcache.append_batch(
+        """One fused encode of every item's rows on ``layer``, one chunk
+        pair per item (see :func:`repro.core.kvcache.append_batch`)."""
+        return kvcache.append_batch(
             [self.caches[seq_id].layers[layer] for seq_id, _, _ in items],
             [keys for _, keys, _ in items],
             [values for _, _, values in items],
         )
-        self.width = items[0][1].shape[1]
-        return calls
 
-    def decode_pending(
+    def decode_layer(
         self, layer: int, seq_ids: Sequence[Hashable]
     ) -> int:
-        """Every listed sequence's undecoded chunks in one pass (see
-        :func:`repro.core.kvcache.decode_pending`)."""
+        """Every listed sequence's undecoded chunks on ``layer`` in one
+        pass (see :func:`repro.core.kvcache.decode_pending`)."""
         return kvcache.decode_pending(
             [self.caches[seq_id].layers[layer] for seq_id in seq_ids]
         )
+
+    def layer_bits(self, seq_id: Hashable, layer: int) -> int:
+        """Encoded bits of one sequence's chunks on one layer; O(1)."""
+        return self.caches[seq_id].layers[layer].footprint_bits()[0]
 
     def fork(
         self, parent_id: Hashable, child_id: Hashable, prefix_len: int

@@ -4,11 +4,14 @@ A pool holds its sequences in one store, picked from a template
 backend (its ``pool_store``): :class:`~repro.engine.arena.KVArena`,
 :class:`~repro.engine.sharing.ChunkStore` or
 :class:`~repro.engine.backend.AdapterStore`.  Each answers the same
-verbs — ``allocate`` / ``fork`` / ``free``, ``append_batch(layer,
-items)`` and ``decode_pending(layer, seq_ids)`` (both return their
-kernel calls), ``read_batch``, ``width``, ``num_layers``,
+verbs — ``allocate`` / ``fork`` / ``free``, ``append_batch(layers,
+items)`` and ``decode_pending(layers, seq_ids)`` over a transaction's
+layers (both return their kernel calls), ``read_batch(layer,
+seq_ids)``, ``layer_bits``, ``width``, ``num_layers``,
 ``check_invariants``, ``summary``, and ``in`` / ``len`` over the
-sequences it holds — so the pool never asks how KV is stored.
+sequences it holds — so the pool never asks how KV is stored.  The
+arena answers a transaction with one kernel call each way; the chunk
+and adapter stores answer it a layer at a time.
 """
 
 from __future__ import annotations
@@ -61,7 +64,8 @@ class PoolStore:
 class BackendStore(PoolStore):
     """Sequences as backends, each the template's ``twin()``: all hold
     the template's fitted quantizers, so any batch of them shares one
-    layer's kernels.  A subclass moves their rows."""
+    layer's kernels.  A subclass moves their rows one layer at a time
+    (``append_layer``, ``decode_layer``, ``layer_bits``)."""
 
     def __init__(self, template) -> None:
         self._template = template
@@ -88,3 +92,26 @@ class BackendStore(PoolStore):
         """Each sequence's history as its backend reads it (after
         :meth:`decode_pending`, a memo hit)."""
         return [self.caches[seq_id].read(layer) for seq_id in seq_ids]
+
+    def append_batch(
+        self,
+        layers: Sequence[int],
+        items: Sequence[Tuple[Hashable, Sequence, Sequence]],
+    ) -> int:
+        """Store a transaction's items (``keys`` and ``values`` one
+        block per entry of ``layers``) a layer at a time."""
+        calls = 0
+        for i, layer in enumerate(layers):
+            calls += self.append_layer(
+                layer, [(seq, keys[i], vals[i]) for seq, keys, vals in items]
+            )
+        self.width = items[0][1][0].shape[1]
+        return calls
+
+    def decode_pending(
+        self, layers: Sequence[int], seq_ids: Sequence[Hashable]
+    ) -> int:
+        """Decode the listed sequences' pending rows a layer at a time."""
+        return sum(
+            self.decode_layer(layer, seq_ids) for layer in layers
+        )

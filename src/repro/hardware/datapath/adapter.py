@@ -40,8 +40,9 @@ class EngineBackedQuantizer(OakenQuantizer):
     Calls the fused kernels directly, beside the frozen
     :class:`OakenQuantizer` entry points.  Not being a plain
     :class:`OakenQuantizer`, it is never row-stacked with its layer's
-    other tensor (:class:`~repro.core.quantizer.LayerEncoder`), so the
-    engines are priced per tensor, as the hardware runs them.
+    other tensor or with other layers
+    (:class:`~repro.core.quantizer.LayerEncoder`), so the engines are
+    priced per tensor, as the hardware runs them.
 
     Args:
         config: quantizer hyper-parameters.

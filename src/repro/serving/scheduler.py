@@ -40,9 +40,8 @@ class IterationPlan:
             Sarathi-style scheduling the paper's serving layer cites).
         resident_ids: the resident requests' ids, in ``resident``
             order, kept by the scheduler as the batch changes so
-            per-iteration consumers (the cache replay's batched
-            append/read pair per layer) never rebuild the id list per
-            layer inside the hot loop.
+            per-iteration consumers (the cache replay's pool step)
+            never rebuild the id list inside the hot loop.
     """
 
     admitted: List[Request]

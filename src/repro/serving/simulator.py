@@ -165,8 +165,9 @@ class _CacheReplay:
     One miniature cache per resident request: an admission stores a
     sample of prompt KV rows in one pool step; every generation
     iteration streams one row per resident per layer through one pool
-    step (per layer, one fused encode and one fused decode across the
-    batch); retirement frees the sequence.  Admission control
+    step (one fused encode and one fused decode across the batch —
+    across its layers too on the arena); retirement frees the
+    sequence.  Admission control
     projects the device's KV budget (capacity minus weights) against
     per-request KV priced at the **measured** pool bitwidth — the
     analytic ``system.kv_bits`` estimate is never consulted.

@@ -44,7 +44,9 @@ def encode_chunks(encoder, key_blocks, value_blocks):
     rows = [block.shape[0] for block in key_blocks]
     chunks = [
         chunk
-        for _, encoded in encoder.encode_parts(key_blocks, value_blocks)
+        for _, encoded in encoder.encode_parts(
+            (0,), [*key_blocks, *value_blocks], len(rows)
+        )
         for chunk in split_encoded(encoded, rows)
     ]
     return chunks[: len(rows)], chunks[len(rows) :]

@@ -285,7 +285,8 @@ class TestSharedGeometry:
             pool.append("seq", layer, rows, -rows)
         arena = pool.store
         store = arena.store
-        assert len(arena.encoders) == LAYERS and list(arena.rows) == ["seq"]
+        assert len(arena.encoder.key_quantizers) == LAYERS
+        assert list(arena.rows) == ["seq"]
         # 8 row-parallel buffers + 4..5 record fields, once per arena.
         assert len(store.rows) == 8 and len(store.log) <= 5
         for name, buf in store.rows.items():

@@ -714,23 +714,28 @@ class PoolModel(RuleBasedStateMachine):
         pick=picks,
         other=picks,
         over=st.integers(1, 3),
-        how=st.sampled_from(["past", "onto", "freed"]),
+        how=st.sampled_from(["past", "onto", "freed", "fractional"]),
     )
     def refused_fork(self, pick, other, over, how):
         """Past the rows every layer of the parent holds, or onto a
         live id: ``ValueError``; from a freed parent: ``KeyError``
-        naming it.  Nothing moves."""
+        naming it; a prefix that is not an integer, in range or not:
+        ``TypeError``.  Nothing moves."""
         parent = self.pick(pick)
         child, prefix_len, error = self.next_id, 0, ValueError
         if how == "onto":
             child = self.pick(other)
         elif how == "freed" and self.freed:
             parent, error = self.freed[other % len(self.freed)], KeyError
+        elif how == "fractional":
+            prefix_len = (0.5, 1.5, np.float64(2.7))[over - 1]
+            error = TypeError
         else:
             prefix_len = self.shared_rows(parent) + over
         named = child if how == "onto" else parent
+        match = "integer" if error is TypeError else repr(named)
         before = self.pool_state()
-        with pytest.raises(error, match=repr(named)):
+        with pytest.raises(error, match=match):
             self.pool.fork(parent, child, prefix_len)
         assert self.pool_state() == before
 
@@ -1084,6 +1089,7 @@ def test_every_failure_path_changes_nothing(name):
                                outside=LAYERS)),
         ("refused_fork", dict(pick=0, other=0, over=1, how="past")),
         ("refused_fork", dict(pick=0, other=1, over=2, how="onto")),
+        ("refused_fork", dict(pick=0, other=0, over=2, how="fractional")),
         ("free", dict(pick=0, again=True)),
         ("refused_fork", dict(pick=0, other=0, over=1, how="freed")),
     ])

@@ -87,11 +87,11 @@ def assert_same_encoding(expected, actual, what=""):
         assert got.tobytes() == want.tobytes(), f"{what}{name}: values"
 
 
-def _pair(config, dim, mode, cls=OakenQuantizer):
+def _pair(config, dim, mode, cls=OakenQuantizer, seed=11):
     """A layer's key and value quantizers, fitted to different data."""
-    keys = make_kv_matrix(tokens=96, dim=dim, seed=11,
+    keys = make_kv_matrix(tokens=96, dim=dim, seed=seed,
                           outlier_channels=(3, 17))
-    values = 0.5 * make_kv_matrix(tokens=96, dim=dim, seed=12,
+    values = 0.5 * make_kv_matrix(tokens=96, dim=dim, seed=seed + 1,
                                   outlier_channels=(5,))
     return (
         cls(config, profile_thresholds([keys], config), mode),
@@ -141,7 +141,7 @@ class TestStackedEqualsPerTensor:
     def test_every_field(self, name, mode, dim, tokens):
         config = CONFIGS[name]
         key_q, value_q = _pair(config, dim, mode)
-        encoder = LayerEncoder(key_q, value_q)
+        encoder = LayerEncoder([key_q], [value_q])
         assert encoder.stacked is not None and len(encoder.parts) == 1
         keys, values = _rows(tokens, dim, seed=100 + tokens)
         (stacked_keys,), (stacked_values,) = encode_chunks(
@@ -174,7 +174,7 @@ class TestStackedEqualsPerTensor:
         config = CONFIGS[name]
         dim = 32
         key_q, value_q = _pair(config, dim, mode)
-        encoder = LayerEncoder(key_q, value_q)
+        encoder = LayerEncoder([key_q], [value_q])
         keys = _hostile(dim, key_q.thresholds)
         values = _hostile(dim, value_q.thresholds)[::-1].copy()
         (stacked_keys,), (stacked_values,) = encode_chunks(
@@ -201,13 +201,80 @@ class TestStackedEqualsPerTensor:
             ).tobytes()
         )
 
+    @pytest.mark.parametrize("tokens", TOKENS)
+    def test_a_step_stacks_every_layer(self, name, mode, tokens):
+        """A two-layer step's 2L = 4 row blocks, (layer, K|V) after
+        (layer, K|V), in one call each way: every block is its own
+        tensor's encode and decode."""
+        layer_rows = [_rows(tokens, 32, seed=100 + tokens),
+                      _rows(tokens, 32, seed=200 + tokens)]
+        _assert_step_is_per_tensor(CONFIGS[name], mode, layer_rows)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_hostile_rows_stay_in_their_layer(self, name, mode):
+        """NaN, Inf and FP16-overflow rows in layer 0 of a step leave
+        layer 1's blocks byte for byte what layer 1 alone encodes."""
+        config = CONFIGS[name]
+        key_q, value_q = _pair(config, 32, mode)
+        hostile = (
+            _hostile(32, key_q.thresholds),
+            _hostile(32, value_q.thresholds)[::-1].copy(),
+        )
+        plain = _rows(8, 32, seed=31)
+        encoder, whole, decoded = _assert_step_is_per_tensor(
+            config, mode, [hostile, plain]
+        )
+        alone = LayerEncoder(
+            [encoder.key_quantizers[1]], [encoder.value_quantizers[1]]
+        )
+        ((_, layer1),) = alone.encode_parts((0,), list(plain), 1)
+        for got, want in zip(split_encoded(whole, [8])[2:],
+                             split_encoded(layer1, [8])):
+            assert_same_encoding(want, got, "layer 1.")
+        assert (
+            decoded[16:].tobytes()
+            == alone.stacked.dequantize(layer1).tobytes()
+        )
+
+
+def _assert_step_is_per_tensor(config, mode, layer_rows):
+    """Encode ``layer_rows`` — one ``(keys, values)`` pair of equal
+    row counts per layer — as one step over a layer encoder of as many
+    layers, each fitted to its own data; assert one kernel call each
+    way whose every block equals its tensor's own encode and decode.
+    Returns the encoder, the encode and the decode."""
+    pairs = [
+        _pair(config, 32, mode, seed=11 + 10 * layer)
+        for layer in range(len(layer_rows))
+    ]
+    encoder = LayerEncoder([k for k, _ in pairs], [v for _, v in pairs])
+    assert encoder.stacked is not None and len(encoder.parts) == 1
+    rows = [block for pair in layer_rows for block in pair]
+    quantizers = [q for pair in pairs for q in pair]
+    ((blocks, whole),) = encoder.encode_parts(
+        range(len(layer_rows)), rows, 1
+    )
+    assert blocks == slice(0, len(rows))
+    chunks = split_encoded(whole, [rows[0].shape[0]])
+    for block, (chunk, quantizer, exact) in enumerate(
+        zip(chunks, quantizers, rows)
+    ):
+        assert_same_encoding(
+            quantizer.quantize(exact), chunk, f"block {block}."
+        )
+    decoded = encoder.stacked.dequantize(whole)
+    assert decoded.tobytes() == np.concatenate(
+        [q.roundtrip(exact) for q, exact in zip(quantizers, rows)]
+    ).tobytes()
+    return encoder, whole, decoded
+
 
 class TestRowBlocks:
     """How a stacked encode is handed back, and joined again."""
 
     def test_blocks_carry_their_own_thresholds(self):
         key_q, value_q = _pair(OakenConfig(), 32, "deploy_f32")
-        encoder = LayerEncoder(key_q, value_q)
+        encoder = LayerEncoder([key_q], [value_q])
         keys, values = _rows(6, 32, seed=3)
         whole = encoder.stacked.quantize(np.concatenate([keys, values]))
         assert whole.thresholds == (key_q.thresholds, value_q.thresholds)
@@ -221,7 +288,7 @@ class TestRowBlocks:
         """A block is told by position in the split, never by a row
         offset — which an empty chunk at a block edge does not have."""
         key_q, value_q = _pair(OakenConfig(), 32, "deploy_f32")
-        encoder = LayerEncoder(key_q, value_q)
+        encoder = LayerEncoder([key_q], [value_q])
         keys, values = _rows(sum(counts), 32, seed=3)
         whole = encoder.stacked.quantize(np.concatenate([keys, values]))
         chunks = split_encoded(whole, counts)
@@ -233,7 +300,7 @@ class TestRowBlocks:
 
     def test_concat_is_the_inverse_of_split(self):
         key_q, value_q = _pair(OakenConfig(), 32, "deploy_f32")
-        encoder = LayerEncoder(key_q, value_q)
+        encoder = LayerEncoder([key_q], [value_q])
         keys, values = _rows(7, 32, seed=8)
         whole = encoder.stacked.quantize(np.concatenate([keys, values]))
         chunks = split_encoded(whole, [1, 0, 4, 2])
@@ -261,7 +328,7 @@ class TestRowBlocks:
 
     def test_chunks_match_per_sequence_encodes(self):
         key_q, value_q = _pair(OakenConfig(), 32, "deploy_f32")
-        encoder = LayerEncoder(key_q, value_q)
+        encoder = LayerEncoder([key_q], [value_q])
         keys, values = _rows(7, 32, seed=4)
         counts = [1, 0, 4, 2]
         bounds = np.cumsum([0] + counts)
@@ -281,7 +348,7 @@ class TestRowBlocks:
         """A chunk cannot straddle two blocks: the counts describe one
         block and every block splits alike."""
         key_q, value_q = _pair(OakenConfig(), 32, "deploy_f32")
-        encoder = LayerEncoder(key_q, value_q)
+        encoder = LayerEncoder([key_q], [value_q])
         keys, values = _rows(4, 32, seed=5)
         whole = encoder.stacked.quantize(np.concatenate([keys, values]))
         with pytest.raises(ValueError, match="2 row block"):
@@ -292,7 +359,7 @@ class TestRowBlocks:
 
     def test_uneven_stack_rejected(self):
         key_q, value_q = _pair(OakenConfig(), 32, "deploy_f32")
-        stacked = LayerEncoder(key_q, value_q).stacked
+        stacked = LayerEncoder([key_q], [value_q]).stacked
         with pytest.raises(ValueError, match="equal row blocks"):
             stacked.quantize(np.zeros((5, 32)))
 
@@ -304,7 +371,7 @@ class TestPairing:
         key_q, value_q = _pair(
             OakenConfig(), 32, "exact_f64", ReferenceOakenQuantizer
         )
-        encoder = LayerEncoder(key_q, value_q)
+        encoder = LayerEncoder([key_q], [value_q])
         assert encoder.stacked is None and len(encoder.parts) == 2
         keys, values = _rows(3, 32, seed=6)
         (got_keys,), (got_values,) = encode_chunks(encoder, [keys], [values])
@@ -315,8 +382,8 @@ class TestPairing:
         key_q, _ = _pair(OakenConfig(), 32, "exact_f64")
         _, other_mode = _pair(OakenConfig(), 32, "deploy_f32")
         _, other_config = _pair(OakenConfig(outlier_bits=4), 32, "exact_f64")
-        assert LayerEncoder(key_q, other_mode).stacked is None
-        assert LayerEncoder(key_q, other_config).stacked is None
+        assert LayerEncoder([key_q], [other_mode]).stacked is None
+        assert LayerEncoder([key_q], [other_config]).stacked is None
 
 
 # -- call-count guard ---------------------------------------------------
@@ -443,13 +510,22 @@ class TestOneKernelCallPerLayer:
         return engine, requests
 
     @pytest.mark.parametrize("arena", [False, True])
-    def test_one_replay_step(self, kernel_calls, arena):
+    def test_one_replay_step(self, kernel_calls, decode_calls, arena):
+        """One call each way per step on the arena, over the step's 2L
+        row blocks; one per layer on the chunk store."""
         engine, requests = self._replay(arena=arena)
         del kernel_calls[:]
+        del decode_calls[:]
         engine.step(requests)
-        assert kernel_calls == (
-            [("OakenQuantizer", "quantize_into", 6)] * LAYERS
-        )
+        pending = 2 * len(requests) * (4 + 1)  # prompt rows + the token
+        if arena:
+            assert kernel_calls == [("OakenQuantizer", "quantize_into", 12)]
+            assert decode_calls == [("OakenQuantizer", LAYERS * pending)]
+        else:
+            assert kernel_calls == (
+                [("OakenQuantizer", "quantize_into", 6)] * LAYERS
+            )
+            assert decode_calls == [("OakenQuantizer", pending)] * LAYERS
         assert 0 < engine.pool.batched_encodes <= engine.batched_appends
 
     def test_engine_backed_replay_keeps_two_calls(self, kernel_calls):
@@ -650,11 +726,11 @@ class TestPoolReadIsTheRoundtrip:
 
     def _quantizers(self, pool, layer):
         if pool.arena_enabled:
-            encoder = pool.store.encoders[layer]
+            encoder = pool.store.encoder
             assert encoder.stacked is not None
         else:
-            encoder = pool.get(0).layers[layer].encoder
-        return encoder.key_quantizer, encoder.value_quantizer
+            encoder, layer = pool.get(0).layers[layer].encoder, 0
+        return encoder.key_quantizers[layer], encoder.value_quantizers[layer]
 
     def test_hostile_ragged_batches(self, calibration, mode, store):
         pool = _pool(calibration, store, mode=mode)
@@ -752,7 +828,7 @@ class TestPerCallWork:
         the kernels compiled their shape-dependent half once per
         shape."""
         key_q, value_q = _pair(OakenConfig(), 32, mode)
-        stacked = LayerEncoder(key_q, value_q).stacked
+        stacked = LayerEncoder([key_q], [value_q]).stacked
         rows = np.concatenate(_rows(6, 32, seed=21))
         scratch = QuantizeScratch()
         encoded = stacked.quantize_into(rows, scratch)  # compiles the shape
@@ -767,7 +843,7 @@ class TestPerCallWork:
         limit = quantizer_module._CACHED_SHAPES
         largest = quantizer_module._CACHED_SHAPE_ELEMENTS
         key_q, value_q = _pair(OakenConfig(), 32, "deploy_f32")
-        stacked = LayerEncoder(key_q, value_q).stacked
+        stacked = LayerEncoder([key_q], [value_q]).stacked
         scratch = QuantizeScratch()
 
         def kept(tokens):
