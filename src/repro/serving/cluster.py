@@ -54,6 +54,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import itertools
+import math
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -145,6 +146,22 @@ class ClusterConfig:
                 f"unknown router policy {self.policy!r}; choose from "
                 f"{ROUTER_POLICIES}"
             )
+        # The event clock only moves forward: a beat at or before now
+        # re-arms forever, and a negative backoff retries in the past.
+        if not (
+            math.isfinite(self.heartbeat_interval_s)
+            and self.heartbeat_interval_s > 0.0
+        ):
+            raise ValueError(
+                "heartbeat_interval_s must be finite and > 0, got "
+                f"{self.heartbeat_interval_s}"
+            )
+        for name in ("backoff_base_s", "backoff_cap_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {value}"
+                )
         if self.heartbeat_misses < 1:
             raise ValueError("heartbeat_misses must be >= 1")
         if self.retry_budget < 1:

@@ -8,13 +8,25 @@ from repro.data.traces import (
     TraceRequest,
     generate_burst_trace,
     generate_longcontext_trace,
+    generate_multiturn_trace,
     generate_rag_trace,
     generate_trace,
 )
 from repro.hardware.overheads import get_system
 from repro.models.config import get_model
-from repro.serving.cluster import ClusterConfig, simulate_cluster
-from repro.serving.faults import generate_fault_plan
+from repro.serving.cluster import (
+    ClusterConfig,
+    _ClusterSim,
+    simulate_cluster,
+)
+from repro.serving.faults import (
+    FaultPlan,
+    admission_blackout,
+    brownout,
+    crash_and_recover,
+    crash_forever,
+    generate_fault_plan,
+)
 from repro.serving.request import Request, RequestPhase
 from repro.serving.scheduler import ContinuousBatchScheduler
 from repro.serving.simulator import (
@@ -520,27 +532,72 @@ class TestGoldenReports:
         assert "gate_refusals" not in golden_report("replay_oom").replay
 
 
-def cluster_golden_report(name):
-    """Run the cluster golden case ``name``: four analytic replicas,
-    least-loaded routing, a few hundred requests under a seeded fault
-    plan (inputs frozen with the goldens)."""
-    chunk = {"faults_monolithic": None, "faults_chunked_256": 256}[name]
-    return simulate_cluster(
-        get_system("oaken-hbm"), ARCH,
-        generate_trace("conversation", 300, seed=21),
-        ClusterConfig(
-            replicas=4, max_batch=8, policy="least_loaded",
-            prefill_chunk=chunk, replay=None,
+def _storm_plan():
+    """A hand-built fault plan dense in brownouts and admission
+    blackouts on every replica, staggered so windows open and close
+    while replicas are mid-run, plus three crashes (one never
+    recovered) for failovers."""
+    events = []
+    for replica in range(4):
+        for window in range(7):
+            start = 0.9 + 8.3 * window + 1.9 * replica
+            events += brownout(replica, start, 2.6, factor=1.5 + replica)
+            events += admission_blackout(replica, start + 3.4, 1.3)
+    events += crash_and_recover(1, 11.37, 2.9)
+    events += crash_and_recover(2, 30.71, 1.4)
+    events += crash_forever(3, 47.05)
+    return FaultPlan(events)
+
+
+#: The cluster golden cases: four analytic replicas, a few hundred
+#: requests, a seeded or hand-built fault plan (inputs frozen with the
+#: goldens).  Each entry overrides :func:`cluster_golden_sim`'s
+#: defaults: the seed-21 conversation trace, the seed-5 random plan,
+#: least-loaded routing, batch 8.
+CLUSTER_CASES = {
+    "faults_monolithic": dict(),
+    "faults_chunked_256": dict(prefill_chunk=256),
+    "prefix_affinity": dict(
+        policy="prefix_affinity",
+        trace=lambda: generate_multiturn_trace(
+            "conversation", num_sessions=100, seed=21
         ),
-        generate_fault_plan(4, 35.0, seed=5),
+    ),
+    "consistent_hash": dict(policy="consistent_hash"),
+    # Tight queues shed placements to the retry queue.
+    "queue_limit_retries": dict(queue_limit=1, retry_budget=6),
+    "storm": dict(faults=_storm_plan),
+}
+
+
+def cluster_golden_sim(name):
+    """Run the cluster golden case ``name``; returns the finished
+    simulation (its replicas keep their final schedulers)."""
+    case = dict(CLUSTER_CASES[name])
+    trace = case.pop(
+        "trace", lambda: generate_trace("conversation", 300, seed=21)
     )
+    faults = case.pop("faults", lambda: generate_fault_plan(4, 35.0, seed=5))
+    config = dict(replicas=4, max_batch=8, policy="least_loaded")
+    config.update(case)
+    plan = faults()
+    plan.validate(config["replicas"])
+    sim = _ClusterSim(
+        get_system("oaken-hbm"), ARCH, trace(), ClusterConfig(**config),
+        plan,
+    )
+    sim.report = sim.run()
+    return sim
 
 
-# Captured at the last commit whose scheduler rebuilt its resident-set
-# views every iteration (the running state must reproduce them).
+# The two ``faults_*`` cases were captured at the last commit whose
+# scheduler rebuilt its resident-set views every iteration (the running
+# state must reproduce them); the other four, and the gate refusals
+# below, at the last commit that stepped every analytic iteration on
+# its own (a replica's fast-forwarded runs must reproduce them).
 # Unlike TestDeterminism, which compares two runs of the same code,
 # these pin a multi-replica analytic run's values under crashes,
-# failovers, brownouts and admission blackouts.
+# failovers, brownouts, admission blackouts and retries.
 CLUSTER_GOLDENS = {
     "faults_monolithic": dict(
         system="oaken-hbm", replicas=4, policy="least_loaded", oom=False,
@@ -623,10 +680,180 @@ CLUSTER_GOLDENS = {
             ),
         ],
     ),
+    "prefix_affinity": dict(
+        system="oaken-hbm", replicas=4, policy="prefix_affinity", oom=False,
+        completed=278, failed=0, generated_tokens=44038,
+        total_time_s=72.63879401923602, busy_s=151.3174274534055,
+        generation_throughput=291.0305887506608,
+        tokens_per_s=606.2600652254492, mean_latency_s=31.022527759675743,
+        p95_latency_s=60.379439605993916, mean_ttft_s=27.72203629587401,
+        p95_ttft_s=56.58120801144169, mean_tpot_s=0.023187524033881295,
+        mean_queue_delay_s=27.39674306791624,
+        p95_queue_delay_s=56.52117347220819,
+        p99_queue_delay_s=62.36928096876131, retries=0, requeues=533,
+        failovers=533, rejections=0, capacity_rejections=0,
+        detected_failures=7, downtime_s=14.575530551820048,
+        duplicate_completions=0, lost=0, tier_hits=0, tier_misses=0,
+        tier_evictions=0, tier_spilled_bytes=0.0, tier_promoted_bytes=0.0,
+        tier_transfer_cycles=0.0, forks=0, shared_bytes_saved=0.0,
+        per_replica=[
+            dict(
+                replica=0, generated_tokens=14977.0, busy_s=49.80156560385497,
+                steps=2126.0, completed=100.0, tokens_per_s=300.73351747882964,
+                crashes=3.0, downtime_s=2.3475101967911014,
+            ),
+            dict(
+                replica=1, generated_tokens=18590.0, busy_s=62.886506189345695,
+                steps=2501.0, completed=117.0, tokens_per_s=295.6119066946915,
+                crashes=2.0, downtime_s=3.6785026494151536,
+            ),
+            dict(
+                replica=2, generated_tokens=7735.0, busy_s=29.253360951128123,
+                steps=1160.0, completed=44.0, tokens_per_s=264.41406212853326,
+                crashes=1.0, downtime_s=2.026948704116201,
+            ),
+            dict(
+                replica=3, generated_tokens=2736.0, busy_s=9.375994709076714,
+                steps=394.0, completed=17.0, tokens_per_s=291.8090383894237,
+                crashes=3.0, downtime_s=6.522569001497592,
+            ),
+        ],
+    ),
+    "consistent_hash": dict(
+        system="oaken-hbm", replicas=4, policy="consistent_hash", oom=False,
+        completed=300, failed=0, generated_tokens=47984,
+        total_time_s=69.68871067761656, busy_s=159.9677321300287,
+        generation_throughput=299.960494288914, tokens_per_s=688.5476791495881,
+        mean_latency_s=20.531232515098065, p95_latency_s=51.65045056402966,
+        mean_ttft_s=17.362663509484417, p95_ttft_s=48.20135983799914,
+        mean_tpot_s=0.02199522780541047, mean_queue_delay_s=17.10125368054529,
+        p95_queue_delay_s=48.11416697975172,
+        p99_queue_delay_s=56.84940132724888, retries=0, requeues=495,
+        failovers=495, rejections=0, capacity_rejections=0,
+        detected_failures=7, downtime_s=14.575530551820048,
+        duplicate_completions=0, lost=0, tier_hits=0, tier_misses=0,
+        tier_evictions=0, tier_spilled_bytes=0.0, tier_promoted_bytes=0.0,
+        tier_transfer_cycles=0.0, forks=0, shared_bytes_saved=0.0,
+        per_replica=[
+            dict(
+                replica=0, generated_tokens=20639.0, busy_s=62.29939365078669,
+                steps=2699.0, completed=134.0, tokens_per_s=331.28733348016107,
+                crashes=3.0, downtime_s=2.3475101967911014,
+            ),
+            dict(
+                replica=1, generated_tokens=14833.0, busy_s=47.73314701831628,
+                steps=2261.0, completed=81.0, tokens_per_s=310.74841963192256,
+                crashes=2.0, downtime_s=3.6785026494151536,
+            ),
+            dict(
+                replica=2, generated_tokens=7387.0, busy_s=29.497760883458188,
+                steps=1191.0, completed=54.0, tokens_per_s=250.42578754316557,
+                crashes=1.0, downtime_s=2.026948704116201,
+            ),
+            dict(
+                replica=3, generated_tokens=5125.0, busy_s=20.437430577467563,
+                steps=869.0, completed=31.0, tokens_per_s=250.76537779902506,
+                crashes=3.0, downtime_s=6.522569001497592,
+            ),
+        ],
+    ),
+    "queue_limit_retries": dict(
+        system="oaken-hbm", replicas=4, policy="least_loaded", oom=False,
+        completed=149, failed=151, generated_tokens=22193,
+        total_time_s=35.00296068081263, busy_s=87.39053597110569,
+        generation_throughput=253.9519840836972,
+        tokens_per_s=634.0320809538094, mean_latency_s=4.118598529562291,
+        p95_latency_s=7.983213265879353, mean_ttft_s=1.05586547543637,
+        p95_ttft_s=2.490557678675635, mean_tpot_s=0.022575562164187615,
+        mean_queue_delay_s=0.9001564581845523,
+        p95_queue_delay_s=2.3940649318214002,
+        p99_queue_delay_s=6.436701605759976, retries=1070, requeues=36,
+        failovers=36, rejections=1221, capacity_rejections=0,
+        detected_failures=7, downtime_s=14.575530551820048,
+        duplicate_completions=0, lost=0, tier_hits=0, tier_misses=0,
+        tier_evictions=0, tier_spilled_bytes=0.0, tier_promoted_bytes=0.0,
+        tier_transfer_cycles=0.0, forks=0, shared_bytes_saved=0.0,
+        per_replica=[
+            dict(
+                replica=0, generated_tokens=4763.0, busy_s=21.874163725335393,
+                steps=952.0, completed=32.0, tokens_per_s=217.74546720080244,
+                crashes=3.0, downtime_s=2.3475101967911014,
+            ),
+            dict(
+                replica=1, generated_tokens=6410.0, busy_s=21.392952359468726,
+                steps=965.0, completed=41.0, tokens_per_s=299.63138758465345,
+                crashes=2.0, downtime_s=3.6785026494151536,
+            ),
+            dict(
+                replica=2, generated_tokens=6351.0, busy_s=25.637198671948987,
+                steps=1110.0, completed=44.0, tokens_per_s=247.72597354596954,
+                crashes=1.0, downtime_s=2.026948704116201,
+            ),
+            dict(
+                replica=3, generated_tokens=4669.0, busy_s=18.48622121435259,
+                steps=776.0, completed=32.0, tokens_per_s=252.56648970396486,
+                crashes=3.0, downtime_s=6.522569001497592,
+            ),
+        ],
+    ),
+    "storm": dict(
+        system="oaken-hbm", replicas=4, policy="least_loaded", oom=False,
+        completed=300, failed=0, generated_tokens=45923,
+        total_time_s=56.5360253025734, busy_s=179.04849562750098,
+        generation_throughput=256.48358473527685,
+        tokens_per_s=812.2785384049572, mean_latency_s=14.882958391962923,
+        p95_latency_s=33.94725991451732, mean_ttft_s=11.206756568515482,
+        p95_ttft_s=32.429122891406834, mean_tpot_s=0.024935376774646148,
+        mean_queue_delay_s=10.87709425439405,
+        p95_queue_delay_s=31.63783491051408,
+        p99_queue_delay_s=39.10098423507182, retries=0, requeues=65,
+        failovers=65, rejections=0, capacity_rejections=0, detected_failures=3,
+        downtime_s=13.786025302573401, duplicate_completions=0, lost=0,
+        tier_hits=0, tier_misses=0, tier_evictions=0, tier_spilled_bytes=0.0,
+        tier_promoted_bytes=0.0, tier_transfer_cycles=0.0, forks=0,
+        shared_bytes_saved=0.0,
+        per_replica=[
+            dict(
+                replica=0, generated_tokens=15386.0, busy_s=52.45744049156203,
+                steps=2314.0, completed=99.0, tokens_per_s=293.304436049923,
+                crashes=0.0, downtime_s=0.0,
+            ),
+            dict(
+                replica=1, generated_tokens=9576.0, busy_s=40.67503411827579,
+                steps=1541.0, completed=63.0, tokens_per_s=235.42696908759044,
+                crashes=1.0, downtime_s=2.9000000000000004,
+            ),
+            dict(
+                replica=2, generated_tokens=9159.0, busy_s=39.216018149614946,
+                steps=1402.0, completed=58.0, tokens_per_s=233.55252348815864,
+                crashes=1.0, downtime_s=1.3999999999999986,
+            ),
+            dict(
+                replica=3, generated_tokens=11802.0, busy_s=46.70000286804823,
+                steps=1679.0, completed=80.0, tokens_per_s=252.7194705607788,
+                crashes=1.0, downtime_s=9.486025302573402,
+            ),
+        ],
+    ),
+}
+
+#: Each replica's final scheduler's ``gate_refusals`` per golden case
+#: (a crash reboots the scheduler, so this counts the last incarnation).
+CLUSTER_GATE_REFUSALS = {
+    "faults_monolithic": [20, 0, 0, 0],
+    "faults_chunked_256": [29, 0, 0, 0],
+    "prefix_affinity": [0, 0, 0, 0],
+    "consistent_hash": [37, 0, 0, 0],
+    "queue_limit_retries": [0, 0, 0, 0],
+    "storm": [367, 309, 0, 381],
 }
 
 
 class TestClusterGoldenReports:
     @pytest.mark.parametrize("name", sorted(CLUSTER_GOLDENS))
     def test_report_matches_golden(self, name):
-        assert cluster_golden_report(name).as_dict() == CLUSTER_GOLDENS[name]
+        sim = cluster_golden_sim(name)
+        assert sim.report.as_dict() == CLUSTER_GOLDENS[name]
+        assert [
+            r.scheduler.gate_refusals for r in sim.replicas
+        ] == CLUSTER_GATE_REFUSALS[name]

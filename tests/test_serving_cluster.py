@@ -451,6 +451,18 @@ class TestValidation:
             ClusterConfig(retry_budget=0)
         with pytest.raises(ValueError, match="queue_limit"):
             ClusterConfig(queue_limit=0)
+        # The clock must only move forward: a beat interval <= 0 never
+        # returns (the beat re-arms at or before now), NaN puts
+        # unordered keys in the event heap, and a negative backoff
+        # retries in the past.
+        for value in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="heartbeat_interval_s"):
+                ClusterConfig(heartbeat_interval_s=value)
+        for name in ("backoff_base_s", "backoff_cap_s"):
+            for value in (-0.05, float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=name):
+                    ClusterConfig(**{name: value})
+        ClusterConfig(backoff_base_s=0.0, backoff_cap_s=0.0)  # allowed
 
     def test_analytic_oom_mirrors_simulate_trace(self, monkeypatch):
         import repro.serving.cluster as cluster_mod
