@@ -196,17 +196,24 @@ def arena_e2e_gate() -> None:
 
 
 #: The work a seed-0 quick-size ``cluster-scale-analytic`` run does:
-#: scheduler iterations, pricing calls and failovers.  A change that
-#: makes the serving loop cheaper per call leaves every one of these
-#: alone; a change that alters the work updates them in the same diff.
+#: scheduler calls, pricing calls and failovers.  A replica whose batch
+#: cannot change runs to its next retirement in one stride, so one
+#: ``plan_iteration`` / ``complete_iteration`` / ``iteration_time_s``
+#: call covers a run of iterations.  A change that makes the serving
+#: loop cheaper per call leaves every one of these alone; a change that
+#: alters the work updates them in the same diff.
 ANALYTIC_WORK = {
-    "serving.scheduler.plan_iteration.calls": 19854,
-    "serving.scheduler.complete_iteration.calls": 19792,
-    "serving.simulator.iteration_time_s.calls": 19809,
-    "hardware.perf.generation_iteration.calls": 19809,
+    "serving.scheduler.plan_iteration.calls": 1942,
+    "serving.scheduler.complete_iteration.calls": 1891,
+    "serving.simulator.iteration_time_s.calls": 1897,
+    "hardware.perf.generation_iteration.calls": 1897,
     "hardware.perf.prefill_time.calls": 965,
     "serving.cluster.failovers": 119,
 }
+#: The iterations that run simulates (the sum of every replica's
+#: ``steps``), however many calls they take: fewer calls must not mean
+#: fewer iterations.
+ANALYTIC_ITERATIONS = 19792
 
 
 def analytic_e2e_gate() -> None:
@@ -214,12 +221,18 @@ def analytic_e2e_gate() -> None:
 
     One traced quick-size ``cluster-scale-analytic`` run (seed 0) must
     pass its own output checks and do exactly the work in
-    ``ANALYTIC_WORK``; the counts repeat exactly, so no retry.
+    ``ANALYTIC_WORK``, and one repetition of it must simulate exactly
+    ``ANALYTIC_ITERATIONS`` iterations; the counts repeat exactly, so
+    no retry.
     """
     metrics = traced_quick_e2e("cluster-scale-analytic")
     counts = {name: metrics[name]["value"] for name in ANALYTIC_WORK}
     assert counts == ANALYTIC_WORK, counts
-    print("analytic e2e gate: work counts match", counts)
+    report = _set_up_quick("cluster-scale-analytic").repetition()
+    iterations = sum(row["steps"] for row in report.per_replica)
+    assert iterations == ANALYTIC_ITERATIONS, iterations
+    print("analytic e2e gate: work counts match", counts, "over",
+          iterations, "iterations")
 
 
 #: The kernel, row, tier, sharing and arena work a seed-0 quick-size
@@ -396,45 +409,45 @@ OP_WORK = {
         "baselines": 1,
         "core": 2897,
         "engine": 15946,
-        "hardware": 382,
-        "models": 895,
-        "numpy+builtins": 39051,
-        "serving": 10550,
+        "hardware": 375,
+        "models": 897,
+        "numpy+builtins": 38930,
+        "serving": 10582,
     },
     "replay-rag-shared": {
         "baselines": 1,
         "core": 117008,
         "engine": 7530,
-        "hardware": 468,
-        "models": 565,
-        "numpy+builtins": 162107,
+        "hardware": 458,
+        "models": 569,
+        "numpy+builtins": 161973,
         "quant": 464,
-        "serving": 6599,
+        "serving": 6615,
     },
     "replay-longctx-tiered": {
         "baselines": 1,
         "core": 31001,
         "engine": 16839,
-        "hardware": 7203,
+        "hardware": 7179,
         "models": 276,
-        "numpy+builtins": 67763,
-        "serving": 2647,
+        "numpy+builtins": 67614,
+        "serving": 2653,
     },
     "cluster-replay-faults": {
         "baselines": 5,
         "core": 8879,
         "engine": 26172,
-        "hardware": 951,
-        "models": 1022,
-        "numpy+builtins": 77375,
-        "serving": 11665,
+        "hardware": 900,
+        "models": 1024,
+        "numpy+builtins": 77022,
+        "serving": 11696,
     },
     "cluster-scale-analytic": {
-        "core": 20777,
-        "hardware": 45168,
-        "models": 41796,
-        "numpy+builtins": 305736,
-        "serving": 202434,
+        "core": 2865,
+        "hardware": 6613,
+        "models": 7560,
+        "numpy+builtins": 92160,
+        "serving": 100963,
     },
 }
 OP_LEDGER_SLACK = 0.02

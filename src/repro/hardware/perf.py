@@ -112,7 +112,8 @@ def _require_at_least(minimum: int, **values) -> None:
     """The model's one input check: hostile counts raise, they are
     never priced (a negative batch would report negative tokens/s)."""
     for name, value in values.items():
-        if np.any(value < minimum):
+        below = value < minimum  # a bool for a Python int
+        if below if isinstance(below, bool) else below.any():
             raise ValueError(
                 f"{name} must be >= {minimum}, got {np.min(value)}"
             )
@@ -460,6 +461,7 @@ def generation_iteration(
     context: int,
     ragged: bool = False,
     mode: ComputeModeLike = None,
+    steps: int = 1,
 ) -> IterationBreakdown:
     """Latency breakdown of one generation iteration.
 
@@ -472,14 +474,28 @@ def generation_iteration(
         ragged: apply the mixed-prompt-length compute penalty
             (trace-driven workloads, Figure 14).
         mode: ComputeMode policy; ``exact_f64`` by default.
+        steps: consecutive iterations to price (>= 1), at contexts
+            ``context .. context + steps - 1``.
 
     Returns:
-        An :class:`IterationBreakdown`.
+        An :class:`IterationBreakdown`: of floats for one step, of
+        float64 arrays over the steps otherwise (the same values, row
+        for row, as ``steps`` one-step calls).
     """
     dtype = resolve_compute_mode(mode, default=EXACT_F64).compute_dtype
     block, index = divmod(context - 1, _BLOCK_CONTEXTS)
     rows = _price_block(system, arch, dtype, batch, ragged, block)
-    return IterationBreakdown(*rows[index].tolist())
+    if steps == 1:
+        return IterationBreakdown(*rows[index].tolist())
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    last = (context + steps - 2) // _BLOCK_CONTEXTS
+    if last > block:
+        rows = np.concatenate([rows] + [
+            _price_block(system, arch, dtype, batch, ragged, later)
+            for later in range(block + 1, last + 1)
+        ])
+    return IterationBreakdown(*rows[index:index + steps].T)
 
 
 def prefill_time(
@@ -491,6 +507,21 @@ def prefill_time(
 ) -> float:
     """Prefill-phase latency: compute-bound parallel token processing."""
     dtype = resolve_compute_mode(mode, default=EXACT_F64).compute_dtype
+    return _price_prefill(system, arch, dtype, batch, prompt_tokens)
+
+
+@functools.lru_cache(maxsize=_MAX_BLOCKS)
+def _price_prefill(
+    system: ServingSystem,
+    arch: ArchShape,
+    dtype: np.dtype,
+    batch: int,
+    prompt_tokens: int,
+) -> float:
+    """One prefill point, kept by value like :func:`_price_block`: a
+    serving replay admits the same (batch, prompt) pairs again and
+    again (half its admissions at full benchmark size).  A rejected
+    point raises and is never cached."""
     return float(
         _prefill_arrays(
             _pair_params(system, arch, dtype), batch, prompt_tokens

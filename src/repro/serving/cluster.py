@@ -51,6 +51,7 @@ admitted together, not first-request-alone).
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import heapq
 import itertools
@@ -228,7 +229,16 @@ class _Replica:
         self.rejecting = False
         self.brownout_factor = 1.0
         self.stepping = False
-        self.epoch = 0  # bumped per crash; stale STEP_DONEs are dropped
+        # Bumped per launch, cut and crash: a STEP_DONE carrying an
+        # older epoch was superseded and is dropped.
+        self.epoch = 0
+        # The iterations in flight (one, or a stride of them): their
+        # times, the clock at each one's end, the batch they advance,
+        # and how many of them the pending STEP_DONE covers.
+        self.times: List[float] = []
+        self.ends: List[float] = []
+        self.batch = 0
+        self.stride = 0
         self.misses = 0
         self.crashed_at: Optional[float] = None
         # telemetry
@@ -575,6 +585,7 @@ class _ClusterSim:
             return None
         creq.state = "placed"
         creq.replica = target.rid
+        self._cut(target, now)
         target.scheduler.submit(creq.fresh_request())
         return target
 
@@ -646,8 +657,18 @@ class _ClusterSim:
         if replica.cache is not None and admitted_all != plan.admitted:
             # Price prefill for everything admitted across re-plans.
             plan = dataclasses.replace(plan, admitted=admitted_all)
+        stride = 1
+        if replica.cache is None and not plan.prefill_tokens:
+            # Nothing but an event addressed to this replica can change
+            # its batch before the first retirement, so run to it in
+            # one stride; such an event cuts the stride (``_cut``).  A
+            # replay replica steps one iteration at a time, because
+            # each iteration does real KV work, and a chunked prefill
+            # changes the batch as it goes.
+            stride = replica.scheduler.steps_to_retire()
         step_time = iteration_time_s(
-            self.system, self.arch, plan, self.config.prefill_chunk
+            self.system, self.arch, plan, self.config.prefill_chunk,
+            stride,
         )
         step_time *= replica.brownout_factor
         resident, resident_ids = plan.resident, plan.resident_ids
@@ -678,18 +699,62 @@ class _ClusterSim:
             # memory-system time, not compute subject to the slowdown.
             step_time += replica.cache.transfer_penalty_s()
         replica.stepping = True
-        self._push(
-            now + step_time, _STEP_DONE,
-            (replica.rid, replica.epoch, step_time, len(resident)),
+        replica.times = (
+            step_time.tolist() if stride > 1 else [step_time]
         )
+        # Sequential sums, as the per-iteration ``now + step_time``:
+        # ``ends[i]`` is the clock when iteration ``i`` ends (``ends[0]``
+        # is ``now``, when the first one starts).
+        replica.ends = list(itertools.accumulate(replica.times, initial=now))
+        replica.batch = len(resident)
+        self._end_after(replica, stride)
 
-    def _finish_step(self, replica: _Replica, now: float,
-                     step_time: float, generated_now: int) -> None:
+    def _end_after(self, replica: _Replica, stride: int) -> None:
+        """(Re)schedule ``replica``'s STEP_DONE at the end of its first
+        ``stride`` iterations in flight; any earlier one goes stale."""
+        replica.epoch += 1
+        replica.stride = stride
+        heapq.heappush(self.heap, (
+            replica.ends[stride], _STEP_DONE, next(self._seq),
+            (replica.rid, replica.epoch),
+        ))
+
+    def _cut(self, replica: _Replica, now: float,
+             crash: bool = False) -> None:
+        """An event at ``now`` addressed to ``replica`` ends its stride.
+
+        The per-iteration loop would see the event at its next plan, at
+        the first iteration end at or after ``now``, so the stride ends
+        there and the iterations after it never run.  A crash instead
+        keeps only the iterations that ended strictly before it (FAULT
+        sorts before STEP_DONE at equal times): they are booked now,
+        with the plan at their end that started the iteration the
+        crash kills.  That plan saw the batch as the stride began,
+        because an earlier event would have cut the stride there.
+        """
+        if not replica.stepping or replica.stride == 1:
+            return
+        # Iterations that ended strictly before ``now``.
+        done = bisect.bisect_left(replica.ends, now, 1, replica.stride) - 1
+        if not crash:
+            if done + 1 < replica.stride:
+                self._end_after(replica, done + 1)
+        elif done:
+            self._advance(replica, done)
+            replica.scheduler.repeat_plan()
+
+    def _advance(self, replica: _Replica, stride: int) -> None:
+        """Book ``replica``'s first ``stride`` iterations in flight as
+        done, at the end of the last of them."""
+        now = replica.ends[stride]
         replica.stepping = False
-        replica.busy_s += step_time
-        replica.generated += generated_now
-        replica.steps += 1
-        retired = replica.scheduler.complete_iteration(now)
+        for step_time in replica.times[:stride]:
+            replica.busy_s += step_time
+        replica.generated += stride * replica.batch
+        replica.steps += stride
+        retired = replica.scheduler.complete_iteration(
+            now, stride, replica.ends[1]
+        )
         for request in retired:
             creq = self.requests[request.request_id]
             if creq.state == "completed":
@@ -710,7 +775,6 @@ class _ClusterSim:
             )
         if replica.cache is not None:
             replica.cache.retire(retired)
-        self._try_start_step(replica, now)
 
     # -- fault handling ------------------------------------------------
 
@@ -724,6 +788,7 @@ class _ClusterSim:
 
     def _apply_fault(self, event, now: float) -> None:
         replica = self.replicas[event.replica]
+        self._cut(replica, now, crash=event.kind is FaultKind.CRASH)
         if event.kind is FaultKind.CRASH:
             replica.crash(now)
         elif event.kind is FaultKind.RECOVER:
@@ -820,13 +885,12 @@ class _ClusterSim:
                     self.retries += 1
                     self._place(creq, time_s)
             else:  # _STEP_DONE
-                rid, epoch, step_time, generated_now = payload
+                rid, epoch = payload
                 replica = self.replicas[rid]
                 if epoch != replica.epoch:
-                    continue  # stale: the replica crashed mid-step
-                self._finish_step(
-                    replica, time_s, step_time, generated_now
-                )
+                    continue  # stale: a crash or a cut superseded it
+                self._advance(replica, replica.stride)
+                self._try_start_step(replica, time_s)
         return self._report()
 
     def _report(self) -> ClusterReport:

@@ -94,6 +94,7 @@ class ContinuousBatchScheduler:
         self.prefill_chunk = prefill_chunk
         self.admission_gate = admission_gate
         self.gate_refusals = 0
+        self._refused = False  # whether the last plan's gate refused
         self._queue: Deque[Request] = deque()
         self._resident: List[Request] = []
         # request_id -> (request, prompt tokens still to prefill), in
@@ -194,6 +195,7 @@ class ContinuousBatchScheduler:
             The iteration plan, or None when nothing can run yet.
         """
         admitted: List[Request] = []
+        self._refused = False
         while (
             len(self._resident) < self.max_batch
             and self._queue
@@ -204,6 +206,7 @@ class ContinuousBatchScheduler:
                 and not self.admission_gate(self._queue[0])
             ):
                 self.gate_refusals += 1
+                self._refused = True
                 break
             request = self._queue.popleft()
             request.phase = RequestPhase.PREFILL
@@ -263,27 +266,53 @@ class ContinuousBatchScheduler:
             resident_ids=self._generating_ids,
         )
 
-    def complete_iteration(self, now_s: float) -> List[Request]:
+    def steps_to_retire(self) -> int:
+        """Iterations the generating batch runs before its first
+        retirement: the longest stride :meth:`complete_iteration` may
+        take after a plan that prefilled no chunk."""
+        return min([r.output_tokens - r.generated for r in self._generating])
+
+    def repeat_plan(self, times: int = 1) -> None:
+        """Count ``times`` plans of a batch that cannot change (see
+        :meth:`complete_iteration`): each admits nothing, and refuses
+        at the gate exactly when the last plan did."""
+        self.gate_refusals += times * self._refused
+
+    def complete_iteration(
+        self, now_s: float, steps: int = 1, first_s: Optional[float] = None
+    ) -> List[Request]:
         """Advance every generating request one token; retire finished
         ones (requests still consuming their prompt in chunked-prefill
         mode generate nothing this iteration).
 
+        ``steps`` > 1 advances a batch that cannot change by that many
+        iterations at once, the first ending at ``first_s`` and the
+        last at ``now_s``.  The caller guarantees that the last plan
+        prefilled no chunk, that ``steps`` is at most
+        :meth:`steps_to_retire`, and that nothing reaches the queue or
+        the gate meanwhile.  The result equals ``steps`` single
+        completions with the ``steps - 1`` plans between them, each of
+        which admits nothing and refuses at the gate exactly when the
+        last plan did.
+
         Returns:
-            Requests that finished in this iteration.
+            Requests that finished in this iteration (the last one).
         """
         retired: List[Request] = []
         generation, finished = RequestPhase.GENERATION, RequestPhase.FINISHED
+        first_s = now_s if first_s is None else first_s
         for request in self._generating:
             request.phase = generation
-            generated = request.generated + 1
+            generated = request.generated + steps
             request.generated = generated
-            if generated == 1:
-                request.first_token_s = now_s
+            if generated == steps:
+                request.first_token_s = first_s
             if generated >= request.output_tokens:
                 request.phase = finished
                 request.finish_s = now_s
                 retired.append(request)
-        self._context_sum += len(self._generating)
+        self._context_sum += steps * len(self._generating)
+        self.gate_refusals += (steps - 1) * self._refused  # repeat_plan
         if retired:
             self._finished.extend(retired)
             self._context_sum -= sum(r.context_length for r in retired)

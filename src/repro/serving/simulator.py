@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -637,7 +637,8 @@ def iteration_time_s(
     arch: ArchShape,
     plan,
     prefill_chunk: Optional[int] = None,
-) -> float:
+    steps: int = 1,
+) -> Union[float, np.ndarray]:
     """Price one scheduler iteration with the hardware model.
 
     The costing rule of the one serving event loop
@@ -646,7 +647,15 @@ def iteration_time_s(
     monolithic, with the systolic ragged-batch padding penalty), and
     the generation iteration is priced at the resident batch's mean
     context length.
+
+    ``steps`` > 1 prices that many consecutive iterations of a plan
+    that prefills no chunk: the first pays the plan's admissions, and
+    the batch's mean context rises by one per iteration.  It returns a
+    float64 array of their times, each equal to pricing that
+    iteration's own plan; one step returns a float.
     """
+    if steps > 1 and plan.prefill_tokens:
+        raise ValueError("a plan that prefills a chunk runs one step")
     step_time = 0.0
     if prefill_chunk is not None:
         # Chunked prefill: this iteration's prompt-token slice is
@@ -683,8 +692,16 @@ def iteration_time_s(
             batch=len(plan.resident),
             context=max(1, int(plan.mean_context)),
             ragged=plan.ragged,
+            steps=steps,
         )
-        step_time += breakdown.total_s
+        if steps == 1:
+            step_time += breakdown.total_s
+        else:
+            # Only the first iteration pays for the admissions; the
+            # others add their time to 0.0, which leaves it unchanged.
+            totals = breakdown.total_s
+            totals[0] += step_time
+            step_time = totals
     return step_time
 
 

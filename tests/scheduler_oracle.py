@@ -8,7 +8,9 @@ on admit, chunk-finish, retire and evict, this was
 here with its logic unchanged (the plan type is imported) so
 ``tests/test_scheduler_running_state.py`` can drive both in lockstep
 and hold every plan and every retirement ``==``.  Do not edit the
-logic: it is the contract.
+logic: it is the contract.  :meth:`RebuildScheduler.advance` only
+composes it: a k-iteration stride is k single completions with the
+plans the per-iteration loop makes between them.
 """
 
 from __future__ import annotations
@@ -189,6 +191,23 @@ class RebuildScheduler:
                 still_resident.append(request)
         self._resident = still_resident
         return retired
+
+    def advance(self, ends: List[float]):
+        """The k-iteration stride as the per-iteration loop runs it: a
+        completion at each of ``ends``, and before each one after the
+        first, a plan at the previous end.
+
+        Returns:
+            ``(retired, plans)``: every completion's retirements, in
+            order, and the plans in between.
+        """
+        retired: List[Request] = []
+        plans: List[Optional[IterationPlan]] = []
+        for index, end in enumerate(ends):
+            if index:
+                plans.append(self.plan_iteration(ends[index - 1]))
+            retired.extend(self.complete_iteration(end))
+        return retired, plans
 
     def next_arrival(self) -> Optional[float]:
         """Arrival time of the oldest queued request, if any."""
