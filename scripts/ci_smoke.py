@@ -411,7 +411,7 @@ OP_WORK = {
         "engine": 15946,
         "hardware": 375,
         "models": 897,
-        "numpy+builtins": 38930,
+        "numpy+builtins": 38927,
         "serving": 10582,
     },
     "replay-rag-shared": {
@@ -420,7 +420,7 @@ OP_WORK = {
         "engine": 7530,
         "hardware": 458,
         "models": 569,
-        "numpy+builtins": 161973,
+        "numpy+builtins": 161970,
         "quant": 464,
         "serving": 6615,
     },
@@ -430,7 +430,7 @@ OP_WORK = {
         "engine": 16839,
         "hardware": 7179,
         "models": 276,
-        "numpy+builtins": 67614,
+        "numpy+builtins": 67611,
         "serving": 2653,
     },
     "cluster-replay-faults": {

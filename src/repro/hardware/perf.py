@@ -512,10 +512,7 @@ def prefill_time(
 
 @functools.lru_cache(maxsize=_MAX_BLOCKS)
 def _price_prefill(
-    system: ServingSystem,
-    arch: ArchShape,
-    dtype: np.dtype,
-    batch: int,
+    system: ServingSystem, arch: ArchShape, dtype: np.dtype, batch: int,
     prompt_tokens: int,
 ) -> float:
     """One prefill point, kept by value like :func:`_price_block`: a

@@ -149,20 +149,14 @@ class ClusterConfig:
             )
         # The event clock only moves forward: a beat at or before now
         # re-arms forever, and a negative backoff retries in the past.
-        if not (
-            math.isfinite(self.heartbeat_interval_s)
-            and self.heartbeat_interval_s > 0.0
-        ):
-            raise ValueError(
-                "heartbeat_interval_s must be finite and > 0, got "
-                f"{self.heartbeat_interval_s}"
-            )
+        # (A chained comparison is False for NaN.)
+        if not 0.0 < self.heartbeat_interval_s < math.inf:
+            raise ValueError("heartbeat_interval_s must be finite and > 0, "
+                             f"got {self.heartbeat_interval_s}")
         for name in ("backoff_base_s", "backoff_cap_s"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(
-                    f"{name} must be finite and >= 0, got {value}"
-                )
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got "
+                                 f"{getattr(self, name)}")
         if self.heartbeat_misses < 1:
             raise ValueError("heartbeat_misses must be >= 1")
         if self.retry_budget < 1:
@@ -229,9 +223,7 @@ class _Replica:
         self.rejecting = False
         self.brownout_factor = 1.0
         self.stepping = False
-        # Bumped per launch, cut and crash: a STEP_DONE carrying an
-        # older epoch was superseded and is dropped.
-        self.epoch = 0
+        self.epoch = 0  # bumped per launch, cut, crash: older STEP_DONE stale
         # The iterations in flight (one, or a stride of them): their
         # times, the clock at each one's end, the batch they advance,
         # and how many of them the pending STEP_DONE covers.

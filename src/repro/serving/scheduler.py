@@ -272,11 +272,11 @@ class ContinuousBatchScheduler:
         take after a plan that prefilled no chunk."""
         return min([r.output_tokens - r.generated for r in self._generating])
 
-    def repeat_plan(self, times: int = 1) -> None:
-        """Count ``times`` plans of a batch that cannot change (see
-        :meth:`complete_iteration`): each admits nothing, and refuses
-        at the gate exactly when the last plan did."""
-        self.gate_refusals += times * self._refused
+    def repeat_plan(self) -> None:
+        """Count a plan of a batch that cannot change (see
+        :meth:`complete_iteration`): it admits nothing, and refuses at
+        the gate exactly when the last plan did."""
+        self.gate_refusals += self._refused
 
     def complete_iteration(
         self, now_s: float, steps: int = 1, first_s: Optional[float] = None
@@ -312,7 +312,8 @@ class ContinuousBatchScheduler:
                 request.finish_s = now_s
                 retired.append(request)
         self._context_sum += steps * len(self._generating)
-        self.gate_refusals += (steps - 1) * self._refused  # repeat_plan
+        # The skipped plans, each counted as repeat_plan counts it.
+        self.gate_refusals += (steps - 1) * self._refused
         if retired:
             self._finished.extend(retired)
             self._context_sum -= sum(r.context_length for r in retired)

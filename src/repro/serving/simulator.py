@@ -694,14 +694,12 @@ def iteration_time_s(
             ragged=plan.ragged,
             steps=steps,
         )
+        total = breakdown.total_s
         if steps == 1:
-            step_time += breakdown.total_s
-        else:
-            # Only the first iteration pays for the admissions; the
-            # others add their time to 0.0, which leaves it unchanged.
-            totals = breakdown.total_s
-            totals[0] += step_time
-            step_time = totals
+            step_time += total
+        else:  # only the first pays for admissions (``0.0 + t`` is t)
+            total[0] += step_time
+            step_time = total
     return step_time
 
 
