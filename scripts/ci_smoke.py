@@ -411,7 +411,7 @@ OP_WORK = {
         "engine": 15946,
         "hardware": 375,
         "models": 897,
-        "numpy+builtins": 38927,
+        "numpy+builtins": 39003,
         "serving": 10582,
     },
     "replay-rag-shared": {
@@ -420,7 +420,7 @@ OP_WORK = {
         "engine": 7530,
         "hardware": 458,
         "models": 569,
-        "numpy+builtins": 161970,
+        "numpy+builtins": 162034,
         "quant": 464,
         "serving": 6615,
     },
@@ -430,7 +430,7 @@ OP_WORK = {
         "engine": 16839,
         "hardware": 7179,
         "models": 276,
-        "numpy+builtins": 67611,
+        "numpy+builtins": 67615,
         "serving": 2653,
     },
     "cluster-replay-faults": {
@@ -439,14 +439,14 @@ OP_WORK = {
         "engine": 26172,
         "hardware": 900,
         "models": 1024,
-        "numpy+builtins": 77022,
+        "numpy+builtins": 77050,
         "serving": 11696,
     },
     "cluster-scale-analytic": {
         "core": 2865,
         "hardware": 6613,
         "models": 7560,
-        "numpy+builtins": 92160,
+        "numpy+builtins": 93458,
         "serving": 100963,
     },
 }

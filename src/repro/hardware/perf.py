@@ -112,8 +112,7 @@ def _require_at_least(minimum: int, **values) -> None:
     """The model's one input check: hostile counts raise, they are
     never priced (a negative batch would report negative tokens/s)."""
     for name, value in values.items():
-        below = value < minimum  # a bool for a Python int
-        if below if isinstance(below, bool) else below.any():
+        if np.any(value < minimum):
             raise ValueError(
                 f"{name} must be >= {minimum}, got {np.min(value)}"
             )
