@@ -242,8 +242,8 @@ def analytic_e2e_gate() -> None:
 #: updates them in the same diff.
 REPLAY_WORK = {
     "replay-burst-arena": {
-        "core.quantizer.quantize.calls": 163,
-        "core.quantizer.dequantize.calls": 130,
+        "core.quantizer.quantize.calls": 49,
+        "core.quantizer.dequantize.calls": 16,
         "core.quantizer.rows_enc": 15524,
         "core.quantizer.rows_dec": 15396,
         "engine.synthetic.rows": 15652,
@@ -275,15 +275,15 @@ REPLAY_WORK = {
         "engine.arena.compactions": 0,
     },
     "cluster-replay-faults": {
-        "core.quantizer.quantize.calls": 441,
-        "core.quantizer.dequantize.calls": 413,
+        "core.quantizer.quantize.calls": 59,
+        "core.quantizer.dequantize.calls": 31,
         "core.quantizer.rows_enc": 10840,
         "core.quantizer.rows_dec": 10200,
         "engine.synthetic.rows": 11480,
         "engine.tiering.record_append.calls": 0,
         "engine.tiering.record_read.calls": 0,
         "engine.sharing.forks": 15,
-        "engine.arena.compactions": 16,
+        "engine.arena.compactions": 14,
     },
 }
 
@@ -313,18 +313,18 @@ def replay_e2e_gate() -> None:
 #: them in the same diff.
 ARENA_WORK = {
     "replay-burst-arena": {
-        "move_rows.calls": 149,
-        "move_rows.rows": 6648,
+        "move_rows.calls": 69,
+        "move_rows.rows": 2872,
         "resize.calls": 11,
-        "rebuild_log.calls": 7,
+        "rebuild_log.calls": 6,
         "compact.calls": 3,
     },
     "cluster-replay-faults": {
-        "move_rows.calls": 92,
-        "move_rows.rows": 4232,
-        "resize.calls": 26,
-        "rebuild_log.calls": 14,
-        "compact.calls": 8,
+        "move_rows.calls": 66,
+        "move_rows.rows": 2478,
+        "resize.calls": 25,
+        "rebuild_log.calls": 13,
+        "compact.calls": 7,
     },
 }
 
@@ -407,12 +407,12 @@ def arena_work_gate() -> None:
 OP_WORK = {
     "replay-burst-arena": {
         "baselines": 1,
-        "core": 2897,
-        "engine": 15946,
-        "hardware": 375,
-        "models": 897,
-        "numpy+builtins": 39003,
-        "serving": 10582,
+        "core": 845,
+        "engine": 4299,
+        "hardware": 152,
+        "models": 681,
+        "numpy+builtins": 15038,
+        "serving": 2659,
     },
     "replay-rag-shared": {
         "baselines": 1,
@@ -435,12 +435,12 @@ OP_WORK = {
     },
     "cluster-replay-faults": {
         "baselines": 5,
-        "core": 8879,
-        "engine": 26172,
-        "hardware": 900,
-        "models": 1024,
-        "numpy+builtins": 77050,
-        "serving": 11696,
+        "core": 2039,
+        "engine": 5709,
+        "hardware": 154,
+        "models": 308,
+        "numpy+builtins": 24608,
+        "serving": 2197,
     },
     "cluster-scale-analytic": {
         "core": 2865,

@@ -114,7 +114,8 @@ class ClusterConfig:
         replay: opt-in token-level cache replay per replica (replica
             ``i`` runs at ``replay.seed + i`` so replica 0 matches the
             single-replica simulator bit-for-bit).
-        pool_capacity_bytes: when set (with ``replay``), bounds each
+        pool_capacity_bytes: when set (finite, > 0, with ``replay``),
+            bounds each
             replica's :class:`~repro.engine.KVCachePool` so oversized
             admissions raise
             :class:`~repro.engine.CacheCapacityError` and exercise the
@@ -163,6 +164,18 @@ class ClusterConfig:
             raise ValueError("retry_budget must be >= 1")
         if self.queue_limit is not None and self.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1 when set")
+        capacity = self.pool_capacity_bytes
+        if capacity is not None:
+            # A bound of 0, below 0 or NaN refuses every admission, and
+            # without a replay there is no pool to bound.
+            if self.replay is None:
+                raise ValueError(
+                    "pool_capacity_bytes bounds the replay's pools; set "
+                    "replay too"
+                )
+            if not 0.0 < capacity < math.inf:
+                raise ValueError("pool_capacity_bytes must be finite and > 0 "
+                                 f"when set, got {capacity}")
 
 
 class _ClusterRequest:
@@ -231,6 +244,9 @@ class _Replica:
         self.ends: List[float] = []
         self.batch = 0
         self.stride = 0
+        # A replay stride's (resident, resident_ids), whose pool work is
+        # owed until its iterations are booked; None when nothing is.
+        self.owed: Optional[tuple] = None
         self.misses = 0
         self.crashed_at: Optional[float] = None
         # telemetry
@@ -255,6 +271,21 @@ class _Replica:
                 self.cache.pool.capacity_bytes = (
                     self.config.pool_capacity_bytes
                 )
+        # The part of :meth:`can_stride` fixed for this incarnation: a
+        # replay pool strides on the arena only (the chunk store's
+        # chunk boundaries, and so its footprint, depend on how many
+        # rows each append carries; only fused pools adopt an arena
+        # asked for) and only where no iteration's pool work feeds its
+        # timing or can be refused: no tier transfers to charge, no
+        # capacity bound, no engine cycles to price.
+        cache = self.cache
+        self._strides = cache is None or (
+            cache.config.arena
+            and cache.pool.arena_enabled
+            and cache.tiering is None
+            and cache.pool.capacity_bytes is None
+            and not cache.config.engine_cycles
+        )
         self.scheduler = ContinuousBatchScheduler(
             self.effective_cap,
             prefill_chunk=self.config.prefill_chunk,
@@ -268,6 +299,28 @@ class _Replica:
         if self.cache is not None:
             return self.cache.admission_gate(request)
         return True
+
+    def can_stride(self, plan) -> bool:
+        """Whether ``plan`` may run to the batch's first retirement in
+        one stride.
+
+        Only an event addressed to this replica can change its batch
+        before then, and such an event cuts the stride
+        (:meth:`_ClusterSim._cut`); a chunked prefill changes the batch
+        as it goes.  A replay replica defers the stride's pool work to
+        its booking, so it also needs that no plan it skips could reach
+        the admission gate, whose projection reads the pool: the queue
+        is empty or the batch is full.
+        """
+        if not self._strides or plan.prefill_tokens:
+            return False
+        if self.cache is None:
+            return True
+        scheduler = self.scheduler
+        return (
+            not scheduler.pending
+            or len(plan.resident) >= scheduler.max_batch
+        )
 
     @property
     def load(self) -> int:
@@ -649,22 +702,19 @@ class _ClusterSim:
         if replica.cache is not None and admitted_all != plan.admitted:
             # Price prefill for everything admitted across re-plans.
             plan = dataclasses.replace(plan, admitted=admitted_all)
-        stride = 1
-        if replica.cache is None and not plan.prefill_tokens:
-            # Nothing but an event addressed to this replica can change
-            # its batch before the first retirement, so run to it in
-            # one stride; such an event cuts the stride (``_cut``).  A
-            # replay replica steps one iteration at a time, because
-            # each iteration does real KV work, and a chunked prefill
-            # changes the batch as it goes.
-            stride = replica.scheduler.steps_to_retire()
+        strides = replica.can_stride(plan)
+        stride = replica.scheduler.steps_to_retire() if strides else 1
         step_time = iteration_time_s(
             self.system, self.arch, plan, self.config.prefill_chunk,
             stride,
         )
         step_time *= replica.brownout_factor
         resident, resident_ids = plan.resident, plan.resident_ids
-        if replica.cache is not None:
+        if replica.cache is not None and strides:
+            # Nothing reads the pool before the stride is booked, so its
+            # iterations' KV work waits for that, as one transaction.
+            replica.owed = (resident, resident_ids)
+        elif replica.cache is not None:
             while True:
                 try:
                     replica.cache.step(resident, resident_ids)
@@ -699,11 +749,18 @@ class _ClusterSim:
         # is ``now``, when the first one starts).
         replica.ends = list(itertools.accumulate(replica.times, initial=now))
         replica.batch = len(resident)
-        self._end_after(replica, stride)
+        # Scheduled as ``_end_after`` reschedules, in line: one call
+        # fewer per launch pays for ``can_stride``'s.
+        replica.epoch += 1
+        replica.stride = stride
+        heapq.heappush(self.heap, (
+            replica.ends[stride], _STEP_DONE, next(self._seq),
+            (replica.rid, replica.epoch),
+        ))
 
     def _end_after(self, replica: _Replica, stride: int) -> None:
-        """(Re)schedule ``replica``'s STEP_DONE at the end of its first
-        ``stride`` iterations in flight; any earlier one goes stale."""
+        """Reschedule ``replica``'s STEP_DONE at the end of its first
+        ``stride`` iterations in flight; the earlier one goes stale."""
         replica.epoch += 1
         replica.stride = stride
         heapq.heappush(self.heap, (
@@ -722,24 +779,36 @@ class _ClusterSim:
         sorts before STEP_DONE at equal times): they are booked now,
         with the plan at their end that started the iteration the
         crash kills.  That plan saw the batch as the stride began,
-        because an earlier event would have cut the stride there.
+        because an earlier event would have cut the stride there.  The
+        pool work a replay stride owes covers the killed iteration too:
+        the per-iteration loop ran it when that iteration started.
         """
-        if not replica.stepping or replica.stride == 1:
+        if not replica.stepping or (
+            replica.stride == 1 and replica.owed is None
+        ):
             return
         # Iterations that ended strictly before ``now``.
         done = bisect.bisect_left(replica.ends, now, 1, replica.stride) - 1
         if not crash:
             if done + 1 < replica.stride:
                 self._end_after(replica, done + 1)
-        elif done:
+            return
+        if replica.owed is not None:
+            replica.cache.step(*replica.owed, steps=done + 1)
+            replica.owed = None
+        if done:
             self._advance(replica, done)
             replica.scheduler.repeat_plan()
 
     def _advance(self, replica: _Replica, stride: int) -> None:
         """Book ``replica``'s first ``stride`` iterations in flight as
-        done, at the end of the last of them."""
+        done, at the end of the last of them, with the pool work a
+        replay stride owes for them."""
         now = replica.ends[stride]
         replica.stepping = False
+        if replica.owed is not None:
+            replica.cache.step(*replica.owed, steps=stride)
+            replica.owed = None
         for step_time in replica.times[:stride]:
             replica.busy_s += step_time
         replica.generated += stride * replica.batch

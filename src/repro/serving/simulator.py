@@ -295,12 +295,15 @@ class _CacheReplay:
 
         return factory
 
-    def _draw_layers(self, n: int):
-        """``n`` fresh rows per tensor per layer: per-layer lists of
-        [n, D] keys and values, drawn layer by layer, keys first."""
-        draws = [
-            self._stream.draw(n) for _ in range(2 * self.config.num_layers)
-        ]
+    def _draw_layers(self, n: int, steps: int = 1):
+        """``n`` fresh rows per tensor per layer for each of ``steps``
+        iterations: per-layer lists of [steps * n, D] keys and values
+        (iteration ``t``'s rows at ``t * n``), drawn iteration by
+        iteration, layer by layer, keys first."""
+        tensors = 2 * self.config.num_layers
+        draws = [self._stream.draw(n) for _ in range(tensors * steps)]
+        if steps > 1:
+            draws = [np.concatenate(draws[k::tensors]) for k in range(tensors)]
         return draws[0::2], draws[1::2]
 
     # -- admission -----------------------------------------------------
@@ -308,10 +311,9 @@ class _CacheReplay:
     def measured_kv_bits(self) -> float:
         """Pool-measured bits/element.
 
-        Refreshed by :meth:`step` once per iteration (and primed from
-        the calibration probe), so admission-gate calls read the
-        cached measurement instead of rescanning the pool per queued
-        request.
+        Refreshed by :meth:`step` once per call (and primed from the
+        calibration probe), so admission-gate calls read the cached
+        measurement instead of rescanning the pool per queued request.
         """
         return self._last_kv_bits
 
@@ -435,19 +437,30 @@ class _CacheReplay:
         self,
         resident: Sequence[Request],
         resident_ids: Optional[Sequence[int]] = None,
+        steps: int = 1,
     ) -> None:
-        """One generation iteration: one pool step over every layer.
+        """``steps`` generation iterations of a batch that does not
+        change between them: one pool step over every layer.
 
-        The iteration's fresh rows are drawn as one [B, D] block per
-        tensor per layer and handed to
-        :meth:`~repro.engine.KVCachePool.step` as per-sequence row
-        views, so the per-sequence Python loop (and its per-row RNG
-        calls) never runs here.  A refused step raises
-        :class:`~repro.engine.CacheCapacityError` with every layer of
-        every resident as it was.  ``resident_ids``, when the
-        scheduler's :class:`~repro.serving.scheduler.IterationPlan`
-        provides it, skips rebuilding the id list from the request
-        objects.
+        Each iteration's fresh rows are drawn as one [B, D] block per
+        tensor per layer, in the order one call per iteration would
+        draw them, and handed to :meth:`~repro.engine.KVCachePool.step`
+        as per-sequence row views, ``steps`` rows per sequence per
+        layer: one encode, one decode and one measurement for all of
+        them, where the per-sequence Python loop (and its per-row RNG
+        calls) never runs.  The encode and decode are row-local, so the
+        stored bytes, the rows read back and the measured footprint
+        are those of ``steps`` one-iteration calls; nothing frees
+        between iterations, so neither is the peak.  The cluster loop
+        books a stride's iterations this way (``steps`` > 1 needs a
+        pool that cannot refuse: it has no capacity bound).  The
+        append, read and replayed-token counters count iterations.
+
+        A refused step raises :class:`~repro.engine.CacheCapacityError`
+        with every layer of every resident as it was.
+        ``resident_ids``, when the scheduler's
+        :class:`~repro.serving.scheduler.IterationPlan` provides it,
+        skips rebuilding the id list from the request objects.
         """
         if not resident:
             return
@@ -457,20 +470,20 @@ class _CacheReplay:
             else [r.request_id for r in resident]
         )
         batch = len(seq_ids)
-        keys, values = self._draw_layers(batch)
+        keys, values = self._draw_layers(batch, steps)
         self.pool.step(
             [
                 (
                     seq_id,
-                    [layer[i : i + 1] for layer in keys],
-                    [layer[i : i + 1] for layer in values],
+                    [layer[i::batch] for layer in keys],
+                    [layer[i::batch] for layer in values],
                 )
                 for i, seq_id in enumerate(seq_ids)
             ]
         )
-        self.batched_appends += self.config.num_layers
-        self.batched_reads += self.config.num_layers
-        self.replayed_tokens += batch
+        self.batched_appends += self.config.num_layers * steps
+        self.batched_reads += self.config.num_layers * steps
+        self.replayed_tokens += batch * steps
         # Refresh the measured footprint (peak bytes, effective
         # bitwidth) while the pool is populated; admission gating and
         # the final report both consume these measurements.

@@ -1,23 +1,48 @@
-"""Strides in the analytic cluster loop against stepping one iteration.
+"""Strides in the cluster loop against stepping one iteration.
 
-An analytic replica whose batch cannot change runs to its first
-retirement in one stride, and an event addressed to it cuts the
-stride.  With ``steps_to_retire`` forced to 1 the same loop steps one
-iteration at a time, as it did before strides, so every case here runs
-both ways and holds the report, each replica's counters and the gate
-refusals of every scheduler incarnation ``==``.
+A replica whose batch cannot change runs to its first retirement in
+one stride, and an event addressed to it cuts the stride.  With
+``steps_to_retire`` forced to 1 the same loop steps one iteration at a
+time, as it did before strides, so every case here runs both ways and
+holds the report, each replica's counters and the gate refusals of
+every scheduler incarnation ``==``.
+
+A replay replica on the arena strides too, booking a stride's pool
+work as one transaction; its cases also run with
+``_Replica.can_stride`` forced False, the loop that does each
+iteration's pool work when the iteration starts, and hold every pool's
+report, peak footprint and every sequence's final read equal across
+all three runs.
 """
+
+import dataclasses
+import random
 
 import numpy as np
 import pytest
 
-from repro.data.traces import generate_multiturn_trace, generate_trace
+from repro.data.traces import (
+    generate_burst_trace,
+    generate_multiturn_trace,
+    generate_trace,
+)
+from repro.engine import KVCachePool
 from repro.hardware.overheads import get_system
 from repro.models.config import get_model
 from repro.serving import cluster
 from repro.serving.cluster import ClusterConfig, _ClusterSim
-from repro.serving.faults import FaultKind, FaultPlan, generate_fault_plan
+from repro.serving.faults import (
+    FaultKind,
+    FaultPlan,
+    crash_forever,
+    generate_fault_plan,
+)
 from repro.serving.scheduler import ContinuousBatchScheduler
+from repro.serving.simulator import (
+    CacheReplayConfig,
+    _CacheReplay,
+    simulate_trace,
+)
 
 from test_serving import _storm_plan
 
@@ -171,3 +196,280 @@ def test_stride_contexts_rise_by_one():
         assert np.array_equal(
             mean.astype(np.int64), total // batch + j
         ), j
+
+
+# -- replay replicas ------------------------------------------------------
+
+#: Replay report keys a stride may move: j rows per sequence encode,
+#: decode and relocate in fewer, larger calls than one.
+MAY_MOVE = {
+    "batched_encodes", "batched_decodes", "arena_rows_dead",
+    "arena_compactions", "arena_capacity_bytes",
+}
+#: The replay variants: only ``flat`` on the arena strides.
+VARIANTS = {
+    "flat": ({}, None),
+    "tiered": ({"device_budget_mb": 0.004}, None),
+    "bounded": ({}, 3000.0),
+    "engine": ({"engine_cycles": True}, None),
+}
+#: The loops a replay case runs: strided, one iteration per stride, and
+#: no strides at all (each iteration's pool work done when it starts,
+#: as before replay replicas strode).  A variant that must not stride
+#: runs the first and the last only: ``single`` is ``strided`` there.
+LOOPS = ("strided", "single", "unstrided")
+
+
+def _loops(store, variant):
+    if store == "arena" and variant == "flat":
+        return LOOPS
+    return ("strided", "unstrided")
+
+
+def _replay_trace(seed, requests=12, output_cap=8, spread=4.0):
+    """A short trace, its arrivals spread over a few seconds and its
+    generation windows clipped so a run stays cheap."""
+    return [
+        dataclasses.replace(
+            r, arrival_s=r.arrival_s * spread,
+            output_tokens=min(r.output_tokens, output_cap),
+        )
+        for r in generate_trace("conversation", requests, seed=seed)
+    ]
+
+
+def _replay_plan(kind, seed=11, crash_rate=0.4, reject_rate=0.3):
+    """The two fault plans on the replay traces' time scale: the storm
+    plan's events at an eighth of their times (its three crashes at
+    1.4, 3.8 and 5.9 s), or a seeded random plan over 4 s."""
+    if kind == "storm":
+        return FaultPlan([
+            dataclasses.replace(event, time_s=event.time_s / 8)
+            for event in _storm_plan().events
+        ])
+    return generate_fault_plan(
+        4, 4.0, seed=seed, crash_rate=crash_rate, brownout_rate=0.3,
+        reject_rate=reject_rate, mean_down_s=0.5,
+    )
+
+
+def _replay_config(store, variant, **replay):
+    options, capacity = VARIANTS[variant]
+    return CacheReplayConfig(
+        num_layers=2, dim=16, prompt_rows=2, calibration_tokens=32,
+        arena=store == "arena", **options, **replay,
+    ), capacity
+
+
+def _replay_run(simulate, monkeypatch, loop):
+    """Run ``simulate()`` under ``loop``; returns its result, the gate
+    refusals and report (keys in :data:`MAY_MOVE` dropped) and peak
+    bytes of every cache incarnation in boot order, every sequence's
+    history read bit for bit as it was freed, and the number of
+    multi-iteration pool transactions."""
+    caches, schedulers, reads = [], [], []
+    strides = [0]
+    boot = cluster._Replica._boot
+    free = KVCachePool.free
+    step = _CacheReplay.step
+
+    def booting(replica):
+        boot(replica)
+        schedulers.append(replica.scheduler)
+        caches.append(replica.cache)
+
+    def freeing(pool, seq_id):
+        # The backend's own read: the tier store is not told.
+        backend = pool.get(seq_id)
+        history = []
+        for layer in range(backend.num_layers):
+            try:
+                keys, values = backend.read(layer)
+            except RuntimeError:  # allocated, nothing stored yet
+                history.append(None)
+                continue
+            history.append((keys.dtype, keys.shape, keys.tobytes(),
+                            values.tobytes()))
+        reads.append((seq_id, history))
+        return free(pool, seq_id)
+
+    def stepping(replay, resident, resident_ids=None, steps=1):
+        strides[0] += steps > 1
+        return step(replay, resident, resident_ids, steps)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cluster._Replica, "_boot", booting)
+        patch.setattr(KVCachePool, "free", freeing)
+        patch.setattr(_CacheReplay, "step", stepping)
+        if loop != "strided":
+            patch.setattr(
+                ContinuousBatchScheduler, "steps_to_retire", lambda s: 1
+            )
+        if loop == "unstrided":
+            patch.setattr(
+                cluster._Replica, "can_stride", lambda r, plan: False
+            )
+        result = simulate()
+    return dict(
+        result=result,
+        refusals=[s.gate_refusals for s in schedulers],
+        reports=[
+            {k: v for k, v in cache.report().items() if k not in MAY_MOVE}
+            for cache in caches
+        ],
+        peaks=[cache.pool.peak_bytes for cache in caches],
+        reads=reads,
+    ), strides[0]
+
+
+def _replay_all(simulate, monkeypatch, loops=LOOPS):
+    """Run ``simulate`` under each of ``loops`` and hold them equal;
+    returns the strided run's multi-iteration transactions and its
+    result."""
+    runs = [_replay_run(simulate, monkeypatch, loop) for loop in loops]
+    (strided, strides), *others = runs
+    for other, _ in others:
+        for key in strided:
+            assert strided[key] == other[key], key
+    return strides, strided["result"]
+
+
+def _replay_cluster(trace, config, faults, monkeypatch, loops=LOOPS):
+    def simulate():
+        faults.validate(config.replicas)
+        return _ClusterSim(SYSTEM, ARCH, trace, config, faults).run().as_dict()
+
+    return _replay_all(simulate, monkeypatch, loops)
+
+
+@pytest.mark.parametrize("faults", ["storm", "random"])
+@pytest.mark.parametrize("variant", list(VARIANTS))
+@pytest.mark.parametrize("store", ["arena", "chunked"])
+def test_replay_strides_equal_single_iterations(
+    store, variant, faults, monkeypatch
+):
+    """The store x variant x fault-plan grid, the router policy and
+    the queue limit turning with the case."""
+    case = (["arena", "chunked"].index(store) * 8
+            + list(VARIANTS).index(variant) * 2 + (faults == "random"))
+    replay, capacity = _replay_config(store, variant, seed=case)
+    config = ClusterConfig(
+        replicas=4, max_batch=4,
+        policy=cluster.ROUTER_POLICIES[case % 3],
+        queue_limit=(None, 2)[case // 3 % 2],
+        replay=replay, pool_capacity_bytes=capacity,
+    )
+    trace = _replay_trace(seed=case)
+    strides, report = _replay_cluster(
+        trace, config, _replay_plan(faults), monkeypatch,
+        _loops(store, variant),
+    )
+    assert report["completed"] + report["failed"] == len(trace)
+    assert report["lost"] == report["duplicate_completions"] == 0
+    # Only an untiered, unbounded, unpriced arena replica strides.
+    assert (strides > 0) == (store == "arena" and variant == "flat")
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_replay_strides_on_drawn_configurations(seed, monkeypatch):
+    """Seeded random draws over the store, variant, router policy,
+    fault plan, queue limit, batch cap and trace."""
+    draw = random.Random(seed)
+    store = draw.choice(["arena", "chunked"])
+    # Half the draws take the one variant that strides.
+    variant = "flat" if seed % 2 else draw.choice(list(VARIANTS))
+    replay, capacity = _replay_config(
+        store, variant, seed=draw.randrange(100),
+    )
+    config = ClusterConfig(
+        replicas=4, max_batch=draw.choice([2, 4, 8]),
+        policy=draw.choice(cluster.ROUTER_POLICIES),
+        queue_limit=draw.choice([None, 1, 3]),
+        replay=replay, pool_capacity_bytes=capacity,
+    )
+    faults = (
+        _replay_plan("storm") if draw.random() < 0.3 else _replay_plan(
+            "random", seed=draw.randrange(1000),
+            crash_rate=draw.choice([0.1, 0.4, 0.8]),
+            reject_rate=draw.choice([0.0, 0.3]),
+        )
+    )
+    trace = _replay_trace(
+        seed=draw.randrange(1000), requests=draw.choice([8, 12, 16]),
+        output_cap=draw.choice([4, 8, 16]),
+        spread=draw.choice([1.0, 4.0]),
+    )
+    strides, report = _replay_cluster(
+        trace, config, faults, monkeypatch, _loops(store, variant)
+    )
+    assert report["completed"] + report["failed"] == len(trace)
+    assert report["lost"] == report["duplicate_completions"] == 0
+
+
+def test_replay_burst_arena_trace(monkeypatch):
+    """``simulate_trace`` shaped like the ``replay-burst-arena``
+    workload: saturating waves on one arena replica."""
+    trace = [
+        dataclasses.replace(r, output_tokens=min(r.output_tokens, 32))
+        for r in generate_burst_trace(
+            "conversation", num_bursts=3, burst_size=12,
+            burst_gap_s=0.25, seed=2,
+        )
+    ]
+    replay = CacheReplayConfig(
+        num_layers=2, dim=16, prompt_rows=2, calibration_tokens=32,
+        arena=True,
+    )
+
+    def simulate():
+        report = simulate_trace(SYSTEM, ARCH, trace, 16, replay=replay)
+        return dataclasses.asdict(dataclasses.replace(report, replay={
+            key: value for key, value in report.replay.items()
+            if key not in MAY_MOVE
+        }))
+
+    strides, report = _replay_all(simulate, monkeypatch)
+    assert strides > 0
+    assert report["generated_tokens"] == sum(r.output_tokens for r in trace)
+
+
+def test_replay_crash_mid_stride_books_the_killed_iteration(monkeypatch):
+    """A crash, never recovered, lands in the middle of a replay
+    stride: the iterations that ended before it and the pool work of
+    the one it kills are booked, as the per-iteration loop ran that
+    iteration's pool step when it started."""
+    trace = [
+        dataclasses.replace(r, arrival_s=0.0, output_tokens=40)
+        for r in generate_trace("conversation", 4, seed=3)
+    ]
+    replay, _ = _replay_config("arena", "flat")
+    config = ClusterConfig(replicas=2, max_batch=4, replay=replay)
+    # Replica 0's stride runs to its first retirement; crash halfway.
+    calm = _ClusterSim(SYSTEM, ARCH, trace, config, FaultPlan([])).run()
+    assert calm.per_replica[0]["steps"] == 40
+    crash_at = calm.per_replica[0]["busy_s"] / 2
+    cuts = []
+    cut = _ClusterSim._cut
+
+    def cutting(sim, replica, now, crash=False):
+        if crash:
+            cuts.append((replica.stride, replica.owed is not None))
+        cut(sim, replica, now, crash)
+        if crash:
+            cuts[-1] += (replica.steps,)
+
+    monkeypatch.setattr(_ClusterSim, "_cut", cutting)
+    strides, report = _replay_cluster(
+        trace, config, FaultPlan(crash_forever(0, crash_at)), monkeypatch,
+    )
+    # The strided run's crash cut a 40-iteration stride that owed its
+    # pool work, after some of its iterations and before the rest.
+    stride, owed, steps = cuts[0]
+    assert (stride, owed) == (40, True)
+    assert 0 < steps < 40
+    assert report["failovers"] == 2
+    assert report["completed"] == len(trace)
+    # The crashed replica's replay counted every iteration that began.
+    assert report["per_replica"][0]["replayed_tokens"] == (
+        2 * replay.prompt_rows + 2 * (steps + 1)
+    )

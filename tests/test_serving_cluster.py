@@ -463,6 +463,16 @@ class TestValidation:
                 with pytest.raises(ValueError, match=name):
                     ClusterConfig(**{name: value})
         ClusterConfig(backoff_base_s=0.0, backoff_cap_s=0.0)  # allowed
+        # A pool bound of 0, below 0 or NaN refuses every admission
+        # (every request fails on capacity), and without a replay there
+        # is no pool for it to bound.
+        replay = CacheReplayConfig()
+        for value in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="pool_capacity_bytes"):
+                ClusterConfig(replay=replay, pool_capacity_bytes=value)
+        with pytest.raises(ValueError, match="pool_capacity_bytes"):
+            ClusterConfig(pool_capacity_bytes=3000.0)
+        ClusterConfig(replay=replay, pool_capacity_bytes=3000.0)  # allowed
 
     def test_analytic_oom_mirrors_simulate_trace(self, monkeypatch):
         import repro.serving.cluster as cluster_mod
