@@ -412,7 +412,7 @@ OP_WORK = {
         "hardware": 152,
         "models": 681,
         "numpy+builtins": 15038,
-        "serving": 2659,
+        "serving": 2667,
     },
     "replay-rag-shared": {
         "baselines": 1,
@@ -422,7 +422,7 @@ OP_WORK = {
         "models": 569,
         "numpy+builtins": 162034,
         "quant": 464,
-        "serving": 6615,
+        "serving": 6623,
     },
     "replay-longctx-tiered": {
         "baselines": 1,
@@ -431,7 +431,7 @@ OP_WORK = {
         "hardware": 7179,
         "models": 276,
         "numpy+builtins": 67615,
-        "serving": 2653,
+        "serving": 2661,
     },
     "cluster-replay-faults": {
         "baselines": 5,
@@ -440,14 +440,14 @@ OP_WORK = {
         "hardware": 154,
         "models": 308,
         "numpy+builtins": 24608,
-        "serving": 2197,
+        "serving": 2233,
     },
     "cluster-scale-analytic": {
         "core": 2865,
         "hardware": 6613,
         "models": 7560,
         "numpy+builtins": 93458,
-        "serving": 100963,
+        "serving": 87432,
     },
 }
 OP_LEDGER_SLACK = 0.02

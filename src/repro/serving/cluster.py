@@ -56,6 +56,7 @@ import dataclasses
 import heapq
 import itertools
 import math
+import operator
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -86,6 +87,20 @@ ROUTER_POLICIES = ("least_loaded", "prefix_affinity", "consistent_hash")
 
 # Heap event priorities at equal timestamps; see module docstring.
 _ARRIVAL, _FAULT, _HEARTBEAT, _RETRY, _STEP_DONE = range(5)
+
+# The router's rank: in-flight requests (resident + queued).  ``min``
+# keeps the first of equals, and replicas are listed in rid order, so a
+# tie goes to the lowest rid.
+_IN_FLIGHT = operator.attrgetter("scheduler.in_flight")
+
+
+def _stat(values: List[float], percentile: Optional[float] = None) -> float:
+    """Mean of ``values``, or their ``percentile``; 0.0 when empty."""
+    if not values:
+        return 0.0
+    if percentile is None:
+        return float(np.mean(values))
+    return float(np.percentile(values, percentile))
 
 
 @dataclass
@@ -244,9 +259,9 @@ class _Replica:
         self.ends: List[float] = []
         self.batch = 0
         self.stride = 0
-        # A replay stride's (resident, resident_ids), whose pool work is
-        # owed until its iterations are booked; None when nothing is.
-        self.owed: Optional[tuple] = None
+        # A replay stride's resident ids, whose pool work is owed until
+        # its iterations are booked; None when nothing is.
+        self.owed: Optional[Sequence[int]] = None
         self.misses = 0
         self.crashed_at: Optional[float] = None
         # telemetry
@@ -321,11 +336,6 @@ class _Replica:
             not scheduler.pending
             or len(plan.resident) >= scheduler.max_batch
         )
-
-    @property
-    def load(self) -> int:
-        """In-flight requests (resident + queued) — routing weight."""
-        return self.scheduler.in_flight
 
     def accepting(self, queue_limit: Optional[int]) -> bool:
         """Whether the router may place new work here.
@@ -435,7 +445,7 @@ class _Router:
         if not eligible:
             return None
         if self.policy == "least_loaded":
-            return min(eligible, key=lambda r: (r.load, r.rid))
+            return min(eligible, key=_IN_FLIGHT)
         if self.policy == "prefix_affinity":
             group = creq.trace.prefix_group
             if group >= 0:
@@ -446,14 +456,12 @@ class _Router:
                     if replica.rid == home:
                         return replica
             # No group (or home ineligible): least-loaded fallback.
-            return min(eligible, key=lambda r: (r.load, r.rid))
+            return min(eligible, key=_IN_FLIGHT)
         # consistent_hash: walk the ring clockwise from the request's
         # point to the first eligible replica.
         key = zlib.crc32(f"req:{creq.index}".encode())
         okay = {r.rid for r in eligible}
-        start = 0
-        while start < len(self.ring) and self.ring[start][0] < key:
-            start += 1
+        start = bisect.bisect_left(self.ring, (key,))
         for offset in range(len(self.ring)):
             _, rid = self.ring[(start + offset) % len(self.ring)]
             if rid in okay:
@@ -662,6 +670,15 @@ class _ClusterSim:
             return
         self._burn_attempt(creq, now)
 
+    def _refuse(self, replica: _Replica, request_id: int, now: float) -> None:
+        """``replica``'s pool refused ``request_id`` for capacity: evict
+        it and its cache state, and requeue it with backoff."""
+        self.capacity_rejections += 1
+        offender = replica.scheduler.evict(request_id)
+        if offender is not None:
+            replica.cache.abort(offender)
+            self._requeue(self.requests[request_id], now, failover=False)
+
     # -- replica stepping ----------------------------------------------
 
     def _try_start_step(self, replica: _Replica, now: float) -> None:
@@ -687,13 +704,7 @@ class _ClusterSim:
                     replica.cache.admit(request)
                     admitted_all.append(request)
                 except CacheCapacityError:
-                    self.capacity_rejections += 1
-                    replica.scheduler.evict(request.request_id)
-                    replica.cache.abort(request)
-                    self._requeue(
-                        self.requests[request.request_id], now,
-                        failover=False,
-                    )
+                    self._refuse(replica, request.request_id, now)
                     clean = False
             if clean:
                 break
@@ -709,32 +720,22 @@ class _ClusterSim:
             stride,
         )
         step_time *= replica.brownout_factor
-        resident, resident_ids = plan.resident, plan.resident_ids
+        ids = plan.resident_ids
         if replica.cache is not None and strides:
             # Nothing reads the pool before the stride is booked, so its
             # iterations' KV work waits for that, as one transaction.
-            replica.owed = (resident, resident_ids)
+            replica.owed = ids
         elif replica.cache is not None:
             while True:
                 try:
-                    replica.cache.step(resident, resident_ids)
+                    replica.cache.step(ids)
                     break
                 except CacheCapacityError as error:
                     # A refused step leaves every layer of every
                     # resident as it was: evict the named offender and
                     # re-run the (already priced) step for the rest.
-                    self.capacity_rejections += 1
-                    offender = replica.scheduler.evict(error.seq_id)
-                    if offender is not None:
-                        replica.cache.abort(offender)
-                        self._requeue(
-                            self.requests[error.seq_id], now,
-                            failover=False,
-                        )
-                    resident = [
-                        r for r in resident if r.request_id != error.seq_id
-                    ]
-                    resident_ids = None
+                    self._refuse(replica, error.seq_id, now)
+                    ids = [i for i in ids if i != error.seq_id]
             # Charge modeled tier-transfer time (admissions + this
             # step's spill traffic) into the iteration when the replay
             # config opted in; brownout already applied — transfers are
@@ -748,19 +749,12 @@ class _ClusterSim:
         # ``ends[i]`` is the clock when iteration ``i`` ends (``ends[0]``
         # is ``now``, when the first one starts).
         replica.ends = list(itertools.accumulate(replica.times, initial=now))
-        replica.batch = len(resident)
-        # Scheduled as ``_end_after`` reschedules, in line: one call
-        # fewer per launch pays for ``can_stride``'s.
-        replica.epoch += 1
-        replica.stride = stride
-        heapq.heappush(self.heap, (
-            replica.ends[stride], _STEP_DONE, next(self._seq),
-            (replica.rid, replica.epoch),
-        ))
+        replica.batch = len(ids)
+        self._end_after(replica, stride)
 
     def _end_after(self, replica: _Replica, stride: int) -> None:
-        """Reschedule ``replica``'s STEP_DONE at the end of its first
-        ``stride`` iterations in flight; the earlier one goes stale."""
+        """Schedule ``replica``'s STEP_DONE at the end of its first
+        ``stride`` iterations in flight; any earlier one goes stale."""
         replica.epoch += 1
         replica.stride = stride
         heapq.heappush(self.heap, (
@@ -794,7 +788,7 @@ class _ClusterSim:
                 self._end_after(replica, done + 1)
             return
         if replica.owed is not None:
-            replica.cache.step(*replica.owed, steps=done + 1)
+            replica.cache.step(replica.owed, done + 1)
             replica.owed = None
         if done:
             self._advance(replica, done)
@@ -807,7 +801,7 @@ class _ClusterSim:
         now = replica.ends[stride]
         replica.stepping = False
         if replica.owed is not None:
-            replica.cache.step(*replica.owed, steps=stride)
+            replica.cache.step(replica.owed, stride)
             replica.owed = None
         for step_time in replica.times[:stride]:
             replica.busy_s += step_time
@@ -1002,35 +996,14 @@ class _ClusterSim:
                 generated / busy if busy > 0 else 0.0
             ),
             tokens_per_s=generated / end if end > 0 else 0.0,
-            mean_latency_s=(
-                float(np.mean(self.latencies)) if self.latencies else 0.0
-            ),
-            p95_latency_s=(
-                float(np.percentile(self.latencies, 95))
-                if self.latencies else 0.0
-            ),
-            mean_ttft_s=(
-                float(np.mean(self.ttfts)) if self.ttfts else 0.0
-            ),
-            p95_ttft_s=(
-                float(np.percentile(self.ttfts, 95))
-                if self.ttfts else 0.0
-            ),
-            mean_tpot_s=(
-                float(np.mean(self.tpots)) if self.tpots else 0.0
-            ),
-            mean_queue_delay_s=(
-                float(np.mean(self.queue_delays))
-                if self.queue_delays else 0.0
-            ),
-            p95_queue_delay_s=(
-                float(np.percentile(self.queue_delays, 95))
-                if self.queue_delays else 0.0
-            ),
-            p99_queue_delay_s=(
-                float(np.percentile(self.queue_delays, 99))
-                if self.queue_delays else 0.0
-            ),
+            mean_latency_s=_stat(self.latencies),
+            p95_latency_s=_stat(self.latencies, 95),
+            mean_ttft_s=_stat(self.ttfts),
+            p95_ttft_s=_stat(self.ttfts, 95),
+            mean_tpot_s=_stat(self.tpots),
+            mean_queue_delay_s=_stat(self.queue_delays),
+            p95_queue_delay_s=_stat(self.queue_delays, 95),
+            p99_queue_delay_s=_stat(self.queue_delays, 99),
             retries=self.retries,
             requeues=self.requeues,
             failovers=self.failovers,

@@ -28,6 +28,7 @@ random generator :func:`generate_fault_plan`.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence
 
@@ -58,11 +59,11 @@ class FaultEvent:
     """One scheduled fault against one replica.
 
     Attributes:
-        time_s: simulation time the fault fires.
+        time_s: simulation time the fault fires (finite, >= 0).
         replica: target replica index.
         kind: what happens (see :class:`FaultKind`).
-        factor: brownout slowdown multiplier (> 1); ignored by every
-            other kind.
+        factor: brownout slowdown multiplier (finite, > 1); ignored by
+            every other kind.
     """
 
     time_s: float
@@ -71,18 +72,21 @@ class FaultEvent:
     factor: float = 1.0
 
     def __post_init__(self):
-        if self.time_s < 0.0:
+        # (A chained comparison is False for NaN.)  A NaN or infinite
+        # factor never lets the replay end; a NaN time books NaN downtime.
+        if not 0.0 <= self.time_s < math.inf:
             raise ValueError(
-                f"fault time must be >= 0, got {self.time_s}"
+                f"fault time must be finite and >= 0, got {self.time_s}"
             )
         if self.replica < 0:
             raise ValueError(
                 f"replica index must be >= 0, got {self.replica}"
             )
-        if self.kind is FaultKind.BROWNOUT and self.factor <= 1.0:
+        factor = self.factor
+        if self.kind is FaultKind.BROWNOUT and not 1.0 < factor < math.inf:
             raise ValueError(
-                "brownout factor must be > 1 (a slowdown), got "
-                f"{self.factor}"
+                "brownout factor must be finite and > 1 (a slowdown), "
+                f"got {factor}"
             )
 
 

@@ -159,6 +159,17 @@ class CacheReplayConfig:
             )
 
 
+def _incoming(request: Request, forks: bool) -> int:
+    """Tokens ``request`` reserves: its whole context, less its shared
+    prompt when it ``forks`` a live group anchor, whose reservation
+    already charges those tokens (at least 1)."""
+    incoming = request.input_tokens + request.output_tokens
+    if forks:
+        shared = min(request.shared_tokens, request.input_tokens)
+        incoming = max(1, incoming - shared)
+    return incoming
+
+
 class _CacheReplay:
     """Drives a real :class:`KVCachePool` under the scheduler.
 
@@ -258,10 +269,9 @@ class _CacheReplay:
         instances: every quantize/dequantize the pool issues (including
         the batched multi-sequence paths) runs the fused kernel per
         tensor and accumulates the Figure 9 engines' modeled cycles,
-        which :meth:`report` sums into end-to-end engine cycles.
+        which :meth:`report` sums into end-to-end engine cycles.  The
+        thresholds are those ``FusedCacheBackend.from_calibration`` fits.
         """
-        from repro.core.config import OakenConfig
-        from repro.core.thresholds import profile_thresholds
         from repro.engine.backend import FusedCacheBackend
         from repro.hardware.datapath.adapter import EngineBackedQuantizer
 
@@ -270,24 +280,14 @@ class _CacheReplay:
                 "engine_cycles replays model the paper datapath and "
                 f"require method='oaken', got {self.config.method!r}"
             )
-        cfg = OakenConfig()
-        key_quantizers = []
-        value_quantizers = []
-        for keys, values in calibration:
-            key_quantizers.append(
-                EngineBackedQuantizer(
-                    cfg,
-                    profile_thresholds([keys], cfg),
-                    mode=self.config.mode,
-                )
-            )
-            value_quantizers.append(
-                EngineBackedQuantizer(
-                    cfg,
-                    profile_thresholds([values], cfg),
-                    mode=self.config.mode,
-                )
-            )
+        def backed(q):
+            return EngineBackedQuantizer(q.config, q.thresholds, mode=q.mode)
+
+        layers = FusedCacheBackend.from_calibration(
+            calibration, mode=self.config.mode
+        ).layers
+        key_quantizers = [backed(layer.key_quantizer) for layer in layers]
+        value_quantizers = [backed(layer.value_quantizer) for layer in layers]
         self._engine_quantizers = key_quantizers + value_quantizers
 
         def factory():
@@ -316,12 +316,6 @@ class _CacheReplay:
         measurement instead of rescanning the pool per queued request.
         """
         return self._last_kv_bits
-
-    def _refresh_measurement(self) -> None:
-        """One pool measurement: peak bytes + measured bitwidth."""
-        _, bits = self.pool.measure()
-        if bits > 0.0:
-            self._last_kv_bits = bits
 
     def _live_anchor(self, request: Request) -> Optional[int]:
         """The group anchor ``request`` could fork from, if any.
@@ -363,10 +357,7 @@ class _CacheReplay:
         scheduler's batch cap and the cost of pressure shows up as
         ``tier_*`` transfer counters instead of queueing delay.
         """
-        incoming = request.input_tokens + request.output_tokens
-        if self._live_anchor(request) is not None:
-            shared = min(request.shared_tokens, request.input_tokens)
-            incoming = max(1, incoming - shared)
+        incoming = _incoming(request, self._live_anchor(request) is not None)
         if self.tiering is not None:
             self._contexts[request.request_id] = incoming
             return True
@@ -416,14 +407,7 @@ class _CacheReplay:
         if fresh > 0:
             keys, values = self._draw_layers(fresh)
             self.pool.step([(rid, keys, values)], read=False)
-        incoming = request.input_tokens + request.output_tokens
-        if shared_rows > 0:
-            incoming = max(
-                1,
-                incoming - min(request.shared_tokens,
-                               request.input_tokens),
-            )
-        self._contexts[rid] = incoming
+        self._contexts[rid] = _incoming(request, shared_rows > 0)
         self._prompt_rows_of[rid] = rows
         if request.prefix_group >= 0:
             self._groups[rid] = request.prefix_group
@@ -433,14 +417,10 @@ class _CacheReplay:
         # aliased, never re-streamed — that is the feature.
         self.replayed_tokens += fresh
 
-    def step(
-        self,
-        resident: Sequence[Request],
-        resident_ids: Optional[Sequence[int]] = None,
-        steps: int = 1,
-    ) -> None:
-        """``steps`` generation iterations of a batch that does not
-        change between them: one pool step over every layer.
+    def step(self, seq_ids: Sequence[int], steps: int = 1) -> None:
+        """``steps`` generation iterations of the batch ``seq_ids``
+        (resident request ids), which does not change between them:
+        one pool step over every layer.
 
         Each iteration's fresh rows are drawn as one [B, D] block per
         tensor per layer, in the order one call per iteration would
@@ -458,17 +438,9 @@ class _CacheReplay:
 
         A refused step raises :class:`~repro.engine.CacheCapacityError`
         with every layer of every resident as it was.
-        ``resident_ids``, when the scheduler's
-        :class:`~repro.serving.scheduler.IterationPlan` provides it,
-        skips rebuilding the id list from the request objects.
         """
-        if not resident:
+        if not seq_ids:
             return
-        seq_ids = (
-            list(resident_ids)
-            if resident_ids is not None
-            else [r.request_id for r in resident]
-        )
         batch = len(seq_ids)
         keys, values = self._draw_layers(batch, steps)
         self.pool.step(
@@ -487,7 +459,9 @@ class _CacheReplay:
         # Refresh the measured footprint (peak bytes, effective
         # bitwidth) while the pool is populated; admission gating and
         # the final report both consume these measurements.
-        self._refresh_measurement()
+        _, bits = self.pool.measure()
+        if bits > 0.0:
+            self._last_kv_bits = bits
 
     def _forget(self, rid: int) -> None:
         """Drop ``rid``'s sharing bookkeeping; promote anchors.

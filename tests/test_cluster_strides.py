@@ -293,9 +293,9 @@ def _replay_run(simulate, monkeypatch, loop):
         reads.append((seq_id, history))
         return free(pool, seq_id)
 
-    def stepping(replay, resident, resident_ids=None, steps=1):
+    def stepping(replay, seq_ids, steps=1):
         strides[0] += steps > 1
-        return step(replay, resident, resident_ids, steps)
+        return step(replay, seq_ids, steps)
 
     with monkeypatch.context() as patch:
         patch.setattr(cluster._Replica, "_boot", booting)
@@ -373,7 +373,9 @@ def test_replay_strides_equal_single_iterations(
 @pytest.mark.parametrize("seed", range(16))
 def test_replay_strides_on_drawn_configurations(seed, monkeypatch):
     """Seeded random draws over the store, variant, router policy,
-    fault plan, queue limit, batch cap and trace."""
+    fault plan, queue limit, batch cap and trace.  The strided loop
+    runs twice, and its rerun's record is held equal to its first, key
+    for key (bit-identical reruns)."""
     draw = random.Random(seed)
     store = draw.choice(["arena", "chunked"])
     # Half the draws take the one variant that strides.
@@ -400,7 +402,8 @@ def test_replay_strides_on_drawn_configurations(seed, monkeypatch):
         spread=draw.choice([1.0, 4.0]),
     )
     strides, report = _replay_cluster(
-        trace, config, faults, monkeypatch, _loops(store, variant)
+        trace, config, faults, monkeypatch,
+        ("strided",) + _loops(store, variant),
     )
     assert report["completed"] + report["failed"] == len(trace)
     assert report["lost"] == report["duplicate_completions"] == 0

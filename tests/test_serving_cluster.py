@@ -392,10 +392,10 @@ class TestBackpressure:
         steps = []
         replay_step = _CacheReplay.step
 
-        def step(engine, resident, resident_ids=None):
-            ids = [request.request_id for request in resident]
+        def step(engine, seq_ids):
+            ids = list(seq_ids)
             try:
-                replay_step(engine, resident, resident_ids)
+                replay_step(engine, seq_ids)
                 steps.append((engine, ids, None))
             except CacheCapacityError as error:
                 steps.append((engine, ids, error.seq_id))

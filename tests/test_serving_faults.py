@@ -1,5 +1,7 @@
 """Unit tests for the fault-injection plan layer."""
 
+import math
+
 import pytest
 
 from repro.serving.faults import (
@@ -29,6 +31,19 @@ class TestFaultEvent:
         with pytest.raises(ValueError, match="factor"):
             FaultEvent(0.0, 0, FaultKind.BROWNOUT, factor=0.5)
         FaultEvent(0.0, 0, FaultKind.BROWNOUT, factor=2.0)
+
+    @pytest.mark.parametrize("time_s", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, time_s):
+        """A NaN crash time reported NaN downtime."""
+        with pytest.raises(ValueError, match="time"):
+            FaultEvent(time_s, 0, FaultKind.CRASH)
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf])
+    def test_non_finite_brownout_factor_rejected(self, factor):
+        """A NaN or infinite factor hung the cluster replay."""
+        with pytest.raises(ValueError, match="factor"):
+            FaultEvent(0.0, 0, FaultKind.BROWNOUT, factor=factor)
+        FaultEvent(0.0, 0, FaultKind.BROWNOUT_END, factor=factor)
 
 
 class TestFaultPlan:
@@ -88,6 +103,21 @@ class TestWindowHelpers:
             brownout(0, 1.0, -1.0)
         with pytest.raises(ValueError):
             admission_blackout(0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_windows_rejected(self, bad):
+        """Every helper builds through :class:`FaultEvent`, which
+        checks each time and factor."""
+        for make in (
+            lambda: crash_and_recover(0, 1.0, bad),
+            lambda: crash_and_recover(0, bad, 1.0),
+            lambda: crash_forever(0, bad),
+            lambda: brownout(0, 1.0, 4.0, factor=bad),
+            lambda: brownout(0, 1.0, bad),
+            lambda: admission_blackout(0, bad, 1.0),
+        ):
+            with pytest.raises(ValueError):
+                make()
 
 
 class TestGeneratePlan:

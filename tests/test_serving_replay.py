@@ -107,7 +107,7 @@ class TestReplayEndToEnd:
                           input_tokens=32, output_tokens=4)
         replay_engine.admit(request)
         assert len(replay_engine.pool) == 1
-        replay_engine.step([request])
+        replay_engine.step([request.request_id])
         replay_engine.retire([request])
         assert len(replay_engine.pool) == 0
         assert replay_engine.pool.peak_bytes > 0
@@ -221,7 +221,7 @@ class TestEngineCycles:
             for request in requests:
                 replay.admit(request)
             for _ in range(2):
-                replay.step(requests)
+                replay.step([r.request_id for r in requests])
             pools.append(replay.pool)
         plain, backed = pools
         ids = [0, 1, 2]
@@ -256,7 +256,7 @@ class TestMeasuredAdmission:
         engine = self.make_engine()
         first = self.request(0)
         engine.admit(first)
-        engine.step([first])
+        engine.step([first.request_id])
         engine.budget_bytes = 1.0  # below any measured projection
         assert not engine.admission_gate(self.request(1))
 
@@ -281,7 +281,7 @@ class TestMeasuredAdmission:
         engine = self.make_engine()
         first = self.request(0)
         engine.admit(first)
-        engine.step([first])
+        engine.step([first.request_id])
         assert engine.admission_gate(self.request(1))
 
     def test_gate_blocks_scheduler_admission(self):
@@ -369,7 +369,7 @@ class TestReplayRobustness:
         engine = self.make_engine()
         first = self.request(0)
         engine.admit(first)
-        engine.step([first])
+        engine.step([first.request_id])
         engine.budget_bytes = 1.0
         rejected = self.request(1)
         assert not engine.admission_gate(rejected)
@@ -421,10 +421,10 @@ class TestReplayRobustness:
                 )
                 if lengths == [8, 8]:
                     with pytest.raises(CacheCapacityError) as excinfo:
-                        engine.step(residents)
+                        engine.step([r.request_id for r in residents])
                     assert excinfo.value.seq_id == 0
                 else:
-                    engine.step(residents)
+                    engine.step([r.request_id for r in residents])
                 for request in residents:
                     rid = request.request_id
                     held = (

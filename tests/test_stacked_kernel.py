@@ -516,7 +516,7 @@ class TestOneKernelCallPerLayer:
         engine, requests = self._replay(arena=arena)
         del kernel_calls[:]
         del decode_calls[:]
-        engine.step(requests)
+        engine.step([r.request_id for r in requests])
         pending = 2 * len(requests) * (4 + 1)  # prompt rows + the token
         if arena:
             assert kernel_calls == [("OakenQuantizer", "quantize_into", 12)]
@@ -532,7 +532,7 @@ class TestOneKernelCallPerLayer:
         """The datapath models count cycles per tensor: untouched."""
         engine, requests = self._replay(engine_cycles=True)
         del kernel_calls[:]
-        engine.step(requests)
+        engine.step([r.request_id for r in requests])
         assert kernel_calls == (
             [("EngineBackedQuantizer", "quantize_into", 3)] * 2 * LAYERS
         )
@@ -693,7 +693,7 @@ class TestOneDecodePerLayer:
         )
         assert engine.pool.arena_enabled
         del decode_calls[:]
-        engine.step(requests)
+        engine.step([r.request_id for r in requests])
         pending = len(requests) * (4 + 1)  # prompt rows + the new token
         assert decode_calls == (
             [("EngineBackedQuantizer", pending)] * 2 * LAYERS
