@@ -407,40 +407,40 @@ def arena_work_gate() -> None:
 OP_WORK = {
     "replay-burst-arena": {
         "baselines": 1,
-        "core": 845,
-        "engine": 4299,
+        "core": 835,
+        "engine": 4245,
         "hardware": 152,
         "models": 681,
-        "numpy+builtins": 15038,
-        "serving": 2667,
+        "numpy+builtins": 14643,
+        "serving": 2665,
     },
     "replay-rag-shared": {
         "baselines": 1,
-        "core": 117008,
+        "core": 115915,
         "engine": 7530,
         "hardware": 458,
         "models": 569,
-        "numpy+builtins": 162034,
+        "numpy+builtins": 160355,
         "quant": 464,
-        "serving": 6623,
+        "serving": 6621,
     },
     "replay-longctx-tiered": {
         "baselines": 1,
-        "core": 31001,
+        "core": 30238,
         "engine": 16839,
         "hardware": 7179,
         "models": 276,
-        "numpy+builtins": 67615,
-        "serving": 2661,
+        "numpy+builtins": 66496,
+        "serving": 2659,
     },
     "cluster-replay-faults": {
         "baselines": 5,
-        "core": 2039,
-        "engine": 5709,
+        "core": 2038,
+        "engine": 5625,
         "hardware": 154,
         "models": 308,
-        "numpy+builtins": 24608,
-        "serving": 2233,
+        "numpy+builtins": 23994,
+        "serving": 2223,
     },
     "cluster-scale-analytic": {
         "core": 2865,

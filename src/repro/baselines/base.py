@@ -10,7 +10,7 @@ quantizer instances because several methods treat them differently
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -157,18 +157,3 @@ class KVCacheQuantizer(abc.ABC):
     def effective_bitwidth(self, values: np.ndarray) -> float:
         """Bits per element for ``values`` (Table 2's storage metric)."""
         return self.footprint(values).effective_bitwidth
-
-    def analytic_bitwidth(self, dim: int, tokens: Optional[int] = None) -> float:
-        """Closed-form bits/element estimate at steady state.
-
-        Used by the hardware simulator for byte accounting without
-        materializing tensors.  The default evaluates :meth:`footprint`
-        on a standard-normal probe, which is exact for methods whose
-        footprint is data-independent.
-        """
-        probe_tokens = tokens if tokens is not None else 1024
-        rng = np.random.default_rng(1234)
-        probe = rng.standard_normal((probe_tokens, dim))
-        if self.requires_calibration and not self._fitted:
-            self.fit([probe])
-        return self.footprint(probe).effective_bitwidth

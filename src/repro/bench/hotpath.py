@@ -156,7 +156,7 @@ def _encode_pairs(ctx, stacked: bool):
     for keys, values in ctx.blocks:
         for _ in range(ctx.pairs):
             if stacked:
-                ((_, pair),) = ctx.encoder.encode_parts((0,), [keys, values], 1)
+                pair = ctx.encoder.encode((0,), [keys, values])
             else:
                 pair = (
                     ctx.key_q.quantize_into(keys, ctx.scratch),
@@ -323,7 +323,7 @@ def _pool_setup(batch, steps, dim, layers, adapter_method=None):
     )
     if adapter_method is not None:
         ctx.adapter = shared_backend_factory(
-            adapter_method, "adapter", calibration=calibration
+            adapter_method, calibration=calibration
         )
     return ctx
 

@@ -14,15 +14,14 @@ vector newly generated in each attention layer").
 The store has one write path and one read path, both over a *list* of
 layer caches sharing a layer's quantizers, both on a one-layer
 :class:`~repro.core.quantizer.LayerEncoder` (the arena's spans every
-layer):
+layer), so each is one kernel call over keys stacked on values:
 
 * :func:`append_batch` encodes every cache's new rows in one fused pass
-  (``encode_parts``: keys stacked over values in one kernel call when
-  the quantizers allow it) and scatters the chunks back with
+  (``encode``) and scatters the chunks back with
   :func:`~repro.core.encoding.split_encoded`;
 * :func:`decode_pending` gathers every cache's not-yet-memoized chunks
   as ``[all key chunks; all value chunks]``, decodes them in one pass
-  (``decode_parts``) and scatters the rows into each cache's decode
+  (``decode``) and scatters the rows into each cache's decode
   memo.  Chunks are append-only and immutable, so each is decoded
   exactly once: a read costs O(new tokens), not O(T).
 
@@ -94,7 +93,7 @@ class LayerKVCache:
         default_factory=_DecodedPrefix, repr=False, compare=False
     )
     #: The layer's kernel calls, each way: one row-stacked call for
-    #: keys and values when the two quantizers allow it.
+    #: keys and values (a pair that cannot stack is refused here).
     encoder: LayerEncoder = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -306,25 +305,17 @@ def append_batch(
     width unlike the rows a cache holds are the caller's to refuse (the
     pool's ``append_batch`` does).
 
-    Returns the number of kernel calls made (1 when keys and values
-    stack, else 2).
+    Returns the number of kernel calls made (1).
     """
     rows = [block.shape[0] for block in key_blocks]
-    parts = layers[0].encoder.encode_parts(
-        (0,), [*key_blocks, *value_blocks], len(rows)
-    )
-    # Block-major out of every part: all key chunks, then all value
-    # chunks, whether they left the kernel in one encode or two.
-    chunks = [
-        chunk
-        for _, encoded in parts
-        for chunk in split_encoded(encoded, rows)
-    ]
+    encoded = layers[0].encoder.encode((0,), [*key_blocks, *value_blocks])
+    # Block-major: all key chunks, then all value chunks.
+    chunks = split_encoded(encoded, rows)
     for layer, key_chunk, value_chunk in zip(
         layers, chunks[: len(rows)], chunks[len(rows) :]
     ):
         layer.append_encoded(key_chunk, value_chunk)
-    return len(parts)
+    return 1
 
 
 def decode_pending(layers: Sequence[LayerKVCache]) -> int:
@@ -332,14 +323,14 @@ def decode_pending(layers: Sequence[LayerKVCache]) -> int:
     not-yet-memoized chunks in one pass.
 
     Gathers them as ``[all key chunks; all value chunks]``, decodes
-    through :meth:`~repro.core.quantizer.LayerEncoder.decode_parts` —
-    one ``dequantize`` of the row-stacked encode when the layer's
-    quantizers stack, one per tensor otherwise — and scatters the rows
-    into each cache's decode memo.  The caches must share their layer's
-    fitted quantizers (:func:`~repro.core.encoding.concat_encoded`
-    checks every chunk's thresholds by identity); a cache may be listed
-    more than once.  Decode is row-local, so the memos end up
-    bit-identical to per-cache, per-chunk decodes.
+    them with one ``dequantize`` of the row-stacked encode
+    (:meth:`~repro.core.quantizer.LayerEncoder.decode`) and scatters the
+    rows into each cache's decode memo.  The caches must share their
+    layer's fitted quantizers
+    (:func:`~repro.core.encoding.concat_encoded` checks every chunk's
+    thresholds by identity); a cache may be listed more than once.
+    Decode is row-local, so the memos end up bit-identical to
+    per-cache, per-chunk decodes.
 
     Returns the number of kernel calls made — 0 when nothing was
     pending.
@@ -358,26 +349,21 @@ def decode_pending(layers: Sequence[LayerKVCache]) -> int:
         start = layer._decoded.chunks_decoded
         blocks[0].extend(layer._key_chunks[start:])
         blocks[1].extend(layer._value_chunks[start:])
-    decodes = pending[0].encoder.decode_parts(
-        (0,), lambda tensors, quantizer: concat_encoded(*blocks[tensors])
+    decoded = pending[0].encoder.decode(
+        (0,), lambda quantizer: concat_encoded(*blocks)
     )
     dim = blocks[0][0].dim
     total = sum(layer._length - layer._decoded.rows for layer in pending)
-    by_tensor = [
-        (tensors, block.reshape(tensors.stop - tensors.start, total, dim))
-        for tensors, block in decodes
-    ]
+    decoded = decoded.reshape(2, total, dim)
     offset = 0
     for layer in pending:
         memo = layer._decoded
         rows = layer._length - memo.rows
-        window = memo.reserve(rows, dim)
-        for tensors, block in by_tensor:
-            window[tensors] = block[:, offset : offset + rows]
+        memo.reserve(rows, dim)[:] = decoded[:, offset : offset + rows]
         memo.rows = layer._length
         memo.chunks_decoded = len(layer._key_chunks)
         offset += rows
-    return len(decodes)
+    return 1
 
 
 class QuantizedKVCache:

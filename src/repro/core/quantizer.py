@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -713,7 +713,8 @@ class OakenQuantizer:
     frozen: ``benchmarks/e2e`` times the kernels by wrapping exactly
     these three attributes of this class (see ``docs/engine_api.md``).
     The engine-backed subclass in :mod:`repro.hardware.datapath` calls
-    the kernels beside them, to price each call in engine cycles.
+    the kernels beside them, to price each call in engine cycles, and
+    stacks through the :meth:`stack` hook like this class.
     """
 
     def __init__(
@@ -804,18 +805,46 @@ class OakenQuantizer:
         """
         return expected_effective_bitwidth(self.config, dim)
 
+    # ------------------------------------------------------------------
+    # row stacking
+    # ------------------------------------------------------------------
 
-def _stacks(quantizers: Sequence) -> bool:
-    """Whether ``quantizers`` can share one row-stacked kernel call:
-    plain :class:`OakenQuantizer` s of one tensor each, of one config
-    and one mode."""
-    return bool(quantizers) and all(
-        type(q) is OakenQuantizer
-        and isinstance(q.thresholds, GroupThresholds)
-        and q.config == quantizers[0].config
-        and q.mode == quantizers[0].mode
-        for q in quantizers
-    )
+    def _stack_key(self) -> tuple:
+        """What quantizers must share to be the row blocks of one
+        kernel call."""
+        return (type(self), self.config, self.mode)
+
+    def _stacked(self, quantizers: Sequence) -> "OakenQuantizer":
+        """The row-stacked quantizer over ``quantizers``, checked by
+        :meth:`stack`."""
+        return OakenQuantizer(
+            self.config, tuple(q.thresholds for q in quantizers), self.mode
+        )
+
+    def stack(
+        self, quantizers: Sequence["OakenQuantizer"]
+    ) -> "OakenQuantizer":
+        """One row-stacked quantizer whose block ``g`` is
+        ``quantizers[g]``'s tensor: what :class:`LayerEncoder` runs a
+        transaction's blocks through.
+
+        Raises:
+            ValueError: a quantizer is itself row-stacked, or differs
+                from this one in type, config or mode (or what a
+                subclass adds to :meth:`_stack_key`).
+        """
+        key = self._stack_key()
+        for q in quantizers:
+            if not isinstance(q.thresholds, GroupThresholds) or (
+                q._stack_key() != key
+            ):
+                raise ValueError(
+                    f"{type(q).__name__} cannot share a row-stacked kernel "
+                    f"call with {type(self).__name__}: the key and value "
+                    "quantizers of a cache share one config, one mode and "
+                    "one type, each over one tensor"
+                )
+        return self._stacked(quantizers)
 
 
 class LayerEncoder:
@@ -825,33 +854,29 @@ class LayerEncoder:
     fused kernels are row-local, so a transaction's rows are one stack
     of equal row blocks along a (layer, K|V) axis: block ``2 * i + t``
     holds tensor ``t`` (0 keys, 1 values) of the ``i``-th listed layer.
-    When every listed quantizer is a plain :class:`OakenQuantizer` of
-    one config and mode, the whole stack goes through **one** kernel
-    call each way (a row-stacked quantizer over every block's
-    thresholds).  Otherwise each layer keeps its own: one call for a
-    pair that stacks, one per tensor for any other — a subclass pinned
-    to other kernels, the engine-backed datapath models.  Either way
-    the result is bit-identical to the per-tensor calls.
+    The whole stack goes through **one** kernel call each way: the
+    row-stacked quantizer over every block's thresholds, built once per
+    tuple of layers by the quantizers' own :meth:`OakenQuantizer.stack`
+    (so the engine-backed subclass stacks into an engine-backed twin).
+    The result is bit-identical to the per-tensor calls.
 
-    The stack/no-stack decision is :meth:`parts_of`, and it is made
-    here only.  Both stores — the chunk store, one layer per call, and
-    the arena, a whole step per call — take the encode as it leaves the
-    kernel (:meth:`encode_parts`) and hand stored rows back for the
-    decode half (:meth:`decode_parts`), through the same store code
-    whatever the parts are.
-
-    Owns the one scratch its calls need; the stores never touch the
-    kernel entry points themselves.
+    Both stores — the chunk store, one layer per call, and the arena, a
+    whole step per call — take the encode as it leaves the kernel
+    (:meth:`encode`) and hand stored rows back for the decode half
+    (:meth:`decode`).  The encoder owns the one scratch its calls need;
+    the stores never touch the kernel entry points themselves.
 
     Args:
         key_quantizers / value_quantizers: one fitted quantizer per
             layer.
 
     Attributes:
-        parts: :meth:`parts_of` every layer.
-        stacked: the one quantizer of :attr:`parts` when every layer
-            stacks (over ``[keys; values]`` for a one-layer encoder),
-            else ``None``.
+        stacked: the row-stacked quantizer over every layer
+            (``[keys; values]`` for a one-layer encoder).
+
+    Raises:
+        ValueError: the quantizers cannot share one kernel call
+            (:meth:`OakenQuantizer.stack`), before any state exists.
     """
 
     def __init__(
@@ -860,22 +885,16 @@ class LayerEncoder:
         self.key_quantizers = tuple(key_quantizers)
         self.value_quantizers = tuple(value_quantizers)
         self.scratch = QuantizeScratch()
-        self._parts: Dict[tuple, tuple] = {}
-        self.parts = self.parts_of(range(len(self.key_quantizers)))
-        self.stacked: Optional[OakenQuantizer] = (
-            self.parts[0][1] if len(self.parts) == 1 else None
-        )
+        self._stacks: Dict[tuple, OakenQuantizer] = {}
+        self.stacked = self.quantizer_of(range(len(self.key_quantizers)))
 
-    def parts_of(
-        self, layers: Sequence[int]
-    ) -> Tuple[Tuple[slice, OakenQuantizer], ...]:
-        """``(blocks, quantizer)`` per kernel call of a transaction over
-        ``layers``: ``blocks`` the slice of its (layer, K|V) block axis
-        whose rows ``quantizer`` encodes and decodes as equal row
-        blocks.  Built once per tuple of layers."""
+    def quantizer_of(self, layers: Sequence[int]) -> OakenQuantizer:
+        """The row-stacked quantizer of a transaction over ``layers``,
+        its blocks ``layers``' keys and values in (layer, K|V) order.
+        Built once per tuple of layers."""
         key = tuple(layers)
-        parts = self._parts.get(key)
-        if parts is None:
+        stacked = self._stacks.get(key)
+        if stacked is None:
             quantizers = [
                 q
                 for layer in key
@@ -883,72 +902,36 @@ class LayerEncoder:
                     self.key_quantizers[layer], self.value_quantizers[layer]
                 )
             ]
-            if _stacks(quantizers):
-                first = quantizers[0]
-                parts = ((
-                    slice(0, len(quantizers)),
-                    OakenQuantizer(
-                        first.config,
-                        tuple(q.thresholds for q in quantizers),
-                        first.mode,
-                    ),
-                ),)
-            elif len(key) == 1:
-                parts = tuple(
-                    (slice(block, block + 1), q)
-                    for block, q in enumerate(quantizers)
-                )
-            else:
-                parts = tuple(
-                    (slice(2 * i + span.start, 2 * i + span.stop), q)
-                    for i, layer in enumerate(key)
-                    for span, q in self.parts_of((layer,))
-                )
-            self._parts[key] = parts
-        return parts
+            stacked = self._stacks[key] = quantizers[0].stack(quantizers)
+        return stacked
 
-    def encode_parts(
-        self,
-        layers: Sequence[int],
-        rows: Sequence[np.ndarray],
-        per_block: int,
-    ) -> List[Tuple[slice, EncodedKV]]:
-        """The encode half: one ``quantize_into`` per kernel call.
+    def encode(
+        self, layers: Sequence[int], rows: Sequence[np.ndarray]
+    ) -> EncodedKV:
+        """The encode half: one ``quantize_into`` of the stack.
 
         ``rows`` are the transaction's [t_i, D] matrices block by block,
-        ``per_block`` of them to a block (the blocks of one transaction
-        are equal; callers check).  Returns one ``(blocks, encoded)``
-        per entry of :meth:`parts_of` ``layers``: the encode of those
-        blocks' rows as equal row blocks — for a stacking transaction,
-        the whole stack exactly as the kernel emits it.
+        the same number to a block (the blocks of one transaction are
+        equal; callers check).  Returns the encode of the whole stack
+        exactly as the kernel emits it.
         """
-        parts = []
-        for blocks, quantizer in self.parts_of(layers):
-            own = rows[blocks.start * per_block : blocks.stop * per_block]
-            stack = own[0] if len(own) == 1 else np.concatenate(own)
-            parts.append(
-                (blocks, quantizer.quantize_into(stack, self.scratch))
-            )
-        return parts
+        stack = rows[0] if len(rows) == 1 else np.concatenate(rows)
+        return self.quantizer_of(layers).quantize_into(stack, self.scratch)
 
-    def decode_parts(
+    def decode(
         self,
         layers: Sequence[int],
-        gather: Callable[[slice, OakenQuantizer], EncodedKV],
-    ) -> List[Tuple[slice, np.ndarray]]:
-        """The decode half: one ``dequantize`` per kernel call.
+        gather: Callable[[OakenQuantizer], EncodedKV],
+    ) -> np.ndarray:
+        """The decode half: one ``dequantize`` of the stack.
 
-        ``gather(blocks, quantizer)`` returns the stored rows of
-        ``blocks`` (a slice of the transaction's block axis over
-        ``layers``) as equal row blocks, labelled with ``quantizer``'s
-        config and thresholds; the result pairs each slice with its
-        float32 ``[blocks * rows, D]`` decode — bit-identical, row for
-        row, to the per-tensor decodes.
+        ``gather(quantizer)`` returns the transaction's stored rows as
+        equal row blocks, labelled with ``quantizer``'s config and
+        thresholds; the result is their float32 ``[rows, D]`` decode —
+        bit-identical, row for row, to the per-tensor decodes.
         """
-        return [
-            (blocks, quantizer.dequantize(gather(blocks, quantizer)))
-            for blocks, quantizer in self.parts_of(layers)
-        ]
+        stacked = self.quantizer_of(layers)
+        return stacked.dequantize(gather(stacked))
 
 
 def expected_effective_bitwidth(config: OakenConfig, dim: int) -> float:

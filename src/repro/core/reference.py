@@ -210,16 +210,24 @@ class ReferenceOakenQuantizer(OakenQuantizer):
 
     Used by the perf-regression harness as the "seed" side of every
     speedup ratio, and by the golden tests as the source of expected
-    outputs.  Behaviour (including accounting) is otherwise identical.
+    outputs.  Behaviour (including accounting) is otherwise identical,
+    except that it never stacks (:meth:`stack`).
     """
 
     def quantize(self, values: np.ndarray) -> EncodedKV:
         return reference_quantize(self, values)
 
     def quantize_into(self, values: np.ndarray, scratch) -> EncodedKV:
-        # The seed kernel has no streaming path; scratch is ignored so
-        # cache appends stay on the reference encoder.
+        # The seed kernel has no streaming path; scratch is ignored.
         return reference_quantize(self, values)
 
     def dequantize(self, encoded: EncodedKV) -> np.ndarray:
         return reference_dequantize(self, encoded)
+
+    def stack(self, quantizers) -> OakenQuantizer:
+        """Refused: the seed kernel is a per-tensor oracle, so no cache
+        or store runs on it."""
+        raise ValueError(
+            "ReferenceOakenQuantizer is the per-tensor kernel oracle and "
+            "cannot back a KV cache; use OakenQuantizer"
+        )

@@ -32,7 +32,6 @@ Quickstart (full walkthrough in ``docs/engine_api.md``)::
 from repro.engine.arena import ArenaCacheBackend, KVArena
 from repro.engine.errors import CacheCapacityError, MemoryCapacityError
 from repro.engine.backend import (
-    BACKEND_KINDS,
     BASELINE_NAMES,
     BaselineCacheBackend,
     CacheBackend,
@@ -55,7 +54,6 @@ from repro.engine.tiering import (
 
 __all__ = [
     "ArenaCacheBackend",
-    "BACKEND_KINDS",
     "BASELINE_NAMES",
     "BaselineCacheBackend",
     "KVArena",

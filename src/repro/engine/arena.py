@@ -32,10 +32,9 @@ pay_len)``:
 
 Every geometry decision — a relocation, a growth, a compaction, a
 fork's copy — is one operation on the one store, whatever the number
-of layers, and so is a step's write and decode.  Whether a step's
-blocks share a kernel call is the
-:class:`~repro.core.quantizer.LayerEncoder`'s decision; blocks that
-cannot take the same store path a layer or a tensor at a time.
+of layers, and so is a step's write and decode: one kernel call each
+way over the step's blocks, through the
+:class:`~repro.core.quantizer.LayerEncoder`.
 
 Bit-exactness is the design constraint, not a best-effort property:
 the arena stores exactly the arrays :class:`EncodedKV` stores (float32
@@ -315,7 +314,9 @@ class KVArena(PoolStore):
     template backend's, as
     :func:`~repro.engine.backend.shared_backend_factory` shares them),
     so every sequence's rows go through the same kernels and any batch
-    fuses; they share one config, as all rows share the buffers.
+    fuses.  They must stack (one type, config and mode: see
+    :meth:`~repro.core.quantizer.OakenQuantizer.stack`), as all rows
+    share the buffers and every transaction is one kernel call.
 
     The arena owns all row geometry: one ``seq_id -> _RowSlice`` table,
     one ``tail``, one row ``capacity``, one free list per size class.
@@ -336,12 +337,6 @@ class KVArena(PoolStore):
         if len(key_quantizers) != len(value_quantizers):
             raise ValueError(
                 "need one key and one value quantizer per layer"
-            )
-        configs = [q.config for q in (*key_quantizers, *value_quantizers)]
-        if any(config != configs[0] for config in configs):
-            raise ValueError(
-                "every layer's key and value quantizers must share one "
-                "config (their rows share one set of buffers)"
             )
         #: The one encoder of every transaction, over every layer.
         self.encoder = LayerEncoder(key_quantizers, value_quantizers)
@@ -547,8 +542,7 @@ class KVArena(PoolStore):
         order.  Each layer's rows land after its own, so layers driven
         unevenly stay exact.
 
-        Returns the number of kernel calls made (one per entry of
-        :meth:`~repro.core.quantizer.LayerEncoder.parts_of` ``layers``).
+        Returns the number of kernel calls made (1, or 0 without rows).
         """
         if isinstance(layers, (int, np.integer)):
             layers = (layers,)
@@ -562,7 +556,7 @@ class KVArena(PoolStore):
         # sequence untouched (rows of one width unlike the store's pass
         # the encode; the pool refuses them).
         count = len(layers)
-        parts = self.encoder.encode_parts(
+        encoded = self.encoder.encode(
             layers,
             [
                 item[tensor][i]
@@ -570,7 +564,6 @@ class KVArena(PoolStore):
                 for tensor in (1, 2)
                 for item in items
             ],
-            len(items),
         )
         # Each item's offset past its slice's rows (a sequence named
         # twice keeps its items in order), then one reservation per
@@ -592,17 +585,12 @@ class KVArena(PoolStore):
             for layer in layers for slc, offset in zip(slices, within)
         ], rows * count).reshape(count, -1)
         store = self.store
-        at = store.positions(layers, idx).reshape(2 * count, -1)
-        lens = [store.write(at[blocks].ravel(), encoded)
-                for blocks, encoded in parts]
-        self._charge(
-            slices, rows, layers, parts[0][1],
-            lens[0] if len(lens) == 1 else np.concatenate(lens),
-        )
+        lens = store.write(store.positions(layers, idx), encoded)
+        self._charge(slices, rows, layers, encoded, lens)
         for slc, rows_in in added.items():
             for layer in layers:
                 slc.length[layer] += rows_in
-        return len(parts)
+        return 1
 
     @staticmethod
     def _charge(slices, rows, layers, encoded: EncodedKV, lens) -> None:
@@ -639,8 +627,7 @@ class KVArena(PoolStore):
         """Decode every listed sequence's undecoded rows on ``layers``:
         per group of layers whose pending rows agree — every layer of a
         step's; layers driven unevenly split it — one gather of their
-        blocks, one kernel call (per layer or tensor when the
-        quantizers do not stack), one scatter into the decoded mirror.
+        blocks, one kernel call, one scatter into the decoded mirror.
 
         Returns the number of kernel calls made — 0 when no row was
         pending.
@@ -664,16 +651,14 @@ class KVArena(PoolStore):
                 continue
             idx = _ranges([slc.start + done for slc, (done, _) in pending],
                           [length - done for _, (done, length) in pending])
-            at = store.positions(group, idx).reshape(2 * len(group), -1)
-            decodes = self.encoder.decode_parts(
-                group, lambda blocks, q: store.gather(at[blocks].ravel(), q)
+            at = store.positions(group, idx)
+            store.flat["decoded"][at] = self.encoder.decode(
+                group, lambda q: store.gather(at, q)
             )
-            for blocks, block in decodes:
-                store.flat["decoded"][at[blocks].ravel()] = block
             for slc, (_, length) in pending:
                 for layer in group:
                     slc.decoded[layer] = length
-            calls += len(decodes)
+            calls += 1
         return calls
 
     def read(

@@ -84,8 +84,6 @@ LayerCalibration = Tuple[
     Union[np.ndarray, Sequence[np.ndarray]],
 ]
 
-#: Backend kinds understood by :func:`create_backend`.
-BACKEND_KINDS = ("auto", "fused", "adapter")
 
 
 @runtime_checkable
@@ -633,7 +631,6 @@ def _fit_quantizer(
 
 def create_backend(
     method: str,
-    kind: str = "auto",
     *,
     num_layers: Optional[int] = None,
     calibration: Optional[Sequence[LayerCalibration]] = None,
@@ -648,11 +645,6 @@ def create_backend(
     Args:
         method: registry name (``fp16``/``kvquant``/``kivi``/
             ``tender``/``atom``/``qserve``/``oaken``).
-        kind: ``"fused"`` (the paper method on the streaming fused
-            kernels; requires ``method="oaken"`` and calibration),
-            ``"adapter"`` (any registry method lifted into the
-            streaming interface), or ``"auto"`` (fused for oaken,
-            adapter otherwise).
         num_layers: decoder layer count; inferred from ``calibration``
             when omitted.
         calibration: per-layer (keys, values) samples for methods with
@@ -667,27 +659,17 @@ def create_backend(
             own arithmetic carry the mode as a tag only.
 
     Returns:
-        A fresh, fitted backend with an empty cache.
+        A fresh, fitted backend with an empty cache: a
+        :class:`FusedCacheBackend` for ``"oaken"`` (which requires
+        calibration), else a :class:`BaselineCacheBackend`.
     """
-    if kind not in BACKEND_KINDS:
-        raise ValueError(
-            f"unknown backend kind {kind!r}; expected one of "
-            f"{BACKEND_KINDS}"
-        )
     if method not in available_methods():
         raise ValueError(
             f"unknown method {method!r}; available: "
             f"{sorted(available_methods())}"
         )
     resolved = resolve_compute_mode(mode, DEPLOY_F32)
-    if kind == "auto":
-        kind = "fused" if method == "oaken" else "adapter"
-    if kind == "fused":
-        if method != "oaken":
-            raise ValueError(
-                "the fused backend implements the paper method; use "
-                f"kind='adapter' for {method!r}"
-            )
+    if method == "oaken":
         if calibration is None:
             raise ValueError(
                 "the fused backend requires calibration= for offline "
@@ -732,7 +714,6 @@ def create_backend(
 
 def shared_backend_factory(
     method: str,
-    kind: str = "auto",
     *,
     num_layers: Optional[int] = None,
     calibration: Optional[Sequence[LayerCalibration]] = None,
@@ -755,7 +736,6 @@ def shared_backend_factory(
     """
     return create_backend(
         method,
-        kind,
         num_layers=num_layers,
         calibration=calibration,
         config=config,
@@ -766,7 +746,6 @@ def shared_backend_factory(
 def backend_for_model(
     model,
     method: str = "oaken",
-    kind: str = "auto",
     calibration_tokens: Optional[np.ndarray] = None,
     config: Optional[OakenConfig] = None,
     mode: ComputeModeLike = None,
@@ -775,7 +754,7 @@ def backend_for_model(
 
     Args:
         model: a :class:`~repro.models.transformer.DecoderModel`.
-        method / kind / config / mode: see
+        method / config / mode: see
             :func:`create_backend`.
         calibration_tokens: [B, T] token batch run through the model
             to collect exact per-layer KV; required for methods with
@@ -788,7 +767,6 @@ def backend_for_model(
         )
     return create_backend(
         method,
-        kind,
         num_layers=model.shape.n_layers,
         calibration=calibration,
         config=config,
@@ -797,7 +775,6 @@ def backend_for_model(
 
 
 __all__ = [
-    "BACKEND_KINDS",
     "BASELINE_NAMES",
     "BaselineCacheBackend",
     "CacheBackend",

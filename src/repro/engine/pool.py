@@ -623,8 +623,7 @@ class KVCachePool:
         bit-identical to calling :meth:`read` per sequence.  Every
         requested sequence's pending rows decode in one merged kernel
         call — every sequence's key rows over every sequence's value
-        rows; one call per tensor when the layer's quantizers do not
-        stack (:attr:`batched_decodes` counts the calls made for two or
+        rows (:attr:`batched_decodes` counts the calls made for two or
         more sequences).  The adapter store batches too, when the
         method permits: row-local registry methods
         (fp16/oaken/qserve/atom/tender) roundtrip every sequence's

@@ -201,17 +201,6 @@ def _paper_dim_bitwidth_from_footprints(
     return per_element_payload + metadata_per_token / spec.arch.kv_dim
 
 
-def _paper_dim_bitwidth(
-    fitted: FittedMethod,
-    spec: ModelSpec,
-    kv_samples: Sequence[Tuple[np.ndarray, np.ndarray]],
-) -> float:
-    """Compatibility wrapper: footprint the samples, then rescale."""
-    return _paper_dim_bitwidth_from_footprints(
-        fitted.layer_footprints(kv_samples), spec
-    )
-
-
 def run_accuracy_harness(
     model_names: Sequence[str],
     methods: Sequence[str] = BASELINE_NAMES,

@@ -21,14 +21,19 @@ Public API:
 
 * :class:`EngineBackedQuantizer` — an
   :class:`~repro.core.quantizer.OakenQuantizer` that accumulates the
-  engines' cycles and keeps the zero-insert shifter's corruption check.
+  engines' cycles into :class:`EngineCycles` counters (a row-stacked
+  one prices each row block as its own tensor) and keeps the
+  zero-insert shifter's corruption check.
 * :class:`DatapathTiming` / :class:`DequantTiming` — lane widths,
   clocks, turnaround latencies, ``cycles(tokens, dim)`` and
   ``report(encoded)``.
 * :class:`CycleReport` — per-stage busy-cycle occupancy.
 """
 
-from repro.hardware.datapath.adapter import EngineBackedQuantizer
+from repro.hardware.datapath.adapter import (
+    EngineBackedQuantizer,
+    EngineCycles,
+)
 from repro.hardware.datapath.timing import (
     CycleReport,
     DatapathTiming,
@@ -39,6 +44,7 @@ from repro.hardware.datapath.timing import (
 __all__ = [
     "CycleReport",
     "EngineBackedQuantizer",
+    "EngineCycles",
     "DatapathTiming",
     "DequantTiming",
     "StageActivity",

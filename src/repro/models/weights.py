@@ -87,30 +87,6 @@ class ModelWeights:
     final_norm_bias: np.ndarray
     layers: List[LayerWeights] = field(default_factory=list)
 
-    def num_parameters(self) -> int:
-        """Total scalar parameter count (for reporting)."""
-        count = (
-            self.embedding.size
-            + self.position_embedding.size
-            + self.unembedding.size
-            + self.final_norm_gain.size
-            + self.final_norm_bias.size
-        )
-        for layer in self.layers:
-            for name in ("wq", "wk", "wv", "wo"):
-                count += getattr(layer, name).size
-            count += (
-                layer.attn_norm_gain.size
-                + layer.attn_norm_bias.size
-                + layer.ffn_norm_gain.size
-                + layer.ffn_norm_bias.size
-            )
-            for group in (layer.ffn_up, layer.ffn_gate, layer.ffn_down):
-                count += sum(m.size for m in group)
-            if layer.router is not None:
-                count += layer.router.size
-        return count
-
 
 def _inject_kv_structure(
     matrix: np.ndarray,

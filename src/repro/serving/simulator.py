@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -77,7 +77,7 @@ class CacheReplayConfig:
             the bit-exact bench configuration.
         engine_cycles: route the replay's caches through
             :class:`~repro.hardware.datapath.adapter.EngineBackedQuantizer`
-            instead of the plain (stacked) fused quantizers, so every KV
+            instead of the plain fused quantizers, so every KV
             row the trace streams through the pool is priced in Figure 9
             engine cycles — the same kernels, the same bytes — and the
             replay report carries accumulated end-to-end engine cycles
@@ -205,7 +205,9 @@ class _CacheReplay:
         calibration = self._stream.calibration(
             config.num_layers, config.calibration_tokens
         )
-        self._engine_quantizers: List = []
+        #: The one counter every engine-backed quantizer accrues into
+        #: (``None`` unless ``engine_cycles``).
+        self._engine_cycles = None
         if config.engine_cycles:
             factory = self._engine_backed_factory(calibration)
         else:
@@ -250,15 +252,10 @@ class _CacheReplay:
         probe = factory()
         probe.append(0, calibration[0][0], calibration[0][1])
         self._last_kv_bits = probe.effective_bitwidth()
-        # The probe streamed rows through the shared engine-backed
-        # quantizers; snapshot its cycles so the report counts only
-        # cycles the replayed trace itself spent.
-        self._probe_quant_cycles = sum(
-            q.quant_cycles for q in self._engine_quantizers
-        )
-        self._probe_dequant_cycles = sum(
-            q.dequant_cycles for q in self._engine_quantizers
-        )
+        if self._engine_cycles is not None:
+            # The probe streamed rows through the shared engine-backed
+            # quantizers; the report counts only the trace's cycles.
+            self._engine_cycles.quant = self._engine_cycles.dequant = 0
 
     def _engine_backed_factory(self, calibration):
         """A shared-quantizer factory over the hardware datapath models.
@@ -266,29 +263,37 @@ class _CacheReplay:
         Mirrors :func:`~repro.engine.shared_backend_factory` for the
         fused oaken cache, but the per-layer quantizers are
         :class:`~repro.hardware.datapath.adapter.EngineBackedQuantizer`
-        instances: every quantize/dequantize the pool issues (including
-        the batched multi-sequence paths) runs the fused kernel per
-        tensor and accumulates the Figure 9 engines' modeled cycles,
-        which :meth:`report` sums into end-to-end engine cycles.  The
-        thresholds are those ``FusedCacheBackend.from_calibration`` fits.
+        instances over one shared counter: every quantize/dequantize the
+        pool issues (including the batched multi-sequence paths, whose
+        row-stacked twins price each block as its own tensor) runs the
+        fused kernel and accumulates the Figure 9 engines' modeled
+        cycles there, which :meth:`report` reads as end-to-end engine
+        cycles.  The thresholds are those
+        ``FusedCacheBackend.from_calibration`` fits.
         """
         from repro.engine.backend import FusedCacheBackend
-        from repro.hardware.datapath.adapter import EngineBackedQuantizer
+        from repro.hardware.datapath import (
+            EngineBackedQuantizer,
+            EngineCycles,
+        )
 
         if self.config.method != "oaken":
             raise ValueError(
                 "engine_cycles replays model the paper datapath and "
                 f"require method='oaken', got {self.config.method!r}"
             )
+        cycles = self._engine_cycles = EngineCycles()
+
         def backed(q):
-            return EngineBackedQuantizer(q.config, q.thresholds, mode=q.mode)
+            return EngineBackedQuantizer(
+                q.config, q.thresholds, mode=q.mode, counters=(cycles,)
+            )
 
         layers = FusedCacheBackend.from_calibration(
             calibration, mode=self.config.mode
         ).layers
         key_quantizers = [backed(layer.key_quantizer) for layer in layers]
         value_quantizers = [backed(layer.value_quantizer) for layer in layers]
-        self._engine_quantizers = key_quantizers + value_quantizers
 
         def factory():
             return FusedCacheBackend(key_quantizers, value_quantizers)
@@ -546,13 +551,9 @@ class _CacheReplay:
                 "arena_capacity_bytes",
             ):
                 out[key] = summary[key]
-        if self._engine_quantizers:
-            quant = sum(
-                q.quant_cycles for q in self._engine_quantizers
-            ) - self._probe_quant_cycles
-            dequant = sum(
-                q.dequant_cycles for q in self._engine_quantizers
-            ) - self._probe_dequant_cycles
+        if self._engine_cycles is not None:
+            quant = self._engine_cycles.quant
+            dequant = self._engine_cycles.dequant
             out["engine_quant_cycles"] = float(quant)
             out["engine_dequant_cycles"] = float(dequant)
             out["engine_cycles"] = float(quant + dequant)

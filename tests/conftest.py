@@ -37,19 +37,39 @@ def make_kv_matrix(
 def encode_chunks(encoder, key_blocks, value_blocks):
     """``(key_chunks, value_chunks)``, chunk ``i`` the encode of block
     ``i``: what the chunk store keeps of a ``LayerEncoder``'s output
-    (``encode_parts`` + ``split_encoded``), spelled once for the tests
-    that pin it field by field."""
+    (``encode`` + ``split_encoded``), spelled once for the tests that
+    pin it field by field."""
     from repro.core.encoding import split_encoded
 
     rows = [block.shape[0] for block in key_blocks]
-    chunks = [
-        chunk
-        for _, encoded in encoder.encode_parts(
-            (0,), [*key_blocks, *value_blocks], len(rows)
-        )
-        for chunk in split_encoded(encoded, rows)
-    ]
+    chunks = split_encoded(
+        encoder.encode((0,), [*key_blocks, *value_blocks]), rows
+    )
     return chunks[: len(rows)], chunks[len(rows) :]
+
+
+def adapter_backend(method, calibration):
+    """``method``'s registry quantizers, fitted per layer to the
+    ``(keys, values)`` samples of ``calibration``, lifted into the
+    streaming interface as a ``BaselineCacheBackend`` under the engine
+    layer's ``deploy_f32`` (what ``create_backend`` builds for every
+    method but ``oaken``, whose backend is the fused cache)."""
+    from repro.engine import BaselineCacheBackend, create_quantizer
+
+    mode = "deploy_f32"
+    fitted = [
+        [
+            create_quantizer(method, kind, mode=mode).fit([samples])
+            for kind, samples in zip(("key", "value"), layer)
+        ]
+        for layer in calibration
+    ]
+    return BaselineCacheBackend(
+        [keys for keys, _ in fitted],
+        [values for _, values in fitted],
+        method=method,
+        mode=mode,
+    )
 
 
 def decode_logits(model, generate, *args, **kwargs):

@@ -20,7 +20,7 @@ from repro.engine import (
     create_quantizer,
 )
 
-from conftest import make_kv_matrix
+from conftest import adapter_backend, make_kv_matrix
 
 LAYERS = 2
 
@@ -61,8 +61,7 @@ class TestRegistryConformance:
         self, method, tensor_kind, calibration
     ):
         """Chunked append+read == the method's batch ``roundtrip``."""
-        backend = create_backend(method, "adapter",
-                                 calibration=calibration)
+        backend = adapter_backend(method, calibration)
         keys = stream_matrix(seed=31)
         values = stream_matrix(seed=32)
         start = 0
@@ -104,17 +103,16 @@ class TestRegistryConformance:
 
 
 class TestFusedBackend:
-    def test_auto_kind_selects_fused_for_oaken(self, calibration):
+    def test_the_method_selects_the_backend(self, calibration):
         backend = create_backend("oaken", calibration=calibration)
         assert isinstance(backend, FusedCacheBackend)
-        adapter = create_backend("oaken", "adapter",
-                                 calibration=calibration)
+        adapter = create_backend("kivi", calibration=calibration)
         assert isinstance(adapter, BaselineCacheBackend)
 
     def test_fused_streaming_matches_adapter_oneshot(self, calibration):
         """Oaken quantizes per token, so the fused streaming cache and
         the batch adapter agree bit-for-bit on the same stream."""
-        fused = create_backend("oaken", "fused", calibration=calibration)
+        fused = create_backend("oaken", calibration=calibration)
         keys = stream_matrix(seed=51)
         values = stream_matrix(seed=52)
         for start in range(0, keys.shape[0], 3):
@@ -132,23 +130,15 @@ class TestFusedBackend:
         np.testing.assert_array_equal(fk, ref_k.roundtrip(keys))
         np.testing.assert_array_equal(fv, ref_v.roundtrip(values))
 
-    def test_fused_requires_oaken(self, calibration):
-        with pytest.raises(ValueError):
-            create_backend("kivi", "fused", calibration=calibration)
-
     def test_fused_requires_calibration(self):
         with pytest.raises(ValueError):
-            create_backend("oaken", "fused")
+            create_backend("oaken", num_layers=1)
 
 
 class TestFactoryValidation:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             create_backend("nonsense", num_layers=1)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            create_backend("fp16", "magic", num_layers=1)
 
     def test_layer_count_mismatch_rejected(self, calibration):
         with pytest.raises(ValueError):
@@ -165,7 +155,7 @@ class TestFactoryValidation:
 
     def test_calibrated_methods_demand_samples(self):
         with pytest.raises(ValueError):
-            create_backend("oaken", "adapter", num_layers=1)
+            create_backend("atom", num_layers=1)
 
     def test_config_override_only_for_oaken(self):
         from repro.core.config import OakenConfig

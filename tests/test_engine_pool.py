@@ -11,7 +11,7 @@ from repro.engine import (
     shared_backend_factory,
 )
 
-from conftest import make_kv_matrix
+from conftest import adapter_backend, make_kv_matrix
 
 LAYERS = 2
 DIM = 64
@@ -404,9 +404,7 @@ class TestAdapterBatchedAppends:
     HISTORY_GLOBAL = ["kivi", "kvquant"]
 
     def _stream_pools(self, method, calibration, count=3, steps=3):
-        factory = shared_backend_factory(
-            method, "adapter", calibration=calibration
-        )
+        factory = adapter_backend(method, calibration).twin
         batched, looped = twin_pools(factory, count)
         seq_ids = list(range(count))
         seed = 9500
@@ -461,7 +459,7 @@ class TestAdapterBatchedAppends:
 
     def test_empty_updates_skipped_but_rest_batches(self, calibration):
         factory = shared_backend_factory(
-            "fp16", "adapter", num_layers=LAYERS
+            "fp16", num_layers=LAYERS
         )
         batched, looped = twin_pools(factory, 3)
         empty = np.empty((0, DIM))
@@ -479,7 +477,7 @@ class TestAdapterBatchedAppends:
 
     def test_single_sequence_batch_falls_back(self, calibration):
         factory = shared_backend_factory(
-            "fp16", "adapter", num_layers=LAYERS
+            "fp16", num_layers=LAYERS
         )
         batched, looped = twin_pools(factory, 2)
         keys = make_kv_matrix(tokens=2, seed=9800)
@@ -491,7 +489,7 @@ class TestAdapterBatchedAppends:
     def test_duplicate_seq_ids_append_like_a_loop(self, calibration):
         """Duplicated ids append twice, in order."""
         factory = shared_backend_factory(
-            "qserve", "adapter", calibration=calibration
+            "qserve", calibration=calibration
         )
         batched, looped = twin_pools(factory, 2)
         updates = []
@@ -508,7 +506,7 @@ class TestAdapterBatchedAppends:
 
     def test_counter_reported_in_summary(self, calibration):
         factory = shared_backend_factory(
-            "fp16", "adapter", num_layers=LAYERS
+            "fp16", num_layers=LAYERS
         )
         pool = KVCachePool(factory)
         for seq_id in range(2):
@@ -721,9 +719,7 @@ class TestAdapterBatchedReads:
     HISTORY_GLOBAL = ["kivi", "kvquant"]
 
     def _stream_pools(self, method, calibration, count=3, steps=3):
-        factory = shared_backend_factory(
-            method, "adapter", calibration=calibration
-        )
+        factory = adapter_backend(method, calibration).twin
         batched, looped = twin_pools(factory, count)
         seq_ids = list(range(count))
         seed = 9100
@@ -763,7 +759,7 @@ class TestAdapterBatchedReads:
 
     def test_counter_reported_in_summary(self, calibration):
         factory = shared_backend_factory(
-            "fp16", "adapter", num_layers=LAYERS
+            "fp16", num_layers=LAYERS
         )
         pool = KVCachePool(factory)
         for seq_id in range(2):
@@ -776,7 +772,7 @@ class TestAdapterBatchedReads:
     def test_single_pending_sequence_reads_lazily(self, calibration):
         """With one stale sequence there is nothing to merge."""
         factory = shared_backend_factory(
-            "fp16", "adapter", num_layers=LAYERS
+            "fp16", num_layers=LAYERS
         )
         pool = KVCachePool(factory)
         for seq_id in range(2):

@@ -12,7 +12,6 @@ import pytest
 from repro.core.config import OakenConfig
 from repro.core.kvcache import LayerKVCache, QuantizedKVCache
 from repro.core.quantizer import OakenQuantizer
-from repro.core.reference import ReferenceOakenQuantizer
 
 from conftest import make_kv_matrix
 
@@ -122,36 +121,9 @@ class TestIncrementalRead:
         def explode(encoded):
             raise AssertionError("memoized chunk was re-decoded")
 
-        for _, quantizer in cache.encoder.parts:
-            quantizer.dequantize = explode
+        cache.encoder.stacked.dequantize = explode
         keys, values = cache.read()
         assert keys.shape[0] == 6 and values.shape[0] == 6
-
-    def test_reference_quantizer_cache_identical(self, kv_samples):
-        """The seed's read (reference kernels, full re-decode) and a
-        chunk-store cache over the reference kernels (per-tensor calls
-        through the same two verbs) read the same bytes as the fused
-        memoized cache."""
-        fused = make_layer(kv_samples)
-        references = [
-            ReferenceOakenQuantizer(quantizer.config, quantizer.thresholds)
-            for quantizer in (fused.key_quantizer, fused.value_quantizer)
-        ]
-        seed_cache = LayerKVCache(*references)
-        assert len(seed_cache.encoder.parts) == 2
-        keys, values = [], []
-        for step in range(4):
-            keys.append(make_kv_matrix(tokens=2, seed=step))
-            values.append(make_kv_matrix(tokens=2, seed=20 + step))
-            fused.append(keys[-1], values[-1])
-            seed_cache.append(keys[-1], values[-1])
-            seed_cache.read()
-        fk, fv = fused.read()
-        sk, sv = seed_cache.read()
-        assert fk.tobytes() == sk.tobytes()
-        assert fv.tobytes() == sv.tobytes()
-        assert fk.tobytes() == redecode(references[0], keys).tobytes()
-        assert fv.tobytes() == redecode(references[1], values).tobytes()
 
     def test_whole_model_passthrough(self, kv_samples):
         keys = [

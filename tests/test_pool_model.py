@@ -8,13 +8,13 @@ derandomized ``TestCase`` per configuration:
 * each adapter method (``fp16``, ``kvquant``, ``kivi``, ``tender``,
   ``atom``, ``qserve``), built with ``arena=True`` to pin that the flag
   is a no-op for them;
-* an unstacked kernel pair on both stores: ``ReferenceOakenQuantizer``
-  or ``EngineBackedQuantizer`` per tensor, so each layer's
-  ``LayerEncoder`` has two parts.
+* the engine-backed kernels on both stores: ``EngineBackedQuantizer``
+  per tensor, which stack like the plain kernels into one row-stacked
+  twin that prices every block in engine cycles.
 
 Every method runs untiered and under ``lru`` and ``plru`` tiering (a
-device tier small enough to spill); the unstacked pairs run untiered and
-under ``lru``.
+device tier small enough to spill); the engine-backed kernels run
+untiered and under ``lru``.
 
 The rules: allocate; ragged ``append_batch`` (layers driven unevenly,
 zero-row and repeated ids included); a ragged ``step`` over every layer,
@@ -70,7 +70,6 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.core.reference import ReferenceOakenQuantizer
 from repro.engine import (
     BASELINE_NAMES,
     CacheCapacityError,
@@ -105,12 +104,8 @@ CALIBRATION = [
     for layer in range(LAYERS)
 ]
 
-#: The unstacked kernel pairs: per-tensor quantizers that do not share
-#: a kernel call.
-PAIRS = {
-    "reference": ReferenceOakenQuantizer,
-    "engine": EngineBackedQuantizer,
-}
+#: Kernel pairs other than the plain fused quantizers.
+PAIRS = {"engine": EngineBackedQuantizer}
 
 
 class Config(NamedTuple):

@@ -14,6 +14,10 @@ joins its pending ``[key chunks; value chunks]`` once, each decodes
 them with one call, and what a pool read returns must equal the
 per-tensor decode, the method's one-shot ``roundtrip()`` and the
 reference, byte for byte.
+
+There is no other kernel path: quantizers that cannot share one call
+are refused before any cache exists, and the engine-backed kernels
+stack too, each row block priced as the per-tensor pass it stands for.
 """
 
 from __future__ import annotations
@@ -27,8 +31,7 @@ import pytest
 
 from repro.core.config import TABLE3_CONFIGURATIONS, OakenConfig
 from repro.core.encoding import EncodedKV, concat_encoded, split_encoded
-from repro.core import kvcache
-from repro.core.kvcache import LayerKVCache
+from repro.core.kvcache import LayerKVCache, QuantizedKVCache
 from repro.core import quantizer as quantizer_module
 from repro.core.quantizer import (
     LayerEncoder,
@@ -37,14 +40,29 @@ from repro.core.quantizer import (
 )
 from repro.core.reference import ReferenceOakenQuantizer
 from repro.core.thresholds import profile_thresholds
-from repro.engine import KVCachePool, TieredKVStore, shared_backend_factory
-from repro.hardware.datapath import EngineBackedQuantizer
+from repro.data.traces import TraceRequest
+from repro.engine import (
+    FusedCacheBackend,
+    KVCachePool,
+    TieredKVStore,
+    shared_backend_factory,
+)
+from repro.engine.arena import KVArena
+from repro.hardware.datapath import (
+    DatapathTiming,
+    DequantTiming,
+    EngineBackedQuantizer,
+)
 from repro.hardware.overheads import get_system
 from repro.models.config import get_model
 from repro.serving.request import Request
-from repro.serving.simulator import CacheReplayConfig, _CacheReplay
+from repro.serving.simulator import (
+    CacheReplayConfig,
+    _CacheReplay,
+    simulate_trace,
+)
 
-from conftest import encode_chunks, make_kv_matrix
+from conftest import adapter_backend, encode_chunks, make_kv_matrix
 
 CONFIGS = {
     f"{ratio}@{bits}": OakenConfig.from_ratio_string(
@@ -142,7 +160,6 @@ class TestStackedEqualsPerTensor:
         config = CONFIGS[name]
         key_q, value_q = _pair(config, dim, mode)
         encoder = LayerEncoder([key_q], [value_q])
-        assert encoder.stacked is not None and len(encoder.parts) == 1
         keys, values = _rows(tokens, dim, seed=100 + tokens)
         (stacked_keys,), (stacked_values,) = encode_chunks(
             encoder, [keys], [values]
@@ -227,7 +244,7 @@ class TestStackedEqualsPerTensor:
         alone = LayerEncoder(
             [encoder.key_quantizers[1]], [encoder.value_quantizers[1]]
         )
-        ((_, layer1),) = alone.encode_parts((0,), list(plain), 1)
+        layer1 = alone.encode((0,), list(plain))
         for got, want in zip(split_encoded(whole, [8])[2:],
                              split_encoded(layer1, [8])):
             assert_same_encoding(want, got, "layer 1.")
@@ -248,13 +265,9 @@ def _assert_step_is_per_tensor(config, mode, layer_rows):
         for layer in range(len(layer_rows))
     ]
     encoder = LayerEncoder([k for k, _ in pairs], [v for _, v in pairs])
-    assert encoder.stacked is not None and len(encoder.parts) == 1
     rows = [block for pair in layer_rows for block in pair]
     quantizers = [q for pair in pairs for q in pair]
-    ((blocks, whole),) = encoder.encode_parts(
-        range(len(layer_rows)), rows, 1
-    )
-    assert blocks == slice(0, len(rows))
+    whole = encoder.encode(range(len(layer_rows)), rows)
     chunks = split_encoded(whole, [rows[0].shape[0]])
     for block, (chunk, quantizer, exact) in enumerate(
         zip(chunks, quantizers, rows)
@@ -364,26 +377,146 @@ class TestRowBlocks:
             stacked.quantize(np.zeros((5, 32)))
 
 
-class TestPairing:
-    """Which quantizer pairs share a kernel call."""
-
-    def test_other_kernels_keep_their_per_tensor_path(self):
-        key_q, value_q = _pair(
-            OakenConfig(), 32, "exact_f64", ReferenceOakenQuantizer
+def _engine(quant_timing=None):
+    """A ``cls`` for :func:`_pair` building engine-backed quantizers."""
+    def make(config, thresholds, mode):
+        return EngineBackedQuantizer(
+            config, thresholds, quant_timing, mode=mode
         )
-        encoder = LayerEncoder([key_q], [value_q])
-        assert encoder.stacked is None and len(encoder.parts) == 2
-        keys, values = _rows(3, 32, seed=6)
-        (got_keys,), (got_values,) = encode_chunks(encoder, [keys], [values])
-        assert_same_encoding(key_q.quantize(keys), got_keys)
-        assert_same_encoding(value_q.quantize(values), got_values)
 
-    def test_unequal_config_or_mode_is_not_paired(self):
-        key_q, _ = _pair(OakenConfig(), 32, "exact_f64")
-        _, other_mode = _pair(OakenConfig(), 32, "deploy_f32")
-        _, other_config = _pair(OakenConfig(outlier_bits=4), 32, "exact_f64")
-        assert LayerEncoder([key_q], [other_mode]).stacked is None
-        assert LayerEncoder([key_q], [other_config]).stacked is None
+    return make
+
+
+def _unstackable(why):
+    """A layer's key and value quantizers that cannot share one kernel
+    call, by ``why``."""
+    plain = OakenConfig(), 32, "exact_f64"
+    keys = _pair(*plain)[0]
+    if why == "config":
+        return keys, _pair(OakenConfig(outlier_bits=4), 32, "exact_f64")[1]
+    if why == "mode":
+        return keys, _pair(OakenConfig(), 32, "deploy_f32")[1]
+    if why == "type":
+        return keys, _pair(*plain, _engine())[1]
+    if why == "timings":
+        return (
+            _pair(*plain, _engine())[0],
+            _pair(*plain, _engine(DatapathTiming(lanes=8)))[1],
+        )
+    return _pair(*plain, ReferenceOakenQuantizer)
+
+
+class TestStacking:
+    """Every cache's kernel calls are row-stacked: a set of quantizers
+    that cannot stack is refused before any state exists."""
+
+    @pytest.mark.parametrize(
+        "why", ["config", "mode", "type", "timings", "reference"]
+    )
+    def test_unstackable_pairs_are_refused(self, why):
+        key_q, value_q = _unstackable(why)
+        with pytest.raises(ValueError, match="cannot"):
+            LayerEncoder([key_q], [value_q])
+        with pytest.raises(ValueError, match="cannot"):
+            QuantizedKVCache([key_q], [value_q])
+        with pytest.raises(ValueError, match="cannot"):
+            KVArena([key_q], [value_q])
+        for arena in (False, True):
+            tiering = TieredKVStore(
+                device_budget_bytes=2048.0, page_bytes=256.0
+            )
+            before = tiering.summary()
+            with pytest.raises(ValueError, match="cannot"):
+                KVCachePool(
+                    lambda: FusedCacheBackend([key_q], [value_q]),
+                    tiering=tiering,
+                    arena=arena,
+                )
+            assert tiering.summary() == before
+
+    def test_every_layer_of_a_step_must_stack(self):
+        """The arena's encoder spans every layer: a second layer of
+        another mode is refused, though each layer stacks alone."""
+        first = _pair(OakenConfig(), 32, "exact_f64")
+        second = _pair(OakenConfig(), 32, "deploy_f32", seed=21)
+        for pair in (first, second):
+            LayerEncoder([pair[0]], [pair[1]])
+        with pytest.raises(ValueError, match="cannot"):
+            KVArena([first[0], second[0]], [first[1], second[1]])
+
+    @pytest.mark.parametrize("blocks", [2, 4])
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_a_stacked_engine_prices_each_block_as_its_tensor(
+        self, blocks, rows
+    ):
+        """G blocks of T rows cost the G per-tensor passes of T rows
+        each, not one pass of G * T rows (which pays the engines' fill
+        once)."""
+        config = OakenConfig()
+        tensors = [
+            q
+            for layer in range(blocks // 2)
+            for q in _pair(config, 32, "exact_f64", _engine(), 11 + layer)
+        ]
+        data = [
+            x
+            for layer in range(blocks // 2)
+            for x in _rows(rows, 32, seed=40 + layer)
+        ]
+        stacked = EngineBackedQuantizer(
+            config, tuple(q.thresholds for q in tensors)
+        )
+        stacked.dequantize(stacked.quantize(np.concatenate(data)))
+        for q, x in zip(tensors, data):
+            q.dequantize(q.quantize(x))
+        assert stacked.quant_cycles == sum(q.quant_cycles for q in tensors)
+        assert stacked.dequant_cycles == sum(
+            q.dequant_cycles for q in tensors
+        )
+        assert stacked.quant_cycles == blocks * (
+            DatapathTiming().cycles(rows, 32)
+        )
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_a_twin_accrues_into_its_tensors_counters(self, layers):
+        """The encoder's twin of engine-backed tensors charges each
+        block to its own tensor's counter (shared or not)."""
+        pairs = [
+            _pair(OakenConfig(), 32, "exact_f64", _engine(), 11 + layer)
+            for layer in range(layers)
+        ]
+        encoder = LayerEncoder([k for k, _ in pairs], [v for _, v in pairs])
+        assert type(encoder.stacked) is EngineBackedQuantizer
+        data = [x for layer in range(layers) for x in _rows(3, 32, layer)]
+        encoded = encoder.encode(range(layers), data)
+        encoder.decode(range(layers), lambda q: encoded)
+        quant = DatapathTiming().cycles(3, 32)
+        dequant = DequantTiming().cycles(3, 32)
+        for key_q, value_q in pairs:
+            for q in (key_q, value_q):
+                assert (q.quant_cycles, q.dequant_cycles) == (quant, dequant)
+        assert encoder.stacked.quant_cycles == 2 * layers * quant
+
+    @pytest.mark.parametrize("arena", [False, True])
+    def test_engine_cycles_do_not_depend_on_the_store(self, arena):
+        """The committed full-size engine-backed replay prices the same
+        cycles on the arena (a step's 2L blocks in one call) as on the
+        chunk store: no stride merges iterations' passes (a pass of j·B
+        rows pays the engines' fill once, j passes of B pay it j
+        times)."""
+        trace = [
+            TraceRequest(arrival_s=0.0, input_tokens=48, output_tokens=24)
+            for _ in range(12)
+        ]
+        replay = simulate_trace(
+            get_system("oaken-lpddr"), get_model("llama2-13b").arch,
+            trace, 4,
+            replay=CacheReplayConfig(
+                method="oaken", engine_cycles=True, arena=arena
+            ),
+        ).replay
+        assert replay["engine_quant_cycles"] == 6816.0
+        assert replay["engine_dequant_cycles"] == 6144.0
 
 
 # -- call-count guard ---------------------------------------------------
@@ -431,9 +564,9 @@ def calibration():
     ]
 
 
-def _pool(calibration, store, kind="auto", mode="deploy_f32"):
+def _pool(calibration, store, mode="deploy_f32"):
     factory = shared_backend_factory(
-        "oaken", kind, calibration=calibration, mode=mode
+        "oaken", calibration=calibration, mode=mode
     )
     tiering = None
     if store == "tiered":
@@ -528,20 +661,23 @@ class TestOneKernelCallPerLayer:
             assert decode_calls == [("OakenQuantizer", pending)] * LAYERS
         assert 0 < engine.pool.batched_encodes <= engine.batched_appends
 
-    def test_engine_backed_replay_keeps_two_calls(self, kernel_calls):
-        """The datapath models count cycles per tensor: untouched."""
+    def test_engine_backed_replay_makes_one_call_per_layer(
+        self, kernel_calls
+    ):
+        """The datapath models stack like the plain kernels (their
+        twin prices each block as its own tensor)."""
         engine, requests = self._replay(engine_cycles=True)
         del kernel_calls[:]
         engine.step([r.request_id for r in requests])
         assert kernel_calls == (
-            [("EngineBackedQuantizer", "quantize_into", 3)] * 2 * LAYERS
+            [("EngineBackedQuantizer", "quantize_into", 6)] * LAYERS
         )
-        assert engine.pool.batched_encodes == 2 * LAYERS
+        assert engine.pool.batched_encodes == LAYERS
 
     def test_adapter_pool_is_untouched(self, calibration, kernel_calls):
         """Adapter pools store exact rows and roundtrip per tensor
         through ``quantize`` when read."""
-        pool = _pool(calibration, "chunked", kind="adapter")
+        pool = KVCachePool(adapter_backend("oaken", calibration).twin)
         seq_ids = [0, 1, 2]
         for seq_id in seq_ids:
             pool.allocate(seq_id)
@@ -563,9 +699,7 @@ class TestOneKernelCallPerLayer:
 def decode_calls(monkeypatch):
     """Every decode-kernel entry as ``(class, encoded rows)``."""
     calls = []
-    for owner in (
-        OakenQuantizer, EngineBackedQuantizer, ReferenceOakenQuantizer
-    ):
+    for owner in (OakenQuantizer, EngineBackedQuantizer):
         original = vars(owner)["dequantize"]
 
         def counting(self, encoded, _o=original):
@@ -618,43 +752,11 @@ class TestOneDecodePerLayer:
         cache.read()
         assert len(decode_calls) == 1
 
-    @pytest.mark.parametrize(
-        "cls", [ReferenceOakenQuantizer, EngineBackedQuantizer]
-    )
-    def test_unstackable_pairs_keep_two_calls(self, decode_calls, cls):
-        """A pair that does not stack decodes per tensor, through the
-        same chunk-store path."""
-        def make(config, thresholds, mode):
-            return cls(config, thresholds, mode=mode)
-
-        key_q, value_q = _pair(OakenConfig(), 32, "exact_f64", make)
-        caches = [LayerKVCache(key_q, value_q) for _ in range(2)]
-        for seed, cache in enumerate(caches):
-            cache.append(*_rows(3, 32, seed=seed))
-            cache.append(*_rows(1, 32, seed=10 + seed))
-        assert kvcache.decode_pending(caches) == 2
-        assert decode_calls == [(cls.__name__, 8)] * 2
-        assert kvcache.decode_pending(caches) == 0
-        plain = _pair(OakenConfig(), 32, "exact_f64")
-        for seed, cache in enumerate(caches):
-            exact = [
-                np.concatenate(parts)
-                for parts in zip(
-                    _rows(3, 32, seed=seed), _rows(1, 32, seed=10 + seed)
-                )
-            ]
-            for got, quantizer, rows in zip(cache.read(), plain, exact):
-                assert got.tobytes() == quantizer.roundtrip(rows).tobytes()
-        # (the reads were memo hits: only the oracle decoded again)
-        assert [c for c in decode_calls if c[0] == cls.__name__] == (
-            [(cls.__name__, 8)] * 2
-        )
-
     def test_adapter_pool_makes_no_decode_call(
         self, calibration, decode_calls
     ):
         """Adapter pools roundtrip; the chunk-store decode is not theirs."""
-        pool = _pool(calibration, "chunked", kind="adapter")
+        pool = KVCachePool(adapter_backend("oaken", calibration).twin)
         seq_ids = [0, 1, 2]
         for seq_id in seq_ids:
             pool.allocate(seq_id)
@@ -685,9 +787,9 @@ class TestOneDecodePerLayer:
         assert len(decode_calls) == 40 * LAYERS
         assert sum(rows for _, rows in decode_calls) == 2 * appended * LAYERS
 
-    def test_engine_backed_arena_keeps_two_calls(self, decode_calls):
-        """A pair that does not stack decodes per tensor, through the
-        same arena path."""
+    def test_engine_backed_arena_makes_one_call(self, decode_calls):
+        """The datapath models decode a step's 2L blocks in one call
+        on the arena, as the plain kernels do."""
         engine, requests = TestOneKernelCallPerLayer()._replay(
             engine_cycles=True, arena=True
         )
@@ -696,9 +798,9 @@ class TestOneDecodePerLayer:
         engine.step([r.request_id for r in requests])
         pending = len(requests) * (4 + 1)  # prompt rows + the new token
         assert decode_calls == (
-            [("EngineBackedQuantizer", pending)] * 2 * LAYERS
+            [("EngineBackedQuantizer", 2 * LAYERS * pending)]
         )
-        assert engine.pool.batched_decodes == 2 * LAYERS
+        assert engine.pool.batched_decodes == 1
         del decode_calls[:]
         engine.pool.read_batch(0, [r.request_id for r in requests])
         assert decode_calls == []
@@ -727,7 +829,6 @@ class TestPoolReadIsTheRoundtrip:
     def _quantizers(self, pool, layer):
         if pool.arena_enabled:
             encoder = pool.store.encoder
-            assert encoder.stacked is not None
         else:
             encoder, layer = pool.get(0).layers[layer].encoder, 0
         return encoder.key_quantizers[layer], encoder.value_quantizers[layer]
