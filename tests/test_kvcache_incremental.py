@@ -12,6 +12,7 @@ import pytest
 from repro.core.config import OakenConfig
 from repro.core.kvcache import LayerKVCache, QuantizedKVCache
 from repro.core.quantizer import OakenQuantizer
+from repro.core.reference import ReferenceOakenQuantizer
 
 from conftest import make_kv_matrix
 
@@ -124,6 +125,25 @@ class TestIncrementalRead:
         cache.encoder.stacked.dequantize = explode
         keys, values = cache.read()
         assert keys.shape[0] == 6 and values.shape[0] == 6
+
+    def test_memoized_read_equals_the_reference_redecode(self, kv_samples):
+        """The fused memoized cache, read after every append, reads the
+        bytes of the seed's read: the reference kernels' full re-decode
+        of every block."""
+        fused = make_layer(kv_samples)
+        references = [
+            ReferenceOakenQuantizer(quantizer.config, quantizer.thresholds)
+            for quantizer in (fused.key_quantizer, fused.value_quantizer)
+        ]
+        keys, values = [], []
+        for step in range(4):
+            keys.append(make_kv_matrix(tokens=2, seed=step))
+            values.append(make_kv_matrix(tokens=2, seed=20 + step))
+            fused.append(keys[-1], values[-1])
+            fused.read()
+        fk, fv = fused.read()
+        assert fk.tobytes() == redecode(references[0], keys).tobytes()
+        assert fv.tobytes() == redecode(references[1], values).tobytes()
 
     def test_whole_model_passthrough(self, kv_samples):
         keys = [

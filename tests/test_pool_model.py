@@ -12,9 +12,8 @@ derandomized ``TestCase`` per configuration:
   per tensor, which stack like the plain kernels into one row-stacked
   twin that prices every block in engine cycles.
 
-Every method runs untiered and under ``lru`` and ``plru`` tiering (a
-device tier small enough to spill); the engine-backed kernels run
-untiered and under ``lru``.
+Every configuration runs untiered and under ``lru`` and ``plru``
+tiering (a device tier small enough to spill).
 
 The rules: allocate; ragged ``append_batch`` (layers driven unevenly,
 zero-row and repeated ids included); a ragged ``step`` over every layer,
@@ -140,7 +139,7 @@ CONFIGS = (
         Config("oaken", arena, policy, pair)
         for pair in PAIRS
         for arena in (True, False)
-        for policy in (None, "lru")
+        for policy in (None, "lru", "plru")
     ]
 )
 
