@@ -407,39 +407,39 @@ def arena_work_gate() -> None:
 OP_WORK = {
     "replay-burst-arena": {
         "baselines": 1,
-        "core": 835,
-        "engine": 4245,
+        "core": 867,
+        "engine": 4151,
         "hardware": 152,
         "models": 681,
-        "numpy+builtins": 14643,
+        "numpy+builtins": 14605,
         "serving": 2665,
     },
     "replay-rag-shared": {
         "baselines": 1,
-        "core": 115915,
-        "engine": 7530,
+        "core": 53543,
+        "engine": 7150,
         "hardware": 458,
         "models": 569,
-        "numpy+builtins": 160355,
+        "numpy+builtins": 91999,
         "quant": 464,
         "serving": 6621,
     },
     "replay-longctx-tiered": {
         "baselines": 1,
-        "core": 30238,
-        "engine": 16839,
+        "core": 17646,
+        "engine": 16579,
         "hardware": 7179,
         "models": 276,
-        "numpy+builtins": 66496,
+        "numpy+builtins": 54262,
         "serving": 2659,
     },
     "cluster-replay-faults": {
         "baselines": 5,
-        "core": 2038,
-        "engine": 5625,
+        "core": 1826,
+        "engine": 5527,
         "hardware": 154,
         "models": 308,
-        "numpy+builtins": 23994,
+        "numpy+builtins": 23804,
         "serving": 2223,
     },
     "cluster-scale-analytic": {

@@ -48,6 +48,27 @@ def sparse_record_bits(config: OakenConfig) -> int:
     return config.sparse_record_bits
 
 
+def bit_terms(
+    config: OakenConfig, tokens: int, dim: int, records: int
+) -> Tuple[int, int, int]:
+    """``(dense, sparse, metadata)`` bits of ``tokens`` encoded rows of
+    width ``dim`` holding ``records`` outliers, exact integers — the
+    one spelling of the Table 2/3 accounting.
+
+    Dense bits cover every element at ``inlier_bits``; sparse bits
+    cover one aligned record per outlier; metadata bits cover the
+    per-token per-group FP16 scale bounds (2 scalars for the middle
+    group plus 2 per sparse band).  Every term is linear in the counts,
+    so the bits of several tensors of one config and width are the
+    bits of their summed counts.
+    """
+    return (
+        tokens * dim * config.inlier_bits,
+        records * sparse_record_bits(config),
+        tokens * config.token_metadata_bits,
+    )
+
+
 @dataclass
 class EncodedKV:
     """A quantized [T, D] KV tensor in Oaken's storage layout.
@@ -99,6 +120,14 @@ class EncodedKV:
     _cached_footprint: Optional[StorageFootprint] = field(
         default=None, repr=False, compare=False
     )
+    #: ``(source, spans, index)`` when this tensor is piece ``index`` of
+    #: ``split_encoded(source, counts, copy=False)``, ``spans`` that
+    #: split's row and record bounds (one object per split): its arrays
+    #: are views of ``source``'s, and :func:`concat_encoded` hands
+    #: ``source`` back for all of that split's pieces in order.
+    _view_of: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def num_tokens(self) -> int:
@@ -117,21 +146,8 @@ class EncodedKV:
         return np.nonzero(self.sparse_token == token)[0]
 
     def _bit_terms(self) -> Tuple[int, int, int]:
-        """``(dense, sparse, metadata)`` bits, exact integers — the one
-        spelling of the Table 2/3 accounting.
-
-        Dense bits cover every element at ``inlier_bits``; sparse bits
-        cover one aligned record per outlier; metadata bits cover the
-        per-token per-group FP16 scale bounds (2 scalars for the middle
-        group plus 2 per sparse band).
-        """
-        tokens, dim = self.shape
-        config = self.config
-        return (
-            tokens * dim * config.inlier_bits,
-            self.num_outliers * sparse_record_bits(config),
-            tokens * config.token_metadata_bits,
-        )
+        """``(dense, sparse, metadata)`` bits (see :func:`bit_terms`)."""
+        return bit_terms(self.config, *self.shape, self.num_outliers)
 
     def footprint(self) -> StorageFootprint:
         """Bit-exact storage accounting (the Table 2/3 metric)."""
@@ -186,6 +202,12 @@ def concat_encoded(*blocks: Sequence[EncodedKV]) -> EncodedKV:
       block's thresholds — what a row-stacked quantizer (one built over
       a sequence of thresholds) decodes in one call.
 
+    When the chunks are every piece of one ``split_encoded(source,
+    counts, copy=False)``, in split order and grouped into the
+    source's row blocks, their concatenation is ``source`` row for row,
+    so ``source`` itself is returned and nothing is built: what a
+    steady decode step of the chunk store reads back.
+
     Args:
         blocks: non-empty sequences of same-width encoded tensors, each
             holding the same number of rows in total.
@@ -200,6 +222,9 @@ def concat_encoded(*blocks: Sequence[EncodedKV]) -> EncodedKV:
     chunks = [chunk for block in blocks for chunk in block]
     if len(chunks) == 1:
         return first
+    source = _split_source(blocks, chunks)
+    if source is not None:
+        return source
     offsets: List[int] = []
     block_rows = set()
     total = 0
@@ -250,6 +275,35 @@ def concat_encoded(*blocks: Sequence[EncodedKV]) -> EncodedKV:
         ),
         sparse_fp16=sparse_fp16,
     )
+
+
+def _split_source(
+    blocks: Sequence[Sequence[EncodedKV]], chunks: List[EncodedKV]
+) -> Optional[EncodedKV]:
+    """The encode ``chunks`` are the view pieces of, all of them in
+    split order with ``blocks`` its row blocks; else ``None``."""
+    tag = chunks[0]._view_of
+    if tag is None:
+        return None
+    source, spans, _ = tag
+    per_block = (len(spans[0]) - 1) // len(blocks)
+    if len(blocks) != len(_row_blocks(source)) or any(
+        len(block) != per_block for block in blocks
+    ):
+        return None
+    for index, chunk in enumerate(chunks):
+        view = chunk._view_of
+        if view is None or view[1] is not spans or view[2] != index:
+            return None
+    return source
+
+
+def _row_blocks(encoded: EncodedKV) -> Tuple[GroupThresholds, ...]:
+    """The thresholds of each row block of ``encoded``."""
+    thresholds = encoded.thresholds
+    if isinstance(thresholds, GroupThresholds):
+        return (thresholds,)
+    return thresholds
 
 
 def encoded_rows_view(
@@ -306,7 +360,7 @@ def encoded_rows_view(
 
 
 def split_encoded(
-    encoded: EncodedKV, row_counts: Sequence[int]
+    encoded: EncodedKV, row_counts: Sequence[int], *, copy: bool = True
 ) -> List[EncodedKV]:
     """Split one encoded [T, D] tensor into per-segment chunks.
 
@@ -329,17 +383,24 @@ def split_encoded(
         row_counts: tokens per output chunk, in row order; must sum to
             the rows of one block (``encoded.num_tokens`` unless
             row-stacked).  Zero counts yield empty chunks.
+        copy: give each chunk its own arrays (the default).  With
+            ``False`` each chunk's arrays are row- or record-range
+            views of ``encoded``'s (its token indices a range of one
+            rebased array the split allocates), each chunk is tagged
+            with its source and position, and :func:`concat_encoded`
+            of every chunk in order returns ``encoded`` itself.  The
+            chunks then keep all of ``encoded`` alive until the last
+            of them goes, and a write through one is a write to
+            ``encoded``: only for an encode nothing else holds or
+            writes.
 
     Returns:
-        One :class:`EncodedKV` per block per entry of ``row_counts``,
-        each owning its arrays (no aliasing of ``encoded``).
+        One :class:`EncodedKV` per block per entry of ``row_counts``.
     """
     counts = [int(c) for c in row_counts]
     if any(c < 0 for c in counts):
         raise ValueError("row counts must be non-negative")
-    thresholds = encoded.thresholds
-    if isinstance(thresholds, GroupThresholds):
-        thresholds = (thresholds,)
+    thresholds = _row_blocks(encoded)
     if sum(counts) * len(thresholds) != encoded.num_tokens:
         raise ValueError(
             f"row counts sum to {sum(counts)}, tensor has "
@@ -348,33 +409,51 @@ def split_encoded(
     bounds = np.cumsum([0] + counts * len(thresholds))
     # The COO stream is token-major, hence sorted by token; each
     # segment's records form one contiguous slice.
-    starts = np.searchsorted(
-        encoded.sparse_token, bounds, side="left"
-    ).tolist()
+    starts = np.searchsorted(encoded.sparse_token, bounds, side="left")
+    # Every record's token counted from its own segment's first row:
+    # one array for the split, each piece viewing its range.
+    sparse_token = encoded.sparse_token - np.repeat(
+        bounds[:-1], np.diff(starts)
+    )
     bounds = bounds.tolist()
+    starts = starts.tolist()
+    # What a view piece keeps of its split, shared by all of them.
+    spans = (bounds, starts)
     sparse_fp16 = encoded.sparse_fp16
     pieces: List[EncodedKV] = []
     for i in range(len(bounds) - 1):
         rows = slice(bounds[i], bounds[i + 1])
         records = slice(starts[i], starts[i + 1])
-        pieces.append(
-            EncodedKV(
-                config=encoded.config,
-                thresholds=thresholds[i // len(counts)],
-                shape=(rows.stop - rows.start, encoded.dim),
-                dense_codes=encoded.dense_codes[rows].copy(),
-                middle_lo=encoded.middle_lo[rows].copy(),
-                middle_hi=encoded.middle_hi[rows].copy(),
-                band_lo=encoded.band_lo[rows].copy(),
-                band_hi=encoded.band_hi[rows].copy(),
-                sparse_token=encoded.sparse_token[records] - rows.start,
-                sparse_pos=encoded.sparse_pos[records].copy(),
-                sparse_band=encoded.sparse_band[records].copy(),
-                sparse_side=encoded.sparse_side[records].copy(),
-                sparse_mag_code=encoded.sparse_mag_code[records].copy(),
-                sparse_fp16=(
-                    None if sparse_fp16 is None else sparse_fp16[records].copy()
-                ),
-            )
+        piece = EncodedKV(
+            config=encoded.config,
+            thresholds=thresholds[i // len(counts)],
+            shape=(rows.stop - rows.start, encoded.dim),
+            dense_codes=encoded.dense_codes[rows],
+            middle_lo=encoded.middle_lo[rows],
+            middle_hi=encoded.middle_hi[rows],
+            band_lo=encoded.band_lo[rows],
+            band_hi=encoded.band_hi[rows],
+            sparse_token=sparse_token[records],
+            sparse_pos=encoded.sparse_pos[records],
+            sparse_band=encoded.sparse_band[records],
+            sparse_side=encoded.sparse_side[records],
+            sparse_mag_code=encoded.sparse_mag_code[records],
+            sparse_fp16=None if sparse_fp16 is None else sparse_fp16[records],
         )
+        if copy:
+            for name in _ARRAY_FIELDS:
+                array = getattr(piece, name)
+                if array is not None:
+                    setattr(piece, name, array.copy())
+        else:
+            piece._view_of = (encoded, spans, i)
+        pieces.append(piece)
     return pieces
+
+
+#: The :class:`EncodedKV` fields holding its rows and records.
+_ARRAY_FIELDS = (
+    "dense_codes", "middle_lo", "middle_hi", "band_lo", "band_hi",
+    "sparse_token", "sparse_pos", "sparse_band", "sparse_side",
+    "sparse_mag_code", "sparse_fp16",
+)

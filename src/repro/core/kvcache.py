@@ -17,13 +17,23 @@ layer caches sharing a layer's quantizers, both on a one-layer
 layer), so each is one kernel call over keys stacked on values:
 
 * :func:`append_batch` encodes every cache's new rows in one fused pass
-  (``encode``) and scatters the chunks back with
-  :func:`~repro.core.encoding.split_encoded`;
+  (``encode``) and lists each cache's chunk pair as views of that
+  encode (:func:`~repro.core.encoding.split_encoded` with
+  ``copy=False``);
 * :func:`decode_pending` gathers every cache's not-yet-memoized chunks
   as ``[all key chunks; all value chunks]``, decodes them in one pass
   (``decode``) and scatters the rows into each cache's decode
   memo.  Chunks are append-only and immutable, so each is decoded
-  exactly once: a read costs O(new tokens), not O(T).
+  exactly once: a read costs O(new tokens), not O(T).  When the chunks
+  are exactly one append's, in its order — a steady decode step reading
+  back the sequences it stored — :func:`~repro.core.encoding.concat_encoded`
+  hands back that append's encode itself, so the step decodes the
+  object it encoded: no per-chunk copy, no re-concatenation.
+
+The views cost memory, not time: a step's encode stays alive until the
+last of its chunks is dropped, so a cache freed before the others of
+its step keeps that step's rows resident through them, and a write
+through a chunk's arrays writes the encode.
 
 :meth:`LayerKVCache.append` / :meth:`LayerKVCache.read` are those two
 functions with a batch of one; the multi-sequence serving pool
@@ -37,7 +47,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.encoding import EncodedKV, concat_encoded, split_encoded
+from repro.core.encoding import (
+    EncodedKV,
+    bit_terms,
+    concat_encoded,
+    split_encoded,
+)
 from repro.core.quantizer import LayerEncoder, OakenQuantizer
 
 
@@ -94,12 +109,25 @@ class LayerKVCache:
     )
     #: The layer's kernel calls, each way: one row-stacked call for
     #: keys and values (a pair that cannot stack is refused here).
-    encoder: LayerEncoder = field(init=False, repr=False, compare=False)
+    #: Built when not given; a pool's caches of one layer are handed
+    #: one encoder (``FusedCacheBackend.twin``), so they share its
+    #: stacked quantizer and its scratch of shape plans.
+    encoder: Optional[LayerEncoder] = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        self.encoder = LayerEncoder(
-            [self.key_quantizer], [self.value_quantizer]
-        )
+        if self.encoder is None:
+            self.encoder = LayerEncoder(
+                [self.key_quantizer], [self.value_quantizer]
+            )
+        elif self.encoder.key_quantizers != (self.key_quantizer,) or (
+            self.encoder.value_quantizers != (self.value_quantizer,)
+        ):
+            raise ValueError(
+                "a layer cache's encoder must be over its own key and "
+                "value quantizers"
+            )
 
     @property
     def length(self) -> int:
@@ -135,20 +163,33 @@ class LayerKVCache:
     ) -> None:
         """Append pre-encoded KV chunks produced by this layer's quantizers.
 
-        Where :func:`append_batch` lands each cache's chunk pair.  The
+        The one-pair spelling of what :func:`append_batch` lists.  The
         chunks must have been encoded with this layer's fitted
         quantizers (same thresholds, which :func:`decode_pending`
-        checks by identity) and must own their arrays.
+        checks by identity), and nothing may write their arrays
+        afterwards: chunks are immutable.
         """
         if key_chunk.num_tokens != value_chunk.num_tokens:
             raise ValueError(
                 "key/value token-count mismatch: "
                 f"{key_chunk.num_tokens} vs {value_chunk.num_tokens}"
             )
+        self._list_pair(
+            key_chunk,
+            value_chunk,
+            key_chunk.footprint_bits()[0] + value_chunk.footprint_bits()[0],
+        )
+
+    def _list_pair(
+        self, key_chunk: EncodedKV, value_chunk: EncodedKV, bits: int
+    ) -> None:
+        """List a chunk pair of equal rows whose footprint is ``bits``."""
         self._key_chunks.append(key_chunk)
         self._value_chunks.append(value_chunk)
-        self._length += key_chunk.num_tokens
-        self._charge((key_chunk, value_chunk))
+        tokens, dim = key_chunk.shape
+        self._length += tokens
+        self._bits += bits
+        self._elements += 2 * tokens * dim
 
     def read(self) -> Tuple[np.ndarray, np.ndarray]:
         """Dequantize the full cached (keys, values) history
@@ -299,22 +340,34 @@ def append_batch(
     caches must share their layer's fitted quantizers, hence any one of
     their encoders serves the batch.  Encode is row-local, so the
     scattered chunks are bit-for-bit what per-cache appends would have
-    stored, and each owns its arrays — a fork may alias it for as long
-    as it likes.  A block whose width differs from the others' is
-    refused in the encode, before any cache is touched; blocks of one
-    width unlike the rows a cache holds are the caller's to refuse (the
-    pool's ``append_batch`` does).
+    stored.  Each chunk's arrays are views of the one encode (fresh from
+    the kernel, never scratch), which they keep alive until the last of
+    them is dropped; chunks are immutable, so a fork may alias one for
+    as long as it likes.  Each pair is charged from its rows and records
+    (:func:`~repro.core.encoding.bit_terms`), the bits its chunks'
+    ``footprint_bits`` sum to.  A block whose width differs from the
+    others' is refused in the encode, before any cache is touched;
+    blocks of one width unlike the rows a cache holds are the caller's
+    to refuse (the pool's ``append_batch`` does).
 
     Returns the number of kernel calls made (1).
     """
     rows = [block.shape[0] for block in key_blocks]
     encoded = layers[0].encoder.encode((0,), [*key_blocks, *value_blocks])
     # Block-major: all key chunks, then all value chunks.
-    chunks = split_encoded(encoded, rows)
+    chunks = split_encoded(encoded, rows, copy=False)
+    config, dim = encoded.config, encoded.dim
     for layer, key_chunk, value_chunk in zip(
         layers, chunks[: len(rows)], chunks[len(rows) :]
     ):
-        layer.append_encoded(key_chunk, value_chunk)
+        # A pair's bits from its rows and records, charged as one
+        # tensor of both (the accounting is linear in the counts).
+        records = key_chunk.num_outliers + value_chunk.num_outliers
+        layer._list_pair(
+            key_chunk,
+            value_chunk,
+            sum(bit_terms(config, 2 * key_chunk.shape[0], dim, records)),
+        )
     return 1
 
 
@@ -366,24 +419,42 @@ def decode_pending(layers: Sequence[LayerKVCache]) -> int:
     return 1
 
 
+def check_layer(layer: int, num_layers: int, holder: str = "cache") -> None:
+    """Refuse a layer index outside ``0 .. num_layers - 1``, before a
+    negative one could count from the end."""
+    if not 0 <= layer < num_layers:
+        raise ValueError(
+            f"layer {layer} outside the {holder}'s {num_layers} layers"
+        )
+
+
 class QuantizedKVCache:
     """Whole-model quantized KV cache: one :class:`LayerKVCache` per layer.
 
     Args:
         key_quantizers: per-layer key quantizers (index = layer).
         value_quantizers: per-layer value quantizers.
+        encoders: per-layer :class:`LayerEncoder` over those quantizers,
+            to share with other caches of the same quantizers; built
+            per layer when omitted.
     """
 
     def __init__(
         self,
         key_quantizers: List[OakenQuantizer],
         value_quantizers: List[OakenQuantizer],
+        *,
+        encoders: Optional[Sequence[LayerEncoder]] = None,
     ):
         if len(key_quantizers) != len(value_quantizers):
             raise ValueError("need one key and one value quantizer per layer")
+        if encoders is None:
+            encoders = [None] * len(key_quantizers)
+        elif len(encoders) != len(key_quantizers):
+            raise ValueError("need one encoder per layer")
         self.layers: List[LayerKVCache] = [
-            LayerKVCache(key_quantizer=kq, value_quantizer=vq)
-            for kq, vq in zip(key_quantizers, value_quantizers)
+            LayerKVCache(key_quantizer=kq, value_quantizer=vq, encoder=enc)
+            for kq, vq, enc in zip(key_quantizers, value_quantizers, encoders)
         ]
 
     @property
@@ -397,22 +468,38 @@ class QuantizedKVCache:
             return 0
         return self.layers[0].length
 
+    def _layer(self, layer: int) -> LayerKVCache:
+        check_layer(layer, len(self.layers))
+        return self.layers[layer]
+
     def append(
         self, layer: int, keys: np.ndarray, values: np.ndarray
     ) -> None:
-        """Append new KV rows to ``layer``'s cache."""
-        self.layers[layer].append(keys, values)
+        """Append new KV rows to ``layer``'s cache.
+
+        Raises:
+            ValueError: ``layer`` is outside the cache's layers.
+        """
+        self._layer(layer).append(keys, values)
 
     def append_encoded(
         self, layer: int, key_chunk: EncodedKV, value_chunk: EncodedKV
     ) -> None:
         """Append pre-encoded chunks to ``layer`` (see
-        :meth:`LayerKVCache.append_encoded`)."""
-        self.layers[layer].append_encoded(key_chunk, value_chunk)
+        :meth:`LayerKVCache.append_encoded`).
+
+        Raises:
+            ValueError: ``layer`` is outside the cache's layers.
+        """
+        self._layer(layer).append_encoded(key_chunk, value_chunk)
 
     def read(self, layer: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Dequantized (keys, values) history of ``layer``."""
-        return self.layers[layer].read()
+        """Dequantized (keys, values) history of ``layer``.
+
+        Raises:
+            ValueError: ``layer`` is outside the cache's layers.
+        """
+        return self._layer(layer).read()
 
     def footprint_bits(self) -> Tuple[int, int]:
         """``(total_bits, element_count)`` across all layers — one

@@ -58,6 +58,7 @@ from typing import (
 import numpy as np
 
 from repro.core.encoding import EncodedKV, encoded_rows_view
+from repro.core.kvcache import check_layer
 from repro.core.quantizer import LayerEncoder
 from repro.engine.store import PoolStore
 
@@ -803,6 +804,7 @@ class ArenaCacheBackend:
     def append(
         self, layer: int, keys: np.ndarray, values: np.ndarray
     ) -> None:
+        check_layer(layer, self.arena.num_layers)
         keys = as_rows(keys)
         values = as_rows(values)
         if keys.shape != values.shape:
@@ -813,6 +815,7 @@ class ArenaCacheBackend:
         self.arena.append_batch(layer, [(self.seq_id, keys, values)])
 
     def read(self, layer: int) -> Tuple[np.ndarray, np.ndarray]:
+        check_layer(layer, self.arena.num_layers)
         return self.arena.read(self.seq_id, layer)
 
     def footprint_bits(self) -> Tuple[int, int]:

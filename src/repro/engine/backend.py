@@ -62,7 +62,7 @@ from repro.baselines.registry import (
     create_method,
 )
 from repro.core.config import OakenConfig
-from repro.core.kvcache import QuantizedKVCache
+from repro.core.kvcache import QuantizedKVCache, check_layer
 from repro.core.modes import (
     DEPLOY_F32,
     EXACT_F64,
@@ -201,10 +201,13 @@ class FusedCacheBackend(QuantizedKVCache):
         return cls(key_quantizers, value_quantizers)
 
     def twin(self) -> "FusedCacheBackend":
-        """An empty cache over this one's fitted quantizers."""
+        """An empty cache over this one's fitted quantizers, sharing its
+        per-layer encoders (so a pool of N sequences over L layers
+        holds L encoders, not N x L)."""
         return type(self)(
             [layer.key_quantizer for layer in self.layers],
             [layer.value_quantizer for layer in self.layers],
+            encoders=[layer.encoder for layer in self.layers],
         )
 
     def pool_store(self, arena: bool = False) -> PoolStore:
@@ -516,6 +519,7 @@ class BaselineCacheBackend:
         self, layer: int, keys: np.ndarray, values: np.ndarray
     ) -> None:
         """Append newly generated [t, D] KV rows to ``layer``."""
+        check_layer(layer, len(self._keys))
         keys = np.atleast_2d(keys)
         values = np.atleast_2d(values)
         if keys.shape != values.shape:
@@ -533,6 +537,7 @@ class BaselineCacheBackend:
         stable are re-quantized.  Bit-identical to a one-shot
         ``roundtrip`` of the accumulated [T, D] matrix either way.
         """
+        check_layer(layer, len(self._keys))
         return self._keys[layer].read(), self._values[layer].read()
 
     def footprint_bits(self) -> Tuple[float, int]:

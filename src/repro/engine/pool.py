@@ -59,6 +59,7 @@ from typing import (
 
 import numpy as np
 
+from repro.core.kvcache import check_layer
 from repro.engine.arena import KVArena, as_rows
 from repro.engine.backend import CacheBackend
 from repro.engine.errors import CacheCapacityError
@@ -312,13 +313,6 @@ class KVCachePool:
     # streaming
     # ------------------------------------------------------------------
 
-    def _check_layer(self, layer: int) -> None:
-        if not 0 <= layer < self.store.num_layers:
-            raise ValueError(
-                f"layer {layer} outside the pool's "
-                f"{self.store.num_layers} layers"
-            )
-
     def _tier_record_append(
         self, seq_id: Hashable, layer: int, nbytes: float
     ) -> None:
@@ -382,7 +376,7 @@ class KVCachePool:
             RuntimeError: the sequence holds no rows on ``layer``
                 (``"cache is empty"``).
         """
-        self._check_layer(layer)
+        check_layer(layer, self.store.num_layers, "pool")
         cache = self._caches[seq_id]
         if self.tiering is not None:
             self._tier_record_read(seq_id, layer)
@@ -502,7 +496,7 @@ class KVCachePool:
         ``append_batch`` of the same rows.
         """
         for layer in layers:
-            self._check_layer(layer)
+            check_layer(layer, self.store.num_layers, "pool")
         count = len(layers)
         # Per layer, the batch's width, set by its first non-empty
         # block; every layer's rows must have the one width the store
@@ -645,7 +639,7 @@ class KVCachePool:
         if isinstance(seq_ids, _Staged):
             self._decode(seq_ids.layers, seq_ids.reads)
             return []
-        self._check_layer(layer)
+        check_layer(layer, self.store.num_layers, "pool")
         for seq_id in seq_ids:
             if seq_id not in self._caches:
                 raise KeyError(seq_id)

@@ -14,6 +14,7 @@ from repro.engine import (
     BaselineCacheBackend,
     CacheBackend,
     FusedCacheBackend,
+    KVCachePool,
     available_methods,
     backend_for_model,
     create_backend,
@@ -198,3 +199,89 @@ class TestZeroRowAppend:
         keys, values = backend.read(0)
         assert keys.shape == (0, 16)
         assert values.shape == (0, 16)
+
+
+class TestSharedEncoders:
+    @pytest.mark.parametrize("sequences", [1, 5])
+    def test_a_pool_holds_one_encoder_per_layer(
+        self, calibration, sequences
+    ):
+        """Every sequence of a chunk-store pool, forks included, runs
+        its layer's kernels through the template's one encoder."""
+        template = create_backend("oaken", calibration=calibration)
+        pool = KVCachePool(lambda: template)
+        rows = stream_matrix(seed=60)[:4]
+        for seq in range(sequences):
+            pool.allocate(seq)
+            pool.step([(seq, [rows] * LAYERS, [rows] * LAYERS)])
+        pool.fork(0, "fork", 2)
+        caches = [template, *pool.store.caches.values()]
+        assert len(caches) == sequences + 2
+        encoders = {
+            id(layer.encoder) for cache in caches for layer in cache.layers
+        }
+        assert encoders == {id(layer.encoder) for layer in template.layers}
+        assert len(encoders) == LAYERS
+
+    def test_an_encoder_over_other_quantizers_is_refused(self, calibration):
+        backend = create_backend("oaken", calibration=calibration)
+        with pytest.raises(ValueError, match="own key and value"):
+            FusedCacheBackend(
+                [layer.key_quantizer for layer in backend.layers],
+                [layer.value_quantizer for layer in backend.layers],
+                encoders=[layer.encoder for layer in backend.layers][::-1],
+            )
+
+
+def _fused(calibration):
+    return create_backend("oaken", calibration=calibration)
+
+
+def _arena(calibration):
+    pool = KVCachePool(lambda: _fused(calibration), arena=True)
+    return pool.allocate("seq")
+
+
+def _adapter(calibration):
+    return create_backend("fp16", num_layers=LAYERS)
+
+
+class TestLayerBounds:
+    """A layer index outside ``0 .. L-1`` is refused, as the pool
+    refuses it, and never counts from the end."""
+
+    @pytest.mark.parametrize("backend", [_fused, _arena, _adapter],
+                             ids=["fused", "arena", "adapter"])
+    @pytest.mark.parametrize("layer", [-1, LAYERS])
+    @pytest.mark.parametrize("op", ["append", "read"])
+    def test_out_of_range_layer_refused(
+        self, calibration, backend, layer, op
+    ):
+        cache = backend(calibration)
+        rows = stream_matrix(seed=61)[:3]
+        for held in range(LAYERS):
+            cache.append(held, rows, rows)
+        before = [cache.read(held)[0].tobytes() for held in range(LAYERS)]
+        with pytest.raises(
+            ValueError, match=f"layer {layer} outside the cache's "
+            f"{LAYERS} layers"
+        ):
+            if op == "append":
+                cache.append(layer, rows, rows)
+            else:
+                cache.read(layer)
+        assert cache.length == 3
+        assert [
+            cache.read(held)[0].tobytes() for held in range(LAYERS)
+        ] == before
+
+    @pytest.mark.parametrize("layer", [-1, LAYERS])
+    def test_the_fused_encoded_append_refuses_too(self, calibration, layer):
+        cache = _fused(calibration)
+        rows = stream_matrix(seed=62)[:2]
+        cache.append(0, rows, rows)
+        chunks = (cache.layers[0]._key_chunks[0],
+                  cache.layers[0]._value_chunks[0])
+        with pytest.raises(ValueError, match="outside the cache's"):
+            cache.append_encoded(layer, *chunks)
+        assert [layer.length for layer in cache.layers] == [2, 0]
