@@ -253,8 +253,8 @@ REPLAY_WORK = {
         "engine.arena.compactions": 6,
     },
     "replay-rag-shared": {
-        "core.quantizer.quantize.calls": 399,
-        "core.quantizer.dequantize.calls": 366,
+        "core.quantizer.quantize.calls": 61,
+        "core.quantizer.dequantize.calls": 28,
         "core.quantizer.rows_enc": 7000,
         "core.quantizer.rows_dec": 7212,
         "engine.synthetic.rows": 7128,
@@ -416,13 +416,13 @@ OP_WORK = {
     },
     "replay-rag-shared": {
         "baselines": 1,
-        "core": 53543,
-        "engine": 7150,
-        "hardware": 458,
-        "models": 569,
-        "numpy+builtins": 91999,
+        "core": 9296,
+        "engine": 2080,
+        "hardware": 125,
+        "models": 243,
+        "numpy+builtins": 18895,
         "quant": 464,
-        "serving": 6621,
+        "serving": 1359,
     },
     "replay-longctx-tiered": {
         "baselines": 1,

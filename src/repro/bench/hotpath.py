@@ -552,98 +552,6 @@ _BASELINE_READ = Entry(
 )
 
 
-# -- replay.batchN: the arena wall-clock sweep -----------------------
-
-
-def closed_trace(requests: int, inputs: int, outputs: int):
-    """``requests`` identical requests, all arriving at time zero."""
-    from repro.data.traces import TraceRequest
-
-    return [
-        TraceRequest(
-            arrival_s=0.0, input_tokens=inputs, output_tokens=outputs
-        )
-        for _ in range(requests)
-    ]
-
-
-def replay_trace(trace, max_batch: int, **replay):
-    """One closed-trace serving replay of llama2-13b on oaken-hbm."""
-    from repro.hardware.overheads import get_system
-    from repro.models.config import get_model
-    from repro.serving.simulator import CacheReplayConfig, simulate_trace
-
-    return simulate_trace(
-        get_system("oaken-hbm"),
-        get_model("llama2-13b").arch,
-        trace,
-        max_batch,
-        replay=CacheReplayConfig(**replay),
-    )
-
-
-def _replay_arena_extra(ctx, outputs, result) -> Dict[str, float]:
-    # Recycling absorbs steady churn without a pass; the drain at the
-    # end of a closed trace cannot be absorbed, so a replay that never
-    # compacted never gave its buffers back.
-    compactions = outputs["arena"].replay["arena_compactions"]
-    if not compactions:
-        raise AssertionError(
-            f"batch-{ctx.max_batch} replay drained without the arena "
-            "compacting"
-        )
-    tokens = float(outputs["arena"].generated_tokens)
-    return {
-        "requests": len(ctx.trace),
-        "generated_tokens": tokens,
-        "chunked_tokens_per_s": tokens / result["chunked_s"],
-        "arena_tokens_per_s": tokens / result["arena_s"],
-        "arena_compactions": float(compactions),
-    }
-
-
-def _replay_arena_row(batch: int) -> Entry:
-    """``replay.batchN``: host wall clock of one replay, arena vs. chunked.
-
-    One closed trace with enough requests to fill the resident cap and
-    force retire/readmit churn.  The arena changes storage, never
-    results, so the generated token counts must match; the speedup is
-    the replay-visible share of the Python overhead the arena removes.
-    """
-    return Entry(
-        f"replay.batch{batch}",
-        sizes={
-            "max_batch": batch, "inputs": QF(24, 32), "outputs": QF(16, 24),
-        },
-        setup=lambda max_batch, inputs, outputs: SimpleNamespace(
-            max_batch=max_batch,
-            trace=closed_trace(
-                max_batch + max(8, max_batch // 8), inputs, outputs
-            ),
-        ),
-        passes=at_least(2),
-        echo_repeats=True,
-        variants={
-            "chunked": timed(lambda c: replay_trace(c.trace, c.max_batch)),
-            "arena": timed(
-                lambda c: replay_trace(c.trace, c.max_batch, arena=True)
-            ),
-        },
-        speedups={"arena": ("chunked", "arena")},
-        check=lambda o: {
-            "tokens": o["arena"].generated_tokens
-            == o["chunked"].generated_tokens
-        },
-        extra=_replay_arena_extra,
-        summary=lambda r: [
-            f"  arena batch={r['max_batch']:.0f}: chunked "
-            f"{r['chunked_s']:.3f}s  arena {r['arena_s']:.3f}s"
-            f"  -> {r['speedup_arena']:.2f}x "
-            f"({r['arena_compactions']:.0f} compactions)"
-        ],
-    )
-
-
 # -- analytic --------------------------------------------------------
 
 
@@ -792,9 +700,6 @@ ENTRIES: Tuple[Entry, ...] = (
     _pool_arena_row("pool_append", "append", 64),
     _pool_arena_row("pool_append", "append", 128),
     _BASELINE_READ,
-    Entry("replay", summary=lambda r: ["serving replay arena sweep:"]),
-    _replay_arena_row(64),
-    _replay_arena_row(128),
     _ANALYTIC,
     Entry("bitpack", summary=lambda r: ["bitpack fast paths:"]),
     _bitpack_row(4),

@@ -287,17 +287,17 @@ class _Replica:
                     self.config.pool_capacity_bytes
                 )
         # The part of :meth:`can_stride` fixed for this incarnation: a
-        # replay pool strides on the arena only (the chunk store's
-        # chunk boundaries, and so its footprint, depend on how many
-        # rows each append carries; only fused pools adopt an arena
-        # asked for) and only where no iteration's pool work feeds its
-        # timing or can be refused: no tier transfers to charge, no
-        # capacity bound, no engine cycles to price.
+        # replay pool strides only where no iteration's pool work feeds
+        # its timing or can be refused, since a stride books that work
+        # after pricing all its iterations: no tier transfers to charge
+        # per iteration, no capacity bound to refuse a step, no engine
+        # cycles to price.  The store does not matter: a stride's
+        # j-row chunk costs the bits of j one-row chunks, and a fork
+        # never reaches past its anchor's prompt rows into the decode
+        # rows a stride writes.
         cache = self.cache
         self._strides = cache is None or (
-            cache.config.arena
-            and cache.pool.arena_enabled
-            and cache.tiering is None
+            cache.tiering is None
             and cache.pool.capacity_bytes is None
             and not cache.config.engine_cycles
         )

@@ -435,7 +435,11 @@ class _CacheReplay:
         them, where the per-sequence Python loop (and its per-row RNG
         calls) never runs.  The encode and decode are row-local, so the
         stored bytes, the rows read back and the measured footprint
-        are those of ``steps`` one-iteration calls; nothing frees
+        are those of ``steps`` one-iteration calls, on every store:
+        the chunk store keeps one ``steps``-row chunk where the
+        iterations kept ``steps`` one-row chunks, at the same bits,
+        and no fork reaches into these decode rows (:meth:`admit`
+        caps a prefix at its anchor's prompt rows).  Nothing frees
         between iterations, so neither is the peak.  The cluster loop
         books a stride's iterations this way (``steps`` > 1 needs a
         pool that cannot refuse: it has no capacity bound).  The

@@ -46,7 +46,7 @@ def test_harness_runs_quickly_and_writes_json(tmp_path):
     assert set(bench) == {
         "encode_roundtrip", "encode_serving", "generation", "bitpack",
         "pool_read",
-        "pool_append", "baseline_read", "replay", "analytic",
+        "pool_append", "baseline_read", "analytic",
     }
 
     enc = bench["encode_roundtrip"]
@@ -84,17 +84,6 @@ def test_harness_runs_quickly_and_writes_json(tmp_path):
     assert baseline["reads_identical"] is True
     assert baseline["speedup_amortized"] > 1.0
     assert baseline["repeats"] >= 2
-    # End-to-end replay sweep: the arena must not change the tokens a
-    # trace generates, must compact when the closed trace drains
-    # (recycling absorbs churn, never a drain), and must beat the
-    # chunked pool on host wall clock.
-    replay = bench["replay"]
-    assert set(replay) == {"batch64", "batch128"}
-    for key in ("batch64", "batch128"):
-        sub = replay[key]
-        assert sub["tokens_identical"] is True
-        assert sub["arena_compactions"] > 0
-        assert sub["speedup_arena"] > 1.0
     analytic = bench["analytic"]
     # bench_analytic raises if any grid cell diverges from the scalar
     # run, so runs_identical is an invariant, not a measurement; the
@@ -111,9 +100,7 @@ def test_harness_runs_quickly_and_writes_json(tmp_path):
     assert "adapter" in summary
     assert "arena batch=64" in summary
     assert "arena batch=128" in summary
-    assert "compactions" in summary
     assert "baseline reads" in summary
-    assert "serving replay" in summary
     assert "analytic sweep" in summary
 
 

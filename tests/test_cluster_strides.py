@@ -7,8 +7,8 @@ time, as it did before strides, so every case here runs both ways and
 holds the report, each replica's counters and the gate refusals of
 every scheduler incarnation ``==``.
 
-A replay replica on the arena strides too, booking a stride's pool
-work as one transaction; its cases also run with
+A replay replica strides too, on either store, booking a stride's
+pool work as one transaction; its cases also run with
 ``_Replica.can_stride`` forced False, the loop that does each
 iteration's pool work when the iteration starts, and hold every pool's
 report, peak footprint and every sequence's final read equal across
@@ -21,9 +21,11 @@ import random
 import numpy as np
 import pytest
 
+from repro.baselines.registry import available_methods
 from repro.data.traces import (
     generate_burst_trace,
     generate_multiturn_trace,
+    generate_rag_trace,
     generate_trace,
 )
 from repro.engine import KVCachePool
@@ -37,6 +39,7 @@ from repro.serving.faults import (
     crash_forever,
     generate_fault_plan,
 )
+from repro.serving.request import Request
 from repro.serving.scheduler import ContinuousBatchScheduler
 from repro.serving.simulator import (
     CacheReplayConfig,
@@ -201,12 +204,13 @@ def test_stride_contexts_rise_by_one():
 # -- replay replicas ------------------------------------------------------
 
 #: Replay report keys a stride may move: j rows per sequence encode,
-#: decode and relocate in fewer, larger calls than one.
+#: decode (or round-trip, on an adapter pool) and relocate in fewer,
+#: larger calls than one.
 MAY_MOVE = {
-    "batched_encodes", "batched_decodes", "arena_rows_dead",
-    "arena_compactions", "arena_capacity_bytes",
+    "batched_encodes", "batched_decodes", "batched_roundtrips",
+    "arena_rows_dead", "arena_compactions", "arena_capacity_bytes",
 }
-#: The replay variants: only ``flat`` on the arena strides.
+#: The replay variants: only ``flat`` strides, on either store.
 VARIANTS = {
     "flat": ({}, None),
     "tiered": ({"device_budget_mb": 0.004}, None),
@@ -220,8 +224,8 @@ VARIANTS = {
 LOOPS = ("strided", "single", "unstrided")
 
 
-def _loops(store, variant):
-    if store == "arena" and variant == "flat":
+def _loops(variant):
+    if variant == "flat":
         return LOOPS
     return ("strided", "unstrided")
 
@@ -342,6 +346,19 @@ def _replay_cluster(trace, config, faults, monkeypatch, loops=LOOPS):
     return _replay_all(simulate, monkeypatch, loops)
 
 
+def _replay_trace_run(trace, max_batch, replay, monkeypatch):
+    """:func:`_replay_all` over one ``simulate_trace`` replica; its
+    report's replay keys in :data:`MAY_MOVE` dropped."""
+    def simulate():
+        report = simulate_trace(SYSTEM, ARCH, trace, max_batch, replay=replay)
+        return dataclasses.asdict(dataclasses.replace(report, replay={
+            key: value for key, value in report.replay.items()
+            if key not in MAY_MOVE
+        }))
+
+    return _replay_all(simulate, monkeypatch)
+
+
 @pytest.mark.parametrize("faults", ["storm", "random"])
 @pytest.mark.parametrize("variant", list(VARIANTS))
 @pytest.mark.parametrize("store", ["arena", "chunked"])
@@ -362,12 +379,12 @@ def test_replay_strides_equal_single_iterations(
     trace = _replay_trace(seed=case)
     strides, report = _replay_cluster(
         trace, config, _replay_plan(faults), monkeypatch,
-        _loops(store, variant),
+        _loops(variant),
     )
     assert report["completed"] + report["failed"] == len(trace)
     assert report["lost"] == report["duplicate_completions"] == 0
-    # Only an untiered, unbounded, unpriced arena replica strides.
-    assert (strides > 0) == (store == "arena" and variant == "flat")
+    # Only an untiered, unbounded, unpriced replica strides.
+    assert (strides > 0) == (variant == "flat")
 
 
 @pytest.mark.parametrize("seed", range(16))
@@ -403,10 +420,112 @@ def test_replay_strides_on_drawn_configurations(seed, monkeypatch):
     )
     strides, report = _replay_cluster(
         trace, config, faults, monkeypatch,
-        ("strided",) + _loops(store, variant),
+        ("strided",) + _loops(variant),
     )
     assert report["completed"] + report["failed"] == len(trace)
     assert report["lost"] == report["duplicate_completions"] == 0
+
+
+@pytest.mark.parametrize("faults", ["storm", "random"])
+@pytest.mark.parametrize("method", sorted(set(available_methods()) - {"oaken"}))
+def test_adapter_pools_stride(method, faults, monkeypatch):
+    """Every baseline method's pool (the adapter store: row-local
+    ones such as ``fp16`` and history-global ones such as ``kivi``)
+    strides, and its reports, peaks and reads equal the per-iteration
+    loops'."""
+    replay, _ = _replay_config("chunked", "flat", seed=3, method=method)
+    config = ClusterConfig(replicas=4, max_batch=4, replay=replay)
+    trace = _replay_trace(seed=3)
+    strides, report = _replay_cluster(
+        trace, config, _replay_plan(faults), monkeypatch,
+    )
+    assert strides > 0
+    assert report["completed"] + report["failed"] == len(trace)
+
+
+def _rag_trace():
+    """Shared-prompt waves shaped like the ``replay-rag-shared``
+    workload, their generation windows clipped."""
+    return [
+        dataclasses.replace(r, output_tokens=min(r.output_tokens, 24))
+        for r in generate_rag_trace(
+            "conversation", num_bursts=3, burst_size=8,
+            burst_gap_s=0.25, seed=4,
+        )
+    ]
+
+
+def test_replay_rag_shared_trace(monkeypatch):
+    """``simulate_trace`` shaped like the ``replay-rag-shared``
+    workload: one chunk-store replica forking prefix-group members
+    off their anchors.  Reports (the sharing summary among them),
+    peak bytes and every freed sequence's read equal the
+    per-iteration loops'."""
+    trace = _rag_trace()
+    replay = CacheReplayConfig(
+        num_layers=2, dim=16, prompt_rows=4, calibration_tokens=32,
+    )
+    strides, report = _replay_trace_run(trace, 8, replay, monkeypatch)
+    assert strides > 0
+    assert report["replay"]["forks"] > 0
+    assert report["replay"]["shared_bytes_saved"] > 0
+    assert report["generated_tokens"] == sum(r.output_tokens for r in trace)
+
+
+def test_replay_fork_stops_at_the_anchors_prompt(monkeypatch):
+    """A replay fork's prefix never passes its anchor's prompt rows,
+    though the anchor has decoded rows past them by then.  A stride
+    writes only decode rows, so no fork splits a chunk a stride wrote,
+    and how many rows each append carried cannot move a footprint."""
+    forks = []
+    fork = KVCachePool.fork
+
+    def forking(pool, parent, child, prefix_len):
+        forks.append((prefix_len, replays[0]._prompt_rows_of[parent],
+                      pool.get(parent).length))
+        return fork(pool, parent, child, prefix_len)
+
+    replays = []
+    init = _CacheReplay.__init__
+
+    def booting(replay, *args, **kwargs):
+        init(replay, *args, **kwargs)
+        replays[:] = [replay]
+
+    monkeypatch.setattr(KVCachePool, "fork", forking)
+    monkeypatch.setattr(_CacheReplay, "__init__", booting)
+    simulate_trace(SYSTEM, ARCH, _rag_trace(), 8, replay=CacheReplayConfig(
+        num_layers=2, dim=16, prompt_rows=4, calibration_tokens=32,
+    ))
+    assert forks
+    assert all(prefix <= prompt for prefix, prompt, _ in forks)
+    # Some anchor had decoded past its prompt when forked from.
+    assert any(length > prompt for _, prompt, length in forks)
+
+
+def test_replay_fork_is_capped_at_a_short_anchor_prompt():
+    """A member sharing more rows than its anchor's prompt sampled
+    forks the prompt rows only, never the anchor's decoded rows."""
+    replay = _CacheReplay(CacheReplayConfig(
+        num_layers=2, dim=16, prompt_rows=8, calibration_tokens=32,
+    ), SYSTEM, ARCH)
+    anchor, member = (
+        Request(request_id=rid, arrival_s=0.0, input_tokens=tokens,
+                output_tokens=8, prefix_group=0, shared_tokens=tokens)
+        for rid, tokens in ((0, 3), (1, 64))
+    )
+    assert replay.admission_gate(anchor)
+    replay.admit(anchor)
+    replay.step([0], 4)
+    assert replay.admission_gate(member)
+    replay.admit(member)
+    assert replay.pool.forks == 1
+    parent, child = replay.pool.get(0), replay.pool.get(1)
+    assert (parent.length, child.length) == (3 + 4, 8)
+    for layer in range(2):
+        for ours, theirs in zip(parent.read(layer), child.read(layer)):
+            assert np.array_equal(ours[:3], theirs[:3])
+            assert not np.array_equal(ours[3:7], theirs[3:7])
 
 
 def test_replay_burst_arena_trace(monkeypatch):
@@ -423,20 +542,15 @@ def test_replay_burst_arena_trace(monkeypatch):
         num_layers=2, dim=16, prompt_rows=2, calibration_tokens=32,
         arena=True,
     )
-
-    def simulate():
-        report = simulate_trace(SYSTEM, ARCH, trace, 16, replay=replay)
-        return dataclasses.asdict(dataclasses.replace(report, replay={
-            key: value for key, value in report.replay.items()
-            if key not in MAY_MOVE
-        }))
-
-    strides, report = _replay_all(simulate, monkeypatch)
+    strides, report = _replay_trace_run(trace, 16, replay, monkeypatch)
     assert strides > 0
     assert report["generated_tokens"] == sum(r.output_tokens for r in trace)
 
 
-def test_replay_crash_mid_stride_books_the_killed_iteration(monkeypatch):
+@pytest.mark.parametrize("store", ["arena", "chunked"])
+def test_replay_crash_mid_stride_books_the_killed_iteration(
+    store, monkeypatch
+):
     """A crash, never recovered, lands in the middle of a replay
     stride: the iterations that ended before it and the pool work of
     the one it kills are booked, as the per-iteration loop ran that
@@ -445,7 +559,7 @@ def test_replay_crash_mid_stride_books_the_killed_iteration(monkeypatch):
         dataclasses.replace(r, arrival_s=0.0, output_tokens=40)
         for r in generate_trace("conversation", 4, seed=3)
     ]
-    replay, _ = _replay_config("arena", "flat")
+    replay, _ = _replay_config(store, "flat")
     config = ClusterConfig(replicas=2, max_batch=4, replay=replay)
     # Replica 0's stride runs to its first retirement; crash halfway.
     calm = _ClusterSim(SYSTEM, ARCH, trace, config, FaultPlan([])).run()

@@ -97,6 +97,23 @@ class TestReplayEndToEnd:
         )
         assert report.replay["batched_reads"] > 0
 
+    def test_closed_trace_drain_on_both_stores(self):
+        """A closed trace past the residency cap, so a wave retires
+        while others wait: the arena changes storage, never the tokens
+        generated, and it compacts as the trace drains (recycling
+        absorbs the churn, never the drain)."""
+        trace = closed_trace(count=16, inputs=24, outputs=16)
+        reports = [
+            simulate_trace(
+                get_system("oaken-hbm"), ARCH, trace, 8,
+                replay=CacheReplayConfig(arena=arena),
+            )
+            for arena in (False, True)
+        ]
+        chunked, arena = (r.generated_tokens for r in reports)
+        assert chunked == arena == 16 * 16
+        assert reports[1].replay["arena_compactions"] > 0
+
     def test_pool_drains_by_end_of_replay(self):
         config = CacheReplayConfig(method="oaken")
         system = get_system("oaken-lpddr")
