@@ -420,7 +420,7 @@ OP_WORK = {
         "engine": 2080,
         "hardware": 125,
         "models": 243,
-        "numpy+builtins": 18895,
+        "numpy+builtins": 17407,
         "quant": 464,
         "serving": 1359,
     },

@@ -92,11 +92,10 @@ class EncodedKV:
         sparse_token / sparse_pos / sparse_band: flat int arrays, one
             entry per outlier, in (token, position) stream order — the
             COO payload.
-        sparse_extra: per-outlier record code bits (the "sign" bit for
-            5-bit outliers; unused for 4-bit).
         sparse_side: per-outlier side flag (True = positive side of the
-            band).  Physically this is carried by ``sparse_extra`` or
-            the fused nibble; kept explicit here for clarity.
+            band).  Physically this is carried by the record's code bit
+            (the "sign" bit of a 5-bit outlier) or the fused nibble;
+            kept explicit here for clarity.
         sparse_mag_code: per-outlier magnitude code (the fused nibble's
             payload plus any record bits, already assembled).
         sparse_fp16: exact FP16 outlier values when fused encoding is
@@ -121,10 +120,11 @@ class EncodedKV:
         default=None, repr=False, compare=False
     )
     #: ``(source, spans, index)`` when this tensor is piece ``index`` of
-    #: ``split_encoded(source, counts, copy=False)``, ``spans`` that
-    #: split's row and record bounds (one object per split): its arrays
-    #: are views of ``source``'s, and :func:`concat_encoded` hands
-    #: ``source`` back for all of that split's pieces in order.
+    #: ``split_encoded(source, counts)``, ``spans`` that split's row
+    #: and record bounds (one object per split): its arrays are views
+    #: of ``source``'s, and :func:`concat_encoded` hands ``source``
+    #: back for all of that split's pieces in order.  Where the piece
+    #: came from, not what it encodes: equality ignores it.
     _view_of: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -203,10 +203,10 @@ def concat_encoded(*blocks: Sequence[EncodedKV]) -> EncodedKV:
       a sequence of thresholds) decodes in one call.
 
     When the chunks are every piece of one ``split_encoded(source,
-    counts, copy=False)``, in split order and grouped into the
-    source's row blocks, their concatenation is ``source`` row for row,
-    so ``source`` itself is returned and nothing is built: what a
-    steady decode step of the chunk store reads back.
+    counts)``, in split order and grouped into the source's row blocks,
+    their concatenation is ``source`` row for row, so ``source`` itself
+    is returned and nothing is built: what a steady decode step of the
+    chunk store reads back.
 
     Args:
         blocks: non-empty sequences of same-width encoded tensors, each
@@ -360,7 +360,7 @@ def encoded_rows_view(
 
 
 def split_encoded(
-    encoded: EncodedKV, row_counts: Sequence[int], *, copy: bool = True
+    encoded: EncodedKV, row_counts: Sequence[int]
 ) -> List[EncodedKV]:
     """Split one encoded [T, D] tensor into per-segment chunks.
 
@@ -371,6 +371,14 @@ def split_encoded(
     This is what lets the chunk store encode the freshly appended rows
     of many sequences in one fused pass and scatter the chunks back to
     their per-sequence caches.
+
+    Each chunk's arrays are row- or record-range views of
+    ``encoded``'s (its token indices a range of one rebased array the
+    split allocates), and each chunk is tagged with its source and
+    position, so :func:`concat_encoded` of every chunk in order returns
+    ``encoded`` itself.  The chunks keep all of ``encoded`` alive until
+    the last of them goes, and a write through one is a write to
+    ``encoded``: encodes and chunks are immutable once built.
 
     A row-stacked encode (G equal row blocks out of a row-stacked
     quantizer, labelled with G thresholds) splits every block the same
@@ -383,16 +391,6 @@ def split_encoded(
         row_counts: tokens per output chunk, in row order; must sum to
             the rows of one block (``encoded.num_tokens`` unless
             row-stacked).  Zero counts yield empty chunks.
-        copy: give each chunk its own arrays (the default).  With
-            ``False`` each chunk's arrays are row- or record-range
-            views of ``encoded``'s (its token indices a range of one
-            rebased array the split allocates), each chunk is tagged
-            with its source and position, and :func:`concat_encoded`
-            of every chunk in order returns ``encoded`` itself.  The
-            chunks then keep all of ``encoded`` alive until the last
-            of them goes, and a write through one is a write to
-            ``encoded``: only for an encode nothing else holds or
-            writes.
 
     Returns:
         One :class:`EncodedKV` per block per entry of ``row_counts``.
@@ -417,7 +415,7 @@ def split_encoded(
     )
     bounds = bounds.tolist()
     starts = starts.tolist()
-    # What a view piece keeps of its split, shared by all of them.
+    # What a piece keeps of its split, shared by all of them.
     spans = (bounds, starts)
     sparse_fp16 = encoded.sparse_fp16
     pieces: List[EncodedKV] = []
@@ -440,20 +438,6 @@ def split_encoded(
             sparse_mag_code=encoded.sparse_mag_code[records],
             sparse_fp16=None if sparse_fp16 is None else sparse_fp16[records],
         )
-        if copy:
-            for name in _ARRAY_FIELDS:
-                array = getattr(piece, name)
-                if array is not None:
-                    setattr(piece, name, array.copy())
-        else:
-            piece._view_of = (encoded, spans, i)
+        piece._view_of = (encoded, spans, i)
         pieces.append(piece)
     return pieces
-
-
-#: The :class:`EncodedKV` fields holding its rows and records.
-_ARRAY_FIELDS = (
-    "dense_codes", "middle_lo", "middle_hi", "band_lo", "band_hi",
-    "sparse_token", "sparse_pos", "sparse_band", "sparse_side",
-    "sparse_mag_code", "sparse_fp16",
-)

@@ -18,8 +18,7 @@ layer), so each is one kernel call over keys stacked on values:
 
 * :func:`append_batch` encodes every cache's new rows in one fused pass
   (``encode``) and lists each cache's chunk pair as views of that
-  encode (:func:`~repro.core.encoding.split_encoded` with
-  ``copy=False``);
+  encode (:func:`~repro.core.encoding.split_encoded`);
 * :func:`decode_pending` gathers every cache's not-yet-memoized chunks
   as ``[all key chunks; all value chunks]``, decodes them in one pass
   (``decode``) and scatters the rows into each cache's decode
@@ -33,7 +32,9 @@ layer), so each is one kernel call over keys stacked on values:
 The views cost memory, not time: a step's encode stays alive until the
 last of its chunks is dropped, so a cache freed before the others of
 its step keeps that step's rows resident through them, and a write
-through a chunk's arrays writes the encode.
+through a chunk's arrays writes the encode.  A fork's boundary split
+(:meth:`LayerKVCache.split_chunk_boundary`) views the chunk it
+replaces the same way, so no path copies an encoded array.
 
 :meth:`LayerKVCache.append` / :meth:`LayerKVCache.read` are those two
 functions with a batch of one; the multi-sequence serving pool
@@ -148,6 +149,11 @@ class LayerKVCache:
         Args:
             keys: [t, D] new key vectors; ``t == 0`` stores nothing.
             values: [t, D] new value vectors, same shape as ``keys``.
+
+        Raises:
+            ValueError: the shapes differ, or the rows' width is not
+                the width of the rows the layer holds (refused before
+                the encode: every later read would fail).
         """
         keys = np.atleast_2d(keys)
         values = np.atleast_2d(values)
@@ -156,29 +162,12 @@ class LayerKVCache:
                 f"key/value shape mismatch: {keys.shape} vs {values.shape}"
             )
         if keys.shape[0]:
+            if self._key_chunks and keys.shape[1] != self._key_chunks[0].dim:
+                raise ValueError(
+                    f"rows of width {keys.shape[1]}, but the layer holds "
+                    f"rows of width {self._key_chunks[0].dim}"
+                )
             append_batch([self], [keys], [values])
-
-    def append_encoded(
-        self, key_chunk: EncodedKV, value_chunk: EncodedKV
-    ) -> None:
-        """Append pre-encoded KV chunks produced by this layer's quantizers.
-
-        The one-pair spelling of what :func:`append_batch` lists.  The
-        chunks must have been encoded with this layer's fitted
-        quantizers (same thresholds, which :func:`decode_pending`
-        checks by identity), and nothing may write their arrays
-        afterwards: chunks are immutable.
-        """
-        if key_chunk.num_tokens != value_chunk.num_tokens:
-            raise ValueError(
-                "key/value token-count mismatch: "
-                f"{key_chunk.num_tokens} vs {value_chunk.num_tokens}"
-            )
-        self._list_pair(
-            key_chunk,
-            value_chunk,
-            key_chunk.footprint_bits()[0] + value_chunk.footprint_bits()[0],
-        )
 
     def _list_pair(
         self, key_chunk: EncodedKV, value_chunk: EncodedKV, bits: int
@@ -212,11 +201,12 @@ class LayerKVCache:
         The prefix-sharing pool forks a sequence by aliasing the chunk
         objects covering its first ``prefix_len`` rows.  When the
         boundary falls inside a chunk, that chunk is split with
-        :func:`~repro.core.encoding.split_encoded` and the two pieces
-        replace it in this cache's lists — a bit-exact rewrite (both
-        encode and decode are row-local) that leaves every read
-        unchanged, including the decode memo, whose chunk counter is
-        re-based when an already-memoized chunk splits.
+        :func:`~repro.core.encoding.split_encoded` and the two pieces,
+        views of the chunk they replace (nothing is copied), replace it
+        in this cache's lists — a bit-exact rewrite (both encode and
+        decode are row-local) that leaves every read unchanged,
+        including the decode memo, whose chunk counter is re-based when
+        an already-memoized chunk splits.
 
         Returns:
             ``(count, replaced)`` — the number of chunks now covering
@@ -289,12 +279,11 @@ class LayerKVCache:
     def footprint_bits(self) -> Tuple[int, int]:
         """``(total_bits, element_count)`` of the cached chunks; O(1).
 
-        Running totals maintained by :meth:`append`,
-        :meth:`append_encoded` and :meth:`adopt_prefix` (a boundary
-        split is footprint-neutral).  Every chunk's bit count is an
-        integer, so the totals equal a recomputed sum over the chunk
-        lists exactly, whatever the order of operations —
-        :meth:`check_invariants` is that recomputation.
+        Running totals maintained by :meth:`append` and
+        :meth:`adopt_prefix` (a boundary split is footprint-neutral).
+        Every chunk's bit count is an integer, so the totals equal a
+        recomputed sum over the chunk lists exactly, whatever the order
+        of operations — :meth:`check_invariants` is that recomputation.
         """
         return self._bits, self._elements
 
@@ -355,7 +344,7 @@ def append_batch(
     rows = [block.shape[0] for block in key_blocks]
     encoded = layers[0].encoder.encode((0,), [*key_blocks, *value_blocks])
     # Block-major: all key chunks, then all value chunks.
-    chunks = split_encoded(encoded, rows, copy=False)
+    chunks = split_encoded(encoded, rows)
     config, dim = encoded.config, encoded.dim
     for layer, key_chunk, value_chunk in zip(
         layers, chunks[: len(rows)], chunks[len(rows) :]
@@ -481,17 +470,6 @@ class QuantizedKVCache:
             ValueError: ``layer`` is outside the cache's layers.
         """
         self._layer(layer).append(keys, values)
-
-    def append_encoded(
-        self, layer: int, key_chunk: EncodedKV, value_chunk: EncodedKV
-    ) -> None:
-        """Append pre-encoded chunks to ``layer`` (see
-        :meth:`LayerKVCache.append_encoded`).
-
-        Raises:
-            ValueError: ``layer`` is outside the cache's layers.
-        """
-        self._layer(layer).append_encoded(key_chunk, value_chunk)
 
     def read(self, layer: int) -> Tuple[np.ndarray, np.ndarray]:
         """Dequantized (keys, values) history of ``layer``.

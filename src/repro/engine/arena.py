@@ -812,6 +812,12 @@ class ArenaCacheBackend:
                 f"key/value shape mismatch: {keys.shape} vs "
                 f"{values.shape}"
             )
+        held = self.arena.width
+        if keys.shape[0] and held is not None and keys.shape[1] != held:
+            raise ValueError(
+                f"rows of width {keys.shape[1]}, but the arena holds "
+                f"rows of width {held}"
+            )
         self.arena.append_batch(layer, [(self.seq_id, keys, values)])
 
     def read(self, layer: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -111,9 +111,9 @@ class KVCachePool:
         capacity_bytes: optional encoded-byte budget: an append or a
             :meth:`step` whose tokens :meth:`would_fit` refuses raises
             :class:`~repro.engine.errors.CacheCapacityError`; ``None``
-            means unbounded.  With ``tiering`` set it bounds the *total*
-            (device + host) footprint; the device tier's own budget
-            lives on the store.
+            means unbounded, and a set budget must be finite and > 0.
+            With ``tiering`` set it bounds the *total* (device + host)
+            footprint; the device tier's own budget lives on the store.
         tiering: optional :class:`~repro.engine.tiering.TieredKVStore`
             modeling where each sequence's encoded pages reside.  The
             pool notifies it of every append (byte growth), read
@@ -140,6 +140,14 @@ class KVCachePool:
         tiering: Optional[TieredKVStore] = None,
         arena: bool = False,
     ):
+        # Nothing is measured before the first step, so a bound of 0,
+        # below 0 or NaN would admit that step and refuse every later
+        # one.  (A chained comparison is False for NaN.)
+        if capacity_bytes is not None and not 0.0 < capacity_bytes < math.inf:
+            raise ValueError(
+                "capacity_bytes must be finite and > 0 when set, got "
+                f"{capacity_bytes}"
+            )
         template = backend_factory()
         if not hasattr(template, "pool_store"):
             raise TypeError(

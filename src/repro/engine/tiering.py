@@ -57,6 +57,7 @@ directions (``hardware.mmu`` imports ``engine.errors``).
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
@@ -147,9 +148,10 @@ class TieredKVStore:
     """Two-tier paged placement model for encoded KV bytes.
 
     Args:
-        device_budget_bytes: capacity of the bounded device tier; the
-            store always keeps at least one page of room, so budgets
-            smaller than one page degrade to a single-page device tier.
+        device_budget_bytes: capacity of the bounded device tier,
+            finite and > 0; the store always keeps at least one page of
+            room, so budgets smaller than one page degrade to a
+            single-page device tier.
         page_bytes: fixed page size (4 KiB default, as in the MMU).
         policy: ``"lru"`` or ``"plru"``.
         prefetch_pages: how many sequential spilled pages to promote
@@ -171,6 +173,11 @@ class TieredKVStore:
         prefetch_pages: int = 1,
         transfer: Optional[TransferModel] = None,
     ):
+        if not 0.0 < device_budget_bytes < math.inf:
+            raise ValueError(
+                "device_budget_bytes must be finite and > 0, got "
+                f"{device_budget_bytes}"
+            )
         if page_bytes <= 0:
             raise ValueError("page_bytes must be positive")
         if prefetch_pages < 0:

@@ -44,7 +44,7 @@ def test_harness_runs_quickly_and_writes_json(tmp_path):
     assert on_disk["schema"] == "repro.bench/v1"
     bench = on_disk["benchmarks"]
     assert set(bench) == {
-        "encode_roundtrip", "encode_serving", "generation", "bitpack",
+        "encode_roundtrip", "generation", "bitpack",
         "pool_read",
         "pool_append", "baseline_read", "analytic",
     }
@@ -54,10 +54,6 @@ def test_harness_runs_quickly_and_writes_json(tmp_path):
     # Loose floors: smoke sizes are overhead-dominated; the real
     # targets are enforced by the full-size run in BENCH_quant.json.
     assert enc["speedup_roundtrip"] > 1.0
-    serving = bench["encode_serving"]
-    assert serving["encoded_identical"] is True
-    assert serving["speedup_stacked"] > 1.0
-    assert serving["repeats"] >= 2
     gen = bench["generation"]
     assert gen["steps"] == 48
     assert gen["tokens_identical"] is True

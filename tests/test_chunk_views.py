@@ -1,7 +1,7 @@
 """The chunk store keeps a step's encode whole.
 
 ``kvcache.append_batch`` lists each sequence's chunk pair as views of
-the step's one encode (``split_encoded(..., copy=False)``), and
+the step's one encode (``split_encoded``), and
 ``concat_encoded`` hands that encode back when a read asks for every
 piece of it in order: a steady decode step decodes the very object it
 encoded.  Every other read (prompt chunks pending beside a decode
@@ -115,6 +115,9 @@ def _pool_reads(pool, seq_ids):
 
 class TestSplitViews:
     def _encode(self, rows):
+        """The row-stacked encode of ``rows``-row key and value blocks,
+        and each block's own encode, in split order: what the split's
+        pieces must read as (encode is row-local)."""
         keys, values = (
             OakenQuantizer.from_samples(
                 [_kv(96, seed)]
@@ -123,12 +126,12 @@ class TestSplitViews:
         )
         encoder = LayerEncoder([keys], [values])
         blocks = [_kv(t, t) for t in rows]
-        return encoder.encode((0,), blocks + blocks)
+        fresh = [q.quantize(block) for q in (keys, values) for block in blocks]
+        return encoder.encode((0,), blocks + blocks), fresh
 
     def test_views_read_as_the_copies(self):
-        whole = self._encode([2, 3, 1])
-        copies = split_encoded(whole, [2, 3, 1])
-        views = split_encoded(whole, [2, 3, 1], copy=False)
+        whole, copies = self._encode([2, 3, 1])
+        views = split_encoded(whole, [2, 3, 1])
         assert whole.num_outliers > 0
         for view, copy in zip(views, copies):
             assert view.shape == copy.shape
@@ -145,8 +148,8 @@ class TestSplitViews:
                     )
 
     def test_every_piece_in_order_is_the_source(self, monkeypatch):
-        whole = self._encode([2, 3, 1])
-        views = split_encoded(whole, [2, 3, 1], copy=False)
+        whole, _ = self._encode([2, 3, 1])
+        views = split_encoded(whole, [2, 3, 1])
         built, concat = _count_concat_builds(monkeypatch)
         assert concat(views[:3], views[3:]) is whole
         assert built == []
@@ -161,9 +164,8 @@ class TestSplitViews:
         ids=["subset", "reordered", "regrouped"],
     )
     def test_anything_else_concatenates(self, pick, monkeypatch):
-        whole = self._encode([2, 3, 1])
-        views = split_encoded(whole, [2, 3, 1], copy=False)
-        copies = split_encoded(whole, [2, 3, 1])
+        whole, copies = self._encode([2, 3, 1])
+        views = split_encoded(whole, [2, 3, 1])
         chosen = pick(views)
         if len(chosen) == 1:
             # The keys and values blocks carry different thresholds.
@@ -181,9 +183,9 @@ class TestSplitViews:
             ), name
 
     def test_two_splits_of_one_encode_do_not_mix(self, monkeypatch):
-        whole = self._encode([2, 2])
-        first = split_encoded(whole, [2, 2], copy=False)
-        second = split_encoded(whole, [1, 3], copy=False)
+        whole, _ = self._encode([2, 2])
+        first = split_encoded(whole, [2, 2])
+        second = split_encoded(whole, [1, 3])
         built, concat = _count_concat_builds(monkeypatch)
         # Pieces 0..3 of one source, in order, but of two splits: 2 + 3
         # rows a block, not the source's 2 + 2.
@@ -311,6 +313,41 @@ class TestFallbackReads:
             lambda: [pool.read_batch(layer, seqs[::-1])
                      for layer in range(LAYERS)],
         )
+
+
+class TestForkSplit:
+    def test_a_mid_chunk_fork_views_the_chunk_it_splits(self, template):
+        """A fork whose prefix ends inside a chunk replaces the parent's
+        chunk with two pieces that share its memory; the parent reads,
+        measures and checks as before."""
+        pool = KVCachePool(lambda: template)
+        pool.allocate("parent")
+        pool.step([("parent", *_rows(0, 5))])
+        parent = pool.store.caches["parent"]
+        before = _pool_reads(pool, ["parent"])
+        nbytes = (pool.nbytes(), pool.get("parent").nbytes())
+        wholes = [
+            (layer._key_chunks[0], layer._value_chunks[0])
+            for layer in parent.layers
+        ]
+        pool.fork("parent", "child", 3)
+        for layer, pair in zip(parent.layers, wholes):
+            for chunks, whole in zip(
+                (layer._key_chunks, layer._value_chunks), pair
+            ):
+                assert whole.num_outliers > 0
+                assert [c.num_tokens for c in chunks] == [3, 2]
+                for piece in chunks:
+                    for name in ARRAYS:
+                        if name == "sparse_token":  # rebased per split
+                            continue
+                        array = getattr(piece, name)
+                        assert array.size == 0 or np.shares_memory(
+                            array, getattr(whole, name)
+                        ), name
+        assert _pool_reads(pool, ["parent"]) == before
+        assert (pool.nbytes(), pool.get("parent").nbytes()) == nbytes
+        pool.check_invariants()
 
 
 class TestCorruptionThroughAView:

@@ -155,16 +155,6 @@ class TestSplitEncoded:
         merged = concat_encoded(pieces)
         self._assert_chunks_equal(merged, batch)
 
-    def test_split_pieces_own_their_arrays(self):
-        quantizer = OakenQuantizer.from_samples(
-            [make_kv_matrix(tokens=96, dim=64, seed=2)]
-        )
-        batch = quantizer.quantize(make_kv_matrix(tokens=4, dim=64, seed=4))
-        piece = split_encoded(batch, [2, 2])[0]
-        piece.dense_codes[0, 0] += 1
-        assert piece.dense_codes.base is not batch.dense_codes
-        assert batch.dense_codes[0, 0] != piece.dense_codes[0, 0]
-
     def test_bad_row_counts_rejected(self):
         quantizer = OakenQuantizer.from_samples(
             [make_kv_matrix(tokens=96, dim=64, seed=2)]
@@ -224,6 +214,34 @@ class TestSplitEncoded:
             pieces = split_encoded(batch, parts)
             assert [p.num_tokens for p in pieces] == parts
             self._assert_chunks_equal(concat_encoded(pieces), batch)
+
+    @pytest.mark.parametrize("variant", sorted(FUZZ_CONFIGS))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_concat_of_block_encodes_is_the_batch_encode(
+        self, variant, seed
+    ):
+        """concat(encode(b) for b in blocks) == encode(rows) for seeded
+        random blocks of ``rows``: the path where concat builds a
+        tensor (every piece of one split, in order, hands its source
+        back instead)."""
+        config = self.FUZZ_CONFIGS[variant]
+        quantizer = OakenQuantizer.from_samples(
+            [make_kv_matrix(tokens=96, dim=64, seed=6)], config
+        )
+        rng = np.random.default_rng(seed)
+        for round_index in range(8):
+            tokens = int(rng.integers(1, 24))
+            rows = make_kv_matrix(
+                tokens=tokens, dim=64, seed=200 * seed + round_index
+            )
+            # Sorted cuts drawn with replacement: empty blocks too.
+            cuts = rng.integers(0, tokens + 1, size=int(rng.integers(0, 5)))
+            bounds = [0, *sorted(cuts.tolist()), tokens]
+            blocks = [rows[a:b] for a, b in zip(bounds, bounds[1:])]
+            self._assert_chunks_equal(
+                concat_encoded([quantizer.quantize(b) for b in blocks]),
+                quantizer.quantize(rows),
+            )
 
     def test_split_points_preserve_row_footprint(self):
         """Splitting never changes total bytes (row-additive storage)."""

@@ -246,6 +246,43 @@ def _adapter(calibration):
     return create_backend("fp16", num_layers=LAYERS)
 
 
+def _chunked(calibration):
+    pool = KVCachePool(lambda: _fused(calibration))
+    return pool.allocate("seq")
+
+
+class TestWidthRefusal:
+    """A fused cache refuses rows of a width other than the one it
+    holds, before the encode: stored, they would leave the layer
+    unreadable."""
+
+    @pytest.mark.parametrize("backend", [_fused, _chunked, _arena],
+                             ids=["fused", "chunked-handle", "arena-handle"])
+    def test_rows_of_another_width_are_refused(self, calibration, backend):
+        cache = backend(calibration)
+        rows = stream_matrix(seed=63)[:3]
+        for layer in range(LAYERS):
+            cache.append(layer, rows, rows)
+        before = [
+            tuple(a.tobytes() for a in cache.read(layer))
+            for layer in range(LAYERS)
+        ]
+        bits = cache.footprint_bits()
+        width = rows.shape[1]
+        narrow = rows[:, : width // 2]
+        with pytest.raises(
+            ValueError, match=f"rows of width {width // 2}, but the "
+            f"(layer|arena) holds rows of width {width}"
+        ):
+            cache.append(0, narrow, narrow)
+        assert cache.length == 3
+        assert cache.footprint_bits() == bits
+        assert [
+            tuple(a.tobytes() for a in cache.read(layer))
+            for layer in range(LAYERS)
+        ] == before
+
+
 class TestLayerBounds:
     """A layer index outside ``0 .. L-1`` is refused, as the pool
     refuses it, and never counts from the end."""
@@ -274,14 +311,3 @@ class TestLayerBounds:
         assert [
             cache.read(held)[0].tobytes() for held in range(LAYERS)
         ] == before
-
-    @pytest.mark.parametrize("layer", [-1, LAYERS])
-    def test_the_fused_encoded_append_refuses_too(self, calibration, layer):
-        cache = _fused(calibration)
-        rows = stream_matrix(seed=62)[:2]
-        cache.append(0, rows, rows)
-        chunks = (cache.layers[0]._key_chunks[0],
-                  cache.layers[0]._value_chunks[0])
-        with pytest.raises(ValueError, match="outside the cache's"):
-            cache.append_encoded(layer, *chunks)
-        assert [layer.length for layer in cache.layers] == [2, 0]

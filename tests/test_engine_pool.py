@@ -645,6 +645,17 @@ class TestFootprint:
 class TestCapacityErrors:
     """Typed capacity refusals: diagnosable, retryable, non-mutating."""
 
+    @pytest.mark.parametrize("capacity", [np.nan, 0, -1.0, np.inf])
+    def test_a_budget_that_is_not_finite_and_positive_is_refused(
+        self, factory, capacity
+    ):
+        """Nothing is measured before the first step, so such a budget
+        would admit it and refuse every step after."""
+        with pytest.raises(
+            ValueError, match="capacity_bytes must be finite and > 0"
+        ):
+            KVCachePool(factory, capacity_bytes=capacity)
+
     def tiny_pool(self, factory, capacity=10.0):
         pool = KVCachePool(factory, capacity_bytes=capacity)
         pool.allocate(0)

@@ -265,6 +265,15 @@ class TestTieredKVStore:
         store.record_append(0, 0, 3 * 512)
         assert store.device_bytes <= 512
 
+    @pytest.mark.parametrize("budget", [math.nan, 0, -512.0, math.inf])
+    def test_a_budget_that_is_not_finite_and_positive_is_refused(
+        self, budget
+    ):
+        with pytest.raises(
+            ValueError, match="device_budget_bytes must be finite and > 0"
+        ):
+            TieredKVStore(device_budget_bytes=budget, page_bytes=512)
+
     @pytest.mark.parametrize("policy", EVICTION_POLICIES)
     def test_identical_histories_identical_summaries(self, policy):
         def run():
