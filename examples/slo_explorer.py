@@ -5,8 +5,7 @@ Replays a synthetic Azure-style Conversation trace through the
 continuous-batching scheduler on Oaken-LPDDR and the vLLM GPU
 baseline, sweeping the residency cap, and reports the latency metrics
 a serving operator actually watches: time-to-first-token, time per
-output token, and p95 end-to-end latency.  Also contrasts monolithic
-admission prefill with Sarathi-style chunked prefill.
+output token, and p95 end-to-end latency.
 
 Run:  python examples/slo_explorer.py
 """
@@ -59,33 +58,9 @@ def main() -> None:
     print(table.render())
     print("\nlarger caps cut queueing (TTFT) at a growing TPOT cost. "
           "The GPU wins per-iteration latency while its batch fits, "
-          "but its FP16 KV clips residency (cap 128 -> ~37 resident); "
+          "but its FP16 KV clips residency (cap 128 -> 43 resident); "
           "Oaken's 4.8-bit KV keeps admitting, which is where its "
           "throughput lead at scale comes from (Figure 11's shape).")
-
-    # Chunked prefill: the admission-stall trade-off.
-    system = get_system("oaken-lpddr")
-    table = TextTable(
-        ["admission policy", "TTFT_p95_s", "TPOT_ms", "lat_p95_s"]
-    )
-    for label, chunk in (("monolithic prefill", None),
-                         ("chunked (256 tok/iter)", 256)):
-        report = simulate_trace(
-            system, ARCH, trace, 32, prefill_chunk=chunk
-        )
-        table.add_row(
-            [
-                label,
-                f"{report.p95_ttft_s:.2f}",
-                f"{report.mean_tpot_s * 1e3:.1f}",
-                f"{report.p95_latency_s:.2f}",
-            ]
-        )
-    print()
-    print(table.render())
-    print("\nchunked prefill spreads admission work across iterations: "
-          "smoother generation for residents, a bounded TTFT premium "
-          "for arrivals — pick per SLO.")
 
 
 if __name__ == "__main__":

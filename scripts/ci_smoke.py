@@ -446,7 +446,7 @@ OP_WORK = {
         "core": 2865,
         "hardware": 6613,
         "models": 7560,
-        "numpy+builtins": 93458,
+        "numpy+builtins": 91146,
         "serving": 87432,
     },
 }

@@ -428,6 +428,11 @@ class QuantizedKVCache:
             per layer when omitted.
     """
 
+    #: The pool store holding this cache as one of its sequences (the
+    #: store's ``allocate`` sets it), else None.  A stored cache's
+    #: appends keep the store's one row width.
+    store = None
+
     def __init__(
         self,
         key_quantizers: List[OakenQuantizer],
@@ -467,9 +472,18 @@ class QuantizedKVCache:
         """Append new KV rows to ``layer``'s cache.
 
         Raises:
-            ValueError: ``layer`` is outside the cache's layers.
+            ValueError: ``layer`` is outside the cache's layers, or the
+                cache is a store's sequence and the rows' width is not
+                the store's (refused before the encode).
         """
+        store = self.store
+        if store is None:
+            self._layer(layer).append(keys, values)
+            return
+        keys = np.atleast_2d(keys)
+        width = store.check_width(keys)
         self._layer(layer).append(keys, values)
+        store.width = width
 
     def read(self, layer: int) -> Tuple[np.ndarray, np.ndarray]:
         """Dequantized (keys, values) history of ``layer``.

@@ -44,6 +44,7 @@ from typing import (
     Callable,
     Dict,
     Hashable,
+    Iterator,
     List,
     Optional,
     Protocol,
@@ -380,6 +381,12 @@ class AdapterStore(BackendStore):
             self.caches[seq_id].append(layer, keys, values)
         return 0
 
+    def row_widths(self) -> Iterator[int]:
+        for cache in self.caches.values():
+            for stream in cache._streams():
+                if stream.length:
+                    yield stream.matrix().shape[1]
+
     def layer_bits(self, seq_id: Hashable, layer: int) -> float:
         """One sequence's bits on one layer, under the method's
         accounting (each stream's footprint is memoized per length)."""
@@ -460,6 +467,9 @@ class BaselineCacheBackend:
     """
 
     kind = "adapter"
+    #: The :class:`AdapterStore` holding this cache as one of its
+    #: sequences (set by its ``allocate``), else None.
+    store = None
 
     def __init__(
         self,
@@ -526,6 +536,8 @@ class BaselineCacheBackend:
             raise ValueError(
                 f"key/value shape mismatch: {keys.shape} vs {values.shape}"
             )
+        if self.store is not None:
+            self.store.width = self.store.check_width(keys)
         self._keys[layer].append(keys)
         self._values[layer].append(values)
 

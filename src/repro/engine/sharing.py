@@ -46,7 +46,7 @@ included — bit-deterministic across reruns.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, List, Sequence, Tuple
 
 from repro.core import kvcache
 from repro.core.encoding import EncodedKV
@@ -274,7 +274,8 @@ class ChunkStore(BackendStore):
         """Every cache's running footprint against its chunks; the
         entries against the chunk lists (exactly the chunk objects two
         or more caches list, each held by exactly those caches); then
-        :meth:`check_registry`."""
+        :meth:`check_registry`; and the store's one width."""
+        super().check_invariants()
         # id(chunk) -> [chunk, *the caches listing it]
         listed: Dict[int, list] = {}
         for seq_id, cache in self.caches.items():
@@ -293,6 +294,12 @@ class ChunkStore(BackendStore):
             f"{len(shared)} chunks listed by two or more caches"
         )
         self.check_registry()
+
+    def row_widths(self) -> Iterator[int]:
+        for cache in self.caches.values():
+            for layer in cache.layers:
+                for chunk in layer._key_chunks + layer._value_chunks:
+                    yield chunk.dim
 
     def check_registry(self) -> None:
         """Assert the running totals equal a walk of the entries, and

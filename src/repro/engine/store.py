@@ -16,7 +16,7 @@ and adapter stores answer it a layer at a time.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 #: A tier re-homing: ``(new_owner, layer, nbytes)``.
 Transfer = Tuple[Hashable, int, float]
@@ -65,7 +65,8 @@ class BackendStore(PoolStore):
     """Sequences as backends, each the template's ``twin()``: all hold
     the template's fitted quantizers, so any batch of them shares one
     layer's kernels.  A subclass moves their rows one layer at a time
-    (``append_layer``, ``decode_layer``, ``layer_bits``)."""
+    (``append_layer``, ``decode_layer``, ``layer_bits``) and lists the
+    width of every block of rows it holds (``row_widths``)."""
 
     def __init__(self, template) -> None:
         self._template = template
@@ -83,7 +84,30 @@ class BackendStore(PoolStore):
 
     def allocate(self, seq_id: Hashable):
         backend = self.caches[seq_id] = self._template.twin()
+        backend.store = self  # whose width the handle's appends keep
         return backend
+
+    def check_width(self, keys) -> Optional[int]:
+        """The store's width once a sequence's handle stores ``keys``
+        (``[t, D]`` rows): a block whose width is not that of the rows
+        the store holds is refused before anything is stored (a later
+        read over both widths would fail)."""
+        if not keys.shape[0]:
+            return self.width
+        if self.width is not None and keys.shape[1] != self.width:
+            raise ValueError(
+                f"rows of width {keys.shape[1]}, but the store holds "
+                f"rows of width {self.width}"
+            )
+        return keys.shape[1]
+
+    def check_invariants(self) -> None:
+        """Every row the store holds has the store's one width."""
+        widths = set(self.row_widths())
+        assert widths <= {self.width}, (
+            f"rows of widths {sorted(widths)} in a store of width "
+            f"{self.width}"
+        )
 
     def free(self, seq_id: Hashable) -> None:
         del self.caches[seq_id]

@@ -138,8 +138,6 @@ class ClusterConfig:
             also enabled (``replay.device_budget_mb``) this bounds the
             *total* device+host footprint; device-tier pressure alone
             spills instead of rejecting.
-        prefill_chunk: Sarathi-style chunked prefill budget, forwarded
-            to every replica's scheduler.
     """
 
     replicas: int = 2
@@ -153,7 +151,6 @@ class ClusterConfig:
     queue_limit: Optional[int] = None
     replay: Optional[CacheReplayConfig] = None
     pool_capacity_bytes: Optional[float] = None
-    prefill_chunk: Optional[int] = None
 
     def __post_init__(self):
         if self.replicas < 1:
@@ -302,9 +299,7 @@ class _Replica:
             and not cache.config.engine_cycles
         )
         self.scheduler = ContinuousBatchScheduler(
-            self.effective_cap,
-            prefill_chunk=self.config.prefill_chunk,
-            admission_gate=self._admission_gate,
+            self.effective_cap, admission_gate=self._admission_gate,
         )
 
     def _admission_gate(self, request: Request) -> bool:
@@ -321,13 +316,12 @@ class _Replica:
 
         Only an event addressed to this replica can change its batch
         before then, and such an event cuts the stride
-        (:meth:`_ClusterSim._cut`); a chunked prefill changes the batch
-        as it goes.  A replay replica defers the stride's pool work to
-        its booking, so it also needs that no plan it skips could reach
-        the admission gate, whose projection reads the pool: the queue
-        is empty or the batch is full.
+        (:meth:`_ClusterSim._cut`).  A replay replica defers the
+        stride's pool work to its booking, so it also needs that no plan
+        it skips could reach the admission gate, whose projection reads
+        the pool: the queue is empty or the batch is full.
         """
-        if not self._strides or plan.prefill_tokens:
+        if not self._strides:
             return False
         if self.cache is None:
             return True
@@ -715,10 +709,7 @@ class _ClusterSim:
             plan = dataclasses.replace(plan, admitted=admitted_all)
         strides = replica.can_stride(plan)
         stride = replica.scheduler.steps_to_retire() if strides else 1
-        step_time = iteration_time_s(
-            self.system, self.arch, plan, self.config.prefill_chunk,
-            stride,
-        )
+        step_time = iteration_time_s(self.system, self.arch, plan, stride)
         step_time *= replica.brownout_factor
         ids = plan.resident_ids
         if replica.cache is not None and strides:

@@ -15,8 +15,8 @@ admissions) and the simulator prices them with the hardware model.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.serving.request import Request, RequestPhase
 
@@ -28,16 +28,13 @@ class IterationPlan:
     Attributes:
         admitted: requests entering prefill this step.
         resident: requests participating in the generation iteration
-            (after admissions).  This is the scheduler's own list,
-            which it rebinds rather than mutates, so a plan keeps
-            reading the same batch; consumers must not mutate it.
+            (after admissions, which generate from the iteration that
+            prefills them).  This is the scheduler's own list, which
+            it rebinds rather than mutates, so a plan keeps reading
+            the same batch; consumers must not mutate it.
         mean_context: average context length across residents.
         ragged: True when resident prompt lengths differ enough to
             trigger padding penalties on systolic platforms.
-        prefill_tokens: prompt tokens processed this iteration (only
-            nonzero in chunked-prefill mode, where admissions prefill
-            incrementally instead of stalling the batch — the
-            Sarathi-style scheduling the paper's serving layer cites).
         resident_ids: the resident requests' ids, in ``resident``
             order, kept by the scheduler as the batch changes so
             per-iteration consumers (the cache replay's pool step)
@@ -48,7 +45,6 @@ class IterationPlan:
     resident: List[Request]
     mean_context: float
     ragged: bool
-    prefill_tokens: int = 0
     resident_ids: Tuple[int, ...] = ()
 
 
@@ -57,11 +53,6 @@ class ContinuousBatchScheduler:
 
     Args:
         max_batch: resident request cap (figure sweeps set this).
-        prefill_chunk: when set, admissions do not stall the batch with
-            a monolithic prefill; instead up to ``prefill_chunk``
-            prompt tokens are processed per iteration alongside the
-            resident generation work, and a request starts generating
-            once its prompt is fully consumed.
         admission_gate: optional predicate consulted before each
             admission; returning False leaves the request (and, FIFO,
             everything behind it) queued for a later iteration.  The
@@ -82,31 +73,23 @@ class ContinuousBatchScheduler:
     """
 
     def __init__(self, max_batch: int,
-                 prefill_chunk: Optional[int] = None,
                  admission_gate: Optional[
                      Callable[[Request], bool]
                  ] = None):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if prefill_chunk is not None and prefill_chunk < 1:
-            raise ValueError("prefill_chunk must be >= 1 when set")
         self.max_batch = max_batch
-        self.prefill_chunk = prefill_chunk
         self.admission_gate = admission_gate
         self.gate_refusals = 0
         self._refused = False  # whether the last plan's gate refused
         self._queue: Deque[Request] = deque()
-        self._resident: List[Request] = []
-        # request_id -> (request, prompt tokens still to prefill), in
-        # admission order; chunked-prefill mode only.
-        self._prefilling: Dict[int, Tuple[Request, int]] = {}
         self._finished: List[Request] = []
         # Running state of the resident set, changed only by admit,
-        # chunk-finish, retire and evict.  ``_generating`` is rebound,
-        # never mutated, so a plan may hand it out.
+        # retire and evict.  ``_generating`` is rebound, never
+        # mutated, so a plan may hand it out.
         self._generating: List[Request] = []
         self._generating_ids: Tuple[int, ...] = ()
-        self._context_sum = 0  # sum of the generating context lengths
+        self._context_sum = 0  # sum of the resident context lengths
         self._ragged = False
 
     # ------------------------------------------------------------------
@@ -123,11 +106,11 @@ class ContinuousBatchScheduler:
     @property
     def in_flight(self) -> int:
         """Resident plus queued requests."""
-        return len(self._resident) + len(self._queue)
+        return len(self._generating) + len(self._queue)
 
     @property
     def resident(self) -> List[Request]:
-        return list(self._resident)
+        return list(self._generating)
 
     @property
     def queued(self) -> List[Request]:
@@ -139,23 +122,22 @@ class ContinuousBatchScheduler:
 
         Used by the cluster replay's requeue layer: a request whose
         cache admission failed (or whose replica is being drained) is
-        pulled out of the queue / resident set / prefill tracking and
-        handed back for placement elsewhere.  Returns the request, or
-        None when the scheduler does not hold it (already finished or
-        never submitted).  Finished requests are never evicted.
+        pulled out of the queue or the resident set and handed back
+        for placement elsewhere.  Returns the request, or None when
+        the scheduler does not hold it (already finished or never
+        submitted).  Finished requests are never evicted.
         """
         for index, request in enumerate(self._queue):
             if request.request_id == request_id:
                 del self._queue[index]
                 return request
-        for index, request in enumerate(self._resident):
+        generating = self._generating
+        for index, request in enumerate(generating):
             if request.request_id == request_id:
-                del self._resident[index]
-                if self._prefilling.pop(request_id, None) is None:
-                    self._context_sum -= request.context_length
-                    self._set_generating([
-                        r for r in self._generating if r is not request
-                    ])
+                self._context_sum -= request.context_length
+                self._set_generating(
+                    generating[:index] + generating[index + 1:]
+                )
                 self._refresh_ragged()
                 return request
         return None
@@ -166,7 +148,7 @@ class ContinuousBatchScheduler:
 
     @property
     def has_work(self) -> bool:
-        return bool(self._queue or self._resident)
+        return bool(self._queue or self._generating)
 
     # ------------------------------------------------------------------
 
@@ -175,12 +157,12 @@ class ContinuousBatchScheduler:
         self._generating_ids = tuple(r.request_id for r in generating)
 
     def _refresh_ragged(self) -> None:
-        """Systolic padding flag: resident prompt lengths (prefilling
-        ones included) spread by more than a quarter of the longest."""
-        if len(self._resident) < 2:
+        """Systolic padding flag: resident prompt lengths spread by
+        more than a quarter of the longest."""
+        if len(self._generating) < 2:
             self._ragged = False
             return
-        prompts = [r.input_tokens for r in self._resident]
+        prompts = [r.input_tokens for r in self._generating]
         longest = max(prompts)
         self._ragged = (longest - min(prompts)) > 0.25 * longest
 
@@ -196,80 +178,40 @@ class ContinuousBatchScheduler:
         """
         admitted: List[Request] = []
         self._refused = False
-        while (
-            len(self._resident) < self.max_batch
-            and self._queue
-            and self._queue[0].arrival_s <= now_s
-        ):
+        queue = self._queue
+        free = self.max_batch - len(self._generating)
+        while free and queue and queue[0].arrival_s <= now_s:
             if (
                 self.admission_gate is not None
-                and not self.admission_gate(self._queue[0])
+                and not self.admission_gate(queue[0])
             ):
                 self.gate_refusals += 1
                 self._refused = True
                 break
-            request = self._queue.popleft()
+            request = queue.popleft()
             request.phase = RequestPhase.PREFILL
             request.start_s = now_s
             admitted.append(request)
-            self._resident.append(request)
+            free -= 1
         if admitted:
+            self._context_sum += sum(r.context_length for r in admitted)
+            self._set_generating(self._generating + admitted)
             self._refresh_ragged()
-            if self.prefill_chunk is None:
-                self._context_sum += sum(r.context_length for r in admitted)
-                self._set_generating(self._generating + admitted)
-            else:
-                for request in admitted:
-                    self._prefilling[request.request_id] = (
-                        request, request.input_tokens
-                    )
-        if not self._resident:
-            return None
-
-        prefill_tokens = 0
-        if self._prefilling:
-            # FCFS chunk budget across prefilling requests, which are
-            # the residents admitted last, in admission order.
-            budget = self.prefill_chunk
-            done: List[Request] = []
-            for request_id, (request, remaining) in list(
-                self._prefilling.items()
-            ):
-                if budget <= 0:
-                    break
-                consumed = min(remaining, budget)
-                budget -= consumed
-                prefill_tokens += consumed
-                if remaining - consumed <= 0:
-                    del self._prefilling[request_id]
-                    request.phase = RequestPhase.GENERATION
-                    done.append(request)
-                else:
-                    self._prefilling[request_id] = (
-                        request, remaining - consumed
-                    )
-            if done:
-                self._context_sum += sum(r.context_length for r in done)
-                self._set_generating(self._generating + done)
-
         generating = self._generating
+        if not generating:
+            return None
         return IterationPlan(
             admitted=admitted,
             resident=generating,
-            # A batch that is all prefilling prices context 1.
-            mean_context=(
-                float(self._context_sum) / len(generating)
-                if generating else 1.0
-            ),
+            mean_context=self._context_sum / len(generating),
             ragged=self._ragged,
-            prefill_tokens=prefill_tokens,
             resident_ids=self._generating_ids,
         )
 
     def steps_to_retire(self) -> int:
-        """Iterations the generating batch runs before its first
+        """Iterations the resident batch runs before its first
         retirement: the longest stride :meth:`complete_iteration` may
-        take after a plan that prefilled no chunk."""
+        take after a plan."""
         return min([r.output_tokens - r.generated for r in self._generating])
 
     def repeat_plan(self) -> None:
@@ -281,19 +223,17 @@ class ContinuousBatchScheduler:
     def complete_iteration(
         self, now_s: float, steps: int = 1, first_s: Optional[float] = None
     ) -> List[Request]:
-        """Advance every generating request one token; retire finished
-        ones (requests still consuming their prompt in chunked-prefill
-        mode generate nothing this iteration).
+        """Advance every resident request one token; retire finished
+        ones.
 
         ``steps`` > 1 advances a batch that cannot change by that many
         iterations at once, the first ending at ``first_s`` and the
-        last at ``now_s``.  The caller guarantees that the last plan
-        prefilled no chunk, that ``steps`` is at most
-        :meth:`steps_to_retire`, and that nothing reaches the queue or
-        the gate meanwhile.  The result equals ``steps`` single
-        completions with the ``steps - 1`` plans between them, each of
-        which admits nothing and refuses at the gate exactly when the
-        last plan did.
+        last at ``now_s``.  The caller guarantees that ``steps`` is at
+        most :meth:`steps_to_retire`, and that nothing reaches the
+        queue or the gate meanwhile.  The result equals ``steps``
+        single completions with the ``steps - 1`` plans between them,
+        each of which admits nothing and refuses at the gate exactly
+        when the last plan did.
 
         Returns:
             Requests that finished in this iteration (the last one).
@@ -317,9 +257,6 @@ class ContinuousBatchScheduler:
         if retired:
             self._finished.extend(retired)
             self._context_sum -= sum(r.context_length for r in retired)
-            self._resident = [
-                r for r in self._resident if r.phase is not finished
-            ]
             self._set_generating([
                 r for r in self._generating if r.phase is not finished
             ])

@@ -628,45 +628,27 @@ def iteration_time_s(
     system: ServingSystem,
     arch: ArchShape,
     plan,
-    prefill_chunk: Optional[int] = None,
     steps: int = 1,
 ) -> Union[float, np.ndarray]:
     """Price one scheduler iteration with the hardware model.
 
     The costing rule of the one serving event loop
     (:mod:`repro.serving.cluster`, which :func:`simulate_trace` runs
-    at one replica): admissions pay a prefill pass (chunked or
-    monolithic, with the systolic ragged-batch padding penalty), and
-    the generation iteration is priced at the resident batch's mean
-    context length.
+    at one replica): admissions pay one monolithic prefill pass (with
+    the systolic ragged-batch padding penalty), and the generation
+    iteration is priced at the resident batch's mean context length.
 
-    ``steps`` > 1 prices that many consecutive iterations of a plan
-    that prefills no chunk: the first pays the plan's admissions, and
-    the batch's mean context rises by one per iteration.  It returns a
-    float64 array of their times, each equal to pricing that
-    iteration's own plan; one step returns a float.
+    ``steps`` > 1 prices that many consecutive iterations of a plan:
+    the first pays the plan's admissions, and the batch's mean context
+    rises by one per iteration.  It returns a float64 array of their
+    times, each equal to pricing that iteration's own plan; one step
+    returns a float.
     """
-    if steps > 1 and plan.prefill_tokens:
-        raise ValueError("a plan that prefills a chunk runs one step")
     step_time = 0.0
-    if prefill_chunk is not None:
-        # Chunked prefill: this iteration's prompt-token slice is
-        # fused with the generation batch; only its incremental
-        # compute is added (weights already stream once).
-        if plan.prefill_tokens:
-            device = system.device_for(arch)
-            chunk_flops = plan.prefill_tokens * (
-                arch.flops_per_token_nonattn()
-                + arch.flops_per_token_attn(
-                    max(1, plan.prefill_tokens)
-                )
-            )
-            step_time += chunk_flops / device.effective_flops
-    elif plan.admitted:
-        # Monolithic admission prefill.  Systolic platforms
-        # (ragged_batch_efficiency < 1) pad every prompt in the
-        # admission batch to the longest one (Figure 14's Tender
-        # penalty); others process at the mean length.
+    if plan.admitted:
+        # Systolic platforms (ragged_batch_efficiency < 1) pad every
+        # prompt in the admission batch to the longest one (Figure
+        # 14's Tender penalty); others process at the mean length.
         prompts = [r.input_tokens for r in plan.admitted]
         if system.profile.ragged_batch_efficiency < 1.0:
             prompt = max(prompts)
@@ -738,7 +720,6 @@ def simulate_trace(
     arch: ArchShape,
     trace: Sequence[TraceRequest],
     max_batch: int,
-    prefill_chunk: Optional[int] = None,
     replay: Optional[CacheReplayConfig] = None,
 ) -> ServingReport:
     """Replay ``trace`` on ``system`` with residency cap ``max_batch``.
@@ -760,10 +741,6 @@ def simulate_trace(
         arch: model architecture (paper dimensions).
         trace: arrival-sorted requests.
         max_batch: requested scheduler residency cap.
-        prefill_chunk: enable Sarathi-style chunked prefill with this
-            per-iteration prompt-token budget; admissions then share
-            iterations with generation instead of stalling the batch
-            (improves tail latency at equal total work).
         replay: enable token-level cache replay — per-request
             miniature quantized caches (any registry method via
             :mod:`repro.engine`), batched multi-sequence appends and
@@ -782,8 +759,7 @@ def simulate_trace(
     sim = _ClusterSim(
         system, arch, trace,
         ClusterConfig(
-            replicas=1, max_batch=max_batch, prefill_chunk=prefill_chunk,
-            replay=replay,
+            replicas=1, max_batch=max_batch, replay=replay,
         ),
         FaultPlan([]),
     )

@@ -2,13 +2,14 @@
 
 Until the scheduler kept its resident-set aggregates (the generating
 list, the context sum, the ragged flag, the id tuple) as state updated
-on admit, chunk-finish, retire and evict, this was
+on admit, retire and evict, this was
 ``repro.serving.scheduler.ContinuousBatchScheduler``: every
 ``plan_iteration`` rebuilt them from the resident list.  It is moved
 here with its logic unchanged (the plan type is imported) so
 ``tests/test_scheduler_running_state.py`` can drive both in lockstep
-and hold every plan and every retirement ``==``.  Do not edit the
-logic: it is the contract.  :meth:`RebuildScheduler.advance` only
+and hold every plan and every retirement ``==``; the only edit since
+is the removal of the chunked-prefill regime, which the scheduler no
+longer has.  Do not edit the logic otherwise: it is the contract.  :meth:`RebuildScheduler.advance` only
 composes it: a k-iteration stride is k single completions with the
 plans the per-iteration loop makes between them.
 """
@@ -27,21 +28,16 @@ class RebuildScheduler:
     ``_resident`` on every plan and completion."""
 
     def __init__(self, max_batch: int,
-                 prefill_chunk: Optional[int] = None,
                  admission_gate: Optional[
                      Callable[[Request], bool]
                  ] = None):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if prefill_chunk is not None and prefill_chunk < 1:
-            raise ValueError("prefill_chunk must be >= 1 when set")
         self.max_batch = max_batch
-        self.prefill_chunk = prefill_chunk
         self.admission_gate = admission_gate
         self.gate_refusals = 0
         self._queue: Deque[Request] = deque()
         self._resident: List[Request] = []
-        self._prefilling: dict = {}
         self._finished: List[Request] = []
 
     # ------------------------------------------------------------------
@@ -69,8 +65,7 @@ class RebuildScheduler:
 
         Used by the cluster replay's requeue layer: a request whose
         cache admission failed (or whose replica is being drained) is
-        pulled out of the queue / resident set / prefill tracking and
-        handed back for placement elsewhere.  Returns the request, or
+        pulled out of the queue / resident set and handed back for placement elsewhere.  Returns the request, or
         None when the scheduler does not hold it (already finished or
         never submitted).  Finished requests are never evicted.
         """
@@ -78,7 +73,6 @@ class RebuildScheduler:
             for index, request in enumerate(bucket):
                 if request.request_id == request_id:
                     del bucket[index]
-                    self._prefilling.pop(request_id, None)
                     return request
         return None
 
@@ -119,37 +113,11 @@ class RebuildScheduler:
             request.start_s = now_s
             admitted.append(request)
             self._resident.append(request)
-            if self.prefill_chunk is not None:
-                self._prefilling[request.request_id] = (
-                    request.input_tokens
-                )
         if not self._resident:
             return None
 
-        prefill_tokens = 0
-        if self.prefill_chunk is not None and self._prefilling:
-            # FCFS chunk budget across prefilling requests.
-            budget = self.prefill_chunk
-            for request in self._resident:
-                remaining = self._prefilling.get(request.request_id)
-                if remaining is None or budget <= 0:
-                    continue
-                consumed = min(remaining, budget)
-                budget -= consumed
-                prefill_tokens += consumed
-                if remaining - consumed <= 0:
-                    del self._prefilling[request.request_id]
-                    request.phase = RequestPhase.GENERATION
-                else:
-                    self._prefilling[request.request_id] = (
-                        remaining - consumed
-                    )
-
-        generating = [
-            r for r in self._resident
-            if r.request_id not in self._prefilling
-        ]
-        contexts = [r.context_length for r in generating] or [1]
+        generating = list(self._resident)
+        contexts = [r.context_length for r in generating]
         prompts = [r.input_tokens for r in self._resident]
         ragged = (
             len(prompts) > 1
@@ -160,7 +128,6 @@ class RebuildScheduler:
             resident=generating,
             mean_context=float(sum(contexts)) / len(contexts),
             ragged=ragged,
-            prefill_tokens=prefill_tokens,
             resident_ids=tuple(r.request_id for r in generating),
         )
 
@@ -173,11 +140,6 @@ class RebuildScheduler:
         retired: List[Request] = []
         still_resident: List[Request] = []
         for request in self._resident:
-            if request.request_id in self._prefilling:
-                # Still consuming its prompt (chunked prefill mode);
-                # no token generated this iteration.
-                still_resident.append(request)
-                continue
             request.phase = RequestPhase.GENERATION
             request.generated += 1
             if request.generated == 1:

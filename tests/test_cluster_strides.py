@@ -114,10 +114,9 @@ def _plan(kind):
 
 @pytest.mark.parametrize("faults", ["storm", "random"])
 @pytest.mark.parametrize("queue_limit", [None, 2])
-@pytest.mark.parametrize("prefill_chunk", [None, 128])
 @pytest.mark.parametrize("policy", cluster.ROUTER_POLICIES)
 def test_strides_equal_single_iterations(
-    policy, prefill_chunk, queue_limit, faults, monkeypatch
+    policy, queue_limit, faults, monkeypatch
 ):
     trace = (
         generate_multiturn_trace("conversation", num_sessions=40, seed=4)
@@ -125,8 +124,7 @@ def test_strides_equal_single_iterations(
         else generate_trace("conversation", 150, seed=4)
     )
     config = ClusterConfig(
-        replicas=4, max_batch=8, policy=policy,
-        prefill_chunk=prefill_chunk, queue_limit=queue_limit,
+        replicas=4, max_batch=8, policy=policy, queue_limit=queue_limit,
     )
     calls, steps = _both(trace, config, _plan(faults), monkeypatch)
     # Strides make far fewer scheduler advances than iterations.

@@ -272,7 +272,7 @@ class TestWidthRefusal:
         narrow = rows[:, : width // 2]
         with pytest.raises(
             ValueError, match=f"rows of width {width // 2}, but the "
-            f"(layer|arena) holds rows of width {width}"
+            f"(layer|arena|store) holds rows of width {width}"
         ):
             cache.append(0, narrow, narrow)
         assert cache.length == 3
@@ -281,6 +281,58 @@ class TestWidthRefusal:
             tuple(a.tobytes() for a in cache.read(layer))
             for layer in range(LAYERS)
         ] == before
+
+
+
+def _pool(calibration, store):
+    if store == "adapter":
+        return KVCachePool(lambda: adapter_backend("fp16", calibration))
+    return KVCachePool(lambda: _fused(calibration), arena=store == "arena")
+
+
+class TestPoolWidth:
+    """A pool holds one model's KV: a sequence's handle refuses rows
+    whose width is not the store's before anything is stored, on every
+    store, and ``check_invariants`` asserts one width per store.  (A
+    handle of the chunk or adapter store used to store them: the next
+    ``read_batch`` over both sequences then failed.)"""
+
+    @pytest.mark.parametrize("store", ["arena", "chunked", "adapter"])
+    def test_a_fresh_handle_refuses_rows_of_another_width(
+        self, calibration, store
+    ):
+        pool = _pool(calibration, store)
+        rows = stream_matrix(seed=65)[:3]
+        pool.allocate("a")
+        pool.step([("a", [rows] * LAYERS, [rows] * LAYERS)])
+        width = rows.shape[1]
+        narrow = rows[:, : width // 2]
+        handle = pool.allocate("b")
+        with pytest.raises(
+            ValueError, match=f"rows of width {width // 2}, but the "
+            f"(arena|store) holds rows of width {width}"
+        ):
+            handle.append(0, narrow, narrow)
+        assert handle.length == 0
+        assert handle.footprint_bits()[0] == 0
+        pool.check_invariants()
+        handle.append(0, rows, rows)
+        pool.check_invariants()
+        assert [len(keys) for keys, _ in pool.read_batch(0, ["a", "b"])] == [
+            3, 3,
+        ]
+
+    @pytest.mark.parametrize("store", ["chunked", "adapter"])
+    def test_a_store_of_two_widths_fails_its_check(self, calibration, store):
+        pool = _pool(calibration, store)
+        rows = stream_matrix(seed=67)[:3]
+        pool.allocate("a").append(0, rows, rows)
+        handle = pool.allocate("b")
+        handle.store = None  # a handle cut off from its store's width
+        narrow = rows[:, :8]
+        handle.append(0, narrow, narrow)
+        with pytest.raises(AssertionError, match="width"):
+            pool.check_invariants()
 
 
 class TestLayerBounds:

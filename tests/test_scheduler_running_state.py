@@ -2,7 +2,7 @@
 
 ``ContinuousBatchScheduler`` keeps the generating list, the context
 sum, the ragged flag and the id tuple as state changed only on admit,
-chunk-finish, retire and evict.  ``tests/scheduler_oracle.py`` is the
+retire and evict.  ``tests/scheduler_oracle.py`` is the
 scheduler from before, which rebuilt all four from the resident list
 on every plan.  A seeded driver runs both in lockstep (separate but
 identical requests, identically seeded admission gates) through
@@ -65,7 +65,6 @@ def _view(plan):
         [r.request_id for r in plan.resident],
         plan.mean_context,
         plan.ragged,
-        plan.prefill_tokens,
         plan.resident_ids,
     )
 
@@ -78,12 +77,10 @@ def _held(scheduler):
     return scheduler.queued + scheduler.resident
 
 
-def _can_stride(scheduler, plan, now):
-    """Whether nothing but the caller could change ``plan``'s batch
-    before its first retirement: it prefilled no chunk, and no queued
-    request can arrive into a free slot meanwhile."""
-    if plan.prefill_tokens:
-        return False
+def _can_stride(scheduler, now):
+    """Whether nothing but the caller could change the batch before its
+    first retirement: no queued request can arrive into a free slot
+    meanwhile."""
     queued = scheduler.queued
     return (
         not queued
@@ -92,18 +89,16 @@ def _can_stride(scheduler, plan, now):
     )
 
 
-def _drive(prefill_chunk, seed, steps=600, max_batch=8, strides=False):
+def _drive(seed, steps=600, max_batch=8, strides=False):
     rng = np.random.default_rng(seed)
     # A stride needs a gate that keeps its answer between events.
     gates = (
         (_Blackout(),) * 2 if strides
         else (_SeededGate(seed), _SeededGate(seed))
     )
-    new = ContinuousBatchScheduler(
-        max_batch, prefill_chunk=prefill_chunk, admission_gate=gates[0],
-    )
+    new = ContinuousBatchScheduler(max_batch, admission_gate=gates[0])
     old = scheduler_oracle.RebuildScheduler(
-        max_batch, prefill_chunk=prefill_chunk, admission_gate=gates[1],
+        max_batch, admission_gate=gates[1]
     )
     handed_out = []  # (plan, its view when it was handed out)
     counts = dict(
@@ -152,7 +147,7 @@ def _drive(prefill_chunk, seed, steps=600, max_batch=8, strides=False):
             counts["ragged"] += new_plan.ragged
             handed_out.append((new_plan, _view(new_plan)))
             stride = 1
-            if strides and _can_stride(new, new_plan, now):
+            if strides and _can_stride(new, now):
                 stride = int(rng.integers(1, new.steps_to_retire() + 1))
             ends = list(itertools.accumulate([0.25] * stride, initial=now))
             refusals = new.gate_refusals
@@ -162,10 +157,10 @@ def _drive(prefill_chunk, seed, steps=600, max_batch=8, strides=False):
             assert new.gate_refusals == old.gate_refusals
             for offset, plan in enumerate(between, 1):
                 # The plans a stride skips admit nothing, and price the
-                # mean context one higher per iteration.  (Monolithic
-                # admissions join the generating batch at once, so a
-                # stride may start at the plan that admits them.)
-                assert plan.admitted == [] and plan.prefill_tokens == 0
+                # mean context one higher per iteration.  (Admissions
+                # join the generating batch at once, so a stride may
+                # start at the plan that admits them.)
+                assert plan.admitted == []
                 assert plan.resident_ids == new_plan.resident_ids
                 assert plan.ragged == new_plan.ragged
                 assert int(plan.mean_context) == (
@@ -194,10 +189,9 @@ def _drive(prefill_chunk, seed, steps=600, max_batch=8, strides=False):
     return counts
 
 
-@pytest.mark.parametrize("prefill_chunk", [None, 64])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_running_state_equals_rebuild(prefill_chunk, seed):
-    counts = _drive(prefill_chunk, seed)
+def test_running_state_equals_rebuild(seed):
+    counts = _drive(seed)
     # The driver reached every event that updates the running state.
     assert counts["plans"] > 300
     assert 0 < counts["ragged"] < counts["plans"]
@@ -208,15 +202,14 @@ def test_running_state_equals_rebuild(prefill_chunk, seed):
 
 
 @pytest.mark.cluster
-@pytest.mark.parametrize("prefill_chunk", [None, 64])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_stride_equals_single_completions(prefill_chunk, seed):
-    counts = _drive(prefill_chunk, seed, strides=True)
+def test_stride_equals_single_completions(seed):
+    counts = _drive(seed, strides=True)
     # The driver took many strides, some over a refusing gate, and
-    # without chunked prefill some from the plan that admitted.
+    # some from the plan that admitted.
     assert counts["strides"] > 30
     assert counts["stride_refusals"] > 0
-    assert (counts["admitting_strides"] > 0) == (prefill_chunk is None)
+    assert counts["admitting_strides"] > 0
     assert counts["retired"] > 100
     assert counts["evicted_queued"] > 0
     assert counts["evicted_resident"] > 0

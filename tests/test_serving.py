@@ -31,6 +31,7 @@ from repro.serving.request import Request, RequestPhase
 from repro.serving.scheduler import ContinuousBatchScheduler
 from repro.serving.simulator import (
     CacheReplayConfig,
+    iteration_time_s,
     simulate_synthesized_batches,
     simulate_trace,
 )
@@ -134,6 +135,46 @@ class TestScheduler:
         assert len(scheduler.finished) == 7
         generated = sum(r.generated for r in scheduler.finished)
         assert generated == 14
+
+
+
+class TestStridePricing:
+    """``iteration_time_s(..., steps=k)`` prices k iterations of one
+    plan as k one-step pricings of the plans the per-iteration loop
+    makes: only the first admits, and the mean context rises by one
+    per step."""
+
+    STEPS = 7
+
+    def _scheduler(self):
+        scheduler = ContinuousBatchScheduler(4)
+        # Prompts spread past a quarter of the longest: a ragged batch.
+        for i, inputs in enumerate([96, 300, 512]):
+            scheduler.submit(make_request(i, inputs=inputs, outputs=40))
+        return scheduler
+
+    @pytest.mark.parametrize("name", ["tender", "oaken-hbm"])
+    def test_steps_equal_one_step_pricings(self, name):
+        system = get_system(name)
+        padded = system.profile.ragged_batch_efficiency < 1.0
+        assert padded == (name == "tender")
+        strided = self._scheduler()
+        plan = strided.plan_iteration(0.0)
+        assert len(plan.admitted) == 3 and plan.ragged
+        assert strided.steps_to_retire() >= self.STEPS
+        times = iteration_time_s(system, ARCH, plan, self.STEPS)
+
+        single = self._scheduler()
+        expected = []
+        for step in range(self.STEPS):
+            each = single.plan_iteration(float(step))
+            assert len(each.admitted) == (3 if step == 0 else 0)
+            assert each.mean_context == plan.mean_context + step
+            expected.append(iteration_time_s(system, ARCH, each))
+            single.complete_iteration(step + 1.0)
+        assert times.tolist() == expected
+        # The first step pays the admissions' prefill.
+        assert times[0] > times[1] > 0.0
 
 
 class TestTraceSimulation:
@@ -265,8 +306,6 @@ def golden_report(name):
         return simulate_trace(hbm, ARCH, poisson, 8)
     if name == "analytic_closed_batch":
         return simulate_trace(hbm, ARCH, closed_batch(32), 16)
-    if name == "prefill_chunk":
-        return simulate_trace(hbm, ARCH, poisson, 8, prefill_chunk=256)
     if name == "ragged_tender":
         return simulate_trace(get_system("tender"), ARCH, poisson, 8)
     if name == "analytic_oom":
@@ -354,18 +393,6 @@ GOLDENS = {
         mean_ttft_s=2.146931314386602,
         p95_ttft_s=4.5648957830665875,
         mean_tpot_s=0.018078377936368975,
-    ),
-    "prefill_chunk": dict(
-        effective_batch=8,
-        oom=False,
-        generation_throughput=319.7642852089849,
-        total_time_s=15.833346552854646,
-        generated_tokens=5054,
-        mean_latency_s=7.811566775996734,
-        p95_latency_s=13.036943754199362,
-        mean_ttft_s=4.749977664678732,
-        p95_ttft_s=10.158183835052196,
-        mean_tpot_s=0.019720117785675638,
     ),
     "ragged_tender": dict(
         effective_batch=8,
@@ -556,7 +583,6 @@ def _storm_plan():
 #: least-loaded routing, batch 8.
 CLUSTER_CASES = {
     "faults_monolithic": dict(),
-    "faults_chunked_256": dict(prefill_chunk=256),
     "prefix_affinity": dict(
         policy="prefix_affinity",
         trace=lambda: generate_multiturn_trace(
@@ -590,9 +616,9 @@ def cluster_golden_sim(name):
     return sim
 
 
-# The two ``faults_*`` cases were captured at the last commit whose
+# The ``faults_monolithic`` case was captured at the last commit whose
 # scheduler rebuilt its resident-set views every iteration (the running
-# state must reproduce them); the other four, and the gate refusals
+# state must reproduce it); the other four, and the gate refusals
 # below, at the last commit that stepped every analytic iteration on
 # its own (a replica's fast-forwarded runs must reproduce them).
 # Unlike TestDeterminism, which compares two runs of the same code,
@@ -636,46 +662,6 @@ CLUSTER_GOLDENS = {
             dict(
                 replica=3, generated_tokens=4968.0, busy_s=19.689552827584414,
                 steps=693.0, completed=34.0, tokens_per_s=252.31654794313033,
-                crashes=3.0, downtime_s=6.522569001497592,
-            ),
-        ],
-    ),
-    "faults_chunked_256": dict(
-        system="oaken-hbm", replicas=4, policy="least_loaded", oom=False,
-        completed=300, failed=0, generated_tokens=48190,
-        total_time_s=63.18402398226853, busy_s=158.36854662691456,
-        generation_throughput=304.2902206681624,
-        tokens_per_s=762.6927973679497, mean_latency_s=20.05122336382878,
-        p95_latency_s=47.71511748721666, mean_ttft_s=16.838978199513953,
-        p95_ttft_s=43.90974948437782, mean_tpot_s=0.02207746632317977,
-        mean_queue_delay_s=16.46968640677215,
-        p95_queue_delay_s=43.719941806232505,
-        p99_queue_delay_s=51.24838086943616, retries=0, requeues=397,
-        failovers=397, rejections=0, capacity_rejections=0,
-        detected_failures=7, downtime_s=14.575530551820048,
-        duplicate_completions=0, lost=0, tier_hits=0, tier_misses=0,
-        tier_evictions=0, tier_spilled_bytes=0.0, tier_promoted_bytes=0.0,
-        tier_transfer_cycles=0.0, forks=0, shared_bytes_saved=0.0,
-        per_replica=[
-            dict(
-                replica=0, generated_tokens=17413.0,
-                busy_s=56.565797423544005, steps=2530.0, completed=107.0,
-                tokens_per_s=307.83619772241207, crashes=3.0,
-                downtime_s=2.3475101967911014,
-            ),
-            dict(
-                replica=1, generated_tokens=18435.0, busy_s=57.06967937433563,
-                steps=2521.0, completed=114.0, tokens_per_s=323.0261708512465,
-                crashes=2.0, downtime_s=3.6785026494151536,
-            ),
-            dict(
-                replica=2, generated_tokens=7530.0, busy_s=25.487865465024917,
-                steps=1081.0, completed=51.0, tokens_per_s=295.43470442171207,
-                crashes=1.0, downtime_s=2.026948704116201,
-            ),
-            dict(
-                replica=3, generated_tokens=4812.0, busy_s=19.245204364010036,
-                steps=753.0, completed=28.0, tokens_per_s=250.03631600809592,
                 crashes=3.0, downtime_s=6.522569001497592,
             ),
         ],
@@ -841,7 +827,6 @@ CLUSTER_GOLDENS = {
 #: (a crash reboots the scheduler, so this counts the last incarnation).
 CLUSTER_GATE_REFUSALS = {
     "faults_monolithic": [20, 0, 0, 0],
-    "faults_chunked_256": [29, 0, 0, 0],
     "prefix_affinity": [0, 0, 0, 0],
     "consistent_hash": [37, 0, 0, 0],
     "queue_limit_retries": [0, 0, 0, 0],

@@ -92,14 +92,6 @@ class TestSingleReplicaEquivalence:
         assert rep.p95_ttft_s == base.p95_ttft_s
         assert rep.mean_tpot_s == base.mean_tpot_s
 
-    def test_chunked_prefill_equivalence(self):
-        base = simulate_trace(
-            SYSTEM, ARCH, TRACE, max_batch=8, prefill_chunk=256
-        )
-        rep = run_cluster(replicas=1, prefill_chunk=256)
-        assert rep.generated_tokens == base.generated_tokens
-        assert rep.total_time_s == base.total_time_s
-
     def test_cache_replay_equivalence(self):
         trace = generate_trace("conversation", 12, seed=9)
         replay = CacheReplayConfig(num_layers=1, dim=16, prompt_rows=2)

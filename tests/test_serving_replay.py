@@ -83,12 +83,11 @@ class TestReplayEndToEnd:
         assert default.replay is None
         assert dataclasses.asdict(default) == dataclasses.asdict(explicit)
 
-    def test_replay_with_arrivals_and_chunked_prefill(self):
+    def test_replay_with_staggered_arrivals(self):
         trace = generate_trace("conversation", num_requests=8, seed=0,
                                max_tokens=128)
         report = simulate_trace(
             get_system("oaken-lpddr"), ARCH, trace, 4,
-            prefill_chunk=64,
             replay=CacheReplayConfig(method="oaken"),
         )
         assert not report.oom

@@ -104,19 +104,6 @@ class TestReportMetrics:
         assert report.mean_tpot_s > 0.0
         assert report.mean_ttft_s < report.mean_latency_s
 
-    def test_chunked_prefill_slo_tradeoff_is_bounded(self, trace):
-        """Chunked prefill spreads admission work across iterations:
-        generation smoothness (TPOT) holds within noise while TTFT
-        pays a bounded premium (prompts now take several chunked
-        iterations) — the classic Sarathi trade-off, not a free win."""
-        system = get_system("oaken-lpddr")
-        plain = simulate_trace(system, ARCH, trace, 16)
-        chunked = simulate_trace(
-            system, ARCH, trace, 16, prefill_chunk=256
-        )
-        assert chunked.mean_tpot_s <= plain.mean_tpot_s * 1.05
-        assert chunked.p95_ttft_s <= plain.p95_ttft_s * 1.25
-
     def test_larger_cap_reduces_queueing_ttft(self, trace):
         system = get_system("oaken-lpddr")
         small = simulate_trace(system, ARCH, trace, 4)
