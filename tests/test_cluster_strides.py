@@ -114,9 +114,12 @@ def _plan(kind):
 
 @pytest.mark.parametrize("faults", ["storm", "random"])
 @pytest.mark.parametrize("queue_limit", [None, 2])
+# The batch sets how long requests wait in a replica's queue and how
+# many of them share each stride.
+@pytest.mark.parametrize("max_batch", [8, 3])
 @pytest.mark.parametrize("policy", cluster.ROUTER_POLICIES)
 def test_strides_equal_single_iterations(
-    policy, queue_limit, faults, monkeypatch
+    policy, max_batch, queue_limit, faults, monkeypatch
 ):
     trace = (
         generate_multiturn_trace("conversation", num_sessions=40, seed=4)
@@ -124,7 +127,8 @@ def test_strides_equal_single_iterations(
         else generate_trace("conversation", 150, seed=4)
     )
     config = ClusterConfig(
-        replicas=4, max_batch=8, policy=policy, queue_limit=queue_limit,
+        replicas=4, max_batch=max_batch, policy=policy,
+        queue_limit=queue_limit,
     )
     calls, steps = _both(trace, config, _plan(faults), monkeypatch)
     # Strides make far fewer scheduler advances than iterations.

@@ -189,9 +189,15 @@ def _drive(seed, steps=600, max_batch=8, strides=False):
     return counts
 
 
+# A batch of 3 leaves more requests waiting in the queue, and evicts
+# more of them from there, than a batch of 8.
+BATCHES = [8, 3]
+
+
+@pytest.mark.parametrize("max_batch", BATCHES)
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_running_state_equals_rebuild(seed):
-    counts = _drive(seed)
+def test_running_state_equals_rebuild(seed, max_batch):
+    counts = _drive(seed, max_batch=max_batch)
     # The driver reached every event that updates the running state.
     assert counts["plans"] > 300
     assert 0 < counts["ragged"] < counts["plans"]
@@ -202,9 +208,10 @@ def test_running_state_equals_rebuild(seed):
 
 
 @pytest.mark.cluster
+@pytest.mark.parametrize("max_batch", BATCHES)
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_stride_equals_single_completions(seed):
-    counts = _drive(seed, strides=True)
+def test_stride_equals_single_completions(seed, max_batch):
+    counts = _drive(seed, max_batch=max_batch, strides=True)
     # The driver took many strides, some over a refusing gate, and
     # some from the plan that admitted.
     assert counts["strides"] > 30

@@ -136,6 +136,96 @@ class TestScheduler:
         generated = sum(r.generated for r in scheduler.finished)
         assert generated == 14
 
+    def test_admission_generates_in_its_own_iteration(self):
+        scheduler = ContinuousBatchScheduler(2)
+        request = make_request(0, inputs=250, outputs=4)
+        scheduler.submit(request)
+        # The whole prompt prefills in the admitting iteration, which
+        # also generates the request's first token.
+        plan = scheduler.plan_iteration(0.0)
+        assert plan.admitted == plan.resident == [request]
+        assert plan.mean_context == 250
+        scheduler.complete_iteration(0.5)
+        assert request.phase == RequestPhase.GENERATION
+        assert request.generated == 1
+        assert request.first_token_s == 0.5
+
+    def test_resident_generates_while_another_is_admitted(self):
+        scheduler = ContinuousBatchScheduler(2)
+        first = make_request(0, inputs=10, outputs=8)
+        scheduler.submit(first)
+        scheduler.plan_iteration(0.0)
+        scheduler.complete_iteration(0.5)
+        second = make_request(1, arrival=0.5, inputs=500)
+        scheduler.submit(second)
+        plan = scheduler.plan_iteration(1.0)
+        assert plan.admitted == [second]
+        assert plan.resident_ids == (0, 1)
+        assert plan.mean_context == (11 + 500) / 2
+        scheduler.complete_iteration(1.5)
+        assert (first.generated, second.generated) == (2, 1)
+
+    def test_freed_slot_admits_the_queue_head(self):
+        scheduler = ContinuousBatchScheduler(2)
+        for i, outputs in enumerate([1, 3, 2, 2]):
+            scheduler.submit(make_request(i, outputs=outputs))
+        plan = scheduler.plan_iteration(0.0)
+        assert plan.resident_ids == (0, 1)
+        assert [r.request_id for r in scheduler.complete_iteration(1.0)] == [0]
+        plan = scheduler.plan_iteration(1.0)
+        assert [r.request_id for r in plan.admitted] == [2]
+        assert plan.resident_ids == (1, 2)
+        assert [r.request_id for r in scheduler.queued] == [3]
+
+    def test_evicted_resident_frees_its_slot(self):
+        scheduler = ContinuousBatchScheduler(2)
+        for i, inputs in enumerate([64, 80, 96]):
+            scheduler.submit(make_request(i, inputs=inputs))
+        scheduler.plan_iteration(0.0)
+        scheduler.complete_iteration(1.0)
+        assert scheduler.evict(0).request_id == 0
+        plan = scheduler.plan_iteration(1.0)
+        assert [r.request_id for r in plan.admitted] == [2]
+        assert plan.resident_ids == (1, 2)
+        assert plan.mean_context == (81 + 96) / 2
+
+    def test_evict_of_a_request_it_does_not_hold(self):
+        scheduler = ContinuousBatchScheduler(1)
+        scheduler.submit(make_request(0, outputs=1))
+        scheduler.plan_iteration(0.0)
+        scheduler.complete_iteration(1.0)
+        assert scheduler.evict(0) is None  # finished
+        assert scheduler.evict(7) is None  # never submitted
+        assert [r.request_id for r in scheduler.finished] == [0]
+
+    @pytest.mark.parametrize("max_batch", [1, 3, 8])
+    def test_every_request_generates_its_outputs(self, max_batch):
+        scheduler = ContinuousBatchScheduler(max_batch)
+        requests = [
+            make_request(
+                i, arrival=0.3 * i, inputs=32 + 40 * (i % 5),
+                outputs=1 + (7 * i) % 6,
+            )
+            for i in range(12)
+        ]
+        for request in requests:
+            scheduler.submit(request)
+        now = 0.0
+        while scheduler.has_work:
+            plan = scheduler.plan_iteration(now)
+            now += 0.1
+            if plan is None:
+                continue
+            assert len(plan.resident) <= max_batch
+            scheduler.complete_iteration(now)
+        assert len(scheduler.finished) == 12
+        for request in requests:
+            assert request.phase == RequestPhase.FINISHED
+            assert request.generated == request.output_tokens
+            assert request.arrival_s <= request.start_s
+            assert request.start_s < request.first_token_s
+            assert request.first_token_s <= request.finish_s
+
 
 
 class TestStridePricing:
