@@ -717,6 +717,21 @@ class KVArena(PoolStore):
         """Encoded bits of one sequence's rows on one layer; O(1)."""
         return self.rows[seq_id].layer_bits[layer]
 
+    def row_bits(
+        self, seq_id: Hashable, layer: int, rows: int
+    ) -> List[int]:
+        """Bits of each of the last ``rows`` rows on one layer, keys and
+        values summed: the rows' ``pay_len`` in :meth:`_charge`'s
+        closed form."""
+        slc = self.rows[seq_id]
+        end = slc.start + slc.length[layer]
+        at = self.store.positions((layer,), np.arange(end - rows, end))
+        records = self.store.flat["pay_len"][at].reshape(2, rows).sum(axis=0)
+        config = self.encoder.key_quantizers[0].config
+        return (records * config.sparse_record_bits + 2 * (
+            self.width * config.inlier_bits + config.token_metadata_bits
+        )).tolist()
+
     def check_invariants(self) -> None:
         """Assert the allocator's geometry and the running footprints.
 

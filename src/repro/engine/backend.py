@@ -353,6 +353,18 @@ class _BaselineStream:
             self._footprint_length = self._length
         return self._footprint
 
+    def bits_at(self, length: int) -> float:
+        """Bits of the first ``length`` rows under the method's
+        accounting (0 for none): the memoized footprint where it is at
+        that length, else the prefix's own."""
+        if not length:
+            return 0.0
+        if length == self._length:
+            return self.footprint().total_bits
+        if length == self._footprint_length:
+            return self._footprint.total_bits
+        return self.quantizer.footprint(self.matrix()[:length]).total_bits
+
 
 class AdapterStore(BackendStore):
     """Registry-baseline sequences as exact-row streams: the pool's
@@ -395,6 +407,20 @@ class AdapterStore(BackendStore):
             for stream in self.caches[seq_id].layer_streams(layer)
             if stream.length
         )
+
+    def row_bits(
+        self, seq_id: Hashable, layer: int, rows: int
+    ) -> List[float]:
+        """Bits of each of the last ``rows`` rows on one layer: the
+        differences of :meth:`layer_bits` at the lengths they landed
+        at (the method's footprint of each history prefix)."""
+        streams = self.caches[seq_id].layer_streams(layer)
+        end = streams[0].length
+        totals = [
+            sum(stream.bits_at(length) for stream in streams)
+            for length in range(end - rows, end + 1)
+        ]
+        return [after - before for before, after in zip(totals, totals[1:])]
 
     def decode_layer(
         self, layer: int, seq_ids: Sequence[Hashable]

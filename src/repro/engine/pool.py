@@ -451,9 +451,12 @@ class KVCachePool:
         bit-identical — stored bytes, decoded rows and every tier
         notification, in order — to the per-layer ``append_batch`` /
         ``read_batch`` pairs attention would make, each layer read
-        before the next is written.  Nothing is returned: the histories
-        are for :meth:`read` / :meth:`read_batch` afterwards, served
-        from the memo the step brought current.
+        before the next is written.  A read step of ``t`` rows a
+        sequence is ``t`` iterations to the tiered store: it is told
+        what ``t`` one-row steps would have told it, in that order
+        (see :meth:`_store`).  Nothing is returned: the histories are
+        for :meth:`read` / :meth:`read_batch` afterwards, served from
+        the memo the step brought current.
 
         Args:
             updates: ``(seq_id, keys, values)`` triples; ``keys`` and
@@ -587,34 +590,51 @@ class KVCachePool:
         :meth:`append_batch`, so a call to either counts once, under its
         own name, for anything wrapping the public methods.)
 
-        The tiered store sees what per-layer calls would have told it:
-        layer by layer, each stored sequence's growth, at the footprint
-        it had once that layer landed (from the store's per-layer
-        bits), then the transaction's :attr:`_Staged.reads` of that
-        layer.
+        The tiered store sees what per-layer calls would have told it.
+        A transaction with :attr:`_Staged.reads` (a decode step) whose
+        sequences store ``t`` rows each is ``t`` iterations: for
+        iteration ``k``, layer by layer, each sequence holding a row
+        ``k`` grows to its footprint once that row landed (from the
+        store's :meth:`~repro.engine.store.PoolStore.row_bits`), then
+        those sequences read that layer — what ``t`` one-row steps
+        would have told it, in order, byte for byte.  Any other
+        transaction (an admission, an ``append_batch``) is one round,
+        each sequence's rows growing it at once.
         """
         if not staged:
             return
         store = self.store
         layers = staged.layers
         if self.tiering is not None:
-            seqs = list(dict.fromkeys(seq for seq, _, _ in staged))
-            held = [
-                [store.layer_bits(seq, layer) for seq in seqs]
-                for layer in layers
-            ]
-            bits = [self._caches[seq].footprint_bits()[0] for seq in seqs]
+            rows: Dict[Hashable, int] = {}
+            for seq_id, keys, _ in staged:
+                rows[seq_id] = rows.get(seq_id, 0) + keys[0].shape[0]
+            bits = [self._caches[seq].footprint_bits()[0] for seq in rows]
         kernel_calls = store.append_batch(layers, staged)
         if len(staged) >= 2:
             self.batched_encodes += kernel_calls
         if self.tiering is None:
             return
-        for layer, before in zip(layers, held):
-            for i, seq_id in enumerate(seqs):
-                bits[i] += store.layer_bits(seq_id, layer) - before[i]
-                self._tier_record_append(seq_id, layer, bits[i] / 8.0)
-            for seq_id in staged.reads:
-                self._tier_record_read(seq_id, layer)
+        # Per layer, per sequence: its rows' bits, one round's each.
+        grown = []
+        for layer in layers:
+            per_seq = [
+                store.row_bits(seq_id, layer, count)
+                for seq_id, count in rows.items()
+            ]
+            if not staged.reads:
+                per_seq = [[sum(each)] for each in per_seq]
+            grown.append(per_seq)
+        rounds = max(rows.values()) if staged.reads else 1
+        for k in range(rounds):
+            for layer, per_seq in zip(layers, grown):
+                for i, seq_id in enumerate(rows):
+                    if k < len(per_seq[i]):
+                        bits[i] += per_seq[i][k]
+                        self._tier_record_append(seq_id, layer, bits[i] / 8.0)
+                for seq_id in staged.reads:
+                    if k < rows[seq_id]:
+                        self._tier_record_read(seq_id, layer)
 
     def read_batch(
         self, layer: int, seq_ids: List[Hashable]

@@ -48,8 +48,10 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterator, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.core import kvcache
-from repro.core.encoding import EncodedKV
+from repro.core.encoding import EncodedKV, bit_terms
 from repro.engine.store import BackendStore, Transfer
 
 __all__ = ["ChunkStore"]
@@ -120,6 +122,33 @@ class ChunkStore(BackendStore):
     def layer_bits(self, seq_id: Hashable, layer: int) -> int:
         """Encoded bits of one sequence's chunks on one layer; O(1)."""
         return self.caches[seq_id].layers[layer].footprint_bits()[0]
+
+    def row_bits(
+        self, seq_id: Hashable, layer: int, rows: int
+    ) -> List[int]:
+        """Bits of each of the last ``rows`` rows on one layer, keys and
+        values summed: each row's records (a ``bincount`` of the chunks'
+        ``sparse_token``, from the last chunk pair back) through
+        :func:`~repro.core.encoding.bit_terms`, the accounting of the
+        chunks that hold them."""
+        cache = self.caches[seq_id].layers[layer]
+        records = []
+        held = 0
+        for pair in zip(
+            reversed(cache._key_chunks), reversed(cache._value_chunks)
+        ):
+            key_chunk = pair[0]
+            records.append(sum(
+                np.bincount(chunk.sparse_token, minlength=chunk.num_tokens)
+                for chunk in pair
+            ))
+            held += key_chunk.num_tokens
+            if held >= rows:
+                break
+        per_row = np.concatenate(records[::-1])[held - rows:]
+        return sum(
+            bit_terms(key_chunk.config, 2, key_chunk.dim, per_row)
+        ).tolist()
 
     def fork(
         self, parent_id: Hashable, child_id: Hashable, prefix_len: int

@@ -7,7 +7,7 @@ backend (its ``pool_store``): :class:`~repro.engine.arena.KVArena`,
 verbs — ``allocate`` / ``fork`` / ``free``, ``append_batch(layers,
 items)`` and ``decode_pending(layers, seq_ids)`` over a transaction's
 layers (both return their kernel calls), ``read_batch(layer,
-seq_ids)``, ``layer_bits``, ``width``, ``num_layers``,
+seq_ids)``, ``layer_bits``, ``row_bits``, ``width``, ``num_layers``,
 ``check_invariants``, ``summary``, and ``in`` / ``len`` over the
 sequences it holds — so the pool never asks how KV is stored.  The
 arena answers a transaction with one kernel call each way; the chunk
@@ -29,6 +29,15 @@ class PoolStore:
 
     #: Merged adapter roundtrips (only the adapter store makes any).
     roundtrips = 0
+
+    def row_bits(
+        self, seq_id: Hashable, layer: int, rows: int
+    ) -> List[float]:
+        """Bits of each of the last ``rows`` rows ``seq_id`` holds on
+        ``layer``, keys and values summed, oldest first: the growth of
+        the store's ``layer_bits`` as each row landed, so a tiered pool
+        can tell its store of a ``rows``-row step row by row."""
+        raise NotImplementedError
 
     def shared_owners(self, seq_id: Hashable, layer: int) -> Sequence:
         """Sequences (other than ``seq_id``) whose tiered pages hold

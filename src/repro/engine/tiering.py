@@ -58,6 +58,7 @@ directions (``hardware.mmu`` imports ``engine.errors``).
 from __future__ import annotations
 
 import math
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
@@ -178,21 +179,33 @@ class TieredKVStore:
                 "device_budget_bytes must be finite and > 0, got "
                 f"{device_budget_bytes}"
             )
-        if page_bytes <= 0:
-            raise ValueError("page_bytes must be positive")
+        # Whole numbers only: a fractional page would floor to a page
+        # of no bytes (an append then opens empty pages forever) or
+        # shrink the device tier below its budget.
+        page_bytes = operator.index(page_bytes)
+        prefetch_pages = operator.index(prefetch_pages)
+        if page_bytes < 1:
+            raise ValueError(f"page_bytes must be >= 1, got {page_bytes}")
         if prefetch_pages < 0:
-            raise ValueError("prefetch_pages must be >= 0")
+            raise ValueError(
+                f"prefetch_pages must be >= 0, got {prefetch_pages}"
+            )
         if policy not in EVICTION_POLICIES:
             raise ValueError(
                 f"unknown eviction policy {policy!r}; "
                 f"choose from {EVICTION_POLICIES}"
             )
-        self.page_bytes = int(page_bytes)
+        self.page_bytes = page_bytes
         self.capacity_pages = max(1, int(device_budget_bytes // page_bytes))
         self.device_budget_bytes = float(device_budget_bytes)
         self.policy_name = str(policy)
-        self.prefetch_pages = int(prefetch_pages)
+        self.prefetch_pages = prefetch_pages
         self.transfer = transfer if transfer is not None else default_transfer_model()
+        # ``transfer.transfer_cycles`` by ``(bytes, granularity)``: a
+        # pure function, asked again and again for the few distinct
+        # page fills and run lengths (a run is at most 1 +
+        # ``prefetch_pages`` pages, so the keys are bounded).
+        self._prices: Dict[Tuple[int, int], float] = {}
         # PLRU leaves: the frames, padded to a power of two.
         self._ways = 1 << (self.capacity_pages - 1).bit_length()
         # Held frames -> (stream, page index) of the page each holds, and
@@ -347,9 +360,7 @@ class TieredKVStore:
         self.host_pages += 1
         self.evictions += 1
         self.spilled_bytes += fills[index]
-        self.transfer_cycles += self.transfer.transfer_cycles(
-            fills[index], self.page_bytes
-        )
+        self.transfer_cycles += self._price(fills[index], self.page_bytes)
 
     def _promote_run(self, stream: _Stream, start: int, limit: int) -> int:
         """Promote up to ``limit`` consecutive host pages starting at
@@ -363,7 +374,7 @@ class TieredKVStore:
         moved = sum(fills[start:end])
         # One merged transfer: granularity is the whole run, so longer
         # runs ride the host link's burst efficiency curve.
-        self.transfer_cycles += self.transfer.transfer_cycles(
+        self.transfer_cycles += self._price(
             moved, (end - start) * self.page_bytes
         )
         self.promoted_bytes += moved
@@ -372,6 +383,16 @@ class TieredKVStore:
         self.host_pages -= end - start
         self.promotions += end - start
         return end - start
+
+    def _price(self, nbytes: int, granularity: int) -> float:
+        """Transfer cycles of ``nbytes`` at ``granularity``, memoized."""
+        key = (nbytes, granularity)
+        cycles = self._prices.get(key)
+        if cycles is None:
+            cycles = self._prices[key] = self.transfer.transfer_cycles(
+                nbytes, granularity
+            )
+        return cycles
 
     # -- policies -------------------------------------------------------
 

@@ -286,15 +286,17 @@ class _Replica:
         # The part of :meth:`can_stride` fixed for this incarnation: a
         # replay pool strides only where no iteration's pool work feeds
         # its timing or can be refused, since a stride books that work
-        # after pricing all its iterations: no tier transfers to charge
-        # per iteration, no capacity bound to refuse a step, no engine
-        # cycles to price.  The store does not matter: a stride's
-        # j-row chunk costs the bits of j one-row chunks, and a fork
-        # never reaches past its anchor's prompt rows into the decode
-        # rows a stride writes.
+        # after pricing all its iterations: no tier transfers charged
+        # into an iteration's time, no capacity bound to refuse a step,
+        # no engine cycles to price.  The store does not matter: a
+        # stride's j-row chunk costs the bits of j one-row chunks, and a
+        # fork never reaches past its anchor's prompt rows into the
+        # decode rows a stride writes.  Nor does a tiered store whose
+        # transfers are only reported: the pool tells it of a stride's
+        # step as of j one-row steps, in order.
         cache = self.cache
         self._strides = cache is None or (
-            cache.tiering is None
+            (cache.tiering is None or not cache.config.charge_transfer_cycles)
             and cache.pool.capacity_bytes is None
             and not cache.config.engine_cycles
         )

@@ -35,6 +35,7 @@ Two capacity regimes:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Union
 
@@ -137,6 +138,10 @@ class CacheReplayConfig:
     def __post_init__(self):
         from repro.engine.tiering import EVICTION_POLICIES
 
+        # Pages and prefetch runs are whole (a fractional page size
+        # would floor to pages of no bytes): TypeError otherwise.
+        operator.index(self.page_bytes)
+        operator.index(self.prefetch_pages)
         for name in ("num_layers", "dim", "calibration_tokens",
                      "prompt_rows", "page_bytes"):
             value = getattr(self, name)
@@ -442,8 +447,10 @@ class _CacheReplay:
         caps a prefix at its anchor's prompt rows).  Nothing frees
         between iterations, so neither is the peak.  The cluster loop
         books a stride's iterations this way (``steps`` > 1 needs a
-        pool that cannot refuse: it has no capacity bound).  The
-        append, read and replayed-token counters count iterations.
+        pool that cannot refuse: it has no capacity bound).  A tiered
+        store is told of them as of ``steps`` one-iteration calls, in
+        order, so its counters come out the same too.  The append,
+        read and replayed-token counters count iterations.
 
         A refused step raises :class:`~repro.engine.CacheCapacityError`
         with every layer of every resident as it was.

@@ -7,8 +7,9 @@ time, as it did before strides, so every case here runs both ways and
 holds the report, each replica's counters and the gate refusals of
 every scheduler incarnation ``==``.
 
-A replay replica strides too, on either store, booking a stride's
-pool work as one transaction; its cases also run with
+A replay replica strides too, on either store and behind a tiered
+store whose transfers are not charged, booking a stride's pool work
+as one transaction; its cases also run with
 ``_Replica.can_stride`` forced False, the loop that does each
 iteration's pool work when the iteration starts, and hold every pool's
 report, peak footprint and every sequence's final read equal across
@@ -212,13 +213,21 @@ MAY_MOVE = {
     "batched_encodes", "batched_decodes", "batched_roundtrips",
     "arena_rows_dead", "arena_compactions", "arena_capacity_bytes",
 }
-#: The replay variants: only ``flat`` strides, on either store.
+#: A device tier of eight 64-byte pages: small enough that the replay
+#: traces' pages evict, miss and prefetch.
+TIER = {"device_budget_mb": 0.0005, "page_bytes": 64}
+#: The replay variants, each on either store.
 VARIANTS = {
     "flat": ({}, None),
-    "tiered": ({"device_budget_mb": 0.004}, None),
+    "tiered": (TIER, None),
     "bounded": ({}, 3000.0),
     "engine": ({"engine_cycles": True}, None),
+    "tiered-plru": (dict(TIER, eviction="plru", prefetch_pages=2), None),
+    "tiered-charged": (dict(TIER, charge_transfer_cycles=True), None),
 }
+#: The variants that stride: untiered, or tiered with transfers
+#: reported but not charged into iteration time.
+STRIDING = {"flat", "tiered", "tiered-plru"}
 #: The loops a replay case runs: strided, one iteration per stride, and
 #: no strides at all (each iteration's pool work done when it starts,
 #: as before replay replicas strode).  A variant that must not stride
@@ -227,7 +236,7 @@ LOOPS = ("strided", "single", "unstrided")
 
 
 def _loops(variant):
-    if variant == "flat":
+    if variant in STRIDING:
         return LOOPS
     return ("strided", "unstrided")
 
@@ -369,7 +378,7 @@ def test_replay_strides_equal_single_iterations(
 ):
     """The store x variant x fault-plan grid, the router policy and
     the queue limit turning with the case."""
-    case = (["arena", "chunked"].index(store) * 8
+    case = (["arena", "chunked"].index(store) * 2 * len(VARIANTS)
             + list(VARIANTS).index(variant) * 2 + (faults == "random"))
     replay, capacity = _replay_config(store, variant, seed=case)
     config = ClusterConfig(
@@ -385,8 +394,9 @@ def test_replay_strides_equal_single_iterations(
     )
     assert report["completed"] + report["failed"] == len(trace)
     assert report["lost"] == report["duplicate_completions"] == 0
-    # Only an untiered, unbounded, unpriced replica strides.
-    assert (strides > 0) == (variant == "flat")
+    # Only an unbounded, unpriced replica whose tier transfers (if
+    # any) are not charged strides.
+    assert (strides > 0) == (variant in STRIDING)
 
 
 @pytest.mark.parametrize("seed", range(16))
@@ -397,7 +407,7 @@ def test_replay_strides_on_drawn_configurations(seed, monkeypatch):
     for key (bit-identical reruns)."""
     draw = random.Random(seed)
     store = draw.choice(["arena", "chunked"])
-    # Half the draws take the one variant that strides.
+    # Half the draws take the untiered variant that strides.
     variant = "flat" if seed % 2 else draw.choice(list(VARIANTS))
     replay, capacity = _replay_config(
         store, variant, seed=draw.randrange(100),
@@ -429,13 +439,21 @@ def test_replay_strides_on_drawn_configurations(seed, monkeypatch):
 
 
 @pytest.mark.parametrize("faults", ["storm", "random"])
-@pytest.mark.parametrize("method", sorted(set(available_methods()) - {"oaken"}))
-def test_adapter_pools_stride(method, faults, monkeypatch):
+@pytest.mark.parametrize("method, variant", [
+    pytest.param(method, "flat", id=method)
+    for method in sorted(set(available_methods()) - {"oaken"})
+] + [
+    # One row-local and one history-global method behind a tiered
+    # store, whose footprints per length the pool tells it row by row.
+    pytest.param(method, "tiered", id=f"{method}-tiered")
+    for method in ("fp16", "kivi")
+])
+def test_adapter_pools_stride(method, variant, faults, monkeypatch):
     """Every baseline method's pool (the adapter store: row-local
     ones such as ``fp16`` and history-global ones such as ``kivi``)
     strides, and its reports, peaks and reads equal the per-iteration
     loops'."""
-    replay, _ = _replay_config("chunked", "flat", seed=3, method=method)
+    replay, _ = _replay_config("chunked", variant, seed=3, method=method)
     config = ClusterConfig(replicas=4, max_batch=4, replay=replay)
     trace = _replay_trace(seed=3)
     strides, report = _replay_cluster(

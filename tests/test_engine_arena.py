@@ -633,7 +633,7 @@ class TestRefusedBatchIsAtomic:
     @staticmethod
     def _tiered_pool(fused_factory, arena):
         """A two-layer tiered pool holding one row of sequence 1."""
-        tiering = TieredKVStore(device_budget_bytes=2048.0, page_bytes=256.0)
+        tiering = TieredKVStore(device_budget_bytes=2048.0, page_bytes=256)
         pool = KVCachePool(fused_factory, tiering=tiering, arena=arena)
         pool.allocate(1)
         rows = np.random.default_rng(31).standard_normal((1, DIM))

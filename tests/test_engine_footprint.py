@@ -57,7 +57,7 @@ def _make_pool(factory, arena, tiered):
     tiering = None
     if tiered:
         # Small device budget so the op stream genuinely spills.
-        tiering = TieredKVStore(device_budget_bytes=2048.0, page_bytes=256.0)
+        tiering = TieredKVStore(device_budget_bytes=2048.0, page_bytes=256)
     return KVCachePool(factory, tiering=tiering, arena=arena)
 
 

@@ -10,6 +10,7 @@ roundtrip of the rows — is a rule of the pool's state machine
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.baselines.registry import BASELINE_NAMES
@@ -274,6 +275,36 @@ class TestTieredKVStore:
         ):
             TieredKVStore(device_budget_bytes=budget, page_bytes=512)
 
+    @pytest.mark.parametrize(
+        "options", [{"page_bytes": 0.5}, {"page_bytes": 1.5},
+                    {"page_bytes": 512.0}, {"prefetch_pages": 1.5}],
+    )
+    def test_a_fractional_page_count_is_refused(self, options):
+        """``page_bytes=0.5`` used to floor to pages of no bytes, on
+        which an append opened empty pages forever; ``1.5`` built a
+        device tier short of its budget.  Refused at construction."""
+        with pytest.raises(TypeError):
+            TieredKVStore(device_budget_bytes=4096, **options)
+
+    @pytest.mark.parametrize(
+        "options, field",
+        [({"page_bytes": 0}, "page_bytes"),
+         ({"page_bytes": -512}, "page_bytes"),
+         ({"prefetch_pages": -1}, "prefetch_pages")],
+    )
+    def test_a_page_count_out_of_range_is_refused(self, options, field):
+        with pytest.raises(ValueError, match=field):
+            TieredKVStore(device_budget_bytes=4096, **options)
+
+    def test_integer_page_counts_of_any_type_are_taken(self):
+        store = TieredKVStore(
+            device_budget_bytes=4096, page_bytes=np.int64(1024),
+            prefetch_pages=np.int32(2),
+        )
+        assert (store.page_bytes, store.prefetch_pages) == (1024, 2)
+        assert type(store.page_bytes) is int
+        assert store.capacity_pages == 4
+
     @pytest.mark.parametrize("policy", EVICTION_POLICIES)
     def test_identical_histories_identical_summaries(self, policy):
         def run():
@@ -470,3 +501,94 @@ class TestFractionalBytes:
                 fill = sum(sum(fills) for fills, _ in store._seqs[0].values())
                 assert fill == math.floor(pool.nbytes()), (step, layer)
         pool.check_invariants()
+
+
+class TestMultiRowStepIsIterations:
+    """A decode step of ``t`` rows a sequence tells the tiered store
+    what ``t`` one-row steps would have: the same notifications, in
+    the same order, with the same byte values — so the store's
+    counters, page tables and the pool's watermarks come out equal.
+    Row counts are ragged: a sequence takes part in the one-row steps
+    it has a row for."""
+
+    #: ``(method, arena)``: the chunk store, the arena, and the
+    #: adapter store under a row-local and a history-global method.
+    STORES = [("oaken", False), ("oaken", True), ("fp16", False),
+              ("kivi", False)]
+    PROMPTS = (3, 5, 2)
+    STRIDES = ((3, 1, 2), (2, 4, 4), (1, 1, 3))
+
+    @staticmethod
+    def _pools(factory, arena, policy):
+        return [
+            KVCachePool(factory, arena=arena, tiering=TieredKVStore(
+                device_budget_bytes=4 * 256, page_bytes=256,
+                policy=policy, prefetch_pages=2,
+            ))
+            for _ in range(2)
+        ]
+
+    @staticmethod
+    def _rows(seed, tokens):
+        """One [tokens, DIM] key and value block per layer."""
+        return (
+            [make_kv_matrix(tokens=tokens, seed=seed + 10 * layer)
+             for layer in range(LAYERS)],
+            [make_kv_matrix(tokens=tokens, seed=seed + 10 * layer + 5)
+             for layer in range(LAYERS)],
+        )
+
+    @pytest.mark.parametrize("policy", EVICTION_POLICIES)
+    @pytest.mark.parametrize(
+        "method, arena", STORES, ids=["chunked", "arena", "fp16", "kivi"]
+    )
+    def test_step_of_t_rows_is_t_one_row_steps(
+        self, factories, method, arena, policy
+    ):
+        strided, single = self._pools(factories[method], arena, policy)
+        for pool in (strided, single):
+            for seq, rows in enumerate(self.PROMPTS):
+                pool.allocate(seq)
+                pool.step([(seq, *self._rows(seq, rows))], read=False)
+        for stride, counts in enumerate(self.STRIDES):
+            blocks = {
+                seq: self._rows(100 * stride + seq, count)
+                for seq, count in enumerate(counts)
+            }
+            store = strided.store
+            before = {
+                (seq, layer): store.layer_bits(seq, layer)
+                for seq in blocks for layer in range(LAYERS)
+            }
+            strided.step([(seq, *rows) for seq, rows in blocks.items()])
+            grown = {}
+            for k in range(max(counts)):
+                ids = [seq for seq, count in enumerate(counts) if count > k]
+                held = {
+                    (seq, layer): single.store.layer_bits(seq, layer)
+                    for seq in ids for layer in range(LAYERS)
+                }
+                single.step([
+                    (seq, *[[block[k : k + 1] for block in tensor]
+                            for tensor in blocks[seq]])
+                    for seq in ids
+                ])
+                for (seq, layer), bits in held.items():
+                    grown.setdefault((seq, layer), []).append(
+                        single.store.layer_bits(seq, layer) - bits
+                    )
+            for (seq, layer), bits in before.items():
+                rows = store.row_bits(seq, layer, counts[seq])
+                # Each row's bits are the growth its one-row step made,
+                # and together the growth of the multi-row step.
+                assert rows == grown[seq, layer]
+                assert sum(rows) == store.layer_bits(seq, layer) - bits
+            assert strided.tiering.summary() == single.tiering.summary()
+            assert strided.tiering._seqs == single.tiering._seqs
+            assert strided._tier_seen == single._tier_seen
+            strided.check_invariants()
+            single.check_invariants()
+        # The device tier was too small for the steps: pages spilled,
+        # missed and came back.
+        summary = strided.tiering.summary()
+        assert summary["evictions"] > 0 and summary["misses"] > 0

@@ -345,6 +345,17 @@ class TestReplayConfigValidation:
         with pytest.raises(ValueError, match=field):
             CacheReplayConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("page_bytes", 0.5), ("page_bytes", 1.5), ("page_bytes", 1024.0),
+         ("prefetch_pages", 0.5), ("prefetch_pages", 1.0)],
+    )
+    def test_a_fractional_page_count_is_refused(self, field, value):
+        """Page sizes and prefetch runs are whole: ``page_bytes=0.5``
+        used to reach a tiered store whose pages held no bytes."""
+        with pytest.raises(TypeError):
+            CacheReplayConfig(**{field: value})
+
 
 class TestReplayRobustness:
     """OOM edges and admission-gate bookkeeping for the replay."""

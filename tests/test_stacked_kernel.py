@@ -423,7 +423,7 @@ class TestStacking:
             KVArena([key_q], [value_q])
         for arena in (False, True):
             tiering = TieredKVStore(
-                device_budget_bytes=2048.0, page_bytes=256.0
+                device_budget_bytes=2048.0, page_bytes=256
             )
             before = tiering.summary()
             with pytest.raises(ValueError, match="cannot"):
@@ -570,7 +570,7 @@ def _pool(calibration, store, mode="deploy_f32"):
     )
     tiering = None
     if store == "tiered":
-        tiering = TieredKVStore(device_budget_bytes=2048.0, page_bytes=256.0)
+        tiering = TieredKVStore(device_budget_bytes=2048.0, page_bytes=256)
     return KVCachePool(factory, tiering=tiering, arena=store == "arena")
 
 
