@@ -24,7 +24,6 @@ import cProfile
 import json
 import os
 import pathlib
-import pstats
 import subprocess
 import sys
 
@@ -420,7 +419,7 @@ OP_WORK = {
         "engine": 4150,
         "hardware": 152,
         "models": 681,
-        "numpy+builtins": 14542,
+        "numpy+builtins": 14519,
         "serving": 2651,
     },
     "replay-rag-shared": {
@@ -429,7 +428,7 @@ OP_WORK = {
         "engine": 2080,
         "hardware": 125,
         "models": 243,
-        "numpy+builtins": 17377,
+        "numpy+builtins": 17370,
         "quant": 464,
         "serving": 1348,
     },
@@ -439,7 +438,7 @@ OP_WORK = {
         "engine": 11165,
         "hardware": 606,
         "models": 50,
-        "numpy+builtins": 26151,
+        "numpy+builtins": 26154,
         "serving": 581,
     },
     "cluster-replay-faults": {
@@ -448,14 +447,14 @@ OP_WORK = {
         "engine": 5522,
         "hardware": 154,
         "models": 308,
-        "numpy+builtins": 23762,
+        "numpy+builtins": 23744,
         "serving": 2206,
     },
     "cluster-scale-analytic": {
         "core": 2865,
         "hardware": 6613,
         "models": 7560,
-        "numpy+builtins": 91146,
+        "numpy+builtins": 91172,
         "serving": 86380,
     },
 }
@@ -464,27 +463,41 @@ OP_LEDGER_ENV = {"python": "3.11", "numpy": "2.4.6"}
 _NUMPY_BUCKET = "numpy+builtins"
 
 
+def ledger_counts(profile: cProfile.Profile, src: str) -> dict:
+    """Calls in ``profile`` per package under the directory ``src``
+    (the first path part below it, ``.py`` dropped), plus C functions
+    and ``numpy`` frames in one bucket; other frames are not counted.
+
+    Counted per code object: two functions that share a file, first
+    line and name (comprehensions opening on one line) are two
+    entries here, where ``pstats`` keys them as one and keeps either
+    count.
+    """
+    src = src.rstrip(os.sep) + os.sep
+    numpy_frames = os.sep + "numpy" + os.sep
+    counts: dict = {}
+    for entry in profile.getstats():
+        code = entry.code
+        if isinstance(code, str):  # a C function
+            bucket = _NUMPY_BUCKET
+        elif code.co_filename.startswith(src):
+            part = pathlib.PurePath(code.co_filename[len(src):]).parts[0]
+            bucket = part.removesuffix(".py")
+        elif numpy_frames in code.co_filename:
+            bucket = _NUMPY_BUCKET
+        else:
+            continue
+        counts[bucket] = counts.get(bucket, 0) + entry.callcount
+    return dict(sorted(counts.items()))
+
+
 def op_ledger(workload: str) -> dict:
     """The :data:`OP_WORK` counts of one seed-0 quick-size repetition
     of ``workload``, profiled in this process."""
     prepared = _set_up_quick(workload)
     profile = cProfile.Profile()
     profile.runcall(prepared.repetition)
-    src = str(ROOT / "src" / "repro") + os.sep
-    numpy_frames = os.sep + "numpy" + os.sep
-    counts: dict = {}
-    for (filename, _, _), (_, calls, *_) in pstats.Stats(
-        profile
-    ).stats.items():
-        if filename.startswith(src):
-            bucket = pathlib.PurePath(filename[len(src):]).parts[0]
-            bucket = bucket.removesuffix(".py")
-        elif filename == "~" or numpy_frames in filename:
-            bucket = _NUMPY_BUCKET
-        else:
-            continue
-        counts[bucket] = counts.get(bucket, 0) + calls
-    return dict(sorted(counts.items()))
+    return ledger_counts(profile, str(ROOT / "src" / "repro"))
 
 
 def op_ledger_gate() -> None:

@@ -70,8 +70,7 @@ def cluster_metrics(report: Dict[str, Any]) -> Dict[str, float]:
                 "generated_tokens", "tokens_per_s",
                 "generation_throughput", "total_time_s",
                 "mean_latency_s", "p95_latency_s", "p99_queue_delay_s",
-                "failovers", "requeues", "retries",
-                "capacity_rejections", "downtime_s",
+                "failovers", "requeues", "retries", "downtime_s",
                 "forks", "shared_bytes_saved"):
         if key in report and report[key] is not None:
             metrics[key] = float(report[key])

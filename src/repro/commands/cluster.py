@@ -131,8 +131,7 @@ def run(args: argparse.Namespace) -> int:
     )
     print(
         f"  failovers {report.failovers}  requeues {report.requeues}  "
-        f"retries {report.retries}  "
-        f"capacity rejections {report.capacity_rejections}"
+        f"retries {report.retries}"
     )
     print(
         f"  detected failures {report.detected_failures}  "

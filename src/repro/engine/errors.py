@@ -1,7 +1,7 @@
 """Typed failure modes of the cache engine.
 
-The serving layers distinguish *retryable* conditions (a pool refusing
-work for capacity — requeue the request somewhere else, or later) from
+Callers distinguish *retryable* conditions (a bounded pool refusing
+work for capacity — retry the request somewhere else, or later) from
 programming errors (unknown sequence ids, shape mismatches — bugs that
 must surface).  Capacity refusals therefore carry a dedicated family
 rooted at :class:`MemoryCapacityError` with enough context to route the
@@ -54,9 +54,9 @@ class CacheCapacityError(MemoryCapacityError):
     would push the measured encoded footprint past ``capacity_bytes``,
     and by admission paths projecting against a byte budget.  This is
     the **retryable** rejection class: the request is well-formed, the
-    pool is full — callers (the cluster's requeue layer, a serving
-    router) may retry on another pool or after retirement.  Any other
-    exception escaping the append path is a bug, not backpressure.
+    pool is full — callers may retry on another pool or after
+    retirement.  Any other exception escaping the append path is a
+    bug, not backpressure.
 
     Pools constructed with a :class:`~repro.engine.tiering.TieredKVStore`
     do not raise this for device-tier pressure — cold pages spill to

@@ -64,7 +64,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.data.traces import TraceRequest
-from repro.engine.errors import CacheCapacityError
 from repro.hardware.overheads import ServingSystem
 from repro.hardware.perf import max_supported_batch
 from repro.models.config import ArchShape
@@ -129,15 +128,10 @@ class ClusterConfig:
         replay: opt-in token-level cache replay per replica (replica
             ``i`` runs at ``replay.seed + i`` so replica 0 matches the
             single-replica simulator bit-for-bit).
-        pool_capacity_bytes: when set (finite, > 0, with ``replay``),
-            bounds each
-            replica's :class:`~repro.engine.KVCachePool` so oversized
-            admissions raise
-            :class:`~repro.engine.CacheCapacityError` and exercise the
-            typed capacity-requeue path.  With the tiered hierarchy
-            also enabled (``replay.device_budget_mb``) this bounds the
-            *total* device+host footprint; device-tier pressure alone
-            spills instead of rejecting.
+
+    The counts (``replicas``, ``max_batch``, ``heartbeat_misses``,
+    ``retry_budget``, ``queue_limit``) are whole numbers: a fractional
+    one raises :class:`TypeError`.
     """
 
     replicas: int = 2
@@ -150,9 +144,13 @@ class ClusterConfig:
     backoff_cap_s: float = 2.0
     queue_limit: Optional[int] = None
     replay: Optional[CacheReplayConfig] = None
-    pool_capacity_bytes: Optional[float] = None
 
     def __post_init__(self):
+        for name in ("replicas", "max_batch", "heartbeat_misses",
+                     "retry_budget"):
+            operator.index(getattr(self, name))
+        if self.queue_limit is not None:
+            operator.index(self.queue_limit)
         if self.replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {self.replicas}")
         if self.policy not in ROUTER_POLICIES:
@@ -176,18 +174,6 @@ class ClusterConfig:
             raise ValueError("retry_budget must be >= 1")
         if self.queue_limit is not None and self.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1 when set")
-        capacity = self.pool_capacity_bytes
-        if capacity is not None:
-            # A bound of 0, below 0 or NaN refuses every admission, and
-            # without a replay there is no pool to bound.
-            if self.replay is None:
-                raise ValueError(
-                    "pool_capacity_bytes bounds the replay's pools; set "
-                    "replay too"
-                )
-            if not 0.0 < capacity < math.inf:
-                raise ValueError("pool_capacity_bytes must be finite and > 0 "
-                                 f"when set, got {capacity}")
 
 
 class _ClusterRequest:
@@ -279,16 +265,11 @@ class _Replica:
                 self.config.replay, seed=self.config.replay.seed + self.rid
             )
             self.cache = _CacheReplay(replay, self.system, self.arch)
-            if self.config.pool_capacity_bytes is not None:
-                self.cache.pool.capacity_bytes = (
-                    self.config.pool_capacity_bytes
-                )
         # The part of :meth:`can_stride` fixed for this incarnation: a
         # replay pool strides only where no iteration's pool work feeds
-        # its timing or can be refused, since a stride books that work
-        # after pricing all its iterations: no tier transfers charged
-        # into an iteration's time, no capacity bound to refuse a step,
-        # no engine cycles to price.  The store does not matter: a
+        # its timing, since a stride books that work after pricing all
+        # its iterations: no tier transfers charged into an iteration's
+        # time, no engine cycles to price.  The store does not matter: a
         # stride's j-row chunk costs the bits of j one-row chunks, and a
         # fork never reaches past its anchor's prompt rows into the
         # decode rows a stride writes.  Nor does a tiered store whose
@@ -297,7 +278,6 @@ class _Replica:
         cache = self.cache
         self._strides = cache is None or (
             (cache.tiering is None or not cache.config.charge_transfer_cycles)
-            and cache.pool.capacity_bytes is None
             and not cache.config.engine_cycles
         )
         self.scheduler = ContinuousBatchScheduler(
@@ -497,7 +477,6 @@ class ClusterReport:
     requeues: int = 0
     failovers: int = 0
     rejections: int = 0
-    capacity_rejections: int = 0
     detected_failures: int = 0
     downtime_s: float = 0.0
     duplicate_completions: int = 0
@@ -564,7 +543,6 @@ class _ClusterSim:
         self.requeues = 0
         self.failovers = 0
         self.rejections = 0
-        self.capacity_rejections = 0
         self.detected_failures = 0
         self.duplicate_completions = 0
         # terminal-order metric streams (deterministic given the seed)
@@ -644,96 +622,48 @@ class _ClusterSim:
         if target is not None:
             self._try_start_step(target, now)
 
-    def _requeue(self, creq: _ClusterRequest, now: float,
-                 failover: bool) -> None:
-        """Put an evicted/orphaned request back through placement.
-
-        Failover orphans re-place immediately (their replica died; any
-        survivor may take them).  Capacity evictions instead burn an
-        attempt and back off through a RETRY event — an immediate
-        re-place could land on the same full replica in the same
-        instant and livelock with no simulation-time progress, whereas
-        backoff both advances the clock and bounds the cycle by the
-        retry budget.
-        """
+    def _requeue(self, creq: _ClusterRequest, now: float) -> None:
+        """Fail an orphaned request over: its replica died, so it
+        re-places at once on any survivor."""
         creq.state = "pending"
         creq.replica = None
         creq.live = None
         self.requeues += 1
-        if failover:
-            self.failovers += 1
-            self._place(creq, now)
-            return
-        self._burn_attempt(creq, now)
-
-    def _refuse(self, replica: _Replica, request_id: int, now: float) -> None:
-        """``replica``'s pool refused ``request_id`` for capacity: evict
-        it and its cache state, and requeue it with backoff."""
-        self.capacity_rejections += 1
-        offender = replica.scheduler.evict(request_id)
-        if offender is not None:
-            replica.cache.abort(offender)
-            self._requeue(self.requests[request_id], now, failover=False)
+        self.failovers += 1
+        self._place(creq, now)
 
     # -- replica stepping ----------------------------------------------
 
     def _try_start_step(self, replica: _Replica, now: float) -> None:
-        """Plan and launch one iteration on an idle, healthy replica.
-
-        Capacity refusals from the cache pool evict the offender for
-        requeue elsewhere and re-plan, so one oversized request cannot
-        wedge a replica; the re-plan loop is bounded by the queue
-        length (every refused request leaves the scheduler).
-        """
+        """Plan and launch one iteration, or a stride of them, on an
+        idle, healthy replica: admit the plan's arrivals into the cache
+        pool, price the step, then either owe its pool work to the
+        stride's booking or do it now."""
         if replica.stepping or not replica.alive or replica.detected_dead:
             return
-        admitted_all: List[Request] = []
-        while True:
-            plan = replica.scheduler.plan_iteration(now)
-            if plan is None:
-                return  # idle: the next event on this replica wakes it
-            if replica.cache is None:
-                break
-            clean = True
+        plan = replica.scheduler.plan_iteration(now)
+        if plan is None:
+            return  # idle: the next event on this replica wakes it
+        cache = replica.cache
+        if cache is not None:
             for request in plan.admitted:
-                try:
-                    replica.cache.admit(request)
-                    admitted_all.append(request)
-                except CacheCapacityError:
-                    self._refuse(replica, request.request_id, now)
-                    clean = False
-            if clean:
-                break
-            # Re-plan without the evicted request(s); survivors of this
-            # wave are already resident and will not re-admit.
-        if replica.cache is not None and admitted_all != plan.admitted:
-            # Price prefill for everything admitted across re-plans.
-            plan = dataclasses.replace(plan, admitted=admitted_all)
+                cache.admit(request)
         strides = replica.can_stride(plan)
         stride = replica.scheduler.steps_to_retire() if strides else 1
         step_time = iteration_time_s(self.system, self.arch, plan, stride)
         step_time *= replica.brownout_factor
         ids = plan.resident_ids
-        if replica.cache is not None and strides:
+        if cache is not None and strides:
             # Nothing reads the pool before the stride is booked, so its
             # iterations' KV work waits for that, as one transaction.
             replica.owed = ids
-        elif replica.cache is not None:
-            while True:
-                try:
-                    replica.cache.step(ids)
-                    break
-                except CacheCapacityError as error:
-                    # A refused step leaves every layer of every
-                    # resident as it was: evict the named offender and
-                    # re-run the (already priced) step for the rest.
-                    self._refuse(replica, error.seq_id, now)
-                    ids = [i for i in ids if i != error.seq_id]
+        elif cache is not None:
+            cache.step(ids)
             # Charge modeled tier-transfer time (admissions + this
             # step's spill traffic) into the iteration when the replay
             # config opted in; brownout already applied — transfers are
             # memory-system time, not compute subject to the slowdown.
-            step_time += replica.cache.transfer_penalty_s()
+            step_time += cache.transfer_penalty_s()
         replica.stepping = True
         replica.times = (
             step_time.tolist() if stride > 1 else [step_time]
@@ -830,9 +760,7 @@ class _ClusterSim:
         self.detected_failures += 1
         replica.detected_dead = True
         for request in replica.harvest_orphans():
-            self._requeue(
-                self.requests[request.request_id], now, failover=True
-            )
+            self._requeue(self.requests[request.request_id], now)
 
     def _apply_fault(self, event, now: float) -> None:
         replica = self.replicas[event.replica]
@@ -853,10 +781,7 @@ class _ClusterSim:
             )
             replica.recover(now)
             for request in orphans:
-                self._requeue(
-                    self.requests[request.request_id], now,
-                    failover=True,
-                )
+                self._requeue(self.requests[request.request_id], now)
             self._try_start_step(replica, now)
         elif event.kind is FaultKind.BROWNOUT:
             if replica.alive:
@@ -1001,7 +926,6 @@ class _ClusterSim:
             requeues=self.requeues,
             failovers=self.failovers,
             rejections=self.rejections,
-            capacity_rejections=self.capacity_rejections,
             detected_failures=self.detected_failures,
             downtime_s=downtime,
             duplicate_completions=self.duplicate_completions,

@@ -14,6 +14,7 @@ admissions) and the simulator prices them with the hardware model.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, List, Optional, Tuple
@@ -52,7 +53,8 @@ class ContinuousBatchScheduler:
     """Iteration-level batching with bounded residency.
 
     Args:
-        max_batch: resident request cap (figure sweeps set this).
+        max_batch: resident request cap (figure sweeps set this); a
+            whole number, or :class:`TypeError`.
         admission_gate: optional predicate consulted before each
             admission; returning False leaves the request (and, FIFO,
             everything behind it) queued for a later iteration.  The
@@ -76,7 +78,8 @@ class ContinuousBatchScheduler:
                  admission_gate: Optional[
                      Callable[[Request], bool]
                  ] = None):
-        if max_batch < 1:
+        # Whole: :meth:`plan_iteration` counts free slots down to 0.
+        if operator.index(max_batch) < 1:
             raise ValueError("max_batch must be >= 1")
         self.max_batch = max_batch
         self.admission_gate = admission_gate
@@ -120,11 +123,10 @@ class ContinuousBatchScheduler:
     def evict(self, request_id: int) -> Optional[Request]:
         """Remove one request from the scheduler, wherever it lives.
 
-        Used by the cluster replay's requeue layer: a request whose
-        cache admission failed (or whose replica is being drained) is
-        pulled out of the queue or the resident set and handed back
-        for placement elsewhere.  Returns the request, or None when
-        the scheduler does not hold it (already finished or never
+        Used by the cluster replay's failover: a dead replica's queued
+        and resident requests are pulled out and handed back for
+        placement elsewhere.  Returns the request, or None when the
+        scheduler does not hold it (already finished or never
         submitted).  Finished requests are never evicted.
         """
         for index, request in enumerate(self._queue):

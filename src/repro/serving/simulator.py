@@ -446,14 +446,10 @@ class _CacheReplay:
         and no fork reaches into these decode rows (:meth:`admit`
         caps a prefix at its anchor's prompt rows).  Nothing frees
         between iterations, so neither is the peak.  The cluster loop
-        books a stride's iterations this way (``steps`` > 1 needs a
-        pool that cannot refuse: it has no capacity bound).  A tiered
-        store is told of them as of ``steps`` one-iteration calls, in
-        order, so its counters come out the same too.  The append,
-        read and replayed-token counters count iterations.
-
-        A refused step raises :class:`~repro.engine.CacheCapacityError`
-        with every layer of every resident as it was.
+        books a stride's iterations this way.  A tiered store is told
+        of them as of ``steps`` one-iteration calls, in order, so its
+        counters come out the same too.  The append, read and
+        replayed-token counters count iterations.
         """
         if not seq_ids:
             return
@@ -523,14 +519,13 @@ class _CacheReplay:
             self._forget(request.request_id)
 
     def abort(self, request: Request) -> None:
-        """Back out a partially admitted request.
+        """Back out a request's cache state.
 
-        The cluster replay calls this when :meth:`admit` raises a
-        retryable :class:`~repro.engine.CacheCapacityError` partway
-        through streaming the prompt sample: whatever state the
-        admission left behind (an allocated cache, a context
-        reservation) is released so the request can be requeued on
-        another replica with no residue here.
+        The cluster replay calls this for each orphan it harvests from
+        a dead replica: whatever the request held here (an allocated
+        cache, a context reservation, its prefix-group bookkeeping) is
+        released so it can be requeued on another replica with no
+        residue here.
         """
         if request.request_id in self.pool:
             self.pool.free(request.request_id)

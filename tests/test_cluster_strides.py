@@ -216,15 +216,18 @@ MAY_MOVE = {
 #: A device tier of eight 64-byte pages: small enough that the replay
 #: traces' pages evict, miss and prefetch.
 TIER = {"device_budget_mb": 0.0005, "page_bytes": 64}
-#: The replay variants, each on either store.
+#: The replay variants, each on either store: its options and the fixed
+#: slot its grid cases are numbered from, so that no variant's cases
+#: re-seed when another leaves (slot 2 is free).
 VARIANTS = {
-    "flat": ({}, None),
-    "tiered": (TIER, None),
-    "bounded": ({}, 3000.0),
-    "engine": ({"engine_cycles": True}, None),
-    "tiered-plru": (dict(TIER, eviction="plru", prefetch_pages=2), None),
-    "tiered-charged": (dict(TIER, charge_transfer_cycles=True), None),
+    "flat": ({}, 0),
+    "tiered": (TIER, 1),
+    "engine": ({"engine_cycles": True}, 3),
+    "tiered-plru": (dict(TIER, eviction="plru", prefetch_pages=2), 4),
+    "tiered-charged": (dict(TIER, charge_transfer_cycles=True), 5),
 }
+#: Grid case numbers a store spans: two fault plans per variant slot.
+CASES_PER_STORE = 12
 #: The variants that stride: untiered, or tiered with transfers
 #: reported but not charged into iteration time.
 STRIDING = {"flat", "tiered", "tiered-plru"}
@@ -269,11 +272,11 @@ def _replay_plan(kind, seed=11, crash_rate=0.4, reject_rate=0.3):
 
 
 def _replay_config(store, variant, **replay):
-    options, capacity = VARIANTS[variant]
+    options, _ = VARIANTS[variant]
     return CacheReplayConfig(
         num_layers=2, dim=16, prompt_rows=2, calibration_tokens=32,
         arena=store == "arena", **options, **replay,
-    ), capacity
+    )
 
 
 def _replay_run(simulate, monkeypatch, loop):
@@ -378,14 +381,14 @@ def test_replay_strides_equal_single_iterations(
 ):
     """The store x variant x fault-plan grid, the router policy and
     the queue limit turning with the case."""
-    case = (["arena", "chunked"].index(store) * 2 * len(VARIANTS)
-            + list(VARIANTS).index(variant) * 2 + (faults == "random"))
-    replay, capacity = _replay_config(store, variant, seed=case)
+    case = (["arena", "chunked"].index(store) * CASES_PER_STORE
+            + VARIANTS[variant][1] * 2 + (faults == "random"))
+    replay = _replay_config(store, variant, seed=case)
     config = ClusterConfig(
         replicas=4, max_batch=4,
         policy=cluster.ROUTER_POLICIES[case % 3],
         queue_limit=(None, 2)[case // 3 % 2],
-        replay=replay, pool_capacity_bytes=capacity,
+        replay=replay,
     )
     trace = _replay_trace(seed=case)
     strides, report = _replay_cluster(
@@ -394,8 +397,8 @@ def test_replay_strides_equal_single_iterations(
     )
     assert report["completed"] + report["failed"] == len(trace)
     assert report["lost"] == report["duplicate_completions"] == 0
-    # Only an unbounded, unpriced replica whose tier transfers (if
-    # any) are not charged strides.
+    # Only an unpriced replica whose tier transfers (if any) are not
+    # charged strides.
     assert (strides > 0) == (variant in STRIDING)
 
 
@@ -409,14 +412,12 @@ def test_replay_strides_on_drawn_configurations(seed, monkeypatch):
     store = draw.choice(["arena", "chunked"])
     # Half the draws take the untiered variant that strides.
     variant = "flat" if seed % 2 else draw.choice(list(VARIANTS))
-    replay, capacity = _replay_config(
-        store, variant, seed=draw.randrange(100),
-    )
+    replay = _replay_config(store, variant, seed=draw.randrange(100))
     config = ClusterConfig(
         replicas=4, max_batch=draw.choice([2, 4, 8]),
         policy=draw.choice(cluster.ROUTER_POLICIES),
         queue_limit=draw.choice([None, 1, 3]),
-        replay=replay, pool_capacity_bytes=capacity,
+        replay=replay,
     )
     faults = (
         _replay_plan("storm") if draw.random() < 0.3 else _replay_plan(
@@ -453,7 +454,7 @@ def test_adapter_pools_stride(method, variant, faults, monkeypatch):
     ones such as ``fp16`` and history-global ones such as ``kivi``)
     strides, and its reports, peaks and reads equal the per-iteration
     loops'."""
-    replay, _ = _replay_config("chunked", variant, seed=3, method=method)
+    replay = _replay_config("chunked", variant, seed=3, method=method)
     config = ClusterConfig(replicas=4, max_batch=4, replay=replay)
     trace = _replay_trace(seed=3)
     strides, report = _replay_cluster(
@@ -579,7 +580,7 @@ def test_replay_crash_mid_stride_books_the_killed_iteration(
         dataclasses.replace(r, arrival_s=0.0, output_tokens=40)
         for r in generate_trace("conversation", 4, seed=3)
     ]
-    replay, _ = _replay_config(store, "flat")
+    replay = _replay_config(store, "flat")
     config = ClusterConfig(replicas=2, max_batch=4, replay=replay)
     # Replica 0's stride runs to its first retirement; crash halfway.
     calm = _ClusterSim(SYSTEM, ARCH, trace, config, FaultPlan([])).run()

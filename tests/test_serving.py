@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.data.traces import (
@@ -67,6 +68,21 @@ class TestScheduler:
     def test_invalid_batch_rejected(self):
         with pytest.raises(ValueError):
             ContinuousBatchScheduler(0)
+
+    @pytest.mark.parametrize("max_batch", [2.5, float("nan")])
+    def test_a_fractional_batch_is_refused(self, max_batch):
+        """The cap is a whole number of slots.  A plan counts free slots
+        down to 0, which 2.5 steps past (2.5, 1.5, 0.5, -0.5), so one
+        plan admitted every queued request; NaN passed ``< 1`` and did
+        the same."""
+        with pytest.raises(TypeError):
+            ContinuousBatchScheduler(max_batch)
+
+    def test_a_numpy_integer_batch_is_a_cap(self):
+        scheduler = ContinuousBatchScheduler(np.int64(3))
+        for i in range(6):
+            scheduler.submit(make_request(i))
+        assert len(scheduler.plan_iteration(0.0).admitted) == 3
 
     def test_admission_respects_capacity(self):
         scheduler = ContinuousBatchScheduler(2)
@@ -726,7 +742,7 @@ CLUSTER_GOLDENS = {
         mean_queue_delay_s=15.438152445091337,
         p95_queue_delay_s=40.79148727103131,
         p99_queue_delay_s=49.14374701449151, retries=0, requeues=393,
-        failovers=393, rejections=0, capacity_rejections=0,
+        failovers=393, rejections=0,
         detected_failures=7, downtime_s=14.575530551820048,
         duplicate_completions=0, lost=0, tier_hits=0, tier_misses=0,
         tier_evictions=0, tier_spilled_bytes=0.0, tier_promoted_bytes=0.0,
@@ -767,7 +783,7 @@ CLUSTER_GOLDENS = {
         mean_queue_delay_s=27.39674306791624,
         p95_queue_delay_s=56.52117347220819,
         p99_queue_delay_s=62.36928096876131, retries=0, requeues=533,
-        failovers=533, rejections=0, capacity_rejections=0,
+        failovers=533, rejections=0,
         detected_failures=7, downtime_s=14.575530551820048,
         duplicate_completions=0, lost=0, tier_hits=0, tier_misses=0,
         tier_evictions=0, tier_spilled_bytes=0.0, tier_promoted_bytes=0.0,
@@ -805,7 +821,7 @@ CLUSTER_GOLDENS = {
         mean_tpot_s=0.02199522780541047, mean_queue_delay_s=17.10125368054529,
         p95_queue_delay_s=48.11416697975172,
         p99_queue_delay_s=56.84940132724888, retries=0, requeues=495,
-        failovers=495, rejections=0, capacity_rejections=0,
+        failovers=495, rejections=0,
         detected_failures=7, downtime_s=14.575530551820048,
         duplicate_completions=0, lost=0, tier_hits=0, tier_misses=0,
         tier_evictions=0, tier_spilled_bytes=0.0, tier_promoted_bytes=0.0,
@@ -844,7 +860,7 @@ CLUSTER_GOLDENS = {
         mean_queue_delay_s=0.9001564581845523,
         p95_queue_delay_s=2.3940649318214002,
         p99_queue_delay_s=6.436701605759976, retries=1070, requeues=36,
-        failovers=36, rejections=1221, capacity_rejections=0,
+        failovers=36, rejections=1221,
         detected_failures=7, downtime_s=14.575530551820048,
         duplicate_completions=0, lost=0, tier_hits=0, tier_misses=0,
         tier_evictions=0, tier_spilled_bytes=0.0, tier_promoted_bytes=0.0,
@@ -883,7 +899,7 @@ CLUSTER_GOLDENS = {
         mean_queue_delay_s=10.87709425439405,
         p95_queue_delay_s=31.63783491051408,
         p99_queue_delay_s=39.10098423507182, retries=0, requeues=65,
-        failovers=65, rejections=0, capacity_rejections=0, detected_failures=3,
+        failovers=65, rejections=0, detected_failures=3,
         downtime_s=13.786025302573401, duplicate_completions=0, lost=0,
         tier_hits=0, tier_misses=0, tier_evictions=0, tier_spilled_bytes=0.0,
         tier_promoted_bytes=0.0, tier_transfer_cycles=0.0, forks=0,

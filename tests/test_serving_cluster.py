@@ -1,13 +1,14 @@
 """Cluster replay contracts: equivalence, exactly-once, determinism.
 
 The three correctness contracts from the module docstring, plus the
-robustness machinery (failover, retry budget, backpressure, capacity
-requeue) and the router policies.  Everything runs in simulation time
+robustness machinery (failover, retry budget, backpressure) and the
+router policies.  Everything runs in simulation time
 on small traces, so the whole file is fast and fully deterministic.
 """
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.data.traces import (
@@ -31,12 +32,7 @@ from repro.serving.faults import (
     crash_forever,
     generate_fault_plan,
 )
-from repro.engine import CacheCapacityError
-from repro.serving.simulator import (
-    CacheReplayConfig,
-    _CacheReplay,
-    simulate_trace,
-)
+from repro.serving.simulator import CacheReplayConfig, simulate_trace
 
 pytestmark = pytest.mark.cluster
 
@@ -374,52 +370,6 @@ class TestBackpressure:
         assert rep.completed + rep.failed == len(trace)
         assert rep.lost == 0
 
-    @pytest.mark.parametrize("num_layers", [1, 2])
-    def test_capacity_error_requeues_not_loses(self, num_layers, monkeypatch):
-        """Refusals at admission and mid-step evict and requeue.  Every
-        pool sequence's layers stay even after every step, refused or
-        not (at one layer that cannot fail; at two it catches layer 0
-        landing before layer 1 is refused), and a refused step is re-run
-        at once for every resident but the offender."""
-        steps = []
-        replay_step = _CacheReplay.step
-
-        def step(engine, seq_ids):
-            ids = list(seq_ids)
-            try:
-                replay_step(engine, seq_ids)
-                steps.append((engine, ids, None))
-            except CacheCapacityError as error:
-                steps.append((engine, ids, error.seq_id))
-                raise
-            finally:
-                for seq in engine.pool.seq_ids:
-                    layers = engine.pool.get(seq).layers
-                    assert len({layer.length for layer in layers}) == 1
-
-        monkeypatch.setattr(_CacheReplay, "step", step)
-        trace = generate_trace("conversation", 8, seed=6)
-        rep = run_cluster(
-            trace, replicas=2, max_batch=4,
-            replay=CacheReplayConfig(
-                num_layers=num_layers, dim=16, prompt_rows=2
-            ),
-            pool_capacity_bytes=3000.0,
-        )
-        assert rep.capacity_rejections > 0
-        assert rep.completed + rep.failed == len(trace)
-        assert rep.lost == 0
-        assert rep.duplicate_completions == 0
-        refused = [
-            i for i, (*_, offender) in enumerate(steps) if offender is not None
-        ]
-        assert refused
-        for i in refused:
-            engine, ids, offender = steps[i]
-            assert steps[i + 1][:2] == (
-                engine, [seq for seq in ids if seq != offender]
-            )
-
 
 class TestValidation:
     def test_unsorted_trace_rejected(self):
@@ -455,16 +405,20 @@ class TestValidation:
                 with pytest.raises(ValueError, match=name):
                     ClusterConfig(**{name: value})
         ClusterConfig(backoff_base_s=0.0, backoff_cap_s=0.0)  # allowed
-        # A pool bound of 0, below 0 or NaN refuses every admission
-        # (every request fails on capacity), and without a replay there
-        # is no pool for it to bound.
-        replay = CacheReplayConfig()
-        for value in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="pool_capacity_bytes"):
-                ClusterConfig(replay=replay, pool_capacity_bytes=value)
-        with pytest.raises(ValueError, match="pool_capacity_bytes"):
-            ClusterConfig(pool_capacity_bytes=3000.0)
-        ClusterConfig(replay=replay, pool_capacity_bytes=3000.0)  # allowed
+
+    @pytest.mark.parametrize("name", [
+        "replicas", "max_batch", "heartbeat_misses", "retry_budget",
+        "queue_limit",
+    ])
+    def test_a_fractional_count_is_refused(self, name):
+        """Counts are whole.  ``replicas=2.5`` used to fail only inside
+        the run, ``max_batch=2.5`` lifted the residency cap, and the
+        rest ran with their meaning silently rounded."""
+        for value in (2.5, 3.0, float("nan")):
+            with pytest.raises(TypeError):
+                ClusterConfig(**{name: value})
+        config = ClusterConfig(**{name: np.int64(3)})  # allowed
+        assert getattr(config, name) == 3
 
     def test_analytic_oom_mirrors_simulate_trace(self, monkeypatch):
         import repro.serving.cluster as cluster_mod
