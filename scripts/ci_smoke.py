@@ -71,6 +71,30 @@ def assert_stacked_decodes(detail: dict) -> None:
         detail["batched_decodes"], detail["batched_reads"])
 
 
+#: The PLRU spill smoke's seed-0 tier outcomes, exactly: the
+#: ``tier_*`` keys of its replay report.  The replay is simulation
+#: time, so they repeat bit for bit; a change to the tier store that
+#: moves one has changed its eviction order or its pricing.
+TIERING_SMOKE = {
+    "tier_device_bytes": 0.0,
+    "tier_device_capacity_bytes": 59392.0,
+    "tier_device_pages": 0.0,
+    "tier_evictions": 98960.0,
+    "tier_hits": 8796.0,
+    "tier_host_bytes": 0.0,
+    "tier_host_pages": 0.0,
+    "tier_misses": 49259.0,
+    "tier_pages_allocated": 275.0,
+    "tier_peak_device_bytes": 59392.0,
+    "tier_prefetched_pages": 47041.0,
+    "tier_promoted_bytes": 99311672.0,
+    "tier_promotions": 98783.0,
+    "tier_spilled_bytes": 99491502.0,
+    "tier_transfer_cycles": 12529620.53125,
+    "tier_transfer_cycles_per_token": 5641.432026677173,
+}
+
+
 def tiering_smoke() -> None:
     """Long-context spill smoke at a 25% device budget.
 
@@ -78,7 +102,8 @@ def tiering_smoke() -> None:
     then again with the device tier capped at 25% of it: the tiered
     run must finish every request (nothing lost to capacity) while
     actually exercising eviction — and the chunk store's batched reads
-    took the row-stacked decode.
+    took the row-stacked decode.  Its tier outcomes must equal
+    :data:`TIERING_SMOKE`.
     """
     replay = ("replay", "--workload", "longcontext", "--requests", "3",
               "--batch", "4")
@@ -96,6 +121,9 @@ def tiering_smoke() -> None:
     assert detail["tier_spilled_bytes"] > 0
     assert detail["gate_refusals"] == 0, "spill mode must not refuse"
     assert_stacked_decodes(detail)
+    tiers = {key: value for key, value in detail.items()
+             if key.startswith("tier_")}
+    assert tiers == TIERING_SMOKE, tiers
     print("spill smoke: generated", rep["generated_tokens"],
           "tokens at 25% budget,",
           int(detail["tier_evictions"]), "evictions,",
@@ -432,13 +460,21 @@ OP_WORK = {
         "quant": 464,
         "serving": 1348,
     },
+    # A page entering a full device tier takes its victim's frame in
+    # one hand-off, and a promoted run is placed in one loop.  "engine"
+    # (11,165 before) loses the per-page ``_occupy``, ``_evict``,
+    # ``_vacate`` and residency-property calls and every ``_price``
+    # call (prices are an ``lru_cache`` now, which is not profiled);
+    # "numpy+builtins" (26,154 before) the per-page ``len`` / ``max``,
+    # ``dict.get`` and free-list push and pop, and a ``sum`` per
+    # promoted run.  The other buckets do not move.
     "replay-longctx-tiered": {
         "baselines": 1,
         "core": 2296,
-        "engine": 11165,
+        "engine": 6168,
         "hardware": 606,
         "models": 50,
-        "numpy+builtins": 26154,
+        "numpy+builtins": 19581,
         "serving": 581,
     },
     "cluster-replay-faults": {

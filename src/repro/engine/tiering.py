@@ -33,12 +33,11 @@ internal node of a tree whose leaves are the frames.
 
 Accounting model (all deterministic, simulation-time):
 
-* Encoded bytes bump-allocate into per-``(seq_id, layer)`` page
-  streams; a page entering the device tier takes the most recently
-  freed frame, or else the lowest never-used one.
-* ``record_append`` grows the stream on device, first evicting a cold
-  page to host whenever no frame is free (each demotion is one modeled
-  transfer).
+* ``record_append`` bump-allocates encoded bytes into per-``(seq_id,
+  layer)`` page streams; a page entering the device tier takes the
+  most recently freed frame, or else the lowest never-used one.  A
+  page entering a *full* tier takes its victim's frame: the victim is
+  demoted to host (one modeled transfer), the new page written in.
 * ``record_read`` touches a stream's pages in order: device-resident
   pages are **hits**, host-resident pages are **misses** that promote
   back; runs of consecutive spilled pages coalesce into one merged
@@ -57,6 +56,7 @@ directions (``hardware.mmu`` imports ``engine.errors``).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections import OrderedDict
@@ -187,25 +187,24 @@ class TieredKVStore:
         if page_bytes < 1:
             raise ValueError(f"page_bytes must be >= 1, got {page_bytes}")
         if prefetch_pages < 0:
-            raise ValueError(
-                f"prefetch_pages must be >= 0, got {prefetch_pages}"
-            )
+            raise ValueError(f"prefetch_pages must be >= 0, got {prefetch_pages}")
         if policy not in EVICTION_POLICIES:
-            raise ValueError(
-                f"unknown eviction policy {policy!r}; "
-                f"choose from {EVICTION_POLICIES}"
-            )
+            raise ValueError(f"unknown eviction policy {policy!r}; "
+                             f"choose from {EVICTION_POLICIES}")
         self.page_bytes = page_bytes
         self.capacity_pages = max(1, int(device_budget_bytes // page_bytes))
         self.device_budget_bytes = float(device_budget_bytes)
         self.policy_name = str(policy)
         self.prefetch_pages = prefetch_pages
         self.transfer = transfer if transfer is not None else default_transfer_model()
-        # ``transfer.transfer_cycles`` by ``(bytes, granularity)``: a
-        # pure function, asked again and again for the few distinct
-        # page fills and run lengths (a run is at most 1 +
-        # ``prefetch_pages`` pages, so the keys are bounded).
-        self._prices: Dict[Tuple[int, int], float] = {}
+        # ``transfer.transfer_cycles``, memoized: a pure function asked
+        # again and again for the few distinct page fills and run lengths
+        # (a run is at most 1 + ``prefetch_pages`` pages); a full page's
+        # spill, the price asked most, is also held apart.
+        self._price = functools.lru_cache(maxsize=None)(
+            self.transfer.transfer_cycles
+        )
+        self._full_spill = self._price(page_bytes, page_bytes)
         # PLRU leaves: the frames, padded to a power of two.
         self._ways = 1 << (self.capacity_pages - 1).bit_length()
         # Held frames -> (stream, page index) of the page each holds, and
@@ -220,7 +219,7 @@ class TieredKVStore:
         self._recency = OrderedDict() if lru else None
         self._bits = [] if lru else [0] * (self._ways - 1)
         self._touch = self._recency.move_to_end if lru else self._plru_touch
-        self._victim = self._lru_victim if lru else self._plru_victim
+        self._take = self._lru_take if lru else self._plru_take
         # counters
         self.hits = self.misses = self.evictions = self.promotions = 0
         self.prefetched_pages = self.pages_allocated = 0
@@ -257,8 +256,8 @@ class TieredKVStore:
 
         Bytes bump-allocate into the stream's open device page, opening
         new device pages as needed (a spilled open page is promoted
-        back first); a cold page is demoted whenever the device tier
-        has no free frame.  Returns the transfer cycles charged by any
+        back first); a page entering a full device tier demotes the
+        policy's victim.  Returns the transfer cycles charged by any
         demotions (also accumulated on the store).
         """
         remaining = int(nbytes)
@@ -272,14 +271,15 @@ class TieredKVStore:
             if not fills or fills[-1] >= self.page_bytes:
                 fills.append(0)
                 frames.append(-1)
-                self._occupy(stream, len(frames) - 1)
+                self._occupy(stream, len(frames) - 1, len(frames))
                 self.pages_allocated += 1
             elif frames[-1] < 0:
-                self._promote_run(stream, len(frames) - 1, 1)
+                self._promote_run(stream, len(frames) - 1, len(frames))
+            else:  # (a page entering the tier is touched as it enters)
+                self._touch(frames[-1])
             take = min(remaining, self.page_bytes - fills[-1])
             fills[-1] += take
             remaining -= take
-            self._touch(frames[-1])
         return self.transfer_cycles - before
 
     def record_read(self, seq_id: Hashable, layer: int) -> float:
@@ -288,24 +288,28 @@ class TieredKVStore:
         Device-resident pages count as hits; host-resident pages are
         misses promoted back to device, coalescing runs of consecutive
         spilled pages (up to ``1 + prefetch_pages``) into single merged
-        transfers.  Returns the transfer cycles charged.
+        transfers; a page a promotion demotes before the read reaches
+        it misses too.  Returns the transfer cycles charged.
         """
         stream = self._seqs.get(seq_id, {}).get(layer)
         if stream is None:
             return 0.0
         frames = stream[1]
+        touch, reach, end = self._touch, 1 + self.prefetch_pages, len(frames)
         before = self.transfer_cycles
-        index = 0
-        while index < len(frames):
-            if frames[index] >= 0:
-                self.hits += 1
-                self._touch(frames[index])
+        hits = index = 0
+        while index < end:
+            frame = frames[index]
+            if frame >= 0:
+                hits += 1
+                touch(frame)
                 index += 1
             else:
                 self.misses += 1
-                run = self._promote_run(stream, index, 1 + self.prefetch_pages)
+                run = self._promote_run(stream, index, min(end, index + reach))
                 self.prefetched_pages += run - 1
                 index += run
+        self.hits += hits
         return self.transfer_cycles - before
 
     def release(self, seq_id: Hashable) -> int:
@@ -319,112 +323,103 @@ class TieredKVStore:
         for _, frames in self._seqs.pop(seq_id, {}).values():
             for frame in frames:
                 if frame >= 0:
-                    self._vacate(frame)
+                    del self._page_at[frame]
+                    self._free.append(frame)
+                    if self._recency is not None:
+                        del self._recency[frame]
             self.host_pages -= frames.count(-1)
             freed += len(frames)
         return freed
 
     # -- frames ---------------------------------------------------------
 
-    def _occupy(self, stream: _Stream, index: int) -> None:
-        """Give page ``index`` of a stream a device frame.
+    def _occupy(self, stream: _Stream, start: int, end: int) -> None:
+        """Give pages ``start:end`` of a stream device frames, in order.
 
-        Room is made *before* the page enters the device tier, so the
-        incoming page can never be chosen as its own victim.  Residency
-        only grows here, so this is where the peak is taken.
+        A page takes a free frame while the tier has room (residency
+        grows: the peak is taken there), else its victim's frame: the
+        policy picks and refreshes it, the victim goes to host, charged.
+        Held plus freed frames never exceed ``capacity_pages``, so a
+        full tier has none free.  Counters run in locals, summed in
+        event order (``transfer_cycles`` is a float sum).
         """
-        if self.device_pages == self.capacity_pages:
-            self._evict()
-        # With no freed frame, frames 0..held-1 are all held: the next
-        # new frame is the held count, so fills ascend.
-        frame = self._free.pop() if self._free else self.device_pages
-        stream[1][index] = frame
-        self._page_at[frame] = (stream, index)
-        if self._recency is not None:
-            self._recency[frame] = None
-        self._touch(frame)
-        self.peak_device_bytes = max(self.peak_device_bytes, self.device_bytes)
+        frames, page_at, page_bytes = stream[1], self._page_at, self.page_bytes
+        spilled, cycles, demoted = self.spilled_bytes, self.transfer_cycles, 0
+        held = len(page_at)
+        for index in range(start, end):
+            if held < self.capacity_pages:
+                # With no freed frame, frames 0..held-1 are all held:
+                # the next new frame is the held count, so fills ascend.
+                frame = self._free.pop() if self._free else held
+                if self._recency is not None:
+                    self._recency[frame] = None
+                self._touch(frame)
+                held += 1
+                if held * page_bytes > self.peak_device_bytes:
+                    self.peak_device_bytes = held * page_bytes
+            else:
+                frame = self._take()
+                (fills, owner), at = page_at[frame]
+                owner[at] = -1
+                demoted += 1
+                spilled += fills[at]
+                cycles += (self._full_spill if fills[at] == page_bytes
+                           else self._price(fills[at], page_bytes))
+            page_at[frame] = (stream, index)
+            frames[index] = frame
+        self.evictions += demoted
+        self.host_pages += demoted
+        self.spilled_bytes, self.transfer_cycles = spilled, cycles
 
-    def _vacate(self, frame: int) -> None:
-        del self._page_at[frame]
-        self._free.append(frame)
-        if self._recency is not None:
-            del self._recency[frame]
-
-    def _evict(self) -> None:
-        """Demote the policy's victim page to host."""
-        frame = self._victim()
-        (fills, frames), index = self._page_at[frame]
-        self._vacate(frame)
-        frames[index] = -1
-        self.host_pages += 1
-        self.evictions += 1
-        self.spilled_bytes += fills[index]
-        self.transfer_cycles += self._price(fills[index], self.page_bytes)
-
-    def _promote_run(self, stream: _Stream, start: int, limit: int) -> int:
-        """Promote up to ``limit`` consecutive host pages starting at
-        ``start`` (a host page) as one merged transfer.  Returns pages
-        promoted."""
+    def _promote_run(self, stream: _Stream, start: int, stop: int) -> int:
+        """Promote the host pages from ``start`` (one) until a resident
+        page or ``stop`` as one merged transfer; returns their count."""
         fills, frames = stream
-        end = start + 1
-        stop = min(len(frames), start + limit)
+        moved, end = fills[start], start + 1
         while end < stop and frames[end] < 0:
+            moved += fills[end]
             end += 1
-        moved = sum(fills[start:end])
+        run = end - start
         # One merged transfer: granularity is the whole run, so longer
         # runs ride the host link's burst efficiency curve.
-        self.transfer_cycles += self._price(
-            moved, (end - start) * self.page_bytes
-        )
+        self.transfer_cycles += self._price(moved, run * self.page_bytes)
         self.promoted_bytes += moved
-        for index in range(start, end):
-            self._occupy(stream, index)
-        self.host_pages -= end - start
-        self.promotions += end - start
-        return end - start
-
-    def _price(self, nbytes: int, granularity: int) -> float:
-        """Transfer cycles of ``nbytes`` at ``granularity``, memoized."""
-        key = (nbytes, granularity)
-        cycles = self._prices.get(key)
-        if cycles is None:
-            cycles = self._prices[key] = self.transfer.transfer_cycles(
-                nbytes, granularity
-            )
-        return cycles
+        self._occupy(stream, start, end)
+        self.host_pages -= run
+        self.promotions += run
+        return run
 
     # -- policies -------------------------------------------------------
 
-    def _lru_victim(self) -> int:
-        return next(iter(self._recency))
+    def _lru_take(self) -> int:
+        """The least recent frame, moved to most recent."""
+        frame = next(iter(self._recency))
+        self._recency.move_to_end(frame)
+        return frame
 
     def _plru_touch(self, frame: int) -> None:
         """Point every bit on the frame's root path away from it."""
         node = self._ways - 1 + frame
         while node:
             parent = (node - 1) >> 1
-            # 1 means "go right": arriving from the left child (odd
-            # node) sets it.
+            # 1 means "go right": set arriving from the left (odd) child.
             self._bits[parent] = node & 1
             node = parent
 
-    def _plru_victim(self) -> int:
-        """Walk the bits from the root to a leaf.
-
-        A padding or free leaf is touched (steering the bits away from
-        it) and the walk repeated; walk-then-touch visits every leaf
-        within ``ways`` walks, so a held frame is always reached.
-        """
+    def _plru_take(self) -> int:
+        """Walk the bits from the root to a leaf and touch it, until the
+        leaf is a held frame: touching a padding or free leaf steers the
+        bits away from it, and walk-then-touch visits every leaf within
+        ``ways`` walks, so a held frame is always reached."""
         leaves = self._ways - 1
         while True:
             node = 0
             while node < leaves:
                 node = 2 * node + 1 + self._bits[node]
             frame = node - leaves
+            self._plru_touch(frame)
             if frame in self._page_at:
                 return frame
-            self._plru_touch(frame)
 
     # -- reporting ------------------------------------------------------
 

@@ -540,8 +540,7 @@ class _ClusterSim:
         self.now = 0.0
         # counters
         self.retries = 0
-        self.requeues = 0
-        self.failovers = 0
+        self.failovers = 0  # every requeue is a failover
         self.rejections = 0
         self.detected_failures = 0
         self.duplicate_completions = 0
@@ -628,7 +627,6 @@ class _ClusterSim:
         creq.state = "pending"
         creq.replica = None
         creq.live = None
-        self.requeues += 1
         self.failovers += 1
         self._place(creq, now)
 
@@ -923,7 +921,7 @@ class _ClusterSim:
             p95_queue_delay_s=_stat(self.queue_delays, 95),
             p99_queue_delay_s=_stat(self.queue_delays, 99),
             retries=self.retries,
-            requeues=self.requeues,
+            requeues=self.failovers,
             failovers=self.failovers,
             rejections=self.rejections,
             detected_failures=self.detected_failures,

@@ -138,13 +138,14 @@ class CacheReplayConfig:
     def __post_init__(self):
         from repro.engine.tiering import EVICTION_POLICIES
 
-        # Pages and prefetch runs are whole (a fractional page size
-        # would floor to pages of no bytes): TypeError otherwise.
-        operator.index(self.page_bytes)
+        # Sizes, counts, pages and prefetch runs are whole (a fractional
+        # page size would floor to pages of no bytes, a fractional layer
+        # count fails far off): TypeError otherwise.
         operator.index(self.prefetch_pages)
+        fields = vars(self)
         for name in ("num_layers", "dim", "calibration_tokens",
                      "prompt_rows", "page_bytes"):
-            value = getattr(self, name)
+            value = operator.index(fields[name])
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         if self.prefetch_pages < 0:

@@ -356,6 +356,17 @@ class TestReplayConfigValidation:
         with pytest.raises(TypeError):
             CacheReplayConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field", ["num_layers", "dim", "calibration_tokens", "prompt_rows"],
+    )
+    @pytest.mark.parametrize("value", [2.5, 8.0, float("nan")])
+    def test_a_fractional_size_is_refused(self, field, value):
+        """Miniature sizes and row counts are whole: ``num_layers=2.5``
+        or ``dim=nan`` used to be accepted, and the replay then failed
+        with an unrelated ``TypeError`` deep in the pool."""
+        with pytest.raises(TypeError):
+            CacheReplayConfig(**{field: value})
+
 
 class TestReplayRobustness:
     """OOM edges and admission-gate bookkeeping for the replay."""

@@ -121,3 +121,110 @@ def test_recorded_replay_matches_the_oracle(policy, monkeypatch):
     store = replay(calls, **store_args)
     assert store.evictions > 0 and store.misses > 0
     assert report.replay["tier_evictions"] == store.evictions
+
+
+# Deterministic edge cases of a page entering a full device tier, each
+# replayed against the oracle under both policies, each asserting that
+# its scenario really happened.  Pages are 256 bytes.
+
+PAGE = 256
+
+
+def summaries(calls, **store_args):
+    """``replay`` ``calls``, then the store's summary after each one."""
+    replay(calls, **store_args)
+    store, out = TieredKVStore(**store_args), []
+    for method, args in calls:
+        getattr(store, method)(*args)
+        out.append(store.summary())
+    return out
+
+
+@pytest.mark.parametrize("policy", EVICTION_POLICIES)
+def test_a_promotion_demotes_a_page_the_read_has_yet_to_reach(policy):
+    """Three pages of one stream on a two-frame tier: the read's first
+    promotion takes a frame from a page further along the same stream,
+    which then misses in the same read."""
+    calls = [("record_append", (0, 0, 3 * PAGE)), ("record_read", (0, 0))]
+    before, after = summaries(
+        calls, device_budget_bytes=2 * PAGE, page_bytes=PAGE,
+        policy=policy, prefetch_pages=0,
+    )
+    assert before["host_pages"] == 1 and before["device_pages"] == 2
+    # Without prefetch each miss promotes one page: more misses than
+    # host pages at the start means a page resident then missed.
+    assert after["misses"] - before["misses"] == 3
+    assert after["hits"] == before["hits"]
+
+
+@pytest.mark.parametrize("policy", EVICTION_POLICIES)
+def test_a_partly_filled_tail_page_spills_at_its_fill(policy):
+    """A one-frame tier: a second stream's page demotes the first
+    stream's 100-byte tail, charged 100 bytes; appending to that
+    stream again promotes the tail back and demotes the other."""
+    calls = [
+        ("record_append", (0, 0, 100)),
+        ("record_append", (1, 0, 10)),
+        ("record_append", (0, 0, 50)),
+    ]
+    args = dict(device_budget_bytes=PAGE, page_bytes=PAGE, policy=policy)
+    _, spill, back = summaries(calls, **args)
+    price = TieredKVStore(**args).transfer.transfer_cycles
+    assert spill["evictions"] == 1 and spill["spilled_bytes"] == 100
+    assert spill["transfer_cycles"] == price(100, PAGE)
+    assert back["promotions"] == 1 and back["promoted_bytes"] == 100
+    assert back["spilled_bytes"] == 100 + 10
+
+
+@pytest.mark.parametrize("frames", [3, 5])
+@pytest.mark.parametrize("policy", EVICTION_POLICIES)
+def test_a_non_power_of_two_tier(policy, frames, monkeypatch):
+    """PLRU pads the frame tree to a power of two; its victim walks
+    land on padding leaves and must step off them."""
+    touched = []
+    plru_touch = TieredKVStore._plru_touch
+
+    def recording(self, frame):
+        touched.append(frame)
+        plru_touch(self, frame)
+
+    monkeypatch.setattr(TieredKVStore, "_plru_touch", recording)
+    calls = []
+    for round_ in range(4):
+        for seq in range(3):
+            calls.append(("record_append", (seq, 0, PAGE + 40 * round_)))
+            calls.append(("record_read", ((seq + round_) % 3, 0)))
+    *_, last = summaries(
+        calls, device_budget_bytes=frames * PAGE, page_bytes=PAGE,
+        policy=policy, prefetch_pages=1,
+    )
+    assert last["device_capacity_bytes"] == frames * PAGE
+    assert last["evictions"] > 0 and last["misses"] > 0
+    if policy == "plru":
+        assert any(frame >= frames for frame in touched)
+
+
+@pytest.mark.parametrize("policy", EVICTION_POLICIES)
+def test_a_release_then_promotions(policy):
+    """After a release the read's promotions take freed frames (no
+    demotion); once the tier is full again they take victims'."""
+    calls = [
+        ("record_append", (0, 0, 4 * PAGE)),  # fills the four frames
+        ("record_append", (1, 0, 2 * PAGE)),  # demotes two of seq 0
+        ("release", (1,)),                    # frees two frames
+        ("record_read", (0, 0)),              # promotes into them
+        ("record_append", (2, 0, 2 * PAGE)),  # demotes two again
+        ("record_read", (0, 0)),              # promotes by hand-off
+    ]
+    steps = summaries(
+        calls, device_budget_bytes=4 * PAGE, page_bytes=PAGE,
+        policy=policy, prefetch_pages=0,
+    )
+    released, freed_read, full, handed_read = steps[2:]
+    assert released["device_pages"] == 2 and released["host_pages"] == 2
+    assert freed_read["promotions"] - released["promotions"] == 2
+    assert freed_read["evictions"] == released["evictions"]
+    assert full["device_pages"] == 4 and full["host_pages"] == 2
+    assert handed_read["promotions"] > full["promotions"]
+    assert handed_read["evictions"] > full["evictions"]
+    assert handed_read["device_pages"] == 4
