@@ -440,6 +440,12 @@ def arena_work_gate() -> None:
 #: ``OP_LEDGER_SLACK`` below it.  Which frames exist depends on the
 #: interpreter (3.12 inlines comprehensions) and on NumPy's Python
 #: wrappers, so the pins hold under ``OP_LEDGER_ENV`` only.
+#: ``CacheReplayConfig`` checks each of its five sizes with a
+#: ``getattr`` and an ``operator.index`` (11 builtin calls per config
+#: with ``prefetch_pages``' index): "numpy+builtins" rose by 4 per
+#: config a repetition builds (one in each replay workload, five in
+#: cluster-replay-faults) when the four sizes other than ``page_bytes``
+#: joined the index check.
 OP_WORK = {
     "replay-burst-arena": {
         "baselines": 1,
@@ -447,7 +453,7 @@ OP_WORK = {
         "engine": 4150,
         "hardware": 152,
         "models": 681,
-        "numpy+builtins": 14519,
+        "numpy+builtins": 14523,
         "serving": 2651,
     },
     "replay-rag-shared": {
@@ -456,7 +462,7 @@ OP_WORK = {
         "engine": 2080,
         "hardware": 125,
         "models": 243,
-        "numpy+builtins": 17370,
+        "numpy+builtins": 17374,
         "quant": 464,
         "serving": 1348,
     },
@@ -474,7 +480,7 @@ OP_WORK = {
         "engine": 6168,
         "hardware": 606,
         "models": 50,
-        "numpy+builtins": 19581,
+        "numpy+builtins": 19585,
         "serving": 581,
     },
     "cluster-replay-faults": {
@@ -483,7 +489,7 @@ OP_WORK = {
         "engine": 5522,
         "hardware": 154,
         "models": 308,
-        "numpy+builtins": 23744,
+        "numpy+builtins": 23764,
         "serving": 2206,
     },
     "cluster-scale-analytic": {

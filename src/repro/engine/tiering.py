@@ -187,10 +187,14 @@ class TieredKVStore:
         if page_bytes < 1:
             raise ValueError(f"page_bytes must be >= 1, got {page_bytes}")
         if prefetch_pages < 0:
-            raise ValueError(f"prefetch_pages must be >= 0, got {prefetch_pages}")
+            raise ValueError(
+                f"prefetch_pages must be >= 0, got {prefetch_pages}"
+            )
         if policy not in EVICTION_POLICIES:
-            raise ValueError(f"unknown eviction policy {policy!r}; "
-                             f"choose from {EVICTION_POLICIES}")
+            raise ValueError(
+                f"unknown eviction policy {policy!r}; "
+                f"choose from {EVICTION_POLICIES}"
+            )
         self.page_bytes = page_bytes
         self.capacity_pages = max(1, int(device_budget_bytes // page_bytes))
         self.device_budget_bytes = float(device_budget_bytes)
@@ -199,12 +203,10 @@ class TieredKVStore:
         self.transfer = transfer if transfer is not None else default_transfer_model()
         # ``transfer.transfer_cycles``, memoized: a pure function asked
         # again and again for the few distinct page fills and run lengths
-        # (a run is at most 1 + ``prefetch_pages`` pages); a full page's
-        # spill, the price asked most, is also held apart.
+        # (a run is at most 1 + ``prefetch_pages`` pages).
         self._price = functools.lru_cache(maxsize=None)(
             self.transfer.transfer_cycles
         )
-        self._full_spill = self._price(page_bytes, page_bytes)
         # PLRU leaves: the frames, padded to a power of two.
         self._ways = 1 << (self.capacity_pages - 1).bit_length()
         # Held frames -> (stream, page index) of the page each holds, and
@@ -363,8 +365,7 @@ class TieredKVStore:
                 owner[at] = -1
                 demoted += 1
                 spilled += fills[at]
-                cycles += (self._full_spill if fills[at] == page_bytes
-                           else self._price(fills[at], page_bytes))
+                cycles += self._price(fills[at], page_bytes)
             page_at[frame] = (stream, index)
             frames[index] = frame
         self.evictions += demoted
@@ -402,7 +403,8 @@ class TieredKVStore:
         node = self._ways - 1 + frame
         while node:
             parent = (node - 1) >> 1
-            # 1 means "go right": set arriving from the left (odd) child.
+            # 1 means "go right": arriving from the left child (odd
+            # node) sets it.
             self._bits[parent] = node & 1
             node = parent
 

@@ -142,10 +142,9 @@ class CacheReplayConfig:
         # page size would floor to pages of no bytes, a fractional layer
         # count fails far off): TypeError otherwise.
         operator.index(self.prefetch_pages)
-        fields = vars(self)
         for name in ("num_layers", "dim", "calibration_tokens",
                      "prompt_rows", "page_bytes"):
-            value = operator.index(fields[name])
+            value = operator.index(getattr(self, name))
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         if self.prefetch_pages < 0:
